@@ -1,32 +1,30 @@
-(* Benchmark of the partition-refinement key pipelines.
+(* Benchmark of the partition-refinement engines against the oracle's
+   reference implementations.
 
-   Flat scenarios race three engines on the same spec — the seed's
-   list-based [Refiner_reference], the in-place core through the generic
-   closure pipeline, and the monomorphic float pipeline — check that all
-   three compute the same fixed point, and fail if the float pipeline
-   does not beat the generic one (or the in-place core regresses against
-   the seed).
+   Flat scenarios race the seed's list-based [Refiner_reference] against
+   the monomorphic float pipeline on the same spec, check that both
+   compute the same fixed point, and fail if the float pipeline does not
+   beat the reference.
 
    Multi-level scenarios time [Compositional.lump] end to end (per-level
-   initial partitions, fixed-point refinement, diagram rebuild) in three
-   configurations: the generic closure pipeline, the interned-key
-   pipeline without memoisation (the pre-cache baseline, from-scratch
-   rebuild), and the memoised pipeline (key cache + singleton skip +
-   incremental rebuild) sharing one [Key_cache] — and hence one hot
-   intern table — across every multi-level scenario.  All three must
-   produce identical partitions, and the cached run's lumped diagram
-   must be structurally equal to the uncached one; the cached run
-   slower than the interned baseline is a regression.
+   initial partitions, fixed-point refinement, diagram rebuild) — the
+   production path: key cache, ranked pipeline, incremental rebuild,
+   sharing one [Key_cache] across every multi-level scenario — against
+   the oracle's reference lumper ([Reference_lump.lump]: list-based
+   refinement, no cache, from-scratch rebuild).  Both must produce
+   identical partitions and structurally equal lumped diagrams; the
+   production run slower than the reference is a regression.
 
-   Every scenario records the refiner's per-pipeline counters.  Results
-   go to BENCH_refine.json (schema checked by
-   scripts/check_bench_schema.py in CI).
+   Every scenario records the refiner's counters.  Results go to
+   BENCH_refine.json (schema checked by scripts/check_bench_schema.py
+   in CI).
 
    Usage: dune exec bench/refine.exe [-- --smoke] [-- --out FILE] *)
 
 module Partition = Mdl_partition.Partition
 module Refiner = Mdl_partition.Refiner
-module Refiner_reference = Mdl_partition.Refiner_reference
+module Refiner_reference = Mdl_oracle.Refiner_reference
+module Reference_lump = Mdl_oracle.Reference_lump
 module State_lumping = Mdl_lumping.State_lumping
 module Compositional = Mdl_core.Compositional
 module Md_solve = Mdl_core.Md_solve
@@ -88,10 +86,7 @@ let stats_json s =
         "splits": %d,
         "blocks_created": %d,
         "largest_skips": %d,
-        "float_passes": %d,
-        "interned_passes": %d,
         "counting_sort_passes": %d,
-        "fallback_passes": %d,
         "intern_keys": %d,
         "cache_hits": %d,
         "cache_misses": %d,
@@ -100,8 +95,7 @@ let stats_json s =
         "wall_s": %.6f
       }|}
     s.Refiner.splitter_passes s.Refiner.key_evals s.Refiner.splits
-    s.Refiner.blocks_created s.Refiner.largest_skips s.Refiner.float_passes
-    s.Refiner.interned_passes s.Refiner.counting_sort_passes s.Refiner.fallback_passes
+    s.Refiner.blocks_created s.Refiner.largest_skips s.Refiner.counting_sort_passes
     s.Refiner.intern_keys s.Refiner.cache_hits s.Refiner.cache_misses
     s.Refiner.nodes_rebuilt s.Refiner.nodes_reused s.Refiner.wall_s
 
@@ -166,23 +160,21 @@ let run_flat ~repeats sc =
     min_time ~repeats (fun () ->
         Refiner_reference.comp_lumping sc.spec ~initial:sc.initial)
   in
-  let p_gen, generic_s =
-    min_time ~repeats (fun () -> Refiner.comp_lumping sc.spec ~initial:sc.initial)
-  in
   let p_flt, float_s =
     min_time ~repeats (fun () ->
         Refiner.comp_lumping_float sc.fspec ~initial:sc.initial)
   in
-  if not (Partition.equal p_ref p_gen && Partition.equal p_gen p_flt) then begin
-    Printf.printf "PIPELINES DISAGREE\n";
-    Printf.eprintf "FATAL: %s: pipelines compute different fixed points\n" sc.name;
+  if not (Partition.equal p_ref p_flt) then begin
+    Printf.printf "ENGINES DISAGREE\n";
+    Printf.eprintf
+      "FATAL: %s: float pipeline and reference compute different fixed points\n" sc.name;
     exit 1
   end;
   (* One instrumented run (outside the timing loop) for the counters. *)
   let stats = Refiner.create_stats () in
   ignore (Refiner.comp_lumping_float ~stats sc.fspec ~initial:sc.initial);
-  Printf.printf "%d classes  seed %.4fs  generic %.4fs  float %.4fs  (%.2fx vs generic)\n"
-    (Partition.num_classes p_flt) ref_s generic_s float_s (generic_s /. float_s);
+  Printf.printf "%d classes  seed %.4fs  float %.4fs  (%.2fx vs seed)\n"
+    (Partition.num_classes p_flt) ref_s float_s (ref_s /. float_s);
   let json =
     Printf.sprintf
       {|    {
@@ -192,24 +184,18 @@ let run_flat ~repeats sc =
       "nnz": %d,
       "classes": %d,
       "ref_s": %.6f,
-      "generic_s": %.6f,
       "float_s": %.6f,
       "speedup_vs_ref": %.3f,
-      "speedup_vs_generic": %.3f,
       %s
     }|}
-      sc.name sc.states sc.nnz (Partition.num_classes p_flt) ref_s generic_s float_s
-      (ref_s /. float_s) (generic_s /. float_s) (stats_json stats)
+      sc.name sc.states sc.nnz (Partition.num_classes p_flt) ref_s float_s
+      (ref_s /. float_s) (stats_json stats)
   in
   let regression =
-    if generic_s > ref_s *. 1.05 then
+    if float_s > ref_s then
       Some
-        (Printf.sprintf "%s: in-place generic core slower than seed (%.4fs vs %.4fs)"
-           sc.name generic_s ref_s)
-    else if float_s > generic_s then
-      Some
-        (Printf.sprintf "%s: float pipeline slower than generic (%.4fs vs %.4fs)" sc.name
-           float_s generic_s)
+        (Printf.sprintf "%s: float pipeline slower than the reference (%.4fs vs %.4fs)"
+           sc.name float_s ref_s)
     else None
   in
   { json; o_name = sc.name; regression }
@@ -242,7 +228,7 @@ let kanban_ml_scenario ~name ~cards =
     serve_params = [ ("cards", cards) ];
   }
 
-(* Race the memoised pipeline on domain pools against its own sequential
+(* Race the production lump on domain pools against its own sequential
    time.  The timed lumps run with tracing disabled, so level-parallel
    stays armed; every parallel result must be bit-identical
    ([Md.equal], equal partitions) to the sequential one.  [host_cores]
@@ -251,7 +237,7 @@ let kanban_ml_scenario ~name ~cards =
 let run_domains ~repeats ~cache ~pools sc ~lump ~r_mem ~cached_s =
   let race (d, pool) =
     let r_par, par_s =
-      min_time ~repeats (lump ~specialised:true ~memoise:true ?pool:(Some pool))
+      min_time ~repeats (lump ?pool:(Some pool))
     in
     let identical =
       Array.length r_par.Compositional.partitions
@@ -426,8 +412,7 @@ let run_sweep ~repeats sc =
      per run, rows wiped, intern table warm). *)
   let oneshot_cache = Mdl_core.Key_cache.create () in
   let oneshot spec () =
-    Compositional.lump ~specialised:true ~memoise:true ~cache:oneshot_cache
-      Mdl_lumping.State_lumping.Ordinary sc.md
+    Compositional.lump ~cache:oneshot_cache Mdl_lumping.State_lumping.Ordinary sc.md
       ~rewards:spec.Compositional.sweep_rewards ~initial:spec.Compositional.sweep_initial
   in
   let oneshot_raced = List.map (fun spec -> min_time ~repeats (oneshot spec)) specs in
@@ -685,51 +670,55 @@ let run_serve sc =
 let run_multilevel ~repeats ~cache ~pools sc =
   (* One end-to-end lump is milliseconds, not seconds: triple the repeat
      count so the min is robust against scheduler/GC noise (the
-     cached-vs-interned ratio is a CI gate).  The solver race keeps the
-     untripled count — a solve is orders of magnitude more work than a
-     lump. *)
+     production-vs-reference ratio is a CI gate).  The solver race keeps
+     the untripled count — a solve is orders of magnitude more work than
+     a lump. *)
   let solver_repeats = repeats in
   let repeats = 3 * repeats in
   let states = Mdl_md.Statespace.size sc.statespace in
   Printf.printf "%-24s %7d states %8d levels .. %!" sc.ml_name states
     (Mdl_md.Md.levels sc.md);
-  let lump ~specialised ~memoise ?pool () =
-    Compositional.lump ~specialised ~memoise ~cache ?pool
-      Mdl_lumping.State_lumping.Ordinary sc.md ~rewards:sc.rewards
-      ~initial:sc.ml_initial
+  let lump ?pool () =
+    Compositional.lump ~cache ?pool Mdl_lumping.State_lumping.Ordinary sc.md
+      ~rewards:sc.rewards ~initial:sc.ml_initial
   in
   (* End-to-end: initial partitions + refinement + diagram rebuild.
-     [cache] is shared across scenarios (and ignored by the first two
-     configurations), so the cached run sees a hot intern table. *)
-  let r_gen, generic_s = min_time ~repeats (lump ~specialised:false ~memoise:false) in
-  let r_int, interned_s = min_time ~repeats (lump ~specialised:true ~memoise:false) in
-  let r_mem, cached_s = min_time ~repeats (lump ~specialised:true ~memoise:true) in
-  let same_partitions a b =
-    Array.length a.Compositional.partitions = Array.length b.Compositional.partitions
-    && Array.for_all2 Partition.equal a.Compositional.partitions
-         b.Compositional.partitions
+     [cache] is shared across scenarios, so the production run sees a
+     hot gid table; the reference lumper has no cache at all. *)
+  let r_ref, reference_s =
+    min_time ~repeats (fun () ->
+        Reference_lump.lump Mdl_lumping.State_lumping.Ordinary sc.md ~rewards:sc.rewards
+          ~initial:sc.ml_initial)
   in
-  if not (same_partitions r_gen r_int && same_partitions r_int r_mem) then begin
+  let r_mem, cached_s = min_time ~repeats lump in
+  if
+    not
+      (Array.length r_ref.Compositional.partitions
+         = Array.length r_mem.Compositional.partitions
+      && Array.for_all2 Partition.equal r_ref.Compositional.partitions
+           r_mem.Compositional.partitions)
+  then begin
     Printf.printf "PIPELINES DISAGREE\n";
-    Printf.eprintf "FATAL: %s: lump configurations compute different partitions\n"
+    Printf.eprintf
+      "FATAL: %s: lump and the reference lumper compute different partitions\n"
       sc.ml_name;
     exit 1
   end;
-  if not (Mdl_md.Md.equal r_mem.Compositional.lumped r_int.Compositional.lumped) then begin
+  if not (Mdl_md.Md.equal r_mem.Compositional.lumped r_ref.Compositional.lumped) then begin
     Printf.printf "DIAGRAMS DISAGREE\n";
     Printf.eprintf
-      "FATAL: %s: cached/incremental lumped diagram differs from the uncached one\n"
+      "FATAL: %s: lumped diagram differs from the reference lumper's rebuild\n"
       sc.ml_name;
     exit 1
   end;
   (* One instrumented run outside the timing loops: counters into
      [stats], spans into the shared trace buffer.  The timed races above
-     run with tracing disabled — the cached-vs-interned CI gate measures
-     the zero-overhead path. *)
+     run with tracing disabled — the production-vs-reference CI gate
+     measures the zero-overhead path. *)
   let stats = Refiner.create_stats () in
   let span_from = Trace.span_count () in
   Trace.resume ();
-  ignore (Compositional.lump ~specialised:true ~memoise:true ~cache ~stats
+  ignore (Compositional.lump ~cache ~stats
             Mdl_lumping.State_lumping.Ordinary sc.md ~rewards:sc.rewards
             ~initial:sc.ml_initial);
   Trace.stop ();
@@ -742,9 +731,9 @@ let run_multilevel ~repeats ~cache ~pools sc =
     run_solvers ~repeats:solver_repeats sc ~r_mem ~lumped_ss
   in
   Printf.printf
-    "%d lumped  generic %.4fs  interned %.4fs  cached %.4fs  (%.2fx vs interned)%s%s\n"
-    lumped_states generic_s interned_s cached_s
-    (interned_s /. cached_s)
+    "%d lumped  reference %.4fs  cached %.4fs  (%.2fx vs reference)%s%s\n"
+    lumped_states reference_s cached_s
+    (reference_s /. cached_s)
     (String.concat ""
        (List.map (fun (d, s) -> Printf.sprintf "  par%d %.4fs" d s) domains_timed))
     (String.concat ""
@@ -761,11 +750,9 @@ let run_multilevel ~repeats ~cache ~pools sc =
       "states": %d,
       "levels": %d,
       "lumped_states": %d,
-      "generic_s": %.6f,
-      "specialised_s": %.6f,
+      "reference_s": %.6f,
       "cached_s": %.6f,
-      "speedup_vs_generic": %.3f,
-      "speedup_cached_vs_interned": %.3f,
+      "speedup_vs_reference": %.3f,
       %s,
       %s,
       %s,
@@ -773,10 +760,8 @@ let run_multilevel ~repeats ~cache ~pools sc =
       %s,
       %s
     }|}
-      sc.ml_name states (Mdl_md.Md.levels sc.md) lumped_states generic_s interned_s
-      cached_s
-      (generic_s /. interned_s)
-      (interned_s /. cached_s)
+      sc.ml_name states (Mdl_md.Md.levels sc.md) lumped_states reference_s cached_s
+      (reference_s /. cached_s)
       solvers_json
       sweeps_json
       serve_json
@@ -785,10 +770,10 @@ let run_multilevel ~repeats ~cache ~pools sc =
       (phases_json ~from:span_from ())
   in
   let regression =
-    if cached_s > interned_s then
+    if cached_s > reference_s then
       Some
-        (Printf.sprintf "%s: memoised lump slower than uncached interned (%.4fs vs %.4fs)"
-           sc.ml_name cached_s interned_s)
+        (Printf.sprintf "%s: lump slower than the reference lumper (%.4fs vs %.4fs)"
+           sc.ml_name cached_s reference_s)
     else if domains_regression <> None then domains_regression
     else if sweep_regression <> None then sweep_regression
     else serve_regression

@@ -158,7 +158,7 @@ let finish_tracing trace_file stream_trace show_metrics print_phases =
   end
 
 let run inst mode key solve solver check_optimal dot_file export_file merge_level show_stats
-    generic_refiner no_key_cache trace_file stream_trace show_metrics domains =
+    trace_file stream_trace show_metrics domains =
   setup_tracing trace_file stream_trace show_metrics;
   if show_metrics then Metrics.set_enabled true;
   Printf.printf "model: %s\n" inst.name;
@@ -203,9 +203,8 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
           | [] -> [ Decomposed.constant ~sizes:(Mdl_md.Md.sizes inst.md) 1.0 ]
           | l -> List.map snd l
         in
-        Compositional.lump ~key ~stats:refine_stats
-          ~specialised:(not generic_refiner) ~memoise:(not no_key_cache) ?pool mode
-          inst.md ~rewards ~initial:inst.initial)
+        Compositional.lump ~key ~stats:refine_stats ?pool mode inst.md ~rewards
+          ~initial:inst.initial)
   in
   Array.iteri
     (fun i p ->
@@ -226,17 +225,11 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
       s.Mdl_partition.Refiner.splitter_passes s.Mdl_partition.Refiner.key_evals
       s.Mdl_partition.Refiner.splits s.Mdl_partition.Refiner.blocks_created
       s.Mdl_partition.Refiner.largest_skips s.Mdl_partition.Refiner.wall_s;
-    Printf.printf
-      "refiner pipelines: %d float-path passes, %d interned-key passes (%d counting \
-       sorted), %d generic fallback passes, %d max interned alphabet\n"
-      s.Mdl_partition.Refiner.float_passes s.Mdl_partition.Refiner.interned_passes
-      s.Mdl_partition.Refiner.counting_sort_passes
-      s.Mdl_partition.Refiner.fallback_passes s.Mdl_partition.Refiner.intern_keys;
     let lookups = s.Mdl_partition.Refiner.cache_hits + s.Mdl_partition.Refiner.cache_misses in
     Printf.printf
       "key cache: %d hits, %d misses%s; rebuild: %d nodes rebuilt, %d reused verbatim\n"
       s.Mdl_partition.Refiner.cache_hits s.Mdl_partition.Refiner.cache_misses
-      (if lookups = 0 then " (cache off)"
+      (if lookups = 0 then ""
        else
          Printf.sprintf " (%.1f%% hit rate)"
            (100.0 *. float_of_int s.Mdl_partition.Refiner.cache_hits /. float_of_int lookups))
@@ -315,7 +308,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
       let further =
         match mode with
         | State_lumping.Ordinary ->
-            State_lumping.coarsest ~generic:generic_refiner Ordinary flat
+            State_lumping.coarsest Ordinary flat
               ~initial:initial_p
         | State_lumping.Exact ->
             let exit_p =
@@ -324,7 +317,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
                 Float.compare
             in
             ignore initial_p;
-            State_lumping.coarsest ~generic:generic_refiner Exact flat ~initial:exit_p
+            State_lumping.coarsest Exact flat ~initial:exit_p
       in
       Printf.printf "state-level lumping of the lumped chain: %d -> %d classes%s\n" n
         (Partition.num_classes further)
@@ -494,17 +487,7 @@ let solver_arg =
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Print aggregated partition-refinement counters (splitter passes, key evaluations, splits, blocks created, largest-block skips, refinement wall time) and the per-pipeline breakdown (float-path / interned-key / counting-sort / generic-fallback passes, max interned alphabet).")
-
-let generic_refiner_arg =
-  Arg.(value & flag
-       & info [ "generic-refiner" ]
-           ~doc:"Refine through the generic closure-based key pipeline instead of the specialised (interned-key / float) pipelines. Same partitions, slower; for comparison and debugging.")
-
-let no_key_cache_arg =
-  Arg.(value & flag
-       & info [ "no-key-cache" ]
-           ~doc:"Disable the splitter-key cache and incremental lumped rebuild (the memoised path is on by default). Same partitions, same lumped diagram, same splitter-pass count; more key-evaluation work. For comparison and debugging.")
+           ~doc:"Print aggregated partition-refinement counters (splitter passes, key evaluations, splits, blocks created, largest-block skips, refinement wall time) and the key-cache and rebuild counters.")
 
 let check_arg =
   Arg.(value & flag & info [ "check-optimal" ] ~doc:"Run flat state-level lumping on the lumped chain (Section 5's optimality check).")
@@ -542,7 +525,7 @@ let stream_trace_arg =
 let metrics_arg =
   Arg.(value & flag
        & info [ "metrics" ]
-           ~doc:"Enable the process-wide metrics registry and dump it after the run: key-cache hits/misses, per-pipeline pass counts, split/key-evaluation counters, latency histograms, and the per-phase Gc allocation breakdown.")
+           ~doc:"Enable the process-wide metrics registry and dump it after the run: key-cache hits/misses, splitter-pass, split and key-evaluation counters, latency histograms, and the per-phase Gc allocation breakdown.")
 
 let domains_arg =
   Arg.(value & opt int 1
@@ -554,76 +537,76 @@ let tandem_cmd =
   let hdim = Arg.(value & opt int 3 & info [ "hyper-dim" ] ~doc:"Hypercube dimension (2^d servers).") in
   let ms = Arg.(value & opt int 3 & info [ "msmq-servers" ] ~doc:"MSMQ servers.") in
   let mq = Arg.(value & opt int 4 & info [ "msmq-queues" ] ~doc:"MSMQ queues.") in
-  let f jobs hdim ms mq mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f jobs hdim ms mq mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_tandem jobs hdim ms mq) mode key solve solver check dot export merge stats generic
-      no_cache trace stream metrics domains
+    run (build_tandem jobs hdim ms mq) mode key solve solver check dot export merge stats trace
+      stream metrics domains
   in
   Cmd.v
     (Cmd.info "tandem" ~doc:"The paper's tandem multi-processor system (Section 5).")
     Term.(
       const f $ jobs $ hdim $ ms $ mq $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg
-      $ dot_arg $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ dot_arg $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let polling_cmd =
   let customers =
     Arg.(value & opt int 4 & info [ "customers"; "c" ] ~doc:"Closed population.")
   in
-  let f customers mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f customers mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_polling customers) mode key solve solver check dot export merge stats generic no_cache
+    run (build_polling customers) mode key solve solver check dot export merge stats
       trace stream metrics domains
   in
   Cmd.v
     (Cmd.info "polling" ~doc:"The MSMQ polling station in isolation.")
     Term.(
       const f $ customers $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let workstations_cmd =
   let stations =
     Arg.(value & opt int 4 & info [ "stations"; "n" ] ~doc:"Number of workstations.")
   in
-  let f stations mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f stations mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_workstations stations) mode key solve solver check dot export merge stats generic no_cache
+    run (build_workstations stations) mode key solve solver check dot export merge stats
       trace stream metrics domains
   in
   Cmd.v
     (Cmd.info "workstations" ~doc:"Replicated workstation cluster with a spare store.")
     Term.(
       const f $ stations $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let multitier_cmd =
   let clients =
     Arg.(value & opt int 3 & info [ "clients"; "c" ] ~doc:"Closed population.")
   in
-  let f clients mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f clients mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_multitier clients) mode key solve solver check dot export merge stats generic no_cache
+    run (build_multitier clients) mode key solve solver check dot export merge stats
       trace stream metrics domains
   in
   Cmd.v
     (Cmd.info "multitier" ~doc:"Closed multi-tier service system (4-level MD).")
     Term.(
       const f $ clients $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let kanban_cmd =
   let cards =
     Arg.(value & opt int 2 & info [ "cards"; "n" ] ~doc:"Kanban cards per cell.")
   in
-  let f cards mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f cards mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_kanban cards) mode key solve solver check dot export merge stats generic no_cache
+    run (build_kanban cards) mode key solve solver check dot export merge stats
       trace stream metrics domains
   in
   Cmd.v
     (Cmd.info "kanban" ~doc:"The Kanban manufacturing system (4-level MD benchmark).")
     Term.(
       const f $ cards $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let sweep_cmd =
   let model =

@@ -69,16 +69,9 @@ let bump_reused stats n =
    load balancing, bounded so per-task overhead stays negligible. *)
 let task_count pool n = min n (4 * Domain_pool.size pool)
 
-let rebuild_body ?stats ?(incremental = true) ?pool ?(par_threshold = 1024) mode md
-    partitions =
+let rebuild_body ?stats ?pool ?(par_threshold = 1024) mode md partitions =
   let nlevels = Md.levels md in
-  (* [incremental:false] restores the from-scratch rebuild (every node
-     reconstructed entry by entry) — the faithful uncached baseline the
-     bench races the memoised path against. *)
-  let identity =
-    if incremental then Array.map is_identity partitions
-    else Array.map (fun _ -> false) partitions
-  in
+  let identity = Array.map is_identity partitions in
   if Array.for_all Fun.id identity then begin
     (* Nothing lumps at any level: the lumped diagram is the input
        diagram itself.  Alias it (the result shares the node store)
@@ -108,15 +101,15 @@ let rebuild_body ?stats ?(incremental = true) ?pool ?(par_threshold = 1024) mode
             Hashtbl.replace node_map node (Md.import_node out ~level md node remap);
             bump_reused stats 1)
           live.(level - 1)
-      else if incremental then begin
+      else begin
         (* Fast quotient build: flat class-indexed accumulation emitted
            through the raw sorted-rows constructor, skipping
            [add_node]'s per-entry hashing/validation/sort.  Entries are
            folded in {e descending} (row, col) order — the order
            [add_node] combines a consed entry list in — so the
-           floating-point coefficients come out bit-identical to the
-           from-scratch path and both paths hash-cons to equal
-           diagrams. *)
+           floating-point coefficients come out bit-identical to a
+           from-scratch [add_node] rebuild (the oracle's reference
+           lumper) and both hash-cons to equal diagrams. *)
         let nc = Partition.num_classes p in
         (* Per-node quotient rows are computed independently (per-task
            scratch, untouched per-node fold order), so they can be
@@ -212,47 +205,16 @@ let rebuild_body ?stats ?(incremental = true) ?pool ?(par_threshold = 1024) mode
             let build_node = build () in
             commit (fun i -> build_node nodes.(i))
       end
-      else
-        List.iter
-          (fun node ->
-            let entries = ref [] in
-            (match mode with
-            | Mdl_lumping.State_lumping.Ordinary ->
-                (* Representative rows, class-summed columns. *)
-                for ci = 0 to Partition.num_classes p - 1 do
-                  let rep = Partition.representative p ci in
-                  List.iter
-                    (fun (c, sum) ->
-                      entries :=
-                        (ci, Partition.class_of p c, Formal_sum.map_children remap sum)
-                        :: !entries)
-                    (Md.node_row md node rep)
-                done
-            | Mdl_lumping.State_lumping.Exact ->
-                (* Aggregated form: all entries, scaled by 1/|C_row|. *)
-                Md.iter_node_entries md node (fun r c sum ->
-                    let ci = Partition.class_of p r in
-                    let w = 1.0 /. float_of_int (Partition.class_size p ci) in
-                    entries :=
-                      ( ci,
-                        Partition.class_of p c,
-                        Formal_sum.scale w (Formal_sum.map_children remap sum) )
-                      :: !entries));
-            let new_id = Md.add_node out ~level !entries in
-            Hashtbl.replace node_map node new_id;
-            bump_rebuilt stats 1)
-          live.(level - 1)
     done;
     Md.set_root out (remap (Md.root md));
     out
   end
 
-let rebuild ?stats ?incremental ?pool ?par_threshold mode md partitions =
-  if not (Trace.enabled ()) then
-    rebuild_body ?stats ?incremental ?pool ?par_threshold mode md partitions
+let rebuild ?stats ?pool ?par_threshold mode md partitions =
+  if not (Trace.enabled ()) then rebuild_body ?stats ?pool ?par_threshold mode md partitions
   else
     Trace.with_span ~cat:"lump" "lump.rebuild" (fun () ->
-        let out = rebuild_body ?stats ?incremental ?pool ?par_threshold mode md partitions in
+        let out = rebuild_body ?stats ?pool ?par_threshold mode md partitions in
         Trace.add_args
           [
             ("nodes_in", Trace.Int (Md.num_live_nodes md));
@@ -261,7 +223,7 @@ let rebuild ?stats ?incremental ?pool ?par_threshold mode md partitions =
           ];
         out)
 
-let lump_with_partitions ?stats ?incremental ?pool ?par_threshold mode md partitions =
+let lump_with_partitions ?stats ?pool ?par_threshold mode md partitions =
   if Array.length partitions <> Md.levels md then
     invalid_arg "Compositional.lump_with_partitions: level count mismatch";
   Array.iteri
@@ -269,146 +231,10 @@ let lump_with_partitions ?stats ?incremental ?pool ?par_threshold mode md partit
       if Partition.size p <> Md.size md (i + 1) then
         invalid_arg "Compositional.lump_with_partitions: partition size mismatch")
     partitions;
-  { lumped = rebuild ?stats ?incremental ?pool ?par_threshold mode md partitions; partitions }
-
-let lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool ?par_threshold mode
-    md ~rewards ~initial =
-  (* The key cache rides on the interned pipeline; under the generic
-     baseline (or with memoisation off) no cache is used at all. *)
-  let cache =
-    if not (memoise && specialised) then None
-    else Some (match cache with Some c -> c | None -> Key_cache.create ())
-  in
-  (* Rebinding retires the memoised rows (an epoch bump on a persistent
-     cache, a wipe otherwise): per-bind entries are only sound within
-     one monotone refinement run per level.  The intern tables and
-     (same-md) flatten context survive the rebind.  Binding with the
-     run's configuration makes a mismatched shared cache fail loudly
-     here instead of deep inside a splitter pass. *)
-  let choice = Option.value key ~default:Local_key.Formal_sums in
-  (match cache with Some c -> Key_cache.bind ?eps ~choice ~mode c md | None -> ());
-  (* Arm (or disarm, so a cache reused across runs never keeps a stale
-     pool) intra-node splitter-key sharding on the cache; per-level
-     forks below inherit the setting. *)
-  (match cache with Some c -> Key_cache.set_pool ?par_threshold c pool | None -> ());
-  let nlevels = Md.levels md in
-  (* Levels are algorithmically independent — each computes its own
-     initial partition and fixed point from [md] alone — so they can
-     refine concurrently, each level running the untouched sequential
-     code on its own domain with its own cache fork and stats record.
-     The global trace buffer is the one piece of observability that is
-     not domain-safe, so tracing runs fall back to sequential levels
-     (intra-level sharding below never emits spans and stays on). *)
-  let level_parallel =
-    match pool with
-    | Some pl -> Domain_pool.size pl > 1 && nlevels > 1 && not (Trace.enabled ())
-    | None -> false
-  in
-  let partitions =
-    if level_parallel then begin
-      let pl = Option.get pool in
-      (* The column cache fills lazily under splitter-key walks; fill it
-         from this domain first so every later [node_col] is a pure
-         read, from any domain. *)
-      Md.warm_col_cache md;
-      let results = Array.make nlevels None in
-      Domain_pool.run pl ~n:nlevels (fun i ->
-          let level = i + 1 in
-          let p_ini =
-            Level_lumping.initial_partition ?eps mode md ~level ~rewards ~initial
-          in
-          let level_stats = Refiner.create_stats () in
-          let fork = Option.map Key_cache.fork cache in
-          let p =
-            Level_lumping.comp_lumping_level ?eps ?key ~stats:level_stats ~specialised
-              ?cache:fork ?pool mode md ~level ~initial:p_ini
-          in
-          results.(i) <- Some (p, level_stats));
-      Array.mapi
-        (fun i r ->
-          match r with
-          | None -> assert false
-          | Some (p, level_stats) ->
-              (* Merge in level order: the accumulated totals then equal
-                 a sequential run's, whatever order the levels actually
-                 finished in. *)
-              Log.debug (fun m ->
-                  m "level %d: %d -> %d classes [refiner: %a]" (i + 1)
-                    (Partition.size p)
-                    (Partition.num_classes p)
-                    Refiner.pp_stats level_stats);
-              (match stats with
-              | Some dst -> Refiner.add_stats dst level_stats
-              | None -> ());
-              p)
-        results
-    end
-    else
-      Array.init nlevels (fun i ->
-          let level = i + 1 in
-          Trace.with_span ~cat:"lump"
-            ~args:[ ("level", Trace.Int level) ]
-            "lump.level"
-            (fun () ->
-              let p_ini =
-                Trace.with_span ~cat:"lump" "lump.initial_partition" (fun () ->
-                    Level_lumping.initial_partition ?eps mode md ~level ~rewards ~initial)
-              in
-              let level_stats = Refiner.create_stats () in
-              let p, dt =
-                Mdl_util.Timer.time (fun () ->
-                    Level_lumping.comp_lumping_level ?eps ?key ~stats:level_stats
-                      ~specialised ?cache ?pool mode md ~level ~initial:p_ini)
-              in
-              Log.debug (fun m ->
-                  m "level %d: %d -> %d classes (P_ini %d) in %.3fs [refiner: %a]" level
-                    (Partition.size p)
-                    (Partition.num_classes p)
-                    (Partition.num_classes p_ini)
-                    dt Refiner.pp_stats level_stats);
-              (match stats with
-              | Some dst -> Refiner.add_stats dst level_stats
-              | None -> ());
-              Trace.add_args
-                [
-                  ("classes_initial", Trace.Int (Partition.num_classes p_ini));
-                  ("classes", Trace.Int (Partition.num_classes p));
-                ];
-              p))
-  in
-  let r, dt =
-    Mdl_util.Timer.time (fun () ->
-        lump_with_partitions ?stats ~incremental:memoise ?pool ?par_threshold mode md
-          partitions)
-  in
-  Log.debug (fun m ->
-      m "rebuild: %d nodes -> %d nodes in %.3fs%s" (Md.num_live_nodes md)
-        (Md.num_live_nodes r.lumped) dt
-        (if r.lumped == md then " (aliased: nothing lumped)" else ""));
-  r
-
-let lump ?tctx ?eps ?key ?stats ?(specialised = true) ?(memoise = true) ?cache ?pool
-    ?par_threshold mode md ~rewards ~initial =
-  Trace.with_ctx_opt tctx (fun () ->
-      Metrics.incr c_lumps;
-      if not (Trace.enabled ()) then
-        lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool ?par_threshold
-          mode md ~rewards ~initial
-      else
-        Trace.with_span ~cat:"lump"
-          ~args:
-            [
-              ("levels", Trace.Int (Md.levels md));
-              ("specialised", Trace.Bool specialised);
-              ("memoise", Trace.Bool memoise);
-            ]
-          "lump"
-          (fun () ->
-            lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool
-              ?par_threshold mode md ~rewards ~initial))
+  { lumped = rebuild ?stats ?pool ?par_threshold mode md partitions; partitions }
 
 (* ------------------------------------------------------------------ *)
-(* Batched sweeps: one diagram, many reward/initial specifications.    *)
+(* The lumping engine: one diagram, one or many reward/initial points. *)
 
 type sweep_spec = {
   sweep_rewards : Decomposed.t list;
@@ -424,6 +250,9 @@ type sweep_stats = {
   cross_bind_hits : int;
 }
 
+(* What survives from one point to the next.  [lump] runs a single point
+   on a throwaway engine (plain cache, empty memos); a sweep engine keeps
+   its persistent cache and both memos warm across points. *)
 type sweep = {
   sw_mode : Mdl_lumping.State_lumping.mode;
   sw_md : Md.t;
@@ -443,6 +272,26 @@ type sweep = {
   mutable sw_rebuilds_reused : int;
   sw_cross0 : int; (* cache cross-bind counter at engine creation *)
 }
+
+let engine ?eps ?(key = Local_key.Formal_sums) ?cache ?pool ?par_threshold mode md =
+  let cache = match cache with Some c -> c | None -> Key_cache.create () in
+  {
+    sw_mode = mode;
+    sw_md = md;
+    sw_eps = eps;
+    sw_key = key;
+    sw_cache = cache;
+    sw_pool = pool;
+    sw_par_threshold = par_threshold;
+    sw_level_memo = Hashtbl.create 64;
+    sw_rebuild_memo = Hashtbl.create 16;
+    sw_points = 0;
+    sw_level_fixpoints = 0;
+    sw_level_reused = 0;
+    sw_rebuilds = 0;
+    sw_rebuilds_reused = 0;
+    sw_cross0 = Key_cache.cross_bind_hits cache;
+  }
 
 (* One flat int array capturing a partition completely — class order,
    member order, class contents: [len c0; members of c0 in slice order;
@@ -472,120 +321,110 @@ let is_identity_assignment a =
   Array.iteri (fun i c -> if c <> i then ok := false) a;
   !ok
 
-let sweep_create ?eps ?(key = Local_key.Formal_sums) ?cache ?pool ?par_threshold mode
-    md =
-  let cache = match cache with Some c -> c | None -> Key_cache.create () in
-  Key_cache.set_persistent cache true;
-  Key_cache.bind ?eps ~choice:key ~mode cache md;
-  Key_cache.set_pool ?par_threshold cache pool;
-  {
-    sw_mode = mode;
-    sw_md = md;
-    sw_eps = eps;
-    sw_key = key;
-    sw_cache = cache;
-    sw_pool = pool;
-    sw_par_threshold = par_threshold;
-    sw_level_memo = Hashtbl.create 64;
-    sw_rebuild_memo = Hashtbl.create 16;
-    sw_points = 0;
-    sw_level_fixpoints = 0;
-    sw_level_reused = 0;
-    sw_rebuilds = 0;
-    sw_rebuilds_reused = 0;
-    sw_cross0 = Key_cache.cross_bind_hits cache;
-  }
+(* One level of one point: its initial partition, the memo lookup, and
+   the fixed point on a miss ([refined] carries that run's counters). *)
+type level_outcome = {
+  p_ini : Partition.t;
+  memo_key : int * int array;
+  final : Partition.t;
+  refined : Refiner.stats option;
+}
 
-let sweep_point_body ?stats sw ~rewards ~initial =
-  let md = sw.sw_md and mode = sw.sw_mode in
+(* The only level loop: [lump] and [sweep_point] both come through
+   here.  Levels are algorithmically independent — each computes its own
+   initial partition and fixed point from [md] alone — so with a pool
+   they run concurrently, each on its own domain over its own cache
+   fork; the memo is only read there, and every write (memo entries,
+   counters, stats) happens afterwards on this domain, in level order,
+   so totals equal a sequential run's whatever order levels finished
+   in.  A [Trace.Ctx] is single-owner, so traced runs keep levels
+   sequential (intra-level sharding never emits spans and stays on). *)
+let run_point ?stats sw ~rewards ~initial =
+  let md = sw.sw_md and mode = sw.sw_mode and eps = sw.sw_eps in
   let nlevels = Md.levels md in
-  (* Epoch bump: tier-1 rows of earlier points retire, the shared
-     content-keyed store keeps answering across points. *)
-  Key_cache.bind ?eps:sw.sw_eps ~choice:sw.sw_key ~mode sw.sw_cache md;
+  (* Rebinding retires the memoised rows (an epoch bump on a persistent
+     cache, a wipe otherwise): per-bind entries are only sound within
+     one monotone refinement run per level.  The intern tables and
+     (same-md) flatten context survive the rebind.  Binding with the
+     run's configuration makes a mismatched shared cache fail loudly
+     here instead of deep inside a splitter pass.  Arming the pool (or
+     disarming it, so a reused cache never keeps a stale one) reaches
+     intra-node splitter-key sharding; forks inherit the setting. *)
+  Key_cache.bind ?eps ~choice:sw.sw_key ~mode sw.sw_cache md;
   Key_cache.set_pool ?par_threshold:sw.sw_par_threshold sw.sw_cache sw.sw_pool;
-  let inis =
-    Array.init nlevels (fun i ->
-        Trace.with_span ~cat:"lump" "lump.initial_partition" (fun () ->
-            Level_lumping.initial_partition ?eps:sw.sw_eps mode md ~level:(i + 1)
-              ~rewards ~initial))
-  in
-  let finals = Array.make nlevels None in
-  let level_stats_arr = Array.make nlevels None in
-  let misses = ref [] in
-  Array.iteri
-    (fun i p_ini ->
-      let memo_key = (i + 1, layout_key p_ini) in
-      match Hashtbl.find_opt sw.sw_level_memo memo_key with
-      | Some assignment ->
-          (* The memoised fixed point is replayed from its canonical
-             assignment; [comp_lumping_level] canonicalises exactly the
-             same way (discrete -> identity, otherwise renumber by first
-             appearance), so this partition equals the one a fresh run
-             would return — layout included. *)
-          sw.sw_level_reused <- sw.sw_level_reused + 1;
-          Metrics.incr c_sweep_level_reused;
-          let p =
-            if is_identity_assignment assignment then
-              Partition.discrete (Array.length assignment)
-            else Partition.of_class_assignment assignment
-          in
-          finals.(i) <- Some p
-      | None -> misses := (i, memo_key) :: !misses)
-    inis;
-  let misses = Array.of_list (List.rev !misses) in
-  let nmisses = Array.length misses in
-  sw.sw_level_fixpoints <- sw.sw_level_fixpoints + nmisses;
-  Metrics.add c_sweep_level_fixpoints nmisses;
-  let run_level cache (i, _) =
+  let level_work cache i =
     let level = i + 1 in
-    let level_stats = Refiner.create_stats () in
-    let p =
-      Level_lumping.comp_lumping_level ?eps:sw.sw_eps ~key:sw.sw_key ~stats:level_stats
-        ~specialised:true ?cache ?pool:sw.sw_pool mode md ~level ~initial:inis.(i)
+    let p_ini =
+      Trace.with_span ~cat:"lump" "lump.initial_partition" (fun () ->
+          Level_lumping.initial_partition ?eps mode md ~level ~rewards ~initial)
     in
-    (p, level_stats)
+    let memo_key = (level, layout_key p_ini) in
+    match Hashtbl.find_opt sw.sw_level_memo memo_key with
+    | Some assignment ->
+        (* The memoised fixed point is replayed from its canonical
+           assignment; [comp_lumping_level] canonicalises exactly the
+           same way (discrete -> identity, otherwise renumber by first
+           appearance), so this partition equals the one a fresh run
+           would return — layout included. *)
+        let final =
+          if is_identity_assignment assignment then
+            Partition.discrete (Array.length assignment)
+          else Partition.of_class_assignment assignment
+        in
+        { p_ini; memo_key; final; refined = None }
+    | None ->
+        let level_stats = Refiner.create_stats () in
+        let final =
+          Level_lumping.comp_lumping_level ?eps ~key:sw.sw_key ~stats:level_stats ~cache
+            ?pool:sw.sw_pool mode md ~level ~initial:p_ini
+        in
+        { p_ini; memo_key; final; refined = Some level_stats }
   in
-  let level_parallel =
+  let levels =
     match sw.sw_pool with
-    | Some pl -> Domain_pool.size pl > 1 && nmisses > 1 && not (Trace.enabled ())
-    | None -> false
+    | Some pl when Domain_pool.size pl > 1 && nlevels > 1 && not (Trace.enabled ()) ->
+        (* The column cache fills lazily under splitter-key walks; fill it
+           from this domain first so every later [node_col] is a pure
+           read, from any domain.  Forks publish their rows to the shared
+           persistent store, so a sweep keeps their work. *)
+        Md.warm_col_cache md;
+        let results = Array.make nlevels None in
+        Domain_pool.run pl ~n:nlevels (fun i ->
+            results.(i) <- Some (level_work (Key_cache.fork sw.sw_cache) i));
+        Array.map Option.get results
+    | _ ->
+        Array.init nlevels (fun i ->
+            Trace.with_span ~cat:"lump"
+              ~args:[ ("level", Trace.Int (i + 1)) ]
+              "lump.level"
+              (fun () ->
+                let l = level_work sw.sw_cache i in
+                Trace.add_args
+                  [
+                    ("classes_initial", Trace.Int (Partition.num_classes l.p_ini));
+                    ("classes", Trace.Int (Partition.num_classes l.final));
+                  ];
+                l))
   in
-  let results = Array.make nmisses None in
-  if level_parallel then begin
-    let pl = Option.get sw.sw_pool in
-    (* As in [lump_body]: fill the lazy column cache from this domain
-       first so every later [node_col] is a pure read, from any
-       domain.  Each miss level refines on its own cache fork; the
-       forks publish their rows to the shared persistent store, so the
-       work survives them. *)
-    Md.warm_col_cache md;
-    Domain_pool.run pl ~n:nmisses (fun t ->
-        results.(t) <- Some (run_level (Some (Key_cache.fork sw.sw_cache)) misses.(t)))
-  end
-  else
-    Array.iteri
-      (fun t miss -> results.(t) <- Some (run_level (Some sw.sw_cache) miss))
-      misses;
   Array.iteri
-    (fun t (i, memo_key) ->
-      match results.(t) with
-      | None -> assert false
-      | Some (p, level_stats) ->
-          (* [p] is canonical, so [to_class_assignment] already is the
-             canonical assignment. *)
-          Hashtbl.replace sw.sw_level_memo memo_key (Partition.to_class_assignment p);
-          finals.(i) <- Some p;
-          level_stats_arr.(i) <- Some level_stats)
-    misses;
-  (* Merge per-level stats in level order, whatever order the levels
-     refined in, so the totals match a sequential run's. *)
-  (match stats with
-  | Some dst ->
-      Array.iter
-        (function Some ls -> Refiner.add_stats dst ls | None -> ())
-        level_stats_arr
-  | None -> ());
-  let partitions = Array.map Option.get finals in
+    (fun i l ->
+      match l.refined with
+      | None -> sw.sw_level_reused <- sw.sw_level_reused + 1
+      | Some level_stats ->
+          sw.sw_level_fixpoints <- sw.sw_level_fixpoints + 1;
+          (* [final] is canonical, so [to_class_assignment] already is
+             the canonical assignment. *)
+          Hashtbl.replace sw.sw_level_memo l.memo_key
+            (Partition.to_class_assignment l.final);
+          Log.debug (fun m ->
+              m "level %d: %d -> %d classes (P_ini %d) [refiner: %a]" (i + 1)
+                (Partition.size l.final)
+                (Partition.num_classes l.final)
+                (Partition.num_classes l.p_ini)
+                Refiner.pp_stats level_stats);
+          Option.iter (fun dst -> Refiner.add_stats dst level_stats) stats)
+    levels;
+  let partitions = Array.map (fun l -> l.final) levels in
   (* Per-level assignment lengths are fixed by the diagram, so the plain
      concatenation is an injective key for the partition tuple. *)
   let rebuild_key =
@@ -598,46 +437,76 @@ let sweep_point_body ?stats sw ~rewards ~initial =
          so the previously built one is aliased.  [nodes_rebuilt] /
          [nodes_reused] stats are not re-counted for a replay. *)
       sw.sw_rebuilds_reused <- sw.sw_rebuilds_reused + 1;
-      Metrics.incr c_sweep_rebuild_reused;
       { lumped; partitions }
   | None ->
       sw.sw_rebuilds <- sw.sw_rebuilds + 1;
-      Metrics.incr c_sweep_rebuilds;
-      let r =
-        lump_with_partitions ?stats ~incremental:true ?pool:sw.sw_pool
-          ?par_threshold:sw.sw_par_threshold mode md partitions
+      let r, dt =
+        Mdl_util.Timer.time (fun () ->
+            lump_with_partitions ?stats ?pool:sw.sw_pool
+              ?par_threshold:sw.sw_par_threshold mode md partitions)
       in
+      Log.debug (fun m ->
+          m "rebuild: %d nodes -> %d nodes in %.3fs%s" (Md.num_live_nodes md)
+            (Md.num_live_nodes r.lumped) dt
+            (if r.lumped == md then " (aliased: nothing lumped)" else ""));
       Hashtbl.add sw.sw_rebuild_memo rebuild_key r.lumped;
       r
+
+let lump ?tctx ?eps ?key ?stats ?cache ?pool ?par_threshold mode md ~rewards ~initial =
+  Trace.with_ctx_opt tctx (fun () ->
+      Metrics.incr c_lumps;
+      let sw = engine ?eps ?key ?cache ?pool ?par_threshold mode md in
+      if not (Trace.enabled ()) then run_point ?stats sw ~rewards ~initial
+      else
+        Trace.with_span ~cat:"lump"
+          ~args:[ ("levels", Trace.Int (Md.levels md)) ]
+          "lump"
+          (fun () -> run_point ?stats sw ~rewards ~initial))
+
+let sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md =
+  let sw = engine ?eps ?key ?cache ?pool ?par_threshold mode md in
+  (* Persistence is what carries splitter rows across points; binding
+     now records the configuration, so a mismatched shared cache fails
+     at creation rather than at the first point. *)
+  Key_cache.set_persistent sw.sw_cache true;
+  Key_cache.bind ?eps ~choice:sw.sw_key ~mode sw.sw_cache md;
+  sw
 
 let sweep_point ?tctx ?stats sw ~rewards ~initial =
   Trace.with_ctx_opt tctx @@ fun () ->
   sw.sw_points <- sw.sw_points + 1;
   Metrics.incr c_sweep_points;
+  let fixpoints0 = sw.sw_level_fixpoints and reused0 = sw.sw_level_reused in
+  let rebuilds0 = sw.sw_rebuilds and rebuilds_reused0 = sw.sw_rebuilds_reused in
   let traced () =
-    if not (Trace.enabled ()) then sweep_point_body ?stats sw ~rewards ~initial
-    else begin
-      let reused0 = sw.sw_level_reused and rebuilt0 = sw.sw_rebuilds in
+    if not (Trace.enabled ()) then run_point ?stats sw ~rewards ~initial
+    else
       Trace.with_span ~cat:"lump"
         ~args:[ ("point", Trace.Int sw.sw_points) ]
         "sweep.point"
         (fun () ->
-          let r = sweep_point_body ?stats sw ~rewards ~initial in
+          let r = run_point ?stats sw ~rewards ~initial in
           Trace.add_args
             [
               ("levels_reused", Trace.Int (sw.sw_level_reused - reused0));
-              ("rebuilt", Trace.Bool (sw.sw_rebuilds > rebuilt0));
+              ("rebuilt", Trace.Bool (sw.sw_rebuilds > rebuilds0));
               ("nodes_out", Trace.Int (Md.num_live_nodes r.lumped));
             ];
           r)
+  in
+  let r =
+    if not (Metrics.enabled ()) then traced ()
+    else begin
+      let r, dt = Mdl_util.Timer.time traced in
+      Metrics.observe m_sweep_point_seconds dt;
+      r
     end
   in
-  if not (Metrics.enabled ()) then traced ()
-  else begin
-    let r, dt = Mdl_util.Timer.time traced in
-    Metrics.observe m_sweep_point_seconds dt;
-    r
-  end
+  Metrics.add c_sweep_level_fixpoints (sw.sw_level_fixpoints - fixpoints0);
+  Metrics.add c_sweep_level_reused (sw.sw_level_reused - reused0);
+  Metrics.add c_sweep_rebuilds (sw.sw_rebuilds - rebuilds0);
+  Metrics.add c_sweep_rebuild_reused (sw.sw_rebuilds_reused - rebuilds_reused0);
+  r
 
 let sweep_stats sw =
   {

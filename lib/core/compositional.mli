@@ -33,8 +33,6 @@ val lump :
   ?eps:float ->
   ?key:Local_key.choice ->
   ?stats:Mdl_partition.Refiner.stats ->
-  ?specialised:bool ->
-  ?memoise:bool ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
@@ -47,22 +45,23 @@ val lump :
     decomposed [rewards] (ordinary — every listed reward function is
     protected and remains computable on the lumped chain) or [initial]
     (exact), per-level fixed-point refinement, then rebuild.
-    [specialised] (default [true]) selects the interned-key refinement
-    pipeline per level — see {!Level_lumping.comp_lumping_level}.
 
-    [memoise] (default [true]) runs the specialised path through a
-    splitter-key cache ({!Key_cache}): per-node column walks are
-    memoised across fixed-point passes, key accumulation skips
-    singleton classes, the intern table is shared across all levels,
-    and the rebuild reuses nodes of identity levels verbatim (aliasing
-    the whole diagram when nothing lumps).  [~memoise:false] restores
-    the uncached pipeline — same partitions, same lumped diagram, same
-    splitter-pass count (pinned by the differential property tests),
-    more key-evaluation work.  Pass [cache] to share one cache (and its
-    hot intern table) across several lump calls — e.g. a bench sweep;
-    the cache is (re)bound to [md] at the start of the run, which
-    discards its memoised rows but keeps the interned-key storage.
-    [cache] is ignored when [memoise] or [specialised] is false.
+    Every level refines through a splitter-key cache ({!Key_cache}) and
+    the ranked pipeline ({!Level_lumping.comp_lumping_level}): per-node
+    column walks are memoised across fixed-point passes, key
+    accumulation skips singleton classes, the gid table is shared
+    across all levels, and the rebuild reuses nodes of identity levels
+    verbatim (aliasing the whole diagram when nothing lumps).  The run
+    is one point of a throwaway {!sweep} engine — the same per-point
+    code as {!sweep_point}, with a plain (non-persistent) cache and
+    empty memos.  Pass [cache] to share one cache (and its hot gid
+    table) across several lump calls — e.g. a bench sweep; the cache is
+    (re)bound to [md] at the start of the run, which discards its
+    memoised rows (a persistent cache keeps its content-keyed store)
+    but keeps the interned-key storage.  The oracle library's reference
+    lumper recomputes the same partitions and an [Md.equal] diagram
+    with none of this machinery (pinned by the differential property
+    tests and by [bin/fuzz]).
 
     [pool] runs the pipeline data-parallel on a {!Mdl_util.Domain_pool}:
     levels refine concurrently (each level runs the untouched sequential
@@ -78,9 +77,9 @@ val lump :
     partitions, the lumped diagram (bit-identical, [Md.equal]), the
     splitter-pass counts and all counters are the same at {e any} domain
     count, pool or no pool — pinned by the differential concurrency
-    suite.  When tracing is enabled ({!Mdl_obs.Trace}), levels fall back
-    to sequential (the trace buffer is not domain-safe); intra-level
-    sharding stays on.
+    suite.  When tracing is enabled ({!Mdl_obs.Trace}), levels run
+    sequentially, because a {!Mdl_obs.Trace.Ctx.t} is single-owner and
+    the level spans must nest in it; intra-level sharding stays on.
 
     Observability: each level's refinement counters and wall time are
     logged on the [mdl.lump] source at debug level; pass [stats] to
@@ -94,7 +93,6 @@ val lump :
 
 val lump_with_partitions :
   ?stats:Mdl_partition.Refiner.stats ->
-  ?incremental:bool ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
   Mdl_lumping.State_lumping.mode ->
@@ -103,14 +101,13 @@ val lump_with_partitions :
   result
 (** Rebuild only, with externally supplied per-level partitions (assumed
     locally lumpable — used by tests and by callers that compute
-    partitions separately).  With [incremental] (default [true]), levels
-    whose partition is the identity ([class_of s = s] for all [s]) are
-    imported node-for-node ({!Mdl_md.Md.import_node}); when {e every}
-    level is the identity the input diagram is aliased.
-    [~incremental:false] forces the from-scratch rebuild of every node —
-    the uncached baseline ([Compositional.lump ~memoise:false] uses it,
-    so the bench race measures cache plus incremental rebuild together).
-    [stats] receives the [nodes_rebuilt]/[nodes_reused] counters.
+    partitions separately).  Levels whose partition is the identity
+    ([class_of s = s] for all [s]) are imported node-for-node
+    ({!Mdl_md.Md.import_node}); when {e every} level is the identity the
+    input diagram is aliased.  Other levels build each quotient node's
+    rows directly in sorted order, bit-identical to a from-scratch
+    [Md.add_node] rebuild (the oracle's reference lumper keeps that
+    one).  [stats] receives the [nodes_rebuilt]/[nodes_reused] counters.
     [pool] parallelises the incremental path's per-node quotient row
     builds when a level has at least [par_threshold] class-indexed rows
     to produce (default [1024], counted as nodes x classes); commits to

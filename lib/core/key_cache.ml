@@ -63,9 +63,8 @@ let config_mismatch =
    Local_key -> stable small int (gid), never cleared, so a key pays for
    structural hashing once per miss and cached rows are pure int pairs.
    The per-pass dense ranks the counting sort needs are recovered from
-   gids by the engine through a separate identity-hash int table (see
-   Level_lumping) — that one is cleared every pass, this one must not
-   be.  [sig_table] and [store] are the persistent (sweep-mode) tier:
+   gids by the ranked pipeline through a stamped array that is
+   invalidated every pass; this table must never be.  [sig_table] and [store] are the persistent (sweep-mode) tier:
    member sequences interned to content signatures, and full splitter
    rows keyed by (node, signature) so they survive same-diagram rebinds
    (see [splitter_keys]). *)

@@ -19,9 +19,9 @@
       {!bind}s).  Cached rows store [(state, gid)] pairs, so a cache hit
       involves no structural key hashing or equality at all — each
       distinct key pays for hashing once, at miss time.  The per-pass
-      dense ranks of the interned refinement pipeline are recovered from
-      gids through an identity-hash [int] table on the engine side
-      ({!Level_lumping.comp_lumping_level});
+      dense ranks the counting sort needs are recovered from gids by
+      the ranked refinement pipeline
+      ({!Mdl_partition.Refiner.comp_lumping_ranked});
     - the {!Local_key.context} (expanded-matrix flattening memo), kept
       for as long as the cache stays bound to the same diagram;
     - in persistent mode, a second intern table (splitter-class member

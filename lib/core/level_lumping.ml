@@ -43,9 +43,8 @@ let initial_partition ?eps mode md ~level ~rewards ~initial =
       in
       Partition.group_by n key cmp
 
-(* [splitter_keys] emits quantized canonical keys, so the generic spec
-   can compare exactly — and the interned spec below can hash-cons with
-   the structural equality, grouping exactly the same keys together. *)
+(* [splitter_keys] emits quantized canonical keys, so the spec can
+   compare exactly. *)
 let node_spec ?eps ctx choice mode md node =
   {
     Refiner.size = Md.size md (Md.node_level md node);
@@ -53,94 +52,53 @@ let node_spec ?eps ctx choice mode md node =
     splitter_keys = (fun c -> Local_key.splitter_keys ?eps ctx choice mode node c);
   }
 
-let node_interned_spec ?eps ctx choice mode md node ~table =
-  {
-    Refiner.isize = Md.size md (Md.node_level md node);
-    itable = table;
-    isplitter_keys = (fun c -> Local_key.splitter_keys ?eps ctx choice mode node c);
-  }
+let has_singleton p =
+  let nc = Partition.num_classes p in
+  let rec go c = c < nc && (Partition.class_size p c = 1 || go (c + 1)) in
+  go 0
 
-let key_intern_table () =
-  Refiner.intern_table ~hash:Local_key.hash ~equal:Local_key.equal ()
-
-let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?stats
-    ?(specialised = true) ?cache ?pool mode md ~level ~initial =
+let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?stats ?cache ?pool mode md
+    ~level ~initial =
   check_level md level "comp_lumping_level";
   if Partition.size initial <> Md.size md level then
     invalid_arg "Level_lumping.comp_lumping_level: partition size mismatch";
   let nodes = (Md.live_nodes md).(level - 1) in
-  (* The memoised path is a variant of the interned pipeline; under
-     [~specialised:false] (the generic-closure baseline) the cache is
-     ignored rather than half-applied. *)
-  let cache = if specialised then cache else None in
-  (match cache with
-  | Some kc -> (
-      (* Defensive auto-bind: a cache bound to a different diagram must
-         not serve rows for this one.  A cache already bound to [md] is
-         left as is — per-level calls of one lump run share the bind
-         (node ids disambiguate the levels), and rebinding here would
-         throw the previous levels' rows away. *)
-      match Key_cache.bound_md kc with
-      | Some prev when prev == md -> ()
-      | _ -> Key_cache.bind ?eps ~choice:key ~mode kc md)
-  | None -> ());
-  let ctx =
-    match cache with
-    | Some kc -> Key_cache.context kc
-    | None -> Local_key.make_context md
-  in
-  let hits0, misses0 =
-    match cache with
-    | Some kc -> (Key_cache.hits kc, Key_cache.misses kc)
-    | None -> (0, 0)
-  in
-  let refine =
-    match cache with
-    | Some kc ->
-        (* The cache hands out parallel (states, gids) arrays — gids are
-           the stable ids of its global intern table, so a hit involves
-           no structural key hashing at all; the ranked pipeline turns
-           gids into per-pass dense ranks by stamped array lookups. *)
-        let has_singleton p =
-          let nc = Partition.num_classes p in
-          let rec go c = c < nc && (Partition.class_size p c = 1 || go (c + 1)) in
-          go 0
-        in
-        fun node p ->
-          (* Singletons at run start stay singletons for the whole run
-             (splits only shrink classes), so their keys need never be
-             accumulated — the dominant saving on near-discrete levels.
-             When the run starts with none, the per-touch test is pure
-             overhead; singletons created mid-run are then merely
-             accumulated like any other state, which is harmless (a
-             class of one can never be split). *)
-          let skip =
-            if has_singleton p then
-              Some (fun s -> Partition.class_size p (Partition.class_of p s) = 1)
-            else None
-          in
-          let rspec =
-            {
-              Refiner.rsize = Md.size md level;
-              rsplitter_keys =
-                (fun c -> Key_cache.splitter_keys ?eps ?skip kc key mode ~node c);
-            }
-          in
-          Refiner.comp_lumping_ranked ?stats ?pool
-            ~on_split:(fun ~parent ~ids -> Key_cache.note_split kc ~parent ~ids)
-            rspec ~initial:p
-    | None when specialised ->
-        (* One interning table for the whole fixed point: cleared per
-           splitter pass but its storage persists across every per-node
-           run, so steady state allocates nothing for the table. *)
-        let table = key_intern_table () in
-        fun node p ->
-          Refiner.comp_lumping_interned ?stats
-            (node_interned_spec ?eps ctx key mode md node ~table)
-            ~initial:p
-    | None ->
-        fun node p ->
-          Refiner.comp_lumping ?stats (node_spec ?eps ctx key mode md node) ~initial:p
+  let kc = match cache with Some kc -> kc | None -> Key_cache.create () in
+  (* Defensive auto-bind: a cache bound to a different diagram must not
+     serve rows for this one.  A cache already bound to [md] is left as
+     is — per-level calls of one lump run share the bind (node ids
+     disambiguate the levels), and rebinding here would throw the
+     previous levels' rows away. *)
+  (match Key_cache.bound_md kc with
+  | Some prev when prev == md -> ()
+  | _ -> Key_cache.bind ?eps ~choice:key ~mode kc md);
+  let hits0 = Key_cache.hits kc and misses0 = Key_cache.misses kc in
+  (* The cache hands out parallel (states, gids) arrays — gids are the
+     stable ids of its global intern table, so a hit involves no
+     structural key hashing at all; the ranked pipeline turns gids into
+     per-pass dense ranks by stamped array lookups. *)
+  let refine node p =
+    (* Singletons at run start stay singletons for the whole run (splits
+       only shrink classes), so their keys need never be accumulated —
+       the dominant saving on near-discrete levels.  When the run starts
+       with none, the per-touch test is pure overhead; singletons
+       created mid-run are then merely accumulated like any other
+       state, which is harmless (a class of one can never be split). *)
+    let skip =
+      if has_singleton p then
+        Some (fun s -> Partition.class_size p (Partition.class_of p s) = 1)
+      else None
+    in
+    let rspec =
+      {
+        Refiner.rsize = Md.size md level;
+        rsplitter_keys =
+          (fun c -> Key_cache.splitter_keys ?eps ?skip kc key mode ~node c);
+      }
+    in
+    Refiner.comp_lumping_ranked ?stats ?pool
+      ~on_split:(fun ~parent ~ids -> Key_cache.note_split kc ~parent ~ids)
+      rspec ~initial:p
   in
   let pass p = List.fold_left (fun p node -> refine node p) p nodes in
   (* [CompLumpingLevel] iterates passes over all live nodes of the level
@@ -161,19 +119,20 @@ let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?stats
   in
   Metrics.incr c_levels;
   Metrics.add c_fixpoint_iterations !iterations;
-  (match (stats, cache) with
-  | Some st, Some kc ->
+  (match stats with
+  | Some st ->
       st.Refiner.cache_hits <- st.Refiner.cache_hits + (Key_cache.hits kc - hits0);
       st.Refiner.cache_misses <- st.Refiner.cache_misses + (Key_cache.misses kc - misses0)
-  | _ -> ());
+  | None -> ());
   (* Canonicalise the class numbering.  The refinement engine preserves
      input class ids, so the result's ids depend on split order — which
-     differs between the generic/interned/ranked pipelines even when the
-     classes themselves agree.  Renumbering by first appearance (and a
-     fully-discrete result to the identity partition, which is what lets
-     the rebuild reuse nodes or the whole diagram verbatim) makes every
-     pipeline emit the same partition object — and hence structurally
-     equal lumped diagrams, in both ordinary and exact mode. *)
+     differs between engines (and between cold and warm caches) even
+     when the classes themselves agree.  Renumbering by first appearance
+     (and a fully-discrete result to the identity partition, which is
+     what lets the rebuild reuse nodes or the whole diagram verbatim)
+     makes every run emit the same partition object — and hence
+     structurally equal lumped diagrams, in both ordinary and exact
+     mode. *)
   if Partition.num_classes p = Partition.size p then Partition.discrete (Partition.size p)
   else Partition.of_class_assignment (Partition.to_class_assignment p)
 

@@ -28,7 +28,6 @@ val comp_lumping_level :
   ?eps:float ->
   ?key:Local_key.choice ->
   ?stats:Mdl_partition.Refiner.stats ->
-  ?specialised:bool ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
   Mdl_lumping.State_lumping.mode ->
@@ -43,46 +42,34 @@ val comp_lumping_level :
     engine's counters over every per-node run of the fixed point
     ({!Mdl_partition.Refiner.stats}).
 
-    [specialised] (default [true]) runs every per-node refinement
-    through the interned-key pipeline
-    ({!Mdl_partition.Refiner.comp_lumping_interned}), sharing one
-    {!type:Mdl_partition.Refiner.intern_table} across the whole fixed point;
-    [~specialised:false] forces the generic closure-based pipeline.
-    Both compute the same partition ({!Local_key.splitter_keys} emits
-    quantized canonical keys, on which structural equality {e is}
-    lumping-key equality — pinned by the differential tests).
+    Every per-node refinement runs the ranked pipeline
+    ({!Mdl_partition.Refiner.comp_lumping_ranked}) over splitter keys
+    memoised by [cache] (default: a fresh {!Key_cache.t}), skipping key
+    accumulation for classes already singleton at the start of each
+    per-node run (unless the cache is persistent — see {!Key_cache}) and
+    reporting the engine's split trace to the cache.  The cache is
+    auto-bound to [md] if bound elsewhere (or unbound); when already
+    bound to [md] its rows are {e kept}, so the levels of one
+    {!Compositional.lump} run share one bind — callers invoking this
+    function directly with a reused cache must {!Key_cache.bind}
+    between independent runs (the memo is only sound while refinement
+    of each level is monotone; see {!Key_cache}).  Partitions and
+    splitter-pass counts do not depend on the cache's history (pinned by
+    the differential tests against the oracle's reference lumper); only
+    key-evaluation work and the [key_evals] / [cache_*] counters do.
 
-    [cache] (specialised path only; ignored with
-    [~specialised:false]) memoises splitter-key evaluation through a
-    {!Key_cache.t}, skips key accumulation for classes already singleton
-    at the start of each per-node run, and reports the engine's split
-    trace to the cache.  The cache is auto-bound to [md] if bound
-    elsewhere (or unbound); when already bound to [md] its rows are
-    {e kept}, so the levels of one {!Compositional.lump} run share one
-    bind — callers invoking this function directly with a reused cache
-    must {!Key_cache.bind} between independent runs (the memo is only
-    sound while refinement of each level is monotone; see
-    {!Key_cache}).  Partitions, lumped diagrams and splitter-pass counts
-    are unchanged by the cache (pinned by the differential tests); only
-    key-evaluation work and the [key_evals] / [cache_*] counters differ.
-
-    [pool] (cached path only) shards the ranked pipeline's per-pass
-    class lookups across a domain pool
-    ({!Mdl_partition.Refiner.comp_lumping_ranked}); intra-node
-    splitter-key sharding is armed separately on the cache via
-    {!Key_cache.set_pool}.  Neither changes the computed partition,
-    the pass counts or any counter.
+    [pool] shards the ranked pipeline's per-pass class lookups across a
+    domain pool ({!Mdl_partition.Refiner.comp_lumping_ranked}, at that
+    function's own [par_threshold] default); intra-node splitter-key
+    sharding is armed separately on the cache via {!Key_cache.set_pool}.
+    Neither changes the computed partition, the pass counts or any
+    counter.
 
     The returned partition is canonicalised when fully discrete: if no
     two states lump, the result is {!Mdl_partition.Partition.discrete}
     (class ids = state ids), whatever ids refinement history would have
     assigned.  @raise Invalid_argument on a bad level or partition size
     mismatch. *)
-
-val key_intern_table : unit -> Local_key.t Mdl_partition.Refiner.intern_table
-(** A fresh interning table over {!Local_key.equal}/{!Local_key.hash} —
-    what [comp_lumping_level] shares across its fixed point.  Exposed
-    for the intern-table reuse tests. *)
 
 val is_locally_lumpable :
   ?eps:float ->

@@ -157,10 +157,10 @@ let eval_keys ?eps ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
       for i = first to first + len - 1 do
         List.iter (fun (s, sum) -> if not (skip s) then touch s sum) (entries i)
       done);
-  (* Quantize at emission: every pipeline downstream (generic compare,
-     interning, reference engine) then sees the same canonical key, and
-     a sum whose coefficients all quantize away is dropped here exactly
-     like the implicit zero key of an untouched state.  Emission order
+  (* Quantize at emission: every consumer downstream (gid interning,
+     the reference engine's exact compare) then sees the same canonical
+     key, and a sum whose coefficients all quantize away is dropped here
+     exactly like the implicit zero key of an untouched state.  Emission order
      is pinned to what the historical list-building fold produced — the
      reverse of [Hashtbl] iteration order — so the interned gid ranks
      (first appearance over these arrays) are unchanged. *)

@@ -27,10 +27,9 @@
     not emitted at all, matching the implicit zero key of untouched
     states).  On such canonical keys the exact structural relations
     {!compare_exact} / {!equal} / {!hash} agree with lumping-key
-    equality, which is what makes hash-consing keys to integer ranks
-    ({!type:Mdl_partition.Refiner.intern_table}) sound: two keys intern to
-    the same rank iff the generic pipeline's comparator calls them
-    equal. *)
+    equality, which is what makes hash-consing keys to integer ids
+    ({!Key_cache}) sound: two keys intern to the same id iff
+    {!compare_exact} calls them equal. *)
 
 type choice = Formal_sums | Expanded_matrices
 

@@ -70,10 +70,9 @@ let float_spec ?eps mode r =
   in
   { Refiner.fsize = n; feps = eps; fsplitter_keys }
 
-let coarsest ?eps ?stats ?(generic = false) mode r ~initial =
+let coarsest ?eps ?stats mode r ~initial =
   if Csr.rows r <> Csr.cols r then invalid_arg "State_lumping.coarsest: not square";
-  if generic then Refiner.comp_lumping ?stats (refiner_spec ?eps mode r) ~initial
-  else Refiner.comp_lumping_float ?stats (float_spec ?eps mode r) ~initial
+  Refiner.comp_lumping_float ?stats (float_spec ?eps mode r) ~initial
 
 let initial_partition ?eps mode mrp =
   let n = Mdl_ctmc.Mrp.size mrp in

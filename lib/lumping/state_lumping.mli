@@ -12,12 +12,13 @@ type mode = Ordinary | Exact
 
 val refiner_spec :
   ?eps:float -> mode -> Mdl_sparse.Csr.t -> float Mdl_partition.Refiner.spec
-(** The generic flat-matrix refinement spec: row-sum keys [R(s, C)]
-    (ordinary) or column-sum keys [R(C, s)] (exact), with float keys
-    grouped by their {!Mdl_util.Floatx.quantize} representative.
-    Exposed for the differential refiner tests and the refinement
-    benchmark; {!coarsest} normally runs the equivalent {!float_spec}
-    through the monomorphic pipeline instead.
+(** The flat-matrix refinement spec as a polymorphic
+    {!type:Mdl_partition.Refiner.spec}: row-sum keys [R(s, C)] (ordinary) or
+    column-sum keys [R(C, s)] (exact), with float keys grouped by their
+    {!Mdl_util.Floatx.quantize} representative.  Exposed for the
+    reference engine of the differential refiner tests and the
+    refinement benchmark; {!coarsest} runs the equivalent
+    {!float_spec} through the monomorphic pipeline.
     @raise Invalid_argument if [r] is not square. *)
 
 val float_spec :
@@ -33,7 +34,6 @@ val float_spec :
 val coarsest :
   ?eps:float ->
   ?stats:Mdl_partition.Refiner.stats ->
-  ?generic:bool ->
   mode ->
   Mdl_sparse.Csr.t ->
   initial:Mdl_partition.Partition.t ->
@@ -44,8 +44,7 @@ val coarsest :
     with different total exit rates [R(s, S)] (use {!initial_partition}
     or {!coarsest_mrp}).  [stats] accumulates the refinement engine's
     counters ({!Mdl_partition.Refiner.stats}).  Runs the monomorphic
-    float pipeline by default; [~generic:true] forces the generic
-    closure-based pipeline (for differential testing and benchmarks).
+    float pipeline ({!Mdl_partition.Refiner.comp_lumping_float}).
     @raise Invalid_argument if [r] is not square or sizes mismatch. *)
 
 val initial_partition : ?eps:float -> mode -> Mdl_ctmc.Mrp.t -> Mdl_partition.Partition.t

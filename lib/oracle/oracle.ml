@@ -113,12 +113,33 @@ let check_md ?(eps = Floatx.default_eps) ?inject ?pool ?par_threshold mode md0 =
     | Ordinary -> [ reward_d ]
     | Exact -> [ Decomposed.constant ~sizes 0.0 ]
   in
-  let result =
-    Compositional.lump ~eps ?pool ?par_threshold mode md0 ~rewards
-      ~initial:(Decomposed.constant ~sizes 1.0)
-  in
+  let initial = Decomposed.constant ~sizes 1.0 in
+  let result = Compositional.lump ~eps ?pool ?par_threshold mode md0 ~rewards ~initial in
   ran "invariants(lumped)";
   import "lumped " (Invariants.md ~eps result.Compositional.lumped);
+
+  (* The production path (key cache, ranked pipeline, memos, incremental
+     rebuild) against the reference lumper, which shares none of it. *)
+  ran "reference-agreement";
+  let reference = Reference_lump.lump ~eps mode md0 ~rewards ~initial in
+  let classes r =
+    String.concat "/"
+      (Array.to_list
+         (Array.map
+            (fun p -> string_of_int (Partition.num_classes p))
+            r.Compositional.partitions))
+  in
+  if
+    not
+      (Array.for_all2 Partition.equal result.Compositional.partitions
+         reference.Compositional.partitions)
+  then
+    violate "reference-agreement"
+      "level partitions (%s classes) differ from the reference lumper's (%s)"
+      (classes result) (classes reference)
+  else if not (Md.equal result.Compositional.lumped reference.Compositional.lumped) then
+    violate "reference-agreement"
+      "lumped diagram differs from the reference lumper's from-scratch rebuild";
 
   let partitions = result.Compositional.partitions in
   let csizes = Array.map Partition.num_classes partitions in

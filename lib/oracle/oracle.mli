@@ -19,6 +19,9 @@
       state-level optimum is never beaten, only approached;
     - {b single-level-equality}: for 1-level diagrams the two
       algorithms agree {e exactly} (partition equality);
+    - {b reference-agreement}: {!Reference_lump.lump}, which shares no
+      refinement or rebuild code with the production path, computes
+      equal per-level partitions and an [Md.equal] lumped diagram;
     - {b stationary / transient / reward agreement}: solving the lumped
       chain and aggregating/averaging reproduces the measures of the
       original chain through {!Mdl_ctmc.Solver} (skipped when the flat

@@ -4,6 +4,9 @@
    measures the speedup against it.  Known inefficiencies are the point
    — do not optimise this file. *)
 
+module Partition = Mdl_partition.Partition
+module Refiner = Mdl_partition.Refiner
+
 (* Group an association list [(state, key)] into lists of states with
    cmp-equal keys. *)
 let group_by_key cmp keyed =

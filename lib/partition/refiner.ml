@@ -45,10 +45,7 @@ type stats = {
   mutable splits : int;
   mutable blocks_created : int;
   mutable largest_skips : int;
-  mutable float_passes : int;
-  mutable interned_passes : int;
   mutable counting_sort_passes : int;
-  mutable fallback_passes : int;
   mutable intern_keys : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -64,10 +61,7 @@ let create_stats () =
     splits = 0;
     blocks_created = 0;
     largest_skips = 0;
-    float_passes = 0;
-    interned_passes = 0;
     counting_sort_passes = 0;
-    fallback_passes = 0;
     intern_keys = 0;
     cache_hits = 0;
     cache_misses = 0;
@@ -82,10 +76,7 @@ let add_stats dst src =
   dst.splits <- dst.splits + src.splits;
   dst.blocks_created <- dst.blocks_created + src.blocks_created;
   dst.largest_skips <- dst.largest_skips + src.largest_skips;
-  dst.float_passes <- dst.float_passes + src.float_passes;
-  dst.interned_passes <- dst.interned_passes + src.interned_passes;
   dst.counting_sort_passes <- dst.counting_sort_passes + src.counting_sort_passes;
-  dst.fallback_passes <- dst.fallback_passes + src.fallback_passes;
   dst.intern_keys <- max dst.intern_keys src.intern_keys;
   dst.cache_hits <- dst.cache_hits + src.cache_hits;
   dst.cache_misses <- dst.cache_misses + src.cache_misses;
@@ -95,14 +86,14 @@ let add_stats dst src =
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "passes %d (float %d, interned %d [counting %d], generic %d), key evals %d, splits \
-     %d, blocks created %d, largest skips %d, intern alphabet %d, key cache %d/%d \
-     hit/miss, nodes %d rebuilt %d reused, %.4fs"
-    s.splitter_passes s.float_passes s.interned_passes s.counting_sort_passes
-    s.fallback_passes s.key_evals s.splits s.blocks_created s.largest_skips
-    s.intern_keys s.cache_hits s.cache_misses s.nodes_rebuilt s.nodes_reused s.wall_s
+    "passes %d (counting-sorted %d), key evals %d, splits %d, blocks created %d, \
+     largest skips %d, key alphabet %d, key cache %d/%d hit/miss, nodes %d rebuilt %d \
+     reused, %.4fs"
+    s.splitter_passes s.counting_sort_passes s.key_evals s.splits s.blocks_created
+    s.largest_skips s.intern_keys s.cache_hits s.cache_misses s.nodes_rebuilt
+    s.nodes_reused s.wall_s
 
-(* One splitter pass's keyed states after sorting, shared by all three
+(* One splitter pass's keyed states after sorting, shared by both
    pipelines: [pd_states]/[pd_classes] hold the touched states and their
    classes (recorded before any split of this pass relabels them),
    sorted by (class, key, state); [pd_newkey.(i)] marks positions whose
@@ -280,13 +271,7 @@ let c_blocks_created = Metrics.counter "refiner.blocks_created"
 
 let c_largest_skips = Metrics.counter "refiner.largest_skips"
 
-let c_float_passes = Metrics.counter "refiner.float_passes"
-
-let c_interned_passes = Metrics.counter "refiner.interned_passes"
-
 let c_counting_sort_passes = Metrics.counter "refiner.counting_sort_passes"
-
-let c_fallback_passes = Metrics.counter "refiner.fallback_passes"
 
 let c_runs = Metrics.counter "refiner.runs"
 
@@ -300,15 +285,12 @@ let publish_stats st =
     Metrics.add c_splits st.splits;
     Metrics.add c_blocks_created st.blocks_created;
     Metrics.add c_largest_skips st.largest_skips;
-    Metrics.add c_float_passes st.float_passes;
-    Metrics.add c_interned_passes st.interned_passes;
     Metrics.add c_counting_sort_passes st.counting_sort_passes;
-    Metrics.add c_fallback_passes st.fallback_passes;
     Metrics.set_max g_intern_alphabet (float_of_int st.intern_keys);
     Metrics.observe m_run_seconds st.wall_s
   end
 
-(* Per-run epilogue shared by the four pipelines: cumulative registry
+(* Per-run epilogue shared by both pipelines: cumulative registry
    publication, debug log, legacy per-run record accumulation. *)
 let finish ~fn st stats =
   publish_stats st;
@@ -316,61 +298,6 @@ let finish ~fn st stats =
   merge_stats stats st
 
 type on_split = parent:int -> ids:int list -> unit
-
-(* ---- generic (fallback) pipeline ---- *)
-
-let comp_lumping ?tctx ?stats ?on_split spec ~initial =
-  Trace.with_ctx_opt tctx @@ fun () ->
-  let st = create_stats () in
-  let prepare pd p slice =
-    st.fallback_passes <- st.fallback_passes + 1;
-    let keyed = spec.splitter_keys slice in
-    match keyed with
-    | [] -> 0
-    | (_, k0) :: _ ->
-        let m = List.length keyed in
-        (* Decorate into parallel arrays and sort indices once by
-           (current class, key, state): one sort both buckets the
-           touched states by class and groups them by key within each
-           class. *)
-        let ts = Array.make m 0 in
-        let tk = Array.make m k0 in
-        List.iteri
-          (fun i (s, k) ->
-            ts.(i) <- s;
-            tk.(i) <- k)
-          keyed;
-        let ord = Array.init m Fun.id in
-        Sortx.sort_by
-          (fun i j ->
-            let c =
-              Int.compare (Partition.class_of p ts.(i)) (Partition.class_of p ts.(j))
-            in
-            if c <> 0 then c
-            else
-              let c = spec.key_compare tk.(i) tk.(j) in
-              if c <> 0 then c else Int.compare ts.(i) ts.(j))
-          ord;
-        if Array.length pd.pd_states < m then begin
-          let cap = max m (2 * Array.length pd.pd_states) in
-          pd.pd_states <- Array.make cap 0;
-          pd.pd_classes <- Array.make cap 0;
-          pd.pd_newkey <- Array.make cap true
-        end;
-        for i = 0 to m - 1 do
-          let s = ts.(ord.(i)) in
-          pd.pd_states.(i) <- s;
-          pd.pd_classes.(i) <- Partition.class_of p s
-        done;
-        pd.pd_newkey.(0) <- true;
-        for i = 1 to m - 1 do
-          pd.pd_newkey.(i) <- spec.key_compare tk.(ord.(i - 1)) tk.(ord.(i)) <> 0
-        done;
-        m
-  in
-  let p = core st ~fn:"comp_lumping" ~size:spec.size ~prepare ~on_split ~initial in
-  finish ~fn:"comp_lumping" st stats;
-  p
 
 (* ---- monomorphic float pipeline ---- *)
 
@@ -409,7 +336,6 @@ let comp_lumping_float ?tctx ?stats ?on_split fspec ~initial =
   let nk = ref [||] in
   let eps = fspec.feps in
   let prepare pd p slice =
-    st.float_passes <- st.float_passes + 1;
     buf.fb_len <- 0;
     fspec.fsplitter_keys slice buf;
     let m = buf.fb_len in
@@ -446,73 +372,7 @@ let comp_lumping_float ?tctx ?stats ?on_split fspec ~initial =
   finish ~fn:"comp_lumping_float" st stats;
   p
 
-(* ---- interned-key pipeline ---- *)
-
-type 'k intern_table = {
-  it_hash : 'k -> int;
-  it_equal : 'k -> 'k -> bool;
-  mutable it_buckets : (int * 'k * int) list array; (* (hash, key, rank) *)
-  mutable it_used : int list; (* non-empty bucket indices, for O(distinct) clears *)
-  mutable it_count : int;
-  mutable it_hwm : int;
-}
-
-let intern_table ~hash ~equal () =
-  {
-    it_hash = hash;
-    it_equal = equal;
-    it_buckets = Array.make 256 [];
-    it_used = [];
-    it_count = 0;
-    it_hwm = 0;
-  }
-
-let intern_table_size t = max t.it_hwm t.it_count
-
-let intern_clear t =
-  if t.it_count > t.it_hwm then t.it_hwm <- t.it_count;
-  List.iter (fun b -> t.it_buckets.(b) <- []) t.it_used;
-  t.it_used <- [];
-  t.it_count <- 0
-
-let intern_grow t =
-  let cap = 2 * Array.length t.it_buckets in
-  let buckets = Array.make cap [] in
-  let used = ref [] in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun ((h, _, _) as entry) ->
-          let b' = h land (cap - 1) in
-          if buckets.(b') = [] then used := b' :: !used;
-          buckets.(b') <- entry :: buckets.(b'))
-        t.it_buckets.(b))
-    t.it_used;
-  t.it_buckets <- buckets;
-  t.it_used <- !used
-
-(* Rank of [k]: existing rank if interned this pass, else the next
-   dense integer. *)
-let intern t k =
-  if t.it_count >= Array.length t.it_buckets then intern_grow t;
-  let h = t.it_hash k land max_int in
-  let b = h land (Array.length t.it_buckets - 1) in
-  let rec find = function
-    | [] ->
-        let r = t.it_count in
-        if t.it_buckets.(b) = [] then t.it_used <- b :: t.it_used;
-        t.it_buckets.(b) <- (h, k, r) :: t.it_buckets.(b);
-        t.it_count <- r + 1;
-        r
-    | (h', k', r) :: rest -> if h' = h && t.it_equal k k' then r else find rest
-  in
-  find t.it_buckets.(b)
-
-type 'k interned_spec = {
-  isize : int;
-  itable : 'k intern_table;
-  isplitter_keys : slice -> (int * 'k) list;
-}
+(* ---- ranked pipeline (pre-interned integer keys) ---- *)
 
 (* Counting sort costs two stable scatter passes plus O(alphabet)
    bucket resets; it wins when keys actually repeat and the pass is not
@@ -523,9 +383,8 @@ let use_counting_sort ~m ~alphabet = m >= 16 && 2 * alphabet <= m
 let ensure_int r n =
   if Array.length !r < n then r := Array.make (max n (2 * Array.length !r)) 0
 
-(* Scratch shared by the interned and ranked pipelines: parallel
-   (state, rank, class) triples plus a ping buffer for the two
-   counting-sort scatter passes. *)
+(* Ranked-pipeline scratch: parallel (state, rank, class) triples plus
+   a ping buffer for the two counting-sort scatter passes. *)
 type indexed_scratch = {
   a_states : int array ref;
   a_ranks : int array ref;
@@ -650,36 +509,6 @@ let sort_indexed st sc pd ~m ~alphabet =
   pd.pd_classes <- ca;
   pd.pd_newkey <- nk
 
-let comp_lumping_interned ?stats ?on_split ispec ~initial =
-  let st = create_stats () in
-  let table = ispec.itable in
-  let sc = indexed_scratch ~size:ispec.isize in
-  let prepare pd p slice =
-    st.interned_passes <- st.interned_passes + 1;
-    intern_clear table;
-    let keyed = ispec.isplitter_keys slice in
-    let m = List.length keyed in
-    if m > 0 then begin
-      ensure_indexed sc m;
-      let sa = !(sc.a_states) and ra = !(sc.a_ranks) and ca = !(sc.a_cls) in
-      List.iteri
-        (fun i (s, k) ->
-          sa.(i) <- s;
-          ra.(i) <- intern table k;
-          ca.(i) <- Partition.class_of p s)
-        keyed;
-      sort_indexed st sc pd ~m ~alphabet:table.it_count
-    end;
-    m
-  in
-  let p =
-    core st ~fn:"comp_lumping_interned" ~size:ispec.isize ~prepare ~on_split ~initial
-  in
-  finish ~fn:"comp_lumping_interned" st stats;
-  p
-
-(* ---- ranked pipeline (pre-interned integer keys) ---- *)
-
 type ranked_spec = {
   rsize : int;
   rsplitter_keys : slice -> int array * int array;
@@ -707,7 +536,6 @@ let comp_lumping_ranked ?stats ?on_split ?pool ?(par_threshold = 8192) rspec
   let stamp = ref [||] and rank_of = ref [||] in
   let pass_no = ref 0 in
   let prepare pd p slice =
-    st.interned_passes <- st.interned_passes + 1;
     incr pass_no;
     let states, gids = rspec.rsplitter_keys slice in
     let m = Array.length states in
@@ -758,19 +586,6 @@ let comp_lumping_ranked ?stats ?on_split ?pool ?(par_threshold = 8192) rspec
   in
   finish ~fn:"comp_lumping_ranked" st stats;
   p
-
-(* ---- pipeline selection ---- *)
-
-type packed =
-  | Spec : 'k spec -> packed
-  | Float_spec : float_spec -> packed
-  | Interned_spec : 'k interned_spec -> packed
-
-let run ?stats ?on_split packed ~initial =
-  match packed with
-  | Spec spec -> comp_lumping ?stats ?on_split spec ~initial
-  | Float_spec spec -> comp_lumping_float ?stats ?on_split spec ~initial
-  | Interned_spec spec -> comp_lumping_interned ?stats ?on_split spec ~initial
 
 let is_stable spec p =
   let stable = ref true in

@@ -1,4 +1,4 @@
-(** The generic partition-refinement engine of Figure 1 (procedure
+(** The partition-refinement engine of Figure 1 (procedure
     [CompLumping]), parameterised by the key function [K].
 
     The engine refines an initial partition until every class is
@@ -24,27 +24,27 @@
     the largest join the worklist; when a pending splitter is split, all
     its sub-blocks stay pending.
 
-    {b Key pipelines.}  The same core runs behind three key pipelines:
+    {b Key pipelines.}  The same core runs behind two key pipelines,
+    chosen by the key type rather than by a flag:
 
-    - the {b generic} pipeline ({!comp_lumping} over an ['k spec]) —
-      polymorphic keys through a closure, an intermediate
-      [(state, key) list] and a comparison sort.  The fallback, and the
-      differential baseline for the other two;
     - the {b monomorphic float} pipeline ({!comp_lumping_float}) — flat
       row/column-sum keys written into reusable unboxed scratch buffers
       ({!float_buf}), quantized inline ({!Mdl_util.Floatx.quantize}) and
       sorted by a fused three-array merge: no list, no boxed float, no
-      comparator closure;
-    - the {b interned-key} pipeline ({!comp_lumping_interned}) — each
-      distinct (pre-quantized) key is hash-consed to a dense integer
-      rank per pass ({!type:intern_table}), so key comparison collapses to
-      integer compare; when the rank alphabet is small relative to the
-      pass ({!use_counting_sort}) the (class, rank) pairs are
-      counting-sorted in O(m + alphabet) instead of comparison-sorted.
+      comparator closure.  The engine of flat chains
+      ({!Mdl_lumping.State_lumping.coarsest});
+    - the {b ranked} pipeline ({!comp_lumping_ranked}) — keys arrive
+      already hash-consed to stable integer ids (the gids of
+      {!Mdl_core.Key_cache}), are re-ranked per pass to dense integers
+      by a stamped array lookup, and the (class, rank) pairs are
+      counting-sorted in O(m + alphabet) when the rank alphabet is small
+      relative to the pass ({!use_counting_sort}), comparison-sorted
+      otherwise.  The engine of every matrix-diagram level.
 
-    All three compute the identical coarsest stable refinement (pinned
-    by differential property tests); {!run} dispatches a {!packed} spec
-    to its pipeline.
+    Both compute the coarsest stable refinement of the polymorphic
+    ['k spec] they encode; the differential tests pin each against the
+    list-based reference engine of the oracle library, which shares no
+    code with this module.
 
     {b Key additivity.}  The largest-sub-block skip is sound only when
     keys are additive over disjoint unions of splitters,
@@ -54,11 +54,11 @@
     key in this repository — row/column rate sums, formal sums, expanded
     matrices — is a sum over splitter members, so this holds by
     construction; a hypothetical non-additive key (e.g. a max) would
-    need the exhaustive engine of {!Refiner_reference}. *)
+    need an exhaustive engine that re-splits against every sub-block. *)
 
 val log_src : Logs.src
 (** The engine's [Logs] source, [mdl.refine] — one per-run stats
-    summary at debug level per pipeline run.  Level setup is shared
+    summary at debug level per refinement run.  Level setup is shared
     across binaries via [Mdl_obs.Logging.setup]. *)
 
 type slice = int array * int * int
@@ -92,15 +92,13 @@ type stats = {
   mutable blocks_created : int;  (** new class ids allocated by splits *)
   mutable largest_skips : int;
       (** splits whose largest sub-block was exempted from the worklist *)
-  mutable float_passes : int;  (** passes through the monomorphic float pipeline *)
-  mutable interned_passes : int;  (** passes through the interned-key pipeline *)
   mutable counting_sort_passes : int;
-      (** interned passes that counting-sorted (vs the fused comparison
-          sort); always [<= interned_passes] *)
-  mutable fallback_passes : int;  (** passes through the generic fallback pipeline *)
+      (** ranked passes that counting-sorted (vs the fused comparison
+          sort); always [<= splitter_passes], and [0] for the float
+          pipeline *)
   mutable intern_keys : int;
-      (** largest interned-key alphabet (distinct keys) seen in any one
-          pass; [add_stats] takes the max, not the sum *)
+      (** largest per-pass rank alphabet (distinct keys) seen in any one
+          ranked pass; [add_stats] takes the max, not the sum *)
   mutable cache_hits : int;
       (** splitter passes answered from the key cache — filled in by
           {!Mdl_core.Key_cache} users (the engine itself never caches) *)
@@ -116,16 +114,14 @@ type stats = {
           {!Mdl_core.Compositional} *)
   mutable wall_s : float;  (** monotonic wall time spent refining *)
 }
-(** Observability counters for one or more refinement runs, including
-    the per-pipeline breakdown ([splitter_passes = float_passes +
-    interned_passes + fallback_passes] for runs through this module).
+(** Observability counters for one or more refinement runs.
     The [cache_*] / [nodes_*] counters belong to the layers above the
     engine (splitter-key memoisation, incremental diagram rebuild); they
     live here so one record travels through
     [Mdl_core.Compositional.lump] and out of [lumpmd --stats].
 
     This record is the {e per-run compatibility view} of the registry
-    metrics: every pipeline run also publishes the same counters
+    metrics: every refinement run also publishes the same counters
     cumulatively into [Mdl_obs.Metrics] under the [refiner.*] names
     (when the registry is enabled), plus per-pass latency histograms
     ([refiner.pass_seconds], [refiner.sort_seconds], [refiner.pass_keys])
@@ -152,27 +148,6 @@ type on_split = parent:int -> ids:int list -> unit
     by {!Mdl_core.Compositional} to know which classes the final
     partition owes to an actual split. *)
 
-val comp_lumping :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
-  ?stats:stats ->
-  ?on_split:on_split ->
-  'k spec ->
-  initial:Partition.t ->
-  Partition.t
-(** [comp_lumping spec ~initial] returns the coarsest refinement of
-    [initial] that is stable under [spec.splitter_keys] splitting (the
-    input partition is not mutated; the result is an id-preserving
-    {!Partition.copy} refined in place, so when no split fires the
-    output has the same class ids and member order as [initial]).  When
-    [stats] is given, the run's counters and wall time are {e added}
-    onto it (so one record can aggregate several calls); [on_split]
-    exports the split trace.  Termination: a class re-enters the
-    worklist only when freshly created by a split, and partitions only
-    ever get finer.  [tctx] records the run's spans into that explicit
-    {!Mdl_obs.Trace.Ctx.t} instead of the caller's current context.
-    @raise Invalid_argument if [initial] is not over
-    [spec.size] states. *)
-
 (** {2 Monomorphic float pipeline} *)
 
 type float_buf
@@ -181,8 +156,8 @@ type float_buf
 
 val emit : float_buf -> int -> float -> unit
 (** [emit buf s k] appends the pair [(s, k)] — the float-pipeline
-    equivalent of consing onto the generic [splitter_keys] result.  Keys
-    are emitted {e raw}; the engine quantizes them inline. *)
+    equivalent of consing onto a ['k spec]'s [splitter_keys] result.
+    Keys are emitted {e raw}; the engine quantizes them inline. *)
 
 type float_spec = {
   fsize : int;  (** number of states *)
@@ -190,7 +165,7 @@ type float_spec = {
       (** quantization tolerance applied inline to every emitted key
           ([None] = {!Mdl_util.Floatx.default_eps}) *)
   fsplitter_keys : slice -> float_buf -> unit;
-      (** same contract as the generic [splitter_keys], emitting into
+      (** same contract as a ['k spec]'s [splitter_keys], emitting into
           the engine's scratch buffer instead of building a list *)
 }
 
@@ -201,58 +176,21 @@ val comp_lumping_float :
   float_spec ->
   initial:Partition.t ->
   Partition.t
-(** {!comp_lumping} through the allocation-free float pipeline: same
-    fixed point as the generic engine over the spec
-    [{ key_compare = Float.compare on quantized keys; ... }]. *)
-
-(** {2 Interned-key pipeline} *)
-
-type 'k intern_table
-(** A hash-consing table mapping distinct keys to dense integer ranks
-    [0, 1, 2, ..] in order of first appearance.  The table is cleared
-    at the start of every splitter pass but its storage is reused, so
-    one table can (and should) be shared across all the refinement runs
-    of a fixed-point iteration — e.g. every per-node run of
-    [CompLumpingLevel]. *)
-
-val intern_table :
-  hash:('k -> int) -> equal:('k -> 'k -> bool) -> unit -> 'k intern_table
-(** [hash]/[equal] must agree ([equal a b] implies [hash a = hash b])
-    and [equal] must be the same equivalence [key_compare ... = 0] of
-    the generic spec being specialised — for float-coefficient keys that
-    means {e quantize before interning} (see {!Mdl_core.Local_key}). *)
-
-val intern_table_size : 'k intern_table -> int
-(** High-water number of distinct keys interned in any single pass so
-    far — the alphabet size the counting-sort decision is based on. *)
-
-val intern : 'k intern_table -> 'k -> int
-(** The rank of a key: its existing rank if already present, else the
-    next dense integer.  The engine calls this internally on [itable];
-    it is exposed so a table {e not} used as an [itable] can serve as a
-    persistent hash-cons with stable ids — {!Mdl_core.Key_cache} interns
-    each key once globally this way and re-ranks the resulting ids per
-    pass through a cheap identity-hash [int intern_table]. *)
-
-type 'k interned_spec = {
-  isize : int;  (** number of states *)
-  itable : 'k intern_table;  (** shared, reusable interning table *)
-  isplitter_keys : slice -> (int * 'k) list;
-      (** same contract as the generic [splitter_keys]; keys must
-          already be quantized/canonical so that the table's structural
-          [equal] coincides with lumping-key equality *)
-}
-
-val comp_lumping_interned :
-  ?stats:stats ->
-  ?on_split:on_split ->
-  'k interned_spec ->
-  initial:Partition.t ->
-  Partition.t
-(** {!comp_lumping} through the interned-key pipeline: each pass interns
-    the keys to ranks, then orders the (class, rank, state) triples by
-    counting sort when {!use_counting_sort} says the alphabet is small
-    enough, by fused integer comparison sort otherwise. *)
+(** [comp_lumping_float fspec ~initial] returns the coarsest refinement
+    of [initial] that is stable under [fspec.fsplitter_keys] splitting,
+    grouping keys by their quantized value — the fixed point of the spec
+    [{ key_compare = Float.compare on quantized keys; ... }].  The input
+    partition is not mutated; the result is an id-preserving
+    {!Partition.copy} refined in place, so when no split fires the
+    output has the same class ids and member order as [initial].  When
+    [stats] is given, the run's counters and wall time are {e added}
+    onto it (so one record can aggregate several calls); [on_split]
+    exports the split trace.  Termination: a class re-enters the
+    worklist only when freshly created by a split, and partitions only
+    ever get finer.  [tctx] records the run's spans into that explicit
+    {!Mdl_obs.Trace.Ctx.t} instead of the caller's current context.
+    @raise Invalid_argument if [initial] is not over [fspec.fsize]
+    states. *)
 
 (** {2 Ranked pipeline} *)
 
@@ -274,14 +212,18 @@ val comp_lumping_ranked :
   ranked_spec ->
   initial:Partition.t ->
   Partition.t
-(** The interned-key pipeline for producers whose keys are {e already}
-    integers: per-pass dense ranks come from a stamped array lookup per
-    pair instead of a hash-table probe, and the pair arrays are blitted
-    into the sort scratch rather than traversed as a list.  This is the
-    engine under the memoised splitter-key cache, where a cache hit
-    replays a previously interned row list; counters are reported as
-    interned passes ([interned_passes], [counting_sort_passes],
-    [intern_keys]), so cached and uncached runs stay comparable.
+(** The refinement engine for producers whose keys are {e already}
+    integers, with the same contract as {!comp_lumping_float}: per-pass
+    dense ranks come from a stamped array lookup per pair, the pair
+    arrays are blitted into the sort scratch, and each pass orders the
+    (class, rank, state) triples by counting sort when
+    {!use_counting_sort} says the alphabet is small enough, by fused
+    integer comparison sort otherwise ([counting_sort_passes] and
+    [intern_keys] report which).  This is the engine under the
+    splitter-key cache, where a cache hit replays a previously interned
+    row list.
+    @raise Invalid_argument if [initial] is not over [rspec.rsize]
+    states.
 
     [pool] shards the per-pass class lookups ([Partition.class_of] into
     disjoint scratch slots — pure reads, placement-independent writes)
@@ -300,21 +242,7 @@ val use_counting_sort : m:int -> alphabet:int -> bool
     ([2 * alphabet <= m]) and the pass not to be tiny ([m >= 16]).
     Exposed for the threshold-selection unit tests. *)
 
-(** {2 Pipeline selection} *)
-
-type packed =
-  | Spec : 'k spec -> packed
-  | Float_spec : float_spec -> packed
-  | Interned_spec : 'k interned_spec -> packed
-      (** A refinement spec packed with its pipeline choice; lets
-          callers carry "which engine" as a value. *)
-
-val run :
-  ?stats:stats -> ?on_split:on_split -> packed -> initial:Partition.t -> Partition.t
-(** Dispatch to {!comp_lumping} / {!comp_lumping_float} /
-    {!comp_lumping_interned}. *)
-
 val is_stable : 'k spec -> Partition.t -> bool
 (** [is_stable spec p] checks directly that every class of [p] is
     key-constant w.r.t. every class of [p] as splitter — the
-    post-condition of the [comp_lumping] family, used by tests. *)
+    post-condition of both pipelines, used by tests. *)

@@ -27,4 +27,5 @@ val sort_runs_float :
 val sort_runs_int :
   cls:int array -> keys:int array -> states:int array -> int -> unit
 (** Same as {!sort_runs_float} for dense integer key ranks (the
-    interned-key pipeline's comparison-sort fallback). *)
+    ranked pipeline's comparison sort, used when a pass's key alphabet
+    is too large for the counting sort). *)

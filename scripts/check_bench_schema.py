@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Validate the schema of BENCH_refine.json.
 
-Fails (exit 1) when a scenario is missing the per-pipeline refiner
-stats (including the splitter-key cache and incremental-rebuild
-counters), when flat scenarios lack the three-engine timings, when no
-multi-level end-to-end scenario was recorded, when a multi-level
-scenario lacks the per-phase span rollup (total/level/initial/fixpoint/
-pass/rebuild seconds from the tracing layer), or when a multi-level
-scenario's memoised pipeline does not at least match the uncached
-interned pipeline (speedup_cached_vs_interned < 1.0; the timed races
-run with tracing disabled, so this gate also pins the disabled-tracing
-overhead at zero).  CI runs this after the bench smoke so a refactor
-cannot silently drop the instrumentation or the cache advantage the
-performance claims rest on.
+Fails (exit 1) when a scenario is missing the refiner stats (including
+the splitter-key cache and incremental-rebuild counters), when flat
+scenarios lack the float-vs-reference timings, when no multi-level
+end-to-end scenario was recorded, when a multi-level scenario lacks the
+per-phase span rollup (total/level/initial/fixpoint/pass/rebuild
+seconds from the tracing layer), or when a production engine loses to
+the oracle's reference implementation it is raced against: on flat
+scenarios the float pipeline must not be slower than the list-based
+reference engine (float_s <= ref_s), and on multi-level scenarios the
+production Compositional.lump must not be slower than the reference
+lumper (cached_s <= reference_s; the timed races run with tracing
+disabled, so this gate also pins the disabled-tracing overhead at
+zero).  CI runs this after the bench smoke so a refactor cannot
+silently drop the instrumentation or the advantage the performance
+claims rest on.
 
 Multi-level scenarios additionally carry a "domains" object — the
 sequential-vs-parallel race on a reusable domain pool.  Its shape is
@@ -78,10 +81,7 @@ STATS_FIELDS = [
     "splits",
     "blocks_created",
     "largest_skips",
-    "float_passes",
-    "interned_passes",
     "counting_sort_passes",
-    "fallback_passes",
     "intern_keys",
     "cache_hits",
     "cache_misses",
@@ -96,10 +96,8 @@ FLAT_FIELDS = [
     "nnz",
     "classes",
     "ref_s",
-    "generic_s",
     "float_s",
     "speedup_vs_ref",
-    "speedup_vs_generic",
     "stats",
 ]
 
@@ -108,11 +106,9 @@ MULTILEVEL_FIELDS = [
     "states",
     "levels",
     "lumped_states",
-    "generic_s",
-    "specialised_s",
+    "reference_s",
     "cached_s",
-    "speedup_vs_generic",
-    "speedup_cached_vs_interned",
+    "speedup_vs_reference",
     "solvers",
     "sweeps",
     "serve",
@@ -280,14 +276,17 @@ def main():
         check_fields(sc, FLAT_FIELDS if kind == "flat" else MULTILEVEL_FIELDS, where)
         check_fields(sc["stats"], STATS_FIELDS, f"{where}: stats")
         s = sc["stats"]
-        pipeline = s["float_passes"] + s["interned_passes"] + s["fallback_passes"]
-        if pipeline != s["splitter_passes"]:
-            fail(
-                f"{where}: pipeline passes {pipeline} != splitter passes "
-                f"{s['splitter_passes']} (per-path stats incomplete)"
-            )
-        if s["counting_sort_passes"] > s["interned_passes"]:
-            fail(f"{where}: counting_sort_passes exceeds interned_passes")
+        if s["counting_sort_passes"] > s["splitter_passes"]:
+            fail(f"{where}: counting_sort_passes exceeds splitter_passes")
+        if kind == "flat":
+            for f in ("ref_s", "float_s"):
+                if not isinstance(sc[f], (int, float)) or sc[f] <= 0:
+                    fail(f"{where}: {f} is not a positive number")
+            if sc["float_s"] > sc["ref_s"]:
+                fail(
+                    f"{where}: float pipeline slower than the reference engine "
+                    f"({sc['float_s']:.4f}s > {sc['ref_s']:.4f}s)"
+                )
         lookups = s["cache_hits"] + s["cache_misses"]
         if lookups > s["splitter_passes"]:
             fail(
@@ -322,11 +321,13 @@ def main():
                         f"{where}: phases.{inner} ({ph[inner]}) exceeds enclosing "
                         f"phases.{outer} ({ph[outer]})"
                     )
-            ratio = sc["speedup_cached_vs_interned"]
-            if ratio < 1.0:
+            for f in ("reference_s", "cached_s"):
+                if not isinstance(sc[f], (int, float)) or sc[f] <= 0:
+                    fail(f"{where}: {f} is not a positive number")
+            if sc["cached_s"] > sc["reference_s"]:
                 fail(
-                    f"{where}: memoised pipeline slower than uncached interned "
-                    f"pipeline ({ratio:.3f}x)"
+                    f"{where}: lump slower than the reference lumper "
+                    f"({sc['cached_s']:.4f}s > {sc['reference_s']:.4f}s)"
                 )
             check_fields(sc["solvers"], ["max_measure_delta", "agree"] + SOLVER_NAMES,
                          f"{where}: solvers")
@@ -469,8 +470,8 @@ def main():
     load = doc["load"]
     print(
         f"{path}: OK ({kinds['flat']} flat, {kinds['multilevel']} multi-level scenarios, "
-        f"per-pipeline stats, solver races, domain races, batched sweeps and serve "
-        f"races present; load: {load['clients']} clients, "
+        f"refiner stats, reference races, solver races, domain races, batched sweeps "
+        f"and serve races present; load: {load['clients']} clients, "
         f"{load['throughput_rps']:.1f} req/s, 0 errors)"
     )
 

@@ -22,6 +22,7 @@ module Key_cache = Mdl_core.Key_cache
 module Refiner = Mdl_partition.Refiner
 module Spec = Mdl_oracle.Spec
 module Gen_md = Mdl_oracle.Gen_md
+module Reference_lump = Mdl_oracle.Reference_lump
 
 let partition_testable = Alcotest.testable Partition.pp Partition.equal
 
@@ -546,119 +547,76 @@ let test_md_solve_matches_flat () =
   let pi_flat, _ = Solver.steady_state ~tol:1e-13 ctmc in
   Alcotest.(check bool) "md solver = flat solver" true (Vec.diff_inf pi_md pi_flat < 1e-8)
 
-(* ----- specialised interned-key pipeline vs generic at level scope ----- *)
-
-let test_specialised_level_refinement_matches_generic =
-  QCheck.Test.make ~count:60
-    ~name:"interned level pipeline matches generic at every level (both modes)"
-    arb_sym_descriptor (fun spec ->
-      let k = build_symmetric_descriptor spec in
-      let md = Kronecker.to_md k in
-      let ok = ref true in
-      List.iter
-        (fun mode ->
-          for level = 1 to Md.levels md do
-            let initial = Partition.trivial (Md.size md level) in
-            let st_s = Refiner.create_stats () in
-            let st_g = Refiner.create_stats () in
-            let p_spec =
-              Level_lumping.comp_lumping_level ~stats:st_s mode md ~level ~initial
-            in
-            let p_gen =
-              Level_lumping.comp_lumping_level ~stats:st_g ~specialised:false mode md
-                ~level ~initial
-            in
-            if not (Partition.equal p_spec p_gen) then ok := false;
-            (* Every specialised pass must go through the interned
-               pipeline; every generic pass through the fallback. *)
-            if
-              st_s.Refiner.interned_passes <> st_s.Refiner.splitter_passes
-              || st_s.Refiner.fallback_passes <> 0
-            then ok := false;
-            if st_g.Refiner.fallback_passes <> st_g.Refiner.splitter_passes then
-              ok := false
-          done)
-        [ State_lumping.Ordinary; State_lumping.Exact ];
-      !ok)
-
 let test_level_intern_table_reuse () =
-  (* One table shared across the whole fixed point (as
-     [comp_lumping_level] does): re-running the same per-node
-     refinements must reuse the interned storage — the high-water mark
-     must not grow — and compute the same partition. *)
+  (* One cache's global gid table serves every run of a level's fixed
+     point: re-running the same fixed point after a rebind (the memoised
+     rows are gone) must find every key already interned — the table
+     does not grow — and compute the same partition as the reference
+     fixed point. *)
   let md, _sizes = concrete_md () in
-  let ctx = Local_key.make_context md in
-  let table = Level_lumping.key_intern_table () in
   let level = 2 in
-  let nodes = (Md.live_nodes md).(level - 1) in
   let n = Md.size md level in
-  let spec_of node =
-    {
-      Refiner.isize = n;
-      itable = table;
-      isplitter_keys =
-        (fun c ->
-          Local_key.splitter_keys ctx Local_key.Formal_sums State_lumping.Ordinary node
-            c);
-    }
-  in
+  let cache = Key_cache.create () in
   let run () =
-    List.fold_left
-      (fun p node -> Refiner.comp_lumping_interned (spec_of node) ~initial:p)
-      (Partition.trivial n) nodes
+    Key_cache.bind ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary cache md;
+    Level_lumping.comp_lumping_level ~cache State_lumping.Ordinary md ~level
+      ~initial:(Partition.trivial n)
   in
   let p1 = run () in
-  let size1 = Refiner.intern_table_size table in
+  let size1 = Key_cache.gid_count cache in
   let p2 = run () in
-  let size2 = Refiner.intern_table_size table in
+  let size2 = Key_cache.gid_count cache in
   Alcotest.check partition_testable "same fixed point on reuse" p1 p2;
-  Alcotest.(check int) "intern storage high-water stable across reuse" size1 size2;
+  Alcotest.(check int) "gid table stable across reuse" size1 size2;
   Alcotest.(check bool) "some keys interned" true (size1 > 0);
-  Alcotest.check partition_testable "matches comp_lumping_level"
-    (Level_lumping.comp_lumping_level State_lumping.Ordinary md ~level
+  Alcotest.check partition_testable "matches the reference fixed point"
+    (Reference_lump.level_partition State_lumping.Ordinary md ~level
        ~initial:(Partition.trivial n))
     p1
 
-(* ----- splitter-key cache: memoised pipeline vs uncached pipeline ----- *)
+(* ----- the production lump vs the oracle's reference lumper ----- *)
 
 let lump_inputs md =
   let sizes = Md.sizes md in
   ([ Decomposed.constant ~sizes 0.0 ], Decomposed.constant ~sizes 1.0)
 
-(* The central parity property of the memoised path: same lumped
-   diagram (structurally, coefficients bit-exact), same per-level
-   partitions, and the very same number of splitter passes — the cache
-   must change what is computed, never what comes out.  Exercised over
-   all three oracle families: flat chains, Kronecker compilations and
-   free-form direct diagrams. *)
-let test_memoised_lump_matches_uncached =
+(* The central parity property of the single production path — key
+   cache, ranked pipeline, singleton skip, memos, incremental rebuild —
+   against the uncached reference lumper, which has none of them: equal
+   per-level partitions and a structurally equal lumped diagram
+   (coefficients bit-exact).  Exercised over all three oracle families
+   (flat chains, Kronecker compilations, free-form direct diagrams),
+   both lumping modes and both key choices, with an indicator reward on
+   the last level and an indicator initial distribution on the first so
+   that the initial partitions are not trivial. *)
+let test_lump_matches_reference =
   QCheck.Test.make ~count:40
-    ~name:"memoised lump = uncached lump (diagram, partitions, passes)"
+    ~name:
+      "memoised lump = uncached lump (diagram, partitions): Compositional.lump vs the \
+       reference lumper, all model families, both modes and both keys"
     (Mdl_oracle.Qcheck_gen.model ()) (fun spec ->
       let md = Gen_md.of_spec spec in
-      let rewards, initial = lump_inputs md in
-      let ok = ref true in
-      List.iter
-        (fun mode ->
-          let st_c = Refiner.create_stats () in
-          let st_u = Refiner.create_stats () in
-          let r_c = Compositional.lump ~stats:st_c ~memoise:true mode md ~rewards ~initial in
-          let r_u =
-            Compositional.lump ~stats:st_u ~memoise:false mode md ~rewards ~initial
-          in
-          if not (Md.equal r_c.Compositional.lumped r_u.Compositional.lumped) then
-            ok := false;
-          if
-            not
-              (Array.for_all2 Partition.equal r_c.Compositional.partitions
-                 r_u.Compositional.partitions)
-          then ok := false;
-          if st_c.Refiner.splitter_passes <> st_u.Refiner.splitter_passes then ok := false;
-          (* the cached run actually went through the cache *)
-          if st_c.Refiner.cache_hits + st_c.Refiner.cache_misses = 0 then ok := false;
-          if st_u.Refiner.cache_hits + st_u.Refiner.cache_misses <> 0 then ok := false)
-        [ State_lumping.Ordinary; State_lumping.Exact ];
-      !ok)
+      let sizes = Md.sizes md in
+      let levels = Array.length sizes in
+      let rewards =
+        [ Decomposed.of_level ~sizes ~level:levels (fun s -> if s = 0 then 1.0 else 0.0) ]
+      in
+      let initial =
+        Decomposed.of_level ~sizes ~level:1 (fun s -> if s = 0 then 1.0 else 0.0)
+      in
+      List.for_all
+        (fun (mode, key) ->
+          let r = Compositional.lump ~key mode md ~rewards ~initial in
+          let r_ref = Reference_lump.lump ~key mode md ~rewards ~initial in
+          Array.for_all2 Partition.equal r.Compositional.partitions
+            r_ref.Compositional.partitions
+          && Md.equal r.Compositional.lumped r_ref.Compositional.lumped)
+        [
+          (State_lumping.Ordinary, Local_key.Formal_sums);
+          (State_lumping.Ordinary, Local_key.Expanded_matrices);
+          (State_lumping.Exact, Local_key.Formal_sums);
+          (State_lumping.Exact, Local_key.Expanded_matrices);
+        ])
 
 let test_key_cache_invalidation () =
   (* Entries are keyed by (node, member, |C|); a split retires the
@@ -707,22 +665,26 @@ let test_key_cache_invalidation () =
     (fun () -> ignore (Key_cache.context (Key_cache.create ())))
 
 let test_singleton_skip () =
-  (* Singleton classes of the run-start partition are skipped before key
-     evaluation on the memoised path: same fixed point, same splitter
-     pass count, strictly fewer key evaluations. *)
+  (* A plain cache skips the singleton classes of each run-start
+     partition before key evaluation; a persistent cache never does (its
+     rows must be complete to serve later binds).  Same fixed point,
+     same splitter pass count, strictly fewer key evaluations on the
+     plain cache. *)
   let md, _sizes = concrete_md () in
   let level = 2 in
   let initial () = Partition.of_class_assignment [| 0; 0; 1 |] in
   let run cache =
     let st = Refiner.create_stats () in
     let p =
-      Level_lumping.comp_lumping_level ?cache ~stats:st State_lumping.Ordinary md ~level
+      Level_lumping.comp_lumping_level ~cache ~stats:st State_lumping.Ordinary md ~level
         ~initial:(initial ())
     in
     (p, st)
   in
-  let p_u, st_u = run None in
-  let p_c, st_c = run (Some (Key_cache.create ())) in
+  let persistent = Key_cache.create () in
+  Key_cache.set_persistent persistent true;
+  let p_u, st_u = run persistent in
+  let p_c, st_c = run (Key_cache.create ()) in
   Alcotest.check partition_testable "same fixed point" p_u p_c;
   Alcotest.(check int) "same splitter pass count" st_u.Refiner.splitter_passes
     st_c.Refiner.splitter_passes;
@@ -959,18 +921,11 @@ let test_rebuild_counters () =
   Alcotest.(check bool) "mixed run reuses some nodes" true (st2.Refiner.nodes_reused > 0);
   Alcotest.(check int) "every live node accounted once" (Md.num_live_nodes md)
     (st2.Refiner.nodes_rebuilt + st2.Refiner.nodes_reused);
-  (* The from-scratch rebuild produces the same diagram while rebuilding
-     every node. *)
-  let st3 = Refiner.create_stats () in
-  let r3 =
-    Compositional.lump_with_partitions ~stats:st3 ~incremental:false
-      State_lumping.Ordinary md r2.Compositional.partitions
-  in
+  (* The oracle's from-scratch rebuild (every node through [add_node])
+     produces the same diagram. *)
   Alcotest.(check bool) "from-scratch rebuild agrees" true
-    (Md.equal r2.Compositional.lumped r3.Compositional.lumped);
-  Alcotest.(check int) "from-scratch reuses nothing" 0 st3.Refiner.nodes_reused;
-  Alcotest.(check int) "from-scratch rebuilds everything" (Md.num_live_nodes md)
-    st3.Refiner.nodes_rebuilt
+    (Md.equal r2.Compositional.lumped
+       (Reference_lump.rebuild State_lumping.Ordinary md r2.Compositional.partitions))
 
 let qcheck_tests =
   [
@@ -981,8 +936,7 @@ let qcheck_tests =
     test_lumped_md_is_quotient_ordinary;
     test_lumped_md_is_quotient_exact;
     test_expanded_matrices_key_at_least_as_coarse;
-    test_specialised_level_refinement_matches_generic;
-    test_memoised_lump_matches_uncached;
+    test_lump_matches_reference;
     test_sweep_matches_per_point;
   ]
 

@@ -171,9 +171,9 @@ let test_every_lumpable_refines_computed =
         (fun p -> (not (Check.ordinary r p)) || Partition.is_refinement_of p computed)
         (all_partitions n))
 
-let test_float_pipeline_matches_generic =
+let test_float_pipeline_matches_reference =
   QCheck.Test.make ~count:150
-    ~name:"coarsest: monomorphic float pipeline matches generic pipeline" arb_chain
+    ~name:"coarsest: monomorphic float pipeline matches reference engine" arb_chain
     (fun (n, t) ->
       let r = chain_of (n, t) in
       List.for_all
@@ -181,12 +181,14 @@ let test_float_pipeline_matches_generic =
           let initial = Partition.group_by n (fun i -> i mod 2) compare in
           let stats = Mdl_partition.Refiner.create_stats () in
           let p_float = State_lumping.coarsest ~stats mode r ~initial in
-          let p_generic = State_lumping.coarsest ~generic:true mode r ~initial in
-          Partition.equal p_float p_generic
-          (* Default path is fully monomorphic: no generic fallback. *)
-          && stats.Mdl_partition.Refiner.float_passes
-             = stats.Mdl_partition.Refiner.splitter_passes
-          && stats.Mdl_partition.Refiner.fallback_passes = 0)
+          let p_ref =
+            Mdl_oracle.Refiner_reference.comp_lumping
+              (State_lumping.refiner_spec mode r)
+              ~initial
+          in
+          Partition.equal p_float p_ref
+          (* The float pipeline never counting-sorts. *)
+          && stats.Mdl_partition.Refiner.counting_sort_passes = 0)
         [ State_lumping.Ordinary; State_lumping.Exact ])
 
 (* Theorem 2 validation: measures computed on the lumped chain equal
@@ -331,7 +333,7 @@ let qcheck_tests =
     test_brute_force_ordinary;
     test_brute_force_exact;
     test_every_lumpable_refines_computed;
-    test_float_pipeline_matches_generic;
+    test_float_pipeline_matches_reference;
   ]
 
 let tests =

@@ -554,10 +554,7 @@ let test_metrics_match_refiner_stats () =
   check "refiner.splits" stats.Refiner.splits;
   check "refiner.blocks_created" stats.Refiner.blocks_created;
   check "refiner.largest_skips" stats.Refiner.largest_skips;
-  check "refiner.float_passes" stats.Refiner.float_passes;
-  check "refiner.interned_passes" stats.Refiner.interned_passes;
   check "refiner.counting_sort_passes" stats.Refiner.counting_sort_passes;
-  check "refiner.fallback_passes" stats.Refiner.fallback_passes;
   check "key_cache.hits" stats.Refiner.cache_hits;
   check "key_cache.misses" stats.Refiner.cache_misses;
   check "rebuild.nodes_rebuilt" stats.Refiner.nodes_rebuilt;

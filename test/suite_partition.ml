@@ -1,8 +1,10 @@
-(* Tests for the refinable-partition data structure and the generic
-   refinement engine. *)
+(* Tests for the refinable-partition data structure and the refinement
+   engine's two pipelines, pinned against the oracle's list-based
+   reference engine. *)
 
 module Partition = Mdl_partition.Partition
 module Refiner = Mdl_partition.Refiner
+module Refiner_reference = Mdl_oracle.Refiner_reference
 
 let partition_testable = Alcotest.testable Partition.pp Partition.equal
 
@@ -95,11 +97,43 @@ let graph_spec edges n =
         Hashtbl.fold (fun s k acc -> (s, k) :: acc) counts []);
   }
 
+(* The same graph keys, fed through the ranked pipeline: keys are
+   pre-interned to stable ids through a persistent table (the Key_cache
+   arrangement) and handed over as parallel arrays. *)
+let ranked_graph_spec edges n =
+  let spec = graph_spec edges n in
+  let ids = Hashtbl.create 16 in
+  let intern k =
+    match Hashtbl.find_opt ids k with
+    | Some g -> g
+    | None ->
+        let g = Hashtbl.length ids in
+        Hashtbl.add ids k g;
+        g
+  in
+  {
+    Refiner.rsize = n;
+    rsplitter_keys =
+      (fun c ->
+        let keyed = spec.Refiner.splitter_keys c in
+        let m = List.length keyed in
+        let states = Array.make m 0 and gids = Array.make m 0 in
+        List.iteri
+          (fun i (s, k) ->
+            states.(i) <- s;
+            gids.(i) <- intern k)
+          keyed;
+        (states, gids));
+  }
+
+let refine_graph ?stats ?on_split edges n ~initial =
+  Refiner.comp_lumping_ranked ?stats ?on_split (ranked_graph_spec edges n) ~initial
+
 let test_refiner_bisimulation_like () =
   (* 0 -> 1 -> 2 (sink), 3 -> 4 -> 2: states 0/3 and 1/4 should pair up. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
   let spec = graph_spec edges 5 in
-  let result = Refiner.comp_lumping spec ~initial:(Partition.trivial 5) in
+  let result = refine_graph edges 5 ~initial:(Partition.trivial 5) in
   Alcotest.check partition_testable "classic bisimulation classes"
     (Partition.of_class_assignment [| 0; 1; 2; 0; 1 |])
     result;
@@ -107,18 +141,23 @@ let test_refiner_bisimulation_like () =
 
 let test_refiner_respects_initial () =
   let edges = [] in
-  let spec = graph_spec edges 4 in
   let initial = Partition.of_class_assignment [| 0; 0; 1; 1 |] in
-  let result = Refiner.comp_lumping spec ~initial in
+  let result = refine_graph edges 4 ~initial in
   Alcotest.check partition_testable "no edges: initial unchanged" initial result;
   Alcotest.(check bool) "input not mutated" true
     (Partition.num_classes initial = 2)
 
 let test_refiner_size_mismatch () =
-  let spec = graph_spec [] 4 in
-  Alcotest.check_raises "size mismatch"
-    (Invalid_argument "Refiner.comp_lumping: partition size mismatch") (fun () ->
-      ignore (Refiner.comp_lumping spec ~initial:(Partition.trivial 3)))
+  Alcotest.check_raises "ranked: size mismatch"
+    (Invalid_argument "Refiner.comp_lumping_ranked: partition size mismatch") (fun () ->
+      ignore (refine_graph [] 4 ~initial:(Partition.trivial 3)));
+  let r = Mdl_sparse.Csr.of_triplets ~rows:4 ~cols:4 [ (0, 1, 1.0) ] in
+  Alcotest.check_raises "float: size mismatch"
+    (Invalid_argument "Refiner.comp_lumping_float: partition size mismatch") (fun () ->
+      ignore
+        (Refiner.comp_lumping_float
+           (Mdl_lumping.State_lumping.float_spec Ordinary r)
+           ~initial:(Partition.trivial 3)))
 
 let test_view_iter_class () =
   let p = Partition.of_class_assignment [| 0; 1; 0; 1; 0 |] in
@@ -197,13 +236,12 @@ let test_on_split_trace () =
   (* The split trace must report every actual split, parent id first,
      and account exactly for the blocks the run created. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
-  let spec = graph_spec edges 5 in
   let stats = Refiner.create_stats () in
   let trace = ref [] in
   let result =
-    Refiner.comp_lumping ~stats
+    refine_graph ~stats
       ~on_split:(fun ~parent ~ids -> trace := (parent, ids) :: !trace)
-      spec ~initial:(Partition.trivial 5)
+      edges 5 ~initial:(Partition.trivial 5)
   in
   Alcotest.(check bool) "some splits traced" true (!trace <> []);
   Alcotest.(check int) "one callback per split" stats.Refiner.splits
@@ -233,9 +271,10 @@ let test_stats_all_discrete () =
   (* Discrete initial partition: nothing to split; every class is passed
      over as a splitter exactly once and no blocks are created. *)
   let n = 7 in
-  let spec = graph_spec [ (0, 1); (1, 2); (2, 3) ] n in
   let stats = Refiner.create_stats () in
-  let result = Refiner.comp_lumping ~stats spec ~initial:(Partition.discrete n) in
+  let result =
+    refine_graph ~stats [ (0, 1); (1, 2); (2, 3) ] n ~initial:(Partition.discrete n)
+  in
   Alcotest.(check int) "still discrete" n (Partition.num_classes result);
   Alcotest.(check int) "no splits" 0 stats.Refiner.splits;
   Alcotest.(check int) "no blocks created" 0 stats.Refiner.blocks_created;
@@ -245,9 +284,8 @@ let test_stats_giant_class () =
   (* One giant class refined to the bisimulation fixed point; block
      accounting must balance: final = initial + blocks_created. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
-  let spec = graph_spec edges 5 in
   let stats = Refiner.create_stats () in
-  let result = Refiner.comp_lumping ~stats spec ~initial:(Partition.trivial 5) in
+  let result = refine_graph ~stats edges 5 ~initial:(Partition.trivial 5) in
   Alcotest.(check int) "blocks_created = final - initial"
     (Partition.num_classes result - 1)
     stats.Refiner.blocks_created;
@@ -264,7 +302,7 @@ let test_stats_singleton_mixed () =
   let spec = graph_spec edges n in
   let initial = Partition.of_class_assignment [| 1; 2; 0; 0; 0; 0; 0; 0 |] in
   let stats = Refiner.create_stats () in
-  let result = Refiner.comp_lumping ~stats spec ~initial in
+  let result = refine_graph ~stats edges n ~initial in
   Alcotest.(check bool) "stable" true (Refiner.is_stable spec result);
   Alcotest.(check int) "blocks_created = final - initial"
     (Partition.num_classes result - Partition.num_classes initial)
@@ -292,17 +330,7 @@ let test_add_stats () =
   Refiner.add_stats a b;
   Alcotest.(check int) "intern_keys max updates" 9 a.Refiner.intern_keys
 
-(* ---- specialised pipelines: interned keys, counting sort, float ---- *)
-
-(* The same graph keys as [graph_spec], fed through the interned-key
-   pipeline: ranks come from hash-consing the int counts. *)
-let interned_graph_spec edges n =
-  let spec = graph_spec edges n in
-  {
-    Refiner.isize = n;
-    itable = Refiner.intern_table ~hash:Hashtbl.hash ~equal:Int.equal ();
-    isplitter_keys = spec.Refiner.splitter_keys;
-  }
+(* ---- the two pipelines: ranked keys with counting sort, float keys ---- *)
 
 let test_use_counting_sort_threshold () =
   (* Pin the decision boundary: keys must repeat (2 * alphabet <= m) and
@@ -317,51 +345,41 @@ let test_use_counting_sort_threshold () =
   Alcotest.(check bool) "just below m floor" false
     (Refiner.use_counting_sort ~m:15 ~alphabet:1)
 
+(* 100 states, every state has edges into {0, 1}: big splitter passes
+   over a tiny key alphabet. *)
+let counting_sort_edges n =
+  List.concat_map
+    (fun s -> if s mod 3 = 0 then [ (s, 0); (s, 1) ] else [ (s, 0) ])
+    (List.init n Fun.id)
+
 let test_counting_sort_pipeline () =
-  (* 100 states, every state has edges into {0, 1}: big splitter passes
-     with a tiny key alphabet, so the counting sort must fire — and the
-     result must match the generic pipeline exactly. *)
+  (* Big passes with a tiny key alphabet: the counting sort must fire on
+     some passes and the comparison sort keep the rest, and the counters
+     must say which. *)
   let n = 100 in
-  let edges =
-    List.concat_map
-      (fun s -> if s mod 3 = 0 then [ (s, 0); (s, 1) ] else [ (s, 0) ])
-      (List.init n Fun.id)
-  in
-  let spec = graph_spec edges n in
   let stats = Refiner.create_stats () in
-  let p_int =
-    Refiner.comp_lumping_interned ~stats (interned_graph_spec edges n)
-      ~initial:(Partition.trivial n)
-  in
-  let p_gen = Refiner.comp_lumping spec ~initial:(Partition.trivial n) in
-  Alcotest.check partition_testable "counting-sorted = generic" p_gen p_int;
+  let p = refine_graph ~stats (counting_sort_edges n) n ~initial:(Partition.trivial n) in
   Alcotest.(check bool) "counting sort fired" true (stats.Refiner.counting_sort_passes > 0);
-  Alcotest.(check int) "all passes interned" stats.Refiner.splitter_passes
-    stats.Refiner.interned_passes;
-  Alcotest.(check int) "no fallback passes" 0 stats.Refiner.fallback_passes;
-  Alcotest.(check bool) "alphabet recorded" true (stats.Refiner.intern_keys > 0)
+  Alcotest.(check bool) "counting-sorted passes bounded by splitter passes" true
+    (stats.Refiner.counting_sort_passes <= stats.Refiner.splitter_passes);
+  Alcotest.(check bool) "alphabet recorded" true (stats.Refiner.intern_keys > 0);
+  Alcotest.(check bool) "stable" true
+    (Refiner.is_stable (graph_spec (counting_sort_edges n) n) p)
 
 let test_pipeline_counters () =
-  (* Each entry point attributes every splitter pass to its own
-     pipeline counter. *)
+  (* Each pipeline fills the counters that describe it: the ranked one
+     its counting-sort passes and key alphabet, the float one neither. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
   let n = 5 in
-  let spec = graph_spec edges n in
-  let gen_stats = Refiner.create_stats () in
-  let p_gen = Refiner.comp_lumping ~stats:gen_stats spec ~initial:(Partition.trivial n) in
-  Alcotest.(check int) "generic: all passes fallback" gen_stats.Refiner.splitter_passes
-    gen_stats.Refiner.fallback_passes;
-  Alcotest.(check int) "generic: no float passes" 0 gen_stats.Refiner.float_passes;
-  Alcotest.(check int) "generic: no interned passes" 0 gen_stats.Refiner.interned_passes;
-  let int_stats = Refiner.create_stats () in
-  let p_int =
-    Refiner.comp_lumping_interned ~stats:int_stats (interned_graph_spec edges n)
-      ~initial:(Partition.trivial n)
-  in
-  Alcotest.check partition_testable "interned = generic" p_gen p_int;
-  Alcotest.(check int) "interned: all passes interned" int_stats.Refiner.splitter_passes
-    int_stats.Refiner.interned_passes;
-  Alcotest.(check int) "interned: no fallback" 0 int_stats.Refiner.fallback_passes;
+  let rnk_stats = Refiner.create_stats () in
+  let p_rnk = refine_graph ~stats:rnk_stats edges n ~initial:(Partition.trivial n) in
+  Alcotest.check partition_testable "ranked = reference"
+    (Refiner_reference.comp_lumping (graph_spec edges n) ~initial:(Partition.trivial n))
+    p_rnk;
+  Alcotest.(check bool) "ranked: passes counted" true (rnk_stats.Refiner.splitter_passes > 0);
+  Alcotest.(check bool) "ranked: counting sorts bounded" true
+    (rnk_stats.Refiner.counting_sort_passes <= rnk_stats.Refiner.splitter_passes);
+  Alcotest.(check bool) "ranked: alphabet recorded" true (rnk_stats.Refiner.intern_keys > 0);
   let r =
     Mdl_sparse.Csr.of_triplets ~rows:4 ~cols:4
       [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0); (3, 0, 1.0) ]
@@ -371,58 +389,18 @@ let test_pipeline_counters () =
     (Refiner.comp_lumping_float ~stats:flt_stats
        (Mdl_lumping.State_lumping.float_spec Ordinary r)
        ~initial:(Partition.trivial 4));
-  Alcotest.(check int) "float: all passes float" flt_stats.Refiner.splitter_passes
-    flt_stats.Refiner.float_passes;
-  Alcotest.(check int) "float: no fallback" 0 flt_stats.Refiner.fallback_passes
-
-let test_intern_table_reuse () =
-  (* One table across several runs: cleared per pass, storage retained,
-     high-water mark preserved. *)
-  let edges = [ (0, 1); (1, 2); (3, 4); (4, 2); (2, 0) ] in
-  let n = 5 in
-  let ispec = interned_graph_spec edges n in
-  let p1 = Refiner.comp_lumping_interned ispec ~initial:(Partition.trivial n) in
-  let hw1 = Refiner.intern_table_size ispec.Refiner.itable in
-  Alcotest.(check bool) "alphabet seen" true (hw1 > 0);
-  let p2 = Refiner.comp_lumping_interned ispec ~initial:(Partition.trivial n) in
-  Alcotest.check partition_testable "reused table, same fixed point" p1 p2;
-  Alcotest.(check int) "high-water stable across reuse" hw1
-    (Refiner.intern_table_size ispec.Refiner.itable)
-
-(* The same graph keys again, fed through the ranked pipeline: keys are
-   pre-interned to stable gids through a persistent table (the
-   Key_cache arrangement) and handed over as parallel arrays. *)
-let ranked_graph_spec edges n =
-  let spec = graph_spec edges n in
-  let table = Refiner.intern_table ~hash:Hashtbl.hash ~equal:Int.equal () in
-  {
-    Refiner.rsize = n;
-    rsplitter_keys =
-      (fun c ->
-        let keyed = spec.Refiner.splitter_keys c in
-        let m = List.length keyed in
-        let states = Array.make m 0 and gids = Array.make m 0 in
-        List.iteri
-          (fun i (s, k) ->
-            states.(i) <- s;
-            gids.(i) <- Refiner.intern table k)
-          keyed;
-        (states, gids));
-  }
+  Alcotest.(check bool) "float: passes counted" true (flt_stats.Refiner.splitter_passes > 0);
+  Alcotest.(check int) "float: no counting sort" 0 flt_stats.Refiner.counting_sort_passes;
+  Alcotest.(check int) "float: no key alphabet" 0 flt_stats.Refiner.intern_keys
 
 let test_ranked_pipeline () =
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
   let n = 5 in
   let initial = Partition.trivial n in
-  let p_gen = Refiner.comp_lumping (graph_spec edges n) ~initial in
+  let p_ref = Refiner_reference.comp_lumping (graph_spec edges n) ~initial in
   let stats = Refiner.create_stats () in
   let p_rnk = Refiner.comp_lumping_ranked ~stats (ranked_graph_spec edges n) ~initial in
-  Alcotest.check partition_testable "ranked = generic" p_gen p_rnk;
-  (* ranked passes are reported as interned passes so cached and
-     uncached runs stay comparable in the stats record *)
-  Alcotest.(check int) "all passes interned" stats.Refiner.splitter_passes
-    stats.Refiner.interned_passes;
-  Alcotest.(check int) "no fallback passes" 0 stats.Refiner.fallback_passes;
+  Alcotest.check partition_testable "ranked = reference" p_ref p_rnk;
   Alcotest.(check bool) "alphabet recorded" true (stats.Refiner.intern_keys > 0);
   Alcotest.check_raises "size mismatch"
     (Invalid_argument "Refiner.comp_lumping_ranked: partition size mismatch") (fun () ->
@@ -432,45 +410,18 @@ let test_ranked_pipeline () =
 
 let test_ranked_counting_sort () =
   (* Big passes over a tiny gid alphabet: the ranked pipeline must reach
-     the counting sort and still agree with the generic engine. *)
+     the counting sort and still agree with the reference engine. *)
   let n = 100 in
-  let edges =
-    List.concat_map
-      (fun s -> if s mod 3 = 0 then [ (s, 0); (s, 1) ] else [ (s, 0) ])
-      (List.init n Fun.id)
-  in
+  let edges = counting_sort_edges n in
   let stats = Refiner.create_stats () in
-  let p_rnk =
-    Refiner.comp_lumping_ranked ~stats (ranked_graph_spec edges n)
-      ~initial:(Partition.trivial n)
+  let p_rnk = refine_graph ~stats edges n ~initial:(Partition.trivial n) in
+  let p_ref =
+    Refiner_reference.comp_lumping (graph_spec edges n) ~initial:(Partition.trivial n)
   in
-  let p_gen = Refiner.comp_lumping (graph_spec edges n) ~initial:(Partition.trivial n) in
-  Alcotest.check partition_testable "ranked counting sort = generic" p_gen p_rnk;
+  Alcotest.check partition_testable "ranked counting sort = reference" p_ref p_rnk;
   Alcotest.(check bool) "counting sort fired" true (stats.Refiner.counting_sort_passes > 0)
 
-let test_run_dispatch () =
-  let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
-  let n = 5 in
-  let initial = Partition.trivial n in
-  let p_gen = Refiner.run (Refiner.Spec (graph_spec edges n)) ~initial in
-  let p_int = Refiner.run (Refiner.Interned_spec (interned_graph_spec edges n)) ~initial in
-  Alcotest.check partition_testable "packed dispatch agrees" p_gen p_int;
-  let r = Mdl_sparse.Csr.of_triplets ~rows:3 ~cols:3 [ (0, 1, 2.0); (1, 2, 2.0) ] in
-  let p_f1 =
-    Refiner.run
-      (Refiner.Float_spec (Mdl_lumping.State_lumping.float_spec Ordinary r))
-      ~initial:(Partition.trivial 3)
-  in
-  let p_f2 =
-    Refiner.comp_lumping
-      (Mdl_lumping.State_lumping.refiner_spec Ordinary r)
-      ~initial:(Partition.trivial 3)
-  in
-  Alcotest.check partition_testable "float dispatch agrees" p_f2 p_f1
-
-(* ---- differential: in-place engine vs the preserved seed engine ---- *)
-
-module Refiner_reference = Mdl_partition.Refiner_reference
+(* ---- differential: both pipelines vs the preserved seed engine ---- *)
 
 let test_differential_oracle_chains () =
   (* Oracle-generated flat chains through the real float-keyed spec. *)
@@ -490,19 +441,15 @@ let test_differential_oracle_chains () =
                   Float.compare
           in
           let p_ref = Refiner_reference.comp_lumping spec ~initial in
-          let p_new = Refiner.comp_lumping spec ~initial in
           let p_flt =
             Refiner.comp_lumping_float
               (Mdl_lumping.State_lumping.float_spec mode r)
               ~initial
           in
           Alcotest.check partition_testable
-            (Printf.sprintf "chain n=%d seed=%d same fixed point" states seed)
-            p_ref p_new;
-          Alcotest.check partition_testable
             (Printf.sprintf "chain n=%d seed=%d float pipeline agrees" states seed)
             p_ref p_flt;
-          Alcotest.(check bool) "stable" true (Refiner.is_stable spec p_new))
+          Alcotest.(check bool) "stable" true (Refiner.is_stable spec p_flt))
         [ Mdl_lumping.State_lumping.Ordinary; Mdl_lumping.State_lumping.Exact ])
     [ (20, 40, true, 3); (40, 120, true, 17); (60, 200, false, 23); (80, 0, true, 5) ]
 
@@ -547,24 +494,11 @@ let qcheck_differential =
         let spec = graph_spec edges n in
         let initial = Partition.group_by n (fun i -> i mod 3) compare in
         let p_ref = Refiner_reference.comp_lumping spec ~initial in
-        let p_new = Refiner.comp_lumping spec ~initial in
+        let p_new = refine_graph edges n ~initial in
         Partition.equal p_ref p_new
         && Refiner.is_stable spec p_new
         && Partition.is_refinement_of p_new initial);
-    Test.make ~count:300 ~name:"interned pipeline matches generic on random graphs"
-      arb_graph (fun (n, edges) ->
-        let initial = Partition.group_by n (fun i -> i mod 3) compare in
-        let p_gen = Refiner.comp_lumping (graph_spec edges n) ~initial in
-        let p_int = Refiner.comp_lumping_interned (interned_graph_spec edges n) ~initial in
-        Partition.equal p_gen p_int);
-    Test.make ~count:300 ~name:"ranked pipeline matches generic on random graphs"
-      arb_graph (fun (n, edges) ->
-        let initial = Partition.group_by n (fun i -> i mod 3) compare in
-        let p_gen = Refiner.comp_lumping (graph_spec edges n) ~initial in
-        let p_rnk = Refiner.comp_lumping_ranked (ranked_graph_spec edges n) ~initial in
-        Partition.equal p_gen p_rnk);
-    Test.make ~count:300
-      ~name:"float pipeline matches generic and seed engines on random flat specs"
+    Test.make ~count:300 ~name:"float pipeline matches seed engine on random flat specs"
       arb_weighted (fun (n, triplets) ->
         let r = Mdl_sparse.Csr.of_triplets ~rows:n ~cols:n triplets in
         let initial = Partition.group_by n (fun i -> i mod 3) compare in
@@ -572,11 +506,8 @@ let qcheck_differential =
           (fun mode ->
             let spec = Mdl_lumping.State_lumping.refiner_spec mode r in
             let p_ref = Refiner_reference.comp_lumping spec ~initial in
-            let p_gen =
-              Mdl_lumping.State_lumping.coarsest ~generic:true mode r ~initial
-            in
             let p_flt = Mdl_lumping.State_lumping.coarsest mode r ~initial in
-            Partition.equal p_ref p_gen && Partition.equal p_gen p_flt)
+            Partition.equal p_ref p_flt && Refiner.is_stable spec p_flt)
           [ Mdl_lumping.State_lumping.Ordinary; Mdl_lumping.State_lumping.Exact ]);
   ]
 
@@ -625,7 +556,7 @@ let qcheck_tests =
       (fun (n, edges) ->
         let spec = graph_spec edges n in
         let initial = Partition.group_by n (fun i -> i mod 2) compare in
-        let result = Refiner.comp_lumping spec ~initial in
+        let result = refine_graph edges n ~initial in
         Partition.is_refinement_of result initial && Refiner.is_stable spec result);
   ]
 
@@ -654,10 +585,8 @@ let tests =
     Alcotest.test_case "counting-sort threshold" `Quick test_use_counting_sort_threshold;
     Alcotest.test_case "counting-sort pipeline" `Quick test_counting_sort_pipeline;
     Alcotest.test_case "per-pipeline counters" `Quick test_pipeline_counters;
-    Alcotest.test_case "intern table reuse" `Quick test_intern_table_reuse;
     Alcotest.test_case "ranked pipeline" `Quick test_ranked_pipeline;
     Alcotest.test_case "ranked counting sort" `Quick test_ranked_counting_sort;
-    Alcotest.test_case "run dispatch" `Quick test_run_dispatch;
     Alcotest.test_case "differential: oracle chains" `Quick test_differential_oracle_chains;
   ]
   @ List.map QCheck_alcotest.to_alcotest (qcheck_tests @ qcheck_differential)

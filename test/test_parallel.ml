@@ -84,8 +84,13 @@ let differential_lump mode spec =
   let r_seq, s_seq = lump_with mode md in
   List.iter
     (fun d ->
-      (* par_threshold 1 forces every sharded loop on, however small the
-         model — the whole point is exercising the parallel paths. *)
+      (* par_threshold 1 forces the key-cache miss walks and the
+         rebuild's quotient rows onto the pool, however small the model —
+         the whole point is exercising the parallel paths.  The ranked
+         pass's class fill is not among them: [Level_lumping] does not
+         forward the threshold, and at [comp_lumping_ranked]'s own
+         default no pass here is large enough, so
+         [test_ranked_sharded_fill] below drives that loop directly. *)
       let r_par, s_par = lump_with ~pool:(pool d) ~par_threshold:1 mode md in
       let np = Array.length r_seq.Compositional.partitions in
       if Array.length r_par.Compositional.partitions <> np then
@@ -543,8 +548,66 @@ let test_differential_chain_exact =
     ~name:"parallel lump bit-identical to sequential (flat chains, exact)"
     Qcheck_gen.chain (fun c -> differential_lump State_lumping.Exact (Spec.Chain c))
 
+(* ----- ranked pipeline: the sharded class fill ----- *)
+
+let ranked_counters s =
+  [
+    ("splitter_passes", s.Refiner.splitter_passes);
+    ("key_evals", s.Refiner.key_evals);
+    ("splits", s.Refiner.splits);
+    ("blocks_created", s.Refiner.blocks_created);
+    ("largest_skips", s.Refiner.largest_skips);
+    ("counting_sort_passes", s.Refiner.counting_sort_passes);
+    ("intern_keys", s.Refiner.intern_keys);
+  ]
+
+(* [comp_lumping_ranked] with a pool fills each pass's class slots on
+   the pool's domains once the pass has [par_threshold] pairs.  With the
+   threshold at 1 every pass takes that path; the partition (class ids
+   included) and every counter must equal the run without a pool. *)
+let test_ranked_sharded_fill =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 2 60 in
+      let+ edges =
+        list_size (int_range 0 150) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+      in
+      (n, edges))
+  in
+  let print (n, e) =
+    Printf.sprintf "n=%d %s" n
+      (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) e))
+  in
+  QCheck.Test.make ~count:100
+    ~name:"ranked pipeline: sharded class fill identical to no pool (2/4 domains)"
+    (QCheck.make ~print gen) (fun (n, edges) ->
+      let initial = Partition.group_by n (fun i -> i mod 3) compare in
+      let run ?pool () =
+        let stats = Refiner.create_stats () in
+        let p =
+          Refiner.comp_lumping_ranked ~stats ?pool ~par_threshold:1
+            (Suite_partition.ranked_graph_spec edges n)
+            ~initial
+        in
+        (Partition.to_class_assignment p, ranked_counters stats)
+      in
+      let seq = run () in
+      List.iter
+        (fun d ->
+          let assignment, counters = run ~pool:(pool d) () in
+          if assignment <> fst seq then
+            QCheck.Test.fail_reportf "%d domains: partition differs" d;
+          List.iter2
+            (fun (name, a) (_, b) ->
+              if a <> b then
+                QCheck.Test.fail_reportf "%d domains: %s %d, no pool %d" d name b a)
+            (snd seq) counters)
+        [ 2; 4 ];
+      true)
+
 let qcheck_tests =
   [
+    test_ranked_sharded_fill;
     test_differential_ordinary;
     test_differential_exact;
     test_differential_chain;
