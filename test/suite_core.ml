@@ -547,6 +547,44 @@ let test_md_solve_matches_flat () =
   let pi_flat, _ = Solver.steady_state ~tol:1e-13 ctmc in
   Alcotest.(check bool) "md solver = flat solver" true (Vec.diff_inf pi_md pi_flat < 1e-8)
 
+(* ----- the production level pipeline vs the generic reference ----- *)
+
+(* [comp_lumping_level] interns every splitter key to a gid through its
+   key cache and refines with the ranked pipeline; the reference fixed
+   point runs the generic list-based engine over the raw keys, compared
+   by [Local_key.compare_exact].  At every level, in both modes and with
+   both key choices, they must reach the same partition under the same
+   canonical class numbering (the numbering the rebuild reads), and
+   every production pass must have gone through the cache. *)
+let test_level_pipeline_matches_reference =
+  QCheck.Test.make ~count:60
+    ~name:"interned level pipeline matches generic at every level (both modes)"
+    arb_sym_descriptor (fun spec ->
+      let k = build_symmetric_descriptor spec in
+      let md = Kronecker.to_md k in
+      let ok = ref true in
+      List.iter
+        (fun (mode, key) ->
+          for level = 1 to Md.levels md do
+            let initial = Partition.trivial (Md.size md level) in
+            let st = Refiner.create_stats () in
+            let p =
+              Level_lumping.comp_lumping_level ~key ~stats:st mode md ~level ~initial
+            in
+            let p_ref = Reference_lump.level_partition ~key mode md ~level ~initial in
+            if Partition.to_class_assignment p <> Partition.to_class_assignment p_ref
+            then ok := false;
+            let lookups = st.Refiner.cache_hits + st.Refiner.cache_misses in
+            if lookups <> st.Refiner.splitter_passes then ok := false
+          done)
+        [
+          (State_lumping.Ordinary, Local_key.Formal_sums);
+          (State_lumping.Ordinary, Local_key.Expanded_matrices);
+          (State_lumping.Exact, Local_key.Formal_sums);
+          (State_lumping.Exact, Local_key.Expanded_matrices);
+        ];
+      !ok)
+
 let test_level_intern_table_reuse () =
   (* One cache's global gid table serves every run of a level's fixed
      point: re-running the same fixed point after a rebind (the memoised
@@ -936,6 +974,7 @@ let qcheck_tests =
     test_lumped_md_is_quotient_ordinary;
     test_lumped_md_is_quotient_exact;
     test_expanded_matrices_key_at_least_as_coarse;
+    test_level_pipeline_matches_reference;
     test_lump_matches_reference;
     test_sweep_matches_per_point;
   ]

@@ -99,17 +99,21 @@ let graph_spec edges n =
 
 (* The same graph keys, fed through the ranked pipeline: keys are
    pre-interned to stable ids through a persistent table (the Key_cache
-   arrangement) and handed over as parallel arrays. *)
-let ranked_graph_spec edges n =
+   arrangement) and handed over as parallel arrays.  [gid_of] replaces
+   the interning with a fixed injective numbering of the keys. *)
+let ranked_graph_spec ?gid_of edges n =
   let spec = graph_spec edges n in
   let ids = Hashtbl.create 16 in
   let intern k =
-    match Hashtbl.find_opt ids k with
-    | Some g -> g
-    | None ->
-        let g = Hashtbl.length ids in
-        Hashtbl.add ids k g;
-        g
+    match gid_of with
+    | Some f -> f k
+    | None -> (
+        match Hashtbl.find_opt ids k with
+        | Some g -> g
+        | None ->
+            let g = Hashtbl.length ids in
+            Hashtbl.add ids k g;
+            g)
   in
   {
     Refiner.rsize = n;
@@ -498,6 +502,42 @@ let qcheck_differential =
         Partition.equal p_ref p_new
         && Refiner.is_stable spec p_new
         && Partition.is_refinement_of p_new initial);
+    (* The ranked pipeline ranks gids by first appearance within a pass,
+       so neither its partition nor its split order nor any counter may
+       depend on how the keys were numbered: a scrambled numbering (an
+       odd-multiplier bijection mod 1024; graph keys are counts below
+       31) must reproduce the run with first-appearance gids exactly,
+       and both must match the generic engine, which compares the raw
+       keys. *)
+    Test.make ~count:300 ~name:"ranked pipeline matches generic on random graphs"
+      (pair arb_graph (int_range 0 1023))
+      (fun ((n, edges), salt) ->
+        let initial = Partition.group_by n (fun i -> i mod 3) compare in
+        let p_gen = Refiner_reference.comp_lumping (graph_spec edges n) ~initial in
+        let counters st =
+          Refiner.
+            ( st.splitter_passes,
+              st.key_evals,
+              st.splits,
+              st.blocks_created,
+              st.largest_skips,
+              st.counting_sort_passes,
+              st.intern_keys )
+        in
+        let run ?gid_of () =
+          let stats = Refiner.create_stats () in
+          let p =
+            Refiner.comp_lumping_ranked ~stats (ranked_graph_spec ?gid_of edges n)
+              ~initial
+          in
+          (p, counters stats)
+        in
+        let p_rnk, c_rnk = run () in
+        let p_scr, c_scr = run ~gid_of:(fun k -> ((k * 7919) + salt) land 1023) () in
+        Partition.equal p_gen p_rnk
+        && Partition.equal p_gen p_scr
+        && Partition.to_class_assignment p_rnk = Partition.to_class_assignment p_scr
+        && c_rnk = c_scr);
     Test.make ~count:300 ~name:"float pipeline matches seed engine on random flat specs"
       arb_weighted (fun (n, triplets) ->
         let r = Mdl_sparse.Csr.of_triplets ~rows:n ~cols:n triplets in
