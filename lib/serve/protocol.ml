@@ -136,7 +136,153 @@ type response = {
   resp_body : (payload, error_code * string) result;
 }
 
-(* ---- enum tables ---- *)
+(* ---- codec ----
+
+   Each wire record is declared once, as a list of fields, and both its
+   encoder and its decoder come from that declaration.  A value codec maps
+   one JSON value; a field maps one member of an object that encodes a
+   record ['r] and decodes to an ['a].  Fields join with [let+ ... and+]:
+   members are written in declaration order and read in the same order, so
+   the first bad member is the one reported. *)
+
+type err = error_code * string
+
+type 'a codec = { enc : 'a -> Json.t; dec : Json.t -> ('a, err) result }
+
+type ('r, 'a) fields = {
+  write : 'r -> (string * Json.t) list;
+  read : Json.t -> ('a, err) result;
+}
+
+let ( let* ) = Result.bind
+
+let bad fmt = Printf.ksprintf (fun msg -> Error (Bad_request, msg)) fmt
+
+(* [List.map] that stops at the first error. *)
+let map_result f l =
+  let step acc x = Result.bind acc (fun acc -> Result.map (fun y -> y :: acc) (f x)) in
+  Result.map List.rev (List.fold_left step (Ok []) l)
+
+(* Decode errors carry the path to the bad value: ["points: k: must be ..."]. *)
+let named name = Result.map_error (fun (code, msg) -> (code, name ^ ": " ^ msg))
+
+(* -- value codecs -- *)
+
+let scalar what enc get =
+  let dec j = match get j with Some x -> Ok x | None -> bad "must be %s" what in
+  { enc; dec }
+
+let int =
+  scalar "an integer" (fun i -> Json.Int i) (function Json.Int i -> Some i | _ -> None)
+
+let str =
+  scalar "a string" (fun s -> Json.Str s) (function Json.Str s -> Some s | _ -> None)
+
+let bool =
+  scalar "a boolean" (fun b -> Json.Bool b) (function Json.Bool b -> Some b | _ -> None)
+
+(* Numbers that are semantically floats also accept integer literals
+   ([1] for [1.0]) — hand-written clients get this wrong constantly, and
+   there is no ambiguity reading a number as seconds. *)
+let float =
+  scalar "a number" (fun f -> Json.Float f) (function
+    | Json.Float f -> Some f
+    | Json.Int i -> Some (float_of_int i)
+    | _ -> None)
+
+let list c =
+  {
+    enc = (fun l -> Json.List (List.map c.enc l));
+    dec = (function Json.List l -> map_result c.dec l | _ -> bad "must be an array");
+  }
+
+(* An object read as a name -> value list.  A repeated name is refused:
+   [Json.member] would see only its last value, a list consumer its first. *)
+let assoc c =
+  let member seen (k, v) =
+    if Hashtbl.mem seen k then bad "repeated name %S" k
+    else begin
+      Hashtbl.add seen k ();
+      Result.map (fun x -> (k, x)) (named k (c.dec v))
+    end
+  in
+  {
+    enc = (fun kvs -> Json.Obj (List.map (fun (k, v) -> (k, c.enc v)) kvs));
+    dec =
+      (function
+      | Json.Obj members -> map_result (member (Hashtbl.create 8)) members
+      | _ -> bad "must be an object");
+  }
+
+let enum table =
+  {
+    enc = (fun x -> Json.Str (List.assoc x table));
+    dec =
+      (fun j ->
+        let* s = str.dec j in
+        match List.find_opt (fun (_, name) -> name = s) table with
+        | Some (x, _) -> Ok x
+        | None -> bad "unknown value %S" s);
+  }
+
+let check ok what c =
+  let dec j =
+    let* x = c.dec j in
+    if ok x then Ok x else bad "must be %s" what
+  in
+  { c with dec }
+
+(* A record's fields as one JSON object. *)
+let obj f =
+  {
+    enc = (fun r -> Json.Obj (f.write r));
+    dec = (function Json.Obj _ as j -> f.read j | _ -> bad "must be an object");
+  }
+
+(* -- field codecs -- *)
+
+(* Member [name] of object [j]; a missing or [null] member reads as
+   [absent], and is an error when [absent] is [None]. *)
+let member name dec absent j =
+  match (Json.member name j, absent) with
+  | (None | Some Json.Null), Some x -> Ok x
+  | None, None -> bad "%s: missing" name
+  | Some v, _ -> named name (dec v)
+
+let req name c get =
+  { write = (fun r -> [ (name, c.enc (get r)) ]); read = member name c.dec None }
+
+(* Absent or [null] reads as [default]; with [~omit], [default] is not
+   written either. *)
+let dflt ?(omit = false) name c default get =
+  let write r =
+    let x = get r in
+    if omit && x = default then [] else [ (name, c.enc x) ]
+  in
+  { write; read = member name c.dec (Some default) }
+
+let some c =
+  let dec j = Result.map Option.some (c.dec j) in
+  { enc = (fun x -> c.enc (Option.get x)); dec }
+
+(* Absent or [null] reads as [None]; [None] is not written. *)
+let opt name c get = dflt ~omit:true name (some c) None get
+
+let ( let+ ) f g = { write = f.write; read = (fun j -> Result.map g (f.read j)) }
+
+let ( and+ ) a b =
+  {
+    write = (fun r -> a.write r @ b.write r);
+    read =
+      (fun j ->
+        let* x = a.read j in
+        let* y = b.read j in
+        Ok (x, y));
+  }
+
+let none = { write = (fun () -> []); read = (fun _ -> Ok ()) }
+
+(* ---- messages ---- *)
 
 let error_codes =
   [
@@ -155,9 +301,6 @@ let error_codes =
 
 let error_code_string c = List.assoc c error_codes
 
-let error_code_of_string s =
-  List.find_map (fun (c, n) -> if n = s then Some c else None) error_codes
-
 let families =
   [
     (Tandem, "tandem");
@@ -169,657 +312,302 @@ let families =
 
 let family_string f = List.assoc f families
 
-let family_of_string s =
-  List.find_map (fun (f, n) -> if n = s then Some f else None) families
+let family = enum families
 
-let solvers = [ (Power, "power"); (Gauss_seidel, "gauss-seidel"); (Krylov, "krylov") ]
+let solver = enum [ (Power, "power"); (Gauss_seidel, "gauss-seidel"); (Krylov, "krylov") ]
 
-let solver_string s = List.assoc s solvers
+let at_least n what = check (fun x -> x >= n) what int
 
-let solver_of_string s =
-  List.find_map (fun (v, n) -> if n = s then Some v else None) solvers
+let reward_spec =
+  obj
+    (let+ ind_level = req "level" (at_least 1 ">= 1") (fun r -> r.ind_level)
+     and+ ind_ge = req "op" (enum [ (true, ">="); (false, "<") ]) (fun r -> r.ind_ge)
+     and+ ind_k = req "k" int (fun r -> r.ind_k) in
+     { ind_level; ind_ge; ind_k })
 
-let mode_string = function Ordinary -> "ordinary" | Exact -> "exact"
+let extra_rewards get = dflt "extra_rewards" (list reward_spec) [] get
 
-let mode_of_string = function
-  | "ordinary" -> Some Ordinary
-  | "exact" -> Some Exact
-  | _ -> None
+let point = obj (let+ pt_extra = extra_rewards (fun p -> p.pt_extra) in { pt_extra })
 
-let verb_name = function
-  | Submit_model _ -> "submit-model"
-  | Lump _ -> "lump"
-  | Sweep _ -> "sweep"
-  | Solve _ -> "solve"
-  | Stats -> "stats"
-  | Ping _ -> "ping"
-  | Shutdown -> "shutdown"
+let submit =
+  let+ sm_model = req "model" str (fun s -> s.sm_model)
+  and+ sm_family = req "family" family (fun s -> s.sm_family)
+  and+ sm_size = opt "size" (at_least 1 ">= 1") (fun s -> s.sm_size)
+  and+ sm_params = dflt ~omit:true "params" (assoc int) [] (fun s -> s.sm_params) in
+  { sm_model; sm_family; sm_size; sm_params }
 
-(* The response's payload tag; [Pong]/[Shutdown_ack] reuse their verb
-   names so a response always names the verb it answers. *)
-let payload_name = function
-  | Model_info _ -> "submit-model"
-  | Lump_result _ -> "lump"
-  | Sweep_result _ -> "sweep"
-  | Solve_result _ -> "solve"
-  | Stats_result _ -> "stats"
-  | Pong -> "ping"
-  | Shutdown_ack _ -> "shutdown"
+let lump =
+  let mode = enum [ (Ordinary, "ordinary"); (Exact, "exact") ] in
+  let+ lp_model = req "model" str (fun l -> l.lp_model)
+  and+ lp_mode = dflt "mode" mode Ordinary (fun l -> l.lp_mode)
+  and+ lp_extra = extra_rewards (fun l -> l.lp_extra) in
+  { lp_model; lp_mode; lp_extra }
 
-(* ---- encoding ---- *)
+let sweep =
+  let points = check (fun l -> l <> []) "non-empty" (list point) in
+  let+ sw_model = req "model" str (fun s -> s.sw_model)
+  and+ sw_points = req "points" points (fun s -> s.sw_points) in
+  { sw_model; sw_points }
 
-let opt_member k v rest = match v with None -> rest | Some x -> (k, x) :: rest
+let solve =
+  let+ sv_model = req "model" str (fun s -> s.sv_model)
+  and+ sv_solver = dflt "solver" solver Power (fun s -> s.sv_solver) in
+  { sv_model; sv_solver }
 
-let reward_spec_to_json r =
-  Json.Obj
-    [
-      ("level", Json.Int r.ind_level);
-      ("op", Json.Str (if r.ind_ge then ">=" else "<"));
-      ("k", Json.Int r.ind_k);
-    ]
-
-let point_to_json p =
-  Json.Obj [ ("extra_rewards", Json.List (List.map reward_spec_to_json p.pt_extra)) ]
-
-let request_to_json rq =
-  let verb_members =
-    match rq.rq_verb with
-    | Submit_model s ->
-        [
-          ("model", Json.Str s.sm_model);
-          ("family", Json.Str (family_string s.sm_family));
-        ]
-        @ (match s.sm_size with None -> [] | Some n -> [ ("size", Json.Int n) ])
-        @
-        if s.sm_params = [] then []
-        else
-          [ ("params", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.sm_params)) ]
-    | Lump l ->
-        [
-          ("model", Json.Str l.lp_model);
-          ("mode", Json.Str (mode_string l.lp_mode));
-          ("extra_rewards", Json.List (List.map reward_spec_to_json l.lp_extra));
-        ]
-    | Sweep s ->
-        [
-          ("model", Json.Str s.sw_model);
-          ("points", Json.List (List.map point_to_json s.sw_points));
-        ]
-    | Solve s ->
-        [ ("model", Json.Str s.sv_model); ("solver", Json.Str (solver_string s.sv_solver)) ]
-    | Stats | Shutdown -> []
-    | Ping p -> if p.pg_sleep_ms = 0 then [] else [ ("sleep_ms", Json.Int p.pg_sleep_ms) ]
+let ping =
+  let+ pg_sleep_ms =
+    dflt ~omit:true "sleep_ms" (at_least 0 ">= 0") 0 (fun p -> p.pg_sleep_ms)
   in
-  Json.Obj
-    (("v", Json.Int version)
-    :: opt_member "id" (Option.map (fun s -> Json.Str s) rq.rq_id)
-         (opt_member "deadline_ms"
-            (Option.map (fun d -> Json.Int d) rq.rq_deadline_ms)
-            (opt_member "trace"
-               (if rq.rq_trace then Some (Json.Bool true) else None)
-               (("verb", Json.Str (verb_name rq.rq_verb)) :: verb_members))))
+  { pg_sleep_ms }
 
-let measures_to_json ms = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) ms)
+let model_info =
+  let+ mi_model = req "model" str (fun m -> m.mi_model)
+  and+ mi_family = req "family" family (fun m -> m.mi_family)
+  and+ mi_states = req "states" int (fun m -> m.mi_states)
+  and+ mi_levels = req "levels" int (fun m -> m.mi_levels)
+  and+ mi_level_sizes = req "level_sizes" (list int) (fun m -> m.mi_level_sizes)
+  and+ mi_fresh = req "fresh" bool (fun m -> m.mi_fresh) in
+  { mi_model; mi_family; mi_states; mi_levels; mi_level_sizes; mi_fresh }
 
-let point_result_to_json p =
-  Json.Obj
-    [
-      ("lumped_states", Json.Int p.pr_lumped_states);
-      ("classes", Json.List (List.map (fun c -> Json.Int c) p.pr_classes));
-      ("wall_s", Json.Float p.pr_wall_s);
-    ]
+let lump_result =
+  let+ lr_lumped_states = req "lumped_states" int (fun l -> l.lr_lumped_states)
+  and+ lr_classes = req "classes" (list int) (fun l -> l.lr_classes)
+  and+ lr_wall_s = req "wall_s" float (fun l -> l.lr_wall_s) in
+  { lr_lumped_states; lr_classes; lr_wall_s }
 
-let payload_to_json = function
-  | Model_info m ->
-      Json.Obj
-        [
-          ("model", Json.Str m.mi_model);
-          ("family", Json.Str (family_string m.mi_family));
-          ("states", Json.Int m.mi_states);
-          ("levels", Json.Int m.mi_levels);
-          ("level_sizes", Json.List (List.map (fun n -> Json.Int n) m.mi_level_sizes));
-          ("fresh", Json.Bool m.mi_fresh);
-        ]
-  | Lump_result l ->
-      Json.Obj
-        [
-          ("lumped_states", Json.Int l.lr_lumped_states);
-          ("classes", Json.List (List.map (fun c -> Json.Int c) l.lr_classes));
-          ("wall_s", Json.Float l.lr_wall_s);
-        ]
-  | Sweep_result s ->
-      Json.Obj
-        [
-          ("points", Json.List (List.map point_result_to_json s.sr_points));
-          ("cross_bind_hits", Json.Int s.sr_cross_bind_hits);
-          ("level_reused", Json.Int s.sr_level_reused);
-          ("rebuilds_reused", Json.Int s.sr_rebuilds_reused);
-          ("store_rows", Json.Int s.sr_store_rows);
-          ("wall_s", Json.Float s.sr_wall_s);
-        ]
-  | Solve_result s ->
-      Json.Obj
-        [
-          ("solver", Json.Str (solver_string s.so_solver));
-          ("iterations", Json.Int s.so_iterations);
-          ("converged", Json.Bool s.so_converged);
-          ("residual", Json.Float s.so_residual);
-          ("measures", measures_to_json s.so_measures);
-          ("wall_s", Json.Float s.so_wall_s);
-        ]
-  | Stats_result s ->
-      Json.Obj
-        [
-          ("uptime_s", Json.Float s.st_uptime_s);
-          ("draining", Json.Bool s.st_draining);
-          ("inflight", Json.Int s.st_inflight);
-          ("queue_depth", Json.Int s.st_queue_depth);
-          ("requests", Json.Int s.st_requests);
-          ("rejected_queue_full", Json.Int s.st_rejected_queue_full);
-          ("rejected_deadline", Json.Int s.st_rejected_deadline);
-          ("protocol_errors", Json.Int s.st_protocol_errors);
-          ( "verbs",
-            Json.List
-              (List.map
-                 (fun v ->
-                   Json.Obj
-                     [
-                       ("verb", Json.Str v.vs_verb);
-                       ("requests", Json.Int v.vs_requests);
-                       ("errors", Json.Int v.vs_errors);
-                       ("p50_s", Json.Float v.vs_p50_s);
-                       ("p95_s", Json.Float v.vs_p95_s);
-                       ("p99_s", Json.Float v.vs_p99_s);
-                     ])
-                 s.st_verbs) );
-          ( "models",
-            Json.List
-              (List.map
-                 (fun m ->
-                   Json.Obj
-                     [
-                       ("model", Json.Str m.ms_model);
-                       ("family", Json.Str (family_string m.ms_family));
-                       ("states", Json.Int m.ms_states);
-                       ("store_rows", Json.Int m.ms_store_rows);
-                       ("gid_count", Json.Int m.ms_gid_count);
-                       ("cross_bind_hits", Json.Int m.ms_cross_bind_hits);
-                       ("points", Json.Int m.ms_points);
-                     ])
-                 s.st_models) );
-        ]
-  | Pong -> Json.Obj []
-  | Shutdown_ack { draining } -> Json.Obj [ ("draining", Json.Bool draining) ]
+let point_result =
+  obj
+    (let+ pr_lumped_states = req "lumped_states" int (fun p -> p.pr_lumped_states)
+     and+ pr_classes = req "classes" (list int) (fun p -> p.pr_classes)
+     and+ pr_wall_s = req "wall_s" float (fun p -> p.pr_wall_s) in
+     { pr_lumped_states; pr_classes; pr_wall_s })
 
-let trace_rollup_to_json tr =
-  Json.Obj
-    [
-      ("request", Json.Str tr.tr_request);
-      ( "spans",
-        Json.List
-          (List.map
-             (fun sp ->
-               Json.Obj
-                 [
-                   ("name", Json.Str sp.sp_name);
-                   ("count", Json.Int sp.sp_count);
-                   ("total_s", Json.Float sp.sp_total_s);
-                 ])
-             tr.tr_spans) );
-    ]
+let sweep_result =
+  let+ sr_points = req "points" (list point_result) (fun s -> s.sr_points)
+  and+ sr_cross_bind_hits = req "cross_bind_hits" int (fun s -> s.sr_cross_bind_hits)
+  and+ sr_level_reused = req "level_reused" int (fun s -> s.sr_level_reused)
+  and+ sr_rebuilds_reused = req "rebuilds_reused" int (fun s -> s.sr_rebuilds_reused)
+  and+ sr_store_rows = req "store_rows" int (fun s -> s.sr_store_rows)
+  and+ sr_wall_s = req "wall_s" float (fun s -> s.sr_wall_s) in
+  { sr_points; sr_cross_bind_hits; sr_level_reused; sr_rebuilds_reused; sr_store_rows;
+    sr_wall_s }
 
-let response_to_json resp =
-  let id = opt_member "id" (Option.map (fun s -> Json.Str s) resp.resp_id) in
-  let trace rest =
-    opt_member "trace" (Option.map trace_rollup_to_json resp.resp_trace) rest
+let solve_result =
+  let+ so_solver = req "solver" solver (fun s -> s.so_solver)
+  and+ so_iterations = req "iterations" int (fun s -> s.so_iterations)
+  and+ so_converged = req "converged" bool (fun s -> s.so_converged)
+  and+ so_residual = req "residual" float (fun s -> s.so_residual)
+  and+ so_measures = req "measures" (assoc float) (fun s -> s.so_measures)
+  and+ so_wall_s = req "wall_s" float (fun s -> s.so_wall_s) in
+  { so_solver; so_iterations; so_converged; so_residual; so_measures; so_wall_s }
+
+let verb_stat =
+  obj
+    (let+ vs_verb = req "verb" str (fun v -> v.vs_verb)
+     and+ vs_requests = req "requests" int (fun v -> v.vs_requests)
+     and+ vs_errors = req "errors" int (fun v -> v.vs_errors)
+     and+ vs_p50_s = req "p50_s" float (fun v -> v.vs_p50_s)
+     and+ vs_p95_s = req "p95_s" float (fun v -> v.vs_p95_s)
+     and+ vs_p99_s = req "p99_s" float (fun v -> v.vs_p99_s) in
+     { vs_verb; vs_requests; vs_errors; vs_p50_s; vs_p95_s; vs_p99_s })
+
+let model_stat =
+  obj
+    (let+ ms_model = req "model" str (fun m -> m.ms_model)
+     and+ ms_family = req "family" family (fun m -> m.ms_family)
+     and+ ms_states = req "states" int (fun m -> m.ms_states)
+     and+ ms_store_rows = req "store_rows" int (fun m -> m.ms_store_rows)
+     and+ ms_gid_count = req "gid_count" int (fun m -> m.ms_gid_count)
+     and+ ms_cross_bind_hits = req "cross_bind_hits" int (fun m -> m.ms_cross_bind_hits)
+     and+ ms_points = req "points" int (fun m -> m.ms_points) in
+     { ms_model; ms_family; ms_states; ms_store_rows; ms_gid_count; ms_cross_bind_hits;
+       ms_points })
+
+let stats_result =
+  let+ st_uptime_s = req "uptime_s" float (fun s -> s.st_uptime_s)
+  and+ st_draining = req "draining" bool (fun s -> s.st_draining)
+  and+ st_inflight = req "inflight" int (fun s -> s.st_inflight)
+  and+ st_queue_depth = req "queue_depth" int (fun s -> s.st_queue_depth)
+  and+ st_requests = req "requests" int (fun s -> s.st_requests)
+  and+ st_rejected_queue_full =
+    req "rejected_queue_full" int (fun s -> s.st_rejected_queue_full)
+  and+ st_rejected_deadline =
+    req "rejected_deadline" int (fun s -> s.st_rejected_deadline)
+  and+ st_protocol_errors = req "protocol_errors" int (fun s -> s.st_protocol_errors)
+  and+ st_verbs = dflt "verbs" (list verb_stat) [] (fun s -> s.st_verbs)
+  and+ st_models = req "models" (list model_stat) (fun s -> s.st_models) in
+  { st_uptime_s; st_draining; st_inflight; st_queue_depth; st_requests;
+    st_rejected_queue_full; st_rejected_deadline; st_protocol_errors; st_verbs;
+    st_models }
+
+let span_stat =
+  obj
+    (let+ sp_name = req "name" str (fun s -> s.sp_name)
+     and+ sp_count = req "count" int (fun s -> s.sp_count)
+     and+ sp_total_s = req "total_s" float (fun s -> s.sp_total_s) in
+     { sp_name; sp_count; sp_total_s })
+
+let trace_rollup =
+  obj
+    (let+ tr_request = req "request" str (fun t -> t.tr_request)
+     and+ tr_spans = dflt "spans" (list span_stat) [] (fun t -> t.tr_spans) in
+     { tr_request; tr_spans })
+
+(* -- verbs -- *)
+
+(* One alternative of a variant: its constructor, the constructor's
+   inverse and the fields of its argument. *)
+type 'v alt = Alt : ('a -> 'v) * ('v -> 'a option) * ('a, 'a) fields -> 'v alt
+
+(* Every verb by wire name, with its request and the payload that answers
+   it: the one list of verb names. *)
+let verbs =
+  [
+    ( "submit-model",
+      Alt ((fun x -> Submit_model x), (function Submit_model x -> Some x | _ -> None),
+           submit),
+      Alt ((fun x -> Model_info x), (function Model_info x -> Some x | _ -> None),
+           model_info) );
+    ( "lump",
+      Alt ((fun x -> Lump x), (function Lump x -> Some x | _ -> None), lump),
+      Alt ((fun x -> Lump_result x), (function Lump_result x -> Some x | _ -> None),
+           lump_result) );
+    ( "sweep",
+      Alt ((fun x -> Sweep x), (function Sweep x -> Some x | _ -> None), sweep),
+      Alt ((fun x -> Sweep_result x), (function Sweep_result x -> Some x | _ -> None),
+           sweep_result) );
+    ( "solve",
+      Alt ((fun x -> Solve x), (function Solve x -> Some x | _ -> None), solve),
+      Alt ((fun x -> Solve_result x), (function Solve_result x -> Some x | _ -> None),
+           solve_result) );
+    ( "stats",
+      Alt ((fun () -> Stats), (function Stats -> Some () | _ -> None), none),
+      Alt ((fun x -> Stats_result x), (function Stats_result x -> Some x | _ -> None),
+           stats_result) );
+    ( "ping",
+      Alt ((fun x -> Ping x), (function Ping x -> Some x | _ -> None), ping),
+      Alt ((fun () -> Pong), (function Pong -> Some () | _ -> None), none) );
+    ( "shutdown",
+      Alt ((fun () -> Shutdown), (function Shutdown -> Some () | _ -> None), none),
+      Alt ((fun draining -> Shutdown_ack { draining }),
+           (function Shutdown_ack { draining } -> Some draining | _ -> None),
+           (let+ draining = req "draining" bool Fun.id in draining)) );
+  ]
+
+let verb_names = List.map (fun (name, _, _) -> name) verbs
+
+let requests = List.map (fun (name, rq, _) -> (name, rq)) verbs
+
+let payloads = List.map (fun (name, _, p) -> (name, p)) verbs
+
+let verb_name v =
+  fst (List.find (fun (_, Alt (_, proj, _)) -> Option.is_some (proj v)) requests)
+
+(* The wire name of [v] and its members. *)
+let write_alt alts v =
+  Option.get
+    (List.find_map
+       (fun (name, Alt (_, proj, f)) -> Option.map (fun x -> (name, f.write x)) (proj v))
+       alts)
+
+let read_alt alts ~unknown name j =
+  match List.assoc_opt name alts with
+  | Some (Alt (inj, _, f)) -> Result.map inj (f.read j)
+  | None -> unknown name
+
+(* -- envelopes -- *)
+
+let v_member =
+  let dec v =
+    let* n = int.dec v in
+    if n >= 1 && n <= version then Ok ()
+    else
+      Error
+        ( Unsupported_version,
+          Printf.sprintf "protocol version %d not supported (this server speaks %d)" n
+            version )
   in
-  match resp.resp_body with
-  | Ok payload ->
-      Json.Obj
-        (("v", Json.Int version)
-        :: id
-             (trace
-                [
-                  ("ok", Json.Bool true);
-                  ("verb", Json.Str (payload_name payload));
-                  ("result", payload_to_json payload);
-                ]))
-  | Error (code, msg) ->
-      Json.Obj
-        (("v", Json.Int version)
-        :: id
-             (trace
-                [
-                  ("ok", Json.Bool false);
-                  ( "error",
-                    Json.Obj
-                      [
-                        ("code", Json.Str (error_code_string code));
-                        ("message", Json.Str msg);
-                      ] );
-                ]))
+  let read j = member "v" dec (Some ()) j in
+  { write = (fun _ -> [ ("v", Json.Int version) ]); read }
 
-(* ---- decoding ---- *)
+(* The [verb] member names the alternative whose members follow it. *)
+let request_verb =
+  {
+    write =
+      (fun rq ->
+        let name, members = write_alt requests rq.rq_verb in
+        ("verb", Json.Str name) :: members);
+    read =
+      (fun j ->
+        let* name = member "verb" str.dec None j in
+        read_alt requests name j ~unknown:(fun name ->
+            Error (Unknown_verb, Printf.sprintf "unknown verb %S" name)));
+  }
 
-let ( let* ) = Result.bind
+let request =
+  let+ () = v_member
+  and+ rq_id = opt "id" str (fun r -> r.rq_id)
+  and+ rq_deadline_ms =
+    opt "deadline_ms" (check (fun d -> d > 0) "positive" int) (fun r -> r.rq_deadline_ms)
+  and+ rq_trace = dflt ~omit:true "trace" bool false (fun r -> r.rq_trace)
+  and+ rq_verb = request_verb in
+  { rq_id; rq_deadline_ms; rq_trace; rq_verb }
 
-let bad fmt = Printf.ksprintf (fun msg -> Error (Bad_request, msg)) fmt
+let error_object =
+  obj
+    (let+ code = req "code" (enum error_codes) fst
+     and+ message = req "message" str snd in
+     (code, message))
 
-let get_str j k =
-  match Json.member k j with
-  | Some (Json.Str s) -> Ok s
-  | Some _ -> bad "field %S must be a string" k
-  | None -> bad "missing field %S" k
+(* [ok] tells a payload (named by [verb], members in [result]) from an
+   [error]. *)
+let response_body =
+  {
+    write =
+      (fun resp ->
+        match resp.resp_body with
+        | Ok payload ->
+            let name, members = write_alt payloads payload in
+            [ ("ok", Json.Bool true); ("verb", Json.Str name);
+              ("result", Json.Obj members) ]
+        | Error e -> [ ("ok", Json.Bool false); ("error", error_object.enc e) ]);
+    read =
+      (fun j ->
+        match Json.member "ok" j with
+        | Some (Json.Bool true) ->
+            let* name = member "verb" str.dec None j in
+            let* result = member "result" Result.ok None j in
+            let unknown = bad "unknown response verb %S" in
+            Result.map Result.ok (read_alt payloads name result ~unknown)
+        | Some (Json.Bool false) ->
+            Result.map Result.error (member "error" error_object.dec None j)
+        | _ -> bad "response lacks boolean \"ok\"");
+  }
 
-let get_opt_str j k =
-  match Json.member k j with
-  | Some (Json.Str s) -> Ok (Some s)
-  | Some Json.Null | None -> Ok None
-  | Some _ -> bad "field %S must be a string" k
+(* A client checks no [v], and reads an [id] that is not a string as absent. *)
+let response =
+  let lenient = { (some str) with dec = (fun j -> Ok (Result.to_option (str.dec j))) } in
+  let+ () = { v_member with read = (fun _ -> Ok ()) }
+  and+ resp_id = dflt ~omit:true "id" lenient None (fun r -> r.resp_id)
+  and+ resp_trace = opt "trace" trace_rollup (fun r -> r.resp_trace)
+  and+ resp_body = response_body in
+  { resp_id; resp_trace; resp_body }
 
-let get_int j k =
-  match Json.member k j with
-  | Some (Json.Int i) -> Ok i
-  | Some _ -> bad "field %S must be an integer" k
-  | None -> bad "missing field %S" k
-
-let get_opt_int j k =
-  match Json.member k j with
-  | Some (Json.Int i) -> Ok (Some i)
-  | Some Json.Null | None -> Ok None
-  | Some _ -> bad "field %S must be an integer" k
-
-let get_bool j k =
-  match Json.member k j with
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> bad "field %S must be a boolean" k
-  | None -> bad "missing field %S" k
-
-(* Numeric fields that are semantically floats also accept integer
-   literals ([1] for [1.0]) — hand-written clients get this wrong
-   constantly, and there is no ambiguity reading a number as seconds. *)
-let get_float j k =
-  match Json.member k j with
-  | Some (Json.Float f) -> Ok f
-  | Some (Json.Int i) -> Ok (float_of_int i)
-  | Some _ -> bad "field %S must be a number" k
-  | None -> bad "missing field %S" k
-
-let get_list j k =
-  match Json.member k j with
-  | Some (Json.List l) -> Ok l
-  | Some _ -> bad "field %S must be an array" k
-  | None -> bad "missing field %S" k
-
-let get_opt_list j k =
-  match Json.member k j with
-  | Some (Json.List l) -> Ok l
-  | Some Json.Null | None -> Ok []
-  | Some _ -> bad "field %S must be an array" k
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-        let* y = f x in
-        go (y :: acc) rest
-  in
-  go [] l
-
-let get_int_list j k =
-  let* l = get_list j k in
-  map_result
-    (function Json.Int i -> Ok i | _ -> bad "field %S must contain integers" k)
-    l
-
-let reward_spec_of_json j =
-  let* level = get_int j "level" in
-  if level < 1 then bad "extra_rewards: level must be >= 1"
-  else
-    let* op = get_str j "op" in
-    let* ge =
-      match op with
-      | ">=" -> Ok true
-      | "<" -> Ok false
-      | other -> bad "extra_rewards: op must be \">=\" or \"<\", not %S" other
-    in
-    let* k = get_int j "k" in
-    Ok { ind_level = level; ind_ge = ge; ind_k = k }
-
-let point_of_json j =
-  let* extra = get_opt_list j "extra_rewards" in
-  let* specs = map_result reward_spec_of_json extra in
-  Ok { pt_extra = specs }
-
-let check_version j =
-  match Json.member "v" j with
-  | None | Some Json.Null -> Ok ()
-  | Some (Json.Int v) ->
-      if v >= 1 && v <= version then Ok ()
-      else Error (Unsupported_version, Printf.sprintf "protocol version %d not supported (this server speaks %d)" v version)
-  | Some _ -> bad "field \"v\" must be an integer"
-
-let request_of_json j =
-  match j with
-  | Json.Obj _ ->
-      let* () = check_version j in
-      let* id = get_opt_str j "id" in
-      let* deadline = get_opt_int j "deadline_ms" in
-      let* () =
-        match deadline with
-        | Some d when d <= 0 -> bad "deadline_ms must be positive"
-        | _ -> Ok ()
-      in
-      let* trace =
-        match Json.member "trace" j with
-        | None | Some Json.Null -> Ok false
-        | Some (Json.Bool b) -> Ok b
-        | Some _ -> bad "field \"trace\" must be a boolean"
-      in
-      let* verb_s = get_str j "verb" in
-      let* verb =
-        match verb_s with
-        | "submit-model" ->
-            let* model = get_str j "model" in
-            let* family_s = get_str j "family" in
-            let* family =
-              match family_of_string family_s with
-              | Some f -> Ok f
-              | None -> bad "unknown model family %S" family_s
-            in
-            let* size = get_opt_int j "size" in
-            let* () =
-              match size with
-              | Some n when n < 1 -> bad "size must be >= 1"
-              | _ -> Ok ()
-            in
-            let* params =
-              match Json.member "params" j with
-              | None | Some Json.Null -> Ok []
-              | Some (Json.Obj members) ->
-                  map_result
-                    (fun (k, v) ->
-                      match v with
-                      | Json.Int i -> Ok (k, i)
-                      | _ -> bad "params.%s must be an integer" k)
-                    members
-              | Some _ -> bad "field \"params\" must be an object"
-            in
-            Ok (Submit_model { sm_model = model; sm_family = family; sm_size = size; sm_params = params })
-        | "lump" ->
-            let* model = get_str j "model" in
-            let* mode_s =
-              match Json.member "mode" j with
-              | None | Some Json.Null -> Ok "ordinary"
-              | Some (Json.Str s) -> Ok s
-              | Some _ -> bad "field \"mode\" must be a string"
-            in
-            let* mode =
-              match mode_of_string mode_s with
-              | Some m -> Ok m
-              | None -> bad "unknown mode %S" mode_s
-            in
-            let* extra = get_opt_list j "extra_rewards" in
-            let* specs = map_result reward_spec_of_json extra in
-            Ok (Lump { lp_model = model; lp_mode = mode; lp_extra = specs })
-        | "sweep" ->
-            let* model = get_str j "model" in
-            let* pts = get_list j "points" in
-            let* points = map_result point_of_json pts in
-            if points = [] then bad "sweep needs at least one point"
-            else Ok (Sweep { sw_model = model; sw_points = points })
-        | "solve" ->
-            let* model = get_str j "model" in
-            let* solver_s =
-              match Json.member "solver" j with
-              | None | Some Json.Null -> Ok "power"
-              | Some (Json.Str s) -> Ok s
-              | Some _ -> bad "field \"solver\" must be a string"
-            in
-            let* solver =
-              match solver_of_string solver_s with
-              | Some s -> Ok s
-              | None -> bad "unknown solver %S" solver_s
-            in
-            Ok (Solve { sv_model = model; sv_solver = solver })
-        | "stats" -> Ok Stats
-        | "ping" ->
-            let* sleep = get_opt_int j "sleep_ms" in
-            let sleep = Option.value sleep ~default:0 in
-            if sleep < 0 then bad "sleep_ms must be non-negative"
-            else Ok (Ping { pg_sleep_ms = sleep })
-        | "shutdown" -> Ok Shutdown
-        | other -> Error (Unknown_verb, Printf.sprintf "unknown verb %S" other)
-      in
-      Ok { rq_id = id; rq_deadline_ms = deadline; rq_trace = trace; rq_verb = verb }
-  | _ -> bad "request must be a JSON object"
+let request_to_json rq = Json.Obj (request.write rq)
 
 let request_of_string s =
   match Json.parse_result s with
   | Error msg -> Error (Parse_error, msg)
-  | Ok j -> request_of_json j
+  | Ok (Json.Obj _ as j) -> request.read j
+  | Ok _ -> bad "request must be a JSON object"
 
-let point_result_of_json j =
-  let* lumped = get_int j "lumped_states" in
-  let* classes = get_int_list j "classes" in
-  let* wall = get_float j "wall_s" in
-  Ok { pr_lumped_states = lumped; pr_classes = classes; pr_wall_s = wall }
-
-let measures_of_json j k =
-  match Json.member k j with
-  | Some (Json.Obj members) ->
-      map_result
-        (fun (name, v) ->
-          match v with
-          | Json.Float f -> Ok (name, f)
-          | Json.Int i -> Ok (name, float_of_int i)
-          | _ -> bad "measure %S must be a number" name)
-        members
-  | Some _ -> bad "field %S must be an object" k
-  | None -> bad "missing field %S" k
-
-let payload_of_json verb j =
-  match verb with
-  | "submit-model" ->
-      let* model = get_str j "model" in
-      let* family_s = get_str j "family" in
-      let* family =
-        match family_of_string family_s with
-        | Some f -> Ok f
-        | None -> bad "unknown model family %S" family_s
-      in
-      let* states = get_int j "states" in
-      let* levels = get_int j "levels" in
-      let* level_sizes = get_int_list j "level_sizes" in
-      let* fresh = get_bool j "fresh" in
-      Ok
-        (Model_info
-           {
-             mi_model = model;
-             mi_family = family;
-             mi_states = states;
-             mi_levels = levels;
-             mi_level_sizes = level_sizes;
-             mi_fresh = fresh;
-           })
-  | "lump" ->
-      let* lumped = get_int j "lumped_states" in
-      let* classes = get_int_list j "classes" in
-      let* wall = get_float j "wall_s" in
-      Ok (Lump_result { lr_lumped_states = lumped; lr_classes = classes; lr_wall_s = wall })
-  | "sweep" ->
-      let* pts = get_list j "points" in
-      let* points = map_result point_result_of_json pts in
-      let* cross = get_int j "cross_bind_hits" in
-      let* level_reused = get_int j "level_reused" in
-      let* rebuilds_reused = get_int j "rebuilds_reused" in
-      let* store_rows = get_int j "store_rows" in
-      let* wall = get_float j "wall_s" in
-      Ok
-        (Sweep_result
-           {
-             sr_points = points;
-             sr_cross_bind_hits = cross;
-             sr_level_reused = level_reused;
-             sr_rebuilds_reused = rebuilds_reused;
-             sr_store_rows = store_rows;
-             sr_wall_s = wall;
-           })
-  | "solve" ->
-      let* solver_s = get_str j "solver" in
-      let* solver =
-        match solver_of_string solver_s with
-        | Some s -> Ok s
-        | None -> bad "unknown solver %S" solver_s
-      in
-      let* iterations = get_int j "iterations" in
-      let* converged = get_bool j "converged" in
-      let* residual = get_float j "residual" in
-      let* measures = measures_of_json j "measures" in
-      let* wall = get_float j "wall_s" in
-      Ok
-        (Solve_result
-           {
-             so_solver = solver;
-             so_iterations = iterations;
-             so_converged = converged;
-             so_residual = residual;
-             so_measures = measures;
-             so_wall_s = wall;
-           })
-  | "stats" ->
-      let* uptime = get_float j "uptime_s" in
-      let* draining = get_bool j "draining" in
-      let* inflight = get_int j "inflight" in
-      let* queue_depth = get_int j "queue_depth" in
-      let* requests = get_int j "requests" in
-      let* rejected_queue_full = get_int j "rejected_queue_full" in
-      let* rejected_deadline = get_int j "rejected_deadline" in
-      let* protocol_errors = get_int j "protocol_errors" in
-      let* verbs = get_opt_list j "verbs" in
-      let* verbs =
-        map_result
-          (fun v ->
-            let* name = get_str v "verb" in
-            let* requests = get_int v "requests" in
-            let* errors = get_int v "errors" in
-            let* p50 = get_float v "p50_s" in
-            let* p95 = get_float v "p95_s" in
-            let* p99 = get_float v "p99_s" in
-            Ok
-              {
-                vs_verb = name;
-                vs_requests = requests;
-                vs_errors = errors;
-                vs_p50_s = p50;
-                vs_p95_s = p95;
-                vs_p99_s = p99;
-              })
-          verbs
-      in
-      let* models = get_list j "models" in
-      let* models =
-        map_result
-          (fun m ->
-            let* name = get_str m "model" in
-            let* family_s = get_str m "family" in
-            let* family =
-              match family_of_string family_s with
-              | Some f -> Ok f
-              | None -> bad "unknown model family %S" family_s
-            in
-            let* states = get_int m "states" in
-            let* store_rows = get_int m "store_rows" in
-            let* gid_count = get_int m "gid_count" in
-            let* cross = get_int m "cross_bind_hits" in
-            let* points = get_int m "points" in
-            Ok
-              {
-                ms_model = name;
-                ms_family = family;
-                ms_states = states;
-                ms_store_rows = store_rows;
-                ms_gid_count = gid_count;
-                ms_cross_bind_hits = cross;
-                ms_points = points;
-              })
-          models
-      in
-      Ok
-        (Stats_result
-           {
-             st_uptime_s = uptime;
-             st_draining = draining;
-             st_inflight = inflight;
-             st_queue_depth = queue_depth;
-             st_requests = requests;
-             st_rejected_queue_full = rejected_queue_full;
-             st_rejected_deadline = rejected_deadline;
-             st_protocol_errors = protocol_errors;
-             st_verbs = verbs;
-             st_models = models;
-           })
-  | "ping" -> Ok Pong
-  | "shutdown" ->
-      let* draining = get_bool j "draining" in
-      Ok (Shutdown_ack { draining })
-  | other -> bad "unknown response verb %S" other
-
-let span_stat_of_json sp =
-  let* name = get_str sp "name" in
-  let* count = get_int sp "count" in
-  let* total = get_float sp "total_s" in
-  Ok { sp_name = name; sp_count = count; sp_total_s = total }
-
-let trace_rollup_of_json tr =
-  let* request = get_str tr "request" in
-  let* spans = get_opt_list tr "spans" in
-  let* spans = map_result span_stat_of_json spans in
-  Ok { tr_request = request; tr_spans = spans }
-
-let response_of_json j =
-  let err_of = function Bad_request, msg -> msg | _, msg -> msg in
-  match j with
-  | Json.Obj _ -> (
-      let id = match Json.member "id" j with Some (Json.Str s) -> Some s | _ -> None in
-      let trace =
-        match Json.member "trace" j with
-        | None | Some Json.Null -> Ok None
-        | Some tr -> (
-            match trace_rollup_of_json tr with
-            | Ok r -> Ok (Some r)
-            | Error (_, msg) -> Error msg)
-      in
-      match trace with
-      | Error msg -> Error msg
-      | Ok trace -> (
-          match Json.member "ok" j with
-          | Some (Json.Bool true) -> (
-              match (Json.member "verb" j, Json.member "result" j) with
-              | Some (Json.Str verb), Some result -> (
-                  match payload_of_json verb result with
-                  | Ok payload ->
-                      Ok { resp_id = id; resp_trace = trace; resp_body = Ok payload }
-                  | Error e -> Error (err_of e))
-              | _ -> Error "ok response needs \"verb\" and \"result\"")
-          | Some (Json.Bool false) -> (
-              match Json.member "error" j with
-              | Some err -> (
-                  match (Json.member "code" err, Json.member "message" err) with
-                  | Some (Json.Str code_s), Some (Json.Str msg) -> (
-                      match error_code_of_string code_s with
-                      | Some code ->
-                          Ok { resp_id = id; resp_trace = trace; resp_body = Error (code, msg) }
-                      | None -> Error (Printf.sprintf "unknown error code %S" code_s))
-                  | _ -> Error "error object needs string \"code\" and \"message\"")
-              | None -> Error "error response lacks \"error\" object")
-          | _ -> Error "response lacks boolean \"ok\""))
-  | _ -> Error "response must be a JSON object"
+let response_to_json resp = Json.Obj (response.write resp)
 
 let response_of_string s =
   match Json.parse_result s with
   | Error msg -> Error (Printf.sprintf "response is not valid JSON: %s" msg)
-  | Ok j -> response_of_json j
+  | Ok (Json.Obj _ as j) -> Result.map_error snd (response.read j)
+  | Ok _ -> Error "response must be a JSON object"
 
 (* ---- framing ---- *)
 

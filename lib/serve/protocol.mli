@@ -17,9 +17,15 @@
     no version bump; removing or re-typing a field does.  A server
     refuses [v] greater than {!version} with [`Unsupported_version].
 
-    The codec is total in both directions over the types below, and
-    the QCheck suite pins [decode (encode x) = x] for every request and
-    response shape. *)
+    {b Codec.}  The implementation declares one field table per message:
+    each member's name, its value codec, and whether it is required,
+    optional ([None] is not written) or defaulted.  The encoder and the
+    decoder of a message both come from its table, so they cannot drift
+    apart.  Members are written in table order and read in the same order,
+    so a decode error names the first bad member (as a path, e.g.
+    ["points: extra_rewards: level: must be >= 1"]).  The golden wire test
+    pins the bytes of every message shape, and the QCheck properties pin
+    [decode (encode x) = x] for every request and response shape. *)
 
 val version : int
 (** The protocol version this build speaks ([1]). *)
@@ -55,7 +61,7 @@ type submit = {
   sm_size : int option;  (** the family's main size knob; default when [None] *)
   sm_params : (string * int) list;
       (** further family parameters by name ([hyper_dim], [msmq_servers],
-          ...); unknown names are rejected as [`Bad_request] *)
+          ...); unknown or repeated names are rejected as [`Bad_request] *)
 }
 
 type lump = { lp_model : string; lp_mode : mode; lp_extra : reward_spec list }
@@ -211,36 +217,28 @@ type response = {
 val error_code_string : error_code -> string
 (** The wire name, e.g. ["queue_full"]. *)
 
+val verb_names : string list
+(** The wire name of every verb, in protocol order — the server
+    pre-registers its per-verb metric families from this list. *)
+
 val verb_name : verb -> string
 (** The wire name of a verb, e.g. ["submit-model"] — also the [verb]
     key of the server's per-verb metric families and {!verb_stat}s. *)
 
-val error_code_of_string : string -> error_code option
-
 val family_string : family -> string
-
-val family_of_string : string -> family option
-
-val solver_string : solver -> string
-
-val solver_of_string : string -> solver option
 
 val request_to_json : request -> Json.t
 
-val request_of_json : Json.t -> (request, error_code * string) result
-(** Unknown members are ignored; missing/ill-typed required members are
+val request_of_string : string -> (request, error_code * string) result
+(** Parse then decode.  JSON-level failure is [`Parse_error]; unknown
+    members are ignored; missing/ill-typed required members are
     [`Bad_request]; an unrecognised ["verb"] is [`Unknown_verb]; ["v"]
     above {!version} is [`Unsupported_version]. *)
 
-val request_of_string : string -> (request, error_code * string) result
-(** Parse then decode; JSON-level failure is [`Parse_error]. *)
-
 val response_to_json : response -> Json.t
 
-val response_of_json : Json.t -> (response, string) result
-(** Client-side decoding (used by {!Client}, the tests and the bench). *)
-
 val response_of_string : string -> (response, string) result
+(** Client-side decoding (used by {!Client}, the tests and the bench). *)
 
 (** {2 Framing} *)
 

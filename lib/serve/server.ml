@@ -49,9 +49,6 @@ type verb_metrics = {
   vm_exec : Metrics.histogram;
 }
 
-let verb_names =
-  [ "submit-model"; "lump"; "sweep"; "solve"; "stats"; "ping"; "shutdown" ]
-
 let verb_families =
   List.map
     (fun v ->
@@ -62,7 +59,7 @@ let verb_families =
           vm_queue = Metrics.histogram (Printf.sprintf "serve.verb.%s.queue_seconds" v);
           vm_exec = Metrics.histogram (Printf.sprintf "serve.verb.%s.exec_seconds" v);
         } ))
-    verb_names
+    P.verb_names
 
 let verb_metrics v = List.assoc v verb_families
 
@@ -268,11 +265,15 @@ let draining t = t.draining
 
 let now_s () = Int64.to_float (Timer.now_ns ()) /. 1e9
 
+(* A deadline past the end of the int64 nanosecond clock never expires. *)
 let deadline_of t received_ns ms =
   match (ms, t.config.default_deadline_ms) with
   | None, None -> None
   | Some ms, _ | None, Some ms ->
-      Some (Int64.add received_ns (Int64.of_int (ms * 1_000_000)))
+      let ms = Int64.of_int ms in
+      let max_ms = Int64.div (Int64.sub Int64.max_int received_ns) 1_000_000L in
+      if Int64.compare ms max_ms > 0 then None
+      else Some (Int64.add received_ns (Int64.mul ms 1_000_000L))
 
 let expired = function
   | None -> false
@@ -641,7 +642,7 @@ let exec_stats t =
           vs_p95_s = q 0.95;
           vs_p99_s = q 0.99;
         })
-      verb_names
+      P.verb_names
   in
   let uptime = Unix.gettimeofday () -. t.started_wall in
   Metrics.set m_uptime uptime;

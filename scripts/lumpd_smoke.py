@@ -19,7 +19,12 @@ the framed newline-JSON wire path (docs/PROTOCOL.md):
   shutdown      graceful drain; the process must exit 0 by itself
 
 A deliberately malformed frame must come back as a typed parse_error
-(not a hangup).  A 4-client mini-load (each client on its own
+(not a hangup).  Three checks pin the wire against a client that does
+not share the daemon's codec: a sweep whose point is not an object and
+a submit that repeats a parameter name (sent as raw bytes) must each
+answer bad_request on a connection that stays usable, and a ping whose
+deadline_ms is too large for the daemon's nanosecond clock must answer
+ok.  A 4-client mini-load (each client on its own
 connection, a mixed ping/stats/lump cycle) must complete with zero
 errors.  The Prometheus scrape is validated with scripts/check_prom.py,
 requiring the serve_*, lump_* and key_cache_* families plus the
@@ -248,6 +253,27 @@ def main():
         expect_ok(request(c, {"id": "smoke-7", "verb": "ping"}), "ping")
         print("  malformed payload: typed parse_error, connection survived")
 
+        # The codec checks, from a client that shares none of its code.
+        bad_point = {"verb": "sweep", "model": "m", "points": [1]}
+        expect_error(request(c, bad_point), "bad_request", "non-object sweep point")
+        expect_ok(request(c, {"id": "smoke-9", "verb": "ping"}), "ping")
+        # Python's json cannot write a repeated key, so send the bytes.
+        send_frame(
+            c,
+            b'{"verb":"submit-model","model":"dup","family":"tandem",'
+            b'"params":{"hyper_dim":2,"hyper_dim":3}}',
+        )
+        resp = json.loads(recv_frame(c, time.monotonic() + 10))
+        expect_error(resp, "bad_request", "repeated parameter name")
+        # A deadline too large for the daemon's nanosecond clock never
+        # expires.
+        far = {"id": "smoke-10", "verb": "ping", "deadline_ms": 4611686018428}
+        expect_ok(request(c, far), "ping")
+        print(
+            "  codec: non-object point and repeated param bad_request, "
+            "far deadline ok"
+        )
+
         # 4-client mini-load: each client on its own connection, a mixed
         # control/work cycle, zero errors tolerated.
         load_clients, load_requests = 4, 6
@@ -353,7 +379,7 @@ def main():
             if e["queue_ns"] < 0 or e["exec_ns"] < 0 or e["bytes"] <= 0:
                 fail(f"access log entry has implausible timings/bytes: {e}")
         client_ids = {e.get("id") for e in entries}
-        expected_ids = {f"smoke-{n}" for n in range(1, 9)} | {"smoke-trace"} | {
+        expected_ids = {f"smoke-{n}" for n in range(1, 11)} | {"smoke-trace"} | {
             f"load-{n}-{i}"
             for n in range(load_clients)
             for i in range(load_requests)
@@ -372,8 +398,8 @@ def main():
         print(f"  access log: {len(entries)} entries, ids distinct, all verbs seen")
 
         print(
-            "lumpd smoke: OK (all verbs, traced ping, error path, mini-load, "
-            "metrics scrape, access log, clean drain)"
+            "lumpd smoke: OK (all verbs, traced ping, error path, codec checks, "
+            "mini-load, metrics scrape, access log, clean drain)"
         )
     finally:
         if proc.poll() is None:

@@ -148,7 +148,7 @@ let request_gen =
         ( family >>= fun f ->
           ident_gen >>= fun m ->
           opt (int_range 1 9) >>= fun size ->
-          (* distinct parameter names, else decode order-sensitivity *)
+          (* distinct parameter names: the decoder rejects a repeated one *)
           oneofl
             [ []; [ ("hyper_dim", 2) ]; [ ("msmq_servers", 2); ("msmq_queues", 3) ] ]
           >>= fun params ->
@@ -377,6 +377,17 @@ let test_decode_errors () =
      = Some P.Bad_request);
   checkb "empty sweep" true
     (code {| {"verb":"sweep","model":"m","points":[]} |} = Some P.Bad_request);
+  checkb "sweep point not an object" true
+    (code {| {"verb":"sweep","model":"m","points":[1]} |} = Some P.Bad_request);
+  checkb "sweep points null and string" true
+    (code {| {"verb":"sweep","model":"m","points":[null,"x"]} |} = Some P.Bad_request);
+  checkb "empty point object is the base point" true
+    (code {| {"verb":"sweep","model":"m","points":[{}]} |} = None);
+  checkb "repeated parameter name" true
+    (code
+       {| {"verb":"submit-model","model":"m","family":"tandem",
+           "params":{"hyper_dim":2,"hyper_dim":3}} |}
+     = Some P.Bad_request);
   checkb "bad deadline" true
     (code {| {"verb":"stats","deadline_ms":0} |} = Some P.Bad_request)
 
@@ -562,6 +573,231 @@ let submit_polling ?(name = "p") client =
     (Client.request client
        (rq (P.Submit_model
               { sm_model = name; sm_family = P.Polling; sm_size = Some 3; sm_params = [] })))
+
+(* ---- golden wire bytes ---- *)
+
+(* The exact payloads the encoders write, member for member.  The round
+   trip properties run one codec in both directions, so they cannot see a
+   member renamed or reordered on both sides; these literals can.  Each
+   literal also decodes back to its value. *)
+
+let wire parts = String.concat "" parts
+
+let spec l ge k = { P.ind_level = l; ind_ge = ge; ind_k = k }
+
+let golden_requests =
+  [
+    ( rq ~id:"g-1" ~deadline_ms:2500 ~trace:true
+        (P.Submit_model
+           {
+             sm_model = "t3";
+             sm_family = P.Tandem;
+             sm_size = Some 2;
+             sm_params = [ ("hyper_dim", 3); ("msmq_servers", 2) ];
+           }),
+      wire
+        [
+          {|{"v":1,"id":"g-1","deadline_ms":2500,"trace":true,"verb":"submit-model",|};
+          {|"model":"t3","family":"tandem","size":2,|};
+          {|"params":{"hyper_dim":3,"msmq_servers":2}}|};
+        ] );
+    ( rq (P.Submit_model
+            { sm_model = "k"; sm_family = P.Kanban; sm_size = None; sm_params = [] }),
+      {|{"v":1,"verb":"submit-model","model":"k","family":"kanban"}|} );
+    ( rq ~id:"g-2"
+        (P.Lump
+           {
+             lp_model = "t3";
+             lp_mode = P.Exact;
+             lp_extra = [ spec 3 true 2; spec 1 false 0 ];
+           }),
+      wire
+        [
+          {|{"v":1,"id":"g-2","verb":"lump","model":"t3","mode":"exact",|};
+          {|"extra_rewards":[{"level":3,"op":">=","k":2},{"level":1,"op":"<","k":0}]}|};
+        ] );
+    ( rq (P.Lump { lp_model = "t3"; lp_mode = P.Ordinary; lp_extra = [] }),
+      {|{"v":1,"verb":"lump","model":"t3","mode":"ordinary","extra_rewards":[]}|} );
+    ( rq ~deadline_ms:60000
+        (P.Sweep
+           {
+             sw_model = "t3";
+             sw_points = [ { P.pt_extra = [] }; { P.pt_extra = [ spec 2 false 48 ] } ];
+           }),
+      wire
+        [
+          {|{"v":1,"deadline_ms":60000,"verb":"sweep","model":"t3","points":|};
+          {|[{"extra_rewards":[]},{"extra_rewards":[{"level":2,"op":"<","k":48}]}]}|};
+        ] );
+    ( rq (P.Solve { sv_model = "t3"; sv_solver = P.Gauss_seidel }),
+      {|{"v":1,"verb":"solve","model":"t3","solver":"gauss-seidel"}|} );
+    (rq ~id:"g-3" P.Stats, {|{"v":1,"id":"g-3","verb":"stats"}|});
+    (rq (P.Ping { pg_sleep_ms = 25 }), {|{"v":1,"verb":"ping","sleep_ms":25}|});
+    (rq ~trace:true (P.Ping { pg_sleep_ms = 0 }), {|{"v":1,"trace":true,"verb":"ping"}|});
+    (rq P.Shutdown, {|{"v":1,"verb":"shutdown"}|});
+  ]
+
+let ok_resp ?id ?trace payload =
+  { P.resp_id = id; resp_trace = trace; resp_body = Ok payload }
+
+let golden_responses =
+  [
+    ( ok_resp ~id:"g-1"
+        (P.Model_info
+           {
+             mi_model = "t3";
+             mi_family = P.Tandem;
+             mi_states = 9152;
+             mi_levels = 3;
+             mi_level_sizes = [ 4; 16; 143 ];
+             mi_fresh = true;
+           }),
+      wire
+        [
+          {|{"v":1,"id":"g-1","ok":true,"verb":"submit-model","result":{"model":"t3",|};
+          {|"family":"tandem","states":9152,"levels":3,"level_sizes":[4,16,143],|};
+          {|"fresh":true}}|};
+        ] );
+    ( ok_resp
+        (P.Lump_result
+           { lr_lumped_states = 390; lr_classes = [ 4; 16; 13 ]; lr_wall_s = 0.0123 }),
+      wire
+        [
+          {|{"v":1,"ok":true,"verb":"lump","result":{"lumped_states":390,|};
+          {|"classes":[4,16,13],"wall_s":0.0123}}|};
+        ] );
+    ( ok_resp
+        (P.Sweep_result
+           {
+             sr_points =
+               [
+                 { P.pr_lumped_states = 390; pr_classes = [ 4; 16; 13 ];
+                   pr_wall_s = 0.5 };
+                 { P.pr_lumped_states = 12; pr_classes = [ 1; 2 ]; pr_wall_s = 1e-06 };
+               ];
+             sr_cross_bind_hits = 6273;
+             sr_level_reused = 12;
+             sr_rebuilds_reused = 5;
+             sr_store_rows = 2885;
+             sr_wall_s = 0.0214;
+           }),
+      wire
+        [
+          {|{"v":1,"ok":true,"verb":"sweep","result":{"points":[{"lumped_states":390,|};
+          {|"classes":[4,16,13],"wall_s":0.5},{"lumped_states":12,"classes":[1,2],|};
+          {|"wall_s":9.9999999999999995e-07}],"cross_bind_hits":6273,|};
+          {|"level_reused":12,"rebuilds_reused":5,"store_rows":2885,|};
+          {|"wall_s":0.021399999999999999}}|};
+        ] );
+    ( ok_resp
+        (P.Solve_result
+           {
+             so_solver = P.Krylov;
+             so_iterations = 41;
+             so_converged = true;
+             so_residual = 4.1e-13;
+             so_measures = [ ("availability", 0.9756097561038778); ("msmq jobs", 2.0) ];
+             so_wall_s = 0.182;
+           }),
+      wire
+        [
+          {|{"v":1,"ok":true,"verb":"solve","result":{"solver":"krylov",|};
+          {|"iterations":41,"converged":true,"residual":4.1000000000000002e-13,|};
+          {|"measures":{"availability":0.97560975610387779,"msmq jobs":2.0},|};
+          {|"wall_s":0.182}}|};
+        ] );
+    ( ok_resp
+        (P.Stats_result
+           {
+             st_uptime_s = 12.75;
+             st_draining = false;
+             st_inflight = 1;
+             st_queue_depth = 0;
+             st_requests = 42;
+             st_rejected_queue_full = 3;
+             st_rejected_deadline = 1;
+             st_protocol_errors = 2;
+             st_verbs =
+               [
+                 {
+                   P.vs_verb = "lump";
+                   vs_requests = 12;
+                   vs_errors = 1;
+                   vs_p50_s = 0.0021;
+                   vs_p95_s = 0.0124;
+                   vs_p99_s = 0.0125;
+                 };
+               ];
+             st_models =
+               [
+                 {
+                   P.ms_model = "t3";
+                   ms_family = P.Polling;
+                   ms_states = 9152;
+                   ms_store_rows = 2885;
+                   ms_gid_count = 22;
+                   ms_cross_bind_hits = 6273;
+                   ms_points = 13;
+                 };
+               ];
+           }),
+      wire
+        [
+          {|{"v":1,"ok":true,"verb":"stats","result":{"uptime_s":12.75,|};
+          {|"draining":false,"inflight":1,"queue_depth":0,"requests":42,|};
+          {|"rejected_queue_full":3,"rejected_deadline":1,"protocol_errors":2,|};
+          {|"verbs":[{"verb":"lump","requests":12,"errors":1,|};
+          {|"p50_s":0.0020999999999999999,"p95_s":0.0124,|};
+          {|"p99_s":0.012500000000000001}],"models":[{"model":"t3",|};
+          {|"family":"polling","states":9152,"store_rows":2885,"gid_count":22,|};
+          {|"cross_bind_hits":6273,"points":13}]}}|};
+        ] );
+    ( ok_resp ~id:"g-2" P.Pong,
+      {|{"v":1,"id":"g-2","ok":true,"verb":"ping","result":{}}|} );
+    ( ok_resp (P.Shutdown_ack { draining = true }),
+      {|{"v":1,"ok":true,"verb":"shutdown","result":{"draining":true}}|} );
+    ( {
+        P.resp_id = Some "g-4";
+        resp_trace = None;
+        resp_body = Error (P.Deadline_exceeded, "deadline expired before execution");
+      },
+      wire
+        [
+          {|{"v":1,"id":"g-4","ok":false,"error":{"code":"deadline_exceeded",|};
+          {|"message":"deadline expired before execution"}}|};
+        ] );
+    ( ok_resp ~id:"g-5"
+        ~trace:
+          {
+            P.tr_request = "r-17";
+            tr_spans =
+              [
+                { P.sp_name = "serve.ping"; sp_count = 1; sp_total_s = 2.5e-05 };
+                { P.sp_name = "serve.request"; sp_count = 1; sp_total_s = 3e-05 };
+              ];
+          }
+        P.Pong,
+      wire
+        [
+          {|{"v":1,"id":"g-5","trace":{"request":"r-17","spans":[{"name":"serve.ping",|};
+          {|"count":1,"total_s":2.5000000000000001e-05},{"name":"serve.request",|};
+          {|"count":1,"total_s":3.0000000000000001e-05}]},"ok":true,"verb":"ping",|};
+          {|"result":{}}|};
+        ] );
+  ]
+
+let test_golden_wire () =
+  List.iter
+    (fun (request, bytes) ->
+      checks "request bytes" bytes (Json.to_string (P.request_to_json request));
+      checkb ("request decodes: " ^ bytes) true (P.request_of_string bytes = Ok request))
+    golden_requests;
+  List.iter
+    (fun (response, bytes) ->
+      checks "response bytes" bytes (Json.to_string (P.response_to_json response));
+      checkb ("response decodes: " ^ bytes) true
+        (P.response_of_string bytes = Ok response))
+    golden_responses
 
 (* ---- end-to-end: socket results vs in-process lump_sweep ---- *)
 
@@ -858,6 +1094,19 @@ let test_handle_in_process () =
       checkb "shutdown via handle" true
         (match resp.P.resp_body with Ok (P.Shutdown_ack _) -> true | _ -> false);
       checkb "drain triggered" true (Server.draining server))
+
+let test_far_deadline_never_expires () =
+  (* a deadline too far away for the nanosecond clock never expires *)
+  with_server (fun server ->
+      List.iter
+        (fun ms ->
+          let ping = rq ~deadline_ms:ms (P.Ping { pg_sleep_ms = 0 }) in
+          match (Server.handle server ping).P.resp_body with
+          | Ok P.Pong -> ()
+          | Ok _ -> Alcotest.failf "deadline_ms %d: expected pong" ms
+          | Error (c, msg) ->
+              Alcotest.failf "deadline_ms %d: %s: %s" ms (P.error_code_string c) msg)
+        [ 4_611_686_018_427; 4_611_686_018_428; 9_000_000_000_000; max_int ])
 
 let test_malformed_frames_over_socket () =
   with_server (fun server ->
@@ -1176,6 +1425,7 @@ let tests =
     Alcotest.test_case "protocol: version gate" `Quick test_version_gate;
     Alcotest.test_case "protocol: decode error taxonomy" `Quick test_decode_errors;
     Alcotest.test_case "protocol: decoder never raises (fuzz)" `Quick test_decoder_fuzz;
+    Alcotest.test_case "protocol: golden wire bytes" `Quick test_golden_wire;
     Alcotest.test_case "framing: round trip and batching" `Quick test_frame_roundtrip;
     Alcotest.test_case "framing: byte-at-a-time writes" `Quick test_frame_split_writes;
     Alcotest.test_case "framing: truncated frame" `Quick test_frame_truncated;
@@ -1195,6 +1445,8 @@ let tests =
     Alcotest.test_case "robustness: shutdown drains in-flight work" `Slow
       test_shutdown_drains;
     Alcotest.test_case "robustness: in-process handle path" `Quick test_handle_in_process;
+    Alcotest.test_case "robustness: far deadlines never expire" `Quick
+      test_far_deadline_never_expires;
     Alcotest.test_case "robustness: malformed frames answered then closed" `Slow
       test_malformed_frames_over_socket;
     Alcotest.test_case "trace: streaming sink is bounded and valid" `Quick
