@@ -368,7 +368,7 @@ let p5_tests () =
   [
     Test.make ~name:"P5 x*R kronecker shuffle"
       (Staged.stage (fun () -> ignore (Kronecker.vec_mul k x)));
-    Test.make ~name:"P5 x*R md walk, hash indexing"
+    Test.make ~name:"P5 x*R md walk, statespace index"
       (Staged.stage (fun () -> ignore (Md_vector.vec_mul b.Workstations.md ss x)));
     Test.make ~name:"P5 x*R md walk, mdd offsets"
       (Staged.stage (fun () -> ignore (Md_vector.vec_mul_mdd b.Workstations.md mdd x)));

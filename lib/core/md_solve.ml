@@ -5,6 +5,8 @@ module Vec = Mdl_sparse.Vec
 module Solver = Mdl_ctmc.Solver
 
 let uniformized_parts ?lambda md ss =
+  if Md.levels md <> Statespace.levels ss then
+    invalid_arg "Md_solve.uniformized_operator: level count mismatch";
   (* The reachable space is converted to an MDD once so every iteration
      uses offset-based co-walk products instead of per-entry hashing. *)
   let mdd = Mdl_md.Mdd.of_statespace ss in

@@ -11,7 +11,9 @@ val uniformized_operator :
     [Q = R - rs(R)], computed on the fly from the diagram:
     [x P = x + (x R - x . exit) / lambda].  Returns the operator and the
     uniformisation rate used (default [1.02 *] max exit rate).
-    @raise Invalid_argument if [lambda] is below the max exit rate. *)
+    @raise Invalid_argument if [lambda] is below the max exit rate, or
+    if the state space and the diagram have different level counts
+    (also for the solvers below, which build this operator). *)
 
 val steady_state :
   ?tol:float ->

@@ -9,6 +9,7 @@ module Decomposed = Mdl_core.Decomposed
 module Compositional = Mdl_core.Compositional
 module Level_lumping = Mdl_core.Level_lumping
 module Md_solve = Mdl_core.Md_solve
+module Md_vector = Mdl_md.Md_vector
 module Solver = Mdl_ctmc.Solver
 module Ctmc = Mdl_ctmc.Ctmc
 module Kronecker = Mdl_kron.Kronecker
@@ -113,6 +114,39 @@ let test_md_solve_errors () =
     (Invalid_argument "Md_solve.uniformized_operator: lambda below max exit rate")
     (fun () -> ignore (Md_solve.uniformized_operator ~lambda:1e-9 md ss))
 
+let test_md_vector_level_checks () =
+  (* Regression: a state space over the wrong number of levels used to be
+     accepted — [to_csr] returned an empty matrix, and the MDD co-walks
+     read offsets from the wrong level and returned numbers. *)
+  let b = Mdl_models.Workstations.build (Mdl_models.Workstations.default ~stations:3) in
+  let md = b.Mdl_models.Workstations.md in
+  let ss = b.Mdl_models.Workstations.exploration.Mdl_san.Model.statespace in
+  let ss3 = Statespace.map ss (fun s -> [| s.(0); s.(1) / 9; s.(1) mod 9 |]) in
+  Alcotest.(check int) "same states over three levels" (Statespace.size ss)
+    (Statespace.size ss3);
+  let mdd3 = Mdl_md.Mdd.of_statespace ss3 in
+  let x = Array.make (Statespace.size ss3) 1.0 in
+  let mismatch fn f =
+    Alcotest.check_raises fn
+      (Invalid_argument (Printf.sprintf "Md_vector.%s: level count mismatch" fn))
+      (fun () -> ignore (f ()))
+  in
+  mismatch "to_csr" (fun () -> Md_vector.to_csr md ss3);
+  mismatch "vec_mul" (fun () -> Md_vector.vec_mul md ss3 x);
+  mismatch "mul_vec" (fun () -> Md_vector.mul_vec md ss3 x);
+  mismatch "row_sums" (fun () -> Md_vector.row_sums md ss3);
+  mismatch "vec_mul_mdd" (fun () -> Md_vector.vec_mul_mdd md mdd3 x);
+  mismatch "mul_vec_mdd" (fun () -> Md_vector.mul_vec_mdd md mdd3 x);
+  mismatch "row_sums_mdd" (fun () -> Md_vector.row_sums_mdd md mdd3);
+  mismatch "diag_mdd" (fun () -> Md_vector.diag_mdd md mdd3);
+  Alcotest.check_raises "steady_state"
+    (Invalid_argument "Md_solve.uniformized_operator: level count mismatch") (fun () ->
+      ignore (Md_solve.steady_state md ss3));
+  let past_level_2 = Statespace.of_tuples ~levels:2 [ [| 0; 0 |]; [| 0; Md.size md 2 |] ] in
+  Alcotest.check_raises "substate range"
+    (Invalid_argument "Md_vector.to_csr: substate out of range") (fun () ->
+      ignore (Md_vector.to_csr md past_level_2))
+
 let test_decomposed_errors () =
   let sizes = [| 2; 2 |] in
   Alcotest.check_raises "of_level range"
@@ -216,6 +250,7 @@ let tests =
     Alcotest.test_case "average_vector empty class" `Quick test_average_vector_empty_class;
     Alcotest.test_case "level lumping errors" `Quick test_level_lumping_errors;
     Alcotest.test_case "md_solve errors" `Quick test_md_solve_errors;
+    Alcotest.test_case "md_vector level checks" `Quick test_md_vector_level_checks;
     Alcotest.test_case "decomposed errors" `Quick test_decomposed_errors;
     Alcotest.test_case "solver errors" `Quick test_solver_errors;
     Alcotest.test_case "measures errors" `Quick test_measures_errors;

@@ -284,6 +284,88 @@ let test_mdd_products_match_hash_indexing () =
   Alcotest.(check bool) "row_sums agree" true
     (Vec.approx_equal (Md_vector.row_sums md ss) (Md_vector.row_sums_mdd md mdd))
 
+(* --- Md_vector.to_csr against an independent flattening ---
+
+   The reference flattens the whole potential space with [Md.to_csr]
+   and keeps the rows and columns of [ss]: a path walk over the
+   mixed-radix product space that shares nothing with the MDD co-walk
+   behind [Md_vector.to_csr]. *)
+let restricted_flat md ss =
+  let sizes = Md.sizes md in
+  let radix s =
+    let r = ref 0 in
+    Array.iteri (fun l v -> r := (!r * sizes.(l)) + v) s;
+    !r
+  in
+  let full = Md.to_csr md in
+  let pos = Array.make (Csr.rows full) (-1) in
+  Statespace.iter (fun i s -> pos.(radix s) <- i) ss;
+  let kept = ref [] in
+  Csr.iter
+    (fun r c v -> if pos.(r) >= 0 && pos.(c) >= 0 then kept := (pos.(r), pos.(c), v) :: !kept)
+    full;
+  let n = Statespace.size ss in
+  Csr.of_triplets ~rows:n ~cols:n !kept
+
+(* A random non-empty subset of the potential space: every branch of
+   the product tree is kept with probability [p] (1/2, 4/5 or 1), so
+   whole prefixes drop out at every level and most rows keep rates
+   into states outside the subset. *)
+let random_subspace rng sizes =
+  let p = [| 0.5; 0.8; 1.0 |].(Mdl_util.Prng.int rng 3) in
+  let nlevels = Array.length sizes in
+  let buf = Array.make nlevels 0 in
+  let kept = ref [] in
+  let rec go l =
+    if l = nlevels then kept := Array.copy buf :: !kept
+    else
+      for v = 0 to sizes.(l) - 1 do
+        if Mdl_util.Prng.float rng 1.0 < p then begin
+          buf.(l) <- v;
+          go (l + 1)
+        end
+      done
+  in
+  go 0;
+  let tuples =
+    if !kept = [] then [ Array.map (fun n -> Mdl_util.Prng.int rng n) sizes ] else !kept
+  in
+  Statespace.of_tuples ~levels:nlevels tuples
+
+let check_to_csr_flattening name md ss =
+  let got = Md_vector.to_csr md ss in
+  Alcotest.(check bool) (name ^ ": has entries") true (Csr.nnz got > 0);
+  Alcotest.(check bool) (name ^ ": equals the restricted flattening") true
+    (Csr.equal got (restricted_flat md ss))
+
+let test_to_csr_matches_flattening_on_models () =
+  let open Mdl_models in
+  let check name md ss ~rewards ~initial =
+    check_to_csr_flattening (name ^ " flat") md ss;
+    let r = Mdl_core.Compositional.lump Ordinary md ~rewards ~initial in
+    check_to_csr_flattening (name ^ " lumped") r.Mdl_core.Compositional.lumped
+      (Mdl_core.Compositional.lump_statespace r ss)
+  in
+  let ss (ex : Mdl_san.Model.exploration) = ex.Mdl_san.Model.statespace in
+  let w = Workstations.build (Workstations.default ~stations:3) in
+  check "workstations" w.Workstations.md (ss w.Workstations.exploration)
+    ~rewards:[ w.Workstations.rewards_operational ] ~initial:w.Workstations.initial;
+  let p = Polling.build (Polling.default ~customers:2) in
+  check "polling" p.Polling.md (ss p.Polling.exploration)
+    ~rewards:[ p.Polling.rewards_busy_servers ] ~initial:p.Polling.initial;
+  let t =
+    Tandem.build
+      { (Tandem.default ~jobs:1) with Tandem.hyper_dim = 2; msmq_servers = 2; msmq_queues = 2 }
+  in
+  check "tandem" t.Tandem.md (ss t.Tandem.exploration)
+    ~rewards:[ t.Tandem.rewards_availability ] ~initial:t.Tandem.initial;
+  let m = Multitier.build (Multitier.default ~clients:2) in
+  check "multitier" m.Multitier.md (ss m.Multitier.exploration)
+    ~rewards:[ m.Multitier.rewards_thinking ] ~initial:m.Multitier.initial;
+  let k = Kanban.build (Kanban.default ~cards:2) in
+  check "kanban" k.Kanban.md (ss k.Kanban.exploration)
+    ~rewards:[ k.Kanban.rewards_in_system ] ~initial:k.Kanban.initial
+
 (* --- set MDDs --- *)
 
 let test_dot_write_file () =
@@ -687,6 +769,55 @@ let qcheck_tests =
         let x = Array.init n (fun i -> float_of_int (i + 1)) in
         Vec.approx_equal (Mdl_md.Md_vector.vec_mul md ss x) (Csr.vec_mul x flat)
         && Vec.approx_equal (Mdl_md.Md_vector.row_sums md ss) (Csr.row_sums flat));
+    Test.make ~count:300 ~name:"to_csr equals the restricted full flattening"
+      (pair (Mdl_oracle.Qcheck_gen.md_model ~max_levels:4 ()) (int_bound 1_000_000))
+      (fun (spec, seed) ->
+        let md = Mdl_oracle.Gen_md.of_spec spec in
+        let ss = random_subspace (Mdl_util.Prng.of_seed seed) (Md.sizes md) in
+        Csr.equal (Md_vector.to_csr md ss) (restricted_flat md ss));
+    Test.make ~count:300 ~name:"statespace agrees with a sorted-list model"
+      (pair (int_range 1 3)
+         (list_of_size Gen.(int_range 1 30) (triple (int_bound 3) (int_bound 3) (int_bound 3))))
+      (fun (levels, triples) ->
+        let inputs = List.map (fun (a, b, c) -> Array.sub [| a; b; c |] 0 levels) triples in
+        let model = List.sort_uniq compare (List.map Array.copy inputs) in
+        let ss = Statespace.of_tuples ~levels inputs in
+        let mdd = Mdl_md.Mdd.of_statespace ss in
+        let listed t =
+          let acc = ref [] in
+          Statespace.iter (fun _ s -> acc := Array.copy s :: !acc) t;
+          List.rev !acc
+        in
+        let rec product l =
+          if l = 0 then [ [||] ]
+          else
+            List.concat_map (fun t -> List.init 5 (fun v -> Array.append t [| v |]))
+              (product (l - 1))
+        in
+        let position s =
+          let rec go i = function
+            | [] -> None
+            | x :: rest -> if x = s then Some i else go (i + 1) rest
+          in
+          go 0 model
+        in
+        let image f = List.sort_uniq compare (List.map f model) in
+        let halve s = Array.map (fun v -> v / 2) s in
+        let total s = [| Array.fold_left ( + ) 0 s |] in
+        let ok_enum = listed ss = model in
+        let ok_index =
+          List.for_all
+            (fun s -> Statespace.index ss s = position s && Mdl_md.Mdd.index mdd s = position s)
+            (product levels)
+          && Statespace.index ss (Array.make (levels + 1) 0) = None
+          && Statespace.index ss (Array.make (levels - 1) 0) = None
+        in
+        let ok_map =
+          listed (Statespace.map ss halve) = image halve
+          && listed (Statespace.map ss total) = image total
+        in
+        List.iter (fun s -> Array.fill s 0 levels 9) inputs;
+        ok_enum && ok_index && ok_map && listed ss = model);
     Test.make ~count:200 ~name:"formal sum scale distributes over add"
       (pair (small_list (pair (int_bound 5) (int_bound 4))) (int_bound 6))
       (fun (l, k) ->
@@ -750,6 +881,8 @@ let tests =
     Alcotest.test_case "mdd sharing" `Quick test_mdd_sharing;
     Alcotest.test_case "mdd products match hash indexing" `Quick
       test_mdd_products_match_hash_indexing;
+    Alcotest.test_case "to_csr matches flattening on every model family" `Quick
+      test_to_csr_matches_flattening_on_models;
     Alcotest.test_case "printers smoke" `Quick test_printers_smoke;
     Alcotest.test_case "dot write_file" `Quick test_dot_write_file;
     Alcotest.test_case "local_states match exploration" `Quick
