@@ -201,28 +201,17 @@ let p2_report (r : t1_row) =
   let ss = b.Tandem.exploration.Model.statespace in
   let lumped_ss = Compositional.lump_statespace r.result ss in
   let n = Statespace.size lumped_ss in
-  if n > 60_000 then Printf.printf "  skipped (%d states)\n\n" n
-  else begin
-    let flat = Md_vector.to_csr r.result.Compositional.lumped lumped_ss in
-    let rewards_vec =
-      Decomposed.to_vector
-        (Compositional.lumped_rewards r.result b.Tandem.rewards_availability)
-        lumped_ss
-    in
-    let initial_p =
-      Partition.group_by n
-        (fun s -> Mdl_util.Floatx.quantize rewards_vec.(s))
-        Float.compare
-    in
-    let further, t =
-      Mdl_util.Timer.time (fun () ->
-          State_lumping.coarsest Ordinary flat ~initial:initial_p)
-    in
-    Printf.printf
-      "  state-level lumping [9] of the lumped chain: %d -> %d classes in %.3f s%s\n\n" n
-      (Partition.num_classes further) t
-      (if Partition.num_classes further = n then "  (optimal)" else "")
-  end
+  match
+    Mdl_util.Timer.time (fun () ->
+        Md_solve.check_optimal Ordinary r.result lumped_ss
+          ~rewards:[ b.Tandem.rewards_availability ])
+  with
+  | None, _ -> Printf.printf "  skipped (%d states)\n\n" n
+  | Some classes, t ->
+      Printf.printf
+        "  state-level lumping [9] of the lumped chain: %d -> %d classes in %.3f s%s\n\n" n
+        classes t
+        (if classes = n then "  (optimal)" else "")
 
 (* ------------------------------------------------------------------ *)
 (* P3: key-choice ablation                                             *)
@@ -354,8 +343,8 @@ let kernel_tests () =
 
 let p5_tests () =
   (* Workstations n=4: the reachable space is the full product space, so
-     the Kronecker shuffle product, the MD path product and the flat CSR
-     product all compute the same vector. *)
+     the Kronecker shuffle product, the MD co-walk product and the flat
+     CSR product all compute the same vector. *)
   let b = Workstations.build (Workstations.default ~stations:4) in
   let exp = b.Workstations.exploration in
   let ss = exp.Model.statespace in
@@ -368,8 +357,6 @@ let p5_tests () =
   [
     Test.make ~name:"P5 x*R kronecker shuffle"
       (Staged.stage (fun () -> ignore (Kronecker.vec_mul k x)));
-    Test.make ~name:"P5 x*R md walk, statespace index"
-      (Staged.stage (fun () -> ignore (Md_vector.vec_mul b.Workstations.md ss x)));
     Test.make ~name:"P5 x*R md walk, mdd offsets"
       (Staged.stage (fun () -> ignore (Md_vector.vec_mul_mdd b.Workstations.md mdd x)));
     Test.make ~name:"P5 x*R flat csr"

@@ -36,6 +36,7 @@ module Trace = Mdl_obs.Trace
 module Serve = Mdl_serve.Server
 module Serve_client = Mdl_serve.Client
 module Proto = Mdl_serve.Protocol
+module Family = Mdl_models.Family
 
 type flat_scenario = {
   name : string;
@@ -46,16 +47,14 @@ type flat_scenario = {
   initial : Partition.t;
 }
 
+(* A catalogue model named the way a lumpd client names it: the serve
+   race re-submits (family, params) through the wire protocol, so the
+   daemon builds its own copy. *)
 type multilevel_scenario = {
   ml_name : string;
-  md : Mdl_md.Md.t;
-  statespace : Mdl_md.Statespace.t;
-  rewards : Mdl_core.Decomposed.t list;
-  ml_initial : Mdl_core.Decomposed.t;
-  (* How a lumpd client would name this model: the serve race re-submits
-     it through the wire protocol, so the daemon builds its own copy. *)
-  serve_family : Proto.family;
-  serve_params : (string * int) list;
+  family : Proto.family;
+  params : (string * int) list;
+  built : Family.built;
 }
 
 type outcome = {
@@ -202,31 +201,14 @@ let run_flat ~repeats sc =
 
 (* ---- multi-level end-to-end scenarios ---- *)
 
-let tandem_ml_scenario ~name ~jobs ~hyper_dim =
-  let p = { (Mdl_models.Tandem.default ~jobs) with hyper_dim } in
-  let b = Mdl_models.Tandem.build p in
-  {
-    ml_name = name;
-    md = b.Mdl_models.Tandem.md;
-    statespace = b.Mdl_models.Tandem.exploration.Mdl_san.Model.statespace;
-    rewards =
-      [ b.Mdl_models.Tandem.rewards_availability; b.Mdl_models.Tandem.rewards_msmq_jobs ];
-    ml_initial = b.Mdl_models.Tandem.initial;
-    serve_family = Proto.Tandem;
-    serve_params = [ ("jobs", jobs); ("hyper_dim", hyper_dim) ];
-  }
+let ml_scenario ml_name family params =
+  let f = Option.get (Family.find (Proto.family_string family)) in
+  match Family.resolve f ~size:None params with
+  | Ok resolved -> { ml_name; family; params; built = f.build resolved }
+  | Error msg -> invalid_arg (ml_name ^ ": " ^ msg)
 
-let kanban_ml_scenario ~name ~cards =
-  let b = Mdl_models.Kanban.build (Mdl_models.Kanban.default ~cards) in
-  {
-    ml_name = name;
-    md = b.Mdl_models.Kanban.md;
-    statespace = b.Mdl_models.Kanban.exploration.Mdl_san.Model.statespace;
-    rewards = [ b.Mdl_models.Kanban.rewards_in_system ];
-    ml_initial = b.Mdl_models.Kanban.initial;
-    serve_family = Proto.Kanban;
-    serve_params = [ ("cards", cards) ];
-  }
+(* The measures the scenario's lumps protect. *)
+let base_rewards sc = List.map snd sc.built.Family.rewards
 
 (* Race the production lump on domain pools against its own sequential
    time.  The timed lumps run with tracing disabled, so level-parallel
@@ -296,12 +278,7 @@ let run_domains ~repeats ~cache ~pools sc ~lump ~r_mem ~cached_s =
    time, iteration count and residual go into the scenario's "solvers"
    JSON object (gated by scripts/check_bench_schema.py). *)
 let run_solvers ~repeats sc ~r_mem ~lumped_ss =
-  let reward_vecs =
-    List.map
-      (fun r -> Decomposed.to_vector (Compositional.lumped_rewards r_mem r) lumped_ss)
-      sc.rewards
-  in
-  let measures pi = List.map (Solver.expected_reward pi) reward_vecs in
+  let measures pi = List.map snd (Md_solve.measures r_mem lumped_ss pi sc.built.rewards) in
   let lumped = r_mem.Compositional.lumped in
   let race name f =
     let (pi, st), s = min_time ~repeats f in
@@ -362,47 +339,17 @@ let run_solvers ~repeats sc ~r_mem ~lumped_ss =
 
 (* ---- batched sweep race ---- *)
 
-(* A reward-sweep family over one scenario, shaped like a sensitivity
-   study: the scenario's base rewards, plus threshold indicators on the
-   largest level at varying cut points, then the whole cycle repeated
-   (a 10-point sweep revisits each distinct spec, as parameter studies
-   do around interesting regions).  The complement-indicator variant
-   ([s < k] right after [s >= k]) is the deterministic cross-bind
-   fixture: both points induce the same class sets with the same
-   member order on the threshold level but opposite class order, so the
-   level-fixpoint memo misses while every splitter class the refinement
-   walks has a member sequence the previous point already published —
-   the store must answer, and [cross_bind_hits > 0] is a sound CI
-   gate. *)
+(* The catalogue's sweep study over one scenario (its complement
+   indicator is the deterministic cross-bind fixture [run_sweep]
+   gates on). *)
 let sweep_specs sc ~points =
-  let sizes = Mdl_md.Md.sizes sc.md in
-  let level =
-    let li = ref 0 in
-    Array.iteri (fun i n -> if n > sizes.(!li) then li := i) sizes;
-    !li + 1
-  in
-  let size = sizes.(level - 1) in
-  let indicator k up =
-    Decomposed.of_level ~sizes ~level (fun s ->
-        if (if up then s >= k else s < k) then 1.0 else 0.0)
-  in
-  let k1 = max 1 (size / 3) in
-  let k2 = max 1 (2 * size / 3) in
-  let variants =
-    [
-      sc.rewards;
-      indicator k1 true :: sc.rewards;
-      indicator k1 false :: sc.rewards;
-      indicator k2 true :: sc.rewards;
-      indicator k1 true :: indicator k2 true :: sc.rewards;
-    ]
-  in
-  let nv = List.length variants in
-  List.init points (fun i ->
+  List.map
+    (fun thresholds ->
       {
-        Compositional.sweep_rewards = List.nth variants (i mod nv);
-        sweep_initial = sc.ml_initial;
+        Compositional.sweep_rewards = Family.point_rewards sc.built thresholds;
+        sweep_initial = sc.built.initial;
       })
+    (Family.sweep_study sc.built.md ~points)
 
 let run_sweep ~repeats sc =
   let npoints = 10 in
@@ -412,7 +359,7 @@ let run_sweep ~repeats sc =
      per run, rows wiped, intern table warm). *)
   let oneshot_cache = Mdl_core.Key_cache.create () in
   let oneshot spec () =
-    Compositional.lump ~cache:oneshot_cache Mdl_lumping.State_lumping.Ordinary sc.md
+    Compositional.lump ~cache:oneshot_cache Mdl_lumping.State_lumping.Ordinary sc.built.md
       ~rewards:spec.Compositional.sweep_rewards ~initial:spec.Compositional.sweep_initial
   in
   let oneshot_raced = List.map (fun spec -> min_time ~repeats (oneshot spec)) specs in
@@ -425,7 +372,7 @@ let run_sweep ~repeats sc =
   let last = ref None in
   for _ = 1 to repeats do
     Gc.full_major ();
-    let sw = Compositional.sweep_create Mdl_lumping.State_lumping.Ordinary sc.md in
+    let sw = Compositional.sweep_create Mdl_lumping.State_lumping.Ordinary sc.built.md in
     let results =
       List.mapi
         (fun i spec ->
@@ -462,8 +409,8 @@ let run_sweep ~repeats sc =
   (* Measure agreement: steady-state reward measures of each point's
      lumped chain, sweep result vs one-shot result. *)
   let measures r spec =
-    let lumped_ss = Compositional.lump_statespace r sc.statespace in
-    let pi, _ = Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000 r.Compositional.lumped lumped_ss in
+    let lumped_ss = Compositional.lump_statespace r sc.built.statespace in
+    let pi, _ = Md_solve.solve Solver.Power r.Compositional.lumped lumped_ss in
     List.map
       (fun d ->
         Solver.expected_reward pi
@@ -550,25 +497,13 @@ let run_sweep ~repeats sc =
    both responses' per-point lumped shapes must agree exactly. *)
 let run_serve sc =
   let npoints = 10 in
-  let sizes = Mdl_md.Md.sizes sc.md in
-  let level =
-    let li = ref 0 in
-    Array.iteri (fun i n -> if n > sizes.(!li) then li := i) sizes;
-    !li + 1
-  in
-  let size = sizes.(level - 1) in
-  let k1 = max 1 (size / 3) in
-  let k2 = max 1 (2 * size / 3) in
-  let ind k up = { Proto.ind_level = level; ind_ge = up; ind_k = k } in
-  (* Mirror [sweep_specs]' five-variant family, including the
-     complement-indicator pair that forces cross-bind store lookups. *)
-  let variants =
-    [ []; [ ind k1 true ]; [ ind k1 false ]; [ ind k2 true ];
-      [ ind k1 true; ind k2 true ] ]
-  in
-  let nv = List.length variants in
+  (* [sweep_specs]' study on the wire, including the complement
+     indicator that forces cross-bind store lookups. *)
+  let spec { Family.level; ge; k } = { Proto.ind_level = level; ind_ge = ge; ind_k = k } in
   let points =
-    List.init npoints (fun i -> { Proto.pt_extra = List.nth variants (i mod nv) })
+    List.map
+      (fun thresholds -> { Proto.pt_extra = List.map spec thresholds })
+      (Family.sweep_study sc.built.md ~points:npoints)
   in
   let metrics_were_enabled = Mdl_obs.Metrics.enabled () in
   let sock =
@@ -609,9 +544,9 @@ let run_serve sc =
           (Proto.Submit_model
              {
                sm_model = model;
-               sm_family = sc.serve_family;
+               sm_family = sc.family;
                sm_size = None;
-               sm_params = sc.serve_params;
+               sm_params = sc.params;
              }))
   in
   let cold, cold_s = timed_sweep c1 in
@@ -675,20 +610,19 @@ let run_multilevel ~repeats ~cache ~pools sc =
      a lump. *)
   let solver_repeats = repeats in
   let repeats = 3 * repeats in
-  let states = Mdl_md.Statespace.size sc.statespace in
+  let md = sc.built.md and rewards = base_rewards sc and initial = sc.built.initial in
+  let states = Mdl_md.Statespace.size sc.built.statespace in
   Printf.printf "%-24s %7d states %8d levels .. %!" sc.ml_name states
-    (Mdl_md.Md.levels sc.md);
+    (Mdl_md.Md.levels md);
   let lump ?pool () =
-    Compositional.lump ~cache ?pool Mdl_lumping.State_lumping.Ordinary sc.md
-      ~rewards:sc.rewards ~initial:sc.ml_initial
+    Compositional.lump ~cache ?pool Mdl_lumping.State_lumping.Ordinary md ~rewards ~initial
   in
   (* End-to-end: initial partitions + refinement + diagram rebuild.
      [cache] is shared across scenarios, so the production run sees a
      hot gid table; the reference lumper has no cache at all. *)
   let r_ref, reference_s =
     min_time ~repeats (fun () ->
-        Reference_lump.lump Mdl_lumping.State_lumping.Ordinary sc.md ~rewards:sc.rewards
-          ~initial:sc.ml_initial)
+        Reference_lump.lump Mdl_lumping.State_lumping.Ordinary md ~rewards ~initial)
   in
   let r_mem, cached_s = min_time ~repeats lump in
   if
@@ -719,13 +653,12 @@ let run_multilevel ~repeats ~cache ~pools sc =
   let span_from = Trace.span_count () in
   Trace.resume ();
   ignore (Compositional.lump ~cache ~stats
-            Mdl_lumping.State_lumping.Ordinary sc.md ~rewards:sc.rewards
-            ~initial:sc.ml_initial);
+            Mdl_lumping.State_lumping.Ordinary md ~rewards ~initial);
   Trace.stop ();
   let domains_json, domains_timed, domains_regression =
     run_domains ~repeats ~cache ~pools sc ~lump ~r_mem ~cached_s
   in
-  let lumped_ss = Compositional.lump_statespace r_mem sc.statespace in
+  let lumped_ss = Compositional.lump_statespace r_mem sc.built.statespace in
   let lumped_states = Mdl_md.Statespace.size lumped_ss in
   let solvers_json, solver_iters =
     run_solvers ~repeats:solver_repeats sc ~r_mem ~lumped_ss
@@ -760,7 +693,7 @@ let run_multilevel ~repeats ~cache ~pools sc =
       %s,
       %s
     }|}
-      sc.ml_name states (Mdl_md.Md.levels sc.md) lumped_states reference_s cached_s
+      sc.ml_name states (Mdl_md.Md.levels md) lumped_states reference_s cached_s
       (reference_s /. cached_s)
       solvers_json
       sweeps_json
@@ -816,7 +749,7 @@ let () =
           chain ~name:"chain-300-planted" 300 1_200 true 7;
           chain ~name:"chain-600-planted" 600 2_400 true 11;
         ],
-        [ tandem_ml_scenario ~name:"lump-tandem-j1-d2" ~jobs:1 ~hyper_dim:2 ] )
+        [ ml_scenario "lump-tandem-j1-d2" Proto.Tandem [ ("jobs", 1); ("hyper_dim", 2) ] ] )
     else
       ( [
           tandem_flat_scenario ~name:"tandem-j1-d2" ~jobs:1 ~hyper_dim:2;
@@ -826,8 +759,8 @@ let () =
           chain ~name:"chain-3000-planted" 3_000 12_000 true 42;
         ],
         [
-          tandem_ml_scenario ~name:"lump-tandem-j1-d3" ~jobs:1 ~hyper_dim:3;
-          kanban_ml_scenario ~name:"lump-kanban-n2" ~cards:2;
+          ml_scenario "lump-tandem-j1-d3" Proto.Tandem [ ("jobs", 1); ("hyper_dim", 3) ];
+          ml_scenario "lump-kanban-n2" Proto.Kanban [ ("cards", 2) ];
         ] )
   in
   let repeats = if !smoke then 2 else 3 in

@@ -7,7 +7,6 @@
      dune exec bin/lumpmd.exe -- polling --customers 4 --check-optimal
      dune exec bin/lumpmd.exe -- tandem --dot /tmp/tandem.dot *)
 
-module Model = Mdl_san.Model
 module Md = Mdl_md.Md
 module Statespace = Mdl_md.Statespace
 module Partition = Mdl_partition.Partition
@@ -19,80 +18,7 @@ module State_lumping = Mdl_lumping.State_lumping
 module Local_key = Mdl_core.Local_key
 module Trace = Mdl_obs.Trace
 module Metrics = Mdl_obs.Metrics
-
-type instance = {
-  name : string;
-  md : Mdl_md.Md.t;
-  statespace : Statespace.t;
-  rewards : (string * Decomposed.t) list;
-  initial : Decomposed.t;
-}
-
-let build_tandem jobs hyper_dim msmq_servers msmq_queues =
-  let p =
-    { (Mdl_models.Tandem.default ~jobs) with hyper_dim; msmq_servers; msmq_queues }
-  in
-  let b = Mdl_models.Tandem.build p in
-  {
-    name = Printf.sprintf "tandem (J=%d, 2^%d hypercube, %d/%d MSMQ)" jobs hyper_dim
-        msmq_servers msmq_queues;
-    md = b.Mdl_models.Tandem.md;
-    statespace = b.Mdl_models.Tandem.exploration.Model.statespace;
-    rewards =
-      [
-        ("availability", b.Mdl_models.Tandem.rewards_availability);
-        ("msmq jobs", b.Mdl_models.Tandem.rewards_msmq_jobs);
-      ];
-    initial = b.Mdl_models.Tandem.initial;
-  }
-
-let build_polling customers =
-  let b = Mdl_models.Polling.build (Mdl_models.Polling.default ~customers) in
-  {
-    name = Printf.sprintf "polling (%d customers)" customers;
-    md = b.Mdl_models.Polling.md;
-    statespace = b.Mdl_models.Polling.exploration.Model.statespace;
-    rewards =
-      [
-        ("busy servers", b.Mdl_models.Polling.rewards_busy_servers);
-        ("queued jobs", b.Mdl_models.Polling.rewards_queued_jobs);
-      ];
-    initial = b.Mdl_models.Polling.initial;
-  }
-
-let build_multitier clients =
-  let b = Mdl_models.Multitier.build (Mdl_models.Multitier.default ~clients) in
-  {
-    name = Printf.sprintf "multitier (%d clients)" clients;
-    md = b.Mdl_models.Multitier.md;
-    statespace = b.Mdl_models.Multitier.exploration.Model.statespace;
-    rewards =
-      [
-        ("thinking clients", b.Mdl_models.Multitier.rewards_thinking);
-        ("db fast", b.Mdl_models.Multitier.rewards_db_fast);
-      ];
-    initial = b.Mdl_models.Multitier.initial;
-  }
-
-let build_kanban cards =
-  let b = Mdl_models.Kanban.build (Mdl_models.Kanban.default ~cards) in
-  {
-    name = Printf.sprintf "kanban (%d cards per cell)" cards;
-    md = b.Mdl_models.Kanban.md;
-    statespace = b.Mdl_models.Kanban.exploration.Model.statespace;
-    rewards = [ ("parts in system", b.Mdl_models.Kanban.rewards_in_system) ];
-    initial = b.Mdl_models.Kanban.initial;
-  }
-
-let build_workstations stations =
-  let b = Mdl_models.Workstations.build (Mdl_models.Workstations.default ~stations) in
-  {
-    name = Printf.sprintf "workstations (%d stations)" stations;
-    md = b.Mdl_models.Workstations.md;
-    statespace = b.Mdl_models.Workstations.exploration.Model.statespace;
-    rewards = [ ("operational", b.Mdl_models.Workstations.rewards_operational) ];
-    initial = b.Mdl_models.Workstations.initial;
-  }
+module Family = Mdl_models.Family
 
 (* Per-phase rollup of the trace buffer: inclusive seconds and Gc
    allocation per span name, in first-seen order.  Nested spans each
@@ -157,11 +83,11 @@ let finish_tracing trace_file stream_trace show_metrics print_phases =
     end
   end
 
-let run inst mode key solve solver check_optimal dot_file export_file merge_level show_stats
-    trace_file stream_trace show_metrics domains =
+let run label (inst : Family.built) mode key solve solver check_optimal dot_file export_file
+    merge_level show_stats trace_file stream_trace show_metrics domains =
   setup_tracing trace_file stream_trace show_metrics;
   if show_metrics then Metrics.set_enabled true;
-  Printf.printf "model: %s\n" inst.name;
+  Printf.printf "model: %s\n" label;
   (* Optional level merging before lumping (exposes cross-level
      symmetries at the price of a bigger level; reward measures are not
      carried across the merge, so lumping then protects none). *)
@@ -176,8 +102,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
         Printf.printf "merged levels %d and %d (measures not carried across the merge)\n"
           l (l + 1);
         {
-          name = inst.name ^ Printf.sprintf " [levels %d+%d merged]" l (l + 1);
-          md;
+          Family.md;
           statespace;
           rewards = [];
           initial = Decomposed.constant ~sizes:(Mdl_md.Md.sizes md) 1.0;
@@ -255,22 +180,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
     | State_lumping.Ordinary ->
         let (pi, stats), solve_time =
           Mdl_util.Timer.time (fun () ->
-              match solver with
-              | Solver.Power ->
-                  Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000
-                    result.Compositional.lumped lumped_ss
-              | Solver.Krylov ->
-                  Md_solve.steady_state_krylov ~tol:1e-12
-                    result.Compositional.lumped lumped_ss
-              | Solver.Gauss_seidel ->
-                  (* Gauss–Seidel needs explicit matrix rows: flatten the
-                     lumped diagram, reorder with reverse Cuthill–McKee,
-                     sweep with mild under-relaxation (pure sweeps
-                     oscillate on some lumped chains).  The distribution
-                     comes back in the original state numbering. *)
-                  let ctmc = Md_solve.ctmc_of result.Compositional.lumped lumped_ss in
-                  Solver.steady_state_gauss_seidel ~tol:1e-12 ~max_iter:100_000
-                    ~ordering:Solver.Rcm ~relax:0.9 ctmc)
+              Md_solve.solve solver result.Compositional.lumped lumped_ss)
         in
         Printf.printf "steady state (%s): %d iterations, %.2f s%s\n"
           (Solver.method_name solver) stats.Solver.iterations solve_time
@@ -279,149 +189,86 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
           Printf.printf "solver stats: %d iterations, residual %.3e, converged %b\n"
             stats.Solver.iterations stats.Solver.residual stats.Solver.converged;
         List.iter
-          (fun (name, r) ->
-            let v =
-              Solver.expected_reward pi
-                (Decomposed.to_vector (Compositional.lumped_rewards result r) lumped_ss)
-            in
-            Printf.printf "measure %-16s = %.9f\n" name v)
-          inst.rewards
+          (fun (name, v) -> Printf.printf "measure %-16s = %.9f\n" name v)
+          (Md_solve.measures result lumped_ss pi inst.rewards)
     | State_lumping.Exact ->
         print_endline "(--solve reports steady-state measures for ordinary mode only)"
   end;
   if check_optimal then begin
     let n = Statespace.size lumped_ss in
-    if n > 60_000 then Printf.printf "optimality check skipped (%d states)\n" n
-    else begin
-      let flat = Mdl_md.Md_vector.to_csr result.Compositional.lumped lumped_ss in
-      let reward_vectors =
-        List.map
-          (fun (_, r) ->
-            Decomposed.to_vector (Compositional.lumped_rewards result r) lumped_ss)
-          inst.rewards
-      in
-      let initial_p =
-        Partition.group_by n
-          (fun s -> List.map (fun v -> Mdl_util.Floatx.quantize v.(s)) reward_vectors)
-          (List.compare Float.compare)
-      in
-      let further =
-        match mode with
-        | State_lumping.Ordinary ->
-            State_lumping.coarsest Ordinary flat
-              ~initial:initial_p
-        | State_lumping.Exact ->
-            let exit_p =
-              Partition.group_by n
-                (fun s -> Mdl_util.Floatx.quantize (Mdl_sparse.Csr.row_sum flat s))
-                Float.compare
-            in
-            ignore initial_p;
-            State_lumping.coarsest Exact flat ~initial:exit_p
-      in
-      Printf.printf "state-level lumping of the lumped chain: %d -> %d classes%s\n" n
-        (Partition.num_classes further)
-        (if Partition.num_classes further = n then " (compositional result is optimal)"
-         else "")
-    end
+    let rewards = List.map snd inst.rewards in
+    match Md_solve.check_optimal mode result lumped_ss ~rewards with
+    | None -> Printf.printf "optimality check skipped (%d states)\n" n
+    | Some classes ->
+        Printf.printf "state-level lumping of the lumped chain: %d -> %d classes%s\n" n
+          classes
+          (if classes = n then " (compositional result is optimal)" else "")
   end;
   finish_tracing trace_file stream_trace show_metrics print_phase_breakdown;
   Option.iter Mdl_util.Domain_pool.shutdown pool
 
 (* ---- batched reward sweeps ---- *)
 
-(* The sweep's reward family: the model's base rewards plus threshold
-   indicators on the largest level at varying cut points, cycled until
-   [points] specs exist — the shape of a sensitivity study around a
-   design parameter.  Matches the family bench/refine races, so the
-   amortisation printed here is the one BENCH_refine.json gates. *)
-let sweep_variants inst =
-  let sizes = Md.sizes inst.md in
-  let level =
-    let li = ref 0 in
-    Array.iteri (fun i n -> if n > sizes.(!li) then li := i) sizes;
-    !li + 1
-  in
-  let size = sizes.(level - 1) in
-  let indicator k up =
-    Decomposed.of_level ~sizes ~level (fun s ->
-        if (if up then s >= k else s < k) then 1.0 else 0.0)
-  in
-  let k1 = max 1 (size / 3) in
-  let k2 = max 1 (2 * size / 3) in
-  let base = List.map snd inst.rewards in
-  [
-    ("base rewards", base);
-    (Printf.sprintf "+ [s%d >= %d]" level k1, indicator k1 true :: base);
-    (Printf.sprintf "+ [s%d < %d]" level k1, indicator k1 false :: base);
-    (Printf.sprintf "+ [s%d >= %d]" level k2, indicator k2 true :: base);
-    ( Printf.sprintf "+ [s%d >= %d] [s%d >= %d]" level k1 level k2,
-      indicator k1 true :: indicator k2 true :: base );
-  ]
+(* A sweep point's label: its extra indicators, as printed per point. *)
+let point_label = function
+  | [] -> "base rewards"
+  | thresholds ->
+      "+ "
+      ^ String.concat " "
+          (List.map
+             (fun { Family.level; ge; k } ->
+               Printf.sprintf "[s%d %s %d]" level (if ge then ">=" else "<") k)
+             thresholds)
 
-let run_sweep inst points solve solver show_stats trace_file stream_trace show_metrics
-    domains =
+(* The sweep runs the catalogue's sweep study, the family bench/refine
+   races, so the amortisation printed here is the one BENCH_refine.json
+   gates. *)
+let run_sweep label (inst : Family.built) points solve solver show_stats trace_file
+    stream_trace show_metrics domains =
   setup_tracing trace_file stream_trace show_metrics;
   if show_metrics then Metrics.set_enabled true;
-  Printf.printf "model: %s\n" inst.name;
+  Printf.printf "model: %s\n" label;
   let ss = inst.statespace in
   Printf.printf "reachable states: %d; sweep of %d points\n" (Statespace.size ss) points;
   let pool =
     if domains > 1 then Some (Mdl_util.Domain_pool.create ~domains) else None
   in
   if domains > 1 then Printf.printf "domains: %d\n" domains;
-  let variants = sweep_variants inst in
-  let nv = List.length variants in
   let refine_stats = Mdl_partition.Refiner.create_stats () in
   let sw = Compositional.sweep_create ?pool State_lumping.Ordinary inst.md in
   let times = Array.make (max points 1) 0.0 in
-  for i = 0 to points - 1 do
-    let label, rewards = List.nth variants (i mod nv) in
-    let before = Compositional.sweep_stats sw in
-    let r, s =
-      Mdl_util.Timer.time (fun () ->
-          Compositional.sweep_point ~stats:refine_stats sw ~rewards
-            ~initial:inst.initial)
-    in
-    times.(i) <- s;
-    let after = Compositional.sweep_stats sw in
-    let lumped_ss = Compositional.lump_statespace r ss in
-    Printf.printf
-      "point %2d  %-28s %8.4fs  %6d lumped  levels %d run / %d reused  rebuild %s  \
-       cross-bind +%d\n"
-      i label s
-      (Statespace.size lumped_ss)
-      (after.Compositional.level_fixpoints - before.Compositional.level_fixpoints)
-      (after.Compositional.level_reused - before.Compositional.level_reused)
-      (if after.Compositional.rebuilds_reused > before.Compositional.rebuilds_reused
-       then "reused" else "built")
-      (after.Compositional.cross_bind_hits - before.Compositional.cross_bind_hits);
-    if solve then
-      if not (Compositional.is_closed r ss) then
-        print_endline "  WARNING: reachable set not class-closed; measures skipped"
-      else begin
-        let pi, _ =
-          match solver with
-          | Solver.Power ->
-              Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000
-                r.Compositional.lumped lumped_ss
-          | Solver.Krylov ->
-              Md_solve.steady_state_krylov ~tol:1e-12 r.Compositional.lumped lumped_ss
-          | Solver.Gauss_seidel ->
-              Solver.steady_state_gauss_seidel ~tol:1e-12 ~max_iter:100_000
-                ~ordering:Solver.Rcm ~relax:0.9
-                (Md_solve.ctmc_of r.Compositional.lumped lumped_ss)
-        in
-        List.iter
-          (fun (name, d) ->
-            let v =
-              Solver.expected_reward pi
-                (Decomposed.to_vector (Compositional.lumped_rewards r d) lumped_ss)
-            in
-            Printf.printf "  measure %-16s = %.9f\n" name v)
-          inst.rewards
-      end
-  done;
+  List.iteri
+    (fun i thresholds ->
+      let before = Compositional.sweep_stats sw in
+      let r, s =
+        Mdl_util.Timer.time (fun () ->
+            Compositional.sweep_point ~stats:refine_stats sw
+              ~rewards:(Family.point_rewards inst thresholds)
+              ~initial:inst.initial)
+      in
+      times.(i) <- s;
+      let after = Compositional.sweep_stats sw in
+      let lumped_ss = Compositional.lump_statespace r ss in
+      Printf.printf
+        "point %2d  %-28s %8.4fs  %6d lumped  levels %d run / %d reused  rebuild %s  \
+         cross-bind +%d\n"
+        i (point_label thresholds) s
+        (Statespace.size lumped_ss)
+        (after.Compositional.level_fixpoints - before.Compositional.level_fixpoints)
+        (after.Compositional.level_reused - before.Compositional.level_reused)
+        (if after.Compositional.rebuilds_reused > before.Compositional.rebuilds_reused
+         then "reused" else "built")
+        (after.Compositional.cross_bind_hits - before.Compositional.cross_bind_hits);
+      if solve then
+        if not (Compositional.is_closed r ss) then
+          print_endline "  WARNING: reachable set not class-closed; measures skipped"
+        else begin
+          let pi, _ = Md_solve.solve solver r.Compositional.lumped lumped_ss in
+          List.iter
+            (fun (name, v) -> Printf.printf "  measure %-16s = %.9f\n" name v)
+            (Md_solve.measures r lumped_ss pi inst.rewards)
+        end)
+    (Family.sweep_study inst.md ~points);
   let st = Compositional.sweep_stats sw in
   if points > 1 then begin
     let warm = Array.sub times 1 (points - 1) in
@@ -532,98 +379,52 @@ let domains_arg =
        & info [ "domains" ] ~docv:"N"
            ~doc:"Run the lumping pipeline data-parallel on $(docv) OCaml domains (levels refine concurrently; large splitter passes and the rebuild shard internally). Results are bit-identical to $(b,--domains 1). With $(b,--trace) or $(b,--metrics), per-level tracing forces levels back to sequential; intra-level sharding stays on.")
 
-let tandem_cmd =
-  let jobs = Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~doc:"Population J.") in
-  let hdim = Arg.(value & opt int 3 & info [ "hyper-dim" ] ~doc:"Hypercube dimension (2^d servers).") in
-  let ms = Arg.(value & opt int 3 & info [ "msmq-servers" ] ~doc:"MSMQ servers.") in
-  let mq = Arg.(value & opt int 4 & info [ "msmq-queues" ] ~doc:"MSMQ queues.") in
-  let f jobs hdim ms mq mode key solve solver check dot export merge stats trace stream metrics domains verbose =
-    Mdl_obs.Logging.setup ~verbose ();
-    run (build_tandem jobs hdim ms mq) mode key solve solver check dot export merge stats trace
-      stream metrics domains
-  in
-  Cmd.v
-    (Cmd.info "tandem" ~doc:"The paper's tandem multi-processor system (Section 5).")
-    Term.(
-      const f $ jobs $ hdim $ ms $ mq $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg
-      $ dot_arg $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+(* The family's parameters as a term: one int flag per parameter, in
+   catalogue order, yielding the (name, value) valuation. *)
+let params_term (f : Family.t) =
+  List.fold_right
+    (fun (p : Family.param) rest ->
+      let long = String.map (function '_' -> '-' | c -> c) p.name in
+      let arg =
+        Arg.(value & opt int p.default & info (long :: Option.to_list p.short) ~doc:p.doc)
+      in
+      Term.(const (fun v vs -> (p.name, v) :: vs) $ arg $ rest))
+    f.params (Term.const [])
 
-let polling_cmd =
-  let customers =
-    Arg.(value & opt int 4 & info [ "customers"; "c" ] ~doc:"Closed population.")
-  in
-  let f customers mode key solve solver check dot export merge stats trace stream metrics domains verbose =
-    Mdl_obs.Logging.setup ~verbose ();
-    run (build_polling customers) mode key solve solver check dot export merge stats
-      trace stream metrics domains
-  in
-  Cmd.v
-    (Cmd.info "polling" ~doc:"The MSMQ polling station in isolation.")
-    Term.(
-      const f $ customers $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+(* Resolve through the catalogue, so out-of-range values get lumpd's
+   message and Cmdliner's usage-error exit status. *)
+let with_model (f : Family.t) ~size params k =
+  match Family.resolve f ~size params with
+  | Error msg -> `Error (true, msg)
+  | Ok resolved -> `Ok (k (f.label resolved) (f.build resolved))
 
-let workstations_cmd =
-  let stations =
-    Arg.(value & opt int 4 & info [ "stations"; "n" ] ~doc:"Number of workstations.")
-  in
-  let f stations mode key solve solver check dot export merge stats trace stream metrics domains verbose =
+let family_cmd (f : Family.t) =
+  let go params mode key solve solver check dot export merge stats trace stream metrics
+      domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_workstations stations) mode key solve solver check dot export merge stats
-      trace stream metrics domains
+    with_model f ~size:None params (fun label inst ->
+        run label inst mode key solve solver check dot export merge stats trace stream
+          metrics domains)
   in
-  Cmd.v
-    (Cmd.info "workstations" ~doc:"Replicated workstation cluster with a spare store.")
+  Cmd.v (Cmd.info f.name ~doc:f.doc)
     Term.(
-      const f $ stations $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
-
-let multitier_cmd =
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients"; "c" ] ~doc:"Closed population.")
-  in
-  let f clients mode key solve solver check dot export merge stats trace stream metrics domains verbose =
-    Mdl_obs.Logging.setup ~verbose ();
-    run (build_multitier clients) mode key solve solver check dot export merge stats
-      trace stream metrics domains
-  in
-  Cmd.v
-    (Cmd.info "multitier" ~doc:"Closed multi-tier service system (4-level MD).")
-    Term.(
-      const f $ clients $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
-
-let kanban_cmd =
-  let cards =
-    Arg.(value & opt int 2 & info [ "cards"; "n" ] ~doc:"Kanban cards per cell.")
-  in
-  let f cards mode key solve solver check dot export merge stats trace stream metrics domains verbose =
-    Mdl_obs.Logging.setup ~verbose ();
-    run (build_kanban cards) mode key solve solver check dot export merge stats
-      trace stream metrics domains
-  in
-  Cmd.v
-    (Cmd.info "kanban" ~doc:"The Kanban manufacturing system (4-level MD benchmark).")
-    Term.(
-      const f $ cards $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      ret
+        (const go $ params_term f $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg
+       $ dot_arg $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg
+       $ metrics_arg $ domains_arg $ verbose_arg))
 
 let sweep_cmd =
+  let names = List.map (fun (f : Family.t) -> f.name) Family.all in
   let model =
-    let model_conv =
-      Arg.enum
-        [
-          ("tandem", `Tandem);
-          ("polling", `Polling);
-          ("workstations", `Workstations);
-          ("multitier", `Multitier);
-          ("kanban", `Kanban);
-        ]
+    let doc =
+      match List.rev_map (Printf.sprintf "$(b,%s)") names with
+      | last :: rest ->
+          Printf.sprintf "Model to sweep: %s or %s (default parameters each)."
+            (String.concat ", " (List.rev rest)) last
+      | [] -> assert false
     in
-    Arg.(value & opt model_conv `Tandem
-         & info [ "model" ] ~docv:"MODEL"
-             ~doc:"Model to sweep: $(b,tandem), $(b,polling), $(b,workstations), \
-                   $(b,multitier) or $(b,kanban) (default parameters each).")
+    Arg.(value & opt (enum (List.map (fun n -> (n, n)) names)) (List.hd names)
+         & info [ "model" ] ~docv:"MODEL" ~doc)
   in
   let size =
     Arg.(value & opt (some int) None
@@ -636,17 +437,10 @@ let sweep_cmd =
     Arg.(value & opt int 10
          & info [ "points" ] ~docv:"N" ~doc:"Number of sweep points (default 10).")
   in
-  let f model size points solve solver stats trace stream metrics domains verbose =
+  let go model size points solve solver stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    let inst =
-      match model with
-      | `Tandem -> build_tandem (Option.value size ~default:1) 3 3 4
-      | `Polling -> build_polling (Option.value size ~default:4)
-      | `Workstations -> build_workstations (Option.value size ~default:4)
-      | `Multitier -> build_multitier (Option.value size ~default:3)
-      | `Kanban -> build_kanban (Option.value size ~default:2)
-    in
-    run_sweep inst points solve solver stats trace stream metrics domains
+    with_model (Option.get (Family.find model)) ~size [] (fun label inst ->
+        run_sweep label inst points solve solver stats trace stream metrics domains)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -656,13 +450,14 @@ let sweep_cmd =
              cold-vs-amortised timing.  Reward sweeps are an ordinary-mode notion, \
              so the mode is fixed to ordinary.")
     Term.(
-      const f $ model $ size $ points $ solve_arg $ solver_arg $ stats_arg $ trace_arg
-      $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      ret
+        (const go $ model $ size $ points $ solve_arg $ solver_arg $ stats_arg $ trace_arg
+       $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg))
 
 let main =
   Cmd.group
     (Cmd.info "lumpmd" ~version:"1.0.0"
        ~doc:"Compositional lumping of matrix-diagram-represented Markov models.")
-    [ tandem_cmd; polling_cmd; workstations_cmd; multitier_cmd; kanban_cmd; sweep_cmd ]
+    (List.map family_cmd Family.all @ [ sweep_cmd ])
 
 let () = exit (Cmd.eval main)

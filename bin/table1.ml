@@ -19,7 +19,7 @@ module Statespace = Mdl_md.Statespace
 module Partition = Mdl_partition.Partition
 module Decomposed = Mdl_core.Decomposed
 module Compositional = Mdl_core.Compositional
-module State_lumping = Mdl_lumping.State_lumping
+module Md_solve = Mdl_core.Md_solve
 module Tandem = Mdl_models.Tandem
 
 type row = {
@@ -69,25 +69,15 @@ let check_optimal b result =
   let ss = b.Tandem.exploration.Model.statespace in
   let lumped_ss = Compositional.lump_statespace result ss in
   let n = Statespace.size lumped_ss in
-  if n > 60_000 then Printf.printf "  (optimality check skipped: %d states)\n" n
-  else begin
-    let flat = Mdl_md.Md_vector.to_csr result.Compositional.lumped lumped_ss in
-    let rewards_vec =
-      Decomposed.to_vector
-        (Compositional.lumped_rewards result b.Tandem.rewards_availability)
-        lumped_ss
-    in
-    let initial_p =
-      Partition.group_by n
-        (fun s -> Mdl_util.Floatx.quantize rewards_vec.(s))
-        Float.compare
-    in
-    let further = State_lumping.coarsest Ordinary flat ~initial:initial_p in
-    Printf.printf "  state-level lumping of the lumped chain: %d -> %d classes%s\n" n
-      (Partition.num_classes further)
-      (if Partition.num_classes further = n then " (compositional result is optimal)"
-       else "")
-  end
+  match
+    Md_solve.check_optimal Ordinary result lumped_ss
+      ~rewards:[ b.Tandem.rewards_availability ]
+  with
+  | None -> Printf.printf "  (optimality check skipped: %d states)\n" n
+  | Some classes ->
+      Printf.printf "  state-level lumping of the lumped chain: %d -> %d classes%s\n" n
+        classes
+        (if classes = n then " (compositional result is optimal)" else "")
 
 let validate b result =
   let ss = b.Tandem.exploration.Model.statespace in
@@ -95,13 +85,8 @@ let validate b result =
   if Statespace.size ss > 100_000 then
     Printf.printf "  (validation skipped: %d states)\n" (Statespace.size ss)
   else begin
-    let pi, st1 =
-      Mdl_core.Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000 b.Tandem.md ss
-    in
-    let pi_l, st2 =
-      Mdl_core.Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000
-        result.Compositional.lumped lumped_ss
-    in
+    let pi, st1 = Md_solve.solve Power b.Tandem.md ss in
+    let pi_l, st2 = Md_solve.solve Power result.Compositional.lumped lumped_ss in
     let agg = Compositional.aggregate_vector result ss lumped_ss pi in
     let diff = Mdl_sparse.Vec.diff_inf agg pi_l in
     let measure pi ss reward =

@@ -452,16 +452,15 @@ let run_point ?stats sw ~rewards ~initial =
       Hashtbl.add sw.sw_rebuild_memo rebuild_key r.lumped;
       r
 
-let lump ?tctx ?eps ?key ?stats ?cache ?pool ?par_threshold mode md ~rewards ~initial =
-  Trace.with_ctx_opt tctx (fun () ->
-      Metrics.incr c_lumps;
-      let sw = engine ?eps ?key ?cache ?pool ?par_threshold mode md in
-      if not (Trace.enabled ()) then run_point ?stats sw ~rewards ~initial
-      else
-        Trace.with_span ~cat:"lump"
-          ~args:[ ("levels", Trace.Int (Md.levels md)) ]
-          "lump"
-          (fun () -> run_point ?stats sw ~rewards ~initial))
+let lump ?eps ?key ?stats ?cache ?pool ?par_threshold mode md ~rewards ~initial =
+  Metrics.incr c_lumps;
+  let sw = engine ?eps ?key ?cache ?pool ?par_threshold mode md in
+  if not (Trace.enabled ()) then run_point ?stats sw ~rewards ~initial
+  else
+    Trace.with_span ~cat:"lump"
+      ~args:[ ("levels", Trace.Int (Md.levels md)) ]
+      "lump"
+      (fun () -> run_point ?stats sw ~rewards ~initial)
 
 let sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md =
   let sw = engine ?eps ?key ?cache ?pool ?par_threshold mode md in
@@ -472,8 +471,7 @@ let sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md =
   Key_cache.bind ?eps ~choice:sw.sw_key ~mode sw.sw_cache md;
   sw
 
-let sweep_point ?tctx ?stats sw ~rewards ~initial =
-  Trace.with_ctx_opt tctx @@ fun () ->
+let sweep_point ?stats sw ~rewards ~initial =
   sw.sw_points <- sw.sw_points + 1;
   Metrics.incr c_sweep_points;
   let fixpoints0 = sw.sw_level_fixpoints and reused0 = sw.sw_level_reused in
@@ -520,8 +518,7 @@ let sweep_stats sw =
 
 let sweep_cache sw = sw.sw_cache
 
-let lump_sweep ?tctx ?eps ?key ?stats ?cache ?pool ?par_threshold mode md ~points =
-  Trace.with_ctx_opt tctx @@ fun () ->
+let lump_sweep ?eps ?key ?stats ?cache ?pool ?par_threshold mode md ~points =
   let sw = sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md in
   List.map
     (fun { sweep_rewards; sweep_initial } ->

@@ -29,7 +29,6 @@ type result = {
     [add_node] effects on the store. *)
 
 val lump :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?eps:float ->
   ?key:Local_key.choice ->
   ?stats:Mdl_partition.Refiner.stats ->
@@ -86,10 +85,10 @@ val lump :
     additionally accumulate the {!Mdl_partition.Refiner.stats} of every
     level into one record (the [--stats] flag of [bin/lumpmd] does
     this), including the cache hit/miss and node reuse counters.
-    [tctx] records the run's spans into that explicit
-    {!Mdl_obs.Trace.Ctx.t} instead of the caller's current context
-    (default) — how [lumpd] isolates concurrently traced requests;
-    {!sweep_point} and {!lump_sweep} take the same argument. *)
+    Spans record into the calling thread's current
+    {!Mdl_obs.Trace.Ctx.t}; [lumpd] isolates concurrently traced
+    requests by installing one per request with
+    {!Mdl_obs.Trace.with_ctx}. *)
 
 val lump_with_partitions :
   ?stats:Mdl_partition.Refiner.stats ->
@@ -169,7 +168,6 @@ val sweep_create :
     publish to the shared store, so their work persists). *)
 
 val sweep_point :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?stats:Mdl_partition.Refiner.stats ->
   sweep ->
   rewards:Decomposed.t list ->
@@ -195,7 +193,6 @@ val sweep_cache : sweep -> Key_cache.t
 (** The engine's cache — e.g. to inspect {!Key_cache.store_size}. *)
 
 val lump_sweep :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?eps:float ->
   ?key:Local_key.choice ->
   ?stats:Mdl_partition.Refiner.stats ->

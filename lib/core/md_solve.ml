@@ -3,6 +3,8 @@ module Md_vector = Mdl_md.Md_vector
 module Statespace = Mdl_md.Statespace
 module Vec = Mdl_sparse.Vec
 module Solver = Mdl_ctmc.Solver
+module Partition = Mdl_partition.Partition
+module State_lumping = Mdl_lumping.State_lumping
 
 let uniformized_parts ?lambda md ss =
   if Md.levels md <> Statespace.levels ss then
@@ -51,3 +53,44 @@ let transient ?epsilon ~t md ss pi0 =
   Solver.transient_operator ?epsilon ~t ~lambda op pi0
 
 let ctmc_of md ss = Mdl_ctmc.Ctmc.of_rates (Md_vector.to_csr md ss)
+
+let solve method_ md ss =
+  match method_ with
+  | Solver.Power -> steady_state ~tol:1e-12 ~max_iter:500_000 md ss
+  | Solver.Krylov -> steady_state_krylov ~tol:1e-12 md ss
+  | Solver.Gauss_seidel ->
+      (* Gauss–Seidel needs explicit matrix rows: flatten the diagram,
+         reorder with reverse Cuthill–McKee, sweep with mild
+         under-relaxation (pure sweeps oscillate on some lumped chains).
+         The distribution comes back in the original state numbering. *)
+      Solver.steady_state_gauss_seidel ~tol:1e-12 ~max_iter:100_000 ~ordering:Solver.Rcm
+        ~relax:0.9 (ctmc_of md ss)
+
+let reward_vector r lumped_ss d =
+  Decomposed.to_vector (Compositional.lumped_rewards r d) lumped_ss
+
+let measures r lumped_ss pi rewards =
+  List.map
+    (fun (name, d) -> (name, Solver.expected_reward pi (reward_vector r lumped_ss d)))
+    rewards
+
+let check_optimal mode r lumped_ss ~rewards =
+  let n = Statespace.size lumped_ss in
+  if n > 60_000 then None
+  else begin
+    let flat = Md_vector.to_csr r.Compositional.lumped lumped_ss in
+    let quantize = Mdl_util.Floatx.quantize in
+    let initial =
+      match mode with
+      | State_lumping.Ordinary ->
+          let vs = List.map (reward_vector r lumped_ss) rewards in
+          Partition.group_by n
+            (fun s -> List.map (fun v -> quantize v.(s)) vs)
+            (List.compare Float.compare)
+      | State_lumping.Exact ->
+          Partition.group_by n
+            (fun s -> quantize (Mdl_sparse.Csr.row_sum flat s))
+            Float.compare
+    in
+    Some (Partition.num_classes (State_lumping.coarsest mode flat ~initial))
+  end

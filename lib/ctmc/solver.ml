@@ -59,8 +59,7 @@ let with_ordering ordering ctmc solve =
       let pi, st = solve (Ctmc.permute ctmc ~perm) in
       (Vec.scatter pi perm, st)
 
-let power ?tctx ?(tol = 1e-12) ?(max_iter = 100_000) ?initial op =
-  Trace.with_ctx_opt tctx @@ fun () ->
+let power ?(tol = 1e-12) ?(max_iter = 100_000) ?initial op =
   let pi =
     match initial with
     | None -> Array.make op.dim (1.0 /. float_of_int op.dim)
@@ -84,9 +83,8 @@ let steady_state ?tol ?max_iter ctmc =
   let p, _lambda = Ctmc.uniformized ctmc in
   power ?tol ?max_iter (operator_of_csr p)
 
-let steady_state_gauss_seidel ?tctx ?(tol = 1e-12) ?(max_iter = 10_000)
+let steady_state_gauss_seidel ?(tol = 1e-12) ?(max_iter = 10_000)
     ?(ordering = Natural) ?(relax = 1.0) ctmc =
-  Trace.with_ctx_opt tctx @@ fun () ->
   if not (relax > 0.0 && relax <= 1.0) then
     invalid_arg "Solver.steady_state_gauss_seidel: relax must be in (0, 1]";
   (* The sweep divides by the generator diagonal, so every state must
@@ -135,8 +133,7 @@ let steady_state_gauss_seidel ?tctx ?(tol = 1e-12) ?(max_iter = 10_000)
 
 let tiny = 1e-300
 
-let krylov ?tctx ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
-  Trace.with_ctx_opt tctx @@ fun () ->
+let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
   (* The stationary distribution of the DTMC operator as the solution of
      a nonsingular linear system: pi (P - I) = 0 together with
      sum(pi) = 1 is encoded by replacing the last column of P - I with
@@ -344,8 +341,7 @@ let transient_operator ?(epsilon = 1e-12) ~t ~lambda op pi0 =
                  converged = deficit <= epsilon;
                } )))
 
-let transient ?tctx ?epsilon ~t ctmc pi0 =
-  Trace.with_ctx_opt tctx @@ fun () ->
+let transient ?epsilon ~t ctmc pi0 =
   if t < 0.0 then invalid_arg "Solver.transient: negative time";
   if Array.length pi0 <> Ctmc.size ctmc then
     invalid_arg "Solver.transient: initial size mismatch";

@@ -38,7 +38,6 @@ type ordering =
           ordering-independent up to floating-point summation order. *)
 
 val power :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?tol:float ->
   ?max_iter:int ->
   ?initial:Mdl_sparse.Vec.t ->
@@ -47,13 +46,9 @@ val power :
 (** Power iteration [pi := pi * P] with 1-normalisation each step;
     converges to the stationary distribution of an aperiodic DTMC.
     Convergence test: successive-iterate infinity-norm difference below
-    [tol] (default [1e-12]; [max_iter] default [100_000]).  [tctx]
-    records the run's spans into that explicit {!Mdl_obs.Trace.Ctx.t}
-    instead of the caller's current context — the other instrumented
-    solvers below take the same argument. *)
+    [tol] (default [1e-12]; [max_iter] default [100_000]). *)
 
 val krylov :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?tol:float ->
   ?max_iter:int ->
   ?initial:Mdl_sparse.Vec.t ->
@@ -80,7 +75,6 @@ val steady_state :
     uniformised DTMC. *)
 
 val steady_state_gauss_seidel :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?tol:float ->
   ?max_iter:int ->
   ?ordering:ordering ->
@@ -138,7 +132,6 @@ val poisson_weights : epsilon:float -> qt:float -> Mdl_sparse.Vec.t
     for testing. *)
 
 val transient :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?epsilon:float ->
   t:float ->
   Ctmc.t ->

@@ -4,42 +4,6 @@ let check_levels md levels fn = if Md.levels md <> levels then fail fn "level co
 
 let check_size n x fn = if Array.length x <> n then fail fn "vector size mismatch"
 
-let vec_mul md ss x =
-  check_levels md (Statespace.levels ss) "vec_mul";
-  check_size (Statespace.size ss) x "vec_mul";
-  let y = Array.make (Statespace.size ss) 0.0 in
-  Md.iter_entries md (fun ~row ~col v ->
-      match Statespace.index ss row with
-      | None -> ()
-      | Some i -> (
-          if x.(i) <> 0.0 then
-            match Statespace.index ss col with
-            | None -> ()
-            | Some j -> y.(j) <- y.(j) +. (x.(i) *. v)));
-  y
-
-let mul_vec md ss x =
-  check_levels md (Statespace.levels ss) "mul_vec";
-  check_size (Statespace.size ss) x "mul_vec";
-  let y = Array.make (Statespace.size ss) 0.0 in
-  Md.iter_entries md (fun ~row ~col v ->
-      match Statespace.index ss row with
-      | None -> ()
-      | Some i -> (
-          match Statespace.index ss col with
-          | None -> ()
-          | Some j -> if x.(j) <> 0.0 then y.(i) <- y.(i) +. (v *. x.(j))));
-  y
-
-let row_sums md ss =
-  check_levels md (Statespace.levels ss) "row_sums";
-  let sums = Array.make (Statespace.size ss) 0.0 in
-  Md.iter_entries md (fun ~row ~col:_ v ->
-      match Statespace.index ss row with
-      | None -> ()
-      | Some i -> sums.(i) <- sums.(i) +. v);
-  sums
-
 (* Co-walk the diagram with row/column MDD cursors, accumulating path
    offsets; [emit] is called once per terminal path with the final
    (row index, column index, rate).  Paths are visited, and their

@@ -384,8 +384,6 @@ let with_ctx ctx f =
       Atomic.decr ambient_count)
     f
 
-let with_ctx_opt ctx f = match ctx with None -> f () | Some c -> with_ctx c f
-
 (* ---- Module-level API: thin wrappers over the current context ---- *)
 
 let enabled () = Ctx.enabled (current ())

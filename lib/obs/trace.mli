@@ -128,12 +128,6 @@ val with_ctx : Ctx.t -> (unit -> 'a) -> 'a
     disabled while tracing, so a traced run's spans all occur on the
     installing thread). *)
 
-val with_ctx_opt : Ctx.t option -> (unit -> 'a) -> 'a
-(** [with_ctx_opt (Some ctx) f] is [with_ctx ctx f]; [with_ctx_opt None
-    f] is [f ()] — the shape instrumented entry points use for their
-    optional [?tctx] argument (thread a context when given one, record
-    into the caller's current context otherwise). *)
-
 val enabled : unit -> bool
 (** Whether spans are currently being recorded in the thread's current
     context. *)

@@ -328,8 +328,7 @@ type float_spec = {
   fsplitter_keys : slice -> float_buf -> unit;
 }
 
-let comp_lumping_float ?tctx ?stats ?on_split fspec ~initial =
-  Trace.with_ctx_opt tctx @@ fun () ->
+let comp_lumping_float ?stats ?on_split fspec ~initial =
   let st = create_stats () in
   let buf = { fb_states = [||]; fb_keys = [||]; fb_len = 0 } in
   let cls = ref [||] in

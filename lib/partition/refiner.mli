@@ -170,7 +170,6 @@ type float_spec = {
 }
 
 val comp_lumping_float :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?stats:stats ->
   ?on_split:on_split ->
   float_spec ->
@@ -187,8 +186,7 @@ val comp_lumping_float :
     onto it (so one record can aggregate several calls); [on_split]
     exports the split trace.  Termination: a class re-enters the
     worklist only when freshly created by a split, and partitions only
-    ever get finer.  [tctx] records the run's spans into that explicit
-    {!Mdl_obs.Trace.Ctx.t} instead of the caller's current context.
+    ever get finer.
     @raise Invalid_argument if [initial] is not over [fspec.fsize]
     states. *)
 

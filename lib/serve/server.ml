@@ -4,13 +4,12 @@ module Timer = Mdl_util.Timer
 module Md = Mdl_md.Md
 module Statespace = Mdl_md.Statespace
 module Partition = Mdl_partition.Partition
-module Decomposed = Mdl_core.Decomposed
 module Compositional = Mdl_core.Compositional
 module Key_cache = Mdl_core.Key_cache
 module Md_solve = Mdl_core.Md_solve
 module Solver = Mdl_ctmc.Solver
 module State_lumping = Mdl_lumping.State_lumping
-module Model = Mdl_san.Model
+module Family = Mdl_models.Family
 module P = Protocol
 
 let log = Logs.Src.create "lumpd" ~doc:"lumping service"
@@ -90,18 +89,11 @@ let default_config ~listen =
 
 (* ---- model registry ---- *)
 
-type instance = {
-  md : Md.t;
-  statespace : Statespace.t;
-  rewards : (string * Decomposed.t) list;
-  initial : Decomposed.t;
-}
-
 type model = {
   mo_name : string;
   mo_family : P.family;
   mo_params : (string * int) list;  (* fully resolved, sorted: the identity *)
-  mo_inst : instance;
+  mo_built : Family.built;
   mo_lock : Mutex.t;
   mutable mo_sweep : Compositional.sweep option;
   mutable mo_points : int;
@@ -113,119 +105,6 @@ type model = {
      size, drowning the warm-engine saving on large models. *)
   mo_sizes : (int array, int) Hashtbl.t;
 }
-
-(* Resolve the wire-level (family, size, params) to a full parameter
-   valuation; the canonical sorted list is the model's identity for
-   duplicate detection.  Unknown parameter names are rejected — a
-   client typo must not silently build the default model. *)
-let resolve_params family size params =
-  let main, extras =
-    match family with
-    | P.Tandem ->
-        (("jobs", 1), [ ("hyper_dim", 3); ("msmq_servers", 3); ("msmq_queues", 4) ])
-    | P.Polling -> (("customers", 4), [])
-    | P.Workstations -> (("stations", 4), [])
-    | P.Multitier -> (("clients", 3), [])
-    | P.Kanban -> (("cards", 2), [])
-  in
-  let known = main :: extras in
-  match
-    List.find_opt (fun (k, _) -> not (List.mem_assoc k known)) params
-  with
-  | Some (k, _) ->
-      Error
-        (Printf.sprintf "unknown parameter %S for family %s (known: %s)" k
-           (P.family_string family)
-           (String.concat ", " (List.map fst known)))
-  | None ->
-      if size <> None && List.mem_assoc (fst main) params then
-        Error
-          (Printf.sprintf "parameter %S conflicts with \"size\"" (fst main))
-      else
-        let value (k, default) =
-          match List.assoc_opt k params with
-          | Some v -> (k, v)
-          | None ->
-              if k = fst main then (k, Option.value size ~default)
-              else (k, default)
-        in
-        let resolved = List.map value known in
-        if List.exists (fun (_, v) -> v < 1) resolved then
-          Error "all model parameters must be >= 1"
-        else
-          Ok (List.sort (fun (a, _) (b, _) -> compare a b) resolved)
-
-let build_instance family resolved =
-  let p k = List.assoc k resolved in
-  match family with
-  | P.Tandem ->
-      let jobs = p "jobs" in
-      let prm =
-        {
-          (Mdl_models.Tandem.default ~jobs) with
-          hyper_dim = p "hyper_dim";
-          msmq_servers = p "msmq_servers";
-          msmq_queues = p "msmq_queues";
-        }
-      in
-      let b = Mdl_models.Tandem.build prm in
-      {
-        md = b.Mdl_models.Tandem.md;
-        statespace = b.Mdl_models.Tandem.exploration.Model.statespace;
-        rewards =
-          [
-            ("availability", b.Mdl_models.Tandem.rewards_availability);
-            ("msmq jobs", b.Mdl_models.Tandem.rewards_msmq_jobs);
-          ];
-        initial = b.Mdl_models.Tandem.initial;
-      }
-  | P.Polling ->
-      let b =
-        Mdl_models.Polling.build (Mdl_models.Polling.default ~customers:(p "customers"))
-      in
-      {
-        md = b.Mdl_models.Polling.md;
-        statespace = b.Mdl_models.Polling.exploration.Model.statespace;
-        rewards =
-          [
-            ("busy servers", b.Mdl_models.Polling.rewards_busy_servers);
-            ("queued jobs", b.Mdl_models.Polling.rewards_queued_jobs);
-          ];
-        initial = b.Mdl_models.Polling.initial;
-      }
-  | P.Workstations ->
-      let b =
-        Mdl_models.Workstations.build
-          (Mdl_models.Workstations.default ~stations:(p "stations"))
-      in
-      {
-        md = b.Mdl_models.Workstations.md;
-        statespace = b.Mdl_models.Workstations.exploration.Model.statespace;
-        rewards = [ ("operational", b.Mdl_models.Workstations.rewards_operational) ];
-        initial = b.Mdl_models.Workstations.initial;
-      }
-  | P.Multitier ->
-      let b =
-        Mdl_models.Multitier.build (Mdl_models.Multitier.default ~clients:(p "clients"))
-      in
-      {
-        md = b.Mdl_models.Multitier.md;
-        statespace = b.Mdl_models.Multitier.exploration.Model.statespace;
-        rewards =
-          [
-            ("thinking clients", b.Mdl_models.Multitier.rewards_thinking);
-            ("db fast", b.Mdl_models.Multitier.rewards_db_fast);
-          ];
-        initial = b.Mdl_models.Multitier.initial;
-      }
-  | P.Kanban ->
-      let b = Mdl_models.Kanban.build (Mdl_models.Kanban.default ~cards:(p "cards")) in
-      {
-        md = b.Mdl_models.Kanban.md;
-        statespace = b.Mdl_models.Kanban.exploration.Model.statespace;
-        rewards = [ ("parts in system", b.Mdl_models.Kanban.rewards_in_system) ];
-        initial = b.Mdl_models.Kanban.initial;
-      }
 
 (* ---- server state ---- *)
 
@@ -367,17 +246,19 @@ let refresh_store_gauges t =
   Metrics.set m_store_rows (float_of_int rows)
 
 let exec_submit t (s : P.submit) =
-  match resolve_params s.sm_family s.sm_size s.sm_params with
+  (* Every wire family has a catalogue entry (pinned by a test). *)
+  let family = Option.get (Family.find (P.family_string s.sm_family)) in
+  match Family.resolve family ~size:s.sm_size s.sm_params with
   | Error msg -> Error (P.Bad_request, msg)
   | Ok resolved -> (
       let info m fresh =
-        let sizes = Md.sizes m.mo_inst.md in
+        let sizes = Md.sizes m.mo_built.md in
         Ok
           (P.Model_info
              {
                mi_model = m.mo_name;
                mi_family = m.mo_family;
-               mi_states = Statespace.size m.mo_inst.statespace;
+               mi_states = Statespace.size m.mo_built.statespace;
                mi_levels = Array.length sizes;
                mi_level_sizes = Array.to_list sizes;
                mi_fresh = fresh;
@@ -390,13 +271,12 @@ let exec_submit t (s : P.submit) =
           err P.Model_exists "model %S exists with a different configuration"
             s.sm_model
       | None -> (
-          let inst = build_instance s.sm_family resolved in
           let m =
             {
               mo_name = s.sm_model;
               mo_family = s.sm_family;
               mo_params = resolved;
-              mo_inst = inst;
+              mo_built = family.build resolved;
               mo_lock = Mutex.create ();
               mo_sweep = None;
               mo_points = 0;
@@ -421,23 +301,14 @@ let exec_submit t (s : P.submit) =
               err P.Model_exists "model %S exists with a different configuration"
                 s.sm_model))
 
-let indicator_rewards inst (specs : P.reward_spec list) =
-  let sizes = Md.sizes inst.md in
-  let levels = Array.length sizes in
-  let rec build acc = function
-    | [] -> Ok (List.rev acc)
-    | (r : P.reward_spec) :: rest ->
-        if r.ind_level < 1 || r.ind_level > levels then
-          err P.Bad_request "extra_rewards: level %d out of range (model has %d levels)"
-            r.ind_level levels
-        else
-          let d =
-            Decomposed.of_level ~sizes ~level:r.ind_level (fun s ->
-                if (if r.ind_ge then s >= r.ind_k else s < r.ind_k) then 1.0 else 0.0)
-          in
-          build (d :: acc) rest
-  in
-  build [] specs
+let point_rewards m (specs : P.reward_spec list) =
+  let levels = Md.levels m.mo_built.md in
+  let threshold (r : P.reward_spec) = { Family.level = r.ind_level; ge = r.ind_ge; k = r.ind_k } in
+  match List.find_opt (fun (r : P.reward_spec) -> r.ind_level < 1 || r.ind_level > levels) specs with
+  | Some r ->
+      err P.Bad_request "extra_rewards: level %d out of range (model has %d levels)"
+        r.ind_level levels
+  | None -> Ok (Family.point_rewards m.mo_built (List.map threshold specs))
 
 (* The model's sweep engine, created on first use and kept warm for the
    daemon's lifetime — this is the object whose persistent key-cache
@@ -446,7 +317,7 @@ let sweep_engine m =
   match m.mo_sweep with
   | Some sw -> sw
   | None ->
-      let sw = Compositional.sweep_create State_lumping.Ordinary m.mo_inst.md in
+      let sw = Compositional.sweep_create State_lumping.Ordinary m.mo_built.md in
       m.mo_sweep <- Some sw;
       sw
 
@@ -465,7 +336,7 @@ let lumped_size m (r : Compositional.result) =
   match Hashtbl.find_opt m.mo_sizes key with
   | Some n -> n
   | None ->
-      let n = Statespace.size (Compositional.lump_statespace r m.mo_inst.statespace) in
+      let n = Statespace.size (Compositional.lump_statespace r m.mo_built.statespace) in
       Hashtbl.add m.mo_sizes key n;
       n
 
@@ -473,15 +344,14 @@ let run_point m rewards =
   let sw = sweep_engine m in
   let r, s =
     Timer.time (fun () ->
-        Compositional.sweep_point sw ~rewards ~initial:m.mo_inst.initial)
+        Compositional.sweep_point sw ~rewards ~initial:m.mo_built.initial)
   in
   m.mo_points <- m.mo_points + 1;
   (r, s)
 
 let exec_lump t (l : P.lump) =
   let* m = find_model t l.lp_model in
-  let* extra = indicator_rewards m.mo_inst l.lp_extra in
-  let rewards = extra @ List.map snd m.mo_inst.rewards in
+  let* rewards = point_rewards m l.lp_extra in
   Mutex.lock m.mo_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock m.mo_lock)
@@ -491,8 +361,8 @@ let exec_lump t (l : P.lump) =
         | P.Ordinary -> run_point m rewards
         | P.Exact ->
             Timer.time (fun () ->
-                Compositional.lump State_lumping.Exact m.mo_inst.md ~rewards
-                  ~initial:m.mo_inst.initial)
+                Compositional.lump State_lumping.Exact m.mo_built.md ~rewards
+                  ~initial:m.mo_built.initial)
       in
       refresh_store_gauges t;
       Ok
@@ -513,8 +383,7 @@ let exec_sweep t (s : P.sweep) =
       let rec run acc = function
         | [] -> Ok (List.rev acc)
         | (p : P.point) :: rest ->
-            let* rewards = indicator_rewards m.mo_inst p.pt_extra in
-            let rewards = rewards @ List.map snd m.mo_inst.rewards in
+            let* rewards = point_rewards m p.pt_extra in
             let r, wall = run_point m rewards in
             let pr =
               {
@@ -547,32 +416,20 @@ let exec_solve t (s : P.solve) =
     ~finally:(fun () -> Mutex.unlock m.mo_lock)
     (fun () ->
       let t0 = now_s () in
-      let rewards = List.map snd m.mo_inst.rewards in
-      let r, _ = run_point m rewards in
-      let ss = m.mo_inst.statespace in
+      let r, _ = run_point m (List.map snd m.mo_built.rewards) in
+      let ss = m.mo_built.statespace in
       if not (Compositional.is_closed r ss) then
         err P.Internal "reachable set of %S is not class-closed; cannot solve"
           s.sv_model
       else begin
         let lumped_ss = Compositional.lump_statespace r ss in
-        let lumped = r.Compositional.lumped in
-        let pi, stats =
+        let method_ =
           match s.sv_solver with
-          | P.Power -> Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000 lumped lumped_ss
-          | P.Krylov -> Md_solve.steady_state_krylov ~tol:1e-12 lumped lumped_ss
-          | P.Gauss_seidel ->
-              Solver.steady_state_gauss_seidel ~tol:1e-12 ~max_iter:100_000
-                ~ordering:Solver.Rcm ~relax:0.9
-                (Md_solve.ctmc_of lumped lumped_ss)
+          | P.Power -> Solver.Power
+          | P.Krylov -> Solver.Krylov
+          | P.Gauss_seidel -> Solver.Gauss_seidel
         in
-        let measures =
-          List.map
-            (fun (name, d) ->
-              ( name,
-                Solver.expected_reward pi
-                  (Decomposed.to_vector (Compositional.lumped_rewards r d) lumped_ss) ))
-            m.mo_inst.rewards
-        in
+        let pi, stats = Md_solve.solve method_ r.Compositional.lumped lumped_ss in
         refresh_store_gauges t;
         Ok
           (P.Solve_result
@@ -581,7 +438,7 @@ let exec_solve t (s : P.solve) =
                so_iterations = stats.Solver.iterations;
                so_converged = stats.Solver.converged;
                so_residual = stats.Solver.residual;
-               so_measures = measures;
+               so_measures = Md_solve.measures r lumped_ss pi m.mo_built.rewards;
                so_wall_s = now_s () -. t0;
              })
       end)
@@ -604,7 +461,7 @@ let exec_stats t =
             {
               P.ms_model = m.mo_name;
               ms_family = m.mo_family;
-              ms_states = Statespace.size m.mo_inst.statespace;
+              ms_states = Statespace.size m.mo_built.statespace;
               ms_store_rows = store_rows;
               ms_gid_count = gids;
               ms_cross_bind_hits = cross;

@@ -132,9 +132,6 @@ let test_md_vector_level_checks () =
       (fun () -> ignore (f ()))
   in
   mismatch "to_csr" (fun () -> Md_vector.to_csr md ss3);
-  mismatch "vec_mul" (fun () -> Md_vector.vec_mul md ss3 x);
-  mismatch "mul_vec" (fun () -> Md_vector.mul_vec md ss3 x);
-  mismatch "row_sums" (fun () -> Md_vector.row_sums md ss3);
   mismatch "vec_mul_mdd" (fun () -> Md_vector.vec_mul_mdd md mdd3 x);
   mismatch "mul_vec_mdd" (fun () -> Md_vector.mul_vec_mdd md mdd3 x);
   mismatch "row_sums_mdd" (fun () -> Md_vector.row_sums_mdd md mdd3);

@@ -182,14 +182,15 @@ let full_space sizes =
 let test_md_vector_products () =
   let md = hand_md () in
   let ss = full_space [ 2; 2 ] in
+  let mdd = Mdl_md.Mdd.of_statespace ss in
   let flat = Md.to_csr md in
   let x = [| 0.1; 0.2; 0.3; 0.4 |] in
   Alcotest.(check bool) "vec_mul matches flat" true
-    (Vec.approx_equal (Md_vector.vec_mul md ss x) (Csr.vec_mul x flat));
+    (Vec.approx_equal (Md_vector.vec_mul_mdd md mdd x) (Csr.vec_mul x flat));
   Alcotest.(check bool) "mul_vec matches flat" true
-    (Vec.approx_equal (Md_vector.mul_vec md ss x) (Csr.mul_vec flat x));
+    (Vec.approx_equal (Md_vector.mul_vec_mdd md mdd x) (Csr.mul_vec flat x));
   Alcotest.(check bool) "row_sums match" true
-    (Vec.approx_equal (Md_vector.row_sums md ss) (Csr.row_sums flat));
+    (Vec.approx_equal (Md_vector.row_sums_mdd md mdd) (Csr.row_sums flat));
   Alcotest.check matrix_testable "to_csr over full space" flat (Md_vector.to_csr md ss)
 
 let contains ~needle hay =
@@ -228,8 +229,9 @@ let test_merge_statespace_consistent () =
   let merged = Mdl_md.Restructure.merge_adjacent md 1 in
   let merged_ss = Statespace.map ss (Mdl_md.Restructure.merge_tuple md 1) in
   let x = [| 0.4; 0.3; 0.2; 0.1 |] in
+  let mul md ss = Md_vector.vec_mul_mdd md (Mdl_md.Mdd.of_statespace ss) x in
   Alcotest.(check bool) "vector products agree across merge" true
-    (Vec.approx_equal (Md_vector.vec_mul md ss x) (Md_vector.vec_mul merged merged_ss x))
+    (Vec.approx_equal (mul md ss) (mul merged merged_ss))
 
 (* --- MDDs --- *)
 
@@ -270,20 +272,6 @@ let test_mdd_sharing () =
   let mdd = Mdl_md.Mdd.of_statespace ss in
   Alcotest.(check int) "two shared nodes" 2 (Mdl_md.Mdd.num_nodes mdd)
 
-let test_mdd_products_match_hash_indexing () =
-  let b = Mdl_models.Workstations.build (Mdl_models.Workstations.default ~stations:3) in
-  let md = b.Mdl_models.Workstations.md in
-  let ss = b.Mdl_models.Workstations.exploration.Mdl_san.Model.statespace in
-  let mdd = Mdl_md.Mdd.of_statespace ss in
-  let n = Statespace.size ss in
-  let x = Array.init n (fun i -> float_of_int (i mod 7) +. 0.5) in
-  Alcotest.(check bool) "vec_mul agrees" true
-    (Vec.approx_equal (Md_vector.vec_mul md ss x) (Md_vector.vec_mul_mdd md mdd x));
-  Alcotest.(check bool) "mul_vec agrees" true
-    (Vec.approx_equal (Md_vector.mul_vec md ss x) (Md_vector.mul_vec_mdd md mdd x));
-  Alcotest.(check bool) "row_sums agree" true
-    (Vec.approx_equal (Md_vector.row_sums md ss) (Md_vector.row_sums_mdd md mdd))
-
 (* --- Md_vector.to_csr against an independent flattening ---
 
    The reference flattens the whole potential space with [Md.to_csr]
@@ -306,6 +294,22 @@ let restricted_flat md ss =
     full;
   let n = Statespace.size ss in
   Csr.of_triplets ~rows:n ~cols:n !kept
+
+(* The MDD co-walk products against the restricted full flattening. *)
+let test_mdd_products_match_hash_indexing () =
+  let b = Mdl_models.Workstations.build (Mdl_models.Workstations.default ~stations:3) in
+  let md = b.Mdl_models.Workstations.md in
+  let ss = b.Mdl_models.Workstations.exploration.Mdl_san.Model.statespace in
+  let mdd = Mdl_md.Mdd.of_statespace ss in
+  let flat = restricted_flat md ss in
+  let n = Statespace.size ss in
+  let x = Array.init n (fun i -> float_of_int (i mod 7) +. 0.5) in
+  Alcotest.(check bool) "vec_mul agrees" true
+    (Vec.approx_equal (Csr.vec_mul x flat) (Md_vector.vec_mul_mdd md mdd x));
+  Alcotest.(check bool) "mul_vec agrees" true
+    (Vec.approx_equal (Csr.mul_vec flat x) (Md_vector.mul_vec_mdd md mdd x));
+  Alcotest.(check bool) "row_sums agree" true
+    (Vec.approx_equal (Csr.row_sums flat) (Md_vector.row_sums_mdd md mdd))
 
 (* A random non-empty subset of the potential space: every branch of
    the product tree is kept with probability [p] (1/2, 4/5 or 1), so
@@ -767,8 +771,9 @@ let qcheck_tests =
         let flat = Md.to_csr md in
         let n = Kronecker.potential_size k in
         let x = Array.init n (fun i -> float_of_int (i + 1)) in
-        Vec.approx_equal (Mdl_md.Md_vector.vec_mul md ss x) (Csr.vec_mul x flat)
-        && Vec.approx_equal (Mdl_md.Md_vector.row_sums md ss) (Csr.row_sums flat));
+        let mdd = Mdl_md.Mdd.of_statespace ss in
+        Vec.approx_equal (Md_vector.vec_mul_mdd md mdd x) (Csr.vec_mul x flat)
+        && Vec.approx_equal (Md_vector.row_sums_mdd md mdd) (Csr.row_sums flat));
     Test.make ~count:300 ~name:"to_csr equals the restricted full flattening"
       (pair (Mdl_oracle.Qcheck_gen.md_model ~max_levels:4 ()) (int_bound 1_000_000))
       (fun (spec, seed) ->

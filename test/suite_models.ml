@@ -21,6 +21,8 @@ module Multitier = Mdl_models.Multitier
 module Kanban = Mdl_models.Kanban
 module Polling = Mdl_models.Polling
 module Tandem = Mdl_models.Tandem
+module Family = Mdl_models.Family
+module P = Mdl_serve.Protocol
 
 (* Steady-state reward computed (a) flat on the original chain and
    (b) on the compositionally lumped MD; they must agree. *)
@@ -398,6 +400,109 @@ let test_tandem_table1_shape () =
   Alcotest.(check bool) "lumped MD uses less memory" true
     (Md.memory_bytes result.Compositional.lumped < Md.memory_bytes b.Tandem.md)
 
+(* ---- the family catalogue ---- *)
+
+(* Listed by hand.  Adding a wire family breaks the exhaustive match
+   below, which points here. *)
+let wire_families = [ P.Tandem; P.Polling; P.Workstations; P.Multitier; P.Kanban ]
+
+let _listed : P.family -> unit = function
+  | P.Tandem | P.Polling | P.Workstations | P.Multitier | P.Kanban -> ()
+
+let test_catalogue_matches_wire_families () =
+  List.iter
+    (fun f ->
+      let name = P.family_string f in
+      Alcotest.(check bool) (name ^ " has an entry") true (Family.find name <> None))
+    wire_families;
+  List.iter
+    (fun (f : Family.t) ->
+      Alcotest.(check bool) (f.name ^ " has a wire name") true
+        (List.exists (fun w -> P.family_string w = f.name) wire_families))
+    Family.all;
+  Alcotest.(check int) "one entry per wire family" (List.length wire_families)
+    (List.length Family.all)
+
+(* Each entry's default build against its module's own default build:
+   states, level sizes, and the measures' names, order and values. *)
+let test_catalogue_default_builds () =
+  let module_build name =
+    match name with
+    | "tandem" ->
+        let b = Tandem.build (Tandem.default ~jobs:1) in
+        ( b.Tandem.md,
+          b.Tandem.exploration.Model.statespace,
+          [
+            ("availability", b.Tandem.rewards_availability);
+            ("msmq jobs", b.Tandem.rewards_msmq_jobs);
+          ] )
+    | "polling" ->
+        let b = Polling.build (Polling.default ~customers:4) in
+        ( b.Polling.md,
+          b.Polling.exploration.Model.statespace,
+          [
+            ("busy servers", b.Polling.rewards_busy_servers);
+            ("queued jobs", b.Polling.rewards_queued_jobs);
+          ] )
+    | "workstations" ->
+        let b = Workstations.build (Workstations.default ~stations:4) in
+        ( b.Workstations.md,
+          b.Workstations.exploration.Model.statespace,
+          [ ("operational", b.Workstations.rewards_operational) ] )
+    | "multitier" ->
+        let b = Multitier.build (Multitier.default ~clients:3) in
+        ( b.Multitier.md,
+          b.Multitier.exploration.Model.statespace,
+          [
+            ("thinking clients", b.Multitier.rewards_thinking);
+            ("db fast", b.Multitier.rewards_db_fast);
+          ] )
+    | "kanban" ->
+        let b = Kanban.build (Kanban.default ~cards:2) in
+        ( b.Kanban.md,
+          b.Kanban.exploration.Model.statespace,
+          [ ("parts in system", b.Kanban.rewards_in_system) ] )
+    | other -> Alcotest.failf "no module for family %s" other
+  in
+  List.iter
+    (fun (f : Family.t) ->
+      let resolved =
+        match Family.resolve f ~size:None [] with
+        | Ok r -> r
+        | Error msg -> Alcotest.failf "%s: %s" f.name msg
+      in
+      let b = f.build resolved in
+      let md, ss, rewards = module_build f.name in
+      Alcotest.(check int) (f.name ^ ": states") (Statespace.size ss)
+        (Statespace.size b.Family.statespace);
+      Alcotest.(check (array int)) (f.name ^ ": level sizes") (Md.sizes md)
+        (Md.sizes b.Family.md);
+      Alcotest.(check (list string)) (f.name ^ ": measure names") (List.map fst rewards)
+        (List.map fst b.Family.rewards);
+      List.iter2
+        (fun (name, d) (_, d') ->
+          Alcotest.(check bool) (f.name ^ ": " ^ name) true
+            (Decomposed.to_vector d ss = Decomposed.to_vector d' b.Family.statespace))
+        rewards b.Family.rewards)
+    Family.all
+
+(* Five variants on the largest level, cycled; the third is the
+   complement of the second. *)
+let test_sweep_study_shape () =
+  let b = Kanban.build (Kanban.default ~cards:2) in
+  let study = Family.sweep_study b.Kanban.md ~points:7 in
+  Alcotest.(check int) "points" 7 (List.length study);
+  Alcotest.(check bool) "cycles after five" true
+    (List.nth study 5 = List.nth study 0 && List.nth study 6 = List.nth study 1);
+  Alcotest.(check bool) "base point has no extra rewards" true (List.hd study = []);
+  (match (List.nth study 1, List.nth study 2) with
+  | [ up ], [ down ] ->
+      Alcotest.(check bool) "complement" true
+        (up.Family.ge && (not down.Family.ge) && up.Family.level = down.Family.level
+        && up.Family.k = down.Family.k)
+  | _ -> Alcotest.fail "expected one threshold per point");
+  Alcotest.(check int) "no points" 0 (List.length (Family.sweep_study b.Kanban.md ~points:0))
+
 let tests =
   [
     Alcotest.test_case "workstations lump+measures" `Quick test_workstations_lump_and_measures;
@@ -418,4 +523,9 @@ let tests =
     Alcotest.test_case "tandem Table-1 shape (J=1)" `Slow test_tandem_table1_shape;
     Alcotest.test_case "tandem solver race (J=1)" `Slow test_tandem_solver_race;
     Alcotest.test_case "kanban solver race" `Quick test_kanban_solver_race;
+    Alcotest.test_case "catalogue: one entry per wire family" `Quick
+      test_catalogue_matches_wire_families;
+    Alcotest.test_case "catalogue: default builds match the family modules" `Slow
+      test_catalogue_default_builds;
+    Alcotest.test_case "catalogue: sweep study shape" `Quick test_sweep_study_shape;
   ]

@@ -1095,6 +1095,59 @@ let test_handle_in_process () =
         (match resp.P.resp_body with Ok (P.Shutdown_ack _) -> true | _ -> false);
       checkb "drain triggered" true (Server.draining server))
 
+(* ---- submit-model: parameter resolution ---- *)
+
+let submit_tandem server ?size name params =
+  (Server.handle server
+     (rq (P.Submit_model
+            { sm_model = name; sm_family = P.Tandem; sm_size = size; sm_params = params })))
+    .P.resp_body
+
+let test_submit_rejects_bad_params () =
+  with_server (fun server ->
+      let rejected what expected = function
+        | Error (P.Bad_request, msg) -> checks what expected msg
+        | _ -> Alcotest.failf "%s: expected bad_request" what
+      in
+      rejected "unknown name"
+        "unknown parameter \"jbos\" for family tandem (known: jobs, hyper_dim, \
+         msmq_servers, msmq_queues)"
+        (submit_tandem server "t" [ ("jbos", 1) ]);
+      rejected "size and main knob" "parameter \"jobs\" conflicts with \"size\""
+        (submit_tandem server ~size:1 "t" [ ("jobs", 1) ]);
+      rejected "zero value" "all model parameters must be >= 1"
+        (submit_tandem server "t" [ ("hyper_dim", 0) ]);
+      rejected "zero size" "all model parameters must be >= 1"
+        (submit_tandem server ~size:0 "t" []))
+
+let model_info what = function
+  | Ok (P.Model_info mi) -> mi
+  | Ok _ -> Alcotest.failf "%s: expected model_info" what
+  | Error (c, msg) -> Alcotest.failf "%s: %s: %s" what (P.error_code_string c) msg
+
+let test_submit_size_means_main_knob () =
+  with_server (fun server ->
+      let by_size = model_info "size 1" (submit_tandem server ~size:1 "a" []) in
+      let explicit =
+        model_info "explicit defaults"
+          (submit_tandem server "b"
+             [ ("jobs", 1); ("hyper_dim", 3); ("msmq_servers", 3); ("msmq_queues", 4) ])
+      in
+      checki "states" by_size.P.mi_states explicit.P.mi_states;
+      check Alcotest.(list int) "level sizes" by_size.P.mi_level_sizes
+        explicit.P.mi_level_sizes)
+
+let test_submit_param_order_is_not_identity () =
+  with_server (fun server ->
+      let first =
+        model_info "first" (submit_tandem server "t" [ ("jobs", 1); ("hyper_dim", 2) ])
+      in
+      let again =
+        model_info "reordered" (submit_tandem server "t" [ ("hyper_dim", 2); ("jobs", 1) ])
+      in
+      checkb "first is fresh" true first.P.mi_fresh;
+      checkb "reordered is not fresh" false again.P.mi_fresh)
+
 let test_far_deadline_never_expires () =
   (* a deadline too far away for the nanosecond clock never expires *)
   with_server (fun server ->
@@ -1445,6 +1498,12 @@ let tests =
     Alcotest.test_case "robustness: shutdown drains in-flight work" `Slow
       test_shutdown_drains;
     Alcotest.test_case "robustness: in-process handle path" `Quick test_handle_in_process;
+    Alcotest.test_case "submit: bad parameters answered bad_request" `Quick
+      test_submit_rejects_bad_params;
+    Alcotest.test_case "submit: size means the main parameter" `Slow
+      test_submit_size_means_main_knob;
+    Alcotest.test_case "submit: parameter order is not identity" `Quick
+      test_submit_param_order_is_not_identity;
     Alcotest.test_case "robustness: far deadlines never expire" `Quick
       test_far_deadline_never_expires;
     Alcotest.test_case "robustness: malformed frames answered then closed" `Slow
