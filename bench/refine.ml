@@ -15,7 +15,8 @@
    identical partitions and structurally equal lumped diagrams; the
    production run slower than the reference is a regression.
 
-   Every scenario records the refiner's counters.  Results go to
+   Every scenario records the counts one run leaves in the metrics
+   registry (refiner, key cache, rebuild).  Results go to
    BENCH_refine.json (schema checked by scripts/check_bench_schema.py
    in CI).
 
@@ -33,6 +34,7 @@ module Solver = Mdl_ctmc.Solver
 module Spec = Mdl_oracle.Spec
 module Gen_chain = Mdl_oracle.Gen_chain
 module Trace = Mdl_obs.Trace
+module Metrics = Mdl_obs.Metrics
 module Serve = Mdl_serve.Server
 module Serve_client = Mdl_serve.Client
 module Proto = Mdl_serve.Protocol
@@ -77,7 +79,15 @@ let min_time ~repeats f =
   done;
   (Option.get !out, !best)
 
-let stats_json s =
+(* Run [f] on a zeroed, enabled registry and render the counts it left
+   there as a scenario's "stats" object.  The enabled flag is restored,
+   so the timed races keep running with metrics off. *)
+let stats_json f =
+  let was_enabled = Metrics.enabled () in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) f;
+  let c = Metrics.counter_value in
   Printf.sprintf
     {|"stats": {
         "splitter_passes": %d,
@@ -93,10 +103,13 @@ let stats_json s =
         "nodes_reused": %d,
         "wall_s": %.6f
       }|}
-    s.Refiner.splitter_passes s.Refiner.key_evals s.Refiner.splits
-    s.Refiner.blocks_created s.Refiner.largest_skips s.Refiner.counting_sort_passes
-    s.Refiner.intern_keys s.Refiner.cache_hits s.Refiner.cache_misses
-    s.Refiner.nodes_rebuilt s.Refiner.nodes_reused s.Refiner.wall_s
+    (c "refiner.splitter_passes") (c "refiner.key_evals") (c "refiner.splits")
+    (c "refiner.blocks_created") (c "refiner.largest_skips")
+    (c "refiner.counting_sort_passes")
+    (int_of_float (Metrics.gauge_value "refiner.intern_alphabet"))
+    (c "key_cache.hits") (c "key_cache.misses") (c "rebuild.nodes_rebuilt")
+    (c "rebuild.nodes_reused")
+    (snd (Metrics.histogram_stats "refiner.run_seconds"))
 
 (* Per-phase rollup of the spans one instrumented lump produced
    ([from] = span count before it ran).  Inclusive seconds, so [total_s]
@@ -170,8 +183,9 @@ let run_flat ~repeats sc =
     exit 1
   end;
   (* One instrumented run (outside the timing loop) for the counters. *)
-  let stats = Refiner.create_stats () in
-  ignore (Refiner.comp_lumping_float ~stats sc.fspec ~initial:sc.initial);
+  let stats =
+    stats_json (fun () -> ignore (Refiner.comp_lumping_float sc.fspec ~initial:sc.initial))
+  in
   Printf.printf "%d classes  seed %.4fs  float %.4fs  (%.2fx vs seed)\n"
     (Partition.num_classes p_flt) ref_s float_s (ref_s /. float_s);
   let json =
@@ -188,7 +202,7 @@ let run_flat ~repeats sc =
       %s
     }|}
       sc.name sc.states sc.nnz (Partition.num_classes p_flt) ref_s float_s
-      (ref_s /. float_s) (stats_json stats)
+      (ref_s /. float_s) stats
   in
   let regression =
     if float_s > ref_s then
@@ -645,15 +659,13 @@ let run_multilevel ~repeats ~cache ~pools sc =
       sc.ml_name;
     exit 1
   end;
-  (* One instrumented run outside the timing loops: counters into
-     [stats], spans into the shared trace buffer.  The timed races above
-     run with tracing disabled — the production-vs-reference CI gate
-     measures the zero-overhead path. *)
-  let stats = Refiner.create_stats () in
+  (* One instrumented run outside the timing loops: counters into the
+     registry, spans into the shared trace buffer.  The timed races above
+     run with tracing and metrics disabled — the production-vs-reference
+     CI gate measures the zero-overhead path. *)
   let span_from = Trace.span_count () in
   Trace.resume ();
-  ignore (Compositional.lump ~cache ~stats
-            Mdl_lumping.State_lumping.Ordinary md ~rewards ~initial);
+  let stats = stats_json (fun () -> ignore (lump ())) in
   Trace.stop ();
   let domains_json, domains_timed, domains_regression =
     run_domains ~repeats ~cache ~pools sc ~lump ~r_mem ~cached_s
@@ -699,7 +711,7 @@ let run_multilevel ~repeats ~cache ~pools sc =
       sweeps_json
       serve_json
       domains_json
-      (stats_json stats)
+      stats
       (phases_json ~from:span_from ())
   in
   let regression =

@@ -86,7 +86,7 @@ let finish_tracing trace_file stream_trace show_metrics print_phases =
 let run label (inst : Family.built) mode key solve solver check_optimal dot_file export_file
     merge_level show_stats trace_file stream_trace show_metrics domains =
   setup_tracing trace_file stream_trace show_metrics;
-  if show_metrics then Metrics.set_enabled true;
+  if show_stats || show_metrics then Metrics.set_enabled true;
   Printf.printf "model: %s\n" label;
   (* Optional level merging before lumping (exposes cross-level
      symmetries at the price of a bigger level; reward measures are not
@@ -120,7 +120,6 @@ let run label (inst : Family.built) mode key solve solver check_optimal dot_file
     if domains > 1 then Some (Mdl_util.Domain_pool.create ~domains) else None
   in
   if domains > 1 then Printf.printf "domains: %d\n" domains;
-  let refine_stats = Mdl_partition.Refiner.create_stats () in
   let result, lump_time =
     Mdl_util.Timer.time (fun () ->
         let rewards =
@@ -128,8 +127,7 @@ let run label (inst : Family.built) mode key solve solver check_optimal dot_file
           | [] -> [ Decomposed.constant ~sizes:(Mdl_md.Md.sizes inst.md) 1.0 ]
           | l -> List.map snd l
         in
-        Compositional.lump ~key ~stats:refine_stats ?pool mode inst.md ~rewards
-          ~initial:inst.initial)
+        Compositional.lump ~key ?pool mode inst.md ~rewards ~initial:inst.initial)
   in
   Array.iteri
     (fun i p ->
@@ -143,22 +141,22 @@ let run label (inst : Family.built) mode key solve solver check_optimal dot_file
     lump_time
     (float_of_int (Md.memory_bytes result.Compositional.lumped) /. 1024.0);
   if show_stats then begin
-    let s = refine_stats in
+    let c = Metrics.counter_value in
     Printf.printf
       "refiner stats: %d splitter passes, %d key evaluations, %d splits, %d blocks \
        created, %d largest-block skips, %.4f s refinement\n"
-      s.Mdl_partition.Refiner.splitter_passes s.Mdl_partition.Refiner.key_evals
-      s.Mdl_partition.Refiner.splits s.Mdl_partition.Refiner.blocks_created
-      s.Mdl_partition.Refiner.largest_skips s.Mdl_partition.Refiner.wall_s;
-    let lookups = s.Mdl_partition.Refiner.cache_hits + s.Mdl_partition.Refiner.cache_misses in
+      (c "refiner.splitter_passes") (c "refiner.key_evals") (c "refiner.splits")
+      (c "refiner.blocks_created") (c "refiner.largest_skips")
+      (snd (Metrics.histogram_stats "refiner.run_seconds"));
+    let hits = c "key_cache.hits" and misses = c "key_cache.misses" in
     Printf.printf
       "key cache: %d hits, %d misses%s; rebuild: %d nodes rebuilt, %d reused verbatim\n"
-      s.Mdl_partition.Refiner.cache_hits s.Mdl_partition.Refiner.cache_misses
-      (if lookups = 0 then ""
+      hits misses
+      (if hits + misses = 0 then ""
        else
          Printf.sprintf " (%.1f%% hit rate)"
-           (100.0 *. float_of_int s.Mdl_partition.Refiner.cache_hits /. float_of_int lookups))
-      s.Mdl_partition.Refiner.nodes_rebuilt s.Mdl_partition.Refiner.nodes_reused
+           (100.0 *. float_of_int hits /. float_of_int (hits + misses)))
+      (c "rebuild.nodes_rebuilt") (c "rebuild.nodes_reused")
   end;
   let closed = Compositional.is_closed result ss in
   if not closed then print_endline "WARNING: reachable set not class-closed";
@@ -226,7 +224,7 @@ let point_label = function
 let run_sweep label (inst : Family.built) points solve solver show_stats trace_file
     stream_trace show_metrics domains =
   setup_tracing trace_file stream_trace show_metrics;
-  if show_metrics then Metrics.set_enabled true;
+  if show_stats || show_metrics then Metrics.set_enabled true;
   Printf.printf "model: %s\n" label;
   let ss = inst.statespace in
   Printf.printf "reachable states: %d; sweep of %d points\n" (Statespace.size ss) points;
@@ -234,7 +232,6 @@ let run_sweep label (inst : Family.built) points solve solver show_stats trace_f
     if domains > 1 then Some (Mdl_util.Domain_pool.create ~domains) else None
   in
   if domains > 1 then Printf.printf "domains: %d\n" domains;
-  let refine_stats = Mdl_partition.Refiner.create_stats () in
   let sw = Compositional.sweep_create ?pool State_lumping.Ordinary inst.md in
   let times = Array.make (max points 1) 0.0 in
   List.iteri
@@ -242,8 +239,7 @@ let run_sweep label (inst : Family.built) points solve solver show_stats trace_f
       let before = Compositional.sweep_stats sw in
       let r, s =
         Mdl_util.Timer.time (fun () ->
-            Compositional.sweep_point ~stats:refine_stats sw
-              ~rewards:(Family.point_rewards inst thresholds)
+            Compositional.sweep_point sw ~rewards:(Family.point_rewards inst thresholds)
               ~initial:inst.initial)
       in
       times.(i) <- s;
@@ -285,15 +281,15 @@ let run_sweep label (inst : Family.built) points solve solver show_stats trace_f
       (Mdl_core.Key_cache.store_size (Compositional.sweep_cache sw))
   end;
   if show_stats then begin
-    let s = refine_stats in
+    let c = Metrics.counter_value in
     Printf.printf
       "refiner stats (levels actually run): %d splitter passes, %d key evaluations, \
        %d splits, %.4f s refinement\n"
-      s.Mdl_partition.Refiner.splitter_passes s.Mdl_partition.Refiner.key_evals
-      s.Mdl_partition.Refiner.splits s.Mdl_partition.Refiner.wall_s;
+      (c "refiner.splitter_passes") (c "refiner.key_evals") (c "refiner.splits")
+      (snd (Metrics.histogram_stats "refiner.run_seconds"));
     Printf.printf "key cache: %d hits, %d misses; rebuild: %d nodes rebuilt, %d reused\n"
-      s.Mdl_partition.Refiner.cache_hits s.Mdl_partition.Refiner.cache_misses
-      s.Mdl_partition.Refiner.nodes_rebuilt s.Mdl_partition.Refiner.nodes_reused
+      (c "key_cache.hits") (c "key_cache.misses") (c "rebuild.nodes_rebuilt")
+      (c "rebuild.nodes_reused")
   end;
   finish_tracing trace_file stream_trace show_metrics print_phase_breakdown;
   Option.iter Mdl_util.Domain_pool.shutdown pool

@@ -6,7 +6,6 @@ module Md = Mdl_md.Md
 module Formal_sum = Mdl_md.Formal_sum
 module Statespace = Mdl_md.Statespace
 module Partition = Mdl_partition.Partition
-module Refiner = Mdl_partition.Refiner
 module Trace = Mdl_obs.Trace
 module Metrics = Mdl_obs.Metrics
 module Domain_pool = Mdl_util.Domain_pool
@@ -53,30 +52,18 @@ let is_identity p =
   done;
   !ok
 
-let bump_rebuilt stats n =
-  Metrics.add c_nodes_rebuilt n;
-  match stats with
-  | Some st -> st.Refiner.nodes_rebuilt <- st.Refiner.nodes_rebuilt + n
-  | None -> ()
-
-let bump_reused stats n =
-  Metrics.add c_nodes_reused n;
-  match stats with
-  | Some st -> st.Refiner.nodes_reused <- st.Refiner.nodes_reused + n
-  | None -> ()
-
 (* How many pool tasks to cut [n] work items into: enough for dynamic
    load balancing, bounded so per-task overhead stays negligible. *)
 let task_count pool n = min n (4 * Domain_pool.size pool)
 
-let rebuild_body ?stats ?pool ?(par_threshold = 1024) mode md partitions =
+let rebuild_body ?pool ?(par_threshold = 1024) mode md partitions =
   let nlevels = Md.levels md in
   let identity = Array.map is_identity partitions in
   if Array.for_all Fun.id identity then begin
     (* Nothing lumps at any level: the lumped diagram is the input
        diagram itself.  Alias it (the result shares the node store)
        instead of copying node by node. *)
-    bump_reused stats (Md.num_live_nodes md);
+    Metrics.add c_nodes_reused (Md.num_live_nodes md);
     md
   end
   else begin
@@ -99,7 +86,7 @@ let rebuild_body ?stats ?pool ?(par_threshold = 1024) mode md partitions =
         List.iter
           (fun node ->
             Hashtbl.replace node_map node (Md.import_node out ~level md node remap);
-            bump_reused stats 1)
+            Metrics.incr c_nodes_reused)
           live.(level - 1)
       else begin
         (* Fast quotient build: flat class-indexed accumulation emitted
@@ -186,7 +173,7 @@ let rebuild_body ?stats ?pool ?(par_threshold = 1024) mode md partitions =
           Array.iteri
             (fun i node ->
               Hashtbl.replace node_map node (Md.add_node_sorted_rows out ~level (rows_of i));
-              bump_rebuilt stats 1)
+              Metrics.incr c_nodes_rebuilt)
             nodes
         in
         match pool with
@@ -210,11 +197,11 @@ let rebuild_body ?stats ?pool ?(par_threshold = 1024) mode md partitions =
     out
   end
 
-let rebuild ?stats ?pool ?par_threshold mode md partitions =
-  if not (Trace.enabled ()) then rebuild_body ?stats ?pool ?par_threshold mode md partitions
+let rebuild ?pool ?par_threshold mode md partitions =
+  if not (Trace.enabled ()) then rebuild_body ?pool ?par_threshold mode md partitions
   else
     Trace.with_span ~cat:"lump" "lump.rebuild" (fun () ->
-        let out = rebuild_body ?stats ?pool ?par_threshold mode md partitions in
+        let out = rebuild_body ?pool ?par_threshold mode md partitions in
         Trace.add_args
           [
             ("nodes_in", Trace.Int (Md.num_live_nodes md));
@@ -223,7 +210,7 @@ let rebuild ?stats ?pool ?par_threshold mode md partitions =
           ];
         out)
 
-let lump_with_partitions ?stats ?pool ?par_threshold mode md partitions =
+let lump_with_partitions ?pool ?par_threshold mode md partitions =
   if Array.length partitions <> Md.levels md then
     invalid_arg "Compositional.lump_with_partitions: level count mismatch";
   Array.iteri
@@ -231,7 +218,7 @@ let lump_with_partitions ?stats ?pool ?par_threshold mode md partitions =
       if Partition.size p <> Md.size md (i + 1) then
         invalid_arg "Compositional.lump_with_partitions: partition size mismatch")
     partitions;
-  { lumped = rebuild ?stats ?pool ?par_threshold mode md partitions; partitions }
+  { lumped = rebuild ?pool ?par_threshold mode md partitions; partitions }
 
 (* ------------------------------------------------------------------ *)
 (* The lumping engine: one diagram, one or many reward/initial points. *)
@@ -322,12 +309,12 @@ let is_identity_assignment a =
   !ok
 
 (* One level of one point: its initial partition, the memo lookup, and
-   the fixed point on a miss ([refined] carries that run's counters). *)
+   the fixed point ([refined] is false when the memo served it). *)
 type level_outcome = {
   p_ini : Partition.t;
   memo_key : int * int array;
   final : Partition.t;
-  refined : Refiner.stats option;
+  refined : bool;
 }
 
 (* The only level loop: [lump] and [sweep_point] both come through
@@ -335,11 +322,11 @@ type level_outcome = {
    initial partition and fixed point from [md] alone — so with a pool
    they run concurrently, each on its own domain over its own cache
    fork; the memo is only read there, and every write (memo entries,
-   counters, stats) happens afterwards on this domain, in level order,
+   engine counters) happens afterwards on this domain, in level order,
    so totals equal a sequential run's whatever order levels finished
    in.  A [Trace.Ctx] is single-owner, so traced runs keep levels
    sequential (intra-level sharding never emits spans and stays on). *)
-let run_point ?stats sw ~rewards ~initial =
+let run_point sw ~rewards ~initial =
   let md = sw.sw_md and mode = sw.sw_mode and eps = sw.sw_eps in
   let nlevels = Md.levels md in
   (* Rebinding retires the memoised rows (an epoch bump on a persistent
@@ -371,14 +358,13 @@ let run_point ?stats sw ~rewards ~initial =
             Partition.discrete (Array.length assignment)
           else Partition.of_class_assignment assignment
         in
-        { p_ini; memo_key; final; refined = None }
+        { p_ini; memo_key; final; refined = false }
     | None ->
-        let level_stats = Refiner.create_stats () in
         let final =
-          Level_lumping.comp_lumping_level ?eps ~key:sw.sw_key ~stats:level_stats ~cache
-            ?pool:sw.sw_pool mode md ~level ~initial:p_ini
+          Level_lumping.comp_lumping_level ?eps ~key:sw.sw_key ~cache ?pool:sw.sw_pool mode
+            md ~level ~initial:p_ini
         in
-        { p_ini; memo_key; final; refined = Some level_stats }
+        { p_ini; memo_key; final; refined = true }
   in
   let levels =
     match sw.sw_pool with
@@ -408,21 +394,17 @@ let run_point ?stats sw ~rewards ~initial =
   in
   Array.iteri
     (fun i l ->
-      match l.refined with
-      | None -> sw.sw_level_reused <- sw.sw_level_reused + 1
-      | Some level_stats ->
-          sw.sw_level_fixpoints <- sw.sw_level_fixpoints + 1;
-          (* [final] is canonical, so [to_class_assignment] already is
-             the canonical assignment. *)
-          Hashtbl.replace sw.sw_level_memo l.memo_key
-            (Partition.to_class_assignment l.final);
-          Log.debug (fun m ->
-              m "level %d: %d -> %d classes (P_ini %d) [refiner: %a]" (i + 1)
-                (Partition.size l.final)
-                (Partition.num_classes l.final)
-                (Partition.num_classes l.p_ini)
-                Refiner.pp_stats level_stats);
-          Option.iter (fun dst -> Refiner.add_stats dst level_stats) stats)
+      if not l.refined then sw.sw_level_reused <- sw.sw_level_reused + 1
+      else begin
+        sw.sw_level_fixpoints <- sw.sw_level_fixpoints + 1;
+        (* [final] is canonical, so [to_class_assignment] already is the
+           canonical assignment. *)
+        Hashtbl.replace sw.sw_level_memo l.memo_key (Partition.to_class_assignment l.final);
+        Log.debug (fun m ->
+            m "level %d: %d -> %d classes (P_ini %d)" (i + 1) (Partition.size l.final)
+              (Partition.num_classes l.final)
+              (Partition.num_classes l.p_ini))
+      end)
     levels;
   let partitions = Array.map (fun l -> l.final) levels in
   (* Per-level assignment lengths are fixed by the diagram, so the plain
@@ -434,16 +416,16 @@ let run_point ?stats sw ~rewards ~initial =
   | Some lumped ->
       (* The quotient is a pure function of (diagram, partitions, mode):
          equal canonical assignments rebuild to an [Md.equal] diagram,
-         so the previously built one is aliased.  [nodes_rebuilt] /
-         [nodes_reused] stats are not re-counted for a replay. *)
+         so the previously built one is aliased.  A replay counts no
+         [rebuild.nodes_rebuilt] or [rebuild.nodes_reused]. *)
       sw.sw_rebuilds_reused <- sw.sw_rebuilds_reused + 1;
       { lumped; partitions }
   | None ->
       sw.sw_rebuilds <- sw.sw_rebuilds + 1;
       let r, dt =
         Mdl_util.Timer.time (fun () ->
-            lump_with_partitions ?stats ?pool:sw.sw_pool
-              ?par_threshold:sw.sw_par_threshold mode md partitions)
+            lump_with_partitions ?pool:sw.sw_pool ?par_threshold:sw.sw_par_threshold mode md
+              partitions)
       in
       Log.debug (fun m ->
           m "rebuild: %d nodes -> %d nodes in %.3fs%s" (Md.num_live_nodes md)
@@ -452,15 +434,15 @@ let run_point ?stats sw ~rewards ~initial =
       Hashtbl.add sw.sw_rebuild_memo rebuild_key r.lumped;
       r
 
-let lump ?eps ?key ?stats ?cache ?pool ?par_threshold mode md ~rewards ~initial =
+let lump ?eps ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial =
   Metrics.incr c_lumps;
   let sw = engine ?eps ?key ?cache ?pool ?par_threshold mode md in
-  if not (Trace.enabled ()) then run_point ?stats sw ~rewards ~initial
+  if not (Trace.enabled ()) then run_point sw ~rewards ~initial
   else
     Trace.with_span ~cat:"lump"
       ~args:[ ("levels", Trace.Int (Md.levels md)) ]
       "lump"
-      (fun () -> run_point ?stats sw ~rewards ~initial)
+      (fun () -> run_point sw ~rewards ~initial)
 
 let sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md =
   let sw = engine ?eps ?key ?cache ?pool ?par_threshold mode md in
@@ -471,19 +453,19 @@ let sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md =
   Key_cache.bind ?eps ~choice:sw.sw_key ~mode sw.sw_cache md;
   sw
 
-let sweep_point ?stats sw ~rewards ~initial =
+let sweep_point sw ~rewards ~initial =
   sw.sw_points <- sw.sw_points + 1;
   Metrics.incr c_sweep_points;
   let fixpoints0 = sw.sw_level_fixpoints and reused0 = sw.sw_level_reused in
   let rebuilds0 = sw.sw_rebuilds and rebuilds_reused0 = sw.sw_rebuilds_reused in
   let traced () =
-    if not (Trace.enabled ()) then run_point ?stats sw ~rewards ~initial
+    if not (Trace.enabled ()) then run_point sw ~rewards ~initial
     else
       Trace.with_span ~cat:"lump"
         ~args:[ ("point", Trace.Int sw.sw_points) ]
         "sweep.point"
         (fun () ->
-          let r = run_point ?stats sw ~rewards ~initial in
+          let r = run_point sw ~rewards ~initial in
           Trace.add_args
             [
               ("levels_reused", Trace.Int (sw.sw_level_reused - reused0));
@@ -518,11 +500,11 @@ let sweep_stats sw =
 
 let sweep_cache sw = sw.sw_cache
 
-let lump_sweep ?eps ?key ?stats ?cache ?pool ?par_threshold mode md ~points =
+let lump_sweep ?eps ?key ?cache ?pool ?par_threshold mode md ~points =
   let sw = sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md in
   List.map
     (fun { sweep_rewards; sweep_initial } ->
-      sweep_point ?stats sw ~rewards:sweep_rewards ~initial:sweep_initial)
+      sweep_point sw ~rewards:sweep_rewards ~initial:sweep_initial)
     points
 
 let class_tuple r s =
@@ -615,7 +597,4 @@ let representative_pick r l c = Partition.representative r.partitions.(l - 1) c
 let lumped_sizes r = Array.map Partition.num_classes r.partitions
 
 let lumped_rewards r d =
-  Decomposed.relabel d ~new_sizes:(lumped_sizes r) ~pick:(representative_pick r)
-
-let lumped_initial r d =
   Decomposed.relabel d ~new_sizes:(lumped_sizes r) ~pick:(representative_pick r)

@@ -31,7 +31,6 @@ type result = {
 val lump :
   ?eps:float ->
   ?key:Local_key.choice ->
-  ?stats:Mdl_partition.Refiner.stats ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
@@ -80,18 +79,18 @@ val lump :
     sequentially, because a {!Mdl_obs.Trace.Ctx.t} is single-owner and
     the level spans must nest in it; intra-level sharding stays on.
 
-    Observability: each level's refinement counters and wall time are
-    logged on the [mdl.lump] source at debug level; pass [stats] to
-    additionally accumulate the {!Mdl_partition.Refiner.stats} of every
-    level into one record (the [--stats] flag of [bin/lumpmd] does
-    this), including the cache hit/miss and node reuse counters.
+    Observability: each level's class counts are logged on the
+    [mdl.lump] source at debug level.  The run's counts go to the
+    {!Mdl_obs.Metrics} registry while it is enabled: [lump.runs], the
+    [refiner.*], [key_cache.*] and [level.*] counts of every level that
+    refines, and [rebuild.nodes_rebuilt] / [rebuild.nodes_reused] for
+    each node of the rebuild ([bin/lumpmd --stats] prints them).
     Spans record into the calling thread's current
     {!Mdl_obs.Trace.Ctx.t}; [lumpd] isolates concurrently traced
     requests by installing one per request with
     {!Mdl_obs.Trace.with_ctx}. *)
 
 val lump_with_partitions :
-  ?stats:Mdl_partition.Refiner.stats ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
   Mdl_lumping.State_lumping.mode ->
@@ -106,12 +105,14 @@ val lump_with_partitions :
     input diagram is aliased.  Other levels build each quotient node's
     rows directly in sorted order, bit-identical to a from-scratch
     [Md.add_node] rebuild (the oracle's reference lumper keeps that
-    one).  [stats] receives the [nodes_rebuilt]/[nodes_reused] counters.
-    [pool] parallelises the incremental path's per-node quotient row
-    builds when a level has at least [par_threshold] class-indexed rows
-    to produce (default [1024], counted as nodes x classes); commits to
-    the store stay sequential in node order, so the result is
-    bit-identical at any domain count.
+    one).  Each node counts once in the registry, as
+    [rebuild.nodes_rebuilt] or [rebuild.nodes_reused] (an aliased
+    diagram counts all its live nodes as reused).  [pool] parallelises
+    the incremental path's per-node quotient row builds when a level
+    has at least [par_threshold] class-indexed rows to produce (default
+    [1024], counted as nodes x classes); commits to the store stay
+    sequential in node order, so the result is bit-identical at any
+    domain count.
     @raise Invalid_argument on partition count/size mismatch. *)
 
 (** {1 Batched sweeps}
@@ -168,7 +169,6 @@ val sweep_create :
     publish to the shared store, so their work persists). *)
 
 val sweep_point :
-  ?stats:Mdl_partition.Refiner.stats ->
   sweep ->
   rewards:Decomposed.t list ->
   initial:Decomposed.t ->
@@ -178,16 +178,19 @@ val sweep_point :
     lumped diagram — the memo paths only replay exact-input matches),
     but amortises: the cache rebind is an epoch bump, level fixed
     points and the rebuild are memoised, and splitter rows recur via
-    the content-keyed store.  [stats] accumulates refiner counters of
-    the levels that actually ran (memo hits contribute nothing).
-    Observability: a [sweep.point] span when tracing (levels then
-    refine sequentially, as in {!lump}), a [sweep.point_seconds]
-    histogram and [sweep.*] counters when metrics are on. *)
+    the content-keyed store.  Only the levels that actually refine, and
+    a rebuild that actually runs, add [refiner.*], [key_cache.*] and
+    [rebuild.*] counts; memo hits add none.  Observability: a
+    [sweep.point] span when tracing (levels then refine sequentially,
+    as in {!lump}), a [sweep.point_seconds] histogram and [sweep.*]
+    counters when metrics are on. *)
 
 val sweep_stats : sweep -> sweep_stats
 (** Cumulative reuse counters of this engine ([cross_bind_hits] as a
     delta since engine creation, so a pre-warmed shared cache does not
-    inflate it). *)
+    inflate it).  [lumpd] reports these for each warm model; the
+    registry's [sweep.*] counters are their sum over every engine in the
+    process. *)
 
 val sweep_cache : sweep -> Key_cache.t
 (** The engine's cache — e.g. to inspect {!Key_cache.store_size}. *)
@@ -195,7 +198,6 @@ val sweep_cache : sweep -> Key_cache.t
 val lump_sweep :
   ?eps:float ->
   ?key:Local_key.choice ->
-  ?stats:Mdl_partition.Refiner.stats ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
@@ -229,7 +231,10 @@ val is_closed : result -> Mdl_md.Statespace.t -> bool
 val aggregate_vector :
   result -> Mdl_md.Statespace.t -> Mdl_md.Statespace.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
 (** [aggregate_vector r ss lumped_ss v] sums [v] over each class —
-    probability aggregation.  @raise Invalid_argument on size or level
+    probability aggregation.  This is how an initial distribution
+    carries to the lumped chain: under exact lumping a lumped state's
+    initial probability is the sum over its class, not the probability
+    of one representative.  @raise Invalid_argument on size or level
     mismatches, or when [lumped_ss] contains out-of-range class ids. *)
 
 val average_vector :
@@ -245,6 +250,3 @@ val lumped_rewards : result -> Decomposed.t -> Decomposed.t
 (** Carry a decomposed reward function to the lumped diagram by class
     representatives (valid in ordinary mode, where factors are
     class-constant by construction of [P_l^ini]). *)
-
-val lumped_initial : result -> Decomposed.t -> Decomposed.t
-(** Same for a decomposed initial distribution (exact mode). *)

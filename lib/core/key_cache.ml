@@ -7,14 +7,14 @@ module Gid_table = Mdl_util.Gid_table
 module Shard_map = Mdl_util.Shard_map
 module Domain_pool = Mdl_util.Domain_pool
 
-(* Cumulative registry mirrors of the per-cache counters below, plus
-   what the counters cannot say: how long uncached column walks take and
-   how many rows they emit (the allocation the miss path pays). *)
+(* The cache's lookup counts live in the registry only.  The two
+   histograms add what a count cannot say: how long uncached column
+   walks take and how many rows they emit (the allocation the miss path
+   pays).  [cross_bind_hits] is also kept per engine, in [shared],
+   because lumpd reports it per model. *)
 let c_hits = Metrics.counter "key_cache.hits"
 
 let c_misses = Metrics.counter "key_cache.misses"
-
-let c_invalidations = Metrics.counter "key_cache.invalidations"
 
 let c_cross_bind_hits = Metrics.counter "key_cache.cross_bind_hits"
 
@@ -86,9 +86,6 @@ type t = {
       (* epoch, (states, gids) *)
   mutable epoch : int; (* persistent mode: bumped per same-diagram bind *)
   mutable persistent : bool;
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidations : int;
   mutable pool : Domain_pool.t option;
   mutable par_threshold : int;
 }
@@ -121,15 +118,12 @@ let create () =
     rows = Hashtbl.create 1024;
     epoch = 0;
     persistent = false;
-    hits = 0;
-    misses = 0;
-    invalidations = 0;
     pool = None;
     par_threshold = default_par_threshold;
   }
 
-(* A fork is this cache's single-domain scratch state — rows memo,
-   flattening context, counters — rebuilt fresh over the *same* shared
+(* A fork is this cache's single-domain scratch state — rows memo and
+   flattening context — rebuilt fresh over the *same* shared
    state (gid table, signature table, persistent row store, recorded
    configuration).  Per-level forks behave exactly like one shared cache
    would: rows keys embed the node id and nodes belong to one level, so
@@ -147,9 +141,6 @@ let fork t =
     rows = Hashtbl.create 1024;
     epoch = t.epoch;
     persistent = t.persistent;
-    hits = 0;
-    misses = 0;
-    invalidations = 0;
     pool = t.pool;
     par_threshold = t.par_threshold;
   }
@@ -238,12 +229,6 @@ let gid_count t = Gid_table.size t.shared.table
 
 let store_size t = Shard_map.size t.shared.store
 
-let hits t = t.hits
-
-let misses t = t.misses
-
-let invalidations t = t.invalidations
-
 let eval_rows ?eps ?skip t choice mode node slice =
   let metered = Metrics.enabled () in
   let t0 = if metered then Timer.now_ns () else 0L in
@@ -266,11 +251,9 @@ let splitter_keys ?eps ?skip t choice mode ~node ((perm, first, len) as slice) =
   | Some (ep, rows) when ep = t.epoch ->
       (* Without persistence every entry carries the current epoch (the
          table is wiped on rebind), so this arm is the plain hit path. *)
-      t.hits <- t.hits + 1;
       Metrics.incr c_hits;
       rows
   | _ when not t.persistent ->
-      t.misses <- t.misses + 1;
       Metrics.incr c_misses;
       let rows = eval_rows ?eps ?skip t choice mode node slice in
       Hashtbl.replace t.rows key (t.epoch, rows);
@@ -289,7 +272,6 @@ let splitter_keys ?eps ?skip t choice mode ~node ((perm, first, len) as slice) =
       let csig = Gid_table.intern t.shared.sig_table (Array.sub perm first len) in
       (match Shard_map.find t.shared.store (node, csig) with
       | Some (born, rows) ->
-          t.hits <- t.hits + 1;
           Metrics.incr c_hits;
           if born < t.epoch then begin
             Atomic.incr t.shared.cross_bind_hits;
@@ -298,7 +280,6 @@ let splitter_keys ?eps ?skip t choice mode ~node ((perm, first, len) as slice) =
           Hashtbl.replace t.rows key (t.epoch, rows);
           rows
       | None ->
-          t.misses <- t.misses + 1;
           Metrics.incr c_misses;
           let rows = eval_rows ?eps ?skip:None t choice mode node slice in
           (* First-writer-wins keeps concurrent domains agreeing on one
@@ -307,7 +288,3 @@ let splitter_keys ?eps ?skip t choice mode ~node ((perm, first, len) as slice) =
           let _, rows = Shard_map.add t.shared.store (node, csig) (t.epoch, rows) in
           Hashtbl.replace t.rows key (t.epoch, rows);
           rows)
-
-let note_split t ~parent:_ ~ids =
-  t.invalidations <- t.invalidations + List.length ids;
-  Metrics.add c_invalidations (List.length ids)

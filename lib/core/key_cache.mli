@@ -42,10 +42,10 @@
     split strictly shrinks each sub-block, so equal size means equal
     member set.  Invalidation is therefore {e structural}: a split
     changes the (member, size) identity of every affected class, and
-    stale entries become unreachable rather than wrong.  The engine's
-    split trace ({!Mdl_partition.Refiner.on_split}, wired to
-    {!note_split}) is surfaced as the {!invalidations} counter so the
-    churn is observable.
+    stale entries become unreachable rather than wrong, and the engine
+    need not tell the cache about splits.  The churn still shows in the
+    registry: a split retires the identities of all its sub-blocks, so
+    [refiner.splits + refiner.blocks_created] counts them.
 
     {b Cross-bind persistence (sweep mode).}  The (member, size)
     identity says nothing across binds — a later run's partitions may
@@ -67,7 +67,8 @@
     split).  Hits answered by the store against an entry born in an
     earlier epoch are counted as {!cross_bind_hits}
     ([key_cache.cross_bind_hits] in the metrics registry) — the number
-    the sweep engine's amortisation comes from.  Binding a {e different}
+    the sweep engine's amortisation comes from; it is the one count the
+    cache also keeps itself, per engine.  Binding a {e different}
     diagram clears the store (node ids restart per diagram, so keys
     could collide); the two intern tables survive everything.
 
@@ -80,7 +81,13 @@
     another configuration.  {!Compositional.lump} binds automatically
     (with its configuration) at the start of every run; sharing one
     cache across a sweep of models is then safe and keeps the intern
-    table hot. *)
+    table hot.
+
+    {b Counters.}  Every lookup counts into the {!Mdl_obs.Metrics}
+    registry (while it is enabled) as [key_cache.hits] or
+    [key_cache.misses]; store hits across binds also count as
+    [key_cache.cross_bind_hits].  Misses feed the
+    [key_cache.miss_seconds] and [key_cache.miss_rows] histograms. *)
 
 type t
 
@@ -118,15 +125,15 @@ val context : t -> Local_key.context
 
 val fork : t -> t
 (** A fresh single-domain view of this cache for one parallel level
-    task: its own rows memo, flattening context and counters, over the
-    {e same} shared state — gid table, signature table, persistent row
-    store, recorded configuration, cross-bind counter.  Forks are what
+    task: its own rows memo and flattening context, over the {e same}
+    shared state — gid table, signature table, persistent row store,
+    recorded configuration, cross-bind counter.  Forks are what
     make level-parallel lumping safe — every mutable part of a cache
     except the (domain-safe) shared tables is then owned by exactly one
     domain — and they are observationally equivalent to sharing one
     cache, because row keys embed the node id (nodes belong to one
-    level, so cross-level entries never collide) and hit/miss counts per
-    level are unaffected.  A fork inherits the epoch and persistence
+    level, so cross-level entries never collide) and the hit and miss
+    counts are unaffected.  A fork inherits the epoch and persistence
     flag, so rows it publishes to the store remain visible to the parent
     and to later sweep points after the fork is gone. *)
 
@@ -194,25 +201,7 @@ val splitter_keys :
     @raise Invalid_argument when the cache is unbound, or on a
     configuration mismatch with the recorded [(eps, choice, mode)]. *)
 
-val note_split : t -> parent:int -> ids:int list -> unit
-(** Split-trace sink (wire as the engine's
-    {!Mdl_partition.Refiner.on_split}): records that the classes [ids]
-    now have fresh cache identities, incrementing {!invalidations} by
-    the number of affected classes.  No entry needs to be removed — see
-    the structural-invalidation note above. *)
-
-val hits : t -> int
-(** Lookups answered from the cache since {!create} (never reset);
-    includes cross-bind store hits. *)
-
-val misses : t -> int
-(** Lookups that fell through to {!Local_key.splitter_keys}. *)
-
 val cross_bind_hits : t -> int
 (** Lookups answered by the persistent store against a row list born in
     an {e earlier} bind epoch — reuse across sweep points.  Shared with
     every {!fork} of this cache (one atomic counter), never reset. *)
-
-val invalidations : t -> int
-(** Classes whose cache identity was retired by a split, as reported
-    through {!note_split}. *)

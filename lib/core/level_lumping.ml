@@ -57,8 +57,8 @@ let has_singleton p =
   let rec go c = c < nc && (Partition.class_size p c = 1 || go (c + 1)) in
   go 0
 
-let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?stats ?cache ?pool mode md
-    ~level ~initial =
+let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?cache ?pool mode md ~level
+    ~initial =
   check_level md level "comp_lumping_level";
   if Partition.size initial <> Md.size md level then
     invalid_arg "Level_lumping.comp_lumping_level: partition size mismatch";
@@ -72,7 +72,6 @@ let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?stats ?cache ?pool m
   (match Key_cache.bound_md kc with
   | Some prev when prev == md -> ()
   | _ -> Key_cache.bind ?eps ~choice:key ~mode kc md);
-  let hits0 = Key_cache.hits kc and misses0 = Key_cache.misses kc in
   (* The cache hands out parallel (states, gids) arrays — gids are the
      stable ids of its global intern table, so a hit involves no
      structural key hashing at all; the ranked pipeline turns gids into
@@ -96,9 +95,7 @@ let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?stats ?cache ?pool m
           (fun c -> Key_cache.splitter_keys ?eps ?skip kc key mode ~node c);
       }
     in
-    Refiner.comp_lumping_ranked ?stats ?pool
-      ~on_split:(fun ~parent ~ids -> Key_cache.note_split kc ~parent ~ids)
-      rspec ~initial:p
+    Refiner.comp_lumping_ranked ?pool rspec ~initial:p
   in
   let pass p = List.fold_left (fun p node -> refine node p) p nodes in
   (* [CompLumpingLevel] iterates passes over all live nodes of the level
@@ -119,11 +116,6 @@ let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?stats ?cache ?pool m
   in
   Metrics.incr c_levels;
   Metrics.add c_fixpoint_iterations !iterations;
-  (match stats with
-  | Some st ->
-      st.Refiner.cache_hits <- st.Refiner.cache_hits + (Key_cache.hits kc - hits0);
-      st.Refiner.cache_misses <- st.Refiner.cache_misses + (Key_cache.misses kc - misses0)
-  | None -> ());
   (* Canonicalise the class numbering.  The refinement engine preserves
      input class ids, so the result's ids depend on split order — which
      differs between engines (and between cold and warm caches) even

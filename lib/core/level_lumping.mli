@@ -27,7 +27,6 @@ val initial_partition :
 val comp_lumping_level :
   ?eps:float ->
   ?key:Local_key.choice ->
-  ?stats:Mdl_partition.Refiner.stats ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
   Mdl_lumping.State_lumping.mode ->
@@ -38,32 +37,35 @@ val comp_lumping_level :
 (** Fixed-point refinement over all live nodes of the level, starting
     from [initial].  [key] defaults to {!Local_key.Formal_sums} (the
     paper's choice); {!Local_key.Expanded_matrices} trades time for a
-    possibly coarser partition.  [stats] accumulates the refinement
-    engine's counters over every per-node run of the fixed point
-    ({!Mdl_partition.Refiner.stats}).
+    possibly coarser partition.  Each call counts one [level.fixpoints]
+    and its pass count as [level.fixpoint_iterations] in the
+    {!Mdl_obs.Metrics} registry; every per-node run adds its own
+    [refiner.*] counts and every splitter lookup its [key_cache.*]
+    counts.
 
     Every per-node refinement runs the ranked pipeline
     ({!Mdl_partition.Refiner.comp_lumping_ranked}) over splitter keys
     memoised by [cache] (default: a fresh {!Key_cache.t}), skipping key
     accumulation for classes already singleton at the start of each
-    per-node run (unless the cache is persistent — see {!Key_cache}) and
-    reporting the engine's split trace to the cache.  The cache is
-    auto-bound to [md] if bound elsewhere (or unbound); when already
-    bound to [md] its rows are {e kept}, so the levels of one
-    {!Compositional.lump} run share one bind — callers invoking this
-    function directly with a reused cache must {!Key_cache.bind}
-    between independent runs (the memo is only sound while refinement
-    of each level is monotone; see {!Key_cache}).  Partitions and
-    splitter-pass counts do not depend on the cache's history (pinned by
-    the differential tests against the oracle's reference lumper); only
-    key-evaluation work and the [key_evals] / [cache_*] counters do.
+    per-node run (unless the cache is persistent — see {!Key_cache}).
+    A split needs no report to the cache: its invalidation is
+    structural.  The cache is auto-bound to [md] if bound elsewhere (or
+    unbound); when already bound to [md] its rows are {e kept}, so the
+    levels of one {!Compositional.lump} run share one bind — callers
+    invoking this function directly with a reused cache must
+    {!Key_cache.bind} between independent runs (the memo is only sound
+    while refinement of each level is monotone; see {!Key_cache}).
+    Partitions and splitter-pass counts do not depend on the cache's
+    history (pinned by the differential tests against the oracle's
+    reference lumper); only key-evaluation work and the
+    [refiner.key_evals] and [key_cache.*] counts do.
 
     [pool] shards the ranked pipeline's per-pass class lookups across a
     domain pool ({!Mdl_partition.Refiner.comp_lumping_ranked}, at that
     function's own [par_threshold] default); intra-node splitter-key
     sharding is armed separately on the cache via {!Key_cache.set_pool}.
-    Neither changes the computed partition, the pass counts or any
-    counter.
+    Neither changes the computed partition, the pass counts or any other
+    count.
 
     The returned partition is canonicalised when fully discrete: if no
     two states lump, the result is {!Mdl_partition.Partition.discrete}

@@ -21,8 +21,3 @@ let accumulated_reward ?epsilon ~t ?(steps = 64) mrp =
     done;
     !acc *. h
   end
-
-let probability_in pi pred =
-  let acc = ref 0.0 in
-  Array.iteri (fun i p -> if pred i then acc := !acc +. p) pi;
-  !acc

@@ -20,7 +20,3 @@ val transient_reward : ?epsilon:float -> t:float -> Mrp.t -> float
 val accumulated_reward : ?epsilon:float -> t:float -> ?steps:int -> Mrp.t -> float
 (** Approximate expected reward accumulated over [\[0, t\]] (trapezoidal
     integration of the transient reward at [steps] points, default 64). *)
-
-val probability_in : Mdl_sparse.Vec.t -> (int -> bool) -> float
-(** [probability_in pi pred] is the probability mass of states satisfying
-    [pred] — e.g. availability given an "is the system up" predicate. *)

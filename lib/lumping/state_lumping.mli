@@ -33,7 +33,6 @@ val float_spec :
 
 val coarsest :
   ?eps:float ->
-  ?stats:Mdl_partition.Refiner.stats ->
   mode ->
   Mdl_sparse.Csr.t ->
   initial:Mdl_partition.Partition.t ->
@@ -42,9 +41,9 @@ val coarsest :
     of the chain with rate matrix [r] refining [initial].  For exact
     lumping the caller must ensure [initial] already separates states
     with different total exit rates [R(s, S)] (use {!initial_partition}
-    or {!coarsest_mrp}).  [stats] accumulates the refinement engine's
-    counters ({!Mdl_partition.Refiner.stats}).  Runs the monomorphic
-    float pipeline ({!Mdl_partition.Refiner.comp_lumping_float}).
+    or {!coarsest_mrp}).  Runs the monomorphic float pipeline
+    ({!Mdl_partition.Refiner.comp_lumping_float}), whose counts go to
+    the [refiner.*] metrics.
     @raise Invalid_argument if [r] is not square or sizes mismatch. *)
 
 val initial_partition : ?eps:float -> mode -> Mdl_ctmc.Mrp.t -> Mdl_partition.Partition.t

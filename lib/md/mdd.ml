@@ -96,8 +96,6 @@ let arc t id s =
   done;
   !result
 
-let node_count t id = (data t id).total
-
 let index t tuple =
   if Array.length tuple <> t.nlevels then invalid_arg "Mdd.index: tuple length mismatch";
   let rec walk level id acc =

@@ -40,8 +40,5 @@ val arc : t -> node -> int -> (int * node) option
     or [None] when no member state has substate [s] here.  The child of
     a level-[L] node is the terminal (count 1). *)
 
-val node_count : t -> node -> int
-(** Number of tuples below a node. *)
-
 val iter : t -> (int -> int array -> unit) -> unit
 (** Enumerate members in index order (the tuple buffer is reused). *)

@@ -10,10 +10,10 @@ let log_src = Logs.Src.create "mdl.refine" ~doc:"partition-refinement engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Registry metrics: the cumulative view of the per-run [stats] records
-   below.  The int counters are published once per refinement run
-   ([publish_stats]); the latency histograms are fed per pass, guarded
-   by [Metrics.enabled] so the disabled cost is one branch. *)
+(* Registry metrics, the only store of the engine's counts.  The int
+   counters are published once per refinement run ([finish]); the
+   latency histograms are fed per pass, guarded by [Metrics.enabled] so
+   the disabled cost is one branch. *)
 let m_pass_seconds =
   Metrics.histogram ~buckets:(Metrics.log_buckets ~lo:1e-7 ~hi:1.0 ~per_decade:3)
     "refiner.pass_seconds"
@@ -39,22 +39,21 @@ type 'k spec = {
   splitter_keys : slice -> (int * 'k) list;
 }
 
-type stats = {
-  mutable splitter_passes : int;
-  mutable key_evals : int;
+(* One run's counts.  The tally lives only as long as its run: the
+   [refine.run] span arguments and the [mdl.refine] debug line read it,
+   and [finish] publishes it into the registry. *)
+type tally = {
+  mutable splitter_passes : int;  (* worklist pops *)
+  mutable key_evals : int;  (* (state, key) pairs the splitters returned *)
   mutable splits : int;
-  mutable blocks_created : int;
+  mutable blocks_created : int;  (* new class ids allocated by splits *)
   mutable largest_skips : int;
   mutable counting_sort_passes : int;
-  mutable intern_keys : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable nodes_rebuilt : int;
-  mutable nodes_reused : int;
+  mutable intern_keys : int;  (* largest per-pass rank alphabet *)
   mutable wall_s : float;
 }
 
-let create_stats () =
+let new_tally () =
   {
     splitter_passes = 0;
     key_evals = 0;
@@ -63,35 +62,15 @@ let create_stats () =
     largest_skips = 0;
     counting_sort_passes = 0;
     intern_keys = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    nodes_rebuilt = 0;
-    nodes_reused = 0;
     wall_s = 0.0;
   }
 
-let add_stats dst src =
-  dst.splitter_passes <- dst.splitter_passes + src.splitter_passes;
-  dst.key_evals <- dst.key_evals + src.key_evals;
-  dst.splits <- dst.splits + src.splits;
-  dst.blocks_created <- dst.blocks_created + src.blocks_created;
-  dst.largest_skips <- dst.largest_skips + src.largest_skips;
-  dst.counting_sort_passes <- dst.counting_sort_passes + src.counting_sort_passes;
-  dst.intern_keys <- max dst.intern_keys src.intern_keys;
-  dst.cache_hits <- dst.cache_hits + src.cache_hits;
-  dst.cache_misses <- dst.cache_misses + src.cache_misses;
-  dst.nodes_rebuilt <- dst.nodes_rebuilt + src.nodes_rebuilt;
-  dst.nodes_reused <- dst.nodes_reused + src.nodes_reused;
-  dst.wall_s <- dst.wall_s +. src.wall_s
-
-let pp_stats ppf s =
+let pp_tally ppf s =
   Format.fprintf ppf
     "passes %d (counting-sorted %d), key evals %d, splits %d, blocks created %d, \
-     largest skips %d, key alphabet %d, key cache %d/%d hit/miss, nodes %d rebuilt %d \
-     reused, %.4fs"
+     largest skips %d, key alphabet %d, %.4fs"
     s.splitter_passes s.counting_sort_passes s.key_evals s.splits s.blocks_created
-    s.largest_skips s.intern_keys s.cache_hits s.cache_misses s.nodes_rebuilt
-    s.nodes_reused s.wall_s
+    s.largest_skips s.intern_keys s.wall_s
 
 (* One splitter pass's keyed states after sorting, shared by both
    pipelines: [pd_states]/[pd_classes] hold the touched states and their
@@ -114,14 +93,13 @@ type pass_data = {
    replace-parent-by-sub-blocks semantics of the original algorithm.
    [prepare pd p slice] is the pipeline-specific part: evaluate the
    splitter's keys and leave them sorted in [pd], returning the pair
-   count.  [on_split] is the split-trace export: called once per actual
-   split with the surviving parent id and the full post-split id list.
+   count.
 
    The working partition is an id-preserving [Partition.copy] of the
    input, not a renumbering round-trip: class ids and slice layouts are
    stable from one refinement run to the next (until a class itself
    splits), which is the identity the splitter-key cache keys on. *)
-let core_body st ~prepare ~on_split ~initial =
+let core_body st ~prepare ~initial =
   let timer = Timer.start () in
   let p = Partition.copy initial in
   let worklist = Queue.create () in
@@ -183,9 +161,6 @@ let core_body st ~prepare ~on_split ~initial =
           | ids ->
               st.splits <- st.splits + 1;
               st.blocks_created <- st.blocks_created + List.length ids - 1;
-              (match on_split with
-              | Some f -> f ~parent:cc ~ids
-              | None -> ());
               (* Grow the membership table for the fresh ids. *)
               while Dynarray.length in_wl < Partition.num_classes p do
                 Dynarray.push in_wl false
@@ -240,14 +215,14 @@ let core_body st ~prepare ~on_split ~initial =
   st.wall_s <- st.wall_s +. Timer.elapsed_s timer;
   p
 
-let core st ~fn ~size ~prepare ~on_split ~initial =
+let core st ~fn ~size ~prepare ~initial =
   if Partition.size initial <> size then
     invalid_arg (Printf.sprintf "Refiner.%s: partition size mismatch" fn);
-  if not (Trace.enabled ()) then core_body st ~prepare ~on_split ~initial
+  if not (Trace.enabled ()) then core_body st ~prepare ~initial
   else
     Trace.with_span ~cat:"refine" ~args:[ ("pipeline", Trace.Str fn) ] "refine.run"
       (fun () ->
-        let p = core_body st ~prepare ~on_split ~initial in
+        let p = core_body st ~prepare ~initial in
         Trace.add_args
           [
             ("passes", Trace.Int st.splitter_passes);
@@ -256,11 +231,7 @@ let core st ~fn ~size ~prepare ~on_split ~initial =
           ];
         p)
 
-let merge_stats stats st =
-  match stats with Some dst -> add_stats dst st | None -> ()
-
-(* The registry cells the per-run counters are published into — the
-   cumulative face of the same numbers [stats] carries per run. *)
+(* The registry cells each run's tally is published into. *)
 let c_splitter_passes = Metrics.counter "refiner.splitter_passes"
 
 let c_key_evals = Metrics.counter "refiner.key_evals"
@@ -277,7 +248,9 @@ let c_runs = Metrics.counter "refiner.runs"
 
 let g_intern_alphabet = Metrics.gauge "refiner.intern_alphabet"
 
-let publish_stats st =
+(* Per-run epilogue shared by both pipelines: registry publication and
+   the debug log line. *)
+let finish ~fn st =
   if Metrics.enabled () then begin
     Metrics.incr c_runs;
     Metrics.add c_splitter_passes st.splitter_passes;
@@ -288,16 +261,8 @@ let publish_stats st =
     Metrics.add c_counting_sort_passes st.counting_sort_passes;
     Metrics.set_max g_intern_alphabet (float_of_int st.intern_keys);
     Metrics.observe m_run_seconds st.wall_s
-  end
-
-(* Per-run epilogue shared by both pipelines: cumulative registry
-   publication, debug log, legacy per-run record accumulation. *)
-let finish ~fn st stats =
-  publish_stats st;
-  Log.debug (fun m -> m "%s: %a" fn pp_stats st);
-  merge_stats stats st
-
-type on_split = parent:int -> ids:int list -> unit
+  end;
+  Log.debug (fun m -> m "%s: %a" fn pp_tally st)
 
 (* ---- monomorphic float pipeline ---- *)
 
@@ -328,8 +293,8 @@ type float_spec = {
   fsplitter_keys : slice -> float_buf -> unit;
 }
 
-let comp_lumping_float ?stats ?on_split fspec ~initial =
-  let st = create_stats () in
+let comp_lumping_float fspec ~initial =
+  let st = new_tally () in
   let buf = { fb_states = [||]; fb_keys = [||]; fb_len = 0 } in
   let cls = ref [||] in
   let nk = ref [||] in
@@ -367,8 +332,8 @@ let comp_lumping_float ?stats ?on_split fspec ~initial =
     end;
     m
   in
-  let p = core st ~fn:"comp_lumping_float" ~size:fspec.fsize ~prepare ~on_split ~initial in
-  finish ~fn:"comp_lumping_float" st stats;
+  let p = core st ~fn:"comp_lumping_float" ~size:fspec.fsize ~prepare ~initial in
+  finish ~fn:"comp_lumping_float" st;
   p
 
 (* ---- ranked pipeline (pre-interned integer keys) ---- *)
@@ -524,9 +489,8 @@ let ensure_int_keep r n =
     r := a
   end
 
-let comp_lumping_ranked ?stats ?on_split ?pool ?(par_threshold = 8192) rspec
-    ~initial =
-  let st = create_stats () in
+let comp_lumping_ranked ?pool ?(par_threshold = 8192) rspec ~initial =
+  let st = new_tally () in
   let sc = indexed_scratch ~size:rspec.rsize in
   (* gid -> per-pass dense rank, via a stamp instead of clearing:
      [rank_of.(g)] is valid only when [stamp.(g)] equals the current
@@ -580,10 +544,8 @@ let comp_lumping_ranked ?stats ?on_split ?pool ?(par_threshold = 8192) rspec
     end;
     m
   in
-  let p =
-    core st ~fn:"comp_lumping_ranked" ~size:rspec.rsize ~prepare ~on_split ~initial
-  in
-  finish ~fn:"comp_lumping_ranked" st stats;
+  let p = core st ~fn:"comp_lumping_ranked" ~size:rspec.rsize ~prepare ~initial in
+  finish ~fn:"comp_lumping_ranked" st;
   p
 
 let is_stable spec p =

@@ -57,9 +57,26 @@
     need an exhaustive engine that re-splits against every sub-block. *)
 
 val log_src : Logs.src
-(** The engine's [Logs] source, [mdl.refine] — one per-run stats
-    summary at debug level per refinement run.  Level setup is shared
-    across binaries via [Mdl_obs.Logging.setup]. *)
+(** The engine's [Logs] source, [mdl.refine] — one line of counts at
+    debug level per refinement run.  Level setup is shared across
+    binaries via [Mdl_obs.Logging.setup].
+
+    {b Counters.}  The engine keeps no counter of its own beyond a run.
+    While the {!Mdl_obs.Metrics} registry is enabled, every run adds its
+    counts to it: [refiner.runs], [refiner.splitter_passes] (worklist
+    pops), [refiner.key_evals] (the [(state, key)] pairs the splitters
+    returned), [refiner.splits] (classes actually split),
+    [refiner.blocks_created] (new class ids allocated by splits),
+    [refiner.largest_skips] (splits whose largest sub-block was
+    exempted from the worklist) and [refiner.counting_sort_passes]
+    (ranked passes that counting-sorted, never more than the passes;
+    [0] for the float pipeline).  The [refiner.intern_alphabet] gauge
+    keeps the largest per-pass rank alphabet of any ranked pass, and
+    the [refiner.run_seconds], [refiner.pass_seconds],
+    [refiner.sort_seconds] and [refiner.pass_keys] histograms the
+    timings and pass sizes.  With tracing on, each run emits a
+    [refine.run] span (with its pass and split counts as arguments)
+    containing one [refine.pass] span per worklist pop. *)
 
 type slice = int array * int * int
 (** A zero-copy class view as returned by {!Partition.view}:
@@ -85,69 +102,6 @@ type 'k spec = {
           Must not list a state twice. *)
 }
 
-type stats = {
-  mutable splitter_passes : int;  (** worklist pops (splitters processed) *)
-  mutable key_evals : int;  (** (state, key) pairs returned by [splitter_keys] *)
-  mutable splits : int;  (** classes actually split *)
-  mutable blocks_created : int;  (** new class ids allocated by splits *)
-  mutable largest_skips : int;
-      (** splits whose largest sub-block was exempted from the worklist *)
-  mutable counting_sort_passes : int;
-      (** ranked passes that counting-sorted (vs the fused comparison
-          sort); always [<= splitter_passes], and [0] for the float
-          pipeline *)
-  mutable intern_keys : int;
-      (** largest per-pass rank alphabet (distinct keys) seen in any one
-          ranked pass; [add_stats] takes the max, not the sum *)
-  mutable cache_hits : int;
-      (** splitter passes answered from the key cache — filled in by
-          {!Mdl_core.Key_cache} users (the engine itself never caches) *)
-  mutable cache_misses : int;
-      (** splitter passes whose keys were freshly evaluated under a key
-          cache — filled in by {!Mdl_core.Key_cache} users *)
-  mutable nodes_rebuilt : int;
-      (** lumped-diagram nodes reconstructed entry-by-entry during the
-          rebuild — filled in by {!Mdl_core.Compositional} *)
-  mutable nodes_reused : int;
-      (** lumped-diagram nodes reused structurally (verbatim import or
-          whole-diagram aliasing on identity partitions) — filled in by
-          {!Mdl_core.Compositional} *)
-  mutable wall_s : float;  (** monotonic wall time spent refining *)
-}
-(** Observability counters for one or more refinement runs.
-    The [cache_*] / [nodes_*] counters belong to the layers above the
-    engine (splitter-key memoisation, incremental diagram rebuild); they
-    live here so one record travels through
-    [Mdl_core.Compositional.lump] and out of [lumpmd --stats].
-
-    This record is the {e per-run compatibility view} of the registry
-    metrics: every refinement run also publishes the same counters
-    cumulatively into [Mdl_obs.Metrics] under the [refiner.*] names
-    (when the registry is enabled), plus per-pass latency histograms
-    ([refiner.pass_seconds], [refiner.sort_seconds], [refiner.pass_keys])
-    the record cannot express; with tracing on, each run emits a
-    [refine.run] span containing one [refine.pass] span per worklist
-    pop.  The differential suites pin the two views equal. *)
-
-val create_stats : unit -> stats
-(** A fresh all-zero counter record. *)
-
-val add_stats : stats -> stats -> unit
-(** [add_stats dst src] accumulates [src] into [dst] (counters add,
-    wall times add, [intern_keys] takes the max). *)
-
-val pp_stats : Format.formatter -> stats -> unit
-
-type on_split = parent:int -> ids:int list -> unit
-(** Split-trace callback: invoked once per actual split, {e after} the
-    partition has been updated, with the id kept by the parent class and
-    the full list of post-split sub-block ids ([parent] first, as
-    returned by {!Partition.split_runs}).  The callback observes the
-    refiner's working partition mid-run; it must not retain the slice
-    views.  Used by {!Mdl_core.Key_cache} to account invalidations and
-    by {!Mdl_core.Compositional} to know which classes the final
-    partition owes to an actual split. *)
-
 (** {2 Monomorphic float pipeline} *)
 
 type float_buf
@@ -169,24 +123,16 @@ type float_spec = {
           the engine's scratch buffer instead of building a list *)
 }
 
-val comp_lumping_float :
-  ?stats:stats ->
-  ?on_split:on_split ->
-  float_spec ->
-  initial:Partition.t ->
-  Partition.t
+val comp_lumping_float : float_spec -> initial:Partition.t -> Partition.t
 (** [comp_lumping_float fspec ~initial] returns the coarsest refinement
     of [initial] that is stable under [fspec.fsplitter_keys] splitting,
     grouping keys by their quantized value — the fixed point of the spec
     [{ key_compare = Float.compare on quantized keys; ... }].  The input
     partition is not mutated; the result is an id-preserving
     {!Partition.copy} refined in place, so when no split fires the
-    output has the same class ids and member order as [initial].  When
-    [stats] is given, the run's counters and wall time are {e added}
-    onto it (so one record can aggregate several calls); [on_split]
-    exports the split trace.  Termination: a class re-enters the
-    worklist only when freshly created by a split, and partitions only
-    ever get finer.
+    output has the same class ids and member order as [initial].
+    Termination: a class re-enters the worklist only when freshly
+    created by a split, and partitions only ever get finer.
     @raise Invalid_argument if [initial] is not over [fspec.fsize]
     states. *)
 
@@ -203,8 +149,6 @@ type ranked_spec = {
 }
 
 val comp_lumping_ranked :
-  ?stats:stats ->
-  ?on_split:on_split ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
   ranked_spec ->
@@ -216,10 +160,10 @@ val comp_lumping_ranked :
     arrays are blitted into the sort scratch, and each pass orders the
     (class, rank, state) triples by counting sort when
     {!use_counting_sort} says the alphabet is small enough, by fused
-    integer comparison sort otherwise ([counting_sort_passes] and
-    [intern_keys] report which).  This is the engine under the
-    splitter-key cache, where a cache hit replays a previously interned
-    row list.
+    integer comparison sort otherwise ([refiner.counting_sort_passes]
+    and [refiner.intern_alphabet] report which).  This is the engine
+    under the splitter-key cache, where a cache hit replays a previously
+    interned row list.
     @raise Invalid_argument if [initial] is not over [rspec.rsize]
     states.
 
@@ -229,8 +173,8 @@ val comp_lumping_ranked :
     pairs (default [8192]).  Rank assignment, sorting and the split
     scan stay sequential — ranks are first-appearance-ordered, which is
     exactly what makes the result independent of gid numbering — so the
-    computed partition, split order and every counter are identical
-    with or without a pool. *)
+    computed partition, split order and every count are identical with
+    or without a pool. *)
 
 val use_counting_sort : m:int -> alphabet:int -> bool
 (** The counting-sort threshold: true when a pass of [m] pairs over

@@ -37,8 +37,3 @@ let of_triplets ~rows ~cols triplets =
   let t = create ~rows ~cols in
   List.iter (fun (i, j, v) -> add t i j v) triplets;
   t
-
-let to_triplets t =
-  let acc = ref [] in
-  iter (fun i j v -> acc := (i, j, v) :: !acc) t;
-  List.rev !acc

@@ -25,5 +25,3 @@ val iter : (int -> int -> float -> unit) -> t -> unit
 (** Iterate triplets in insertion order. *)
 
 val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
-
-val to_triplets : t -> (int * int * float) list

@@ -3,8 +3,6 @@ let combine seed h =
      int width; good avalanche behaviour for our structural hashes. *)
   seed lxor (h + 0x9e3779b9 + (seed lsl 6) + (seed lsr 2))
 
-let combine_list seed hs = List.fold_left combine seed hs
-
 let float f = Hashtbl.hash (Int64.bits_of_float f)
 
 let int_array a =

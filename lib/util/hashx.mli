@@ -3,8 +3,6 @@
 val combine : int -> int -> int
 (** [combine seed h] mixes [h] into [seed] (boost-style combiner). *)
 
-val combine_list : int -> int list -> int
-
 val float : float -> int
 (** Hash of the bit pattern of a float (distinguishes [-0.] from [0.];
     stable across runs). *)

@@ -1,0 +1,15 @@
+(* The metrics registry is the only store of the engine's counts, so the
+   suites read them from there.  [of_run names f] zeroes and enables the
+   registry, runs [f], and returns its result with a reader of the named
+   counters as [f] left them; the reader raises [Not_found] on a name
+   that was not asked for.  The registry's enabled flag is restored. *)
+
+module Metrics = Mdl_obs.Metrics
+
+let of_run names f =
+  let was_enabled = Metrics.enabled () in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  let r = Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) f in
+  let values = List.map (fun n -> (n, Metrics.counter_value n)) names in
+  (r, fun n -> List.assoc n values)

@@ -567,15 +567,16 @@ let test_level_pipeline_matches_reference =
         (fun (mode, key) ->
           for level = 1 to Md.levels md do
             let initial = Partition.trivial (Md.size md level) in
-            let st = Refiner.create_stats () in
-            let p =
-              Level_lumping.comp_lumping_level ~key ~stats:st mode md ~level ~initial
+            let p, c =
+              Counters.of_run
+                [ "key_cache.hits"; "key_cache.misses"; "refiner.splitter_passes" ]
+                (fun () -> Level_lumping.comp_lumping_level ~key mode md ~level ~initial)
             in
             let p_ref = Reference_lump.level_partition ~key mode md ~level ~initial in
             if Partition.to_class_assignment p <> Partition.to_class_assignment p_ref
             then ok := false;
-            let lookups = st.Refiner.cache_hits + st.Refiner.cache_misses in
-            if lookups <> st.Refiner.splitter_passes then ok := false
+            let lookups = c "key_cache.hits" + c "key_cache.misses" in
+            if lookups <> c "refiner.splitter_passes" then ok := false
           done)
         [
           (State_lumping.Ordinary, Local_key.Formal_sums);
@@ -666,36 +667,36 @@ let test_key_cache_invalidation () =
   let level = 2 in
   let node = List.hd (Md.live_nodes md).(level - 1) in
   let p = Partition.trivial 3 in
+  (* Running totals over the lookups, each read from the registry. *)
+  let hits = ref 0 and misses = ref 0 in
+  let lookup slice =
+    let rows, c =
+      Counters.of_run [ "key_cache.hits"; "key_cache.misses" ] (fun () ->
+          Key_cache.splitter_keys kc Local_key.Formal_sums State_lumping.Ordinary ~node
+            slice)
+    in
+    hits := !hits + c "key_cache.hits";
+    misses := !misses + c "key_cache.misses";
+    rows
+  in
   let slice = Partition.view p 0 in
-  let r1 =
-    Key_cache.splitter_keys kc Local_key.Formal_sums State_lumping.Ordinary ~node slice
-  in
-  Alcotest.(check int) "first lookup misses" 1 (Key_cache.misses kc);
-  Alcotest.(check int) "no hit yet" 0 (Key_cache.hits kc);
-  let r2 =
-    Key_cache.splitter_keys kc Local_key.Formal_sums State_lumping.Ordinary ~node slice
-  in
-  Alcotest.(check int) "second lookup hits" 1 (Key_cache.hits kc);
+  let r1 = lookup slice in
+  Alcotest.(check int) "first lookup misses" 1 !misses;
+  Alcotest.(check int) "no hit yet" 0 !hits;
+  let r2 = lookup slice in
+  Alcotest.(check int) "second lookup hits" 1 !hits;
   Alcotest.(check bool) "hit replays the cached arrays" true (r1 == r2);
   (* force a split: class 0 = {0} keeps id 0, {1,2} gets a fresh id *)
   let ids = Partition.split p 0 [ [| 0 |]; [| 1; 2 |] ] in
-  Key_cache.note_split kc ~parent:0 ~ids;
-  Alcotest.(check int) "invalidations counted per affected class" 2
-    (Key_cache.invalidations kc);
   let fresh = List.nth ids 1 in
-  ignore
-    (Key_cache.splitter_keys kc Local_key.Formal_sums State_lumping.Ordinary ~node
-       (Partition.view p fresh));
-  Alcotest.(check int) "post-split lookup misses (fresh identity)" 2
-    (Key_cache.misses kc);
+  ignore (lookup (Partition.view p fresh));
+  Alcotest.(check int) "post-split lookup misses (fresh identity)" 2 !misses;
   (* rebinding to the same diagram discards the rows but keeps the
      interned gids *)
   let interned = Key_cache.gid_count kc in
   Key_cache.bind kc md;
-  ignore
-    (Key_cache.splitter_keys kc Local_key.Formal_sums State_lumping.Ordinary ~node
-       (Partition.view p fresh));
-  Alcotest.(check int) "rebind discards memoised rows" 3 (Key_cache.misses kc);
+  ignore (lookup (Partition.view p fresh));
+  Alcotest.(check int) "rebind discards memoised rows" 3 !misses;
   Alcotest.(check bool) "rebind keeps the gid table" true
     (Key_cache.gid_count kc >= interned);
   Alcotest.check_raises "unbound cache has no context"
@@ -712,24 +713,23 @@ let test_singleton_skip () =
   let level = 2 in
   let initial () = Partition.of_class_assignment [| 0; 0; 1 |] in
   let run cache =
-    let st = Refiner.create_stats () in
-    let p =
-      Level_lumping.comp_lumping_level ~cache ~stats:st State_lumping.Ordinary md ~level
-        ~initial:(initial ())
-    in
-    (p, st)
+    Counters.of_run
+      [ "refiner.splitter_passes"; "refiner.key_evals"; "key_cache.hits"; "key_cache.misses" ]
+      (fun () ->
+        Level_lumping.comp_lumping_level ~cache State_lumping.Ordinary md ~level
+          ~initial:(initial ()))
   in
   let persistent = Key_cache.create () in
   Key_cache.set_persistent persistent true;
-  let p_u, st_u = run persistent in
-  let p_c, st_c = run (Key_cache.create ()) in
+  let p_u, u = run persistent in
+  let p_c, c = run (Key_cache.create ()) in
   Alcotest.check partition_testable "same fixed point" p_u p_c;
-  Alcotest.(check int) "same splitter pass count" st_u.Refiner.splitter_passes
-    st_c.Refiner.splitter_passes;
+  Alcotest.(check int) "same splitter pass count" (u "refiner.splitter_passes")
+    (c "refiner.splitter_passes");
   Alcotest.(check bool) "singleton keys skipped" true
-    (st_c.Refiner.key_evals < st_u.Refiner.key_evals);
+    (c "refiner.key_evals" < u "refiner.key_evals");
   Alcotest.(check bool) "cache consulted" true
-    (st_c.Refiner.cache_hits + st_c.Refiner.cache_misses > 0)
+    (c "key_cache.hits" + c "key_cache.misses" > 0)
 
 let test_shared_cache_across_models () =
   (* One cache across a sweep of different diagrams (the bench
@@ -813,14 +813,16 @@ let test_persistent_cross_bind () =
   Key_cache.set_persistent cache true;
   Alcotest.(check bool) "persistence on" true (Key_cache.persistent cache);
   let r1 = Compositional.lump ~cache State_lumping.Ordinary md ~rewards ~initial in
-  let misses1 = Key_cache.misses cache in
   let epoch1 = Key_cache.epoch cache in
   Alcotest.(check bool) "first run populated the store" true
     (Key_cache.store_size cache > 0);
   Alcotest.(check int) "no cross-bind hits within one bind" 0
     (Key_cache.cross_bind_hits cache);
-  let r2 = Compositional.lump ~cache State_lumping.Ordinary md ~rewards ~initial in
-  Alcotest.(check int) "second run: no new misses" misses1 (Key_cache.misses cache);
+  let r2, c =
+    Counters.of_run [ "key_cache.misses" ] (fun () ->
+        Compositional.lump ~cache State_lumping.Ordinary md ~rewards ~initial)
+  in
+  Alcotest.(check int) "second run: no new misses" 0 (c "key_cache.misses");
   Alcotest.(check bool) "second run: cross-bind hits" true
     (Key_cache.cross_bind_hits cache > 0);
   Alcotest.(check int) "rebind bumped the epoch" (epoch1 + 1) (Key_cache.epoch cache);
@@ -941,24 +943,29 @@ let test_rebuild_counters () =
   (* Identity partitions at every level: the rebuild aliases the input
      diagram and accounts every live node as reused. *)
   let idp = Array.init (Md.levels md) (fun l -> Partition.discrete (Md.size md (l + 1))) in
-  let st = Refiner.create_stats () in
-  let r = Compositional.lump_with_partitions ~stats:st State_lumping.Ordinary md idp in
+  let rebuild_counters = [ "rebuild.nodes_rebuilt"; "rebuild.nodes_reused" ] in
+  let r, c =
+    Counters.of_run rebuild_counters (fun () ->
+        Compositional.lump_with_partitions State_lumping.Ordinary md idp)
+  in
   Alcotest.(check bool) "identity partitions alias the diagram" true
     (r.Compositional.lumped == md);
-  Alcotest.(check int) "nothing rebuilt" 0 st.Refiner.nodes_rebuilt;
+  Alcotest.(check int) "nothing rebuilt" 0 (c "rebuild.nodes_rebuilt");
   Alcotest.(check int) "all live nodes reused" (Md.num_live_nodes md)
-    st.Refiner.nodes_reused;
+    (c "rebuild.nodes_reused");
   (* A real lump of the same model: level 1 stays the identity (its
      nodes are imported verbatim), level 2 lumps (its nodes are
      rebuilt). *)
   let rewards, initial = lump_inputs md in
-  let st2 = Refiner.create_stats () in
-  let r2 = Compositional.lump ~stats:st2 State_lumping.Ordinary md ~rewards ~initial in
+  let r2, c2 =
+    Counters.of_run rebuild_counters (fun () ->
+        Compositional.lump State_lumping.Ordinary md ~rewards ~initial)
+  in
   Alcotest.(check bool) "mixed run rebuilds some nodes" true
-    (st2.Refiner.nodes_rebuilt > 0);
-  Alcotest.(check bool) "mixed run reuses some nodes" true (st2.Refiner.nodes_reused > 0);
+    (c2 "rebuild.nodes_rebuilt" > 0);
+  Alcotest.(check bool) "mixed run reuses some nodes" true (c2 "rebuild.nodes_reused" > 0);
   Alcotest.(check int) "every live node accounted once" (Md.num_live_nodes md)
-    (st2.Refiner.nodes_rebuilt + st2.Refiner.nodes_reused);
+    (c2 "rebuild.nodes_rebuilt" + c2 "rebuild.nodes_reused");
   (* The oracle's from-scratch rebuild (every node through [add_node])
      produces the same diagram. *)
   Alcotest.(check bool) "from-scratch rebuild agrees" true

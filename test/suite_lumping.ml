@@ -179,8 +179,10 @@ let test_float_pipeline_matches_reference =
       List.for_all
         (fun mode ->
           let initial = Partition.group_by n (fun i -> i mod 2) compare in
-          let stats = Mdl_partition.Refiner.create_stats () in
-          let p_float = State_lumping.coarsest ~stats mode r ~initial in
+          let p_float, c =
+            Counters.of_run [ "refiner.counting_sort_passes" ] (fun () ->
+                State_lumping.coarsest mode r ~initial)
+          in
           let p_ref =
             Mdl_oracle.Refiner_reference.comp_lumping
               (State_lumping.refiner_spec mode r)
@@ -188,7 +190,7 @@ let test_float_pipeline_matches_reference =
           in
           Partition.equal p_float p_ref
           (* The float pipeline never counting-sorts. *)
-          && stats.Mdl_partition.Refiner.counting_sort_passes = 0)
+          && c "refiner.counting_sort_passes" = 0)
         [ State_lumping.Ordinary; State_lumping.Exact ])
 
 (* Theorem 2 validation: measures computed on the lumped chain equal

@@ -12,7 +12,6 @@ module Csr = Mdl_sparse.Csr
 module Ctmc = Mdl_ctmc.Ctmc
 module Solver = Mdl_ctmc.Solver
 module Partition = Mdl_partition.Partition
-module Refiner = Mdl_partition.Refiner
 module Md = Mdl_md.Md
 module Kronecker = Mdl_kron.Kronecker
 module Decomposed = Mdl_core.Decomposed
@@ -535,38 +534,6 @@ let test_metrics_json () =
   | _ -> Alcotest.fail "histogram not in JSON");
   Metrics.reset ()
 
-(* ----- the registry agrees with the legacy Refiner.stats view ----- *)
-
-let test_metrics_match_refiner_stats () =
-  Metrics.reset ();
-  Metrics.set_enabled true;
-  let stats = Refiner.create_stats () in
-  let md, sizes = concrete_md () in
-  let rewards = [ Decomposed.constant ~sizes 1.0 ] in
-  let initial = Decomposed.constant ~sizes 1.0 in
-  ignore (Compositional.lump ~stats Ordinary md ~rewards ~initial);
-  Metrics.set_enabled false;
-  let check name legacy =
-    Alcotest.(check int) name legacy (Metrics.counter_value name)
-  in
-  check "refiner.splitter_passes" stats.Refiner.splitter_passes;
-  check "refiner.key_evals" stats.Refiner.key_evals;
-  check "refiner.splits" stats.Refiner.splits;
-  check "refiner.blocks_created" stats.Refiner.blocks_created;
-  check "refiner.largest_skips" stats.Refiner.largest_skips;
-  check "refiner.counting_sort_passes" stats.Refiner.counting_sort_passes;
-  check "key_cache.hits" stats.Refiner.cache_hits;
-  check "key_cache.misses" stats.Refiner.cache_misses;
-  check "rebuild.nodes_rebuilt" stats.Refiner.nodes_rebuilt;
-  check "rebuild.nodes_reused" stats.Refiner.nodes_reused;
-  Alcotest.(check bool) "some passes happened" true (stats.Refiner.splitter_passes > 0);
-  Alcotest.(check bool) "cache exercised" true
-    (stats.Refiner.cache_hits + stats.Refiner.cache_misses > 0);
-  Alcotest.(check (float 0.0)) "alphabet high-water mark"
-    (float_of_int stats.Refiner.intern_keys)
-    (Metrics.gauge_value "refiner.intern_alphabet");
-  Metrics.reset ()
-
 (* ----- transient solves report through the same epilogue -----
 
    Regression: [transient_operator] used to bypass the [observe_run]
@@ -610,10 +577,14 @@ let test_tracing_changes_nothing () =
   let run () = lump_concrete () in
   let plain = run () in
   Trace.start ~gc:true ();
-  Metrics.set_enabled true;
-  let traced = run () in
+  let traced, c =
+    Counters.of_run [ "refiner.splitter_passes"; "key_cache.hits"; "key_cache.misses" ] run
+  in
   Trace.stop ();
-  Metrics.set_enabled false;
+  (* the instrumented run published the engine's counts *)
+  Alcotest.(check bool) "some passes happened" true (c "refiner.splitter_passes" > 0);
+  Alcotest.(check bool) "cache exercised" true
+    (c "key_cache.hits" + c "key_cache.misses" > 0);
   Alcotest.(check int) "same level count"
     (Array.length plain.Compositional.partitions)
     (Array.length traced.Compositional.partitions);
@@ -670,8 +641,6 @@ let tests =
     Alcotest.test_case "log buckets" `Quick test_log_buckets;
     Alcotest.test_case "metrics histograms" `Quick test_metrics_histograms;
     Alcotest.test_case "metrics JSON" `Quick test_metrics_json;
-    Alcotest.test_case "registry matches Refiner.stats" `Quick
-      test_metrics_match_refiner_stats;
     Alcotest.test_case "transient metrics pin" `Quick test_transient_metrics_pin;
     Alcotest.test_case "tracing changes no output" `Quick test_tracing_changes_nothing;
     Alcotest.test_case "logging levels" `Quick test_logging_levels;

@@ -5,6 +5,7 @@
 module Partition = Mdl_partition.Partition
 module Refiner = Mdl_partition.Refiner
 module Refiner_reference = Mdl_oracle.Refiner_reference
+module Metrics = Mdl_obs.Metrics
 
 let partition_testable = Alcotest.testable Partition.pp Partition.equal
 
@@ -130,8 +131,27 @@ let ranked_graph_spec ?gid_of edges n =
         (states, gids));
   }
 
-let refine_graph ?stats ?on_split edges n ~initial =
-  Refiner.comp_lumping_ranked ?stats ?on_split (ranked_graph_spec edges n) ~initial
+let refine_graph edges n ~initial =
+  Refiner.comp_lumping_ranked (ranked_graph_spec edges n) ~initial
+
+(* The engine's counters, as it publishes them into the registry under
+   [refiner.]. *)
+let refiner_counters =
+  [
+    "splitter_passes";
+    "key_evals";
+    "splits";
+    "blocks_created";
+    "largest_skips";
+    "counting_sort_passes";
+  ]
+
+(* Run [f] on a zeroed registry: its result, a reader of the refiner
+   counters (by their short names) and the largest key alphabet of any
+   ranked pass. *)
+let counted f =
+  let r, c = Counters.of_run (List.map (( ^ ) "refiner.") refiner_counters) f in
+  (r, (fun n -> c ("refiner." ^ n)), Metrics.gauge_value "refiner.intern_alphabet")
 
 let test_refiner_bisimulation_like () =
   (* 0 -> 1 -> 2 (sink), 3 -> 4 -> 2: states 0/3 and 1/4 should pair up. *)
@@ -236,67 +256,36 @@ let test_copy () =
   Alcotest.(check int) "copy untouched by split of original" 3 (Partition.num_classes q);
   Alcotest.(check int) "original refined" 3 (Partition.num_classes p)
 
-let test_on_split_trace () =
-  (* The split trace must report every actual split, parent id first,
-     and account exactly for the blocks the run created. *)
-  let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
-  let stats = Refiner.create_stats () in
-  let trace = ref [] in
-  let result =
-    refine_graph ~stats
-      ~on_split:(fun ~parent ~ids -> trace := (parent, ids) :: !trace)
-      edges 5 ~initial:(Partition.trivial 5)
-  in
-  Alcotest.(check bool) "some splits traced" true (!trace <> []);
-  Alcotest.(check int) "one callback per split" stats.Refiner.splits
-    (List.length !trace);
-  List.iter
-    (fun (parent, ids) ->
-      Alcotest.(check bool) "at least two sub-blocks" true (List.length ids >= 2);
-      Alcotest.(check int) "parent id listed first" parent (List.hd ids))
-    !trace;
-  Alcotest.(check int) "traced fresh ids = blocks_created"
-    stats.Refiner.blocks_created
-    (List.fold_left (fun acc (_, ids) -> acc + List.length ids - 1) 0 !trace);
-  (* every traced id is a class id of the final partition (ids are
-     stable once allocated) *)
-  List.iter
-    (fun (_, ids) ->
-      List.iter
-        (fun id ->
-          Alcotest.(check bool) "traced id valid" true
-            (id >= 0 && id < Partition.num_classes result))
-        ids)
-    !trace
-
 (* ---- worklist bookkeeping / stats instrumentation ---- *)
 
 let test_stats_all_discrete () =
   (* Discrete initial partition: nothing to split; every class is passed
      over as a splitter exactly once and no blocks are created. *)
   let n = 7 in
-  let stats = Refiner.create_stats () in
-  let result =
-    refine_graph ~stats [ (0, 1); (1, 2); (2, 3) ] n ~initial:(Partition.discrete n)
+  let result, c, _ =
+    counted (fun () ->
+        refine_graph [ (0, 1); (1, 2); (2, 3) ] n ~initial:(Partition.discrete n))
   in
   Alcotest.(check int) "still discrete" n (Partition.num_classes result);
-  Alcotest.(check int) "no splits" 0 stats.Refiner.splits;
-  Alcotest.(check int) "no blocks created" 0 stats.Refiner.blocks_created;
-  Alcotest.(check int) "one pass per initial class" n stats.Refiner.splitter_passes
+  Alcotest.(check int) "no splits" 0 (c "splits");
+  Alcotest.(check int) "no blocks created" 0 (c "blocks_created");
+  Alcotest.(check int) "one pass per initial class" n (c "splitter_passes")
 
 let test_stats_giant_class () =
   (* One giant class refined to the bisimulation fixed point; block
      accounting must balance: final = initial + blocks_created. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
-  let stats = Refiner.create_stats () in
-  let result = refine_graph ~stats edges 5 ~initial:(Partition.trivial 5) in
+  let result, c, _ =
+    counted (fun () -> refine_graph edges 5 ~initial:(Partition.trivial 5))
+  in
   Alcotest.(check int) "blocks_created = final - initial"
     (Partition.num_classes result - 1)
-    stats.Refiner.blocks_created;
-  Alcotest.(check bool) "some splits happened" true (stats.Refiner.splits > 0);
+    (c "blocks_created");
+  Alcotest.(check bool) "some splits happened" true (c "splits" > 0);
   Alcotest.(check bool) "splits <= blocks created" true
-    (stats.Refiner.splits <= stats.Refiner.blocks_created);
-  Alcotest.(check bool) "wall time recorded" true (stats.Refiner.wall_s >= 0.0)
+    (c "splits" <= c "blocks_created");
+  Alcotest.(check bool) "wall time recorded" true
+    (snd (Metrics.histogram_stats "refiner.run_seconds") >= 0.0)
 
 let test_stats_singleton_mixed () =
   (* Singletons mixed with a large class; largest-block skips only make
@@ -305,34 +294,14 @@ let test_stats_singleton_mixed () =
   let edges = [ (2, 0); (3, 0); (4, 1); (5, 1); (6, 0); (6, 1); (7, 0); (7, 1) ] in
   let spec = graph_spec edges n in
   let initial = Partition.of_class_assignment [| 1; 2; 0; 0; 0; 0; 0; 0 |] in
-  let stats = Refiner.create_stats () in
-  let result = refine_graph ~stats edges n ~initial in
+  let result, c, _ = counted (fun () -> refine_graph edges n ~initial) in
   Alcotest.(check bool) "stable" true (Refiner.is_stable spec result);
   Alcotest.(check int) "blocks_created = final - initial"
     (Partition.num_classes result - Partition.num_classes initial)
-    stats.Refiner.blocks_created;
+    (c "blocks_created");
   (* classes: {0} {1} {2,3} {4,5} {6,7} *)
   Alcotest.(check int) "fixed point" 5 (Partition.num_classes result);
-  Alcotest.(check bool) "key evaluations counted" true (stats.Refiner.key_evals > 0)
-
-let test_add_stats () =
-  let a = Refiner.create_stats () in
-  let b = Refiner.create_stats () in
-  a.Refiner.splits <- 2;
-  a.Refiner.wall_s <- 0.5;
-  a.Refiner.intern_keys <- 5;
-  b.Refiner.splits <- 3;
-  b.Refiner.key_evals <- 7;
-  b.Refiner.wall_s <- 0.25;
-  b.Refiner.intern_keys <- 3;
-  Refiner.add_stats a b;
-  Alcotest.(check int) "splits summed" 5 a.Refiner.splits;
-  Alcotest.(check int) "key_evals summed" 7 a.Refiner.key_evals;
-  Alcotest.(check (float 1e-9)) "wall summed" 0.75 a.Refiner.wall_s;
-  Alcotest.(check int) "intern_keys takes max" 5 a.Refiner.intern_keys;
-  b.Refiner.intern_keys <- 9;
-  Refiner.add_stats a b;
-  Alcotest.(check int) "intern_keys max updates" 9 a.Refiner.intern_keys
+  Alcotest.(check bool) "key evaluations counted" true (c "key_evals" > 0)
 
 (* ---- the two pipelines: ranked keys with counting sort, float keys ---- *)
 
@@ -361,12 +330,14 @@ let test_counting_sort_pipeline () =
      some passes and the comparison sort keep the rest, and the counters
      must say which. *)
   let n = 100 in
-  let stats = Refiner.create_stats () in
-  let p = refine_graph ~stats (counting_sort_edges n) n ~initial:(Partition.trivial n) in
-  Alcotest.(check bool) "counting sort fired" true (stats.Refiner.counting_sort_passes > 0);
+  let p, c, alphabet =
+    counted (fun () ->
+        refine_graph (counting_sort_edges n) n ~initial:(Partition.trivial n))
+  in
+  Alcotest.(check bool) "counting sort fired" true (c "counting_sort_passes" > 0);
   Alcotest.(check bool) "counting-sorted passes bounded by splitter passes" true
-    (stats.Refiner.counting_sort_passes <= stats.Refiner.splitter_passes);
-  Alcotest.(check bool) "alphabet recorded" true (stats.Refiner.intern_keys > 0);
+    (c "counting_sort_passes" <= c "splitter_passes");
+  Alcotest.(check bool) "alphabet recorded" true (alphabet > 0.0);
   Alcotest.(check bool) "stable" true
     (Refiner.is_stable (graph_spec (counting_sort_edges n) n) p)
 
@@ -375,37 +346,41 @@ let test_pipeline_counters () =
      its counting-sort passes and key alphabet, the float one neither. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
   let n = 5 in
-  let rnk_stats = Refiner.create_stats () in
-  let p_rnk = refine_graph ~stats:rnk_stats edges n ~initial:(Partition.trivial n) in
+  let p_rnk, rnk, rnk_alphabet =
+    counted (fun () -> refine_graph edges n ~initial:(Partition.trivial n))
+  in
   Alcotest.check partition_testable "ranked = reference"
     (Refiner_reference.comp_lumping (graph_spec edges n) ~initial:(Partition.trivial n))
     p_rnk;
-  Alcotest.(check bool) "ranked: passes counted" true (rnk_stats.Refiner.splitter_passes > 0);
+  Alcotest.(check bool) "ranked: passes counted" true (rnk "splitter_passes" > 0);
   Alcotest.(check bool) "ranked: counting sorts bounded" true
-    (rnk_stats.Refiner.counting_sort_passes <= rnk_stats.Refiner.splitter_passes);
-  Alcotest.(check bool) "ranked: alphabet recorded" true (rnk_stats.Refiner.intern_keys > 0);
+    (rnk "counting_sort_passes" <= rnk "splitter_passes");
+  Alcotest.(check bool) "ranked: alphabet recorded" true (rnk_alphabet > 0.0);
   let r =
     Mdl_sparse.Csr.of_triplets ~rows:4 ~cols:4
       [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0); (3, 0, 1.0) ]
   in
-  let flt_stats = Refiner.create_stats () in
-  ignore
-    (Refiner.comp_lumping_float ~stats:flt_stats
-       (Mdl_lumping.State_lumping.float_spec Ordinary r)
-       ~initial:(Partition.trivial 4));
-  Alcotest.(check bool) "float: passes counted" true (flt_stats.Refiner.splitter_passes > 0);
-  Alcotest.(check int) "float: no counting sort" 0 flt_stats.Refiner.counting_sort_passes;
-  Alcotest.(check int) "float: no key alphabet" 0 flt_stats.Refiner.intern_keys
+  let (), flt, flt_alphabet =
+    counted (fun () ->
+        ignore
+          (Refiner.comp_lumping_float
+             (Mdl_lumping.State_lumping.float_spec Ordinary r)
+             ~initial:(Partition.trivial 4)))
+  in
+  Alcotest.(check bool) "float: passes counted" true (flt "splitter_passes" > 0);
+  Alcotest.(check int) "float: no counting sort" 0 (flt "counting_sort_passes");
+  Alcotest.(check (float 0.0)) "float: no key alphabet" 0.0 flt_alphabet
 
 let test_ranked_pipeline () =
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
   let n = 5 in
   let initial = Partition.trivial n in
   let p_ref = Refiner_reference.comp_lumping (graph_spec edges n) ~initial in
-  let stats = Refiner.create_stats () in
-  let p_rnk = Refiner.comp_lumping_ranked ~stats (ranked_graph_spec edges n) ~initial in
+  let p_rnk, _, alphabet =
+    counted (fun () -> Refiner.comp_lumping_ranked (ranked_graph_spec edges n) ~initial)
+  in
   Alcotest.check partition_testable "ranked = reference" p_ref p_rnk;
-  Alcotest.(check bool) "alphabet recorded" true (stats.Refiner.intern_keys > 0);
+  Alcotest.(check bool) "alphabet recorded" true (alphabet > 0.0);
   Alcotest.check_raises "size mismatch"
     (Invalid_argument "Refiner.comp_lumping_ranked: partition size mismatch") (fun () ->
       ignore
@@ -417,13 +392,12 @@ let test_ranked_counting_sort () =
      the counting sort and still agree with the reference engine. *)
   let n = 100 in
   let edges = counting_sort_edges n in
-  let stats = Refiner.create_stats () in
-  let p_rnk = refine_graph ~stats edges n ~initial:(Partition.trivial n) in
+  let p_rnk, c, _ = counted (fun () -> refine_graph edges n ~initial:(Partition.trivial n)) in
   let p_ref =
     Refiner_reference.comp_lumping (graph_spec edges n) ~initial:(Partition.trivial n)
   in
   Alcotest.check partition_testable "ranked counting sort = reference" p_ref p_rnk;
-  Alcotest.(check bool) "counting sort fired" true (stats.Refiner.counting_sort_passes > 0)
+  Alcotest.(check bool) "counting sort fired" true (c "counting_sort_passes" > 0)
 
 (* ---- differential: both pipelines vs the preserved seed engine ---- *)
 
@@ -514,23 +488,12 @@ let qcheck_differential =
       (fun ((n, edges), salt) ->
         let initial = Partition.group_by n (fun i -> i mod 3) compare in
         let p_gen = Refiner_reference.comp_lumping (graph_spec edges n) ~initial in
-        let counters st =
-          Refiner.
-            ( st.splitter_passes,
-              st.key_evals,
-              st.splits,
-              st.blocks_created,
-              st.largest_skips,
-              st.counting_sort_passes,
-              st.intern_keys )
-        in
         let run ?gid_of () =
-          let stats = Refiner.create_stats () in
-          let p =
-            Refiner.comp_lumping_ranked ~stats (ranked_graph_spec ?gid_of edges n)
-              ~initial
+          let p, c, alphabet =
+            counted (fun () ->
+                Refiner.comp_lumping_ranked (ranked_graph_spec ?gid_of edges n) ~initial)
           in
-          (p, counters stats)
+          (p, (List.map c refiner_counters, alphabet))
         in
         let p_rnk, c_rnk = run () in
         let p_scr, c_scr = run ~gid_of:(fun k -> ((k * 7919) + salt) land 1023) () in
@@ -611,7 +574,6 @@ let tests =
     Alcotest.test_case "refine_class_by" `Quick test_refine_class_by;
     Alcotest.test_case "equal" `Quick test_equal;
     Alcotest.test_case "copy" `Quick test_copy;
-    Alcotest.test_case "on_split trace" `Quick test_on_split_trace;
     Alcotest.test_case "refiner bisimulation-like" `Quick test_refiner_bisimulation_like;
     Alcotest.test_case "refiner respects initial" `Quick test_refiner_respects_initial;
     Alcotest.test_case "refiner size mismatch" `Quick test_refiner_size_mismatch;
@@ -621,7 +583,6 @@ let tests =
     Alcotest.test_case "stats: all-discrete initial" `Quick test_stats_all_discrete;
     Alcotest.test_case "stats: one giant class" `Quick test_stats_giant_class;
     Alcotest.test_case "stats: singletons + large class" `Quick test_stats_singleton_mixed;
-    Alcotest.test_case "stats: add_stats" `Quick test_add_stats;
     Alcotest.test_case "counting-sort threshold" `Quick test_use_counting_sort_threshold;
     Alcotest.test_case "counting-sort pipeline" `Quick test_counting_sort_pipeline;
     Alcotest.test_case "per-pipeline counters" `Quick test_pipeline_counters;

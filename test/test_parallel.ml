@@ -61,23 +61,27 @@ let lump_inputs mode md =
   in
   (rewards, Decomposed.constant ~sizes 1.0)
 
+(* The counts a lump leaves in the registry; a parallel run must leave
+   exactly the same ones. *)
+let lump_counters =
+  [
+    "refiner.splitter_passes";
+    "refiner.key_evals";
+    "refiner.splits";
+    "refiner.blocks_created";
+    "key_cache.hits";
+    "key_cache.misses";
+    "rebuild.nodes_rebuilt";
+    "rebuild.nodes_reused";
+  ]
+
 let lump_with ?pool ?par_threshold mode md =
   let rewards, initial = lump_inputs mode md in
-  let stats = Refiner.create_stats () in
-  let r = Compositional.lump ~stats ?pool ?par_threshold mode md ~rewards ~initial in
-  (r, stats)
-
-let counters s =
-  [
-    ("splitter_passes", s.Refiner.splitter_passes);
-    ("key_evals", s.Refiner.key_evals);
-    ("splits", s.Refiner.splits);
-    ("blocks_created", s.Refiner.blocks_created);
-    ("cache_hits", s.Refiner.cache_hits);
-    ("cache_misses", s.Refiner.cache_misses);
-    ("nodes_rebuilt", s.Refiner.nodes_rebuilt);
-    ("nodes_reused", s.Refiner.nodes_reused);
-  ]
+  let r, c =
+    Counters.of_run lump_counters (fun () ->
+        Compositional.lump ?pool ?par_threshold mode md ~rewards ~initial)
+  in
+  (r, List.map (fun n -> (n, c n)) lump_counters)
 
 let differential_lump mode spec =
   let md = Gen_md.of_spec spec in
@@ -106,7 +110,7 @@ let differential_lump mode spec =
         (fun (name, seq) (_, par) ->
           if seq <> par then
             QCheck.Test.fail_reportf "%d domains: %s %d, sequential %d" d name par seq)
-        (counters s_seq) (counters s_par))
+        s_seq s_par)
     pool_sizes;
   true
 
@@ -231,7 +235,7 @@ let test_trace_fallback_identical () =
     (Md.equal r_seq.Compositional.lumped r_tr.Compositional.lumped);
   List.iter2
     (fun (name, a) (_, b) -> Alcotest.(check int) name a b)
-    (counters s_seq) (counters s_tr)
+    s_seq s_tr
 
 (* ----- Domain_pool ----- *)
 
@@ -437,20 +441,24 @@ let test_key_cache_fork () =
   let node = List.hd (Md.live_nodes md).(0) in
   let slice = identity_slice (Md.size md 1) in
   let eval c = Key_cache.splitter_keys c Local_key.Formal_sums State_lumping.Ordinary ~node slice in
-  let states, gids = eval kc in
+  let counted f = Counters.of_run [ "key_cache.hits"; "key_cache.misses" ] f in
+  let (states, gids), parent = counted (fun () -> eval kc) in
+  Alcotest.(check int) "parent first call is a miss" 1 (parent "key_cache.misses");
   let gid_count = Key_cache.gid_count kc in
-  let fork = Key_cache.fork kc in
-  Alcotest.(check int) "fork starts with zero hits" 0 (Key_cache.hits fork);
-  Alcotest.(check int) "fork starts with zero misses" 0 (Key_cache.misses fork);
+  let fork, forking = counted (fun () -> Key_cache.fork kc) in
+  Alcotest.(check int) "fork starts with zero hits" 0 (forking "key_cache.hits");
+  Alcotest.(check int) "fork starts with zero misses" 0 (forking "key_cache.misses");
   (* The fork's rows memo is fresh (first call misses), but it interns
      into the SAME gid table — equal keys get the parent's gids and no
      new ids are allocated. *)
-  let fstates, fgids = eval fork in
-  Alcotest.(check int) "fork first call is a miss" 1 (Key_cache.misses fork);
+  let (fstates, fgids), first = counted (fun () -> eval fork) in
+  Alcotest.(check int) "fork first call is a miss" 1 (first "key_cache.misses");
   Alcotest.(check bool) "fork returns the parent's states" true (states = fstates);
   Alcotest.(check bool) "fork returns the parent's gids" true (gids = fgids);
   Alcotest.(check int) "no new gids allocated" gid_count (Key_cache.gid_count fork);
-  Alcotest.(check int) "parent counters untouched by the fork" 1 (Key_cache.misses kc)
+  (* The parent's memo is its own: the fork's miss left it warm. *)
+  let _, again = counted (fun () -> eval kc) in
+  Alcotest.(check int) "parent memo untouched by the fork" 1 (again "key_cache.hits")
 
 let test_eval_keys_matches_splitter_keys () =
   let md = Gen_md.of_spec kron_spec in
@@ -550,17 +558,6 @@ let test_differential_chain_exact =
 
 (* ----- ranked pipeline: the sharded class fill ----- *)
 
-let ranked_counters s =
-  [
-    ("splitter_passes", s.Refiner.splitter_passes);
-    ("key_evals", s.Refiner.key_evals);
-    ("splits", s.Refiner.splits);
-    ("blocks_created", s.Refiner.blocks_created);
-    ("largest_skips", s.Refiner.largest_skips);
-    ("counting_sort_passes", s.Refiner.counting_sort_passes);
-    ("intern_keys", s.Refiner.intern_keys);
-  ]
-
 (* [comp_lumping_ranked] with a pool fills each pass's class slots on
    the pool's domains once the pass has [par_threshold] pairs.  With the
    threshold at 1 every pass takes that path; the partition (class ids
@@ -583,13 +580,15 @@ let test_ranked_sharded_fill =
     (QCheck.make ~print gen) (fun (n, edges) ->
       let initial = Partition.group_by n (fun i -> i mod 3) compare in
       let run ?pool () =
-        let stats = Refiner.create_stats () in
-        let p =
-          Refiner.comp_lumping_ranked ~stats ?pool ~par_threshold:1
-            (Suite_partition.ranked_graph_spec edges n)
-            ~initial
+        let p, c, alphabet =
+          Suite_partition.counted (fun () ->
+              Refiner.comp_lumping_ranked ?pool ~par_threshold:1
+                (Suite_partition.ranked_graph_spec edges n)
+                ~initial)
         in
-        (Partition.to_class_assignment p, ranked_counters stats)
+        ( Partition.to_class_assignment p,
+          List.map (fun n -> (n, c n)) Suite_partition.refiner_counters
+          @ [ ("intern_alphabet", int_of_float alphabet) ] )
       in
       let seq = run () in
       List.iter
