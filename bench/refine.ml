@@ -353,28 +353,23 @@ let run_solvers ~repeats sc ~r_mem ~lumped_ss =
 
 (* ---- batched sweep race ---- *)
 
-(* The catalogue's sweep study over one scenario (its complement
-   indicator is the deterministic cross-bind fixture [run_sweep]
-   gates on). *)
-let sweep_specs sc ~points =
-  List.map
-    (fun thresholds ->
-      {
-        Compositional.sweep_rewards = Family.point_rewards sc.built thresholds;
-        sweep_initial = sc.built.initial;
-      })
-    (Family.sweep_study sc.built.md ~points)
+(* The reward lists of the catalogue's sweep study over one scenario
+   (its complement indicator is the deterministic cross-bind fixture
+   [run_sweep] gates on); every point keeps the scenario's initial
+   distribution. *)
+let sweep_rewards sc ~points =
+  List.map (Family.point_rewards sc.built) (Family.sweep_study sc.built.md ~points)
 
 let run_sweep ~repeats sc =
   let npoints = 10 in
-  let specs = sweep_specs sc ~points:npoints in
+  let specs = sweep_rewards sc ~points:npoints in
   (* Independent per-point baseline: what a caller pays today — one
      [Compositional.lump] per point over a shared plain cache (rebound
      per run, rows wiped, intern table warm). *)
   let oneshot_cache = Mdl_core.Key_cache.create () in
-  let oneshot spec () =
+  let oneshot rewards () =
     Compositional.lump ~cache:oneshot_cache Mdl_lumping.State_lumping.Ordinary sc.built.md
-      ~rewards:spec.Compositional.sweep_rewards ~initial:spec.Compositional.sweep_initial
+      ~rewards ~initial:sc.built.initial
   in
   let oneshot_raced = List.map (fun spec -> min_time ~repeats (oneshot spec)) specs in
   let oneshot_results = List.map fst oneshot_raced in
@@ -389,12 +384,10 @@ let run_sweep ~repeats sc =
     let sw = Compositional.sweep_create Mdl_lumping.State_lumping.Ordinary sc.built.md in
     let results =
       List.mapi
-        (fun i spec ->
+        (fun i rewards ->
           let r, s =
             Mdl_util.Timer.time (fun () ->
-                Compositional.sweep_point sw
-                  ~rewards:spec.Compositional.sweep_rewards
-                  ~initial:spec.Compositional.sweep_initial)
+                Compositional.sweep_point sw ~rewards ~initial:sc.built.initial)
           in
           times.(i) <- Float.min times.(i) s;
           r)
@@ -422,14 +415,14 @@ let run_sweep ~repeats sc =
     results oneshot_results;
   (* Measure agreement: steady-state reward measures of each point's
      lumped chain, sweep result vs one-shot result. *)
-  let measures r spec =
+  let measures r rewards =
     let lumped_ss = Compositional.lump_statespace r sc.built.statespace in
     let pi, _ = Md_solve.solve Solver.Power r.Compositional.lumped lumped_ss in
     List.map
       (fun d ->
         Solver.expected_reward pi
           (Decomposed.to_vector (Compositional.lumped_rewards r d) lumped_ss))
-      spec.Compositional.sweep_rewards
+      rewards
   in
   let max_measure_delta =
     List.fold_left2
@@ -511,7 +504,7 @@ let run_sweep ~repeats sc =
    both responses' per-point lumped shapes must agree exactly. *)
 let run_serve sc =
   let npoints = 10 in
-  (* [sweep_specs]' study on the wire, including the complement
+  (* [sweep_rewards]' study on the wire, including the complement
      indicator that forces cross-bind store lookups. *)
   let spec { Family.level; ge; k } = { Proto.ind_level = level; ind_ge = ge; ind_k = k } in
   let points =

@@ -6,12 +6,12 @@
    Every point lumps the SAME matrix diagram under a different reward
    family — the paper's headline workflow (Section 6): a parameter
    study re-lumps and re-solves many times, and nearly all splitter-key
-   column walks recur between nearby points.  [Compositional.lump_sweep]
-   batches the whole study through one engine whose caches survive
-   across points (the key cache's content-keyed row store, the
-   per-level fixed-point memo, the rebuild memo), bit-identical to an
-   independent [Compositional.lump] per point but several times faster
-   once warm.
+   column walks recur between nearby points.  The sweep engine
+   ([Compositional.sweep_create], then one [sweep_point] per point)
+   batches the whole study through caches that survive across points
+   (the key cache's content-keyed row store, the per-level fixed-point
+   memo, the rebuild memo), bit-identical to an independent
+   [Compositional.lump] per point but several times faster once warm.
 
    Run with: dune exec examples/sensitivity.exe [-- J] *)
 
@@ -53,16 +53,7 @@ let () =
     Decomposed.of_level ~sizes ~level (fun s -> if s >= k then 1.0 else 0.0)
   in
   let base = [ b.Tandem.rewards_availability ] in
-  let specs =
-    { Compositional.sweep_rewards = base; sweep_initial = b.Tandem.initial }
-    :: List.map
-         (fun k ->
-           {
-             Compositional.sweep_rewards = indicator k :: base;
-             sweep_initial = b.Tandem.initial;
-           })
-         ks
-  in
+  let specs = base :: List.map (fun k -> indicator k :: base) ks in
   let npoints = List.length specs in
   Printf.printf "tandem (J=%d), %d states, sweeping %d reward specifications\n" jobs
     (Statespace.size ss) npoints;
@@ -71,7 +62,10 @@ let () =
      without the shared engine. *)
   let results, sweep_s =
     Mdl_util.Timer.time (fun () ->
-        Compositional.lump_sweep Mdl_lumping.State_lumping.Ordinary md ~points:specs)
+        let sw = Compositional.sweep_create Mdl_lumping.State_lumping.Ordinary md in
+        List.map
+          (fun rewards -> Compositional.sweep_point sw ~rewards ~initial:b.Tandem.initial)
+          specs)
   in
   let _, cold_s =
     Mdl_util.Timer.time (fun () ->
@@ -84,7 +78,7 @@ let () =
   Printf.printf "%-14s %-10s %-14s %-14s %s\n" "point" "lumped" "P[s>=k]"
     "availability" "solve";
   List.iter2
-    (fun (label, spec) r ->
+    (fun (label, rewards) r ->
       let lumped_ss = Compositional.lump_statespace r ss in
       assert (Compositional.is_closed r ss);
       let (pi, stats), solve_s =
@@ -97,7 +91,7 @@ let () =
           (Decomposed.to_vector (Compositional.lumped_rewards r d) lumped_ss)
       in
       let tail =
-        match spec.Compositional.sweep_rewards with
+        match rewards with
         | [ ind; _ ] -> Printf.sprintf "%.8f" (measure ind)
         | _ -> "-"
       in

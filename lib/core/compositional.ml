@@ -223,11 +223,6 @@ let lump_with_partitions ?pool ?par_threshold mode md partitions =
 (* ------------------------------------------------------------------ *)
 (* The lumping engine: one diagram, one or many reward/initial points. *)
 
-type sweep_spec = {
-  sweep_rewards : Decomposed.t list;
-  sweep_initial : Decomposed.t;
-}
-
 type sweep_stats = {
   points : int;
   level_fixpoints : int;
@@ -243,7 +238,6 @@ type sweep_stats = {
 type sweep = {
   sw_mode : Mdl_lumping.State_lumping.mode;
   sw_md : Md.t;
-  sw_eps : float option;
   sw_key : Local_key.choice;
   sw_cache : Key_cache.t;
   sw_pool : Domain_pool.t option;
@@ -257,15 +251,13 @@ type sweep = {
   mutable sw_level_reused : int;
   mutable sw_rebuilds : int;
   mutable sw_rebuilds_reused : int;
-  sw_cross0 : int; (* cache cross-bind counter at engine creation *)
 }
 
-let engine ?eps ?(key = Local_key.Formal_sums) ?cache ?pool ?par_threshold mode md =
+let engine ?(key = Local_key.Formal_sums) ?cache ?pool ?par_threshold mode md =
   let cache = match cache with Some c -> c | None -> Key_cache.create () in
   {
     sw_mode = mode;
     sw_md = md;
-    sw_eps = eps;
     sw_key = key;
     sw_cache = cache;
     sw_pool = pool;
@@ -277,7 +269,6 @@ let engine ?eps ?(key = Local_key.Formal_sums) ?cache ?pool ?par_threshold mode 
     sw_level_reused = 0;
     sw_rebuilds = 0;
     sw_rebuilds_reused = 0;
-    sw_cross0 = Key_cache.cross_bind_hits cache;
   }
 
 (* One flat int array capturing a partition completely — class order,
@@ -327,7 +318,7 @@ type level_outcome = {
    in.  A [Trace.Ctx] is single-owner, so traced runs keep levels
    sequential (intra-level sharding never emits spans and stays on). *)
 let run_point sw ~rewards ~initial =
-  let md = sw.sw_md and mode = sw.sw_mode and eps = sw.sw_eps in
+  let md = sw.sw_md and mode = sw.sw_mode in
   let nlevels = Md.levels md in
   (* Rebinding retires the memoised rows (an epoch bump on a persistent
      cache, a wipe otherwise): per-bind entries are only sound within
@@ -337,13 +328,13 @@ let run_point sw ~rewards ~initial =
      here instead of deep inside a splitter pass.  Arming the pool (or
      disarming it, so a reused cache never keeps a stale one) reaches
      intra-node splitter-key sharding; forks inherit the setting. *)
-  Key_cache.bind ?eps ~choice:sw.sw_key ~mode sw.sw_cache md;
+  Key_cache.bind ~choice:sw.sw_key ~mode sw.sw_cache md;
   Key_cache.set_pool ?par_threshold:sw.sw_par_threshold sw.sw_cache sw.sw_pool;
   let level_work cache i =
     let level = i + 1 in
     let p_ini =
       Trace.with_span ~cat:"lump" "lump.initial_partition" (fun () ->
-          Level_lumping.initial_partition ?eps mode md ~level ~rewards ~initial)
+          Level_lumping.initial_partition mode md ~level ~rewards ~initial)
     in
     let memo_key = (level, layout_key p_ini) in
     match Hashtbl.find_opt sw.sw_level_memo memo_key with
@@ -361,8 +352,8 @@ let run_point sw ~rewards ~initial =
         { p_ini; memo_key; final; refined = false }
     | None ->
         let final =
-          Level_lumping.comp_lumping_level ?eps ~key:sw.sw_key ~cache ?pool:sw.sw_pool mode
-            md ~level ~initial:p_ini
+          Level_lumping.comp_lumping_level ~key:sw.sw_key ~cache ?pool:sw.sw_pool mode md
+            ~level ~initial:p_ini
         in
         { p_ini; memo_key; final; refined = true }
   in
@@ -434,9 +425,9 @@ let run_point sw ~rewards ~initial =
       Hashtbl.add sw.sw_rebuild_memo rebuild_key r.lumped;
       r
 
-let lump ?eps ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial =
+let lump ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial =
   Metrics.incr c_lumps;
-  let sw = engine ?eps ?key ?cache ?pool ?par_threshold mode md in
+  let sw = engine ?key ?cache ?pool ?par_threshold mode md in
   if not (Trace.enabled ()) then run_point sw ~rewards ~initial
   else
     Trace.with_span ~cat:"lump"
@@ -444,13 +435,10 @@ let lump ?eps ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial =
       "lump"
       (fun () -> run_point sw ~rewards ~initial)
 
-let sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md =
-  let sw = engine ?eps ?key ?cache ?pool ?par_threshold mode md in
-  (* Persistence is what carries splitter rows across points; binding
-     now records the configuration, so a mismatched shared cache fails
-     at creation rather than at the first point. *)
+let sweep_create ?pool ?par_threshold mode md =
+  let sw = engine ?pool ?par_threshold mode md in
+  (* Persistence is what carries splitter rows across points. *)
   Key_cache.set_persistent sw.sw_cache true;
-  Key_cache.bind ?eps ~choice:sw.sw_key ~mode sw.sw_cache md;
   sw
 
 let sweep_point sw ~rewards ~initial =
@@ -495,17 +483,10 @@ let sweep_stats sw =
     level_reused = sw.sw_level_reused;
     rebuilds = sw.sw_rebuilds;
     rebuilds_reused = sw.sw_rebuilds_reused;
-    cross_bind_hits = Key_cache.cross_bind_hits sw.sw_cache - sw.sw_cross0;
+    cross_bind_hits = Key_cache.cross_bind_hits sw.sw_cache;
   }
 
 let sweep_cache sw = sw.sw_cache
-
-let lump_sweep ?eps ?key ?cache ?pool ?par_threshold mode md ~points =
-  let sw = sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md in
-  List.map
-    (fun { sweep_rewards; sweep_initial } ->
-      sweep_point sw ~rewards:sweep_rewards ~initial:sweep_initial)
-    points
 
 let class_tuple r s =
   if Array.length s <> Array.length r.partitions then

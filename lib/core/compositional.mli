@@ -29,7 +29,6 @@ type result = {
     [add_node] effects on the store. *)
 
 val lump :
-  ?eps:float ->
   ?key:Local_key.choice ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
@@ -54,12 +53,15 @@ val lump :
     code as {!sweep_point}, with a plain (non-persistent) cache and
     empty memos.  Pass [cache] to share one cache (and its hot gid
     table) across several lump calls — e.g. a bench sweep; the cache is
-    (re)bound to [md] at the start of the run, which discards its
-    memoised rows (a persistent cache keeps its content-keyed store)
-    but keeps the interned-key storage.  The oracle library's reference
-    lumper recomputes the same partitions and an [Md.equal] diagram
-    with none of this machinery (pinned by the differential property
-    tests and by [bin/fuzz]).
+    (re)bound to [md] under [key] and [mode] at the start of the run,
+    which discards its memoised rows (a persistent cache keeps its
+    content-keyed store) but keeps the interned-key storage, and raises
+    [Invalid_argument] if the cache was first bound under another key
+    choice or mode.  Float keys and initial-partition factors are
+    compared on the one grid {!Mdl_util.Floatx.default_eps}.  The
+    oracle library's reference lumper recomputes the same partitions
+    and an [Md.equal] diagram with none of this machinery (pinned by
+    the differential property tests and by [bin/fuzz]).
 
     [pool] runs the pipeline data-parallel on a {!Mdl_util.Domain_pool}:
     levels refine concurrently (each level runs the untouched sequential
@@ -132,13 +134,7 @@ val lump_with_partitions :
     property suite. *)
 
 type sweep
-(** A sweep engine bound to one diagram, mode and configuration. *)
-
-type sweep_spec = {
-  sweep_rewards : Decomposed.t list;  (** rewards of this point (ordinary mode) *)
-  sweep_initial : Decomposed.t;  (** initial distribution (exact mode) *)
-}
-(** One sweep point: the [rewards]/[initial] pair {!lump} takes. *)
+(** A sweep engine bound to one diagram and lumping mode. *)
 
 type sweep_stats = {
   points : int;  (** points run so far *)
@@ -152,21 +148,20 @@ type sweep_stats = {
 }
 
 val sweep_create :
-  ?eps:float ->
-  ?key:Local_key.choice ->
-  ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
   Mdl_lumping.State_lumping.mode ->
   Mdl_md.Md.t ->
   sweep
-(** An engine over [md].  [cache] (default: a fresh one) is switched to
-    persistent mode and bound to [md] with the engine's configuration —
-    which records [(eps, key, mode)] in the cache, so sharing it with a
-    differently-configured run raises [Invalid_argument].  [pool] and
-    [par_threshold] parallelise each point exactly as in {!lump}
-    (memo-missing levels refine concurrently on cache forks; forks
-    publish to the shared store, so their work persists). *)
+(** An engine over [md] with the paper's key choice
+    ({!Local_key.Formal_sums}) and a fresh cache of its own in
+    persistent mode.  [pool] and [par_threshold] parallelise each point
+    exactly as in {!lump} (memo-missing levels refine concurrently on
+    cache forks; forks publish to the shared store, so their work
+    persists).  Mapping {!sweep_point} over a list of points is the
+    batched equivalent of mapping {!lump} over it: bit-identical, and
+    typically several times faster per point once warm (see the
+    [sweeps] section of BENCH_refine.json and [lumpmd sweep]). *)
 
 val sweep_point :
   sweep ->
@@ -186,30 +181,12 @@ val sweep_point :
     counters when metrics are on. *)
 
 val sweep_stats : sweep -> sweep_stats
-(** Cumulative reuse counters of this engine ([cross_bind_hits] as a
-    delta since engine creation, so a pre-warmed shared cache does not
-    inflate it).  [lumpd] reports these for each warm model; the
-    registry's [sweep.*] counters are their sum over every engine in the
-    process. *)
+(** Cumulative reuse counters of this engine.  [lumpd] reports these
+    for each warm model; the registry's [sweep.*] counters are their sum
+    over every engine in the process. *)
 
 val sweep_cache : sweep -> Key_cache.t
 (** The engine's cache — e.g. to inspect {!Key_cache.store_size}. *)
-
-val lump_sweep :
-  ?eps:float ->
-  ?key:Local_key.choice ->
-  ?cache:Key_cache.t ->
-  ?pool:Mdl_util.Domain_pool.t ->
-  ?par_threshold:int ->
-  Mdl_lumping.State_lumping.mode ->
-  Mdl_md.Md.t ->
-  points:sweep_spec list ->
-  result list
-(** [lump_sweep mode md ~points] runs every point through one fresh
-    engine, in order — the batched equivalent of mapping {!lump} over
-    [points], bit-identical to it and typically several times faster
-    per point once warm (see the [sweeps] section of BENCH_refine.json
-    and [lumpmd sweep]). *)
 
 val class_tuple : result -> int array -> int array
 (** Map a global state to its class tuple (the corresponding state of

@@ -1,5 +1,4 @@
 module Md = Mdl_md.Md
-module Floatx = Mdl_util.Floatx
 module Hashx = Mdl_util.Hashx
 module Metrics = Mdl_obs.Metrics
 module Timer = Mdl_util.Timer
@@ -44,19 +43,19 @@ let m_miss_rows =
 type rows_key = int (* node, member, class size *)
 
 (* The lumping configuration a cache's rows were computed under.  Rows
-   are a pure function of (diagram, node, members, eps, choice, mode);
-   the diagram is pinned by [bind] and the members by the row identity,
-   so recording the remaining three at first use turns the documented
-   "keep them fixed" contract into a checked one. *)
+   are a pure function of (diagram, node, members, choice, mode) on the
+   one quantization grid; the diagram is pinned by [bind] and the
+   members by the row identity, so recording the remaining two at the
+   first bind turns the documented "keep them fixed" contract into a
+   checked one, and lookups read them instead of taking them. *)
 type config = {
-  cfg_eps : float;
   cfg_choice : Local_key.choice;
   cfg_mode : Mdl_lumping.State_lumping.mode;
 }
 
 let config_mismatch =
-  "Key_cache: eps / key choice / lumping mode differ from the configuration recorded \
-   at this cache's first use (use a fresh cache per configuration)"
+  "Key_cache: key choice / lumping mode differ from the configuration recorded at \
+   this cache's first bind (use a fresh cache per configuration)"
 
 (* State shared by reference between a cache and every [fork] of it —
    all of it domain-safe.  [table] is the *global* intern table:
@@ -73,7 +72,7 @@ type shared = {
   sig_table : int array Gid_table.t; (* splitter-class member sequence -> csig *)
   store : (int * int, int * (int array * int array)) Shard_map.t;
       (* (node, csig) -> birth epoch, (states, gids) *)
-  config : config option Atomic.t; (* recorded at first bind/lookup *)
+  mutable config : config option; (* recorded by the first bind *)
   cross_bind_hits : int Atomic.t;
 }
 
@@ -109,7 +108,7 @@ let create () =
         table = Gid_table.create ~hash:Local_key.hash ~equal:Local_key.equal ();
         sig_table = Gid_table.create ~hash:Hashx.int_array ~equal:int_array_equal ();
         store = Shard_map.create ~hash:int_pair_hash ~equal:int_pair_equal ();
-        config = Atomic.make None;
+        config = None;
         cross_bind_hits = Atomic.make 0;
       };
     md = None;
@@ -167,35 +166,17 @@ let cross_bind_hits t = Atomic.get t.shared.cross_bind_hits
 
 let epoch t = t.epoch
 
-(* Record-or-check the lumping configuration.  The CAS publishes the
-   first configuration exactly once; racing recorders of an equal
-   configuration both succeed (one CAS wins, the other falls through to
-   the check and passes). *)
-let check_config t eps choice mode =
-  let eff_eps = match eps with Some e -> e | None -> Floatx.default_eps in
-  match Atomic.get t.shared.config with
+(* Record-or-check the lumping configuration.  The one write is the
+   first [bind], on the domain that owns the cache and before any fork
+   of it exists; forks only read the field, so it needs no atomic. *)
+let check_config t choice mode =
+  match t.shared.config with
   | Some c ->
-      if
-        not
-          (Float.equal c.cfg_eps eff_eps && c.cfg_choice = choice && c.cfg_mode = mode)
-      then invalid_arg config_mismatch
-  | None ->
-      let cfg = Some { cfg_eps = eff_eps; cfg_choice = choice; cfg_mode = mode } in
-      if not (Atomic.compare_and_set t.shared.config None cfg) then begin
-        match Atomic.get t.shared.config with
-        | Some c ->
-            if
-              not
-                (Float.equal c.cfg_eps eff_eps && c.cfg_choice = choice
-               && c.cfg_mode = mode)
-            then invalid_arg config_mismatch
-        | None -> assert false
-      end
+      if c.cfg_choice <> choice || c.cfg_mode <> mode then invalid_arg config_mismatch
+  | None -> t.shared.config <- Some { cfg_choice = choice; cfg_mode = mode }
 
-let bind ?eps ?choice ?mode t md =
-  (match (choice, mode) with
-  | Some ch, Some mo -> check_config t eps ch mo
-  | _ -> ());
+let bind ~choice ~mode t md =
+  check_config t choice mode;
   match t.md with
   | Some prev when prev == md ->
       (* Same diagram: in persistent mode the rebind is a cheap epoch
@@ -218,7 +199,9 @@ let bind ?eps ?choice ?mode t md =
       t.dim <- 1 + Array.fold_left max 0 (Md.sizes md);
       t.ctx <- Some (Local_key.make_context md)
 
-let bound_md t = t.md
+let bound_md ~choice ~mode t =
+  (match t.md with Some _ -> check_config t choice mode | None -> ());
+  t.md
 
 let context t =
   match t.ctx with
@@ -229,12 +212,16 @@ let gid_count t = Gid_table.size t.shared.table
 
 let store_size t = Shard_map.size t.shared.store
 
-let eval_rows ?eps ?skip t choice mode node slice =
+(* A bound cache always has a recorded configuration: [bind] records it
+   before it sets the context. *)
+let eval_rows ?skip t node slice =
+  let ctx = context t in
+  let { cfg_choice; cfg_mode } = Option.get t.shared.config in
   let metered = Metrics.enabled () in
   let t0 = if metered then Timer.now_ns () else 0L in
   let states, keys =
-    Local_key.eval_keys ?eps ?skip ?pool:t.pool ~par_threshold:t.par_threshold
-      (context t) choice mode node slice
+    Local_key.eval_keys ?skip ?pool:t.pool ~par_threshold:t.par_threshold ctx cfg_choice
+      cfg_mode node slice
   in
   let gids = Array.map (fun k -> Gid_table.intern t.shared.table k) keys in
   if metered then begin
@@ -244,8 +231,7 @@ let eval_rows ?eps ?skip t choice mode node slice =
   end;
   (states, gids)
 
-let splitter_keys ?eps ?skip t choice mode ~node ((perm, first, len) as slice) =
-  check_config t eps choice mode;
+let splitter_keys ?skip t ~node ((perm, first, len) as slice) =
   let key = (((node * t.dim) + perm.(first)) * t.dim) + len in
   match Hashtbl.find_opt t.rows key with
   | Some (ep, rows) when ep = t.epoch ->
@@ -255,7 +241,7 @@ let splitter_keys ?eps ?skip t choice mode ~node ((perm, first, len) as slice) =
       rows
   | _ when not t.persistent ->
       Metrics.incr c_misses;
-      let rows = eval_rows ?eps ?skip t choice mode node slice in
+      let rows = eval_rows ?skip t node slice in
       Hashtbl.replace t.rows key (t.epoch, rows);
       rows
   | _ ->
@@ -281,7 +267,7 @@ let splitter_keys ?eps ?skip t choice mode ~node ((perm, first, len) as slice) =
           rows
       | None ->
           Metrics.incr c_misses;
-          let rows = eval_rows ?eps ?skip:None t choice mode node slice in
+          let rows = eval_rows t node slice in
           (* First-writer-wins keeps concurrent domains agreeing on one
              published row list (they compute equal ones — the store key
              pins the full evaluation). *)

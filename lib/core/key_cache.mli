@@ -1,6 +1,7 @@
 (** Memoisation of splitter-key evaluation across the refinement passes
     of {!Compositional.lump} — and, in {e persistent} mode, across the
-    points of a whole parameter sweep ({!Compositional.lump_sweep}).
+    points of a whole parameter sweep (the sweep engine,
+    {!Compositional.sweep_create}).
 
     The fixed-point iteration of [CompLumpingLevel] (Figure 3(a))
     re-walks every live node's rows once per splitter class {e per
@@ -74,14 +75,16 @@
 
     {b Checked contract.}  Callers must {!bind} before lookup and
     re-{!bind} whenever a new (or restarted) refinement over a diagram
-    begins.  The remaining free parameters of a row — [eps], key
-    [choice], lumping [mode] — are recorded on first use and every later
-    {!bind} or {!splitter_keys} with different values raises
+    begins.  The remaining free parameters of a row — key [choice] and
+    lumping [mode] — are recorded by the first {!bind}, and every later
+    {!bind} (or {!bound_md} query) under different values raises
     [Invalid_argument] instead of silently serving rows computed under
-    another configuration.  {!Compositional.lump} binds automatically
-    (with its configuration) at the start of every run; sharing one
-    cache across a sweep of models is then safe and keeps the intern
-    table hot.
+    another configuration.  Lookups take neither: {!splitter_keys} reads
+    them from the cache.  Every key is quantized onto the one grid,
+    {!Mdl_util.Floatx.default_eps}, so no tolerance is recorded.
+    {!Compositional.lump} binds automatically (with its configuration)
+    at the start of every run; sharing one cache across a sweep of
+    models is then safe and keeps the intern table hot.
 
     {b Counters.}  Every lookup counts into the {!Mdl_obs.Metrics}
     registry (while it is enabled) as [key_cache.hits] or
@@ -96,13 +99,13 @@ val create : unit -> t
     no recorded configuration. *)
 
 val bind :
-  ?eps:float ->
-  ?choice:Local_key.choice ->
-  ?mode:Mdl_lumping.State_lumping.mode ->
+  choice:Local_key.choice ->
+  mode:Mdl_lumping.State_lumping.mode ->
   t ->
   Mdl_md.Md.t ->
   unit
-(** [bind t md] prepares [t] for one lumping run over [md].  Without
+(** [bind ~choice ~mode t md] prepares [t] for one lumping run over
+    [md] under key [choice] and lumping [mode].  Without
     persistence it discards all memoised rows (they are only sound
     within one monotone run); in persistent mode a same-diagram rebind
     just bumps the epoch and keeps the content-keyed store warm, while
@@ -110,14 +113,18 @@ val bind :
     intern tables' storage and the flattening context (when [md] is
     physically the diagram already bound) always survive.
 
-    When both [choice] and [mode] are given, the configuration
-    [(eps, choice, mode)] — [eps] defaulting to
-    {!Mdl_util.Floatx.default_eps} — is recorded on first use and
-    checked on every later one.
+    The first bind records [(choice, mode)]; every later one checks it.
     @raise Invalid_argument on a configuration mismatch. *)
 
-val bound_md : t -> Mdl_md.Md.t option
-(** The diagram the cache is currently bound to, if any. *)
+val bound_md :
+  choice:Local_key.choice ->
+  mode:Mdl_lumping.State_lumping.mode ->
+  t ->
+  Mdl_md.Md.t option
+(** The diagram the cache is currently bound to, if any, for a run
+    under [(choice, mode)].
+    @raise Invalid_argument when the cache is bound under another
+    configuration. *)
 
 val context : t -> Local_key.context
 (** The bound diagram's {!Local_key.context}.
@@ -173,16 +180,14 @@ val epoch : t -> int
     debugging. *)
 
 val splitter_keys :
-  ?eps:float ->
   ?skip:(int -> bool) ->
   t ->
-  Local_key.choice ->
-  Mdl_lumping.State_lumping.mode ->
   node:Mdl_md.Md.node_id ->
   Mdl_partition.Refiner.slice ->
   int array * int array
-(** Memoising front-end to {!Local_key.splitter_keys}, with keys
-    replaced by their gids in the global intern table: returns the
+(** Memoising front-end to {!Local_key.splitter_keys} under the key
+    choice and mode recorded at {!bind}, with keys replaced by their
+    gids in the global intern table: returns the
     cached parallel (states, gids) arrays — the shape
     {!Mdl_partition.Refiner.comp_lumping_ranked} consumes — when the
     splitter class's [(node, member, size)] identity has been evaluated
@@ -198,8 +203,7 @@ val splitter_keys :
     extra rows (they can no longer split anything).  [skip] is applied
     only on non-persistent misses; persistent misses always evaluate
     full row lists (see the module header).
-    @raise Invalid_argument when the cache is unbound, or on a
-    configuration mismatch with the recorded [(eps, choice, mode)]. *)
+    @raise Invalid_argument when the cache is unbound. *)
 
 val cross_bind_hits : t -> int
 (** Lookups answered by the persistent store against a row list born in

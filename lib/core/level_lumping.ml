@@ -17,7 +17,7 @@ let check_level md level fn =
 let full_row_sum md node s =
   Formal_sum.sum (List.map snd (Md.node_row md node s))
 
-let initial_partition ?eps mode md ~level ~rewards ~initial =
+let initial_partition mode md ~level ~rewards ~initial =
   check_level md level "initial_partition";
   let n = Md.size md level in
   (* Float factors are grouped by their quantized representative:
@@ -25,7 +25,7 @@ let initial_partition ?eps mode md ~level ~rewards ~initial =
      comparator makes the classes depend on the state order (see
      {!Mdl_util.Floatx.quantize}).  Same for the formal-sum factors of
      the exact branch: quantize the sums, compare exactly. *)
-  let q = Floatx.quantize ?eps in
+  let q = Floatx.quantize in
   match mode with
   | Mdl_lumping.State_lumping.Ordinary ->
       Partition.group_by n
@@ -35,7 +35,7 @@ let initial_partition ?eps mode md ~level ~rewards ~initial =
       let nodes = (Md.live_nodes md).(level - 1) in
       let key s =
         ( q (Decomposed.factor initial level s),
-          List.map (fun node -> Formal_sum.quantize ?eps (full_row_sum md node s)) nodes )
+          List.map (fun node -> Formal_sum.quantize (full_row_sum md node s)) nodes )
       in
       let cmp (f1, sums1) (f2, sums2) =
         let c = Float.compare f1 f2 in
@@ -45,11 +45,11 @@ let initial_partition ?eps mode md ~level ~rewards ~initial =
 
 (* [splitter_keys] emits quantized canonical keys, so the spec can
    compare exactly. *)
-let node_spec ?eps ctx choice mode md node =
+let node_spec ctx choice mode md node =
   {
     Refiner.size = Md.size md (Md.node_level md node);
     key_compare = Local_key.compare_exact;
-    splitter_keys = (fun c -> Local_key.splitter_keys ?eps ctx choice mode node c);
+    splitter_keys = (fun c -> Local_key.splitter_keys ctx choice mode node c);
   }
 
 let has_singleton p =
@@ -57,8 +57,8 @@ let has_singleton p =
   let rec go c = c < nc && (Partition.class_size p c = 1 || go (c + 1)) in
   go 0
 
-let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?cache ?pool mode md ~level
-    ~initial =
+let comp_lumping_level ?(key = Local_key.Formal_sums) ?cache ?pool mode md ~level ~initial
+    =
   check_level md level "comp_lumping_level";
   if Partition.size initial <> Md.size md level then
     invalid_arg "Level_lumping.comp_lumping_level: partition size mismatch";
@@ -68,10 +68,11 @@ let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?cache ?pool mode md 
      serve rows for this one.  A cache already bound to [md] is left as
      is — per-level calls of one lump run share the bind (node ids
      disambiguate the levels), and rebinding here would throw the
-     previous levels' rows away. *)
-  (match Key_cache.bound_md kc with
+     previous levels' rows away — once [bound_md] has checked that it
+     was bound under this run's key choice and mode. *)
+  (match Key_cache.bound_md ~choice:key ~mode kc with
   | Some prev when prev == md -> ()
-  | _ -> Key_cache.bind ?eps ~choice:key ~mode kc md);
+  | _ -> Key_cache.bind ~choice:key ~mode kc md);
   (* The cache hands out parallel (states, gids) arrays — gids are the
      stable ids of its global intern table, so a hit involves no
      structural key hashing at all; the ranked pipeline turns gids into
@@ -92,7 +93,7 @@ let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?cache ?pool mode md 
       {
         Refiner.rsize = Md.size md level;
         rsplitter_keys =
-          (fun c -> Key_cache.splitter_keys ?eps ?skip kc key mode ~node c);
+          (fun c -> Key_cache.splitter_keys ?skip kc ~node c);
       }
     in
     Refiner.comp_lumping_ranked ?pool rspec ~initial:p
@@ -128,13 +129,13 @@ let comp_lumping_level ?eps ?(key = Local_key.Formal_sums) ?cache ?pool mode md 
   if Partition.num_classes p = Partition.size p then Partition.discrete (Partition.size p)
   else Partition.of_class_assignment (Partition.to_class_assignment p)
 
-let is_locally_lumpable ?eps mode md ~level p =
+let is_locally_lumpable mode md ~level p =
   check_level md level "is_locally_lumpable";
   let nodes = (Md.live_nodes md).(level - 1) in
   let ctx = Local_key.make_context md in
   List.for_all
     (fun node ->
-      Refiner.is_stable (node_spec ?eps ctx Local_key.Formal_sums mode md node) p
+      Refiner.is_stable (node_spec ctx Local_key.Formal_sums mode md node) p
       &&
       (* Exact lumping additionally requires constant full-row sums
          (Eq. 4 of Definition 3). *)
@@ -146,7 +147,7 @@ let is_locally_lumpable ?eps mode md ~level p =
               let reference = full_row_sum md node members.(0) in
               Array.for_all
                 (fun s ->
-                  Formal_sum.compare_approx ?eps reference (full_row_sum md node s) = 0)
+                  Formal_sum.compare_approx reference (full_row_sum md node s) = 0)
                 members)
             (Partition.classes p))
     nodes

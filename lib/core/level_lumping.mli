@@ -9,7 +9,6 @@
     simultaneously. *)
 
 val initial_partition :
-  ?eps:float ->
   Mdl_lumping.State_lumping.mode ->
   Mdl_md.Md.t ->
   level:int ->
@@ -25,7 +24,6 @@ val initial_partition :
     [r_{n, n'}(s, S_level)] (per child [n']) is constant. *)
 
 val comp_lumping_level :
-  ?eps:float ->
   ?key:Local_key.choice ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
@@ -49,9 +47,11 @@ val comp_lumping_level :
     accumulation for classes already singleton at the start of each
     per-node run (unless the cache is persistent — see {!Key_cache}).
     A split needs no report to the cache: its invalidation is
-    structural.  The cache is auto-bound to [md] if bound elsewhere (or
-    unbound); when already bound to [md] its rows are {e kept}, so the
-    levels of one {!Compositional.lump} run share one bind — callers
+    structural.  The cache is auto-bound to [md] under [key] and [mode]
+    if bound elsewhere (or unbound); when already bound to [md] its
+    rows are {e kept}, so the levels of one {!Compositional.lump} run
+    share one bind, and it must have been bound under [key] and [mode]
+    ({!Key_cache.bound_md} raises [Invalid_argument] otherwise) — callers
     invoking this function directly with a reused cache must
     {!Key_cache.bind} between independent runs (the memo is only sound
     while refinement of each level is monotone; see {!Key_cache}).
@@ -71,10 +71,10 @@ val comp_lumping_level :
     two states lump, the result is {!Mdl_partition.Partition.discrete}
     (class ids = state ids), whatever ids refinement history would have
     assigned.  @raise Invalid_argument on a bad level or partition size
-    mismatch. *)
+    mismatch, or when [cache] was bound under another key choice or
+    mode. *)
 
 val is_locally_lumpable :
-  ?eps:float ->
   Mdl_lumping.State_lumping.mode ->
   Mdl_md.Md.t ->
   level:int ->

@@ -9,10 +9,6 @@ type choice = Formal_sums | Expanded_matrices
 
 type t = Sum of Formal_sum.t | Matrix of Csr.t
 
-let quantize ?eps = function
-  | Sum s -> Sum (Formal_sum.quantize ?eps s)
-  | Matrix m -> Matrix (Csr.map (Floatx.quantize ?eps) m)
-
 let compare_matrices_exact a b =
   let c = Int.compare (Csr.rows a) (Csr.rows b) in
   if c <> 0 then c
@@ -48,8 +44,6 @@ let compare_exact a b =
   | Matrix ma, Matrix mb -> compare_matrices_exact ma mb
   | Sum _, Matrix _ -> -1
   | Matrix _, Sum _ -> 1
-
-let compare ?eps a b = compare_exact (quantize ?eps a) (quantize ?eps b)
 
 let equal a b =
   match (a, b) with
@@ -113,7 +107,7 @@ let expand ctx sum =
         (Csr.scale w0 (flatten ctx child0))
         rest
 
-let eval_keys ?eps ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
+let eval_keys ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
     (perm, first, len) =
   (* Accumulate formal sums per touched state: over columns of the
      splitter for ordinary lumping (row sums R_n(s, C)), over rows for
@@ -170,12 +164,12 @@ let eval_keys ?eps ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
   let m = ref 0 in
   Hashtbl.iter
     (fun s sum ->
-      let sum = Formal_sum.quantize ?eps sum in
+      let sum = Formal_sum.quantize sum in
       if not (Formal_sum.is_empty sum) then begin
         let key =
           match choice with
           | Formal_sums -> Sum sum
-          | Expanded_matrices -> Matrix (Csr.map (Floatx.quantize ?eps) (expand ctx sum))
+          | Expanded_matrices -> Matrix (Csr.map Floatx.quantize (expand ctx sum))
         in
         tmp_s.(!m) <- s;
         tmp_k.(!m) <- key;
@@ -186,6 +180,6 @@ let eval_keys ?eps ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
   ( Array.init m (fun i -> tmp_s.(m - 1 - i)),
     Array.init m (fun i -> tmp_k.(m - 1 - i)) )
 
-let splitter_keys ?eps ?skip ctx choice mode node slice =
-  let states, keys = eval_keys ?eps ?skip ctx choice mode node slice in
+let splitter_keys ?skip ctx choice mode node slice =
+  let states, keys = eval_keys ?skip ctx choice mode node slice in
   List.init (Array.length states) (fun i -> (states.(i), keys.(i)))

@@ -21,11 +21,12 @@
     ({!Mdl_util.Floatx.compare_approx}) is not transitive, so it must
     never decide how keys are grouped, sorted or interned — the classes
     would depend on state order.  Instead, {!splitter_keys} quantizes
-    every coefficient (matrix entry) {e at emission} onto the
-    [Floatx.quantize] grid and re-canonicalises (coefficients that
-    quantize to zero drop out, a key that quantizes to the empty sum is
-    not emitted at all, matching the implicit zero key of untouched
-    states).  On such canonical keys the exact structural relations
+    every coefficient (matrix entry) {e at emission} onto the one
+    lumping grid ({!Mdl_util.Floatx.quantize} at
+    {!Mdl_util.Floatx.default_eps}) and re-canonicalises (coefficients
+    that quantize to zero drop out, a key that quantizes to the empty
+    sum is not emitted at all, matching the implicit zero key of
+    untouched states).  On such canonical keys the exact structural relations
     {!compare_exact} / {!equal} / {!hash} agree with lumping-key
     equality, which is what makes hash-consing keys to integer ids
     ({!Key_cache}) sound: two keys intern to the same id iff
@@ -36,22 +37,11 @@ type choice = Formal_sums | Expanded_matrices
 type t
 (** A key value: either a formal sum or an expanded matrix. *)
 
-val quantize : ?eps:float -> t -> t
-(** Quantize all float content onto the tolerance grid and
-    re-canonicalise.  Keys returned by {!splitter_keys} are already
-    quantized; the function is idempotent. *)
-
 val compare_exact : t -> t -> int
 (** Exact structural total order ([Float.compare] on coefficients).  On
-    {!quantize}d keys, [compare_exact a b = 0] iff [a] and [b] are equal
+    quantized keys, [compare_exact a b = 0] iff [a] and [b] are equal
     as lumping keys — the comparator to use in refinement specs fed by
     {!splitter_keys}. *)
-
-val compare : ?eps:float -> t -> t -> int
-(** [compare_exact] of the {!quantize}d operands — a transitive total
-    order; [0] = equal as lumping keys.  (Kept for callers holding raw,
-    un-quantized keys; on {!splitter_keys} output it coincides with
-    {!compare_exact}.) *)
 
 val equal : t -> t -> bool
 (** Exact structural equality (bit-level floats); the interning equality.
@@ -68,7 +58,6 @@ type context
 val make_context : Mdl_md.Md.t -> context
 
 val eval_keys :
-  ?eps:float ->
   ?skip:(int -> bool) ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
@@ -95,7 +84,6 @@ val eval_keys :
     domain). *)
 
 val splitter_keys :
-  ?eps:float ->
   ?skip:(int -> bool) ->
   context ->
   choice ->
@@ -106,10 +94,10 @@ val splitter_keys :
 (** [splitter_keys ctx choice mode node c] lists [(s, K(node, s, C))]
     for every level-local state [s] whose key w.r.t. splitter class [C]
     (a zero-copy {!Mdl_partition.Refiner.slice} of its members) is
-    nonzero after quantization, with all float content quantized by
-    [eps] (default {!Mdl_util.Floatx.default_eps}).  Ordinary mode sums
-    the entries of columns [C] per row; exact mode sums the entries of
-    rows [C] per column.
+    nonzero after quantization, with all float content quantized onto
+    the {!Mdl_util.Floatx.default_eps} grid.  Ordinary mode sums the
+    entries of columns [C] per row; exact mode sums the entries of rows
+    [C] per column.
 
     [skip] (default: skip nothing) suppresses key accumulation for
     states it holds on, before any formal-sum work is done for them.

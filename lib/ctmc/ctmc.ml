@@ -85,5 +85,3 @@ let is_irreducible t =
   n > 0
   && Array.for_all Fun.id (reachable_from t.r 0)
   && Array.for_all Fun.id (reachable_from (Csr.transpose t.r) 0)
-
-let pp ppf t = Format.fprintf ppf "CTMC on %d states:@ %a" (size t) Csr.pp t.r

@@ -50,5 +50,3 @@ val is_irreducible : t -> bool
 (** True when the directed graph of positive off-diagonal rates is
     strongly connected (checked with two BFS passes on [R] and its
     transpose from state 0). *)
-
-val pp : Format.formatter -> t -> unit

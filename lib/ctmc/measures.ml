@@ -1,7 +1,5 @@
-let steady_state_reward ?tol ?max_iter ?(method_ = Solver.Power) ?ordering mrp =
-  let pi, _stats =
-    Solver.steady_state_with ?tol ?max_iter ?ordering method_ (Mrp.ctmc mrp)
-  in
+let steady_state_reward ?tol ?max_iter mrp =
+  let pi, _stats = Solver.steady_state ?tol ?max_iter (Mrp.ctmc mrp) in
   Solver.expected_reward pi (Mrp.rewards mrp)
 
 let transient_reward ?epsilon ~t mrp =

@@ -2,16 +2,11 @@
     actually asks for — Section 2 of the paper motivates lumping by the
     preservation of exactly these). *)
 
-val steady_state_reward :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?method_:Solver.method_ ->
-  ?ordering:Solver.ordering ->
-  Mrp.t ->
-  float
-(** Expected rate reward under the stationary distribution, solved with
-    [method_] (default {!Solver.Power}); [ordering] is forwarded to
-    {!Solver.steady_state_with}. *)
+val steady_state_reward : ?tol:float -> ?max_iter:int -> Mrp.t -> float
+(** Expected rate reward under the stationary distribution, solved by
+    power iteration ({!Solver.steady_state}); [tol] and [max_iter] are
+    forwarded to it.  The other solvers serve matrix diagrams, through
+    [Md_solve.solve]. *)
 
 val transient_reward : ?epsilon:float -> t:float -> Mrp.t -> float
 (** Expected rate reward at time [t], starting from the MRP's initial

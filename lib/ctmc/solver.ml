@@ -269,12 +269,6 @@ let method_name = function
   | Gauss_seidel -> "gauss-seidel"
   | Krylov -> "krylov"
 
-let steady_state_with ?tol ?max_iter ?(ordering = Natural) ?relax method_ ctmc =
-  match method_ with
-  | Power -> steady_state ?tol ?max_iter ctmc
-  | Gauss_seidel -> steady_state_gauss_seidel ?tol ?max_iter ~ordering ?relax ctmc
-  | Krylov -> steady_state_krylov ?tol ?max_iter ~ordering ctmc
-
 let poisson_weights_deficit ~epsilon ~qt =
   (* Weights w(k) = e^{-qt} (qt)^k / k! for k = 0..r, with r chosen so the
      truncated tail mass is below epsilon.  Computed in a numerically

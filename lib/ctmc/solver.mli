@@ -105,23 +105,12 @@ val steady_state_krylov :
     Cuthill–McKee first. *)
 
 type method_ = Power | Gauss_seidel | Krylov
+(** The three steady-state solvers above.  [Md_solve.solve] (in
+    [mdl_core]) is the one dispatch on this type. *)
 
 val method_name : method_ -> string
 (** ["power"], ["gauss-seidel"], ["krylov"] — the spellings the
     [lumpmd --solver] flag accepts. *)
-
-val steady_state_with :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?ordering:ordering ->
-  ?relax:float ->
-  method_ ->
-  Ctmc.t ->
-  Mdl_sparse.Vec.t * stats
-(** Dispatch to {!steady_state} / {!steady_state_gauss_seidel} /
-    {!steady_state_krylov}.  [ordering] is ignored by {!Power} (a dense
-    vector recurrence gains nothing from relabelling); [relax] only
-    applies to {!Gauss_seidel}. *)
 
 val poisson_weights : epsilon:float -> qt:float -> Mdl_sparse.Vec.t
 (** [poisson_weights ~epsilon ~qt] are the Poisson([qt]) probabilities

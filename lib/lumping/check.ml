@@ -10,19 +10,21 @@ let row_class_sums r p s =
       sums.(c) <- sums.(c) +. v);
   sums
 
-let vector_constant_on_classes ?eps v p =
+let vector_constant_on_classes v p =
   let ok = ref true in
   for c = 0 to Partition.num_classes p - 1 do
     let members = Partition.elements p c in
     let v0 = v.(members.(0)) in
-    Array.iter (fun s -> if not (Floatx.approx_eq ?eps v0 v.(s)) then ok := false) members
+    Array.iter (fun s -> if not (Floatx.approx_eq v0 v.(s)) then ok := false) members
   done;
   !ok
 
-let ordinary ?eps ?rewards r p =
+let ordinary ?rewards r p =
   if Csr.rows r <> Partition.size p then
     invalid_arg "Check.ordinary: partition size mismatch";
-  let rewards_ok = match rewards with None -> true | Some rv -> vector_constant_on_classes ?eps rv p in
+  let rewards_ok =
+    match rewards with None -> true | Some rv -> vector_constant_on_classes rv p
+  in
   rewards_ok
   &&
   let ok = ref true in
@@ -33,19 +35,19 @@ let ordinary ?eps ?rewards r p =
       (fun s ->
         let sums = row_class_sums r p s in
         Array.iteri
-          (fun c' v -> if not (Floatx.approx_eq ?eps v reference.(c')) then ok := false)
+          (fun c' v -> if not (Floatx.approx_eq v reference.(c')) then ok := false)
           sums)
       members
   done;
   !ok
 
-let exact ?eps ?initial r p =
+let exact ?initial r p =
   if Csr.rows r <> Partition.size p then invalid_arg "Check.exact: partition size mismatch";
   let initial_ok =
-    match initial with None -> true | Some pi -> vector_constant_on_classes ?eps pi p
+    match initial with None -> true | Some pi -> vector_constant_on_classes pi p
   in
   initial_ok
-  && vector_constant_on_classes ?eps (Csr.row_sums r) p
+  && vector_constant_on_classes (Csr.row_sums r) p
   &&
   let rt = Csr.transpose r in
   let ok = ref true in
@@ -58,7 +60,7 @@ let exact ?eps ?initial r p =
       (fun s ->
         let sums = row_class_sums rt p s in
         Array.iteri
-          (fun c' v -> if not (Floatx.approx_eq ?eps v reference.(c')) then ok := false)
+          (fun c' v -> if not (Floatx.approx_eq v reference.(c')) then ok := false)
           sums)
       members
   done;

@@ -5,7 +5,6 @@
     refinement algorithms and the compositional MD lumping in tests. *)
 
 val ordinary :
-  ?eps:float ->
   ?rewards:Mdl_sparse.Vec.t ->
   Mdl_sparse.Csr.t ->
   Mdl_partition.Partition.t ->
@@ -15,7 +14,6 @@ val ordinary :
     [r(s) = r(s_hat)] (Theorem 1(a)). *)
 
 val exact :
-  ?eps:float ->
   ?initial:Mdl_sparse.Vec.t ->
   Mdl_sparse.Csr.t ->
   Mdl_partition.Partition.t ->

@@ -20,7 +20,7 @@ let class_sums m (perm, first, len) =
 
 let walk_matrix mode r = match mode with Ordinary -> Csr.transpose r | Exact -> r
 
-let refiner_spec ?eps mode r =
+let refiner_spec mode r =
   if Csr.rows r <> Csr.cols r then invalid_arg "State_lumping.refiner_spec: not square";
   (* Ordinary: K(R, s, C) = R(s, C) = sum over j in C of R(s, j); the
      touched states of splitter C are the predecessors of C, found by
@@ -32,11 +32,11 @@ let refiner_spec ?eps mode r =
   {
     Refiner.size = Csr.rows r;
     key_compare =
-      (fun a b -> Float.compare (Floatx.quantize ?eps a) (Floatx.quantize ?eps b));
+      (fun a b -> Float.compare (Floatx.quantize a) (Floatx.quantize b));
     splitter_keys = (fun c -> class_sums walk c);
   }
 
-let float_spec ?eps mode r =
+let float_spec mode r =
   if Csr.rows r <> Csr.cols r then invalid_arg "State_lumping.float_spec: not square";
   let n = Csr.rows r in
   let walk = walk_matrix mode r in
@@ -68,15 +68,15 @@ let float_spec ?eps mode r =
       seen.(s) <- false
     done
   in
-  { Refiner.fsize = n; feps = eps; fsplitter_keys }
+  { Refiner.fsize = n; fsplitter_keys }
 
-let coarsest ?eps mode r ~initial =
+let coarsest mode r ~initial =
   if Csr.rows r <> Csr.cols r then invalid_arg "State_lumping.coarsest: not square";
-  Refiner.comp_lumping_float (float_spec ?eps mode r) ~initial
+  Refiner.comp_lumping_float (float_spec mode r) ~initial
 
-let initial_partition ?eps mode mrp =
+let initial_partition mode mrp =
   let n = Mdl_ctmc.Mrp.size mrp in
-  let q = Floatx.quantize ?eps in
+  let q = Floatx.quantize in
   match mode with
   | Ordinary ->
       let rewards = Mdl_ctmc.Mrp.rewards mrp in
@@ -90,6 +90,6 @@ let initial_partition ?eps mode mrp =
       in
       Partition.group_by n (fun s -> (q pi.(s), q (exit s))) pair_cmp
 
-let coarsest_mrp ?eps mode mrp =
+let coarsest_mrp mode mrp =
   let r = Mdl_ctmc.Ctmc.rates (Mdl_ctmc.Mrp.ctmc mrp) in
-  coarsest ?eps mode r ~initial:(initial_partition ?eps mode mrp)
+  coarsest mode r ~initial:(initial_partition mode mrp)

@@ -10,8 +10,7 @@
 
 type mode = Ordinary | Exact
 
-val refiner_spec :
-  ?eps:float -> mode -> Mdl_sparse.Csr.t -> float Mdl_partition.Refiner.spec
+val refiner_spec : mode -> Mdl_sparse.Csr.t -> float Mdl_partition.Refiner.spec
 (** The flat-matrix refinement spec as a polymorphic
     {!type:Mdl_partition.Refiner.spec}: row-sum keys [R(s, C)] (ordinary) or
     column-sum keys [R(C, s)] (exact), with float keys grouped by their
@@ -21,8 +20,7 @@ val refiner_spec :
     {!float_spec} through the monomorphic pipeline.
     @raise Invalid_argument if [r] is not square. *)
 
-val float_spec :
-  ?eps:float -> mode -> Mdl_sparse.Csr.t -> Mdl_partition.Refiner.float_spec
+val float_spec : mode -> Mdl_sparse.Csr.t -> Mdl_partition.Refiner.float_spec
 (** The same keys as {!refiner_spec}, emitted into the refiner's unboxed
     scratch buffers for the monomorphic float pipeline
     ({!Mdl_partition.Refiner.comp_lumping_float}): splitter sums are
@@ -32,7 +30,6 @@ val float_spec :
     @raise Invalid_argument if [r] is not square. *)
 
 val coarsest :
-  ?eps:float ->
   mode ->
   Mdl_sparse.Csr.t ->
   initial:Mdl_partition.Partition.t ->
@@ -46,12 +43,12 @@ val coarsest :
     the [refiner.*] metrics.
     @raise Invalid_argument if [r] is not square or sizes mismatch. *)
 
-val initial_partition : ?eps:float -> mode -> Mdl_ctmc.Mrp.t -> Mdl_partition.Partition.t
+val initial_partition : mode -> Mdl_ctmc.Mrp.t -> Mdl_partition.Partition.t
 (** The paper's [P_ini]: for ordinary lumping, group states by reward
     value; for exact lumping, by initial probability and total exit rate
     [R(s, S)]. *)
 
-val coarsest_mrp : ?eps:float -> mode -> Mdl_ctmc.Mrp.t -> Mdl_partition.Partition.t
+val coarsest_mrp : mode -> Mdl_ctmc.Mrp.t -> Mdl_partition.Partition.t
 (** [coarsest_mrp mode m] = [coarsest mode R ~initial:(initial_partition
     mode m)] — the full pipeline of Figure 1's [Lump] minus quotient
     construction. *)

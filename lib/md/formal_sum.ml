@@ -78,8 +78,8 @@ let hash t =
     (fun h (n, c) -> Mdl_util.Hashx.combine (Mdl_util.Hashx.combine h n) (Mdl_util.Hashx.float c))
     (Array.length t) t
 
-let quantize ?eps t =
-  of_list (List.map (fun (n, c) -> (n, Mdl_util.Floatx.quantize ?eps c)) (terms t))
+let quantize t =
+  of_list (List.map (fun (n, c) -> (n, Mdl_util.Floatx.quantize c)) (terms t))
 
 let compare a b =
   let la = Array.length a and lb = Array.length b in

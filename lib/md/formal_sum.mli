@@ -48,11 +48,13 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
-val quantize : ?eps:float -> t -> t
+val quantize : t -> t
 (** Snap every coefficient to its {!Mdl_util.Floatx.quantize} grid
-    representative (re-canonicalised: coefficients that quantize to [0.]
-    drop out).  Quantize-then-{!compare} is the transitive replacement
-    for {!compare_approx} wherever sums are grouped, sorted or interned. *)
+    representative on the one lumping grid,
+    {!Mdl_util.Floatx.default_eps} (re-canonicalised: coefficients that
+    quantize to [0.] drop out).  Quantize-then-{!compare} is the
+    transitive replacement for {!compare_approx} wherever sums are
+    grouped, sorted or interned. *)
 
 val compare : t -> t -> int
 (** Exact total order (term-lexicographic, [Float.compare] on

@@ -47,8 +47,6 @@ let manager ~levels =
     count_cache = Hashtbl.create 1024;
   }
 
-let levels m = m.nlevels
-
 let empty _m = zero
 
 let is_empty t = t = zero

@@ -17,8 +17,6 @@ type t = private int
 val manager : levels:int -> man
 (** @raise Invalid_argument if [levels < 1]. *)
 
-val levels : man -> int
-
 val empty : man -> t
 
 val is_empty : t -> bool

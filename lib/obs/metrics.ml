@@ -261,8 +261,6 @@ let reset () =
                 h.h_shard)
         registry)
 
-let names () = locked (fun () -> List.rev !order)
-
 (* Metrics in registration order, resolved under the lock so dumps
    never race a registration. *)
 let metrics_snapshot () =

@@ -115,9 +115,6 @@ val reset : unit -> unit
 (** Zero every registered metric, keeping the registrations (module
     initialisers only run once). *)
 
-val names : unit -> string list
-(** Registered metric names in registration order. *)
-
 val pp : Format.formatter -> unit -> unit
 (** Human-readable dump of every registered metric with a non-zero
     value, in registration order ([lumpmd --metrics]).  Histograms print

@@ -388,15 +388,11 @@ let with_ctx ctx f =
 
 let enabled () = Ctx.enabled (current ())
 
-let streaming () = Ctx.streaming (current ())
-
 let streamed_count () = Ctx.streamed_count (current ())
 
 let clear () = Ctx.clear (current ())
 
 let start ?gc () = Ctx.start ?gc (current ())
-
-let start_streaming ?gc ?close emit = Ctx.start_streaming ?gc ?close (current ()) emit
 
 let stream_to_file ?gc path = Ctx.stream_to_file ?gc (current ()) path
 

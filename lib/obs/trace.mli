@@ -135,7 +135,7 @@ val enabled : unit -> bool
 val start : ?gc:bool -> unit -> unit
 (** [start ()] clears the buffer and enables recording in {e buffered}
     mode; [gc:false] switches the per-span allocation sampling off
-    (default on).  An active streaming sink (see {!start_streaming}) is
+    (default on).  An active streaming sink (see {!stream_to_file}) is
     terminated and closed first. *)
 
 (** {2 Streaming sink mode}
@@ -149,26 +149,16 @@ val start : ?gc:bool -> unit -> unit
     the emitted events).  The sink receives the chunks of a valid JSON
     array document ([[evt, evt, ...]] — the Chrome {e JSON array
     format}, which every trace viewer accepts), terminated when {!stop}
-    (or a later {!start}/{!start_streaming}) closes the sink.  Streamed
+    (or a later {!start}/{!stream_to_file}) closes the sink.  Streamed
     spans do not appear in {!iter_events}/{!phase_totals}/
     {!export_json}. *)
 
-val start_streaming :
-  ?gc:bool -> ?close:(unit -> unit) -> (string -> unit) -> unit
-(** [start_streaming emit] clears the buffer and enables recording in
-    streaming mode: every completed span is passed to [emit] as one
-    JSON chunk.  [close] (default a no-op) runs after the array
-    terminator is emitted — use it to release the sink's resource.
-    [gc] as in {!start}. *)
-
 val stream_to_file : ?gc:bool -> string -> unit
-(** [stream_to_file path] is {!start_streaming} into [path]: spans are
-    appended to the file as they close and the file is completed and
-    closed at {!stop} — constant memory at any span count
-    ([lumpd --trace], [lumpmd --stream-trace]). *)
-
-val streaming : unit -> bool
-(** Whether a streaming sink is currently installed. *)
+(** [stream_to_file path] clears the buffer and enables recording in
+    streaming mode into [path] ({!Ctx.start_streaming} with a file
+    sink): spans are appended to the file as they close and the file is
+    completed and closed at {!stop} — constant memory at any span count
+    ([lumpd --trace], [lumpmd --stream-trace]).  [gc] as in {!start}. *)
 
 val streamed_count : unit -> int
 (** Events emitted through the streaming sink since it was installed. *)

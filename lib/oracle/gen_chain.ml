@@ -18,8 +18,6 @@ let coo prng ~rows ~cols ~nnz =
   done;
   c
 
-let csr prng ~rows ~cols ~nnz = Csr.of_coo (coo prng ~rows ~cols ~nnz)
-
 let symmetrise swap m =
   let c = Coo.create ~rows:(Csr.rows m) ~cols:(Csr.cols m) in
   Csr.iter

@@ -13,8 +13,6 @@ val coo :
 (** [nnz] random triplets (duplicates possible, folded by
     {!Mdl_sparse.Csr.of_coo}); values are nonzero signed halves. *)
 
-val csr : Mdl_util.Prng.t -> rows:int -> cols:int -> nnz:int -> Mdl_sparse.Csr.t
-
 val symmetrise : (int -> int) -> Mdl_sparse.Csr.t -> Mdl_sparse.Csr.t
 (** [symmetrise swap m] is [(m + swap(m)) / 2] where [swap] is an
     involution on indices applied to both rows and columns — the matrix

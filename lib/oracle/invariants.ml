@@ -28,7 +28,7 @@ let same_content a b =
        (fun (r1, c1, s1) (r2, c2, s2) -> r1 = r2 && c1 = c2 && Formal_sum.equal s1 s2)
        a b
 
-let md ?(eps = Floatx.default_eps) m =
+let md m =
   let violations = ref [] in
   let add check fmt = Printf.ksprintf (fun detail -> violations := { check; detail } :: !violations) fmt in
   (match try Some (Md.root m) with Invalid_argument _ -> None with
@@ -92,15 +92,15 @@ let md ?(eps = Floatx.default_eps) m =
             sums.(i) <- sums.(i) +. v);
         for i = 0 to n - 1 do
           let direct = Csr.row_sum flat i in
-          if not (Floatx.approx_eq ~eps sums.(i) direct) then
+          if not (Floatx.approx_eq sums.(i) direct) then
             add "row-sum" "flat row %d: path sum %.17g <> CSR row sum %.17g" i sums.(i)
               direct
         done
       end);
   List.rev !violations
 
-let assert_valid ?eps m =
-  match md ?eps m with
+let assert_valid m =
+  match md m with
   | [] -> ()
   | vs ->
       invalid_arg

@@ -10,7 +10,7 @@ type violation = { check : string; detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val md : ?eps:float -> Mdl_md.Md.t -> violation list
+val md : Mdl_md.Md.t -> violation list
 (** All violations found, empty when the diagram is well-formed:
     - [root]: a root exists and sits at level 1;
     - [edges]: every formal-sum child of a level-[l] node lives at level
@@ -24,6 +24,6 @@ val md : ?eps:float -> Mdl_md.Md.t -> violation list
       encoded [R] is consistent across the two enumeration orders
       (skipped when the potential space exceeds [2^16] states). *)
 
-val assert_valid : ?eps:float -> Mdl_md.Md.t -> unit
+val assert_valid : Mdl_md.Md.t -> unit
 (** @raise Invalid_argument listing the violations, if any — the
     debug-assertion form. *)

@@ -77,7 +77,7 @@ let perturb factor m =
     Some (Csr.of_coo coo)
   end
 
-let check_md ?(eps = Floatx.default_eps) ?inject ?pool ?par_threshold mode md0 =
+let check_md ?inject ?pool ?par_threshold mode md0 =
   let violations = ref [] in
   let checks = ref [] in
   let skipped = ref [] in
@@ -95,7 +95,7 @@ let check_md ?(eps = Floatx.default_eps) ?inject ?pool ?par_threshold mode md0 =
       vs
   in
   ran "invariants(input)";
-  import "input " (Invariants.md ~eps md0);
+  import "input " (Invariants.md md0);
 
   let sizes = Md.sizes md0 in
   let levels = Array.length sizes in
@@ -114,14 +114,14 @@ let check_md ?(eps = Floatx.default_eps) ?inject ?pool ?par_threshold mode md0 =
     | Exact -> [ Decomposed.constant ~sizes 0.0 ]
   in
   let initial = Decomposed.constant ~sizes 1.0 in
-  let result = Compositional.lump ~eps ?pool ?par_threshold mode md0 ~rewards ~initial in
+  let result = Compositional.lump ?pool ?par_threshold mode md0 ~rewards ~initial in
   ran "invariants(lumped)";
-  import "lumped " (Invariants.md ~eps result.Compositional.lumped);
+  import "lumped " (Invariants.md result.Compositional.lumped);
 
   (* The production path (key cache, ranked pipeline, memos, incremental
      rebuild) against the reference lumper, which shares none of it. *)
   ran "reference-agreement";
-  let reference = Reference_lump.lump ~eps mode md0 ~rewards ~initial in
+  let reference = Reference_lump.lump mode md0 ~rewards ~initial in
   let classes r =
     String.concat "/"
       (Array.to_list
@@ -166,8 +166,8 @@ let check_md ?(eps = Floatx.default_eps) ?inject ?pool ?par_threshold mode md0 =
   ran "theorem-lumpable";
   let thm_ok =
     match mode with
-    | Ordinary -> Check.ordinary ~eps ~rewards:rvec flat gp
-    | Exact -> Check.exact ~eps flat gp
+    | Ordinary -> Check.ordinary ~rewards:rvec flat gp
+    | Exact -> Check.exact flat gp
   in
   if not thm_ok then
     violate "theorem-lumpable"
@@ -194,7 +194,7 @@ let check_md ?(eps = Floatx.default_eps) ?inject ?pool ?par_threshold mode md0 =
        for s' = 0 to n - 1 do
          let a = Csr.get lumped_flat (ci s) (ci s') in
          let b = Csr.get quotient (Partition.class_of gp s) (Partition.class_of gp s') in
-         if not (Floatx.approx_eq ~eps a b) then begin
+         if not (Floatx.approx_eq a b) then begin
            violate "quotient-agreement"
              "lumped MD entry (%d,%d) = %.12g but flat quotient has %.12g" (ci s)
              (ci s') a b;
@@ -218,11 +218,11 @@ let check_md ?(eps = Floatx.default_eps) ?inject ?pool ?par_threshold mode md0 =
           (fun s -> Floatx.quantize (Csr.row_sum flat s))
           Float.compare
   in
-  let p_star = State_lumping.coarsest ~eps mode flat ~initial:initial_p in
+  let p_star = State_lumping.coarsest mode flat ~initial:initial_p in
   let star_ok =
     match mode with
-    | Ordinary -> Check.ordinary ~eps ~rewards:rvec flat p_star
-    | Exact -> Check.exact ~eps flat p_star
+    | Ordinary -> Check.ordinary ~rewards:rvec flat p_star
+    | Exact -> Check.exact flat p_star
   in
   if not star_ok then
     violate "flat-coarsest" "State_lumping.coarsest output fails the Theorem-1 check";
@@ -337,13 +337,13 @@ let check_md ?(eps = Floatx.default_eps) ?inject ?pool ?par_threshold mode md0 =
     flat_classes = Partition.num_classes p_star;
   }
 
-let check_chain ?eps ?inject ?pool ?par_threshold mode r =
-  check_md ?eps ?inject ?pool ?par_threshold mode (Gen_chain.md_of_csr r)
+let check_chain ?inject ?pool ?par_threshold mode r =
+  check_md ?inject ?pool ?par_threshold mode (Gen_chain.md_of_csr r)
 
-let run ?eps ?inject ?pool ?par_threshold mode spec =
+let run ?inject ?pool ?par_threshold mode spec =
   let md = Gen_md.of_spec spec in
   let o =
-    { (check_md ?eps ?inject ?pool ?par_threshold mode md) with model = Spec.to_string spec }
+    { (check_md ?inject ?pool ?par_threshold mode md) with model = Spec.to_string spec }
   in
   Log.debug (fun m ->
       m "%s (%s): %d checks, %d violations" o.model (mode_string o.mode)

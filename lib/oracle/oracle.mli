@@ -60,7 +60,6 @@ val ok : outcome -> bool
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val check_md :
-  ?eps:float ->
   ?inject:float ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
@@ -70,7 +69,6 @@ val check_md :
 (** Cross-check one diagram (over its full potential space). *)
 
 val check_chain :
-  ?eps:float ->
   ?inject:float ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
@@ -82,7 +80,6 @@ val check_chain :
     the state-level one exactly. *)
 
 val run :
-  ?eps:float ->
   ?inject:float ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->

@@ -51,9 +51,6 @@ let shrink_kron (k : Spec.kron) yield =
   if k.merged then yield { k with merged = false };
   Shrink.int k.seed (fun seed -> yield { k with seed })
 
-let kron ?(max_levels = 3) () =
-  make ~print:(fun k -> Spec.to_string (Kron k)) ~shrink:shrink_kron (kron_gen max_levels)
-
 let direct_gen max_levels =
   Gen.(
     let* sizes = sizes_gen max_levels in
@@ -66,11 +63,6 @@ let shrink_direct (d : Spec.direct) yield =
   shrink_sizes d.sizes (fun sizes -> yield { d with sizes });
   Shrink.int d.width (fun width -> if width >= 1 then yield { d with width });
   Shrink.int d.seed (fun seed -> yield { d with seed })
-
-let direct ?(max_levels = 3) () =
-  make
-    ~print:(fun d -> Spec.to_string (Direct d))
-    ~shrink:shrink_direct (direct_gen max_levels)
 
 let model_gen ?(families = [ `Chain; `Kron; `Direct ]) max_levels =
   Gen.(

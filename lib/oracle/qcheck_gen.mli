@@ -10,10 +10,6 @@
 
 val chain : Spec.chain QCheck.arbitrary
 
-val kron : ?max_levels:int -> unit -> Spec.kron QCheck.arbitrary
-
-val direct : ?max_levels:int -> unit -> Spec.direct QCheck.arbitrary
-
 val model : ?max_levels:int -> unit -> Spec.model QCheck.arbitrary
 (** Any of the three families. *)
 

@@ -10,20 +10,20 @@ type mode = Mdl_lumping.State_lumping.mode = Ordinary | Exact
 
 (* Keys come out of [Local_key.splitter_keys] quantized and canonical,
    so exact structural comparison is lumping-key equality. *)
-let node_spec ?eps ctx key mode md node =
+let node_spec ctx key mode md node =
   {
     Refiner.size = Md.size md (Md.node_level md node);
     key_compare = Local_key.compare_exact;
-    splitter_keys = (fun c -> Local_key.splitter_keys ?eps ctx key mode node c);
+    splitter_keys = (fun c -> Local_key.splitter_keys ctx key mode node c);
   }
 
-let level_partition ?eps ?(key = Local_key.Formal_sums) mode md ~level ~initial =
+let level_partition ?(key = Local_key.Formal_sums) mode md ~level ~initial =
   let ctx = Local_key.make_context md in
   let nodes = (Md.live_nodes md).(level - 1) in
   let pass p =
     List.fold_left
       (fun p node ->
-        Refiner_reference.comp_lumping (node_spec ?eps ctx key mode md node) ~initial:p)
+        Refiner_reference.comp_lumping (node_spec ctx key mode md node) ~initial:p)
       p nodes
   in
   let rec fix p =
@@ -75,11 +75,11 @@ let rebuild mode md partitions =
   Md.set_root out (remap (Md.root md));
   out
 
-let lump ?eps ?key mode md ~rewards ~initial =
+let lump ?key mode md ~rewards ~initial =
   let partitions =
     Array.init (Md.levels md) (fun i ->
         let level = i + 1 in
-        let p_ini = Level_lumping.initial_partition ?eps mode md ~level ~rewards ~initial in
-        level_partition ?eps ?key mode md ~level ~initial:p_ini)
+        let p_ini = Level_lumping.initial_partition mode md ~level ~rewards ~initial in
+        level_partition ?key mode md ~level ~initial:p_ini)
   in
   { Compositional.lumped = rebuild mode md partitions; partitions }

@@ -17,7 +17,6 @@
 type mode = Mdl_lumping.State_lumping.mode = Ordinary | Exact
 
 val level_partition :
-  ?eps:float ->
   ?key:Mdl_core.Local_key.choice ->
   mode ->
   Mdl_md.Md.t ->
@@ -37,7 +36,6 @@ val rebuild :
     the aggregated form scaled by [1 / |C_row|]. *)
 
 val lump :
-  ?eps:float ->
   ?key:Mdl_core.Local_key.choice ->
   mode ->
   Mdl_md.Md.t ->

@@ -15,11 +15,6 @@ type direct = { sizes : int array; width : int; symmetric : bool; seed : int }
 
 type model = Chain of chain | Kron of kron | Direct of direct
 
-let levels = function
-  | Chain _ -> 1
-  | Kron k -> Array.length k.sizes
-  | Direct d -> Array.length d.sizes
-
 let sizes_string sizes =
   String.concat "," (Array.to_list (Array.map string_of_int sizes))
 
@@ -33,8 +28,6 @@ let to_string = function
   | Direct d ->
       Printf.sprintf "direct{sizes=%s;width=%d;symmetric=%b;seed=%d}"
         (sizes_string d.sizes) d.width d.symmetric d.seed
-
-let pp ppf m = Format.pp_print_string ppf (to_string m)
 
 let random prng ~max_levels =
   let max_levels = max 1 max_levels in

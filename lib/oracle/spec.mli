@@ -44,13 +44,9 @@ type direct = {
 
 type model = Chain of chain | Kron of kron | Direct of direct
 
-val levels : model -> int
-
 val to_string : model -> string
 (** One-line reproduction recipe, e.g.
     [kron{sizes=2,3;events=2;symmetric=true;ring=true;merged=false;seed=7741}]. *)
-
-val pp : Format.formatter -> model -> unit
 
 val random : Mdl_util.Prng.t -> max_levels:int -> model
 (** Draw a spec uniformly-ish over the three families, with level count

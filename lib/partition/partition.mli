@@ -121,7 +121,7 @@ val canonical_assignment : t -> int array
     first appearance: {!equal} partitions yield equal arrays whatever
     their internal numbering, so the array is a canonical key for the
     partition's {e class set} — the form the sweep engine's memo tables
-    ({!Mdl_core.Compositional.lump_sweep}) key on. *)
+    ({!Mdl_core.Compositional.sweep_create}) key on. *)
 
 val classes : t -> int array array
 (** All classes, indexed by class id (fresh arrays). *)

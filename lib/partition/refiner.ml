@@ -289,7 +289,6 @@ let[@inline] emit buf s k =
 
 type float_spec = {
   fsize : int;
-  feps : float option;
   fsplitter_keys : slice -> float_buf -> unit;
 }
 
@@ -298,7 +297,6 @@ let comp_lumping_float fspec ~initial =
   let buf = { fb_states = [||]; fb_keys = [||]; fb_len = 0 } in
   let cls = ref [||] in
   let nk = ref [||] in
-  let eps = fspec.feps in
   let prepare pd p slice =
     buf.fb_len <- 0;
     fspec.fsplitter_keys slice buf;
@@ -309,7 +307,7 @@ let comp_lumping_float fspec ~initial =
       (* Quantize inline: grouping happens on the deterministic grid
          representative, never on a non-transitive tolerant compare. *)
       for i = 0 to m - 1 do
-        keys.(i) <- Floatx.quantize ?eps keys.(i)
+        keys.(i) <- Floatx.quantize keys.(i)
       done;
       if Array.length !cls < Array.length states then begin
         cls := Array.make (Array.length states) 0;

@@ -111,13 +111,11 @@ type float_buf
 val emit : float_buf -> int -> float -> unit
 (** [emit buf s k] appends the pair [(s, k)] — the float-pipeline
     equivalent of consing onto a ['k spec]'s [splitter_keys] result.
-    Keys are emitted {e raw}; the engine quantizes them inline. *)
+    Keys are emitted {e raw}; the engine quantizes them inline onto the
+    {!Mdl_util.Floatx.default_eps} grid. *)
 
 type float_spec = {
   fsize : int;  (** number of states *)
-  feps : float option;
-      (** quantization tolerance applied inline to every emitted key
-          ([None] = {!Mdl_util.Floatx.default_eps}) *)
   fsplitter_keys : slice -> float_buf -> unit;
       (** same contract as a ['k spec]'s [splitter_keys], emitting into
           the engine's scratch buffer instead of building a list *)

@@ -822,14 +822,41 @@ let scrape_body t =
   Metrics.to_prometheus buf;
   Buffer.contents buf
 
+(* A scrape client gets this long to send its request line. *)
+let scrape_read_timeout_ns = 2_000_000_000L
+
+(* The request line: bytes up to the first '\n' (at most 4,096, or
+   fewer if the client closes first).  A request may arrive in any
+   number of writes, so this reads until the line is complete, waiting
+   in 0.2 s [select] slices as [Protocol.read_frame] does.  Raises
+   [Exit] — close without answering — when the line is not complete
+   within [scrape_read_timeout_ns] or the server drains: a silent
+   client must not hold up [wait], which joins this thread. *)
+let read_request_line t fd =
+  let buf = Bytes.create 4096 in
+  let deadline = Int64.add (Timer.now_ns ()) scrape_read_timeout_ns in
+  let rec go n =
+    match Bytes.index_opt (Bytes.sub buf 0 n) '\n' with
+    | Some i -> Bytes.sub_string buf 0 i
+    | None when n = Bytes.length buf -> Bytes.to_string buf
+    | None when t.draining || Int64.compare (Timer.now_ns ()) deadline > 0 -> raise Exit
+    | None -> (
+        match Unix.select [ fd ] [] [] 0.2 with
+        | [], _, _ -> go n
+        | _ -> (
+            match Unix.read fd buf n (Bytes.length buf - n) with
+            | 0 -> Bytes.sub_string buf 0 n
+            | k -> go (n + k))
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go n)
+  in
+  go 0
+
 let serve_scrape t fd =
   (try
-     (* Read the request head (bounded); we only care about the first line. *)
-     let buf = Bytes.create 4096 in
-     let n = try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0 in
-     let head = Bytes.sub_string buf 0 n in
+     (* Only the request line matters. *)
+     let line = read_request_line t fd in
      let reply =
-       match String.split_on_char ' ' (List.hd (String.split_on_char '\r' head)) with
+       match String.split_on_char ' ' (List.hd (String.split_on_char '\r' line)) with
        | "GET" :: path :: _ when path = "/metrics" || path = "/metrics/" ->
            http_response "200 OK"
              "text/plain; version=0.0.4; charset=utf-8" (scrape_body t)

@@ -29,6 +29,10 @@
     maintains [serve.*] counters, gauges and latency histograms next to
     the engine's [lump.*]/[key_cache.*] families, and serves them all
     in Prometheus text format from [GET /metrics] on [metrics_port].
+    The endpoint reads the request line up to its first newline (at
+    most 4,096 bytes), however many writes it arrives in; a client that
+    sends no complete line within 2 s, or before the server drains, is
+    closed without an answer, so it cannot hold up {!wait}.
     When {!Mdl_obs.Trace} is recording, each request body runs under a
     [serve.<verb>] span; tracing is single-domain, so [lumpd] forces
     [max_inflight = 1] in that configuration. *)

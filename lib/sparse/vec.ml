@@ -1,10 +1,6 @@
 type t = float array
 
-let make n x = Array.make n x
-
 let copy = Array.copy
-
-let fill t x = Array.fill t 0 (Array.length t) x
 
 let check_dims a b fn =
   if Array.length a <> Array.length b then
@@ -71,10 +67,3 @@ let approx_equal ?eps a b =
     i >= Array.length a || (Mdl_util.Floatx.approx_eq ?eps a.(i) b.(i) && loop (i + 1))
   in
   loop 0
-
-let pp ppf t =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf x -> Format.fprintf ppf "%g" x))
-    t

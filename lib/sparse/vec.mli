@@ -3,11 +3,7 @@
 
 type t = float array
 
-val make : int -> float -> t
-
 val copy : t -> t
-
-val fill : t -> float -> unit
 
 val dot : t -> t -> float
 (** @raise Invalid_argument on dimension mismatch. *)
@@ -47,5 +43,3 @@ val scatter : t -> int array -> t
     @raise Invalid_argument on length mismatch. *)
 
 val approx_equal : ?eps:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

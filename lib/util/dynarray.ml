@@ -5,10 +5,6 @@ type 'a t = {
 
 let create () = { data = [||]; len = 0 }
 
-let make n x =
-  if n < 0 then invalid_arg "Dynarray.make: negative length";
-  { data = Array.make (max n 1) x; len = n }
-
 let length t = t.len
 
 let check_bounds t i fn =
@@ -53,13 +49,6 @@ let clear t =
   (* Release the backing store: every slot holds a now-dead reference
      and there is no live element left to junk-fill with. *)
   t.data <- [||]
-
-let is_empty t = t.len = 0
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.data i)
-  done
 
 let iteri f t =
   for i = 0 to t.len - 1 do

@@ -9,8 +9,6 @@ type 'a t
 val create : unit -> 'a t
 (** [create ()] is a fresh empty dynamic array. *)
 
-val make : int -> 'a -> 'a t
-(** [make n x] is a dynamic array holding [n] copies of [x]. *)
 
 val length : 'a t -> int
 
@@ -34,10 +32,6 @@ val pop : 'a t -> 'a
 val clear : 'a t -> unit
 (** [clear t] removes all elements and releases the backing store, so
     the cleared elements become collectable immediately. *)
-
-val is_empty : 'a t -> bool
-
-val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 

@@ -663,7 +663,10 @@ let test_key_cache_invalidation () =
      downstream split must miss even though the member sets overlap. *)
   let md, _sizes = concrete_md () in
   let kc = Key_cache.create () in
-  Key_cache.bind kc md;
+  let bind () =
+    Key_cache.bind ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary kc md
+  in
+  bind ();
   let level = 2 in
   let node = List.hd (Md.live_nodes md).(level - 1) in
   let p = Partition.trivial 3 in
@@ -672,8 +675,7 @@ let test_key_cache_invalidation () =
   let lookup slice =
     let rows, c =
       Counters.of_run [ "key_cache.hits"; "key_cache.misses" ] (fun () ->
-          Key_cache.splitter_keys kc Local_key.Formal_sums State_lumping.Ordinary ~node
-            slice)
+          Key_cache.splitter_keys kc ~node slice)
     in
     hits := !hits + c "key_cache.hits";
     misses := !misses + c "key_cache.misses";
@@ -694,7 +696,7 @@ let test_key_cache_invalidation () =
   (* rebinding to the same diagram discards the rows but keeps the
      interned gids *)
   let interned = Key_cache.gid_count kc in
-  Key_cache.bind kc md;
+  bind ();
   ignore (lookup (Partition.view p fresh));
   Alcotest.(check int) "rebind discards memoised rows" 3 !misses;
   Alcotest.(check bool) "rebind keeps the gid table" true
@@ -761,7 +763,9 @@ let test_shared_cache_across_models () =
             p
             r_shared.Compositional.partitions.(i))
         r_fresh.Compositional.partitions;
-      (match Key_cache.bound_md cache with
+      (match
+         Key_cache.bound_md ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary cache
+       with
       | Some bound -> Alcotest.(check bool) "cache rebound to the model" true (bound == md)
       | None -> Alcotest.fail "cache unbound after lump");
       let hw' = Key_cache.gid_count cache in
@@ -770,14 +774,14 @@ let test_shared_cache_across_models () =
     models
 
 let test_cache_config_contract () =
-  (* The (eps, key choice, lumping mode) of a cache's rows are recorded
-     at first bind; a later bind (or lookup) under a different
-     configuration must be refused, not silently served rows computed
-     under the old one. *)
+  (* The (key choice, lumping mode) of a cache's rows are recorded at
+     first bind; a later bind, or a level fixed point handed the bound
+     cache, under a different configuration must be refused, not
+     silently served rows computed under the old one. *)
   let config_mismatch =
     Invalid_argument
-      "Key_cache: eps / key choice / lumping mode differ from the configuration \
-       recorded at this cache's first use (use a fresh cache per configuration)"
+      "Key_cache: key choice / lumping mode differ from the configuration recorded at \
+       this cache's first bind (use a fresh cache per configuration)"
   in
   let md, _sizes = concrete_md () in
   let rewards, initial = lump_inputs md in
@@ -788,19 +792,21 @@ let test_cache_config_contract () =
   Alcotest.check_raises "key choice change refused" config_mismatch (fun () ->
       Key_cache.bind ~choice:Local_key.Expanded_matrices ~mode:State_lumping.Ordinary
         cache md);
-  Alcotest.check_raises "eps change refused" config_mismatch (fun () ->
-      Key_cache.bind ~eps:1e-3 ~choice:Local_key.Formal_sums
-        ~mode:State_lumping.Ordinary cache md);
+  (* A level fixed point handed the cache, still bound to [md] under
+     formal sums, must refuse to refine with expanded-matrix keys. *)
+  let level = 2 in
+  let raised =
+    try
+      ignore
+        (Level_lumping.comp_lumping_level ~key:Local_key.Expanded_matrices ~cache
+           State_lumping.Ordinary md ~level
+           ~initial:(Partition.trivial (Md.size md level)));
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "level key choice change refused" true raised;
   (* The recorded configuration itself keeps working. *)
-  ignore (Compositional.lump ~cache State_lumping.Ordinary md ~rewards ~initial);
-  (* A fresh cache records whatever it sees first — including a
-     non-default eps. *)
-  let c2 = Key_cache.create () in
-  Key_cache.bind ~eps:1e-3 ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary
-    c2 md;
-  Alcotest.check_raises "default eps refused after explicit 1e-3" config_mismatch
-    (fun () ->
-      Key_cache.bind ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary c2 md)
+  ignore (Compositional.lump ~cache State_lumping.Ordinary md ~rewards ~initial)
 
 let test_persistent_cross_bind () =
   (* Persistent mode: a same-diagram rebind is an epoch bump, and a
@@ -859,13 +865,10 @@ let sweep_family mode md =
   let scaled = Decomposed.of_level ~sizes ~level:1 (fun s -> float_of_int (s mod 3)) in
   let base_rewards = [ Decomposed.constant ~sizes 0.0 ] in
   let base_initial = Decomposed.constant ~sizes 1.0 in
-  let specs rewards initial =
-    { Compositional.sweep_rewards = rewards; sweep_initial = initial }
-  in
   match mode with
   | State_lumping.Ordinary ->
       List.map
-        (fun rewards -> specs rewards base_initial)
+        (fun rewards -> (rewards, base_initial))
         [
           base_rewards;
           [ ind true ];
@@ -877,7 +880,7 @@ let sweep_family mode md =
       (* Exact mode partitions by the initial distribution (and row
          sums); sweep the initial instead. *)
       List.map
-        (fun initial -> specs base_rewards initial)
+        (fun initial -> (base_rewards, initial))
         [ base_initial; ind true; ind false; scaled; base_initial ]
 
 let test_sweep_matches_per_point =
@@ -889,12 +892,15 @@ let test_sweep_matches_per_point =
       List.iter
         (fun mode ->
           let points = sweep_family mode md in
-          let swept = Compositional.lump_sweep mode md ~points in
+          let sw = Compositional.sweep_create mode md in
+          let swept =
+            List.map
+              (fun (rewards, initial) -> Compositional.sweep_point sw ~rewards ~initial)
+              points
+          in
           let independent =
             List.map
-              (fun p ->
-                Compositional.lump mode md ~rewards:p.Compositional.sweep_rewards
-                  ~initial:p.Compositional.sweep_initial)
+              (fun (rewards, initial) -> Compositional.lump mode md ~rewards ~initial)
               points
           in
           List.iter2
@@ -920,9 +926,7 @@ let test_sweep_reuse_counters () =
   let sw = Compositional.sweep_create State_lumping.Ordinary md in
   let results =
     List.map
-      (fun p ->
-        Compositional.sweep_point sw ~rewards:p.Compositional.sweep_rewards
-          ~initial:p.Compositional.sweep_initial)
+      (fun (rewards, initial) -> Compositional.sweep_point sw ~rewards ~initial)
       points
   in
   let st = Compositional.sweep_stats sw in

@@ -114,16 +114,21 @@ let test_krylov_trivial_chain () =
   Alcotest.(check (float 0.0)) "pi = [1]" 1.0 pi.(0)
 
 let test_steady_state_with_dispatch () =
+  (* Each steady-state solver at its default ordering and relaxation. *)
   let c = birth_death 6 1.0 2.0 in
   let expected = birth_death_stationary 6 1.0 2.0 in
   List.iter
-    (fun m ->
-      let pi, stats = Solver.steady_state_with ~tol:1e-13 m c in
+    (fun (m, solve) ->
+      let pi, stats = solve c in
       Alcotest.(check bool) (Solver.method_name m ^ " converged") true
         stats.Solver.converged;
       Alcotest.(check bool) (Solver.method_name m ^ " matches closed form") true
         (Vec.diff_inf pi expected < 1e-8))
-    [ Solver.Power; Solver.Gauss_seidel; Solver.Krylov ]
+    [
+      (Solver.Power, fun c -> Solver.steady_state ~tol:1e-13 c);
+      (Solver.Gauss_seidel, fun c -> Solver.steady_state_gauss_seidel ~tol:1e-13 c);
+      (Solver.Krylov, fun c -> Solver.steady_state_krylov ~tol:1e-13 c);
+    ]
 
 let poisson_pmf qt k =
   (* e^{-qt} qt^k / k! computed stably in log space. *)

@@ -1,8 +1,8 @@
 (* Tests for the lumpd service layer (Mdl_serve): the JSON codec, the
    typed protocol and its framing, and the daemon's robustness shell —
    deadlines, backpressure, graceful drain — plus the end-to-end pin
-   that results over the socket are bit-identical to in-process
-   [Compositional.lump_sweep].
+   that results over the socket are bit-identical to the in-process
+   sweep engine ([Compositional.sweep_create] and [sweep_point]).
 
    The server enables the process-global metrics registry; every test
    that boots one restores the disabled state it found. *)
@@ -799,7 +799,7 @@ let test_golden_wire () =
         (P.response_of_string bytes = Ok response))
     golden_responses
 
-(* ---- end-to-end: socket results vs in-process lump_sweep ---- *)
+(* ---- end-to-end: socket results vs the in-process sweep engine ---- *)
 
 let test_e2e_bit_identical () =
   with_server ~metrics_port:0 (fun server ->
@@ -855,16 +855,14 @@ let test_e2e_bit_identical () =
         Decomposed.of_level ~sizes ~level:s.P.ind_level (fun v ->
             if (if s.P.ind_ge then v >= s.P.ind_k else v < s.P.ind_k) then 1.0 else 0.0)
       in
-      let points =
+      let sweep points =
+        let sw = Compositional.sweep_create State_lumping.Ordinary md in
         List.map
-          (fun extra ->
-            {
-              Compositional.sweep_rewards = List.map indicator extra @ base;
-              sweep_initial = b.Mdl_models.Polling.initial;
-            })
-          specs
+          (fun rewards ->
+            Compositional.sweep_point sw ~rewards ~initial:b.Mdl_models.Polling.initial)
+          points
       in
-      let local = Compositional.lump_sweep State_lumping.Ordinary md ~points in
+      let local = sweep (List.map (fun extra -> List.map indicator extra @ base) specs) in
       checki "same number of points" (List.length local) (List.length sweep_result.P.sr_points);
       List.iter2
         (fun (r : Compositional.result) (pr : P.point_result) ->
@@ -906,12 +904,7 @@ let test_e2e_bit_identical () =
         | P.Solve_result r -> r
         | _ -> Alcotest.fail "expected solve_result"
       in
-      let r0 =
-        List.hd
-          (Compositional.lump_sweep State_lumping.Ordinary md
-             ~points:
-               [ { Compositional.sweep_rewards = base; sweep_initial = b.Mdl_models.Polling.initial } ])
-      in
+      let r0 = List.hd (sweep [ base ]) in
       let lumped_ss = Compositional.lump_statespace r0 ss in
       let pi, _ =
         Mdl_core.Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000
@@ -996,6 +989,84 @@ let test_e2e_bit_identical () =
           "# TYPE lump_runs counter";
           "key_cache_hits";
         ])
+
+(* ---- metrics endpoint: request framing and silent clients ---- *)
+
+let connect_metrics server =
+  let port = Option.get (Server.metrics_port server) in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let read_to_eof fd =
+  let buf = Buffer.create 8192 in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> Buffer.contents buf
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+  in
+  go ()
+
+let test_scrape_split_request_line () =
+  (* TCP may deliver a request line in pieces; the endpoint must answer
+     the whole line, not the first piece. *)
+  with_server ~metrics_port:0 (fun server ->
+      List.iter
+        (fun (first, rest) ->
+          let fd = connect_metrics server in
+          Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+          write_all fd first;
+          Thread.delay 0.05;
+          write_all fd rest;
+          let reply = read_to_eof fd in
+          checkb
+            (Printf.sprintf "%S then %S answered 200" first rest)
+            true
+            (String.length reply >= 15 && String.sub reply 0 15 = "HTTP/1.0 200 OK"))
+        [ ("GET /met", "rics HTTP/1.0\r\n\r\n"); ("GE", "T /metrics HTTP/1.0\r\n\r\n") ])
+
+let test_scrape_silent_client_does_not_block_stop () =
+  (* A client that connects to the metrics port and sends nothing must
+     not keep [Server.stop] from returning.  The watchdog closes the
+     client after 5 s, so a wedged stop fails the test instead of
+     hanging it. *)
+  let was_enabled = Metrics.enabled () in
+  let server =
+    Server.start
+      {
+        (Server.default_config ~listen:(Server.Unix_socket (fresh_path ()))) with
+        Server.metrics_port = Some 0;
+      }
+  in
+  let accepted0 = Metrics.counter_value "serve.connections" in
+  let fd = connect_metrics server in
+  let waited = ref 0 in
+  while Metrics.counter_value "serve.connections" = accepted0 && !waited < 100 do
+    Thread.delay 0.02;
+    incr waited
+  done;
+  checkb "metrics connection accepted" true
+    (Metrics.counter_value "serve.connections" > accepted0);
+  let stopped = Atomic.make false in
+  let stopper =
+    Thread.create
+      (fun () ->
+        Server.stop server;
+        Atomic.set stopped true)
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () -. t0 < 5.0 do
+    Thread.delay 0.05
+  done;
+  let returned = Atomic.get stopped in
+  Unix.close fd;
+  Thread.join stopper;
+  Metrics.set_enabled was_enabled;
+  checkb "stop returned within 5 s" true returned
 
 (* ---- robustness: deadlines, backpressure, drain ---- *)
 
@@ -1508,6 +1579,10 @@ let tests =
       test_far_deadline_never_expires;
     Alcotest.test_case "robustness: malformed frames answered then closed" `Slow
       test_malformed_frames_over_socket;
+    Alcotest.test_case "metrics: request line split across writes" `Quick
+      test_scrape_split_request_line;
+    Alcotest.test_case "metrics: silent client does not block stop" `Slow
+      test_scrape_silent_client_does_not_block_stop;
     Alcotest.test_case "trace: streaming sink is bounded and valid" `Quick
       test_streaming_trace_bounded;
     Alcotest.test_case "trace: streamed events equal buffered events" `Quick

@@ -150,24 +150,25 @@ let sweep_points md =
   let reward =
     Decomposed.of_level ~sizes ~level (fun s -> if s = 0 then 1.0 else 0.0)
   in
-  let initial = Decomposed.constant ~sizes 1.0 in
-  List.map
-    (fun rewards -> { Compositional.sweep_rewards = rewards; sweep_initial = initial })
-    [ [ reward ]; [ ind true; reward ]; [ ind false; reward ]; [ reward ] ]
+  ( Decomposed.constant ~sizes 1.0,
+    [ [ reward ]; [ ind true; reward ]; [ ind false; reward ]; [ reward ] ] )
 
 let test_differential_sweep =
   QCheck.Test.make ~count:25
     ~name:"parallel lump_sweep bit-identical to sequential and per-point (2/4 domains)"
     (Qcheck_gen.md_model ()) (fun spec ->
       let md = Gen_md.of_spec spec in
-      let points = sweep_points md in
-      let seq = Compositional.lump_sweep State_lumping.Ordinary md ~points in
+      let initial, points = sweep_points md in
+      let sweep ?pool ?par_threshold () =
+        let sw =
+          Compositional.sweep_create ?pool ?par_threshold State_lumping.Ordinary md
+        in
+        List.map (fun rewards -> Compositional.sweep_point sw ~rewards ~initial) points
+      in
+      let seq = sweep () in
       let independent =
         List.map
-          (fun p ->
-            Compositional.lump State_lumping.Ordinary md
-              ~rewards:p.Compositional.sweep_rewards
-              ~initial:p.Compositional.sweep_initial)
+          (fun rewards -> Compositional.lump State_lumping.Ordinary md ~rewards ~initial)
           points
       in
       List.iter2
@@ -182,10 +183,7 @@ let test_differential_sweep =
         seq independent;
       List.iter
         (fun d ->
-          let par =
-            Compositional.lump_sweep ~pool:(pool d) ~par_threshold:1
-              State_lumping.Ordinary md ~points
-          in
+          let par = sweep ~pool:(pool d) ~par_threshold:1 () in
           List.iter2
             (fun s p ->
               if not (Md.equal s.Compositional.lumped p.Compositional.lumped) then
@@ -437,10 +435,10 @@ let identity_slice n : Refiner.slice = (Array.init n Fun.id, 0, n)
 let test_key_cache_fork () =
   let md = Gen_md.of_spec direct_spec in
   let kc = Key_cache.create () in
-  Key_cache.bind kc md;
+  Key_cache.bind ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary kc md;
   let node = List.hd (Md.live_nodes md).(0) in
   let slice = identity_slice (Md.size md 1) in
-  let eval c = Key_cache.splitter_keys c Local_key.Formal_sums State_lumping.Ordinary ~node slice in
+  let eval c = Key_cache.splitter_keys c ~node slice in
   let counted f = Counters.of_run [ "key_cache.hits"; "key_cache.misses" ] f in
   let (states, gids), parent = counted (fun () -> eval kc) in
   Alcotest.(check int) "parent first call is a miss" 1 (parent "key_cache.misses");
