@@ -352,13 +352,12 @@ let p5_tests () =
   let n = Statespace.size ss in
   assert (n = Kronecker.potential_size k);
   let flat = Md_vector.to_csr b.Workstations.md ss in
-  let mdd = Mdl_md.Mdd.of_statespace ss in
   let x = Array.init n (fun i -> 1.0 /. float_of_int (i + 1)) in
   [
     Test.make ~name:"P5 x*R kronecker shuffle"
       (Staged.stage (fun () -> ignore (Kronecker.vec_mul k x)));
-    Test.make ~name:"P5 x*R md walk, mdd offsets"
-      (Staged.stage (fun () -> ignore (Md_vector.vec_mul_mdd b.Workstations.md mdd x)));
+    Test.make ~name:"P5 x*R md walk, statespace offsets"
+      (Staged.stage (fun () -> ignore (Md_vector.vec_mul b.Workstations.md ss x)));
     Test.make ~name:"P5 x*R flat csr"
       (Staged.stage (fun () -> ignore (Mdl_sparse.Csr.vec_mul x flat)));
   ]

@@ -18,15 +18,9 @@ let run socket tcp metrics_port max_inflight queue_capacity timeout_ms trace_fil
     stream_trace access_log verbose =
   Mdl_obs.Logging.setup ~verbose ();
   let listen =
-    match (tcp, socket) with
-    | Some spec, _ -> (
-        match String.rindex_opt spec ':' with
-        | Some i ->
-            let host = String.sub spec 0 i in
-            let port = int_of_string (String.sub spec (i + 1) (String.length spec - i - 1)) in
-            Server.Tcp ((if host = "" then "127.0.0.1" else host), port)
-        | None -> Server.Tcp ("127.0.0.1", int_of_string spec))
-    | None, path -> Server.Unix_socket path
+    match tcp with
+    | Some (host, port) -> Server.Tcp (host, port)
+    | None -> Server.Unix_socket socket
   in
   let tracing = trace_file <> None || stream_trace <> None in
   (match (stream_trace, trace_file) with
@@ -76,31 +70,60 @@ let run socket tcp metrics_port max_inflight queue_capacity timeout_ms trace_fil
 
 open Cmdliner
 
+(* Flag values are checked by their converters, so a bad one is a usage
+   error that names the flag (exit 124) rather than a value the server
+   rejects, or silently truncates, after boot. *)
+let int_in ?(max = max_int) min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min && n <= max -> Ok n
+    | _ when max = max_int ->
+        Error (Printf.sprintf "invalid value '%s', expected an integer >= %d" s min)
+    | _ -> Error (Printf.sprintf "invalid value '%s', expected an integer in %d-%d" s min max)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let port = int_in ~max:65535 0
+
+(* HOST:PORT, or a bare PORT on 127.0.0.1. *)
+let tcp_address =
+  let parse spec =
+    let host, p =
+      match String.rindex_opt spec ':' with
+      | Some i -> (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
+      | None -> ("", spec)
+    in
+    Result.map
+      (fun p -> ((if host = "" then "127.0.0.1" else host), p))
+      (Arg.conv_parser port p)
+  in
+  Arg.conv ~docv:"HOST:PORT" (parse, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
+
 let socket_arg =
   Arg.(value & opt string "/tmp/lumpd.sock"
        & info [ "socket" ] ~docv:"PATH"
            ~doc:"Listen on this Unix-domain socket (removed on exit).")
 
 let tcp_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some tcp_address) None
        & info [ "tcp" ] ~docv:"HOST:PORT"
            ~doc:"Listen on TCP instead of the Unix socket; port $(b,0) picks an \
                  ephemeral port (printed at boot).")
 
 let metrics_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some port) None
        & info [ "metrics-port" ] ~docv:"PORT"
            ~doc:"Serve Prometheus text-format metrics on \
                  http://127.0.0.1:$(docv)/metrics; $(b,0) picks an ephemeral port.")
 
 let inflight_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (int_in 1) 1
        & info [ "max-inflight" ] ~docv:"N"
            ~doc:"Execution slots: requests running concurrently (default 1; lumping \
                  requests serialise per model anyway).")
 
 let queue_arg =
-  Arg.(value & opt int 32
+  Arg.(value & opt (int_in 0) 32
        & info [ "queue-capacity" ] ~docv:"N"
            ~doc:"Waiting requests beyond the slots before new ones are rejected \
                  with $(b,queue_full).")

@@ -271,6 +271,8 @@ let splitter_keys ?skip t ~node ((perm, first, len) as slice) =
           (* First-writer-wins keeps concurrent domains agreeing on one
              published row list (they compute equal ones — the store key
              pins the full evaluation). *)
-          let _, rows = Shard_map.add t.shared.store (node, csig) (t.epoch, rows) in
+          let _, rows =
+            Shard_map.find_or_add t.shared.store (node, csig) (fun () -> (t.epoch, rows))
+          in
           Hashtbl.replace t.rows key (t.epoch, rows);
           rows)

@@ -9,10 +9,7 @@ module State_lumping = Mdl_lumping.State_lumping
 let uniformized_parts ?lambda md ss =
   if Md.levels md <> Statespace.levels ss then
     invalid_arg "Md_solve.uniformized_operator: level count mismatch";
-  (* The reachable space is converted to an MDD once so every iteration
-     uses offset-based co-walk products instead of per-entry hashing. *)
-  let mdd = Mdl_md.Mdd.of_statespace ss in
-  let exit = Md_vector.row_sums_mdd md mdd in
+  let exit = Md_vector.row_sums md ss in
   let max_rate = Array.fold_left Float.max 0.0 exit in
   let lambda =
     match lambda with
@@ -23,14 +20,14 @@ let uniformized_parts ?lambda md ss =
         l
   in
   let apply x =
-    let y = Md_vector.vec_mul_mdd md mdd x in
+    let y = Md_vector.vec_mul md ss x in
     (* y := x + (x R - x .* exit) / lambda, elementwise. *)
     Array.mapi (fun i yi -> x.(i) +. ((yi -. (x.(i) *. exit.(i))) /. lambda)) y
   in
-  (mdd, exit, { Solver.dim = Statespace.size ss; apply }, lambda)
+  (exit, { Solver.dim = Statespace.size ss; apply }, lambda)
 
 let uniformized_operator ?lambda md ss =
-  let _mdd, _exit, op, lambda = uniformized_parts ?lambda md ss in
+  let _exit, op, lambda = uniformized_parts ?lambda md ss in
   (op, lambda)
 
 let steady_state ?tol ?max_iter md ss =
@@ -38,11 +35,12 @@ let steady_state ?tol ?max_iter md ss =
   Solver.power ?tol ?max_iter op
 
 let steady_state_krylov ?tol ?max_iter md ss =
-  let mdd, exit, op, lambda = uniformized_parts md ss in
-  (* Diagonal of the uniformised P = I + Q/lambda over MDD indices:
-     P(i,i) = 1 + (R(i,i) - exit(i)) / lambda — one extra co-walk buys
-     the Jacobi preconditioner without materialising the matrix. *)
-  let rdiag = Md_vector.diag_mdd md mdd in
+  let exit, op, lambda = uniformized_parts md ss in
+  (* Diagonal of the uniformised P = I + Q/lambda over the state space's
+     indices: P(i,i) = 1 + (R(i,i) - exit(i)) / lambda — one extra
+     co-walk buys the Jacobi preconditioner without materialising the
+     matrix. *)
+  let rdiag = Md_vector.diag md ss in
   let diag =
     Array.init op.Solver.dim (fun i -> 1.0 +. ((rdiag.(i) -. exit.(i)) /. lambda))
   in

@@ -37,7 +37,7 @@ val steady_state_krylov :
   Mdl_sparse.Vec.t * Mdl_ctmc.Solver.stats
 (** Stationary distribution by {!Mdl_ctmc.Solver.krylov} (BiCGStab) on
     the uniformised operator, Jacobi-preconditioned with the diagonal
-    extracted from the diagram by {!Mdl_md.Md_vector.diag_mdd} — still
+    extracted from the diagram by {!Mdl_md.Md_vector.diag} — still
     matrix-free. *)
 
 val transient :

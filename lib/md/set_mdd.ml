@@ -334,23 +334,6 @@ let saturation m ~rels ~tops s =
   in
   saturate s
 
-let iter m t f =
-  if t <> zero then begin
-    let buf = Array.make m.nlevels 0 in
-    let rec walk id level =
-      if level > m.nlevels then f buf
-      else
-        Array.iter
-          (fun (s, child) ->
-            buf.(level - 1) <- s;
-            walk child (level + 1))
-          (data m id).arcs
-    in
-    walk t 1
-  end
-
 let to_statespace m t =
   if t = zero then invalid_arg "Set_mdd.to_statespace: empty set";
-  let tuples = ref [] in
-  iter m t (fun s -> tuples := Array.copy s :: !tuples);
-  Statespace.of_tuples ~levels:m.nlevels !tuples
+  Statespace.of_dag ~levels:m.nlevels (fun id -> (data m id).arcs) t

@@ -72,8 +72,8 @@ val saturation :
     @raise Invalid_argument if [rels] and [tops] differ in length or a
     top is out of range. *)
 
-val iter : man -> t -> (int array -> unit) -> unit
-(** Enumerate tuples in lexicographic order (buffer reused). *)
-
 val to_statespace : man -> t -> Statespace.t
-(** @raise Invalid_argument on the empty set. *)
+(** The set as an offset-indexed state space, converted node by node
+    with {!Statespace.of_dag} (each set-MDD node once, no state
+    enumerated); the states are numbered in lexicographic order.
+    @raise Invalid_argument on the empty set. *)

@@ -1,7 +1,26 @@
+module Dynarray = Mdl_util.Dynarray
+module Hashx = Mdl_util.Hashx
+
+type node = int
+
+(* A node's arcs in parallel arrays sorted by local state: arc [i] leads
+   on [labels.(i)] to [children.(i)], and [offsets.(i)] counts the
+   states below the arcs before it. *)
+type node_data = {
+  level : int;
+  labels : int array;
+  offsets : int array;
+  children : node array;
+  count : int; (* states below this node *)
+}
+
 type t = {
   nlevels : int;
-  tuples : int array array; (* index -> tuple, strictly increasing lexicographically *)
+  nodes : node_data array; (* id 0 is the terminal, below level [nlevels] *)
+  root : node;
 }
+
+let terminal = 0
 
 (* Lexicographic order on tuples of equal length.  A top-level loop on
    [int] keeps the comparison monomorphic and allocation-free: sorting
@@ -14,11 +33,79 @@ let compare_tuples (a : int array) (b : int array) =
   done;
   if !i = n then 0 else Int.compare a.(!i) b.(!i)
 
-(* Sort [arr] in place, drop adjacent duplicates and copy the survivors,
-   so the state space never shares an array with its caller.  Merge sort
-   rather than [Array.sort]'s heap sort: stability does not matter, but
-   it makes about half the comparisons, fewer still on partly sorted
-   input. *)
+let int_array_equal a b = Array.length a = Array.length b && compare_tuples a b = 0
+
+(* ---- construction: one shared node per distinct (level, arcs) ---- *)
+
+module Cons = Hashtbl.Make (struct
+  type t = int * int array * node array
+
+  let equal (l, a, c) (l', a', c') = l = l' && int_array_equal a a' && int_array_equal c c'
+
+  let hash (l, a, c) = Hashx.combine (Hashx.combine l (Hashx.int_array a)) (Hashx.int_array c)
+end)
+
+type builder = {
+  b_levels : int;
+  data : node_data Dynarray.t;
+  cons : node Cons.t;
+}
+
+let builder levels =
+  let data = Dynarray.create () in
+  Dynarray.push data
+    { level = levels + 1; labels = [||]; offsets = [||]; children = [||]; count = 1 };
+  { b_levels = levels; data; cons = Cons.create 64 }
+
+(* The node at [level] with arcs [labels] (strictly increasing) to
+   [children]; offsets and the count follow from the children's
+   counts. *)
+let mk b level labels children =
+  let key = (level, labels, children) in
+  match Cons.find_opt b.cons key with
+  | Some id -> id
+  | None ->
+      let offsets = Array.make (Array.length labels) 0 in
+      let count = ref 0 in
+      Array.iteri
+        (fun i c ->
+          offsets.(i) <- !count;
+          count := !count + (Dynarray.get b.data c).count)
+        children;
+      let id = Dynarray.length b.data in
+      Dynarray.push b.data { level; labels; offsets; children; count = !count };
+      Cons.add b.cons key id;
+      id
+
+let finish b root = { nlevels = b.b_levels; nodes = Dynarray.to_array b.data; root }
+
+(* Convert a DAG whose nodes are named by ints, once per name:
+   [arcs level n] lists node [n]'s (local state, child name) arcs sorted
+   by local state without repeats. *)
+let convert ~levels arcs root =
+  let b = builder levels in
+  let memo = Hashtbl.create 64 in
+  let rec conv level n =
+    if level > levels then terminal
+    else
+      match Hashtbl.find_opt memo n with
+      | Some id -> id
+      | None ->
+          let pairs = arcs level n in
+          let id =
+            mk b level (Array.map fst pairs)
+              (Array.map (fun (_, c) -> conv (level + 1) c) pairs)
+          in
+          Hashtbl.add memo n id;
+          id
+  in
+  finish b (conv 1 root)
+
+(* Sort [arr] in place, drop adjacent duplicates and build the shared
+   nodes over the survivors: the tuples of one prefix form a contiguous
+   range.  Merge sort rather than [Array.sort]'s heap sort: stability
+   does not matter, but it makes about half the comparisons, fewer still
+   on partly sorted input. *)
 let of_array ~levels arr =
   Array.iter
     (fun s ->
@@ -34,54 +121,164 @@ let of_array ~levels arr =
         incr kept
       end)
     arr;
-  { nlevels = levels; tuples = Array.init !kept (fun i -> Array.copy arr.(i)) }
+  let b = builder levels in
+  let rec build level lo hi =
+    if level > levels then terminal
+    else begin
+      let labels = Dynarray.create () and children = Dynarray.create () in
+      let i = ref lo in
+      while !i < hi do
+        let v = arr.(!i).(level - 1) in
+        let j = ref (!i + 1) in
+        while !j < hi && arr.(!j).(level - 1) = v do
+          incr j
+        done;
+        Dynarray.push labels v;
+        Dynarray.push children (build (level + 1) !i !j);
+        i := !j
+      done;
+      mk b level (Dynarray.to_array labels) (Dynarray.to_array children)
+    end
+  in
+  finish b (build 1 0 !kept)
 
 let of_tuples ~levels tuples =
   if tuples = [] then invalid_arg "Statespace.of_tuples: empty state space";
   of_array ~levels (Array.of_list tuples)
 
+let of_dag ~levels arcs root =
+  convert ~levels
+    (fun _ n ->
+      let pairs = arcs n in
+      if Array.length pairs = 0 then invalid_arg "Statespace.of_dag: node without arcs";
+      Array.iteri
+        (fun i (v, _) ->
+          if i > 0 && v <= fst pairs.(i - 1) then
+            invalid_arg "Statespace.of_dag: arcs not strictly increasing")
+        pairs;
+      pairs)
+    root
+
+let relabel t f =
+  convert ~levels:t.nlevels
+    (fun level n ->
+      let d = t.nodes.(n) in
+      let pairs = Array.mapi (fun i v -> (f level v, d.children.(i))) d.labels in
+      Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
+      Array.iteri
+        (fun i (v, _) ->
+          if i > 0 && v = fst pairs.(i - 1) then
+            invalid_arg "Statespace.relabel: two substates of one node map to one value")
+        pairs;
+      pairs)
+    t.root
+
+(* ---- queries ---- *)
+
 let levels t = t.nlevels
 
-let size t = Array.length t.tuples
+let size t = t.nodes.(t.root).count
+
+let num_nodes t = Array.length t.nodes - 1
+
+let root t = t.root
+
+(* Position of the arc labelled [v] in [d], or [-1]. *)
+let arc_pos d v =
+  let labels = d.labels in
+  let lo = ref 0 and hi = ref (Array.length labels - 1) and pos = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let x = labels.(mid) in
+    if x = v then begin
+      pos := mid;
+      lo := !hi + 1
+    end
+    else if x < v then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !pos
+
+let arc t n v =
+  let d = t.nodes.(n) in
+  let i = arc_pos d v in
+  if i < 0 then None else Some (d.offsets.(i), d.children.(i))
 
 let index t s =
   if Array.length s <> t.nlevels then None
-  else begin
-    let lo = ref 0 and hi = ref (Array.length t.tuples) in
-    (* invariant: a member lies in [lo, hi) *)
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if compare_tuples t.tuples.(mid) s < 0 then lo := mid + 1 else hi := mid
-    done;
-    if !lo < Array.length t.tuples && compare_tuples t.tuples.(!lo) s = 0 then Some !lo
-    else None
-  end
+  else
+    let rec walk level n acc =
+      if level > t.nlevels then Some acc
+      else
+        let d = t.nodes.(n) in
+        let i = arc_pos d s.(level - 1) in
+        if i < 0 then None else walk (level + 1) d.children.(i) (acc + d.offsets.(i))
+    in
+    walk 1 t.root 0
 
 let tuple t i =
   if i < 0 || i >= size t then invalid_arg "Statespace.tuple: index out of bounds";
-  t.tuples.(i)
+  let s = Array.make t.nlevels 0 in
+  let n = ref t.root and rest = ref i in
+  for level = 1 to t.nlevels do
+    let d = t.nodes.(!n) in
+    (* the last arc whose offset is at most [rest] *)
+    let lo = ref 0 and hi = ref (Array.length d.offsets - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) lsr 1 in
+      if d.offsets.(mid) <= !rest then lo := mid else hi := mid - 1
+    done;
+    s.(level - 1) <- d.labels.(!lo);
+    rest := !rest - d.offsets.(!lo);
+    n := d.children.(!lo)
+  done;
+  s
 
-let iter f t = Array.iteri f t.tuples
+let iter f t =
+  let buf = Array.make t.nlevels 0 in
+  let idx = ref 0 in
+  let rec walk level n =
+    if level > t.nlevels then begin
+      f !idx buf;
+      incr idx
+    end
+    else begin
+      let d = t.nodes.(n) in
+      Array.iteri
+        (fun i v ->
+          buf.(level - 1) <- v;
+          walk (level + 1) d.children.(i))
+        d.labels
+    end
+  in
+  walk 1 t.root
 
 let local_states t l =
   if l < 1 || l > t.nlevels then invalid_arg "Statespace.local_states: level out of range";
   let seen = Hashtbl.create 64 in
-  Array.iter (fun s -> Hashtbl.replace seen s.(l - 1) ()) t.tuples;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
+  Array.iter
+    (fun d -> if d.level = l then Array.iter (fun v -> Hashtbl.replace seen v ()) d.labels)
+    t.nodes;
+  List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
 
 module Tuple_table = Hashtbl.Make (struct
   type t = int array
 
-  let equal a b = Array.length a = Array.length b && compare_tuples a b = 0
+  let equal = int_array_equal
 
-  let hash = Mdl_util.Hashx.int_array
+  let hash = Hashx.int_array
 end)
 
 let map t f =
   (* Images collapse heavily under lumping, so distinct images are
-     collected by hashing first and only those are sorted. *)
+     collected by hashing first and only those are sorted.  [iter]
+     reuses its buffer, so a kept image is copied. *)
   let distinct = Tuple_table.create 1024 in
-  Array.iter (fun s -> Tuple_table.replace distinct (f s) ()) t.tuples;
+  iter
+    (fun _ s ->
+      let img = f s in
+      if not (Tuple_table.mem distinct img) then Tuple_table.add distinct (Array.copy img) ())
+    t;
   let images = Array.of_seq (Tuple_table.to_seq_keys distinct) in
   (* The image may live over a different number of levels (e.g. after
      level merging); infer it from the mapped tuples. *)

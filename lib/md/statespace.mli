@@ -2,47 +2,98 @@
 
     An MD is defined over the potential product space
     [S_1 x .. x S_L]; the states actually reachable in a model are a
-    subset of it.  This module stores that subset as a lexicographically
-    sorted array of substate tuples: solution vectors are indexed by
-    [0 .. size-1], and a tuple's index is found by binary search (the
-    role played by the symbolic state space in the paper's Möbius
-    implementation; {!Mdd} indexes the same set by path offsets). *)
+    subset of it.  This module stores that subset as an
+    {e offset-indexed MDD}: one shared node per distinct suffix set
+    (the role played by the symbolic state space in the paper's Möbius
+    implementation).  A node's arcs are sorted by local state, and each
+    arc carries the number of states before it within its node, so
+    states are numbered [0 .. size-1] in lexicographic order and a
+    state's index is the sum of the offsets on its path: [O(L log k)]
+    per lookup for nodes of at most [k] arcs, with no hashing.  No
+    per-state array is kept; solution vectors are indexed by these
+    numbers, and vector products co-walk an {!Md.t} with two cursors
+    ({!root}, {!arc}), pruning unreachable branches wholesale (see
+    {!Md_vector}). *)
 
 type t
 
+type node
+(** A node at some level; the root is at level 1, the terminal below
+    level [L]. *)
+
 val of_tuples : levels:int -> int array list -> t
 (** Build from a list of length-[levels] tuples by sorting them
-    lexicographically and merging duplicates.  The kept tuples are
-    copied, so the caller may reuse or mutate its arrays afterwards.
+    lexicographically, merging duplicates and sharing suffixes.  No
+    tuple is kept, so the caller may reuse or mutate its arrays
+    afterwards.
     @raise Invalid_argument on a tuple of the wrong length or an empty
     list. *)
+
+val of_dag : levels:int -> (int -> (int * int) array) -> int -> t
+(** [of_dag ~levels arcs root] is the set of root-to-terminal paths of a
+    shared DAG of [levels] levels whose nodes are named by ints:
+    [arcs n] lists node [n]'s [(local state, child)] arcs, sorted by
+    local state without repeats, and the children of a level-[levels]
+    node are the terminal (their names are never looked at).  Each node
+    is converted once, however many paths reach it (so a name must
+    denote one node), and no state is enumerated: this is how
+    {!Set_mdd.to_statespace} turns a saturated set into a state space.
+    @raise Invalid_argument on a node without arcs or with unsorted
+    arcs. *)
+
+val relabel : t -> (int -> int -> int) -> t
+(** [relabel t f] renames local state [v] of level [l] to [f l v] on
+    every arc, re-sorting each node's arcs and recomputing their
+    offsets: the result is [of_tuples] of the renamed states, with the
+    states renumbered in their new lexicographic order, computed node by
+    node without enumerating states.  [f l] need only be injective on
+    the local states of each node.
+    @raise Invalid_argument if [f] maps two local states of one node to
+    the same value. *)
 
 val levels : t -> int
 
 val size : t -> int
+(** Number of states (the root's count). *)
+
+val num_nodes : t -> int
+(** Shared nodes in the diagram, excluding the terminal. *)
 
 val index : t -> int array -> int option
-(** Position of a tuple, if present: an [O(L log n)] binary search over
-    the sorted tuples.  A tuple whose length is not [levels t] is never
-    present. *)
+(** Position of a tuple, if present: an offset walk from the root.  A
+    tuple whose length is not [levels t] is never present. *)
 
 val tuple : t -> int -> int array
-(** The tuple at an index (do not mutate the returned array). *)
+(** The tuple at an index, found by an offset descent from the root;
+    a fresh array.
+    @raise Invalid_argument on an index outside [0 .. size t - 1]. *)
 
 val iter : (int -> int array -> unit) -> t -> unit
+(** [iter f t] calls [f i s] for every state [s] in index order.  The
+    tuple buffer [s] is reused from one call to the next: copy it to
+    keep it, and do not mutate it. *)
 
 val local_states : t -> int -> int list
 (** [local_states t l] is the sorted set of level-[l] substates that
     occur in some state — the projection of the state space onto level
-    [l] (used to size the per-level index sets). *)
+    [l], read off the arcs of the level-[l] nodes. *)
 
 val map : t -> (int array -> int array) -> t
 (** [map t f] is the state space [{f s | s in t}] (e.g. the lumped state
     space obtained by mapping substates to class ids); duplicates
-    collapse.  [f] may change the number of levels (e.g.
-    {!Restructure.merge_tuple}-style maps); all images must
-    have the same length.  Distinct images are gathered by hashing
-    before the sort, so a map that collapses many states sorts only
-    the few images. *)
+    collapse.  It enumerates [t], and copies every image it keeps, so
+    [f] may return its argument.  [f] may change the number of levels
+    (e.g. {!Restructure.merge_tuple}-style maps); all images must have
+    the same length.  Distinct images are gathered by hashing before the
+    sort, so a map that collapses many states sorts only the few
+    images. *)
+
+val root : t -> node
+
+val arc : t -> node -> int -> (int * node) option
+(** [arc t n s] follows local state [s] out of node [n]: returns the
+    offset (number of states before [s] within [n]) and the child node,
+    or [None] when no member state has substate [s] here.  The child of
+    a level-[L] node is the terminal. *)
 
 val pp : Format.formatter -> t -> unit

@@ -125,8 +125,6 @@ module Ctx = struct
 
   let enabled t = t.enabled
 
-  let streaming t = t.sink <> None
-
   let streamed_count t = t.streamed
 
   let clear t =

@@ -45,11 +45,14 @@ exception Nesting_error of string
 
 (** {1 Trace contexts}
 
-    An explicit recording context.  Every operation of the module-level
-    API exists here with the context as an explicit argument and
-    identical semantics (including the exact {!Nesting_error}
-    messages); the module-level functions are thin wrappers applying
-    the thread's current context. *)
+    An explicit recording context, for a caller that owns one (as
+    [lumpd] does per traced request).  The operations here take the
+    context as an explicit argument; each one that shares its name with
+    a module-level function has that function's semantics (including
+    the exact {!Nesting_error} messages), the module-level function
+    being a thin wrapper applying the thread's current context.  The
+    rest of the module-level API reaches a context only through
+    {!with_ctx}. *)
 
 module Ctx : sig
   type t
@@ -59,19 +62,9 @@ module Ctx : sig
 
   val create : unit -> t
   (** A fresh disabled context with an empty buffer and no epoch (the
-      epoch is fixed by its first {!start}/{!start_streaming}). *)
-
-  val enabled : t -> bool
+      epoch is fixed by its first {!start}). *)
 
   val start : ?gc:bool -> t -> unit
-
-  val start_streaming : ?gc:bool -> ?close:(unit -> unit) -> t -> (string -> unit) -> unit
-
-  val stream_to_file : ?gc:bool -> t -> string -> unit
-
-  val streaming : t -> bool
-
-  val streamed_count : t -> int
 
   val stop : t -> unit
 
@@ -83,10 +76,6 @@ module Ctx : sig
   val begin_span : ?cat:string -> ?args:(string * value) list -> t -> string -> unit
 
   val end_span : t -> string -> unit
-
-  val add_args : t -> (string * value) list -> unit
-
-  val open_spans : t -> int
 
   val span_count : t -> int
 
@@ -102,19 +91,11 @@ module Ctx : sig
     unit) ->
     unit
 
-  val phase_totals : ?from:int -> t -> (string * float) list
-
   val span_rollup : ?from:int -> t -> (string * int * float) list
   (** Per-span-name [(name, count, inclusive seconds)] over the
       buffered events, sorted by name — the rollup [lumpd] returns for
-      [trace: true] requests.  Like {!phase_totals}, nested spans each
-      count their own full extent. *)
-
-  val export_json : t -> Buffer.t -> unit
-
-  val write_file : t -> string -> unit
-
-  val clear : t -> unit
+      [trace: true] requests.  As in the module-level [phase_totals],
+      nested spans each count their own full extent. *)
 end
 
 val with_ctx : Ctx.t -> (unit -> 'a) -> 'a
@@ -155,8 +136,7 @@ val start : ?gc:bool -> unit -> unit
 
 val stream_to_file : ?gc:bool -> string -> unit
 (** [stream_to_file path] clears the buffer and enables recording in
-    streaming mode into [path] ({!Ctx.start_streaming} with a file
-    sink): spans are appended to the file as they close and the file is
+    streaming mode with a file sink on [path]: spans are appended to the file as they close and the file is
     completed and closed at {!stop} — constant memory at any span count
     ([lumpd --trace], [lumpmd --stream-trace]).  [gc] as in {!start}. *)
 

@@ -86,39 +86,27 @@ type exploration = {
 }
 
 (* Canonicalise an exploration: keep only local states occurring in some
-   reachable tuple, order each level's local states lexicographically by
-   their encoding (so the result is independent of discovery order and
-   of the exploration strategy), remap all tuples, and build the final
-   local spaces, Kronecker descriptor and state space. *)
-let finalize t interners old_tuples old_initial =
+   reachable state (read off the state space's arcs), order each level's
+   local states lexicographically by their encoding (so the result is
+   independent of discovery order and of the exploration strategy),
+   relabel the state space's arcs accordingly, and build the final local
+   spaces and Kronecker descriptor. *)
+let finalize t interners old_ss old_initial =
   let ncomp = Array.length t.comps in
-  (* occurrence masks *)
-  let occurring =
-    Array.init ncomp (fun k -> Array.make (Dynarray.length interners.(k).states) false)
-  in
-  List.iter
-    (fun tuple -> Array.iteri (fun k i -> occurring.(k).(i) <- true) tuple)
-    old_tuples;
-  (* canonical order of the occurring local states *)
   let remap = Array.init ncomp (fun k -> Array.make (Dynarray.length interners.(k).states) (-1)) in
   let local_spaces =
     Array.init ncomp (fun k ->
-        let occ = ref [] in
-        Array.iteri
-          (fun i present ->
-            if present then occ := Dynarray.get interners.(k).states i :: !occ)
-          occurring.(k);
-        let sorted = Array.of_list !occ in
+        let sorted =
+          Array.of_list
+            (List.map (Dynarray.get interners.(k).states)
+               (Mdl_md.Statespace.local_states old_ss (k + 1)))
+        in
         Array.sort compare sorted;
         Array.iteri
-          (fun new_idx s ->
-            match State_table.find_opt interners.(k).index_of s with
-            | Some old_idx -> remap.(k).(old_idx) <- new_idx
-            | None -> assert false)
+          (fun new_idx s -> remap.(k).(State_table.find interners.(k).index_of s) <- new_idx)
           sorted;
         sorted)
   in
-  let remap_tuple tuple = Array.mapi (fun k i -> remap.(k).(i)) tuple in
   let sizes = Array.map Array.length local_spaces in
   (* Per-event local matrices over the final local spaces; transitions
      into non-occurring local states cannot fire in any reachable global
@@ -156,15 +144,12 @@ let finalize t interners old_tuples old_initial =
       t.evts
   in
   let descriptor = Mdl_kron.Kronecker.make ~sizes kron_events in
-  let statespace =
-    Mdl_md.Statespace.of_tuples ~levels:ncomp (List.map remap_tuple old_tuples)
-  in
   {
     model = t;
     local_spaces;
-    statespace;
+    statespace = Mdl_md.Statespace.relabel old_ss (fun l i -> remap.(l - 1).(i));
     descriptor;
-    initial_tuple = remap_tuple old_initial;
+    initial_tuple = Array.mapi (fun k i -> remap.(k).(i)) old_initial;
   }
 
 let explore ?(max_states = 5_000_000) t =
@@ -223,7 +208,9 @@ let explore ?(max_states = 5_000_000) t =
         (String.concat "/"
            (Array.to_list
               (Array.map (fun it -> string_of_int (Dynarray.length it.states)) interners))));
-  finalize t interners (Dynarray.to_list tuples) initial_tuple
+  finalize t interners
+    (Mdl_md.Statespace.of_tuples ~levels:ncomp (Dynarray.to_list tuples))
+    initial_tuple
 
 let explore_symbolic ?(max_states = 50_000_000) t =
   let ncomp = Array.length t.comps in
@@ -287,9 +274,7 @@ let explore_symbolic ?(max_states = 50_000_000) t =
       m "explore_symbolic: %d states, %d set-MDD nodes"
         (Mdl_md.Set_mdd.count man reachable)
         (Mdl_md.Set_mdd.num_nodes man));
-  let old_tuples = ref [] in
-  Mdl_md.Set_mdd.iter man reachable (fun s -> old_tuples := Array.copy s :: !old_tuples);
-  finalize t interners !old_tuples initial_tuple
+  finalize t interners (Mdl_md.Set_mdd.to_statespace man reachable) initial_tuple
 
 let local_index exp l s =
   if l < 1 || l > Array.length exp.local_spaces then

@@ -15,11 +15,12 @@
     probabilistic branching must be local to a level (conjunctive
     across levels).
 
-    {!explore} performs explicit reachability analysis (the stand-in for
-    the paper's symbolic state-space generation), discovers the
-    per-level local state spaces, and compiles the model to a
-    {!Mdl_kron.Kronecker.t} descriptor — from which the matrix diagram
-    is one {!Mdl_kron.Kronecker.to_md} away. *)
+    {!explore_symbolic} (the paper's symbolic state-space generation)
+    and {!explore} (explicit breadth-first search, the tested reference)
+    compute the reachable states, discover the per-level local state
+    spaces, and compile the model to a {!Mdl_kron.Kronecker.t}
+    descriptor — from which the matrix diagram is one
+    {!Mdl_kron.Kronecker.to_md} away. *)
 
 type local_state = int array
 
@@ -57,7 +58,9 @@ type exploration = {
       (** [local_spaces.(l-1).(i)] is the decoded local state [i] of
           level [l]; indices are the MD level index sets *)
   statespace : Mdl_md.Statespace.t;
-      (** reachable global states, as tuples of local indices *)
+      (** reachable global states over the local indices, as an
+          offset-indexed MDD: one shared node per distinct suffix set,
+          states numbered in lexicographic order *)
   descriptor : Mdl_kron.Kronecker.t;
   initial_tuple : int array;  (** index tuple of the initial state *)
 }
@@ -71,7 +74,9 @@ val explore : ?max_states:int -> t -> exploration
     The result is canonical: local states are ordered lexicographically
     by their encoding and only states occurring in some reachable tuple
     are kept, so {!explore} and {!explore_symbolic} produce identical
-    explorations. *)
+    explorations.  The search's tuples are sorted into a
+    {!Mdl_md.Statespace.of_tuples} over discovery-order local indices,
+    which the canonical order then relabels arc by arc. *)
 
 val explore_symbolic : ?max_states:int -> t -> exploration
 (** Symbolic reachability: the reachable set is computed as a
@@ -79,8 +84,12 @@ val explore_symbolic : ?max_states:int -> t -> exploration
     fixpoint iteration — the style of state-space generation the paper's
     tool chain uses, and dramatically faster than explicit BFS on large
     structured models.  Produces the same (canonical) exploration as
-    {!explore}.  [max_states] defaults to 50_000_000 (the set itself is
-    symbolic; enumeration happens only once at the end). *)
+    {!explore}.  No state is enumerated: the saturated set becomes the
+    state space node by node ({!Mdl_md.Set_mdd.to_statespace}), the
+    occurring local states are read off its arcs, and the canonical
+    order is applied as a per-level arc relabel
+    ({!Mdl_md.Statespace.relabel}).  [max_states] defaults to
+    50_000_000. *)
 
 val local_index : exploration -> int -> local_state -> int option
 (** Index of a local state in a level's discovered space. *)

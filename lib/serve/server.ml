@@ -72,7 +72,6 @@ type config = {
   max_inflight : int;
   queue_capacity : int;
   default_deadline_ms : int option;
-  max_frame : int;
   access_log : string option;
 }
 
@@ -83,7 +82,6 @@ let default_config ~listen =
     max_inflight = 1;
     queue_capacity = 32;
     default_deadline_ms = None;
-    max_frame = P.max_frame_default;
     access_log = None;
   }
 
@@ -733,7 +731,7 @@ let note_protocol_error t =
   Metrics.incr m_protocol_errors
 
 let conn_loop t fd =
-  let reader = P.reader ~max_frame:t.config.max_frame fd in
+  let reader = P.reader fd in
   let stop () = t.draining in
   let rec loop () =
     match P.read_frame ~stop reader with
@@ -749,7 +747,7 @@ let conn_loop t fd =
                  Error
                    ( P.Frame_too_large,
                      Printf.sprintf "declared %d bytes, limit %d" n
-                       t.config.max_frame );
+                       P.max_frame_default );
              })
         (* framing is lost; the connection cannot continue *)
     | Error (P.Malformed msg) ->
@@ -922,7 +920,12 @@ let bind_metrics t port =
 let start config =
   if config.max_inflight < 1 then invalid_arg "Server.start: max_inflight < 1";
   if config.queue_capacity < 0 then invalid_arg "Server.start: queue_capacity < 0";
-  if config.max_frame < 2 then invalid_arg "Server.start: max_frame too small";
+  let check_port what p =
+    if p < 0 || p > 65535 then
+      invalid_arg (Printf.sprintf "Server.start: %s port outside 0-65535" what)
+  in
+  (match config.listen with Tcp (_, port) -> check_port "listen" port | Unix_socket _ -> ());
+  Option.iter (check_port "metrics") config.metrics_port;
   (* A peer closing mid-write must surface as EPIPE, not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Metrics.set_enabled true;

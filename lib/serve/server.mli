@@ -51,7 +51,6 @@ type config = {
   queue_capacity : int;  (** waiters beyond the slots before [Queue_full] *)
   default_deadline_ms : int option;
       (** deadline for requests that carry none; [None] = unlimited *)
-  max_frame : int;  (** per-connection frame-size ceiling, bytes *)
   access_log : string option;
       (** append one structured JSON line per request to this file:
           timestamp, server request id, client id, verb, model,
@@ -60,7 +59,8 @@ type config = {
 
 val default_config : listen:address -> config
 (** [max_inflight = 1], [queue_capacity = 32], no default deadline, no
-    metrics port, no access log, [max_frame = Protocol.max_frame_default]. *)
+    metrics port, no access log.  Every connection reads frames of up
+    to {!Protocol.max_frame_default} bytes. *)
 
 type t
 
@@ -68,7 +68,8 @@ val start : config -> t
 (** Bind the sockets, spawn the listener threads, and return.  Enables
     {!Mdl_obs.Metrics}.
     @raise Invalid_argument on a nonsensical config ([max_inflight < 1],
-    negative queue).
+    negative queue, a listen or metrics port outside [0 .. 65535]: the
+    socket layer would keep only the port's low 16 bits).
     @raise Unix.Unix_error when binding fails (path in use, ...). *)
 
 val address : t -> address

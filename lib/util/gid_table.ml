@@ -1,110 +1,24 @@
-(* Entries are immutable (hash, key, gid) triples in immutable lists;
-   every mutable step on the read path goes through an [Atomic.t] (the
-   bucket cells and the bucket-array pointer), so readers are properly
-   synchronised with writers without taking the shard lock — a racing
-   reader sees either the list before or after an insert, and a stale
-   view only sends it to the locked slow path, never to a wrong
-   answer. *)
-
-type 'k shard = {
-  lock : Mutex.t;
-  mutable buckets : 'k bucket_array; (* publish via [Atomic.t] cells inside *)
-  mutable population : int; (* entries in this shard; protected by [lock] *)
-}
-
-and 'k bucket_array = (int * 'k * int) list Atomic.t array
+(* A gid is taken from the counter under the shard lock of its first
+   insert, so each distinct value gets exactly one; hits go through the
+   map's lock-free read path.  [fresh] is made once per table, so an
+   intern allocates nothing on a hit. *)
 
 type 'k t = {
-  hash : 'k -> int;
-  equal : 'k -> 'k -> bool;
-  shard_mask : int;
-  shards : 'k shard array;
+  gids : ('k, int) Shard_map.t;
   next_gid : int Atomic.t;
+  fresh : unit -> int;
 }
 
-(* [buckets] is a mutable field read without the lock; in the OCaml 5
-   memory model a racy read of a mutable pointer field yields some
-   previously written (well-formed) array — at worst one missing the
-   newest entries, which the double-checked slow path below absorbs. *)
-
-let fresh_buckets n = Array.init n (fun _ -> Atomic.make [])
-
-let round_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let create ?(shards = 16) ~hash ~equal () =
-  let nshards = round_pow2 (max 1 shards) in
+let create ?shards ~hash ~equal () =
+  let next_gid = Atomic.make 0 in
   {
-    hash;
-    equal;
-    shard_mask = nshards - 1;
-    shards =
-      Array.init nshards (fun _ ->
-          { lock = Mutex.create (); buckets = fresh_buckets 16; population = 0 });
-    next_gid = Atomic.make 0;
+    gids = Shard_map.create ?shards ~hash ~equal ();
+    next_gid;
+    fresh = (fun () -> Atomic.fetch_and_add next_gid 1);
   }
 
+let intern t k = Shard_map.find_or_add t.gids k t.fresh
+
+let find t k = Shard_map.find t.gids k
+
 let size t = Atomic.get t.next_gid
-
-(* The low hash bits pick the shard; bucket indexing uses higher bits
-   so the per-shard tables spread even when shards see hash-correlated
-   keys. *)
-let[@inline] shard_of t h = t.shards.(h land t.shard_mask)
-
-let[@inline] bucket_index buckets h = (h lsr 4) land (Array.length buckets - 1)
-
-let rec find_entry equal h k = function
-  | [] -> -1
-  | (h', k', gid) :: rest ->
-      if h' = h && equal k k' then gid else find_entry equal h k rest
-
-let find t k =
-  let h = t.hash k land max_int in
-  let s = shard_of t h in
-  let buckets = s.buckets in
-  let gid = find_entry t.equal h k (Atomic.get buckets.(bucket_index buckets h)) in
-  if gid >= 0 then Some gid else None
-
-(* Growth runs under the shard lock: rebuild into fresh atomic cells,
-   then publish the new array.  Readers on the old array miss entries
-   inserted after the swap and fall through to the locked path. *)
-let grow s =
-  let old = s.buckets in
-  let cap = 2 * Array.length old in
-  let buckets = fresh_buckets cap in
-  Array.iter
-    (fun cell ->
-      List.iter
-        (fun ((h, _, _) as entry) ->
-          let b = buckets.(bucket_index buckets h) in
-          Atomic.set b (entry :: Atomic.get b))
-        (Atomic.get cell))
-    old;
-  s.buckets <- buckets
-
-let intern t k =
-  let h = t.hash k land max_int in
-  let s = shard_of t h in
-  let buckets = s.buckets in
-  let gid = find_entry t.equal h k (Atomic.get buckets.(bucket_index buckets h)) in
-  if gid >= 0 then gid
-  else begin
-    Mutex.lock s.lock;
-    (* Re-read under the lock: the fast path may have raced an insert
-       of this very key, or a growth that moved its bucket. *)
-    let buckets = s.buckets in
-    let cell = buckets.(bucket_index buckets h) in
-    let gid =
-      match find_entry t.equal h k (Atomic.get cell) with
-      | gid when gid >= 0 -> gid
-      | _ ->
-          let gid = Atomic.fetch_and_add t.next_gid 1 in
-          Atomic.set cell ((h, k, gid) :: Atomic.get cell);
-          s.population <- s.population + 1;
-          if s.population > 2 * Array.length buckets then grow s;
-          gid
-    in
-    Mutex.unlock s.lock;
-    gid
-  end

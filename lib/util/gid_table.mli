@@ -3,12 +3,12 @@
     The concurrent counterpart of a single-domain intern table for the
     one shared-write hot spot of parallel refinement — the global
     key-to-gid table every domain interns splitter keys into.  The
-    table is sharded by hash so writers contend only within a shard,
-    and the {e read} path (the overwhelmingly common case once the
-    table is warm: a cache hit never re-interns, and repeated keys hit
-    the table) is lock-free — a lookup walks immutable bucket lists
-    published through [Atomic.t] cells and takes no lock.  Only a miss
-    takes its shard's mutex, re-checks, and inserts.
+    table is a {!Shard_map} from values to gids plus an atomic
+    counter: writers contend only within a shard, and the {e read} path
+    (the overwhelmingly common case once the table is warm: a cache hit
+    never re-interns, and repeated keys hit the table) is the lock-free
+    hit path of {!Shard_map.find_or_add}.  Only a miss takes its shard's
+    mutex, re-checks, and takes the next gid from the counter.
 
     Gids are allocated from one atomic counter: unique, dense, and
     stable for the table's lifetime — but {e not} deterministic across

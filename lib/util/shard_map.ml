@@ -1,9 +1,10 @@
-(* Same synchronisation discipline as [Gid_table]: entries are immutable
-   (hash, key, value) triples in immutable lists, every mutable step on
-   the read path goes through an [Atomic.t] (the bucket cells; the
-   bucket-array pointer is a racy-but-well-formed mutable read), so a
-   reader is properly synchronised with the writer that published the
-   entry it finds, and a stale view only sends [add] to the locked slow
+(* Entries are immutable (hash, key, value) triples in immutable lists,
+   and every mutable step on the read path goes through an [Atomic.t]
+   (the bucket cells; the bucket-array pointer is a racy-but-well-formed
+   mutable read: in the OCaml 5 memory model it yields some previously
+   written array, at worst one missing the newest entries).  So a reader
+   is properly synchronised with the writer that published the entry it
+   finds, and a stale view only sends [find_or_add] to the locked slow
    path, never to a wrong answer. *)
 
 type ('k, 'v) shard = {
@@ -45,15 +46,20 @@ let[@inline] shard_of t h = t.shards.(h land t.shard_mask)
 
 let[@inline] bucket_index buckets h = (h lsr 4) land (Array.length buckets - 1)
 
+(* The value bound to [k] in a bucket, or [Not_found]: a hit allocates
+   nothing, which keeps [Gid_table.intern]'s hit path as cheap as a
+   lookup. *)
 let rec find_entry equal h k = function
-  | [] -> None
-  | (h', k', v) :: rest -> if h' = h && equal k k' then Some v else find_entry equal h k rest
+  | [] -> raise_notrace Not_found
+  | (h', k', v) :: rest -> if h' = h && equal k k' then v else find_entry equal h k rest
 
 let find t k =
   let h = t.hash k land max_int in
   let s = shard_of t h in
   let buckets = s.buckets in
-  find_entry t.equal h k (Atomic.get buckets.(bucket_index buckets h))
+  match find_entry t.equal h k (Atomic.get buckets.(bucket_index buckets h)) with
+  | v -> Some v
+  | exception Not_found -> None
 
 (* Growth runs under the shard lock: rebuild into fresh atomic cells,
    then publish the new array.  Readers on the old array miss entries
@@ -72,29 +78,26 @@ let grow s =
     old;
   s.buckets <- buckets
 
-let add t k v =
+let find_or_add t k make =
   let h = t.hash k land max_int in
   let s = shard_of t h in
   let buckets = s.buckets in
   match find_entry t.equal h k (Atomic.get buckets.(bucket_index buckets h)) with
-  | Some v' -> v'
-  | None ->
-      Mutex.lock s.lock;
-      (* Re-read under the lock: the fast path may have raced an insert
-         of this very key, or a growth that moved its bucket. *)
-      let buckets = s.buckets in
-      let cell = buckets.(bucket_index buckets h) in
-      let winner =
-        match find_entry t.equal h k (Atomic.get cell) with
-        | Some v' -> v'
-        | None ->
-            Atomic.set cell ((h, k, v) :: Atomic.get cell);
-            s.population <- s.population + 1;
-            if s.population > 2 * Array.length buckets then grow s;
-            v
-      in
-      Mutex.unlock s.lock;
-      winner
+  | v -> v
+  | exception Not_found ->
+      Mutex.protect s.lock (fun () ->
+          (* Re-read under the lock: the fast path may have raced an
+             insert of this very key, or a growth that moved its bucket. *)
+          let buckets = s.buckets in
+          let cell = buckets.(bucket_index buckets h) in
+          match find_entry t.equal h k (Atomic.get cell) with
+          | v -> v
+          | exception Not_found ->
+              let v = make () in
+              Atomic.set cell ((h, k, v) :: Atomic.get cell);
+              s.population <- s.population + 1;
+              if s.population > 2 * Array.length buckets then grow s;
+              v)
 
 let size t = Array.fold_left (fun acc s -> acc + s.population) 0 t.shards
 

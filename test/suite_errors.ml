@@ -116,15 +116,14 @@ let test_md_solve_errors () =
 
 let test_md_vector_level_checks () =
   (* Regression: a state space over the wrong number of levels used to be
-     accepted — [to_csr] returned an empty matrix, and the MDD co-walks
-     read offsets from the wrong level and returned numbers. *)
+     accepted — [to_csr] returned an empty matrix, and the co-walk
+     products read offsets from the wrong level and returned numbers. *)
   let b = Mdl_models.Workstations.build (Mdl_models.Workstations.default ~stations:3) in
   let md = b.Mdl_models.Workstations.md in
   let ss = b.Mdl_models.Workstations.exploration.Mdl_san.Model.statespace in
   let ss3 = Statespace.map ss (fun s -> [| s.(0); s.(1) / 9; s.(1) mod 9 |]) in
   Alcotest.(check int) "same states over three levels" (Statespace.size ss)
     (Statespace.size ss3);
-  let mdd3 = Mdl_md.Mdd.of_statespace ss3 in
   let x = Array.make (Statespace.size ss3) 1.0 in
   let mismatch fn f =
     Alcotest.check_raises fn
@@ -132,10 +131,10 @@ let test_md_vector_level_checks () =
       (fun () -> ignore (f ()))
   in
   mismatch "to_csr" (fun () -> Md_vector.to_csr md ss3);
-  mismatch "vec_mul_mdd" (fun () -> Md_vector.vec_mul_mdd md mdd3 x);
-  mismatch "mul_vec_mdd" (fun () -> Md_vector.mul_vec_mdd md mdd3 x);
-  mismatch "row_sums_mdd" (fun () -> Md_vector.row_sums_mdd md mdd3);
-  mismatch "diag_mdd" (fun () -> Md_vector.diag_mdd md mdd3);
+  mismatch "vec_mul" (fun () -> Md_vector.vec_mul md ss3 x);
+  mismatch "mul_vec" (fun () -> Md_vector.mul_vec md ss3 x);
+  mismatch "row_sums" (fun () -> Md_vector.row_sums md ss3);
+  mismatch "diag" (fun () -> Md_vector.diag md ss3);
   Alcotest.check_raises "steady_state"
     (Invalid_argument "Md_solve.uniformized_operator: level count mismatch") (fun () ->
       ignore (Md_solve.steady_state md ss3));
@@ -198,13 +197,6 @@ let test_measures_errors () =
     (Invalid_argument "Measures.accumulated_reward: negative horizon") (fun () ->
       ignore (Mdl_ctmc.Measures.accumulated_reward ~t:(-1.0) m))
 
-let test_mdd_errors () =
-  let ss = Statespace.of_tuples ~levels:2 [ [| 0; 0 |] ] in
-  let mdd = Mdl_md.Mdd.of_statespace ss in
-  Alcotest.check_raises "index length"
-    (Invalid_argument "Mdd.index: tuple length mismatch") (fun () ->
-      ignore (Mdl_md.Mdd.index mdd [| 0 |]))
-
 let test_restructure_errors () =
   let md = tiny_md () in
   Alcotest.check_raises "merge bad level"
@@ -251,7 +243,6 @@ let tests =
     Alcotest.test_case "decomposed errors" `Quick test_decomposed_errors;
     Alcotest.test_case "solver errors" `Quick test_solver_errors;
     Alcotest.test_case "measures errors" `Quick test_measures_errors;
-    Alcotest.test_case "mdd errors" `Quick test_mdd_errors;
     Alcotest.test_case "restructure errors" `Quick test_restructure_errors;
     Alcotest.test_case "matrix market errors" `Quick test_matrix_market_errors;
     Alcotest.test_case "kronecker flatten guard" `Quick test_kron_guard;

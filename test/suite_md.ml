@@ -161,12 +161,34 @@ let test_statespace_basics () =
   let mapped = Statespace.map ss (fun s -> [| s.(0); 0 |]) in
   Alcotest.(check int) "map collapses" 2 (Statespace.size mapped)
 
+(* [map] enumerates through [iter]'s reused buffer, so an image it keeps
+   must be a copy: under [Fun.id] every kept image is that buffer. *)
+let test_statespace_map_identity () =
+  let ss =
+    Statespace.of_tuples ~levels:3
+      [ [| 0; 1; 2 |]; [| 0; 1; 0 |]; [| 1; 0; 0 |]; [| 2; 0; 1 |]; [| 0; 0; 0 |] ]
+  in
+  let same = Statespace.map ss Fun.id in
+  Alcotest.(check int) "size" (Statespace.size ss) (Statespace.size same);
+  Statespace.iter
+    (fun i s -> Alcotest.(check (array int)) "same state" s (Statespace.tuple same i))
+    ss
+
 let test_statespace_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Statespace.of_tuples: empty state space")
     (fun () -> ignore (Statespace.of_tuples ~levels:2 []));
   Alcotest.check_raises "bad tuple"
     (Invalid_argument "Statespace.of_tuples: tuple of wrong length") (fun () ->
-      ignore (Statespace.of_tuples ~levels:2 [ [| 1 |] ]))
+      ignore (Statespace.of_tuples ~levels:2 [ [| 1 |] ]));
+  (* [0; 1] and [1; 0] reach different level-2 nodes, so sending both
+     level-2 values to 0 is injective on each node; sending both level-1
+     values to 0 is not, since both leave the root. *)
+  let ss = Statespace.of_tuples ~levels:2 [ [| 0; 1 |]; [| 1; 0 |] ] in
+  Alcotest.(check int) "relabel within nodes" 2
+    (Statespace.size (Statespace.relabel ss (fun l v -> if l = 2 then 0 else v)));
+  Alcotest.check_raises "relabel collision"
+    (Invalid_argument "Statespace.relabel: two substates of one node map to one value")
+    (fun () -> ignore (Statespace.relabel ss (fun l v -> if l = 1 then 0 else v)))
 
 let full_space sizes =
   let rec go = function
@@ -182,15 +204,14 @@ let full_space sizes =
 let test_md_vector_products () =
   let md = hand_md () in
   let ss = full_space [ 2; 2 ] in
-  let mdd = Mdl_md.Mdd.of_statespace ss in
   let flat = Md.to_csr md in
   let x = [| 0.1; 0.2; 0.3; 0.4 |] in
   Alcotest.(check bool) "vec_mul matches flat" true
-    (Vec.approx_equal (Md_vector.vec_mul_mdd md mdd x) (Csr.vec_mul x flat));
+    (Vec.approx_equal (Md_vector.vec_mul md ss x) (Csr.vec_mul x flat));
   Alcotest.(check bool) "mul_vec matches flat" true
-    (Vec.approx_equal (Md_vector.mul_vec_mdd md mdd x) (Csr.mul_vec flat x));
+    (Vec.approx_equal (Md_vector.mul_vec md ss x) (Csr.mul_vec flat x));
   Alcotest.(check bool) "row_sums match" true
-    (Vec.approx_equal (Md_vector.row_sums_mdd md mdd) (Csr.row_sums flat));
+    (Vec.approx_equal (Md_vector.row_sums md ss) (Csr.row_sums flat));
   Alcotest.check matrix_testable "to_csr over full space" flat (Md_vector.to_csr md ss)
 
 let contains ~needle hay =
@@ -229,11 +250,11 @@ let test_merge_statespace_consistent () =
   let merged = Mdl_md.Restructure.merge_adjacent md 1 in
   let merged_ss = Statespace.map ss (Mdl_md.Restructure.merge_tuple md 1) in
   let x = [| 0.4; 0.3; 0.2; 0.1 |] in
-  let mul md ss = Md_vector.vec_mul_mdd md (Mdl_md.Mdd.of_statespace ss) x in
+  let mul md ss = Md_vector.vec_mul md ss x in
   Alcotest.(check bool) "vector products agree across merge" true
     (Vec.approx_equal (mul md ss) (mul merged merged_ss))
 
-(* --- MDDs --- *)
+(* --- the offset-indexed MDD behind Statespace --- *)
 
 let test_mdd_matches_statespace () =
   let ss =
@@ -243,22 +264,24 @@ let test_mdd_matches_statespace () =
         [| 1; 1; 1 |];
       ]
   in
-  let mdd = Mdl_md.Mdd.of_statespace ss in
-  Alcotest.(check int) "count" (Statespace.size ss) (Mdl_md.Mdd.count mdd);
+  Alcotest.(check int) "count" 6 (Statespace.size ss);
   Statespace.iter
     (fun i s ->
-      Alcotest.(check (option int)) "index agrees" (Some i) (Mdl_md.Mdd.index mdd s))
+      Alcotest.(check (option int)) "index agrees" (Some i) (Statespace.index ss s);
+      Alcotest.(check (array int)) "tuple agrees" s (Statespace.tuple ss i))
     ss;
-  Alcotest.(check (option int)) "absent tuple" None (Mdl_md.Mdd.index mdd [| 1; 1; 0 |]);
-  (* iteration visits members in index order *)
+  Alcotest.(check (option int)) "absent tuple" None (Statespace.index ss [| 1; 1; 0 |]);
+  (* iteration visits members in index order, which is lexicographic *)
   let seen = ref [] in
-  Mdl_md.Mdd.iter mdd (fun i s -> seen := (i, Array.copy s) :: !seen);
+  Statespace.iter (fun i s -> seen := (i, Array.copy s) :: !seen) ss;
   let seen = List.rev !seen in
   List.iteri
     (fun k (i, s) ->
       Alcotest.(check int) "iter index" k i;
       Alcotest.(check (option int)) "iter tuple" (Some k) (Statespace.index ss s))
-    seen
+    seen;
+  Alcotest.(check bool) "lexicographic" true
+    (List.map snd seen = List.sort compare (List.map snd seen))
 
 let test_mdd_sharing () =
   (* All suffix sets equal -> maximal sharing: one node per level. *)
@@ -269,8 +292,7 @@ let test_mdd_sharing () =
     done
   done;
   let ss = Statespace.of_tuples ~levels:2 !tuples in
-  let mdd = Mdl_md.Mdd.of_statespace ss in
-  Alcotest.(check int) "two shared nodes" 2 (Mdl_md.Mdd.num_nodes mdd)
+  Alcotest.(check int) "two shared nodes" 2 (Statespace.num_nodes ss)
 
 (* --- Md_vector.to_csr against an independent flattening ---
 
@@ -295,21 +317,20 @@ let restricted_flat md ss =
   let n = Statespace.size ss in
   Csr.of_triplets ~rows:n ~cols:n !kept
 
-(* The MDD co-walk products against the restricted full flattening. *)
+(* The co-walk products against the restricted full flattening. *)
 let test_mdd_products_match_hash_indexing () =
   let b = Mdl_models.Workstations.build (Mdl_models.Workstations.default ~stations:3) in
   let md = b.Mdl_models.Workstations.md in
   let ss = b.Mdl_models.Workstations.exploration.Mdl_san.Model.statespace in
-  let mdd = Mdl_md.Mdd.of_statespace ss in
   let flat = restricted_flat md ss in
   let n = Statespace.size ss in
   let x = Array.init n (fun i -> float_of_int (i mod 7) +. 0.5) in
   Alcotest.(check bool) "vec_mul agrees" true
-    (Vec.approx_equal (Csr.vec_mul x flat) (Md_vector.vec_mul_mdd md mdd x));
+    (Vec.approx_equal (Csr.vec_mul x flat) (Md_vector.vec_mul md ss x));
   Alcotest.(check bool) "mul_vec agrees" true
-    (Vec.approx_equal (Csr.mul_vec flat x) (Md_vector.mul_vec_mdd md mdd x));
+    (Vec.approx_equal (Csr.mul_vec flat x) (Md_vector.mul_vec md ss x));
   Alcotest.(check bool) "row_sums agree" true
-    (Vec.approx_equal (Csr.row_sums flat) (Md_vector.row_sums_mdd md mdd))
+    (Vec.approx_equal (Csr.row_sums flat) (Md_vector.row_sums md ss))
 
 (* A random non-empty subset of the potential space: every branch of
    the product tree is kept with probability [p] (1/2, 4/5 or 1), so
@@ -771,9 +792,8 @@ let qcheck_tests =
         let flat = Md.to_csr md in
         let n = Kronecker.potential_size k in
         let x = Array.init n (fun i -> float_of_int (i + 1)) in
-        let mdd = Mdl_md.Mdd.of_statespace ss in
-        Vec.approx_equal (Md_vector.vec_mul_mdd md mdd x) (Csr.vec_mul x flat)
-        && Vec.approx_equal (Md_vector.row_sums_mdd md mdd) (Csr.row_sums flat));
+        Vec.approx_equal (Md_vector.vec_mul md ss x) (Csr.vec_mul x flat)
+        && Vec.approx_equal (Md_vector.row_sums md ss) (Csr.row_sums flat));
     Test.make ~count:300 ~name:"to_csr equals the restricted full flattening"
       (pair (Mdl_oracle.Qcheck_gen.md_model ~max_levels:4 ()) (int_bound 1_000_000))
       (fun (spec, seed) ->
@@ -787,7 +807,6 @@ let qcheck_tests =
         let inputs = List.map (fun (a, b, c) -> Array.sub [| a; b; c |] 0 levels) triples in
         let model = List.sort_uniq compare (List.map Array.copy inputs) in
         let ss = Statespace.of_tuples ~levels inputs in
-        let mdd = Mdl_md.Mdd.of_statespace ss in
         let listed t =
           let acc = ref [] in
           Statespace.iter (fun _ s -> acc := Array.copy s :: !acc) t;
@@ -799,30 +818,62 @@ let qcheck_tests =
             List.concat_map (fun t -> List.init 5 (fun v -> Array.append t [| v |]))
               (product (l - 1))
         in
-        let position s =
-          let rec go i = function
-            | [] -> None
-            | x :: rest -> if x = s then Some i else go (i + 1) rest
+        (* [t] enumerates, indexes and returns tuples like the sorted
+           list [model]. *)
+        let agrees model t =
+          let position s =
+            let rec go i = function
+              | [] -> None
+              | x :: rest -> if x = s then Some i else go (i + 1) rest
+            in
+            go 0 model
           in
-          go 0 model
+          listed t = model
+          && Statespace.size t = List.length model
+          && List.for_all (fun s -> Statespace.index t s = position s) (product levels)
+          && Statespace.index t (Array.make (levels + 1) 0) = None
+          && Statespace.index t (Array.make (levels - 1) 0) = None
+          && List.for_all Fun.id (List.mapi (fun i s -> Statespace.tuple t i = s) model)
         in
+        (* The same set built from singletons by set-MDD union. *)
+        let from_set =
+          let module S = Mdl_md.Set_mdd in
+          let m = S.manager ~levels in
+          S.to_statespace m
+            (List.fold_left (fun acc s -> S.union m acc (S.singleton m s)) (S.empty m) inputs)
+        in
+        (* A random permutation of each level's local states, as an arc
+           relabel and as a map of the tuples. *)
+        let rng = Mdl_util.Prng.of_seed (Hashtbl.hash (levels, triples)) in
+        let perms =
+          Array.init levels (fun _ ->
+              let p = Array.init 4 Fun.id in
+              for i = 3 downto 1 do
+                let j = Mdl_util.Prng.int rng (i + 1) in
+                let tmp = p.(i) in
+                p.(i) <- p.(j);
+                p.(j) <- tmp
+              done;
+              p)
+        in
+        let permute s = Array.mapi (fun l v -> perms.(l).(v)) s in
+        let relabelled = Statespace.relabel ss (fun l v -> perms.(l - 1).(v)) in
+        let permuted_model = List.sort_uniq compare (List.map permute model) in
         let image f = List.sort_uniq compare (List.map f model) in
         let halve s = Array.map (fun v -> v / 2) s in
         let total s = [| Array.fold_left ( + ) 0 s |] in
-        let ok_enum = listed ss = model in
-        let ok_index =
-          List.for_all
-            (fun s -> Statespace.index ss s = position s && Mdl_md.Mdd.index mdd s = position s)
-            (product levels)
-          && Statespace.index ss (Array.make (levels + 1) 0) = None
-          && Statespace.index ss (Array.make (levels - 1) 0) = None
-        in
         let ok_map =
           listed (Statespace.map ss halve) = image halve
           && listed (Statespace.map ss total) = image total
         in
+        let ok_relabel =
+          agrees permuted_model relabelled
+          && listed (Statespace.of_tuples ~levels (List.map permute inputs))
+             = listed relabelled
+        in
+        let ok = agrees model ss && agrees model from_set && ok_relabel && ok_map in
         List.iter (fun s -> Array.fill s 0 levels 9) inputs;
-        ok_enum && ok_index && ok_map && listed ss = model);
+        ok && listed ss = model);
     Test.make ~count:200 ~name:"formal sum scale distributes over add"
       (pair (small_list (pair (int_bound 5) (int_bound 4))) (int_bound 6))
       (fun (l, k) ->
@@ -872,6 +923,7 @@ let tests =
     Alcotest.test_case "md reverse iteration" `Quick test_md_rev_iter;
     Alcotest.test_case "statespace basics" `Quick test_statespace_basics;
     Alcotest.test_case "statespace validation" `Quick test_statespace_validation;
+    Alcotest.test_case "statespace map identity" `Quick test_statespace_map_identity;
     Alcotest.test_case "md vector products" `Quick test_md_vector_products;
     Alcotest.test_case "md dot export" `Quick test_md_dot_export;
     Alcotest.test_case "normalize merges proportional nodes" `Quick

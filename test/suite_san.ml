@@ -362,7 +362,7 @@ let fuzz_merge =
         let merged_ss = Statespace.map ss (Mdl_md.Restructure.merge_tuple md 1) in
         let n = Statespace.size ss in
         let x = Array.init n (fun i -> float_of_int ((i mod 5) + 1)) in
-        let mul md ss = Md_vector.vec_mul_mdd md (Mdl_md.Mdd.of_statespace ss) x in
+        let mul md ss = Md_vector.vec_mul md ss x in
         Vec.approx_equal (mul md ss) (mul merged merged_ss)
       end)
 

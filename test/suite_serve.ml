@@ -1537,6 +1537,30 @@ let test_access_log () =
 let qcheck_tests =
   [ qcheck_json_roundtrip; qcheck_request_roundtrip; qcheck_response_roundtrip ]
 
+(* The socket layer keeps only a port's low 16 bits, so an out-of-range
+   port used to listen somewhere else: 65536 on an ephemeral port, -1 on
+   65535.  A server that does start is stopped, so the test fails
+   cleanly. *)
+let test_start_rejects_out_of_range_ports () =
+  let was_enabled = Metrics.enabled () in
+  let base = Server.default_config ~listen:(Server.Unix_socket (fresh_path ())) in
+  let rejects what config expected =
+    match Server.start config with
+    | server ->
+        Server.stop server;
+        Alcotest.failf "%s: server started" what
+    | exception Invalid_argument msg -> Alcotest.(check string) what expected msg
+  in
+  let listen_msg = "Server.start: listen port outside 0-65535" in
+  rejects "listen port 65536"
+    { base with Server.listen = Server.Tcp ("127.0.0.1", 65536) }
+    listen_msg;
+  rejects "listen port -1" { base with Server.listen = Server.Tcp ("127.0.0.1", -1) } listen_msg;
+  rejects "metrics port 65536"
+    { base with Server.metrics_port = Some 65536 }
+    "Server.start: metrics port outside 0-65535";
+  Metrics.set_enabled was_enabled
+
 let tests =
   [
     Alcotest.test_case "json: basics" `Quick test_json_basics;
@@ -1569,6 +1593,8 @@ let tests =
     Alcotest.test_case "robustness: shutdown drains in-flight work" `Slow
       test_shutdown_drains;
     Alcotest.test_case "robustness: in-process handle path" `Quick test_handle_in_process;
+    Alcotest.test_case "start: ports outside 0-65535 rejected" `Quick
+      test_start_rejects_out_of_range_ports;
     Alcotest.test_case "submit: bad parameters answered bad_request" `Quick
       test_submit_rejects_bad_params;
     Alcotest.test_case "submit: size means the main parameter" `Slow

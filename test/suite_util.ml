@@ -269,15 +269,17 @@ let shard_map () =
 let test_shard_map_basic () =
   let m = shard_map () in
   Alcotest.(check (option string)) "empty find" None (Shard_map.find m 7);
-  Alcotest.(check string) "add returns the value" "a" (Shard_map.add m 7 "a");
+  Alcotest.(check string) "add returns the value" "a"
+    (Shard_map.find_or_add m 7 (fun () -> "a"));
   Alcotest.(check (option string)) "find after add" (Some "a") (Shard_map.find m 7);
-  (* First writer wins: a second add under the same key is discarded and
-     the existing binding returned. *)
-  Alcotest.(check string) "first writer wins" "a" (Shard_map.add m 7 "b");
+  (* First writer wins: a second add under the same key returns the
+     existing binding without making a value. *)
+  Alcotest.(check string) "first writer wins" "a"
+    (Shard_map.find_or_add m 7 (fun () -> Alcotest.fail "value made on a hit"));
   Alcotest.(check (option string)) "binding unchanged" (Some "a") (Shard_map.find m 7);
   Alcotest.(check int) "size counts distinct keys" 1 (Shard_map.size m);
   for i = 0 to 999 do
-    ignore (Shard_map.add m i (string_of_int i))
+    ignore (Shard_map.find_or_add m i (fun () -> string_of_int i))
   done;
   Alcotest.(check int) "size after growth" 1000 (Shard_map.size m);
   for i = 0 to 999 do
@@ -301,7 +303,7 @@ let test_shard_map_concurrent () =
         Domain.spawn (fun () ->
             for i = 0 to keys - 1 do
               let k = (i + (w * 17)) mod keys in
-              let v = Shard_map.add m k k in
+              let v = Shard_map.find_or_add m k (fun () -> k) in
               if v <> k then raise Exit;
               match Shard_map.find m (Prng.int (Prng.create (Int64.of_int i)) keys) with
               | Some x when x < 0 -> raise Exit
