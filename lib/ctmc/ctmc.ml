@@ -10,7 +10,9 @@ let of_rates r =
   if Csr.rows r <> Csr.cols r then invalid_arg "Ctmc.of_rates: matrix is not square";
   Csr.iter
     (fun i j v ->
-      if v < 0.0 then
+      if not (Float.is_finite v) then
+        invalid_arg (Printf.sprintf "Ctmc.of_rates: non-finite rate %g at (%d,%d)" v i j)
+      else if v < 0.0 then
         invalid_arg (Printf.sprintf "Ctmc.of_rates: negative rate %g at (%d,%d)" v i j))
     r;
   { r; row_sums = Csr.row_sums r; q = None }

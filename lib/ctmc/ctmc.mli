@@ -12,8 +12,9 @@ type t
 
 val of_rates : Mdl_sparse.Csr.t -> t
 (** [of_rates r] wraps rate matrix [r].
-    @raise Invalid_argument if [r] is not square or has a negative
-    entry. *)
+    @raise Invalid_argument if [r] is not square or has a negative or
+    non-finite ([nan], [infinity]) entry: the solvers would iterate on
+    such a chain to their iteration limit and return [nan]. *)
 
 val of_triplets : int -> (int * int * float) list -> t
 (** [of_triplets n l] builds the chain on [n] states from rate triplets. *)

@@ -87,49 +87,78 @@ let steady_state_gauss_seidel ?(tol = 1e-12) ?(max_iter = 10_000)
     ?(ordering = Natural) ?(relax = 1.0) ctmc =
   if not (relax > 0.0 && relax <= 1.0) then
     invalid_arg "Solver.steady_state_gauss_seidel: relax must be in (0, 1]";
-  (* The sweep divides by the generator diagonal, so every state must
-     have at least one outgoing transition besides a self loop.  Check
-     up front (on the original numbering) instead of skipping silently:
-     a skipped state would keep its stale 1/n initial mass and the
-     "converged" distribution would be quietly wrong. *)
-  Array.iteri
-    (fun j d ->
-      if d >= 0.0 then
-        invalid_arg
-          (Printf.sprintf
-             "Solver.steady_state_gauss_seidel: absorbing state %d (zero generator \
-              diagonal)"
-             j))
-    (Csr.diagonal (Ctmc.generator ctmc));
-  with_ordering ordering ctmc (fun ctmc ->
-      (* Solve pi Q = 0 by in-place sweeps over the transposed generator:
-         pi(j) = (sum_{i<>j} pi(i) Q(i,j)) / -Q(j,j).  Rows of Q^T hold the
-         incoming rates of state j; the diagonal is extracted on the fly. *)
-      let n = Ctmc.size ctmc in
-      let qt = Csr.transpose (Ctmc.generator ctmc) in
-      let pi = Array.make n (1.0 /. float_of_int n) in
-      (* With [relax] = 1 this is a plain Gauss–Seidel update; < 1 is
-         SOR under-relaxation, which damps the oscillation pure sweeps
-         exhibit on some chains (e.g. the lumped Kanban model). *)
-      let sweep () =
+  let n = Ctmc.size ctmc in
+  if n = 0 then invalid_arg "Solver.steady_state_gauss_seidel: empty chain";
+  (* Solve pi Q = 0 by in-place sweeps: pi(j) = (sum_{i<>j} pi(i) R(i,j))
+     / -Q(j,j).  Row j of R^T holds the rates into state j, and Q(j,j) =
+     R(j,j) - exit(j), with exit(j) summed over the (relabelled) row j,
+     is the value Ctmc.generator stores, so the generator itself is
+     never built. *)
+  let perm, rt, diag =
+    Trace.with_span ~cat:"solve" "solver.gs_setup" (fun () ->
+        let perm =
+          match ordering with
+          | Natural -> None
+          | Rcm -> Some (Ordering.rcm (Ctmc.rates ctmc))
+        in
+        let r =
+          match perm with
+          | None -> Ctmc.rates ctmc
+          | Some perm -> Csr.permute (Ctmc.rates ctmc) ~perm
+        in
+        let diag = Csr.diagonal r and exit = Csr.row_sums r in
         for j = 0 to n - 1 do
-          let incoming = ref 0.0 and diag = ref 0.0 in
-          Csr.iter_row qt j (fun i v ->
-              if i = j then diag := v else incoming := !incoming +. (pi.(i) *. v));
-          let gs = !incoming /. -. !diag in
-          pi.(j) <- (if relax = 1.0 then gs else ((1.0 -. relax) *. pi.(j)) +. (relax *. gs))
+          diag.(j) <- diag.(j) -. exit.(j)
         done;
-        Vec.normalize1 pi
-      in
-      let rec loop k prev =
-        sweep ();
-        let diff = Vec.diff_inf pi prev in
-        if diff <= tol then { iterations = k; residual = diff; converged = true }
-        else if k >= max_iter then { iterations = k; residual = diff; converged = false }
-        else loop (k + 1) (Vec.copy pi)
-      in
-      Trace.with_span ~cat:"solve" "solver.gauss_seidel" (fun () ->
-          observe_run "solver.gauss_seidel" (pi, loop 1 (Vec.copy pi))))
+        (* The sweep divides by the diagonal, so every state needs an
+           outgoing transition besides a self loop.  Reject up front,
+           naming the lowest such state in the caller's numbering: a
+           skipped state would keep its stale 1/n mass and the
+           "converged" distribution would be quietly wrong. *)
+        let absorbing = ref n in
+        for k = 0 to n - 1 do
+          let j = match perm with None -> k | Some perm -> perm.(k) in
+          if diag.(k) >= 0.0 && j < !absorbing then absorbing := j
+        done;
+        if !absorbing < n then
+          invalid_arg
+            (Printf.sprintf
+               "Solver.steady_state_gauss_seidel: absorbing state %d (zero generator \
+                diagonal)"
+               !absorbing);
+        (perm, Csr.transpose r, diag))
+  in
+  let pi = Array.make n (1.0 /. float_of_int n) in
+  let prev = Vec.copy pi in
+  (* One sweep, then one pass that renormalises pi exactly as
+     Vec.normalize1 does, takes the infinity-norm change against the
+     previous iterate (a NaN stays NaN, as in Vec.diff_inf) and
+     refreshes it.  With [relax] = 1 this is plain Gauss–Seidel; < 1 is
+     SOR under-relaxation, which damps the oscillation pure sweeps
+     exhibit on some chains (e.g. the lumped Kanban model). *)
+  let rec loop k =
+    Csr.sor_sweep rt ~diag ~relax pi;
+    let s = Vec.sum pi in
+    if s <= 0.0 then invalid_arg "Solver.steady_state_gauss_seidel: sum is not positive";
+    let scale = 1.0 /. s in
+    let change = ref 0.0 in
+    for i = 0 to n - 1 do
+      let x = scale *. pi.(i) in
+      let d = Float.abs (x -. prev.(i)) in
+      if d > !change || d <> d then change := d;
+      pi.(i) <- x;
+      prev.(i) <- x
+    done;
+    let diff = !change in
+    if diff <= tol then { iterations = k; residual = diff; converged = true }
+    else if k >= max_iter then { iterations = k; residual = diff; converged = false }
+    else loop (k + 1)
+  in
+  let st =
+    Trace.with_span ~cat:"solve" "solver.gauss_seidel" (fun () ->
+        snd (observe_run "solver.gauss_seidel" (pi, loop 1)))
+  in
+  match perm with None -> (pi, st) | Some perm -> (Vec.scatter pi perm, st)
 
 let tiny = 1e-300
 

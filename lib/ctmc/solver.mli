@@ -81,17 +81,29 @@ val steady_state_gauss_seidel :
   ?relax:float ->
   Ctmc.t ->
   Mdl_sparse.Vec.t * stats
-(** Gauss–Seidel sweeps on [pi Q = 0] (using the transposed generator),
-    renormalised each sweep.  Typically converges in far fewer
-    iterations than power iteration on stiff chains.  [ordering]
-    (default {!Natural}) selects the sweep order; [relax] in [(0, 1]]
-    (default [1.], plain Gauss–Seidel) under-relaxes the update (SOR),
-    which restores convergence on chains where pure sweeps oscillate.
-    @raise Invalid_argument if [relax] is outside [(0, 1]], or if some
-    state has a zero generator diagonal (an absorbing state, or one
-    with only a self loop): the sweep update divides by the diagonal,
-    and such chains have no positive stationary distribution for it to
-    find. *)
+(** Gauss–Seidel sweeps on [pi Q = 0], renormalised each sweep.
+    Typically converges in far fewer iterations than power iteration on
+    stiff chains.  [ordering] (default {!Natural}) selects the sweep
+    order; [relax] in [(0, 1]] (default [1.], plain Gauss–Seidel)
+    under-relaxes the update (SOR), which restores convergence on chains
+    where pure sweeps oscillate.
+
+    The set-up (span [solver.gs_setup]) computes the ordering, relabels
+    [R] and transposes it, so that row [j] holds the rates into [j];
+    the generator diagonal is [R(j,j) - exit(j)], so [Q] itself is never
+    built.  Each sweep ({!Mdl_sparse.Csr.sor_sweep}, span
+    [solver.gauss_seidel]) then allocates nothing: pi is rescaled to sum
+    1 and compared with the previous iterate in one pass over two
+    buffers allocated once.  The convergence test is the infinity norm
+    of the change between successive normalised iterates (default [tol]
+    [1e-12], [max_iter] [10_000]); a NaN iterate reports a NaN residual
+    and never converges.
+    @raise Invalid_argument if [relax] is outside [(0, 1]], if the chain
+    is empty, or if some state has a zero generator diagonal (an
+    absorbing state, or one with only a self loop; the lowest such
+    state is named in the chain's own numbering): the sweep update
+    divides by the diagonal, and such chains have no positive
+    stationary distribution for it to find. *)
 
 val steady_state_krylov :
   ?tol:float ->

@@ -72,8 +72,9 @@ let of_triplets ~rows ~cols triplets = of_coo (Coo.of_triplets ~rows ~cols tripl
    [lo, lo + len) by column.  Ties keep their arrival order, so
    duplicate folding sums values deterministically in emission order.
    Short rows use a dual-array insertion sort; longer ones go through a
-   stable index merge sort. *)
-let sort_row_segment cols vals lo len =
+   stable index merge sort.  The annotations make the array accesses
+   float- and int-specific: a generic array read boxes the float. *)
+let sort_row_segment (cols : int array) (vals : float array) lo len =
   if len > 1 then
     if len <= 24 then
       for k = lo + 1 to lo + len - 1 do
@@ -180,7 +181,9 @@ let iter_row t i f =
 
 let iter f t =
   for i = 0 to t.rows - 1 do
-    iter_row t i (fun j v -> f i j v)
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      f i t.col_idx.(k) t.values.(k)
+    done
   done
 
 let get t i j =
@@ -200,12 +203,26 @@ let get t i j =
   done;
   !result
 
+(* The kernels below index the arrays directly instead of going through
+   [iter_row]: a float handed to a closure is boxed, one allocation per
+   stored entry. *)
 let row_sum t i =
   let acc = ref 0.0 in
-  iter_row t i (fun _ v -> acc := !acc +. v);
+  for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+    acc := !acc +. t.values.(k)
+  done;
   !acc
 
-let row_sums t = Array.init t.rows (row_sum t)
+let row_sums t =
+  let sums = Array.make t.rows 0.0 in
+  for i = 0 to t.rows - 1 do
+    let acc = ref 0.0 in
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      acc := !acc +. t.values.(k)
+    done;
+    sums.(i) <- !acc
+  done;
+  sums
 
 let col_sums t =
   let sums = Array.make t.cols 0.0 in
@@ -230,13 +247,15 @@ let transpose t =
   let col_idx = Array.make m 0 in
   let values = Array.make m 0.0 in
   let next = Array.sub row_ptr 0 t.cols in
-  iter
-    (fun i j v ->
-      let k = next.(j) in
-      col_idx.(k) <- i;
-      values.(k) <- v;
-      next.(j) <- k + 1)
-    t;
+  for i = 0 to t.rows - 1 do
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      let j = t.col_idx.(k) in
+      let w = next.(j) in
+      col_idx.(w) <- i;
+      values.(w) <- t.values.(k);
+      next.(j) <- w + 1
+    done
+  done;
   { rows = t.cols; cols = t.rows; row_ptr; col_idx; values }
 
 let permute t ~perm =
@@ -259,21 +278,26 @@ let permute t ~perm =
   let col_idx = Array.make m 0 in
   let values = Array.make m 0.0 in
   for k = 0 to n - 1 do
-    let w = ref row_ptr.(k) in
-    iter_row t perm.(k) (fun j v ->
-        col_idx.(!w) <- inv.(j);
-        values.(!w) <- v;
-        incr w);
+    let o = perm.(k) in
+    let lo = t.row_ptr.(o) in
+    for s = lo to t.row_ptr.(o + 1) - 1 do
+      let d = row_ptr.(k) + s - lo in
+      col_idx.(d) <- inv.(t.col_idx.(s));
+      values.(d) <- t.values.(s)
+    done;
     sort_row_segment col_idx values row_ptr.(k) (row_ptr.(k + 1) - row_ptr.(k))
   done;
   { rows = n; cols = n; row_ptr; col_idx; values }
 
 let diagonal t =
   if t.rows <> t.cols then invalid_arg "Csr.diagonal: matrix is not square";
-  Array.init t.rows (fun i ->
-      let d = ref 0.0 in
-      iter_row t i (fun j v -> if j = i then d := v);
-      !d)
+  let d = Array.make t.rows 0.0 in
+  for i = 0 to t.rows - 1 do
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      if t.col_idx.(k) = i then d.(i) <- t.values.(k)
+    done
+  done;
+  d
 
 let scale alpha t =
   if alpha = 0.0 then of_coo (Coo.create ~rows:t.rows ~cols:t.cols)
@@ -295,7 +319,9 @@ let mul_vec t x =
   let y = Array.make t.rows 0.0 in
   for i = 0 to t.rows - 1 do
     let acc = ref 0.0 in
-    iter_row t i (fun j v -> acc := !acc +. (v *. x.(j)));
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      acc := !acc +. (t.values.(k) *. x.(t.col_idx.(k)))
+    done;
     y.(i) <- !acc
   done;
   y
@@ -305,9 +331,28 @@ let vec_mul x t =
   let y = Array.make t.cols 0.0 in
   for i = 0 to t.rows - 1 do
     let xi = x.(i) in
-    if xi <> 0.0 then iter_row t i (fun j v -> y.(j) <- y.(j) +. (xi *. v))
+    if xi <> 0.0 then
+      for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+        let j = t.col_idx.(k) in
+        y.(j) <- y.(j) +. (xi *. t.values.(k))
+      done
   done;
   y
+
+let sor_sweep t ~diag ~relax x =
+  let n = t.rows in
+  if t.cols <> n || Array.length diag <> n || Array.length x <> n then
+    invalid_arg "Csr.sor_sweep: dimension mismatch";
+  let row_ptr = t.row_ptr and col_idx = t.col_idx and values = t.values in
+  for j = 0 to n - 1 do
+    let incoming = ref 0.0 in
+    for k = row_ptr.(j) to row_ptr.(j + 1) - 1 do
+      let i = col_idx.(k) in
+      if i <> j then incoming := !incoming +. (x.(i) *. values.(k))
+    done;
+    let gs = !incoming /. -.diag.(j) in
+    x.(j) <- (if relax = 1.0 then gs else ((1.0 -. relax) *. x.(j)) +. (relax *. gs))
+  done
 
 let to_dense t =
   let d = Array.make_matrix t.rows t.cols 0.0 in

@@ -82,6 +82,21 @@ val mul_vec : t -> Vec.t -> Vec.t
 val vec_mul : Vec.t -> t -> Vec.t
 (** [vec_mul x a] is [x A] (row vector times matrix). *)
 
+val sor_sweep : t -> diag:Vec.t -> relax:float -> Vec.t -> unit
+(** [sor_sweep a ~diag ~relax x] is one in-place Gauss–Seidel sweep
+    (SOR when [relax < 1.]) on [x Q = 0], where row [j] of the square
+    [a] holds the rates {e into} state [j] (so [a] is the transposed
+    rate matrix) and [diag.(j)] is the generator diagonal [Q(j,j)].
+    For [j] in increasing order it sums [x.(i) *. a(j,i)] over the
+    stored entries of row [j] in column order, skipping the entry with
+    column [j] (a self loop), sets [gs] to that sum divided by
+    [-. diag.(j)], and overwrites [x.(j)] with [gs] when [relax = 1.],
+    else with [(1. -. relax) *. x.(j) +. relax *. gs].  Later rows read
+    the values already overwritten.  Allocates nothing; [x] is not
+    normalised.
+    @raise Invalid_argument if [a] is not square or [diag] or [x] do
+    not match its size. *)
+
 val to_dense : t -> float array array
 
 val approx_equal : ?eps:float -> t -> t -> bool

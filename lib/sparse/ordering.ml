@@ -3,48 +3,49 @@
 
 (* Symmetrised adjacency of a square matrix as a compact CSR pattern:
    neighbours of [i] are [adj.(off.(i)) .. adj.(off.(i+1) - 1)], sorted,
-   deduplicated, self-loops dropped. *)
+   deduplicated, self-loops dropped.  Filling the out- and in-neighbour
+   lists in row-major order leaves each of them sorted (and duplicate
+   free, as a CSR row is), so one merge per vertex gives the union. *)
 let adjacency m =
   let n = Csr.rows m in
-  let cnt = Array.make (n + 1) 0 in
+  let out_off = Array.make (n + 1) 0 and in_off = Array.make (n + 1) 0 in
   Csr.iter
     (fun i j _ ->
       if i <> j then begin
-        cnt.(i + 1) <- cnt.(i + 1) + 1;
-        cnt.(j + 1) <- cnt.(j + 1) + 1
+        out_off.(i + 1) <- out_off.(i + 1) + 1;
+        in_off.(j + 1) <- in_off.(j + 1) + 1
       end)
     m;
   for i = 0 to n - 1 do
-    cnt.(i + 1) <- cnt.(i + 1) + cnt.(i)
+    out_off.(i + 1) <- out_off.(i + 1) + out_off.(i);
+    in_off.(i + 1) <- in_off.(i + 1) + in_off.(i)
   done;
-  let adj = Array.make cnt.(n) 0 in
-  let next = Array.sub cnt 0 n in
-  let push i j =
-    adj.(next.(i)) <- j;
-    next.(i) <- next.(i) + 1
-  in
+  let outs = Array.make out_off.(n) 0 and ins = Array.make in_off.(n) 0 in
+  let out_next = Array.sub out_off 0 n and in_next = Array.sub in_off 0 n in
   Csr.iter
     (fun i j _ ->
       if i <> j then begin
-        push i j;
-        push j i
+        outs.(out_next.(i)) <- j;
+        out_next.(i) <- out_next.(i) + 1;
+        ins.(in_next.(j)) <- i;
+        in_next.(j) <- in_next.(j) + 1
       end)
     m;
-  (* Sort each neighbour list and squeeze out duplicates in place; the
-     per-vertex offsets are rebuilt over the compacted array. *)
+  let adj = Array.make (out_off.(n) + in_off.(n)) 0 in
   let off = Array.make (n + 1) 0 in
   let w = ref 0 in
   for i = 0 to n - 1 do
-    let lo = cnt.(i) and hi = cnt.(i + 1) in
-    let seg = Array.sub adj lo (hi - lo) in
-    Array.sort compare seg;
-    Array.iteri
-      (fun k j ->
-        if k = 0 || j <> seg.(k - 1) then begin
-          adj.(!w) <- j;
-          incr w
-        end)
-      seg;
+    let a = ref out_off.(i) and b = ref in_off.(i) in
+    let a_end = out_off.(i + 1) and b_end = in_off.(i + 1) in
+    while !a < a_end || !b < b_end do
+      let u =
+        if !b >= b_end || (!a < a_end && outs.(!a) < ins.(!b)) then outs.(!a) else ins.(!b)
+      in
+      if !a < a_end && outs.(!a) = u then incr a;
+      if !b < b_end && ins.(!b) = u then incr b;
+      adj.(!w) <- u;
+      incr w
+    done;
     off.(i + 1) <- !w
   done;
   (off, Array.sub adj 0 !w)
@@ -54,41 +55,55 @@ let rcm m =
   let n = Csr.rows m in
   let off, adj = adjacency m in
   let deg i = off.(i + 1) - off.(i) in
+  (* [order] doubles as the BFS queue: vertices are visited in the order
+     they are enqueued, so [order.(head .. tail - 1)] is the queue. *)
   let order = Array.make n 0 in
-  let pos = ref 0 in
+  let head = ref 0 and tail = ref 0 in
   let enqueued = Array.make n false in
-  let queue = Queue.create () in
+  let enqueue v =
+    enqueued.(v) <- true;
+    order.(!tail) <- v;
+    incr tail
+  in
   (* Neighbours of a visited vertex join the queue lowest-degree first
-     (George & Liu); scratch holds one vertex's unvisited neighbours. *)
+     (George & Liu), ties by index: they arrive in index order, so a
+     stable sort by degree of the appended run gives that order. *)
   let visit u =
-    order.(!pos) <- u;
-    incr pos;
-    let nbrs = ref [] in
+    let first = !tail in
     for k = off.(u) to off.(u + 1) - 1 do
       let v = adj.(k) in
-      if not enqueued.(v) then begin
-        enqueued.(v) <- true;
-        nbrs := v :: !nbrs
-      end
+      if not enqueued.(v) then enqueue v
     done;
-    List.iter
-      (fun v -> Queue.add v queue)
-      (List.sort (fun a b -> if deg a <> deg b then compare (deg a) (deg b) else compare a b)
-         !nbrs)
+    let len = !tail - first in
+    if len <= 24 then
+      for k = first + 1 to !tail - 1 do
+        let v = order.(k) in
+        let i = ref (k - 1) in
+        while !i >= first && deg order.(!i) > deg v do
+          order.(!i + 1) <- order.(!i);
+          decr i
+        done;
+        order.(!i + 1) <- v
+      done
+    else begin
+      let run = Array.sub order first len in
+      Mdl_util.Sortx.sort_by (fun a b -> compare (deg a) (deg b)) run;
+      Array.blit run 0 order first len
+    end
   in
   (* One BFS per connected component, rooted at the unvisited vertex of
      minimum degree (a cheap stand-in for a pseudo-peripheral root). *)
-  for start = 0 to n - 1 do
-    ignore start;
-    if !pos < n && Queue.is_empty queue then begin
+  while !head < n do
+    if !head = !tail then begin
       let root = ref (-1) in
       for v = n - 1 downto 0 do
         if not enqueued.(v) && (!root < 0 || deg v <= deg !root) then root := v
       done;
-      enqueued.(!root) <- true;
-      Queue.add !root queue
+      enqueue !root
     end;
-    if not (Queue.is_empty queue) then visit (Queue.pop queue)
+    let u = order.(!head) in
+    incr head;
+    visit u
   done;
   (* Reverse Cuthill–McKee: flip the BFS order. *)
   Array.init n (fun k -> order.(n - 1 - k))

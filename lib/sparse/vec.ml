@@ -34,13 +34,22 @@ let normalize1 t =
   if s <= 0.0 then invalid_arg "Vec.normalize1: sum is not positive";
   scale (1.0 /. s) t
 
-let norm_inf t = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 t
+(* A comparison instead of [Float.max], which calls into C per element;
+   [d <> d] keeps a NaN sticky, as [Float.max] does. *)
+let norm_inf t =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length t - 1 do
+    let d = Float.abs t.(i) in
+    if d > !acc || d <> d then acc := d
+  done;
+  !acc
 
 let diff_inf a b =
   check_dims a b "diff_inf";
   let acc = ref 0.0 in
   for i = 0 to Array.length a - 1 do
-    acc := Float.max !acc (Float.abs (a.(i) -. b.(i)))
+    let d = Float.abs (a.(i) -. b.(i)) in
+    if d > !acc || d <> d then acc := d
   done;
   !acc
 

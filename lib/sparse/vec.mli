@@ -22,9 +22,11 @@ val normalize1 : t -> unit
     positive. *)
 
 val norm_inf : t -> float
+(** Max absolute entry; [nan] if any entry is [nan]. *)
 
 val diff_inf : t -> t -> float
-(** Max absolute componentwise difference.
+(** Max absolute componentwise difference; [nan] if any difference is
+    [nan].
     @raise Invalid_argument on dimension mismatch. *)
 
 val gather : t -> int array -> t

@@ -25,7 +25,15 @@ let test_generator_row_sums_zero () =
 let test_rejects_negative_rate () =
   Alcotest.check_raises "negative rate"
     (Invalid_argument "Ctmc.of_rates: negative rate -1 at (0,1)") (fun () ->
-      ignore (Ctmc.of_triplets 2 [ (0, 1, -1.0) ]))
+      ignore (Ctmc.of_triplets 2 [ (0, 1, -1.0) ]));
+  (* A NaN or infinite rate used to be accepted, and every solver then
+     ran to its iteration limit on it and returned NaN. *)
+  Alcotest.check_raises "nan rate"
+    (Invalid_argument "Ctmc.of_rates: non-finite rate nan at (0,1)") (fun () ->
+      ignore (Ctmc.of_triplets 2 [ (0, 1, nan); (1, 0, 1.0) ]));
+  Alcotest.check_raises "infinite rate"
+    (Invalid_argument "Ctmc.of_rates: non-finite rate inf at (0,1)") (fun () ->
+      ignore (Ctmc.of_triplets 2 [ (0, 1, infinity); (1, 0, 1.0) ]))
 
 let test_rejects_non_square () =
   Alcotest.check_raises "not square"
@@ -88,7 +96,32 @@ let test_gauss_seidel_rejects_absorbing () =
   Alcotest.check_raises "bad relaxation factor"
     (Invalid_argument "Solver.steady_state_gauss_seidel: relax must be in (0, 1]")
     (fun () ->
-      ignore (Solver.steady_state_gauss_seidel ~relax:1.5 (birth_death 3 1.0 1.0)))
+      ignore (Solver.steady_state_gauss_seidel ~relax:1.5 (birth_death 3 1.0 1.0)));
+  Alcotest.check_raises "empty chain"
+    (Invalid_argument "Solver.steady_state_gauss_seidel: empty chain") (fun () ->
+      ignore (Solver.steady_state_gauss_seidel (Ctmc.of_triplets 0 [])));
+  (* The check names the lowest such state in the caller's numbering
+     also when the sweep runs in RCM order, which reverses this path:
+     state 1 sweeps at position 3 and state 4 at position 0. *)
+  let two_absorbing =
+    Ctmc.of_triplets 5 [ (0, 1, 1.0); (2, 1, 1.0); (2, 3, 1.0); (3, 2, 1.0); (3, 4, 1.0) ]
+  in
+  Alcotest.check_raises "absorbing state, rcm order"
+    (Invalid_argument
+       "Solver.steady_state_gauss_seidel: absorbing state 1 (zero generator diagonal)")
+    (fun () ->
+      ignore (Solver.steady_state_gauss_seidel ~ordering:Solver.Rcm two_absorbing))
+
+(* A finite chain whose sweep overflows: state 0 leaves at 1e-300 and
+   is entered at 1e300, so pi(0) becomes infinite and the rescaled
+   iterate NaN.  A NaN residual must never count as converged. *)
+let test_gauss_seidel_nan_never_converges () =
+  let c = Ctmc.of_triplets 2 [ (0, 1, 1e-300); (1, 0, 1e300) ] in
+  let pi, st = Solver.steady_state_gauss_seidel ~max_iter:5 c in
+  Alcotest.(check bool) "not converged" false st.Solver.converged;
+  Alcotest.(check int) "ran to max_iter" 5 st.Solver.iterations;
+  Alcotest.(check bool) "nan residual" true (Float.is_nan st.Solver.residual);
+  Alcotest.(check bool) "nan iterate" true (Array.exists Float.is_nan pi)
 
 let test_krylov_birth_death () =
   let n = 8 and lam = 2.0 and mu = 3.0 in
@@ -361,6 +394,42 @@ let test_mtta_agrees_with_transient_tail () =
   Alcotest.(check bool) "integral matches MTTA" true
     (Float.abs ((!acc *. h) -. t.(0)) < 1e-2)
 
+(* Gauss–Seidel as it was written before the sweep became
+   [Csr.sor_sweep]: the transposed generator swept through a closure,
+   [Vec.normalize1], and a [Vec.copy] of pi per sweep.  The reference the
+   kernel must match bit for bit. *)
+let reference_gauss_seidel ~tol ~max_iter ~ordering ~relax ctmc =
+  let solve ctmc =
+    let n = Ctmc.size ctmc in
+    let qt = Csr.transpose (Ctmc.generator ctmc) in
+    let pi = Array.make n (1.0 /. float_of_int n) in
+    let sweep () =
+      for j = 0 to n - 1 do
+        let incoming = ref 0.0 and diag = ref 0.0 in
+        Csr.iter_row qt j (fun i v ->
+            if i = j then diag := v else incoming := !incoming +. (pi.(i) *. v));
+        let gs = !incoming /. -. !diag in
+        pi.(j) <- (if relax = 1.0 then gs else ((1.0 -. relax) *. pi.(j)) +. (relax *. gs))
+      done;
+      Vec.normalize1 pi
+    in
+    let rec loop k prev =
+      sweep ();
+      let diff = Vec.diff_inf pi prev in
+      if diff <= tol then { Solver.iterations = k; residual = diff; converged = true }
+      else if k >= max_iter then { Solver.iterations = k; residual = diff; converged = false }
+      else loop (k + 1) (Vec.copy pi)
+    in
+    let st = loop 1 (Vec.copy pi) in
+    (pi, st)
+  in
+  match ordering with
+  | Solver.Natural -> solve ctmc
+  | Solver.Rcm ->
+      let perm = Mdl_sparse.Ordering.rcm (Ctmc.rates ctmc) in
+      let pi, st = solve (Ctmc.permute ctmc ~perm) in
+      (Vec.scatter pi perm, st)
+
 let qcheck_tests =
   let open QCheck in
   let gen_chain =
@@ -419,6 +488,34 @@ let qcheck_tests =
         st_p.Solver.converged && st_g.Solver.converged && st_k.Solver.converged
         && Vec.diff_inf pi_p pi_g < 1e-6
         && Vec.diff_inf pi_p pi_k < 1e-6);
+    (* The kernel does the reference's floating-point operations in the
+       reference's order, so pi, the iteration count and the residual
+       agree to the bit, in both orderings, converged or not. *)
+    Test.make ~count:40 ~name:"gauss-seidel matches the reference sweep bit for bit"
+      (make ~print:string_of_int Gen.(int_range 0 9999))
+      (fun seed ->
+        let spec =
+          { Mdl_oracle.Spec.states = 8 + (seed mod 25);
+            extra = 2 + (3 * (seed mod 7));
+            planted = false;
+            seed }
+        in
+        let c = Mdl_oracle.Gen_chain.ctmc (Mdl_util.Prng.of_seed seed) spec in
+        let bits = Int64.bits_of_float in
+        List.for_all
+          (fun (ordering, relax) ->
+            let pi, st =
+              Solver.steady_state_gauss_seidel ~tol:1e-13 ~max_iter:2_000 ~ordering ~relax c
+            in
+            let pi_ref, st_ref =
+              reference_gauss_seidel ~tol:1e-13 ~max_iter:2_000 ~ordering ~relax c
+            in
+            Array.length pi = Array.length pi_ref
+            && Array.for_all2 (fun a b -> bits a = bits b) pi pi_ref
+            && st.Solver.iterations = st_ref.Solver.iterations
+            && st.Solver.converged = st_ref.Solver.converged
+            && bits st.Solver.residual = bits st_ref.Solver.residual)
+          [ (Solver.Natural, 1.0); (Solver.Natural, 0.9); (Solver.Rcm, 1.0); (Solver.Rcm, 0.9) ]);
   ]
 
 let tests =
@@ -432,6 +529,8 @@ let tests =
     Alcotest.test_case "gauss-seidel matches power" `Quick test_gauss_seidel_matches_power;
     Alcotest.test_case "gauss-seidel rejects absorbing" `Quick
       test_gauss_seidel_rejects_absorbing;
+    Alcotest.test_case "gauss-seidel nan iterate never converges" `Quick
+      test_gauss_seidel_nan_never_converges;
     Alcotest.test_case "krylov birth-death" `Quick test_krylov_birth_death;
     Alcotest.test_case "krylov trivial chain" `Quick test_krylov_trivial_chain;
     Alcotest.test_case "steady_state_with dispatch" `Quick test_steady_state_with_dispatch;

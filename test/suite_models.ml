@@ -400,6 +400,22 @@ let test_tandem_table1_shape () =
   Alcotest.(check bool) "lumped MD uses less memory" true
     (Md.memory_bytes result.Compositional.lumped < Md.memory_bytes b.Tandem.md)
 
+(* Gauss–Seidel's numerics pinned on the catalogue's Kanban with 3
+   cards, at lumpd's and lumpmd's solve settings: the iteration count and
+   the bits of pi(0) and of the parts-in-system measure. *)
+let test_kanban_gauss_seidel_golden () =
+  let f = Option.get (Family.find "kanban") in
+  let b = f.Family.build (Result.get_ok (Family.resolve f ~size:(Some 3) [])) in
+  let ss = b.Family.statespace in
+  Alcotest.(check int) "states" 3000 (Statespace.size ss);
+  let pi, st = Md_solve.solve Solver.Gauss_seidel b.Family.md ss in
+  Alcotest.(check bool) "converged" true st.Solver.converged;
+  Alcotest.(check int) "iterations" 242 st.Solver.iterations;
+  Alcotest.(check string) "pi(0)" "0x1.975537a1bc068p-5" (Printf.sprintf "%h" pi.(0));
+  let parts = List.assoc "parts in system" b.Family.rewards in
+  Alcotest.(check string) "parts in system" "0x1.37063409570e3p+2"
+    (Printf.sprintf "%h" (Solver.expected_reward pi (Decomposed.to_vector parts ss)))
+
 (* ---- the family catalogue ---- *)
 
 (* Listed by hand.  Adding a wire family breaks the exhaustive match
@@ -523,6 +539,8 @@ let tests =
     Alcotest.test_case "tandem Table-1 shape (J=1)" `Slow test_tandem_table1_shape;
     Alcotest.test_case "tandem solver race (J=1)" `Slow test_tandem_solver_race;
     Alcotest.test_case "kanban solver race" `Quick test_kanban_solver_race;
+    Alcotest.test_case "kanban gauss-seidel golden (3 cards)" `Quick
+      test_kanban_gauss_seidel_golden;
     Alcotest.test_case "catalogue: one entry per wire family" `Quick
       test_catalogue_matches_wire_families;
     Alcotest.test_case "catalogue: default builds match the family modules" `Slow

@@ -571,6 +571,25 @@ let test_transient_metrics_pin () =
   Metrics.set_enabled false;
   Metrics.reset ()
 
+(* Gauss–Seidel's set-up (ordering, permutation, transposition) has a
+   span of its own beside the sweeps' span, so a trace attributes both. *)
+let test_gauss_seidel_spans () =
+  let c =
+    Ctmc.of_triplets 4 [ (0, 1, 1.0); (1, 2, 2.0); (2, 3, 1.0); (3, 0, 3.0); (2, 0, 1.0) ]
+  in
+  Trace.start ~gc:false ();
+  ignore (Solver.steady_state_gauss_seidel ~ordering:Solver.Rcm ~relax:0.9 c);
+  Trace.stop ();
+  let count = Hashtbl.create 4 in
+  Trace.iter_events (fun ~name ~cat:_ ~start_ns:_ ~dur_ns:_ ~depth ~args:_ ->
+      Alcotest.(check int) (name ^ " at top level") 0 depth;
+      Hashtbl.replace count name (1 + Option.value ~default:0 (Hashtbl.find_opt count name)));
+  List.iter
+    (fun n ->
+      Alcotest.(check (option int)) (n ^ " recorded once") (Some 1) (Hashtbl.find_opt count n))
+    [ "solver.gs_setup"; "solver.gauss_seidel" ];
+  Trace.clear ()
+
 (* ----- instrumentation must never change pipeline outputs ----- *)
 
 let test_tracing_changes_nothing () =
@@ -642,6 +661,7 @@ let tests =
     Alcotest.test_case "metrics histograms" `Quick test_metrics_histograms;
     Alcotest.test_case "metrics JSON" `Quick test_metrics_json;
     Alcotest.test_case "transient metrics pin" `Quick test_transient_metrics_pin;
+    Alcotest.test_case "gauss-seidel set-up and sweep spans" `Quick test_gauss_seidel_spans;
     Alcotest.test_case "tracing changes no output" `Quick test_tracing_changes_nothing;
     Alcotest.test_case "logging levels" `Quick test_logging_levels;
   ]

@@ -255,6 +255,102 @@ let random_perm n seed =
   done;
   p
 
+(* Reverse Cuthill–McKee as it was written before the adjacency became
+   a merge of sorted neighbour lists: per-vertex sort with polymorphic
+   compare, a list sort per visit and a [Queue].  [Ordering.rcm] must
+   return the same permutation, element for element. *)
+let reference_rcm m =
+  let n = Csr.rows m in
+  let nbrs = Array.make n [] in
+  Csr.iter
+    (fun i j _ ->
+      if i <> j then begin
+        nbrs.(i) <- j :: nbrs.(i);
+        nbrs.(j) <- i :: nbrs.(j)
+      end)
+    m;
+  let adj = Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) nbrs in
+  let deg i = Array.length adj.(i) in
+  let order = Array.make n 0 and pos = ref 0 in
+  let enqueued = Array.make n false in
+  let queue = Queue.create () in
+  let visit u =
+    order.(!pos) <- u;
+    incr pos;
+    let fresh = List.filter (fun v -> not enqueued.(v)) (Array.to_list adj.(u)) in
+    List.iter (fun v -> enqueued.(v) <- true) fresh;
+    List.iter
+      (fun v -> Queue.add v queue)
+      (List.sort (fun a b -> if deg a <> deg b then compare (deg a) (deg b) else compare a b)
+         fresh)
+  in
+  for _ = 0 to n - 1 do
+    if !pos < n && Queue.is_empty queue then begin
+      let root = ref (-1) in
+      for v = n - 1 downto 0 do
+        if not enqueued.(v) && (!root < 0 || deg v <= deg !root) then root := v
+      done;
+      enqueued.(!root) <- true;
+      Queue.add !root queue
+    end;
+    if not (Queue.is_empty queue) then visit (Queue.pop queue)
+  done;
+  Array.init n (fun k -> order.(n - 1 - k))
+
+(* A random square pattern with a hub joined to a random subset of the
+   states, so some visits enqueue more than the 24 neighbours the
+   insertion sort handles. *)
+let hub_matrix seed =
+  let prng = Mdl_util.Prng.of_seed seed in
+  let n = 1 + Mdl_util.Prng.int prng 80 in
+  let hub = Mdl_util.Prng.int prng n in
+  let triplets = ref [] in
+  for v = 0 to n - 1 do
+    if Mdl_util.Prng.int prng 3 > 0 then
+      triplets :=
+        (if Mdl_util.Prng.int prng 2 = 0 then (hub, v, 1.0) else (v, hub, 1.0)) :: !triplets
+  done;
+  for _ = 1 to Mdl_util.Prng.int prng (2 * n) do
+    triplets := (Mdl_util.Prng.int prng n, Mdl_util.Prng.int prng n, 0.5) :: !triplets
+  done;
+  Csr.of_triplets ~rows:n ~cols:n !triplets
+
+(* The direct-loop kernels against the same sums written with
+   [Csr.iter_row] closures: equal to the bit. *)
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+let kernels_match_closure_forms m =
+  let rows = Csr.rows m and cols = Csr.cols m in
+  let row_sum i =
+    let acc = ref 0.0 in
+    Csr.iter_row m i (fun _ v -> acc := !acc +. v);
+    !acc
+  in
+  let x = Array.init cols (fun j -> float_of_int (j + 1) /. 3.0) in
+  let mul_vec =
+    Array.init rows (fun i ->
+        let acc = ref 0.0 in
+        Csr.iter_row m i (fun j v -> acc := !acc +. (v *. x.(j)));
+        !acc)
+  in
+  let y = Array.init rows (fun i -> float_of_int (i - 2) /. 3.0) in
+  let vec_mul = Array.make cols 0.0 in
+  for i = 0 to rows - 1 do
+    if y.(i) <> 0.0 then
+      Csr.iter_row m i (fun j v -> vec_mul.(j) <- vec_mul.(j) +. (y.(i) *. v))
+  done;
+  let transposed = ref [] in
+  Csr.iter (fun i j v -> transposed := (j, i, v) :: !transposed) m;
+  bits_equal (Csr.row_sums m) (Array.init rows row_sum)
+  && bits_equal (Array.init rows (Csr.row_sum m)) (Array.init rows row_sum)
+  && bits_equal (Csr.mul_vec m x) mul_vec
+  && bits_equal (Csr.vec_mul y m) vec_mul
+  && Csr.equal (Csr.transpose m) (Csr.of_triplets ~rows:cols ~cols:rows !transposed)
+  && (rows <> cols
+     || bits_equal (Csr.diagonal m) (Array.init rows (fun i -> Csr.get m i i)))
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -307,6 +403,30 @@ let qcheck_tests =
         in
         let m = Csr.of_triplets ~rows:n ~cols:n triplets in
         Ordering.bandwidth (Csr.permute m ~perm:(Ordering.rcm m)) = 1);
+    Test.make ~count:300 ~name:"rcm matches the reference ordering" arb_square
+      (fun (n, t, _) ->
+        let m = Csr.of_triplets ~rows:n ~cols:n t in
+        Ordering.rcm m = reference_rcm m);
+    Test.make ~count:300 ~name:"rcm matches the reference ordering around a hub"
+      (make ~print:string_of_int Gen.(int_range 0 99_999))
+      (fun seed ->
+        let m = hub_matrix seed in
+        Ordering.rcm m = reference_rcm m);
+    Test.make ~count:300 ~name:"flat kernels match their closure forms bit for bit"
+      arb_csr (fun (r, c, t) -> kernels_match_closure_forms (Csr.of_triplets ~rows:r ~cols:c t));
+    Test.make ~count:300 ~name:"infinity norms match Float.max folds bit for bit"
+      (pair (small_list (float_range (-4.0) 4.0)) (int_range 0 3))
+      (fun (l, nans) ->
+        (* [nans] entries replaced by NaN (at the front, so later finite
+           entries must not clear it). *)
+        let a = Array.of_list l in
+        Array.iteri (fun i _ -> if i < nans then a.(i) <- nan) a;
+        let b = Array.map (fun v -> v /. 2.0) a in
+        let fold f = Array.fold_left (fun acc v -> Float.max acc (Float.abs (f v))) 0.0 in
+        let bits = Int64.bits_of_float in
+        bits (Vec.norm_inf a) = bits (fold Fun.id a)
+        && bits (Vec.diff_inf a b)
+           = bits (fold Fun.id (Array.map2 (fun x y -> x -. y) a b)));
     Test.make ~count:300 ~name:"scatter inverts gather" arb_square
       (fun (n, _, seed) ->
         let perm = random_perm n seed in
