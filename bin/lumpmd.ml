@@ -97,7 +97,7 @@ let run label (inst : Family.built) mode key solve solver check_optimal dot_file
     | Some l ->
         let md = Mdl_md.Restructure.merge_adjacent inst.md l in
         let statespace =
-          Mdl_md.Statespace.map inst.statespace (Mdl_md.Restructure.merge_tuple inst.md l)
+          Statespace.merge_levels inst.statespace l ~width:(Md.size inst.md (l + 1))
         in
         Printf.printf "merged levels %d and %d (measures not carried across the merge)\n"
           l (l + 1);

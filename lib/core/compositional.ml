@@ -500,19 +500,24 @@ let class_volume r ct =
   Array.iteri (fun i ci -> vol := !vol * Partition.class_size r.partitions.(i) ci) ct;
   !vol
 
-let lump_statespace r ss = Statespace.map ss (class_tuple r)
+let lump_statespace r ss =
+  if Statespace.levels ss <> Array.length r.partitions then
+    invalid_arg "Compositional.lump_statespace: level count mismatch";
+  Statespace.relabel ss (fun l v -> Partition.class_of r.partitions.(l - 1) v)
 
 let is_closed r ss =
-  (* The reachable states of each global class must number exactly the
-     class volume (product of local class sizes). *)
-  let counts = Hashtbl.create (Statespace.size ss) in
-  Statespace.iter
-    (fun _ s ->
-      let ct = class_tuple r s in
-      let n = Option.value ~default:0 (Hashtbl.find_opt counts ct) in
-      Hashtbl.replace counts ct (n + 1))
-    ss;
-  Hashtbl.fold (fun ct n ok -> ok && n = class_volume r ct) counts true
+  (* Each reachable state lies in exactly one class of the image, and a
+     class holds at most its volume of reachable states: the set is a
+     union of classes iff the volumes add up to its size. *)
+  let n = Statespace.size ss and total = ref 0 in
+  (try
+     Statespace.iter
+       (fun _ ct ->
+         total := !total + class_volume r ct;
+         if !total > n then raise Exit)
+       (lump_statespace r ss)
+   with Exit -> ());
+  !total = n
 
 let check_sizes r ss lumped_ss v fn =
   if Array.length v <> Statespace.size ss then

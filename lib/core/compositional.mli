@@ -197,13 +197,23 @@ val class_volume : result -> int array -> int
     states in the global class with class tuple [ct]. *)
 
 val lump_statespace : result -> Mdl_md.Statespace.t -> Mdl_md.Statespace.t
-(** Image of a reachable state space under {!class_tuple}. *)
+(** Image of a reachable state space under {!class_tuple}, numbered
+    lexicographically like any state space.  Built node by node by
+    {!Mdl_md.Statespace.relabel} with the per-level class maps; no
+    unlumped state is enumerated.
+    @raise Invalid_argument if [ss] and [r] differ in their number of
+    levels. *)
 
 val is_closed : result -> Mdl_md.Statespace.t -> bool
 (** Whether the reachable state space is a union of global equivalence
     classes (every class is fully reachable or fully unreachable).
     Closure is what makes the quotient of the {e reachable} chain
-    well-defined; symmetric models satisfy it by construction. *)
+    well-defined; symmetric models satisfy it by construction.  Read
+    off the lumped image: every reachable state lies in one class of
+    {!lump_statespace}, and a class holds at most {!class_volume}
+    reachable states, so the set is closed iff the volumes over the
+    image add up to [Statespace.size ss].  The sum walks the lumped
+    states only, and stops once it passes that size. *)
 
 val aggregate_vector :
   result -> Mdl_md.Statespace.t -> Mdl_md.Statespace.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t

@@ -63,8 +63,6 @@ let uniformized ?lambda t =
   in
   (p, lambda)
 
-let permute t ~perm = of_rates (Csr.permute t.r ~perm)
-
 let reachable_from m start =
   (* BFS over positive off-diagonal entries of [m]. *)
   let n = Csr.rows m in

@@ -39,14 +39,6 @@ val uniformized : ?lambda:float -> t -> Mdl_sparse.Csr.t * float
     no row). @raise Invalid_argument if [lambda] is not >= max exit
     rate or the chain is empty. *)
 
-val permute : t -> perm:int array -> t
-(** [permute t ~perm] relabels the states: state [perm.(k)] of [t]
-    becomes state [k] (the {!Mdl_sparse.Csr.permute} convention, as
-    produced by {!Mdl_sparse.Ordering.rcm}).  Distributions move back to
-    the original labelling with {!Mdl_sparse.Vec.scatter}.
-    @raise Invalid_argument if [perm] is not a permutation of the state
-    space. *)
-
 val is_irreducible : t -> bool
 (** True when the directed graph of positive off-diagonal rates is
     strongly connected (checked with two BFS passes on [R] and its

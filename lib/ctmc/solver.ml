@@ -48,17 +48,6 @@ let operator_of_csr m =
 
 type ordering = Natural | Rcm
 
-(* Solve a relabelled copy of the chain and push the distribution back
-   to the original state numbering, so callers never see the permuted
-   indices. *)
-let with_ordering ordering ctmc solve =
-  match ordering with
-  | Natural -> solve ctmc
-  | Rcm ->
-      let perm = Ordering.rcm (Ctmc.rates ctmc) in
-      let pi, st = solve (Ctmc.permute ctmc ~perm) in
-      (Vec.scatter pi perm, st)
-
 let power ?(tol = 1e-12) ?(max_iter = 100_000) ?initial op =
   let pi =
     match initial with
@@ -192,7 +181,11 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
               let a = d.(j) -. 1.0 in
               if Float.abs a < tiny then 1.0 else 1.0 /. a)
   in
-  let precond x = Array.mapi (fun j v -> v *. inv_d.(j)) x in
+  let precond x out =
+    for j = 0 to n - 1 do
+      out.(j) <- x.(j) *. inv_d.(j)
+    done
+  in
   let x =
     match initial with
     | None -> Array.make n (1.0 /. float_of_int n)
@@ -209,6 +202,8 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
   let rhat = ref (Vec.copy r) in
   let rho = ref 1.0 and alpha = ref 1.0 and omega = ref 1.0 in
   let v = Array.make n 0.0 and p = Array.make n 0.0 in
+  (* Per-step vectors, allocated once: each step overwrites them. *)
+  let phat = Array.make n 0.0 and shat = Array.make n 0.0 and s = Array.make n 0.0 in
   let finish k res converged =
     (* Best-effort clean-up into a probability vector: tiny negative
        components are numerical noise of the linear solve. *)
@@ -217,7 +212,8 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
     else Array.fill x 0 n (1.0 /. float_of_int n);
     (x, { iterations = k; residual = res; converged })
   in
-  let rec loop k r =
+  (* [r] is updated in place: its old value is dead once [s] is formed. *)
+  let rec loop k =
     let res = Vec.norm_inf r in
     if res <= tol then finish k res true
     else if k >= max_iter then finish k res false
@@ -243,13 +239,15 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
         for j = 0 to n - 1 do
           p.(j) <- r.(j) +. (beta *. (p.(j) -. (!omega *. v.(j))))
         done;
-        let phat = precond p in
+        precond p phat;
         Array.blit (apply_a phat) 0 v 0 n;
         let denom = Vec.dot !rhat v in
         if Float.abs denom < tiny then finish k res false
         else begin
           alpha := rho' /. denom;
-          let s = Array.init n (fun j -> r.(j) -. (!alpha *. v.(j))) in
+          for j = 0 to n - 1 do
+            s.(j) <- r.(j) -. (!alpha *. v.(j))
+          done;
           let s_res = Vec.norm_inf s in
           if s_res <= tol then begin
             (* Half-step early exit. *)
@@ -257,7 +255,7 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
             finish (k + 1) s_res true
           end
           else begin
-            let shat = precond s in
+            precond s shat;
             let t = apply_a shat in
             let tt = Vec.dot t t in
             if tt < tiny then begin
@@ -273,9 +271,11 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
               else begin
                 Vec.axpy ~alpha:!alpha phat x;
                 Vec.axpy ~alpha:!omega shat x;
-                let r' = Array.init n (fun j -> s.(j) -. (!omega *. t.(j))) in
+                for j = 0 to n - 1 do
+                  r.(j) <- s.(j) -. (!omega *. t.(j))
+                done;
                 rho := rho';
-                loop (k + 1) r'
+                loop (k + 1)
               end
             end
           end
@@ -284,12 +284,11 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
     end
   in
   Trace.with_span ~cat:"solve" "solver.krylov" (fun () ->
-      observe_run "solver.krylov" (loop 0 r))
+      observe_run "solver.krylov" (loop 0))
 
-let steady_state_krylov ?tol ?max_iter ?(ordering = Natural) ctmc =
-  with_ordering ordering ctmc (fun ctmc ->
-      let p, _lambda = Ctmc.uniformized ctmc in
-      krylov ?tol ?max_iter ~diag:(Csr.diagonal p) (operator_of_csr p))
+let steady_state_krylov ?tol ?max_iter ctmc =
+  let p, _lambda = Ctmc.uniformized ctmc in
+  krylov ?tol ?max_iter ~diag:(Csr.diagonal p) (operator_of_csr p)
 
 type method_ = Power | Gauss_seidel | Krylov
 

@@ -30,9 +30,9 @@ val operator_of_csr : Mdl_sparse.Csr.t -> operator
 (** @raise Invalid_argument if the matrix is not square. *)
 
 type ordering =
-  | Natural  (** Solve in the chain's own state numbering. *)
+  | Natural  (** Sweep in the chain's own state numbering. *)
   | Rcm
-      (** Relabel with {!Mdl_sparse.Ordering.rcm} before solving, so the
+      (** Relabel with {!Mdl_sparse.Ordering.rcm} before sweeping, so the
           sweeps walk nearly-contiguous memory; the returned distribution
           is mapped back to the original numbering, so results are
           ordering-independent up to floating-point summation order. *)
@@ -106,15 +106,10 @@ val steady_state_gauss_seidel :
     stationary distribution for it to find. *)
 
 val steady_state_krylov :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?ordering:ordering ->
-  Ctmc.t ->
-  Mdl_sparse.Vec.t * stats
+  ?tol:float -> ?max_iter:int -> Ctmc.t -> Mdl_sparse.Vec.t * stats
 (** Stationary distribution via {!krylov} on the uniformised DTMC,
-    Jacobi-preconditioned with its diagonal; [ordering] (default
-    {!Natural}) optionally relabels the chain with reverse
-    Cuthill–McKee first. *)
+    Jacobi-preconditioned with its diagonal, in the chain's own state
+    numbering. *)
 
 type method_ = Power | Gauss_seidel | Krylov
 (** The three steady-state solvers above.  [Md_solve.solve] (in

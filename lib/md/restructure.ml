@@ -45,15 +45,3 @@ let merge_adjacent md l =
   let root = convert (Md.root md) in
   Md.set_root out root;
   out
-
-let merge_tuple md l s =
-  let nlevels = Md.levels md in
-  if l < 1 || l >= nlevels then invalid_arg "Restructure.merge_tuple: bad level";
-  if Array.length s <> nlevels then
-    invalid_arg "Restructure.merge_tuple: tuple length mismatch";
-  let n_low = Md.size md (l + 1) in
-  Array.init (nlevels - 1) (fun i ->
-      let level = i + 1 in
-      if level < l then s.(level - 1)
-      else if level = l then (s.(l - 1) * n_low) + s.(l)
-      else s.(level))

@@ -18,11 +18,6 @@ val merge_adjacent : Md.t -> int -> Md.t
 (** [merge_adjacent md l] merges levels [l] and [l+1] into a single
     level whose index set is [S_l x S_{l+1}] (row-major:
     [s_l * |S_{l+1}| + s_{l+1}]); the result has [L-1] levels and
-    represents the same matrix.
+    represents the same matrix.  {!Statespace.merge_levels} carries a
+    reachable state space across the same merge.
     @raise Invalid_argument unless [1 <= l < L]. *)
-
-val merge_tuple : Md.t -> int -> int array -> int array
-(** [merge_tuple md l s] maps a global substate tuple of [md] to the
-    corresponding tuple of [merge_adjacent md l] (levels [l], [l+1]
-    combined row-major).  Use with {!Statespace.map} to carry reachable
-    state spaces across the merge. *)

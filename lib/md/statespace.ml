@@ -79,34 +79,76 @@ let mk b level labels children =
 
 let finish b root = { nlevels = b.b_levels; nodes = Dynarray.to_array b.data; root }
 
+(* A node's arcs as (local state, child) pairs. *)
+let pairs_of d = Array.map2 (fun v c -> (v, c)) d.labels d.children
+
+let by_label (a, _) (b, _) = Int.compare a b
+
+(* The node at [level] over [pairs], (local state, child) arcs sorted by
+   local state: arcs on one local state lead to the union of their
+   children.  The union of two nodes is the node over both arc arrays,
+   memoised on the (unordered) pair in [unions]. *)
+let rec united b unions level pairs =
+  let labels = Dynarray.create () and children = Dynarray.create () in
+  Array.iter
+    (fun (v, c) ->
+      let k = Dynarray.length labels in
+      if k > 0 && Dynarray.get labels (k - 1) = v then
+        Dynarray.set children (k - 1) (union b unions (Dynarray.get children (k - 1)) c)
+      else begin
+        Dynarray.push labels v;
+        Dynarray.push children c
+      end)
+    pairs;
+  mk b level (Dynarray.to_array labels) (Dynarray.to_array children)
+
+and union b unions x y =
+  if x = y then x
+  else
+    let key = (min x y, max x y) in
+    match Hashtbl.find_opt unions key with
+    | Some u -> u
+    | None ->
+        let dx = Dynarray.get b.data x and dy = Dynarray.get b.data y in
+        let pairs = Array.append (pairs_of dx) (pairs_of dy) in
+        Array.stable_sort by_label pairs;
+        let u = united b unions dx.level pairs in
+        Hashtbl.add unions key u;
+        u
+
 (* Convert a DAG whose nodes are named by ints, once per name:
    [arcs level n] lists node [n]'s (local state, child name) arcs sorted
-   by local state without repeats. *)
-let convert ~levels arcs root =
+   by local state, and arcs on one local state lead to the union of
+   their children. *)
+let rec convert ~levels arcs root =
   let b = builder levels in
-  let memo = Hashtbl.create 64 in
+  let memo = Hashtbl.create 64 and unions = Hashtbl.create 16 in
   let rec conv level n =
     if level > levels then terminal
     else
       match Hashtbl.find_opt memo n with
       | Some id -> id
       | None ->
-          let pairs = arcs level n in
-          let id =
-            mk b level (Array.map fst pairs)
-              (Array.map (fun (_, c) -> conv (level + 1) c) pairs)
-          in
+          let pairs = Array.map (fun (v, c) -> (v, conv (level + 1) c)) (arcs level n) in
+          let id = united b unions level pairs in
           Hashtbl.add memo n id;
           id
   in
-  finish b (conv 1 root)
+  let root = conv 1 root in
+  if Hashtbl.length unions = 0 then finish b root
+  else
+    (* A union leaves the nodes it absorbed behind in [b]; copying the
+       root's DAG keeps only the reachable ones. *)
+    convert ~levels (fun _ n -> pairs_of (Dynarray.get b.data n)) root
 
-(* Sort [arr] in place, drop adjacent duplicates and build the shared
-   nodes over the survivors: the tuples of one prefix form a contiguous
-   range.  Merge sort rather than [Array.sort]'s heap sort: stability
-   does not matter, but it makes about half the comparisons, fewer still
-   on partly sorted input. *)
-let of_array ~levels arr =
+(* Sort the tuples, drop adjacent duplicates and build the shared nodes
+   over the survivors: the tuples of one prefix form a contiguous range.
+   Merge sort rather than [Array.sort]'s heap sort: stability does not
+   matter, but it makes about half the comparisons, fewer still on
+   partly sorted input. *)
+let of_tuples ~levels tuples =
+  if tuples = [] then invalid_arg "Statespace.of_tuples: empty state space";
+  let arr = Array.of_list tuples in
   Array.iter
     (fun s ->
       if Array.length s <> levels then
@@ -142,10 +184,6 @@ let of_array ~levels arr =
   in
   finish b (build 1 0 !kept)
 
-let of_tuples ~levels tuples =
-  if tuples = [] then invalid_arg "Statespace.of_tuples: empty state space";
-  of_array ~levels (Array.of_list tuples)
-
 let of_dag ~levels arcs root =
   convert ~levels
     (fun _ n ->
@@ -164,13 +202,27 @@ let relabel t f =
     (fun level n ->
       let d = t.nodes.(n) in
       let pairs = Array.mapi (fun i v -> (f level v, d.children.(i))) d.labels in
-      Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
-      Array.iteri
-        (fun i (v, _) ->
-          if i > 0 && v = fst pairs.(i - 1) then
-            invalid_arg "Statespace.relabel: two substates of one node map to one value")
-        pairs;
+      Array.stable_sort by_label pairs;
       pairs)
+    t.root
+
+let merge_levels t l ~width =
+  if l < 1 || l >= t.nlevels then invalid_arg "Statespace.merge_levels: level out of range";
+  convert ~levels:(t.nlevels - 1)
+    (fun level n ->
+      let d = t.nodes.(n) in
+      if level <> l then pairs_of d
+      else
+        (* Arc [(v, c)] then [c]'s arc [(w, g)] is the arc
+           [(v * width + w, g)]: increasing in [v], then in [w]. *)
+        Array.concat
+          (List.init (Array.length d.labels) (fun i ->
+               Array.map
+                 (fun (w, g) ->
+                   if w < 0 || w >= width then
+                     invalid_arg "Statespace.merge_levels: substate outside 0 .. width-1";
+                   ((d.labels.(i) * width) + w, g))
+                 (pairs_of t.nodes.(d.children.(i))))))
     t.root
 
 (* ---- queries ---- *)
@@ -260,29 +312,6 @@ let local_states t l =
     (fun d -> if d.level = l then Array.iter (fun v -> Hashtbl.replace seen v ()) d.labels)
     t.nodes;
   List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
-
-module Tuple_table = Hashtbl.Make (struct
-  type t = int array
-
-  let equal = int_array_equal
-
-  let hash = Hashx.int_array
-end)
-
-let map t f =
-  (* Images collapse heavily under lumping, so distinct images are
-     collected by hashing first and only those are sorted.  [iter]
-     reuses its buffer, so a kept image is copied. *)
-  let distinct = Tuple_table.create 1024 in
-  iter
-    (fun _ s ->
-      let img = f s in
-      if not (Tuple_table.mem distinct img) then Tuple_table.add distinct (Array.copy img) ())
-    t;
-  let images = Array.of_seq (Tuple_table.to_seq_keys distinct) in
-  (* The image may live over a different number of levels (e.g. after
-     level merging); infer it from the mapped tuples. *)
-  of_array ~levels:(Array.length images.(0)) images
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%d states over %d levels" (size t) t.nlevels;

@@ -43,13 +43,26 @@ val of_dag : levels:int -> (int -> (int * int) array) -> int -> t
 
 val relabel : t -> (int -> int -> int) -> t
 (** [relabel t f] renames local state [v] of level [l] to [f l v] on
-    every arc, re-sorting each node's arcs and recomputing their
-    offsets: the result is [of_tuples] of the renamed states, with the
-    states renumbered in their new lexicographic order, computed node by
-    node without enumerating states.  [f l] need only be injective on
-    the local states of each node.
-    @raise Invalid_argument if [f] maps two local states of one node to
-    the same value. *)
+    every arc: the result is [of_tuples] of the renamed states, on the
+    same nodes and with the states renumbered in their new
+    lexicographic order, computed node by node without enumerating
+    states.  [f] may be many-to-one: arcs of one node that land on one
+    value lead to the union of their children (a memoised merge of
+    sorted arcs), and the nodes a union absorbs are dropped by one copy
+    of the result.  This is how [Compositional.lump_statespace] forms a
+    lumped state space, and how [Model.finalize] applies its canonical
+    local-state order. *)
+
+val merge_levels : t -> int -> width:int -> t
+(** [merge_levels t l ~width] merges levels [l] and [l+1] into one
+    level, row-major: a state [(.., s_l, s_{l+1}, ..)] becomes
+    [(.., s_l * width + s_{l+1}, ..)], the numbering of
+    {!Restructure.merge_adjacent} with [width = |S_{l+1}|].  Built node
+    by node: a level-[l] arc [(v, c)] followed by [c]'s arc [(w, g)]
+    becomes the arc [(v * width + w, g)].  Row-major merging keeps the
+    lexicographic order, so every state keeps its index.
+    @raise Invalid_argument unless [1 <= l < levels t], or if some
+    level-[l+1] substate lies outside [0 .. width-1]. *)
 
 val levels : t -> int
 
@@ -77,16 +90,6 @@ val local_states : t -> int -> int list
 (** [local_states t l] is the sorted set of level-[l] substates that
     occur in some state — the projection of the state space onto level
     [l], read off the arcs of the level-[l] nodes. *)
-
-val map : t -> (int array -> int array) -> t
-(** [map t f] is the state space [{f s | s in t}] (e.g. the lumped state
-    space obtained by mapping substates to class ids); duplicates
-    collapse.  It enumerates [t], and copies every image it keeps, so
-    [f] may return its argument.  [f] may change the number of levels
-    (e.g. {!Restructure.merge_tuple}-style maps); all images must have
-    the same length.  Distinct images are gathered by hashing before the
-    sort, so a map that collapses many states sorts only the few
-    images. *)
 
 val root : t -> node
 

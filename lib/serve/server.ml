@@ -95,13 +95,6 @@ type model = {
   mo_lock : Mutex.t;
   mutable mo_sweep : Compositional.sweep option;
   mutable mo_points : int;
-  (* Lumped reachable-state counts keyed by the concatenated canonical
-     class assignment — the same key the sweep engine's rebuild memo
-     uses.  The count is a pure function of (statespace, partitions),
-     but computing it lumps the full statespace: without this memo
-     every repeated point re-pays an O(states) walk just to report its
-     size, drowning the warm-engine saving on large models. *)
-  mo_sizes : (int array, int) Hashtbl.t;
 }
 
 (* ---- server state ---- *)
@@ -278,7 +271,6 @@ let exec_submit t (s : P.submit) =
               mo_lock = Mutex.create ();
               mo_sweep = None;
               mo_points = 0;
-              mo_sizes = Hashtbl.create 16;
             }
           in
           (* Re-check under the lock: a concurrent submit may have won. *)
@@ -322,21 +314,8 @@ let sweep_engine m =
 let classes_of result =
   Array.to_list (Array.map Partition.num_classes result.Compositional.partitions)
 
-(* Per-level assignment lengths are fixed by the diagram, so the plain
-   concatenation is an injective key for the partition tuple (the same
-   argument as the sweep engine's rebuild memo). *)
 let lumped_size m (r : Compositional.result) =
-  let key =
-    Array.concat
-      (Array.to_list
-         (Array.map Partition.to_class_assignment r.Compositional.partitions))
-  in
-  match Hashtbl.find_opt m.mo_sizes key with
-  | Some n -> n
-  | None ->
-      let n = Statespace.size (Compositional.lump_statespace r m.mo_built.statespace) in
-      Hashtbl.add m.mo_sizes key n;
-      n
+  Statespace.size (Compositional.lump_statespace r m.mo_built.statespace)
 
 let run_point m rewards =
   let sw = sweep_engine m in

@@ -92,14 +92,18 @@ let rcm m =
     end
   in
   (* One BFS per connected component, rooted at the unvisited vertex of
-     minimum degree (a cheap stand-in for a pseudo-peripheral root). *)
+     minimum degree, ties to the lowest index (a cheap stand-in for a
+     pseudo-peripheral root): the next vertex not yet enqueued in
+     (degree, index) order, found by a cursor that only moves forward. *)
+  let by_degree = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare (deg a) (deg b)) by_degree;
+  let cursor = ref 0 in
   while !head < n do
     if !head = !tail then begin
-      let root = ref (-1) in
-      for v = n - 1 downto 0 do
-        if not enqueued.(v) && (!root < 0 || deg v <= deg !root) then root := v
+      while enqueued.(by_degree.(!cursor)) do
+        incr cursor
       done;
-      enqueue !root
+      enqueue by_degree.(!cursor)
     end;
     let u = order.(!head) in
     incr head;

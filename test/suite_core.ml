@@ -456,6 +456,84 @@ let test_sufficiency_gap () =
   Alcotest.(check int) "formal key succeeds after normalize" 1
     (Partition.num_classes p_norm)
 
+(* ----- class closure of a reachable set ----- *)
+
+let test_is_closed_partly_reachable_class () =
+  let md, _ = concrete_md () in
+  let result =
+    Compositional.lump_with_partitions Ordinary md
+      [| Partition.of_class_assignment [| 0; 1 |]; Partition.of_class_assignment [| 0; 1; 1 |] |]
+  in
+  (* Workers 1 and 2 form one class: with (0,1) but not (0,2) reachable,
+     the class (0, {1,2}) is only half reachable. *)
+  let partly =
+    Statespace.of_tuples ~levels:2 [ [| 0; 0 |]; [| 0; 1 |]; [| 1; 1 |]; [| 1; 2 |] ]
+  in
+  Alcotest.(check int) "image" 3 (Statespace.size (Compositional.lump_statespace result partly));
+  Alcotest.(check bool) "partly reachable class" false (Compositional.is_closed result partly);
+  let whole =
+    Statespace.of_tuples ~levels:2
+      [ [| 0; 0 |]; [| 0; 1 |]; [| 0; 2 |]; [| 1; 1 |]; [| 1; 2 |] ]
+  in
+  Alcotest.(check bool) "whole classes" true (Compositional.is_closed result whole)
+
+(* [is_closed] by its definition: count the reachable states of each
+   class tuple, and compare every count with the class volume. *)
+let reference_is_closed r ss =
+  let counts = Hashtbl.create 64 in
+  Statespace.iter
+    (fun _ s ->
+      let ct = Compositional.class_tuple r s in
+      Hashtbl.replace counts ct (1 + Option.value ~default:0 (Hashtbl.find_opt counts ct)))
+    ss;
+  Hashtbl.fold (fun ct n ok -> ok && n = Compositional.class_volume r ct) counts true
+
+let test_is_closed_matches_class_counts =
+  QCheck.Test.make ~count:200 ~name:"is_closed matches the per-class counts"
+    QCheck.(pair arb_sym_descriptor (pair bool (int_bound 1_000_000)))
+    (fun (spec, (by_class, seed)) ->
+      let k = build_symmetric_descriptor spec in
+      let md = Kronecker.to_md k in
+      let sizes = Kronecker.sizes k in
+      let r =
+        Compositional.lump Ordinary md
+          ~rewards:[ Decomposed.constant ~sizes 0.0 ]
+          ~initial:(Decomposed.constant ~sizes 1.0)
+      in
+      (* A random subset of the product space, or (when [by_class]) a
+         random union of whole classes, closed by construction. *)
+      let rng = Mdl_util.Prng.of_seed seed in
+      let kept_classes = Hashtbl.create 16 in
+      let keep s =
+        if not by_class then Mdl_util.Prng.bool rng
+        else
+          let ct = Compositional.class_tuple r s in
+          match Hashtbl.find_opt kept_classes ct with
+          | Some b -> b
+          | None ->
+              let b = Mdl_util.Prng.bool rng in
+              Hashtbl.add kept_classes ct b;
+              b
+      in
+      let states = ref [] in
+      let rec walk l prefix =
+        if l = Array.length sizes then begin
+          let s = Array.of_list (List.rev prefix) in
+          if keep s then states := s :: !states
+        end
+        else
+          for v = 0 to sizes.(l) - 1 do
+            walk (l + 1) (v :: prefix)
+          done
+      in
+      walk 0 [];
+      match !states with
+      | [] -> true
+      | states ->
+          let ss = Statespace.of_tuples ~levels:(Array.length sizes) states in
+          let closed = Compositional.is_closed r ss in
+          closed = reference_is_closed r ss && ((not by_class) || closed))
+
 (* ----- end-to-end: solve lumped vs unlumped over a reachable space ----- *)
 
 let test_end_to_end_solution () =
@@ -988,6 +1066,7 @@ let qcheck_tests =
     test_level_pipeline_matches_reference;
     test_lump_matches_reference;
     test_sweep_matches_per_point;
+    test_is_closed_matches_class_counts;
   ]
 
 let tests =
@@ -996,6 +1075,8 @@ let tests =
     Alcotest.test_case "decomposed point" `Quick test_decomposed_point;
     Alcotest.test_case "decomposed constant/vector" `Quick test_decomposed_constant_and_vector;
     Alcotest.test_case "concrete 2-level lump" `Quick test_concrete_lump;
+    Alcotest.test_case "is_closed: a partly reachable class" `Quick
+      test_is_closed_partly_reachable_class;
     Alcotest.test_case "local lumpability checker" `Quick test_local_lumpability_checker;
     Alcotest.test_case "intern table reuse across level fixed point" `Quick
       test_level_intern_table_reuse;

@@ -133,11 +133,7 @@ let test_krylov_birth_death () =
   let pi_p, stats_p = Solver.steady_state ~tol:1e-13 c in
   Alcotest.(check bool) "fewer iterations than power" true
     (stats.Solver.iterations <= stats_p.Solver.iterations);
-  Alcotest.(check bool) "matches power" true (Vec.diff_inf pi pi_p < 1e-9);
-  (* The RCM-ordered solve must come back in the original numbering. *)
-  let pi_rcm, stats_rcm = Solver.steady_state_krylov ~tol:1e-13 ~ordering:Solver.Rcm c in
-  Alcotest.(check bool) "rcm converged" true stats_rcm.Solver.converged;
-  Alcotest.(check bool) "rcm matches natural" true (Vec.diff_inf pi pi_rcm < 1e-9)
+  Alcotest.(check bool) "matches power" true (Vec.diff_inf pi pi_p < 1e-9)
 
 let test_krylov_trivial_chain () =
   (* One state: the normalisation column makes the 1x1 system [1] x = 1. *)
@@ -427,7 +423,7 @@ let reference_gauss_seidel ~tol ~max_iter ~ordering ~relax ctmc =
   | Solver.Natural -> solve ctmc
   | Solver.Rcm ->
       let perm = Mdl_sparse.Ordering.rcm (Ctmc.rates ctmc) in
-      let pi, st = solve (Ctmc.permute ctmc ~perm) in
+      let pi, st = solve (Ctmc.of_rates (Csr.permute (Ctmc.rates ctmc) ~perm)) in
       (Vec.scatter pi perm, st)
 
 let qcheck_tests =

@@ -121,7 +121,9 @@ let test_md_vector_level_checks () =
   let b = Mdl_models.Workstations.build (Mdl_models.Workstations.default ~stations:3) in
   let md = b.Mdl_models.Workstations.md in
   let ss = b.Mdl_models.Workstations.exploration.Mdl_san.Model.statespace in
-  let ss3 = Statespace.map ss (fun s -> [| s.(0); s.(1) / 9; s.(1) mod 9 |]) in
+  let split = ref [] in
+  Statespace.iter (fun _ s -> split := [| s.(0); s.(1) / 9; s.(1) mod 9 |] :: !split) ss;
+  let ss3 = Statespace.of_tuples ~levels:3 !split in
   Alcotest.(check int) "same states over three levels" (Statespace.size ss)
     (Statespace.size ss3);
   let x = Array.make (Statespace.size ss3) 1.0 in

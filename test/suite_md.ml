@@ -158,21 +158,8 @@ let test_statespace_basics () =
   Alcotest.(check (option int)) "index present" (Some 1) (Statespace.index ss [| 0; 1 |]);
   Alcotest.(check (option int)) "index absent" None (Statespace.index ss [| 1; 1 |]);
   Alcotest.(check (list int)) "projection level 2" [ 0; 1 ] (Statespace.local_states ss 2);
-  let mapped = Statespace.map ss (fun s -> [| s.(0); 0 |]) in
-  Alcotest.(check int) "map collapses" 2 (Statespace.size mapped)
-
-(* [map] enumerates through [iter]'s reused buffer, so an image it keeps
-   must be a copy: under [Fun.id] every kept image is that buffer. *)
-let test_statespace_map_identity () =
-  let ss =
-    Statespace.of_tuples ~levels:3
-      [ [| 0; 1; 2 |]; [| 0; 1; 0 |]; [| 1; 0; 0 |]; [| 2; 0; 1 |]; [| 0; 0; 0 |] ]
-  in
-  let same = Statespace.map ss Fun.id in
-  Alcotest.(check int) "size" (Statespace.size ss) (Statespace.size same);
-  Statespace.iter
-    (fun i s -> Alcotest.(check (array int)) "same state" s (Statespace.tuple same i))
-    ss
+  let collapsed = Statespace.relabel ss (fun l v -> if l = 2 then 0 else v) in
+  Alcotest.(check int) "relabel collapses" 2 (Statespace.size collapsed)
 
 let test_statespace_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Statespace.of_tuples: empty state space")
@@ -186,9 +173,18 @@ let test_statespace_validation () =
   let ss = Statespace.of_tuples ~levels:2 [ [| 0; 1 |]; [| 1; 0 |] ] in
   Alcotest.(check int) "relabel within nodes" 2
     (Statespace.size (Statespace.relabel ss (fun l v -> if l = 2 then 0 else v)));
-  Alcotest.check_raises "relabel collision"
-    (Invalid_argument "Statespace.relabel: two substates of one node map to one value")
-    (fun () -> ignore (Statespace.relabel ss (fun l v -> if l = 1 then 0 else v)))
+  (* Both root arcs land on 0, so their children unite: the image is
+     {(0,0), (0,1)}, on the two nodes [of_tuples] builds for it, not on
+     the two level-2 nodes the union absorbed as well. *)
+  let united = Statespace.relabel ss (fun l v -> if l = 1 then 0 else v) in
+  let expected = Statespace.of_tuples ~levels:2 [ [| 0; 0 |]; [| 0; 1 |] ] in
+  Alcotest.(check int) "relabel collision unites" 2 (Statespace.size united);
+  Alcotest.(check (list (array int))) "united states"
+    [ [| 0; 0 |]; [| 0; 1 |] ]
+    (List.init 2 (Statespace.tuple united));
+  Alcotest.(check int) "united nodes" (Statespace.num_nodes expected)
+    (Statespace.num_nodes united);
+  Alcotest.(check (list int)) "united level 2" [ 0; 1 ] (Statespace.local_states united 2)
 
 let full_space sizes =
   let rec go = function
@@ -236,19 +232,26 @@ let test_merge_adjacent_preserves_matrix () =
      exactly. *)
   Alcotest.check matrix_testable "same matrix" (Md.to_csr md) (Md.to_csr merged)
 
-let test_merge_tuple () =
-  let md = hand_md () in
-  Alcotest.(check (array int)) "merge tuple" [| 3 |]
-    (Mdl_md.Restructure.merge_tuple md 1 [| 1; 1 |]);
+let test_statespace_merge_levels () =
+  let ss = Statespace.of_tuples ~levels:3 [ [| 0; 1; 2 |]; [| 1; 1; 0 |]; [| 1; 2; 1 |] ] in
+  let merged = Statespace.merge_levels ss 2 ~width:3 in
+  Alcotest.(check int) "levels" 2 (Statespace.levels merged);
+  Alcotest.(check (option int)) "row-major, same index" (Some 2)
+    (Statespace.index merged [| 1; 7 |]);
+  Alcotest.(check (array int)) "merge top" [| 4; 0 |]
+    (Statespace.tuple (Statespace.merge_levels ss 1 ~width:3) 1);
   Alcotest.check_raises "bad level"
-    (Invalid_argument "Restructure.merge_tuple: bad level") (fun () ->
-      ignore (Mdl_md.Restructure.merge_tuple md 2 [| 0; 0 |]))
+    (Invalid_argument "Statespace.merge_levels: level out of range") (fun () ->
+      ignore (Statespace.merge_levels ss 3 ~width:3));
+  Alcotest.check_raises "narrow width"
+    (Invalid_argument "Statespace.merge_levels: substate outside 0 .. width-1") (fun () ->
+      ignore (Statespace.merge_levels ss 2 ~width:2))
 
 let test_merge_statespace_consistent () =
   let md = hand_md () in
   let ss = full_space [ 2; 2 ] in
   let merged = Mdl_md.Restructure.merge_adjacent md 1 in
-  let merged_ss = Statespace.map ss (Mdl_md.Restructure.merge_tuple md 1) in
+  let merged_ss = Statespace.merge_levels ss 1 ~width:(Md.size md 2) in
   let x = [| 0.4; 0.3; 0.2; 0.1 |] in
   let mul md ss = Md_vector.vec_mul md ss x in
   Alcotest.(check bool) "vector products agree across merge" true
@@ -812,15 +815,17 @@ let qcheck_tests =
           Statespace.iter (fun _ s -> acc := Array.copy s :: !acc) t;
           List.rev !acc
         in
-        let rec product l =
+        let rec product range l =
           if l = 0 then [ [||] ]
           else
-            List.concat_map (fun t -> List.init 5 (fun v -> Array.append t [| v |]))
-              (product (l - 1))
+            List.concat_map (fun t -> List.init range (fun v -> Array.append t [| v |]))
+              (product range (l - 1))
         in
         (* [t] enumerates, indexes and returns tuples like the sorted
-           list [model]. *)
-        let agrees model t =
+           list [model], whose entries lie below [range - 1], and is
+           built on the nodes [of_tuples] builds for it. *)
+        let agrees ?(range = 5) model t =
+          let levels = Statespace.levels t in
           let position s =
             let rec go i = function
               | [] -> None
@@ -830,10 +835,12 @@ let qcheck_tests =
           in
           listed t = model
           && Statespace.size t = List.length model
-          && List.for_all (fun s -> Statespace.index t s = position s) (product levels)
+          && List.for_all (fun s -> Statespace.index t s = position s) (product range levels)
           && Statespace.index t (Array.make (levels + 1) 0) = None
           && Statespace.index t (Array.make (levels - 1) 0) = None
           && List.for_all Fun.id (List.mapi (fun i s -> Statespace.tuple t i = s) model)
+          && Statespace.num_nodes t
+             = Statespace.num_nodes (Statespace.of_tuples ~levels (List.map Array.copy model))
         in
         (* The same set built from singletons by set-MDD union. *)
         let from_set =
@@ -860,18 +867,34 @@ let qcheck_tests =
         let relabelled = Statespace.relabel ss (fun l v -> perms.(l - 1).(v)) in
         let permuted_model = List.sort_uniq compare (List.map permute model) in
         let image f = List.sort_uniq compare (List.map f model) in
-        let halve s = Array.map (fun v -> v / 2) s in
-        let total s = [| Array.fold_left ( + ) 0 s |] in
-        let ok_map =
-          listed (Statespace.map ss halve) = image halve
-          && listed (Statespace.map ss total) = image total
-        in
         let ok_relabel =
           agrees permuted_model relabelled
           && listed (Statespace.of_tuples ~levels (List.map permute inputs))
              = listed relabelled
         in
-        let ok = agrees model ss && agrees model from_set && ok_relabel && ok_map in
+        (* Many-to-one relabels, whose colliding arcs unite their
+           children: halving, and a random map of each level into 0..2. *)
+        let coarse = Array.init levels (fun _ -> Array.init 4 (fun _ -> Mdl_util.Prng.int rng 3)) in
+        let ok_union =
+          agrees (image (Array.map (fun v -> v / 2))) (Statespace.relabel ss (fun _ v -> v / 2))
+          && agrees
+               (image (Array.mapi (fun l v -> coarse.(l).(v))))
+               (Statespace.relabel ss (fun l v -> coarse.(l - 1).(v)))
+        in
+        (* Merging levels [l] and [l+1] row-major (substates are below
+           4), at every [l]. *)
+        let merged l s =
+          Array.init (levels - 1) (fun i ->
+              if i < l - 1 then s.(i) else if i = l - 1 then (s.(i) * 4) + s.(i + 1) else s.(i + 1))
+        in
+        let ok_merge =
+          List.for_all
+            (fun l -> agrees ~range:17 (image (merged l)) (Statespace.merge_levels ss l ~width:4))
+            (List.init (levels - 1) (fun i -> i + 1))
+        in
+        let ok =
+          agrees model ss && agrees model from_set && ok_relabel && ok_union && ok_merge
+        in
         List.iter (fun s -> Array.fill s 0 levels 9) inputs;
         ok && listed ss = model);
     Test.make ~count:200 ~name:"formal sum scale distributes over add"
@@ -923,7 +946,6 @@ let tests =
     Alcotest.test_case "md reverse iteration" `Quick test_md_rev_iter;
     Alcotest.test_case "statespace basics" `Quick test_statespace_basics;
     Alcotest.test_case "statespace validation" `Quick test_statespace_validation;
-    Alcotest.test_case "statespace map identity" `Quick test_statespace_map_identity;
     Alcotest.test_case "md vector products" `Quick test_md_vector_products;
     Alcotest.test_case "md dot export" `Quick test_md_dot_export;
     Alcotest.test_case "normalize merges proportional nodes" `Quick
@@ -931,7 +953,7 @@ let tests =
     Alcotest.test_case "normalize stable" `Quick test_normalize_stable;
     Alcotest.test_case "merge_adjacent preserves matrix" `Quick
       test_merge_adjacent_preserves_matrix;
-    Alcotest.test_case "merge_tuple" `Quick test_merge_tuple;
+    Alcotest.test_case "statespace merge_levels" `Quick test_statespace_merge_levels;
     Alcotest.test_case "merge statespace consistent" `Quick
       test_merge_statespace_consistent;
     Alcotest.test_case "mdd matches statespace" `Quick test_mdd_matches_statespace;

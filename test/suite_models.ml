@@ -301,7 +301,12 @@ let test_kanban_merge_unlocks_cell_symmetry () =
   in
   (* now merge cells 2 and 3 into one level and lump again *)
   let merged = Mdl_md.Restructure.merge_adjacent md 2 in
-  let merged_ss = Statespace.map ss (Mdl_md.Restructure.merge_tuple md 2) in
+  let merged_ss = Statespace.merge_levels ss 2 ~width:(Md.size md 3) in
+  (* The same state of the merged diagram, row-major. *)
+  let merged_state s =
+    Array.init (Array.length s - 1) (fun i ->
+        if i < 1 then s.(i) else if i = 1 then (s.(1) * Md.size md 3) + s.(2) else s.(i + 1))
+  in
   let msizes = Md.sizes merged in
   let merged_result =
     Compositional.lump Ordinary merged
@@ -334,7 +339,7 @@ let test_kanban_merge_unlocks_cell_symmetry () =
     let out = Array.make (Statespace.size merged_ss) 0.0 in
     Statespace.iter
       (fun i s ->
-        match Statespace.index merged_ss (Mdl_md.Restructure.merge_tuple md 2 s) with
+        match Statespace.index merged_ss (merged_state s) with
         | Some j -> out.(j) <- v.(i)
         | None -> assert false)
       ss;
@@ -415,6 +420,19 @@ let test_kanban_gauss_seidel_golden () =
   let parts = List.assoc "parts in system" b.Family.rewards in
   Alcotest.(check string) "parts in system" "0x1.37063409570e3p+2"
     (Printf.sprintf "%h" (Solver.expected_reward pi (Decomposed.to_vector parts ss)))
+
+(* BiCGStab's numerics pinned on the extracted chain of the catalogue's
+   Kanban with 3 cards: the iteration count and the bits of pi(0) and of
+   the residual. *)
+let test_kanban_krylov_golden () =
+  let f = Option.get (Family.find "kanban") in
+  let b = f.Family.build (Result.get_ok (Family.resolve f ~size:(Some 3) [])) in
+  let pi, st = Solver.steady_state_krylov (Md_solve.ctmc_of b.Family.md b.Family.statespace) in
+  Alcotest.(check bool) "converged" true st.Solver.converged;
+  Alcotest.(check int) "iterations" 253 st.Solver.iterations;
+  Alcotest.(check string) "pi(0)" "0x1.975537a675edbp-5" (Printf.sprintf "%h" pi.(0));
+  Alcotest.(check string) "residual" "0x1.043e3d78fd6e4p-40"
+    (Printf.sprintf "%h" st.Solver.residual)
 
 (* ---- the family catalogue ---- *)
 
@@ -541,6 +559,7 @@ let tests =
     Alcotest.test_case "kanban solver race" `Quick test_kanban_solver_race;
     Alcotest.test_case "kanban gauss-seidel golden (3 cards)" `Quick
       test_kanban_gauss_seidel_golden;
+    Alcotest.test_case "kanban krylov golden (3 cards)" `Quick test_kanban_krylov_golden;
     Alcotest.test_case "catalogue: one entry per wire family" `Quick
       test_catalogue_matches_wire_families;
     Alcotest.test_case "catalogue: default builds match the family modules" `Slow

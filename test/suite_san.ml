@@ -359,7 +359,7 @@ let fuzz_merge =
       else begin
         let ss = e.Model.statespace in
         let merged = Mdl_md.Restructure.merge_adjacent md 1 in
-        let merged_ss = Statespace.map ss (Mdl_md.Restructure.merge_tuple md 1) in
+        let merged_ss = Statespace.merge_levels ss 1 ~width:(Mdl_md.Md.size md 2) in
         let n = Statespace.size ss in
         let x = Array.init n (fun i -> float_of_int ((i mod 5) + 1)) in
         let mul md ss = Md_vector.vec_mul md ss x in

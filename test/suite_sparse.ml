@@ -257,8 +257,9 @@ let random_perm n seed =
 
 (* Reverse Cuthill–McKee as it was written before the adjacency became
    a merge of sorted neighbour lists: per-vertex sort with polymorphic
-   compare, a list sort per visit and a [Queue].  [Ordering.rcm] must
-   return the same permutation, element for element. *)
+   compare, a list sort per visit, a [Queue], and each component's root
+   found by a scan of every state.  [Ordering.rcm] must return the same
+   permutation, element for element. *)
 let reference_rcm m =
   let n = Csr.rows m in
   let nbrs = Array.make n [] in
@@ -314,6 +315,20 @@ let hub_matrix seed =
     triplets := (Mdl_util.Prng.int prng n, Mdl_util.Prng.int prng n, 0.5) :: !triplets
   done;
   Csr.of_triplets ~rows:n ~cols:n !triplets
+
+(* A random square pattern on up to 300 states with at most n/2
+   entries, a quarter of them self loops: most states are isolated and
+   the rest form many small components, so [rcm] picks many roots. *)
+let components_matrix seed =
+  let prng = Mdl_util.Prng.of_seed seed in
+  let n = 1 + Mdl_util.Prng.int prng 300 in
+  let triplets =
+    List.init (Mdl_util.Prng.int prng ((n / 2) + 1)) (fun _ ->
+        let i = Mdl_util.Prng.int prng n in
+        let j = if Mdl_util.Prng.int prng 4 = 0 then i else Mdl_util.Prng.int prng n in
+        (i, j, 1.0))
+  in
+  Csr.of_triplets ~rows:n ~cols:n triplets
 
 (* The direct-loop kernels against the same sums written with
    [Csr.iter_row] closures: equal to the bit. *)
@@ -411,6 +426,11 @@ let qcheck_tests =
       (make ~print:string_of_int Gen.(int_range 0 99_999))
       (fun seed ->
         let m = hub_matrix seed in
+        Ordering.rcm m = reference_rcm m);
+    Test.make ~count:300 ~name:"rcm matches the reference ordering on many components"
+      (make ~print:string_of_int Gen.(int_range 0 99_999))
+      (fun seed ->
+        let m = components_matrix seed in
         Ordering.rcm m = reference_rcm m);
     Test.make ~count:300 ~name:"flat kernels match their closure forms bit for bit"
       arb_csr (fun (r, c, t) -> kernels_match_closure_forms (Csr.of_triplets ~rows:r ~cols:c t));
