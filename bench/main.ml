@@ -109,7 +109,7 @@ let t1_run jobs =
           ~initial:b.Tandem.initial)
   in
   let lumped_ss = Compositional.lump_statespace result ss in
-  assert (Compositional.is_closed result ss);
+  assert (Compositional.is_closed result ss lumped_ss);
   {
     jobs;
     states = Statespace.size ss;
@@ -264,7 +264,7 @@ let p4_report () =
         stations (Statespace.size ss) (Statespace.size lumped_ss)
         (float_of_int (Statespace.size ss) /. float_of_int (Statespace.size lumped_ss))
         t
-        (Compositional.is_closed result ss))
+        (Compositional.is_closed result ss lumped_ss))
     [ 3; 5; 7 ];
   print_endline ""
 

@@ -158,7 +158,7 @@ let run label (inst : Family.built) mode key solve solver check_optimal dot_file
            (100.0 *. float_of_int hits /. float_of_int (hits + misses)))
       (c "rebuild.nodes_rebuilt") (c "rebuild.nodes_reused")
   end;
-  let closed = Compositional.is_closed result ss in
+  let closed = Compositional.is_closed result ss lumped_ss in
   if not closed then print_endline "WARNING: reachable set not class-closed";
   Option.iter
     (fun path ->
@@ -256,7 +256,7 @@ let run_sweep label (inst : Family.built) points solve solver show_stats trace_f
          then "reused" else "built")
         (after.Compositional.cross_bind_hits - before.Compositional.cross_bind_hits);
       if solve then
-        if not (Compositional.is_closed r ss) then
+        if not (Compositional.is_closed r ss lumped_ss) then
           print_endline "  WARNING: reachable set not class-closed; measures skipped"
         else begin
           let pi, _ = Md_solve.solve solver r.Compositional.lumped lumped_ss in

@@ -58,7 +58,7 @@ let run_one jobs =
       lump_time;
       md_bytes = Md.memory_bytes b.Tandem.md;
       lumped_md_bytes = Md.memory_bytes result.Compositional.lumped;
-      closed = Compositional.is_closed result ss;
+      closed = Compositional.is_closed result ss lumped_ss;
     },
     b,
     result )

@@ -33,7 +33,7 @@ let () =
   let lumped_ss = Compositional.lump_statespace result ss in
   Printf.printf "exact lumping: %d -> %d states\n%!" (Statespace.size ss)
     (Statespace.size lumped_ss);
-  assert (Compositional.is_closed result ss);
+  assert (Compositional.is_closed result ss lumped_ss);
 
   (* Transient analysis on both chains. *)
   let t_horizon = 0.8 in

@@ -32,7 +32,7 @@ let () =
       ~initial:b.Workstations.initial
   in
   let lumped_ss = Compositional.lump_statespace result ss in
-  assert (Compositional.is_closed result ss);
+  assert (Compositional.is_closed result ss lumped_ss);
   Printf.printf "lumped: %d states (%.1fx)\n%!" (Statespace.size lumped_ss)
     (float_of_int (Statespace.size ss) /. float_of_int (Statespace.size lumped_ss));
 

@@ -30,7 +30,7 @@ let () =
   Printf.printf "states: %d -> %d (%.1fx)\n%!" (Statespace.size ss)
     (Statespace.size lumped_ss)
     (float_of_int (Statespace.size ss) /. float_of_int (Statespace.size lumped_ss));
-  assert (Compositional.is_closed result ss);
+  assert (Compositional.is_closed result ss lumped_ss);
 
   (* Solve both and compare: the lumped solution must give the same
      measures with fewer unknowns. *)

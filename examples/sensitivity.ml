@@ -80,7 +80,7 @@ let () =
   List.iter2
     (fun (label, rewards) r ->
       let lumped_ss = Compositional.lump_statespace r ss in
-      assert (Compositional.is_closed r ss);
+      assert (Compositional.is_closed r ss lumped_ss);
       let (pi, stats), solve_s =
         Mdl_util.Timer.time (fun () ->
             Md_solve.steady_state ~tol:1e-11 ~max_iter:500_000

@@ -40,7 +40,7 @@ let () =
     (Statespace.size lumped_ss)
     (float_of_int (Statespace.size ss) /. float_of_int (Statespace.size lumped_ss))
     lump_time;
-  if not (Compositional.is_closed result ss) then begin
+  if not (Compositional.is_closed result ss lumped_ss) then begin
     prerr_endline "reachable set not closed under the equivalence - refusing to solve";
     exit 1
   end;

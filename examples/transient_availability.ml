@@ -27,7 +27,7 @@ let () =
       ~initial:b.Tandem.initial
   in
   let lumped_ss = Compositional.lump_statespace result ss in
-  assert (Compositional.is_closed result ss);
+  assert (Compositional.is_closed result ss lumped_ss);
   Printf.printf "tandem J=%d: %d states lumped to %d\n" jobs (Statespace.size ss)
     (Statespace.size lumped_ss);
 

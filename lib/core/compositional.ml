@@ -505,7 +505,10 @@ let lump_statespace r ss =
     invalid_arg "Compositional.lump_statespace: level count mismatch";
   Statespace.relabel ss (fun l v -> Partition.class_of r.partitions.(l - 1) v)
 
-let is_closed r ss =
+let is_closed r ss lumped_ss =
+  let levels = Array.length r.partitions in
+  if Statespace.levels ss <> levels || Statespace.levels lumped_ss <> levels then
+    invalid_arg "Compositional.is_closed: level count mismatch";
   (* Each reachable state lies in exactly one class of the image, and a
      class holds at most its volume of reachable states: the set is a
      union of classes iff the volumes add up to its size. *)
@@ -515,7 +518,7 @@ let is_closed r ss =
        (fun _ ct ->
          total := !total + class_volume r ct;
          if !total > n then raise Exit)
-       (lump_statespace r ss)
+       lumped_ss
    with Exit -> ());
   !total = n
 

@@ -204,16 +204,20 @@ val lump_statespace : result -> Mdl_md.Statespace.t -> Mdl_md.Statespace.t
     @raise Invalid_argument if [ss] and [r] differ in their number of
     levels. *)
 
-val is_closed : result -> Mdl_md.Statespace.t -> bool
-(** Whether the reachable state space is a union of global equivalence
-    classes (every class is fully reachable or fully unreachable).
-    Closure is what makes the quotient of the {e reachable} chain
-    well-defined; symmetric models satisfy it by construction.  Read
-    off the lumped image: every reachable state lies in one class of
-    {!lump_statespace}, and a class holds at most {!class_volume}
-    reachable states, so the set is closed iff the volumes over the
-    image add up to [Statespace.size ss].  The sum walks the lumped
-    states only, and stops once it passes that size. *)
+val is_closed : result -> Mdl_md.Statespace.t -> Mdl_md.Statespace.t -> bool
+(** [is_closed r ss lumped_ss], with [lumped_ss] = {!lump_statespace}
+    [r ss] (the image the caller already holds), is whether the
+    reachable state space is a union of global equivalence classes
+    (every class is fully reachable or fully unreachable).  Closure is
+    what makes the quotient of the {e reachable} chain well-defined;
+    symmetric models satisfy it by construction.  Read off the lumped
+    image: every reachable state lies in one class of it, and a class
+    holds at most {!class_volume} reachable states, so the set is
+    closed iff the volumes over the image add up to
+    [Statespace.size ss].  The sum walks the lumped states only, and
+    stops once it passes that size.
+    @raise Invalid_argument if [ss] or [lumped_ss] and [r] differ in
+    their number of levels. *)
 
 val aggregate_vector :
   result -> Mdl_md.Statespace.t -> Mdl_md.Statespace.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t

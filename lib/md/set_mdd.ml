@@ -32,7 +32,6 @@ type man = {
   nodes : node_data Dynarray.t; (* data for id i at index i-2 *)
   cons : int Cons.t;
   union_cache : (int * int, int) Hashtbl.t;
-  image_cache : (int * int, int) Hashtbl.t;
   count_cache : (int, int) Hashtbl.t;
 }
 
@@ -43,7 +42,6 @@ let manager ~levels =
     nodes = Dynarray.create ();
     cons = Cons.create 1024;
     union_cache = Hashtbl.create 1024;
-    image_cache = Hashtbl.create 1024;
     count_cache = Hashtbl.create 1024;
   }
 
@@ -127,27 +125,6 @@ let rec union m a b =
         r
   end
 
-let mem m t tuple =
-  if Array.length tuple <> m.nlevels then invalid_arg "Set_mdd.mem: tuple length mismatch";
-  let rec walk id level =
-    if id = zero then false
-    else if level > m.nlevels then true
-    else begin
-      let arcs = (data m id).arcs in
-      let rec find lo hi =
-        if lo > hi then false
-        else
-          let mid = (lo + hi) / 2 in
-          let s, c = arcs.(mid) in
-          if s = tuple.(level - 1) then walk c (level + 1)
-          else if s < tuple.(level - 1) then find (mid + 1) hi
-          else find lo (mid - 1)
-      in
-      find 0 (Array.length arcs - 1)
-    end
-  in
-  walk t 1
-
 let rec count m t =
   if t = zero then 0
   else if t = one then 1
@@ -163,74 +140,32 @@ let rec count m t =
 
 let num_nodes m = Dynarray.length m.nodes
 
-(* The image computation interns nothing by itself: [rel] is consulted
-   only for local states present in the set, and a level's successors
-   are materialised only when all deeper levels produced a non-empty
-   image — see the Kronecker product semantics in the mli. *)
-let image m rel t =
-  let rec walk id =
-    if id = zero then zero
-    else if id = one then one
-    else begin
-      let d = data m id in
-      (* accumulate target local state -> child image (unioned) *)
-      let acc : (int, t) Hashtbl.t = Hashtbl.create 8 in
+(* The image of node [id] under the events [es], the one image kernel of
+   saturation: for each event [e] and each arc [(v, child)] whose
+   relation [rels.(e) level v] is non-empty, [below e child] is unioned
+   into the child of every target. *)
+let node_image m rels below es id =
+  let d = data m id in
+  let acc : (int, t) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
       Array.iter
-        (fun (s, child) ->
-          match rel d.level s with
-          | [] -> ()
-          | targets ->
-              let child' = walk child in
-              if child' <> zero then
-                List.iter
-                  (fun v ->
-                    let prev = Option.value ~default:zero (Hashtbl.find_opt acc v) in
-                    Hashtbl.replace acc v (union m prev child'))
-                  targets)
-        d.arcs;
-      let arcs =
-        Hashtbl.fold (fun v c l -> (v, c) :: l) acc []
-        |> List.sort compare |> Array.of_list
-      in
-      mk m d.level arcs
-    end
-  in
-  walk t
-
-let image_cached m ~key rel t =
-  (* One flat cache for all events; per-(event, node) entries.  Note the
-     cache is only sound if [rel] is deterministic per key. *)
-  let rec walk id =
-    if id = zero then zero
-    else if id = one then one
-    else
-      match Hashtbl.find_opt m.image_cache (key, id) with
-      | Some r -> r
-      | None ->
-          let d = data m id in
-          let acc : (int, t) Hashtbl.t = Hashtbl.create 8 in
-          Array.iter
-            (fun (s, child) ->
-              match rel d.level s with
-              | [] -> ()
-              | targets ->
-                  let child' = walk child in
-                  if child' <> zero then
-                    List.iter
-                      (fun v ->
-                        let prev = Option.value ~default:zero (Hashtbl.find_opt acc v) in
-                        Hashtbl.replace acc v (union m prev child'))
-                      targets)
-            d.arcs;
-          let arcs =
-            Hashtbl.fold (fun v c l -> (v, c) :: l) acc []
-            |> List.sort compare |> Array.of_list
-          in
-          let r = mk m d.level arcs in
-          Hashtbl.add m.image_cache (key, id) r;
-          r
-  in
-  walk t
+        (fun (v, child) ->
+          let targets = rels.(e) d.level v in
+          if Array.length targets > 0 then begin
+            let child' = below e child in
+            if child' <> zero then
+              Array.iter
+                (fun v' ->
+                  let prev = Option.value ~default:zero (Hashtbl.find_opt acc v') in
+                  Hashtbl.replace acc v' (union m prev child'))
+                targets
+          end)
+        d.arcs)
+    es;
+  let arcs = Array.of_list (Hashtbl.fold (fun v c l -> (v, c) :: l) acc []) in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) arcs;
+  mk m d.level arcs
 
 let saturation m ~rels ~tops s =
   let nevents = Array.length rels in
@@ -263,35 +198,8 @@ let saturation m ~rels ~tops s =
             mk m d.level (Array.map (fun (v, c) -> (v, saturate c)) d.arcs)
           in
           let rec fire n =
-            if n = zero then zero
-            else begin
-              let dn = data m n in
-              let acc : (int, t) Hashtbl.t = Hashtbl.create 8 in
-              List.iter
-                (fun e ->
-                  Array.iter
-                    (fun (v, child) ->
-                      match rels.(e) dn.level v with
-                      | [] -> ()
-                      | targets ->
-                          let child' = img_below e child in
-                          if child' <> zero then
-                            List.iter
-                              (fun v' ->
-                                let prev =
-                                  Option.value ~default:zero (Hashtbl.find_opt acc v')
-                                in
-                                Hashtbl.replace acc v' (union m prev child'))
-                              targets)
-                    dn.arcs)
-                by_top.(dn.level);
-              let arcs =
-                Hashtbl.fold (fun v c l -> (v, c) :: l) acc []
-                |> List.sort compare |> Array.of_list
-              in
-              let n' = union m n (mk m dn.level arcs) in
-              if n' = n then n else fire n'
-            end
+            let n' = union m n (node_image m rels img_below by_top.(d.level) n) in
+            if n' = n then n else fire n'
           in
           let r = fire base in
           Hashtbl.add sat_cache id r;
@@ -305,30 +213,9 @@ let saturation m ~rels ~tops s =
       match Hashtbl.find_opt img_cache (e, id) with
       | Some r -> r
       | None ->
-          let d = data m id in
-          let acc : (int, t) Hashtbl.t = Hashtbl.create 8 in
-          Array.iter
-            (fun (v, child) ->
-              match rels.(e) d.level v with
-              | [] -> ()
-              | targets ->
-                  let child' = img_below e child in
-                  if child' <> zero then
-                    List.iter
-                      (fun v' ->
-                        let prev =
-                          Option.value ~default:zero (Hashtbl.find_opt acc v')
-                        in
-                        Hashtbl.replace acc v' (union m prev child'))
-                      targets)
-            d.arcs;
-          let arcs =
-            Hashtbl.fold (fun v c l -> (v, c) :: l) acc []
-            |> List.sort compare |> Array.of_list
-          in
           (* saturate the image: new substates may enable events rooted
              at this level or below *)
-          let r = saturate (mk m d.level arcs) in
+          let r = saturate (node_image m rels img_below [ e ] id) in
           Hashtbl.add img_cache (e, id) r;
           r
   in

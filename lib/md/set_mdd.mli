@@ -1,5 +1,5 @@
 (** Hash-consed set MDDs: sets of substate tuples with shared suffixes,
-    supporting union and event-image computation — the data structure
+    supporting union and saturation to a reachable set — the data structure
     behind {e symbolic} state-space generation (the paper's MDs are
     generated "with the help of a symbolic state-space exploration";
     this module provides that substrate).
@@ -30,29 +30,15 @@ val union : man -> t -> t -> t
 val equal : t -> t -> bool
 (** Constant-time (hash-consing canonicity). *)
 
-val mem : man -> t -> int array -> bool
-
 val count : man -> t -> int
 (** Number of tuples in the set (memoised). *)
 
 val num_nodes : man -> int
 (** Total nodes allocated in the manager (diagnostics). *)
 
-val image : man -> (int -> int -> int list) -> t -> t
-(** [image m rel s] is the set [{ t | exists u in s, t in rel-image of
-    u }] where the relation factorises per level: [rel l u_l] lists the
-    level-[l] successors of local state [u_l] (empty = the event is
-    locally disabled, disabling the whole transition — Kronecker
-    semantics).  Not memoised across calls (the relation is a closure);
-    callers memoise per event via {!image_cached}. *)
-
-val image_cached : man -> key:int -> (int -> int -> int list) -> t -> t
-(** Like {!image} but with a per-manager cache keyed by [(key, node)];
-    use a stable [key] per event and a deterministic relation. *)
-
 val saturation :
   man ->
-  rels:(int -> int -> int list) array ->
+  rels:(int -> int -> int array) array ->
   tops:int array ->
   t ->
   t
@@ -65,8 +51,11 @@ val saturation :
     is saturated before use.  Orders of magnitude fewer peak nodes than
     breadth-first iteration on structured models.
 
-    [rels.(e) l u] lists the level-[l] successors of local state [u]
-    under event [e] (must be deterministic — results are cached);
+    [rels.(e) l u] holds the level-[l] successors of local state [u]
+    under event [e]; an empty array disables [e] locally, and with it
+    the whole transition (Kronecker semantics: the relation factorises
+    per level).  It is consulted only for local states present in the
+    set, and must be deterministic: results are cached.
     [tops.(e)] is event [e]'s top level (use [1] when unknown: sound,
     merely slower).
     @raise Invalid_argument if [rels] and [tops] differ in length or a

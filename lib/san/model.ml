@@ -1,6 +1,6 @@
 module Dynarray = Mdl_util.Dynarray
 module Csr = Mdl_sparse.Csr
-module Coo = Mdl_sparse.Coo
+module Trace = Mdl_obs.Trace
 
 let src = Logs.Src.create "mdl.san" ~doc:"compositional model exploration"
 
@@ -77,6 +77,68 @@ let intern interner s =
       Dynarray.push interner.states s;
       i
 
+(* The model's local relations: one table per (event, level), indexed by
+   interned local state and filled on first use, so that each local
+   effect is evaluated at most once.  Saturation reads a cell's targets;
+   [finalize] reads the same cells to build the descriptor. *)
+type cell = {
+  targets : int array; (* interned successors, in the effect's order *)
+  weights : float array;
+}
+
+type relations = {
+  engine : string; (* the exploring function, named in error messages *)
+  max_states : int;
+  evts : event array;
+  interners : interner array;
+  cells : cell Dynarray.t array array; (* [cells.(e).(k)] *)
+}
+
+(* A cell not yet computed, told apart by physical equality. *)
+let unset = { targets = [||]; weights = [||] }
+
+let relations ~engine ~max_states (t : t) interners =
+  let evts = Array.of_list t.evts in
+  {
+    engine;
+    max_states;
+    evts;
+    interners;
+    cells = Array.map (fun _ -> Array.map (fun _ -> Dynarray.create ()) interners) evts;
+  }
+
+let cell r e k s =
+  let row = r.cells.(e).(k) in
+  while Dynarray.length row <= s do
+    Dynarray.push row unset
+  done;
+  let c = Dynarray.get row s in
+  if c != unset then c
+  else begin
+    let ev = r.evts.(e) and it = r.interners.(k) in
+    let succs = Array.of_list (ev.effects.(k) (Dynarray.get it.states s)) in
+    let c =
+      {
+        targets =
+          Array.map
+            (fun (s', w) ->
+              if w <= 0.0 then
+                invalid_arg
+                  (Printf.sprintf "%s: event %s has non-positive weight" r.engine ev.label);
+              intern it s')
+            succs;
+        weights = Array.map snd succs;
+      }
+    in
+    (* Runaway guard: the local spaces of a finite model are bounded by
+       its state count, so unbounded interner growth means the model has
+       (more than) [max_states] states. *)
+    if Dynarray.length it.states > r.max_states then
+      failwith (Printf.sprintf "%s: more than %d states" r.engine r.max_states);
+    Dynarray.set row s c;
+    c
+  end
+
 type exploration = {
   model : t;
   local_spaces : local_state array array;
@@ -89,68 +151,60 @@ type exploration = {
    reachable state (read off the state space's arcs), order each level's
    local states lexicographically by their encoding (so the result is
    independent of discovery order and of the exploration strategy),
-   relabel the state space's arcs accordingly, and build the final local
-   spaces and Kronecker descriptor. *)
-let finalize t interners old_ss old_initial =
-  let ncomp = Array.length t.comps in
-  let remap = Array.init ncomp (fun k -> Array.make (Dynarray.length interners.(k).states) (-1)) in
-  let local_spaces =
-    Array.init ncomp (fun k ->
-        let sorted =
-          Array.of_list
-            (List.map (Dynarray.get interners.(k).states)
-               (Mdl_md.Statespace.local_states old_ss (k + 1)))
-        in
-        Array.sort compare sorted;
-        Array.iteri
-          (fun new_idx s -> remap.(k).(State_table.find interners.(k).index_of s) <- new_idx)
-          sorted;
-        sorted)
-  in
-  let sizes = Array.map Array.length local_spaces in
-  (* Per-event local matrices over the final local spaces; transitions
-     into non-occurring local states cannot fire in any reachable global
-     state and are dropped. *)
-  let kron_events =
-    List.filter_map
-      (fun e ->
-        let locals_ok = ref true in
-        let locals =
-          Array.mapi
-            (fun k n ->
-              let coo = Coo.create ~rows:n ~cols:n in
-              for s = 0 to n - 1 do
-                List.iter
-                  (fun (s', w) ->
-                    if w <= 0.0 then
-                      invalid_arg
-                        (Printf.sprintf "Model.explore: event %s has non-positive weight"
-                           e.label);
-                    match State_table.find_opt interners.(k).index_of s' with
-                    | Some old_j ->
-                        let j = remap.(k).(old_j) in
-                        if j >= 0 then Coo.add coo s j w
-                    | None -> ())
-                  (e.effects.(k) local_spaces.(k).(s))
-              done;
-              let m = Csr.of_coo coo in
-              if Csr.nnz m = 0 then locals_ok := false;
-              m)
-            sizes
-        in
-        if !locals_ok then
-          Some { Mdl_kron.Kronecker.label = e.label; rate = e.rate; locals }
-        else None)
-      t.evts
-  in
-  let descriptor = Mdl_kron.Kronecker.make ~sizes kron_events in
-  {
-    model = t;
-    local_spaces;
-    statespace = Mdl_md.Statespace.relabel old_ss (fun l i -> remap.(l - 1).(i));
-    descriptor;
-    initial_tuple = Array.mapi (fun k i -> remap.(k).(i)) old_initial;
-  }
+   relabel the state space's arcs accordingly, and build the Kronecker
+   descriptor from the relation cells of the occurring local states. *)
+let finalize t rel old_ss old_initial =
+  Trace.with_span ~cat:"san" "san.finalize" (fun () ->
+      let ncomp = Array.length t.comps in
+      let decode k i = Dynarray.get rel.interners.(k).states i in
+      (* [occurring.(k).(i)] is the interned index of final local state [i]. *)
+      let occurring =
+        Array.init ncomp (fun k ->
+            let olds = Array.of_list (Mdl_md.Statespace.local_states old_ss (k + 1)) in
+            Array.sort (fun a b -> compare (decode k a) (decode k b)) olds;
+            olds)
+      in
+      let remap =
+        Array.mapi
+          (fun k olds ->
+            let m = Array.make (Dynarray.length rel.interners.(k).states) (-1) in
+            Array.iteri (fun i old -> m.(old) <- i) olds;
+            m)
+          occurring
+      in
+      (* Transitions into non-occurring local states cannot fire in any
+         reachable global state and are dropped; targets first interned
+         here lie beyond [remap] and are among them. *)
+      let local_matrix e k =
+        let olds = occurring.(k) and remap = remap.(k) in
+        let n = Array.length olds in
+        Csr.of_entry_iter ~rows:n ~cols:n (fun f ->
+            Array.iteri
+              (fun i old ->
+                let c = cell rel e k old in
+                Array.iteri
+                  (fun x target ->
+                    if target < Array.length remap && remap.(target) >= 0 then
+                      f i remap.(target) c.weights.(x))
+                  c.targets)
+              olds)
+      in
+      let kron_events =
+        Array.to_list rel.evts
+        |> List.mapi (fun e ev ->
+               let locals = Array.init ncomp (local_matrix e) in
+               if Array.exists (fun m -> Csr.nnz m = 0) locals then None
+               else Some { Mdl_kron.Kronecker.label = ev.label; rate = ev.rate; locals })
+        |> List.filter_map Fun.id
+      in
+      let sizes = Array.map Array.length occurring in
+      {
+        model = t;
+        local_spaces = Array.mapi (fun k -> Array.map (decode k)) occurring;
+        statespace = Mdl_md.Statespace.relabel old_ss (fun l i -> remap.(l - 1).(i));
+        descriptor = Mdl_kron.Kronecker.make ~sizes kron_events;
+        initial_tuple = Array.mapi (fun k i -> remap.(k).(i)) old_initial;
+      })
 
 let explore ?(max_states = 5_000_000) t =
   let ncomp = Array.length t.comps in
@@ -208,7 +262,10 @@ let explore ?(max_states = 5_000_000) t =
         (String.concat "/"
            (Array.to_list
               (Array.map (fun it -> string_of_int (Dynarray.length it.states)) interners))));
-  finalize t interners
+  (* The search called the effects itself; the descriptor's cells are
+     filled by [finalize]. *)
+  finalize t
+    (relations ~engine:"Model.explore" ~max_states t interners)
     (Mdl_md.Statespace.of_tuples ~levels:ncomp (Dynarray.to_list tuples))
     initial_tuple
 
@@ -218,36 +275,8 @@ let explore_symbolic ?(max_states = 50_000_000) t =
   let initial_tuple =
     Array.mapi (fun k comp -> intern interners.(k) comp.initial) t.comps
   in
-  let evts = Array.of_list t.evts in
+  let rel = relations ~engine:"Model.explore_symbolic" ~max_states t interners in
   let man = Mdl_md.Set_mdd.manager ~levels:ncomp in
-  (* Per-(event, level, local state) successor memo; successor local
-     states are interned on first evaluation. *)
-  let rel_memo : (int * int * int, int list) Hashtbl.t = Hashtbl.create 1024 in
-  let rel e level old_idx =
-    let key = (e, level, old_idx) in
-    match Hashtbl.find_opt rel_memo key with
-    | Some r -> r
-    | None ->
-        let k = level - 1 in
-        let s = Dynarray.get interners.(k).states old_idx in
-        let r =
-          List.map
-            (fun (s', w) ->
-              if w <= 0.0 then
-                invalid_arg
-                  (Printf.sprintf "Model.explore_symbolic: event %s has non-positive weight"
-                     evts.(e).label);
-              intern interners.(k) s')
-            (evts.(e).effects.(k) s)
-        in
-        (* Runaway guard: the local spaces of a finite model are bounded
-           by its state count, so unbounded interner growth means the
-           model has (more than) [max_states] states. *)
-        if Dynarray.length interners.(k).states > max_states then
-          failwith (Printf.sprintf "Model.explore_symbolic: more than %d states" max_states);
-        Hashtbl.add rel_memo key r;
-        r
-  in
   (* An event's top level: the root-most level whose effect is not the
      shared [identity_effect] closure (saturation fires an event inside
      nodes of its top level, which is sound only when everything closer
@@ -262,11 +291,14 @@ let explore_symbolic ?(max_states = 50_000_000) t =
     in
     scan 0
   in
-  let tops = Array.map top_of evts in
-  let rels = Array.init (Array.length evts) rel in
+  let tops = Array.map top_of rel.evts in
+  let rels =
+    Array.init (Array.length tops) (fun e level s -> (cell rel e (level - 1) s).targets)
+  in
   let reachable =
-    Mdl_md.Set_mdd.saturation man ~rels ~tops
-      (Mdl_md.Set_mdd.singleton man initial_tuple)
+    Trace.with_span ~cat:"san" "san.saturate" (fun () ->
+        Mdl_md.Set_mdd.saturation man ~rels ~tops
+          (Mdl_md.Set_mdd.singleton man initial_tuple))
   in
   if Mdl_md.Set_mdd.count man reachable > max_states then
     failwith (Printf.sprintf "Model.explore_symbolic: more than %d states" max_states);
@@ -274,7 +306,7 @@ let explore_symbolic ?(max_states = 50_000_000) t =
       m "explore_symbolic: %d states, %d set-MDD nodes"
         (Mdl_md.Set_mdd.count man reachable)
         (Mdl_md.Set_mdd.num_nodes man));
-  finalize t interners (Mdl_md.Set_mdd.to_statespace man reachable) initial_tuple
+  finalize t rel (Mdl_md.Set_mdd.to_statespace man reachable) initial_tuple
 
 let local_index exp l s =
   if l < 1 || l > Array.length exp.local_spaces then
@@ -284,5 +316,6 @@ let local_index exp l s =
   find 0
 
 let md_of exp =
-  Mdl_md.Compact.normalize
-    (Mdl_md.Compact.merge_terms (Mdl_kron.Kronecker.to_md exp.descriptor))
+  Trace.with_span ~cat:"san" "san.md_of" (fun () ->
+      Mdl_md.Compact.normalize
+        (Mdl_md.Compact.merge_terms (Mdl_kron.Kronecker.to_md exp.descriptor)))

@@ -20,13 +20,25 @@
     compute the reachable states, discover the per-level local state
     spaces, and compile the model to a {!Mdl_kron.Kronecker.t}
     descriptor — from which the matrix diagram is one
-    {!Mdl_kron.Kronecker.to_md} away. *)
+    {!Mdl_kron.Kronecker.to_md} away.
+
+    The local effects are kept in one relation table per (event, level),
+    indexed by local state and filled on first use: each effect is
+    evaluated at most once per (event, level, local state), its
+    successors interned and its weights checked then.  Saturation reads
+    its successors from the table, and the descriptor is read from the
+    same cells.
+
+    With tracing on ({!Mdl_obs.Trace}), saturation, the descriptor build
+    and {!md_of} each record one span: [san.saturate], [san.finalize]
+    and [san.md_of]. *)
 
 type local_state = int array
 
 type effect = local_state -> (local_state * float) list
 (** Weighted successors; [\[\]] = disabled; identity = [\[(s, 1.)\]].
-    Weights must be positive. *)
+    Weights must be positive.  An effect must be deterministic: the
+    explorations evaluate it once per local state and keep the result. *)
 
 type event = {
   label : string;
@@ -66,10 +78,15 @@ type exploration = {
 }
 
 val explore : ?max_states:int -> t -> exploration
-(** Breadth-first reachability from the initial state.
+(** Breadth-first reachability from the initial state.  The search calls
+    the effects itself; the descriptor is then read from a fresh
+    relation table over the occurring local states.
     @raise Failure if more than [max_states] (default 5_000_000) states
     are reached, or if the model deadlocks the exploration entirely
     (no reachable state).
+    @raise Invalid_argument
+    ["Model.explore: event e has non-positive weight"] if an effect
+    gives a weight [<= 0.] on an occurring local state.
 
     The result is canonical: local states are ordered lexicographically
     by their encoding and only states occurring in some reachable tuple
@@ -89,7 +106,14 @@ val explore_symbolic : ?max_states:int -> t -> exploration
     occurring local states are read off its arcs, and the canonical
     order is applied as a per-level arc relabel
     ({!Mdl_md.Statespace.relabel}).  [max_states] defaults to
-    50_000_000. *)
+    50_000_000.
+    @raise Failure ["Model.explore_symbolic: more than n states"] beyond
+    [max_states] states, or when a level's discovered local states
+    outnumber it.
+    @raise Invalid_argument
+    ["Model.explore_symbolic: event e has non-positive weight"] as
+    {!explore}, whether saturation or the descriptor reaches the
+    weight. *)
 
 val local_index : exploration -> int -> local_state -> int option
 (** Index of a local state in a level's discovered space. *)

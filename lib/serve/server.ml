@@ -395,11 +395,11 @@ let exec_solve t (s : P.solve) =
       let t0 = now_s () in
       let r, _ = run_point m (List.map snd m.mo_built.rewards) in
       let ss = m.mo_built.statespace in
-      if not (Compositional.is_closed r ss) then
+      let lumped_ss = Compositional.lump_statespace r ss in
+      if not (Compositional.is_closed r ss lumped_ss) then
         err P.Internal "reachable set of %S is not class-closed; cannot solve"
           s.sv_model
       else begin
-        let lumped_ss = Compositional.lump_statespace r ss in
         let method_ =
           match s.sv_solver with
           | P.Power -> Solver.Power

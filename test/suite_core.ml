@@ -469,13 +469,16 @@ let test_is_closed_partly_reachable_class () =
   let partly =
     Statespace.of_tuples ~levels:2 [ [| 0; 0 |]; [| 0; 1 |]; [| 1; 1 |]; [| 1; 2 |] ]
   in
-  Alcotest.(check int) "image" 3 (Statespace.size (Compositional.lump_statespace result partly));
-  Alcotest.(check bool) "partly reachable class" false (Compositional.is_closed result partly);
+  let image = Compositional.lump_statespace result partly in
+  Alcotest.(check int) "image" 3 (Statespace.size image);
+  Alcotest.(check bool) "partly reachable class" false
+    (Compositional.is_closed result partly image);
   let whole =
     Statespace.of_tuples ~levels:2
       [ [| 0; 0 |]; [| 0; 1 |]; [| 0; 2 |]; [| 1; 1 |]; [| 1; 2 |] ]
   in
-  Alcotest.(check bool) "whole classes" true (Compositional.is_closed result whole)
+  Alcotest.(check bool) "whole classes" true
+    (Compositional.is_closed result whole (Compositional.lump_statespace result whole))
 
 (* [is_closed] by its definition: count the reachable states of each
    class tuple, and compare every count with the class volume. *)
@@ -531,7 +534,7 @@ let test_is_closed_matches_class_counts =
       | [] -> true
       | states ->
           let ss = Statespace.of_tuples ~levels:(Array.length sizes) states in
-          let closed = Compositional.is_closed r ss in
+          let closed = Compositional.is_closed r ss (Compositional.lump_statespace r ss) in
           closed = reference_is_closed r ss && ((not by_class) || closed))
 
 (* ----- end-to-end: solve lumped vs unlumped over a reachable space ----- *)
@@ -549,8 +552,8 @@ let test_end_to_end_solution () =
   let rewards_d = Decomposed.of_level ~sizes ~level:2 (fun s -> if s = 0 then 1.0 else 0.0) in
   let initial_d = Decomposed.constant ~sizes 1.0 in
   let result = Compositional.lump Ordinary md ~rewards:[ rewards_d ] ~initial:initial_d in
-  Alcotest.(check bool) "closure" true (Compositional.is_closed result ss);
   let lumped_ss = Compositional.lump_statespace result ss in
+  Alcotest.(check bool) "closure" true (Compositional.is_closed result ss lumped_ss);
   Alcotest.(check bool) "lumped smaller" true
     (Statespace.size lumped_ss < Statespace.size ss);
   (* stationary of original vs lumped *)

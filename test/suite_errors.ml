@@ -67,6 +67,9 @@ let test_compositional_lumped_validation () =
   Alcotest.check_raises "lumped level count"
     (Invalid_argument "Compositional.aggregate_vector: lumped statespace level count mismatch")
     (fun () -> ignore (Compositional.aggregate_vector r ss bad_levels v));
+  Alcotest.check_raises "is_closed level count"
+    (Invalid_argument "Compositional.is_closed: level count mismatch") (fun () ->
+      ignore (Compositional.is_closed r ss bad_levels));
   let bad_class = Statespace.of_tuples ~levels:2 [ [| 0; 0 |]; [| 0; 5 |] ] in
   Alcotest.check_raises "lumped class id range"
     (Invalid_argument "Compositional.aggregate_vector: lumped statespace class id out of range")

@@ -439,30 +439,13 @@ let test_set_mdd_basics () =
   let b = S.singleton m [| 1; 0 |] in
   let u = S.union m a b in
   Alcotest.(check int) "count" 2 (S.count m u);
-  Alcotest.(check bool) "mem" true (S.mem m u [| 0; 1 |]);
-  Alcotest.(check bool) "not mem" false (S.mem m u [| 0; 0 |]);
+  let ss = S.to_statespace m u in
+  Alcotest.(check (option int)) "mem" (Some 0) (Statespace.index ss [| 0; 1 |]);
+  Alcotest.(check (option int)) "not mem" None (Statespace.index ss [| 0; 0 |]);
   Alcotest.(check bool) "union idempotent" true (S.equal u (S.union m u a));
   Alcotest.(check bool) "union with empty" true (S.equal u (S.union m u (S.empty m)));
   Alcotest.(check bool) "empty is empty" true (S.is_empty (S.empty m));
-  let ss = S.to_statespace m u in
   Alcotest.(check int) "statespace size" 2 (Statespace.size ss)
-
-let test_set_mdd_image () =
-  let module S = Mdl_md.Set_mdd in
-  let m = S.manager ~levels:2 in
-  let s = S.singleton m [| 0; 0 |] in
-  (* relation: level 1 increments (mod 2), level 2 identity *)
-  let rel level u = if level = 1 then [ (u + 1) mod 2 ] else [ u ] in
-  let img = S.image m rel s in
-  Alcotest.(check bool) "image" true (S.mem m img [| 1; 0 |]);
-  Alcotest.(check int) "image count" 1 (S.count m img);
-  (* a level-disabled relation empties the image *)
-  let rel_blocked level u = if level = 2 then [] else [ u ] in
-  Alcotest.(check bool) "blocked image empty" true
-    (S.is_empty (S.image m rel_blocked s));
-  (* cached image agrees *)
-  Alcotest.(check bool) "cached image agrees" true
-    (S.equal img (S.image_cached m ~key:42 rel s))
 
 let test_set_mdd_validation () =
   let module S = Mdl_md.Set_mdd in
@@ -967,7 +950,6 @@ let tests =
     Alcotest.test_case "local_states match exploration" `Quick
       test_local_states_match_exploration;
     Alcotest.test_case "set mdd basics" `Quick test_set_mdd_basics;
-    Alcotest.test_case "set mdd image" `Quick test_set_mdd_image;
     Alcotest.test_case "set mdd validation" `Quick test_set_mdd_validation;
     Alcotest.test_case "kron to_csr" `Quick test_kron_to_csr;
     Alcotest.test_case "kron/md equivalence" `Quick test_kron_md_equivalence;

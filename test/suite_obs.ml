@@ -590,6 +590,31 @@ let test_gauss_seidel_spans () =
     [ "solver.gs_setup"; "solver.gauss_seidel" ];
   Trace.clear ()
 
+(* Generation's spans: a traced [explore_symbolic] plus [md_of] records
+   saturation, the descriptor and the MD build once each, nested under
+   the caller's span; an untraced run records none. *)
+let test_generation_spans () =
+  let m = Mdl_models.Kanban.model (Mdl_models.Kanban.default ~cards:1) in
+  let run () = ignore (Mdl_san.Model.md_of (Mdl_san.Model.explore_symbolic m)) in
+  let names = [ "san.saturate"; "san.finalize"; "san.md_of" ] in
+  let before = Trace.span_count () in
+  run ();
+  Alcotest.(check int) "untraced run records no span" before (Trace.span_count ());
+  Trace.start ~gc:false ();
+  Trace.with_span "caller" run;
+  Trace.stop ();
+  let count = Hashtbl.create 4 in
+  Trace.iter_events (fun ~name ~cat:_ ~start_ns:_ ~dur_ns:_ ~depth ~args:_ ->
+      if List.mem name names then begin
+        Alcotest.(check int) (name ^ " nested under the caller") 1 depth;
+        Hashtbl.replace count name (1 + Option.value ~default:0 (Hashtbl.find_opt count name))
+      end);
+  List.iter
+    (fun n ->
+      Alcotest.(check (option int)) (n ^ " recorded once") (Some 1) (Hashtbl.find_opt count n))
+    names;
+  Trace.clear ()
+
 (* ----- instrumentation must never change pipeline outputs ----- *)
 
 let test_tracing_changes_nothing () =
@@ -662,6 +687,7 @@ let tests =
     Alcotest.test_case "metrics JSON" `Quick test_metrics_json;
     Alcotest.test_case "transient metrics pin" `Quick test_transient_metrics_pin;
     Alcotest.test_case "gauss-seidel set-up and sweep spans" `Quick test_gauss_seidel_spans;
+    Alcotest.test_case "generation spans" `Quick test_generation_spans;
     Alcotest.test_case "tracing changes no output" `Quick test_tracing_changes_nothing;
     Alcotest.test_case "logging levels" `Quick test_logging_levels;
   ]

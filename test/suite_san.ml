@@ -64,8 +64,17 @@ let test_explore_guards_restrict () =
   let spin =
     { Model.label = "spin"; rate = 1.0; effects = [| (fun s -> [ (s, 1.0) ]); id |] }
   in
-  let exp = Model.explore (Model.make ~components:[| a; b |] ~events:[ blocked; spin ]) in
-  Alcotest.(check int) "single state" 1 (Statespace.size exp.Model.statespace)
+  let m = Model.make ~components:[| a; b |] ~events:[ blocked; spin ] in
+  (* The symbolic engine sees [blocked]'s empty level-1 relation, which
+     must empty its image. *)
+  List.iter
+    (fun (engine, explore) ->
+      Alcotest.(check int) (engine ^ ": single state") 1
+        (Statespace.size (explore m).Model.statespace))
+    [
+      ("explore", fun m -> Model.explore m);
+      ("explore_symbolic", fun m -> Model.explore_symbolic m);
+    ]
 
 let test_explore_max_states () =
   let a = { Model.name = "a"; initial = [| 0 |] } in
@@ -80,6 +89,81 @@ let test_explore_max_states () =
   Alcotest.check_raises "state explosion guard"
     (Failure "Model.explore: more than 10 states") (fun () ->
       ignore (Model.explore ~max_states:10 m))
+
+(* A weight error names the engine that was run, whether the search
+   itself reaches the weight or only the descriptor does. *)
+let test_weight_errors_name_the_engine () =
+  let a = { Model.name = "a"; initial = [| 0 |] } in
+  let b = { Model.name = "b"; initial = [| 0 |] } in
+  let spin =
+    { Model.label = "spin"; rate = 1.0; effects = [| (fun s -> [ (s, 1.0) ]); id |] }
+  in
+  (* [bad] is always disabled at level 1, so only the descriptor reaches
+     its zero weight at level 2. *)
+  let bad =
+    {
+      Model.label = "bad";
+      rate = 1.0;
+      effects = [| (fun _ -> []); (fun s -> [ (s, 0.0) ]) |];
+    }
+  in
+  (* [zero]'s weight is reached by the search. *)
+  let zero =
+    { Model.label = "zero"; rate = 1.0; effects = [| (fun s -> [ (s, 0.0) ]); id |] }
+  in
+  List.iter
+    (fun event ->
+      let m = Model.make ~components:[| a; b |] ~events:[ spin; event ] in
+      List.iter
+        (fun (engine, explore) ->
+          Alcotest.check_raises
+            (engine ^ " on " ^ event.Model.label)
+            (Invalid_argument
+               (Printf.sprintf "%s: event %s has non-positive weight" engine event.Model.label))
+            (fun () -> ignore (explore m)))
+        [
+          ("Model.explore", fun m -> Model.explore m);
+          ("Model.explore_symbolic", fun m -> Model.explore_symbolic m);
+        ])
+    [ bad; zero ]
+
+(* Each local effect is evaluated once per (event, level, local state),
+   by saturation and the descriptor together. *)
+let test_effects_evaluated_once () =
+  let m =
+    Mdl_models.Tandem.model
+      { (Mdl_models.Tandem.default ~jobs:1) with Mdl_models.Tandem.hyper_dim = 2 }
+  in
+  let calls = Hashtbl.create 1024 in
+  let count key =
+    Hashtbl.replace calls key (1 + Option.value ~default:0 (Hashtbl.find_opt calls key))
+  in
+  let events =
+    List.map
+      (fun (e : Model.event) ->
+        {
+          e with
+          Model.effects =
+            Array.mapi
+              (fun k f ->
+                (* the shared identity keeps the events' tops *)
+                if f == id then f
+                else fun s ->
+                  count (e.Model.label, k, Array.to_list s);
+                  f s)
+              e.Model.effects;
+        })
+      (Model.events m)
+  in
+  ignore (Model.explore_symbolic (Model.make ~components:(Model.components m) ~events));
+  Alcotest.(check bool) "some effects ran" true (Hashtbl.length calls > 0);
+  Hashtbl.iter
+    (fun (label, k, s) n ->
+      if n > 1 then
+        Alcotest.failf "event %s, level %d, local state [%s]: %d calls" label (k + 1)
+          (String.concat "; " (List.map string_of_int s))
+          n)
+    calls
 
 let test_model_validation () =
   let a = { Model.name = "a"; initial = [| 0 |] } in
@@ -190,23 +274,53 @@ let explorations_identical e1 e2 =
     e1.Model.statespace;
   !same
 
+(* The descriptor as the exploration's local spaces determine it, built
+   independently of the engines' relation tables: each effect called on
+   each decoded local state, successors found with [Model.local_index],
+   each local matrix through [Coo] and [Csr.of_coo], and events with an
+   empty level dropped. *)
+let reference_descriptor m (ex : Model.exploration) =
+  List.filter_map
+    (fun (e : Model.event) ->
+      let locals =
+        Array.mapi
+          (fun k space ->
+            let n = Array.length space in
+            let coo = Mdl_sparse.Coo.create ~rows:n ~cols:n in
+            Array.iteri
+              (fun i s ->
+                List.iter
+                  (fun (s', w) ->
+                    match Model.local_index ex (k + 1) s' with
+                    | Some j -> Mdl_sparse.Coo.add coo i j w
+                    | None -> ())
+                  (e.Model.effects.(k) s))
+              space;
+            Csr.of_coo coo)
+          ex.Model.local_spaces
+      in
+      if Array.exists (fun l -> Csr.nnz l = 0) locals then None
+      else Some (e.Model.label, e.Model.rate, locals))
+    (Model.events m)
+
+let descriptor_matches_reference m (ex : Model.exploration) =
+  let got = Kronecker.events ex.Model.descriptor in
+  let want = reference_descriptor m ex in
+  List.length got = List.length want
+  && List.for_all2
+       (fun (g : Kronecker.event) (label, rate, locals) ->
+         g.Kronecker.label = label && g.Kronecker.rate = rate
+         && Array.for_all2 Csr.equal g.Kronecker.locals locals)
+       got want
+
 let test_symbolic_matches_explicit () =
-  List.iter
-    (fun (name, m) ->
-      let e1 = Model.explore m in
-      let e2 = Model.explore_symbolic m in
-      Alcotest.(check bool) (name ^ ": identical explorations") true
-        (explorations_identical e1 e2);
-      (* the canonical descriptors also agree *)
-      Alcotest.(check bool) (name ^ ": same matrix") true
-        (Csr.approx_equal
-           (Md_vector.to_csr (Model.md_of e1) e1.Model.statespace)
-           (Md_vector.to_csr (Model.md_of e2) e2.Model.statespace)))
+  let models =
     [
       ("tiny", tiny_model ());
       ("workstations", Mdl_models.Workstations.model (Mdl_models.Workstations.default ~stations:3));
       ("polling", Mdl_models.Polling.model (Mdl_models.Polling.default ~customers:2));
       ("multitier", Mdl_models.Multitier.model (Mdl_models.Multitier.default ~clients:2));
+      ("kanban", Mdl_models.Kanban.model (Mdl_models.Kanban.default ~cards:2));
       ( "tandem",
         Mdl_models.Tandem.model
           {
@@ -216,6 +330,28 @@ let test_symbolic_matches_explicit () =
             msmq_queues = 2;
           } );
     ]
+  in
+  List.iter
+    (fun (f : Mdl_models.Family.t) ->
+      Alcotest.(check bool) (f.Mdl_models.Family.name ^ " is covered") true
+        (List.mem_assoc f.Mdl_models.Family.name models))
+    Mdl_models.Family.all;
+  List.iter
+    (fun (name, m) ->
+      let e1 = Model.explore m in
+      let e2 = Model.explore_symbolic m in
+      Alcotest.(check bool) (name ^ ": identical explorations") true
+        (explorations_identical e1 e2);
+      Alcotest.(check bool) (name ^ ": explore's descriptor = reference") true
+        (descriptor_matches_reference m e1);
+      Alcotest.(check bool) (name ^ ": explore_symbolic's descriptor = reference") true
+        (descriptor_matches_reference m e2);
+      (* the canonical descriptors also agree *)
+      Alcotest.(check bool) (name ^ ": same matrix") true
+        (Csr.approx_equal
+           (Md_vector.to_csr (Model.md_of e1) e1.Model.statespace)
+           (Md_vector.to_csr (Model.md_of e2) e2.Model.statespace)))
+    models
 
 let test_symbolic_max_states () =
   let a = { Model.name = "a"; initial = [| 0 |] } in
@@ -227,9 +363,9 @@ let test_symbolic_max_states () =
     }
   in
   let m = Model.make ~components:[| a |] ~events:[ grow ] in
-  match Model.explore_symbolic ~max_states:10 m with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure"
+  Alcotest.check_raises "state explosion guard"
+    (Failure "Model.explore_symbolic: more than 10 states") (fun () ->
+      ignore (Model.explore_symbolic ~max_states:10 m))
 
 let test_compact_preserves_matrix () =
   let exp = Model.explore (tiny_model ()) in
@@ -298,8 +434,13 @@ let fuzz_pipeline =
       let m = random_model seed in
       let e1 = Model.explore ~max_states:100_000 m in
       let e2 = Model.explore_symbolic ~max_states:100_000 m in
-      (* 1. both exploration engines agree *)
-      if not (explorations_identical e1 e2) then false
+      (* 1. both exploration engines agree, with the reference descriptor *)
+      if
+        not
+          (explorations_identical e1 e2
+          && descriptor_matches_reference m e1
+          && descriptor_matches_reference m e2)
+      then false
       else begin
         let md = Model.md_of e1 in
         let ss = e1.Model.statespace in
@@ -316,12 +457,12 @@ let fuzz_pipeline =
           in
           let initial = Mdl_core.Decomposed.point ~sizes e1.Model.initial_tuple in
           let result = Mdl_core.Compositional.lump Ordinary md ~rewards:[ reward ] ~initial in
-          if not (Mdl_core.Compositional.is_closed result ss) then
+          let lumped_ss = Mdl_core.Compositional.lump_statespace result ss in
+          if not (Mdl_core.Compositional.is_closed result ss lumped_ss) then
             (* closure can fail for asymmetric random models: the lumped
                chain is then not used; nothing more to check *)
             true
           else begin
-            let lumped_ss = Mdl_core.Compositional.lump_statespace result ss in
             (* 4. stationary aggregation commutes and the protected
                measure is preserved *)
             let pi, st1 = Mdl_core.Md_solve.steady_state ~tol:1e-12 ~max_iter:50_000 md ss in
@@ -374,6 +515,9 @@ let tests =
     Alcotest.test_case "guards restrict exploration" `Quick test_explore_guards_restrict;
     Alcotest.test_case "max_states guard" `Quick test_explore_max_states;
     Alcotest.test_case "model validation" `Quick test_model_validation;
+    Alcotest.test_case "weight errors name the engine" `Quick
+      test_weight_errors_name_the_engine;
+    Alcotest.test_case "each effect evaluated once" `Quick test_effects_evaluated_once;
     Alcotest.test_case "MD matches semantics (tiny)" `Quick test_md_matches_semantics;
     Alcotest.test_case "MD matches semantics (workstations)" `Quick
       test_workstations_md_matches_semantics;
