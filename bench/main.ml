@@ -317,7 +317,6 @@ let sweep_report () =
 let kernel_tests () =
   let b = Tandem.build small_tandem_params in
   let ss = b.Tandem.exploration.Model.statespace in
-  let raw_md = Kronecker.to_md b.Tandem.exploration.Model.descriptor in
   let result =
     Compositional.lump Ordinary b.Tandem.md
       ~rewards:[ b.Tandem.rewards_availability ]
@@ -326,11 +325,9 @@ let kernel_tests () =
   [
     Test.make ~name:"T1a explore+compile tandem (small)"
       (Staged.stage (fun () -> ignore (Tandem.build small_tandem_params)));
-    Test.make ~name:"T1a kronecker->md"
+    Test.make ~name:"T1a kronecker->canonical md"
       (Staged.stage (fun () ->
            ignore (Kronecker.to_md b.Tandem.exploration.Model.descriptor)));
-    Test.make ~name:"T1a merge_terms compaction"
-      (Staged.stage (fun () -> ignore (Mdl_md.Compact.merge_terms raw_md)));
     Test.make ~name:"T1c compositional lump (small tandem)"
       (Staged.stage (fun () ->
            ignore

@@ -2,6 +2,7 @@ module Csr = Mdl_sparse.Csr
 module Coo = Mdl_sparse.Coo
 module Md = Mdl_md.Md
 module Formal_sum = Mdl_md.Formal_sum
+module Dynarray = Mdl_util.Dynarray
 
 type event = {
   label : string;
@@ -21,6 +22,8 @@ let make ~sizes events =
     (fun e ->
       if e.rate <= 0.0 then
         invalid_arg (Printf.sprintf "Kronecker.make: event %s has non-positive rate" e.label);
+      if not (Float.is_finite e.rate) then
+        invalid_arg (Printf.sprintf "Kronecker.make: event %s has non-finite rate" e.label);
       if Array.length e.locals <> Array.length sizes then
         invalid_arg (Printf.sprintf "Kronecker.make: event %s has wrong level count" e.label);
       Array.iteri
@@ -33,7 +36,10 @@ let make ~sizes events =
             (fun _ _ v ->
               if v < 0.0 then
                 invalid_arg
-                  (Printf.sprintf "Kronecker.make: event %s has a negative entry" e.label))
+                  (Printf.sprintf "Kronecker.make: event %s has a negative entry" e.label);
+              if not (Float.is_finite v) then
+                invalid_arg
+                  (Printf.sprintf "Kronecker.make: event %s has a non-finite entry" e.label))
             w)
         e.locals)
     events;
@@ -49,37 +55,115 @@ let potential_size t = Array.fold_left ( * ) 1 t.level_sizes
 
 let identity_local n = Csr.identity n
 
+(* A level's suffixes, each an event's chain from that level down, are
+   numbered in creation order, equal suffixes sharing a number.  A
+   suffix whose local matrix is all zero is the zero matrix whatever
+   lies below it, so its child is ignored. *)
+module Suffix_table = Hashtbl.Make (struct
+  type t = Csr.t * int
+
+  let equal (a, i) (b, j) = i = j && Csr.equal a b
+
+  let hash (w, i) = Mdl_util.Hashx.combine (Csr.hash w) i
+end)
+
+module Sum_table = Hashtbl.Make (Formal_sum)
+
+let rec add child x = function
+  | [] -> [ (child, x) ]
+  | (c, p) :: rest when c = child -> (c, p +. x) :: rest
+  | term :: rest -> term :: add child x rest
+
 let to_md t =
-  let md = Md.create ~sizes:t.level_sizes in
-  let nlevels = Array.length t.level_sizes in
-  (* Build each event's node chain bottom-up (hash-consing shares equal
-     suffixes across events); the level-1 matrices of all events combine
-     into the single root node, carrying the event rates as
-     coefficients. *)
-  let suffix_of e =
-    let rec build level =
-      if level > nlevels then Md.terminal md
-      else
-        let child = build (level + 1) in
-        let entries = ref [] in
-        Csr.iter
-          (fun r c v -> entries := (r, c, Formal_sum.singleton child v) :: !entries)
-          e.locals.(level - 1);
-        Md.add_node md ~level !entries
-    in
-    build 2
+  let sizes = t.level_sizes in
+  let nlevels = Array.length sizes in
+  let md = Md.create ~sizes in
+  let suffixes = Array.init nlevels (fun _ -> Dynarray.create ()) in
+  let numbers = Array.init nlevels (fun _ -> Suffix_table.create 16) in
+  let rec suffix e l =
+    if l > nlevels then Md.terminal md
+    else
+      let child = suffix e (l + 1) and w = e.locals.(l - 1) in
+      let key = (w, if Csr.nnz w = 0 then -1 else child) in
+      match Suffix_table.find_opt numbers.(l - 1) key with
+      | Some s -> s
+      | None ->
+          let s = Dynarray.length suffixes.(l - 1) in
+          Dynarray.push suffixes.(l - 1) (w, child);
+          Suffix_table.add numbers.(l - 1) key s;
+          s
   in
-  let root_entries = ref [] in
-  List.iter
-    (fun e ->
-      let child = suffix_of e in
-      Csr.iter
-        (fun r c v ->
-          root_entries := (r, c, Formal_sum.singleton child (e.rate *. v)) :: !root_entries)
-        e.locals.(0))
-    t.event_list;
-  let root = Md.add_node md ~level:1 !root_entries in
-  Md.set_root md root;
+  let memo = Array.init nlevels (fun _ -> Sum_table.create 16) in
+  (* [build l terms] commits the level-[l] node of [sum_k c_k W_k (X)
+     child_k] over [terms = (W_k, child_k, c_k)], each entry summed in
+     list order, divided by [gamma], its first coefficient in row-major
+     order; it returns the node and [gamma]. *)
+  let rec build l terms =
+    let n = sizes.(l - 1) in
+    let acc = Array.make n [] in
+    let gamma = ref 0.0 and inv = ref 1.0 in
+    let row r =
+      let cols = ref [] in
+      List.iter
+        (fun (w, child, c) ->
+          Csr.iter_row w r (fun col v ->
+              let x = c *. v in
+              if x <> 0.0 then begin
+                if acc.(col) = [] then cols := col :: !cols;
+                acc.(col) <- add child x acc.(col)
+              end))
+        terms;
+      List.sort Int.compare !cols
+      |> List.filter_map (fun col ->
+             let sum = Formal_sum.of_list acc.(col) in
+             acc.(col) <- [];
+             let id, y =
+               match Formal_sum.terms sum with
+               | [ (s, x) ] ->
+                   let id, g = node (l + 1) (Formal_sum.singleton s 1.0) in
+                   (id, x *. g)
+               | _ -> node (l + 1) sum
+             in
+             if !gamma = 0.0 && y <> 0.0 then begin
+               gamma := y;
+               inv := 1.0 /. y
+             end;
+             let s = Formal_sum.singleton id (!inv *. y) in
+             if Formal_sum.is_empty s then None else Some (col, s))
+      |> Array.of_list
+    in
+    let rows = Array.init n row in
+    (Md.add_node_sorted_rows md ~level:l rows, if !gamma = 0.0 then 1.0 else !gamma)
+  (* [node l sum]: the node of a sum of level-[l] suffixes. *)
+  and node l sum =
+    if l > nlevels then (Md.terminal md, 1.0)
+    else
+      match Sum_table.find_opt memo.(l - 1) sum with
+      | Some r -> r
+      | None ->
+          let term (s, c) =
+            let w, child = Dynarray.get suffixes.(l - 1) s in
+            (w, child, c)
+          in
+          let r = build l (List.map term (Formal_sum.terms sum)) in
+          Sum_table.add memo.(l - 1) sum r;
+          r
+  in
+  (* The root sums each entry over the events in reverse list order, a
+     node below over its suffixes in ascending number, and the root,
+     committed divided like every node, is then multiplied back by its
+     factor: the float order and node ids the golden diagrams in the
+     tests pin. *)
+  let root, gamma =
+    build 1
+      (List.fold_left (fun acc e -> (e.locals.(0), suffix e 2, e.rate) :: acc) [] t.event_list)
+  in
+  let rescaled r =
+    Array.of_list (List.map (fun (c, s) -> (c, Formal_sum.scale gamma s)) (Md.node_row md root r))
+  in
+  Md.set_root md
+    (if gamma = 1.0 then root
+     else Md.add_node_sorted_rows md ~level:1 (Array.init sizes.(0) rescaled));
   md
 
 let vec_mul t x =

@@ -6,9 +6,9 @@
     Serves three purposes here: (1) the natural compilation target of
     the compositional modelling layer, (2) a baseline symbolic
     representation to benchmark MDs against (shuffle-algorithm vector
-    product), and (3) the constructor of MDs — {!to_md} builds the
-    levelled diagram, with hash-consing merging events that share
-    suffix matrices. *)
+    product), and (3) the constructor of MDs — {!to_md} reads the
+    descriptor once and builds the diagram the lumper works on, in the
+    paper's slice form with canonical scaling. *)
 
 type event = {
   label : string;
@@ -19,8 +19,9 @@ type event = {
 type t
 
 val make : sizes:int array -> event list -> t
-(** @raise Invalid_argument on empty levels, a non-positive rate, or a
-    local matrix with the wrong dimensions or a negative entry. *)
+(** @raise Invalid_argument on empty levels, a non-positive or
+    non-finite rate, or a local matrix with the wrong dimensions or a
+    negative or non-finite entry. *)
 
 val sizes : t -> int array
 
@@ -35,9 +36,25 @@ val identity_local : int -> Mdl_sparse.Csr.t
     touch. *)
 
 val to_md : t -> Mdl_md.Md.t
-(** Build the matrix diagram representing the same matrix: one node
-    chain per event, root entries carrying [lambda_e] into the level-1
-    coefficients; shared suffixes merge by quasi-reduction. *)
+(** The matrix diagram of the same matrix, in slice form and scaled
+    canonically, built in one pass:
+
+    - every formal sum above the bottom level has one term: the child
+      of a root entry is the node of the sum, over the events with a
+      nonzero there, of [lambda_e w_e (W_e^2 (X) .. (X) W_e^L)], and
+      likewise below, so each node gathers every event active under one
+      upper-level entry (the shape on which per-node lumping finds
+      replica symmetries);
+    - every node below the root is divided by its first nonzero
+      coefficient in row-major order, after Miner's canonical MDs (the
+      paper's [15]), and its parent's coefficient takes the factor, so
+      proportional nodes are one node and formal-sum lumping keys
+      compare matrices up to that scaling.
+
+    Each event's chain of local matrices from a level down (its suffix)
+    is numbered once per level; nodes are memoised per sum of suffixes
+    and committed bottom-up.  A suffix whose local matrix is all zero is
+    the empty node whatever lies below it. *)
 
 val vec_mul : t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
 (** [vec_mul k x] is the row-vector product [x * R] over the {e

@@ -42,13 +42,6 @@ let vec_mul md ss x =
   co_walk md ss (fun i j v -> if x.(i) <> 0.0 then y.(j) <- y.(j) +. (x.(i) *. v));
   y
 
-let mul_vec md ss x =
-  check_levels md ss "mul_vec";
-  check_size ss x "mul_vec";
-  let y = Array.make (Statespace.size ss) 0.0 in
-  co_walk md ss (fun i j v -> if x.(j) <> 0.0 then y.(i) <- y.(i) +. (v *. x.(j)));
-  y
-
 let row_sums md ss =
   check_levels md ss "row_sums";
   let sums = Array.make (Statespace.size ss) 0.0 in

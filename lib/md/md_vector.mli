@@ -30,9 +30,6 @@ val to_csr : Md.t -> Statespace.t -> Mdl_sparse.Csr.t
 val vec_mul : Md.t -> Statespace.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
 (** [vec_mul md ss x] is [x * R] over the state space's indices. *)
 
-val mul_vec : Md.t -> Statespace.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
-(** [mul_vec md ss x] is [R * x] over the state space's indices. *)
-
 val row_sums : Md.t -> Statespace.t -> Mdl_sparse.Vec.t
 (** Exit rates [R(s, S)] of each reachable state.  Entries whose column
     tuple is unreachable are pruned by the co-walk; for well-formed

@@ -48,9 +48,43 @@ let kronecker prng (spec : Spec.kron) =
   in
   Kronecker.make ~sizes (events @ rings)
 
+let event_chains k =
+  let sizes = Kronecker.sizes k in
+  let md = Md.create ~sizes in
+  let nlevels = Array.length sizes in
+  (* Build each event's node chain bottom-up (hash-consing shares equal
+     suffixes across events); the level-1 matrices of all events combine
+     into the single root node, carrying the event rates as
+     coefficients. *)
+  let suffix_of (e : Kronecker.event) =
+    let rec build level =
+      if level > nlevels then Md.terminal md
+      else
+        let child = build (level + 1) in
+        let entries = ref [] in
+        Csr.iter
+          (fun r c v -> entries := (r, c, Formal_sum.singleton child v) :: !entries)
+          e.locals.(level - 1);
+        Md.add_node md ~level !entries
+    in
+    build 2
+  in
+  let root_entries = ref [] in
+  List.iter
+    (fun (e : Kronecker.event) ->
+      let child = suffix_of e in
+      Csr.iter
+        (fun r c v ->
+          root_entries := (r, c, Formal_sum.singleton child (e.rate *. v)) :: !root_entries)
+        e.locals.(0))
+    (Kronecker.events k);
+  let root = Md.add_node md ~level:1 !root_entries in
+  Md.set_root md root;
+  md
+
 let kron_md prng spec =
-  let md = Kronecker.to_md (kronecker prng spec) in
-  if spec.Spec.merged then Mdl_md.Compact.merge_terms md else md
+  let k = kronecker prng spec in
+  if spec.Spec.merged then Kronecker.to_md k else event_chains k
 
 (* Symmetrise a node's entry list under an involution of its index set:
    each entry (r, c, s) contributes s/2 at (r, c) and s/2 at

@@ -4,7 +4,7 @@
     point of re-checking them from the {e outside} is (a) to guard the
     oracle against silent store corruption while fuzzing, and (b) to be
     callable as a debug assertion after any diagram-rewriting pass
-    (lumping rebuild, {!Mdl_md.Compact}, {!Mdl_md.Restructure}). *)
+    (lumping rebuild, {!Mdl_md.Restructure}). *)
 
 type violation = { check : string; detail : string }
 

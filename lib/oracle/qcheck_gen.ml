@@ -51,6 +51,8 @@ let shrink_kron (k : Spec.kron) yield =
   if k.merged then yield { k with merged = false };
   Shrink.int k.seed (fun seed -> yield { k with seed })
 
+let kron = make ~print:(fun k -> Spec.to_string (Kron k)) ~shrink:shrink_kron (kron_gen 3)
+
 let direct_gen max_levels =
   Gen.(
     let* sizes = sizes_gen max_levels in

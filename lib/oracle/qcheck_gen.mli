@@ -10,6 +10,11 @@
 
 val chain : Spec.chain QCheck.arbitrary
 
+val kron : Spec.kron QCheck.arbitrary
+(** Kronecker specs of up to 3 levels — for properties of a
+    descriptor's compilation ({!Gen_md.kronecker} builds the
+    descriptor). *)
+
 val model : ?max_levels:int -> unit -> Spec.model QCheck.arbitrary
 (** Any of the three families. *)
 

@@ -25,7 +25,9 @@ type kron = {
       (** symmetrise every local matrix under the transposition of the
           level's last two states (plants per-level lumps) *)
   ring : bool;  (** add one local-ring event per level (irreducibility) *)
-  merged : bool;  (** apply {!Mdl_md.Compact.merge_terms} to the MD *)
+  merged : bool;
+      (** compile with {!Mdl_kron.Kronecker.to_md} (the canonical slice
+          form models use) rather than {!Gen_md.event_chains} *)
   seed : int;
 }
 (** A Kronecker descriptor compiled to a multi-level MD. *)

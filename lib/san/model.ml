@@ -35,7 +35,9 @@ let make ~components ~events =
           (Printf.sprintf "Model.make: event %s has %d effects for %d components" e.label
              (Array.length e.effects) (Array.length components));
       if e.rate <= 0.0 then
-        invalid_arg (Printf.sprintf "Model.make: event %s has non-positive rate" e.label))
+        invalid_arg (Printf.sprintf "Model.make: event %s has non-positive rate" e.label);
+      if not (Float.is_finite e.rate) then
+        invalid_arg (Printf.sprintf "Model.make: event %s has non-finite rate" e.label))
     events;
   { comps = components; evts = events }
 
@@ -125,6 +127,9 @@ let cell r e k s =
               if w <= 0.0 then
                 invalid_arg
                   (Printf.sprintf "%s: event %s has non-positive weight" r.engine ev.label);
+              if not (Float.is_finite w) then
+                invalid_arg
+                  (Printf.sprintf "%s: event %s has non-finite weight" r.engine ev.label);
               intern it s')
             succs;
         weights = Array.map snd succs;
@@ -316,6 +321,4 @@ let local_index exp l s =
   find 0
 
 let md_of exp =
-  Trace.with_span ~cat:"san" "san.md_of" (fun () ->
-      Mdl_md.Compact.normalize
-        (Mdl_md.Compact.merge_terms (Mdl_kron.Kronecker.to_md exp.descriptor)))
+  Trace.with_span ~cat:"san" "san.md_of" (fun () -> Mdl_kron.Kronecker.to_md exp.descriptor)

@@ -37,7 +37,7 @@ type local_state = int array
 
 type effect = local_state -> (local_state * float) list
 (** Weighted successors; [\[\]] = disabled; identity = [\[(s, 1.)\]].
-    Weights must be positive.  An effect must be deterministic: the
+    Weights must be positive and finite.  An effect must be deterministic: the
     explorations evaluate it once per local state and keep the result. *)
 
 type event = {
@@ -54,8 +54,8 @@ type component = {
 type t
 
 val make : components:component array -> events:event list -> t
-(** @raise Invalid_argument on empty components or events with the wrong
-    number of effects. *)
+(** @raise Invalid_argument on empty components, events with the wrong
+    number of effects, or a non-positive or non-finite rate. *)
 
 val components : t -> component array
 
@@ -86,7 +86,9 @@ val explore : ?max_states:int -> t -> exploration
     (no reachable state).
     @raise Invalid_argument
     ["Model.explore: event e has non-positive weight"] if an effect
-    gives a weight [<= 0.] on an occurring local state.
+    gives a weight [<= 0.] on an occurring local state, and
+    ["Model.explore: event e has non-finite weight"] if it gives [nan]
+    or [infinity].
 
     The result is canonical: local states are ordered lexicographically
     by their encoding and only states occurring in some reachable tuple
@@ -119,8 +121,8 @@ val local_index : exploration -> int -> local_state -> int option
 (** Index of a local state in a level's discovered space. *)
 
 val md_of : exploration -> Mdl_md.Md.t
-(** The matrix diagram of the explored model: [Kronecker.to_md]
-    followed by {!Mdl_md.Compact.merge_terms} (parallel events merge
-    into per-slice nodes, so replica symmetries become visible to the
-    per-node lumping conditions) and {!Mdl_md.Compact.normalize}
-    (canonical coefficient scaling, merging proportional nodes). *)
+(** The matrix diagram of the explored model:
+    {!Mdl_kron.Kronecker.to_md} of its descriptor, in one pass.  Each
+    node gathers every event active under one upper-level entry (so
+    replica symmetries are visible to the per-node lumping conditions)
+    and is scaled canonically (so proportional nodes are one node). *)

@@ -194,7 +194,7 @@ let test_theorem3_global_ordinary =
     ~name:"Theorem 3: locally lumped partitions are globally ordinarily lumpable"
     arb_sym_descriptor (fun spec ->
       let k = build_symmetric_descriptor spec in
-      let md = Kronecker.to_md k in
+      let md = Gen_md.event_chains k in
       let sizes = Kronecker.sizes k in
       let rewards = [ Decomposed.constant ~sizes 0.0 ] in
       let initial = Decomposed.constant ~sizes 1.0 in
@@ -208,7 +208,7 @@ let test_theorem4_global_exact =
     ~name:"Theorem 4: locally lumped partitions are globally exactly lumpable"
     arb_sym_descriptor (fun spec ->
       let k = build_symmetric_descriptor spec in
-      let md = Kronecker.to_md k in
+      let md = Gen_md.event_chains k in
       let sizes = Kronecker.sizes k in
       let rewards = [ Decomposed.constant ~sizes 0.0 ] in
       let initial = Decomposed.constant ~sizes 1.0 in
@@ -222,7 +222,7 @@ let test_lumped_md_is_quotient_ordinary =
     ~name:"lumped MD represents the Theorem-2 quotient (ordinary)" arb_sym_descriptor
     (fun spec ->
       let k = build_symmetric_descriptor spec in
-      let md = Kronecker.to_md k in
+      let md = Gen_md.event_chains k in
       let sizes = Kronecker.sizes k in
       let rewards = [ Decomposed.constant ~sizes 0.0 ] in
       let initial = Decomposed.constant ~sizes 1.0 in
@@ -306,7 +306,7 @@ let concrete_md () =
         { Kronecker.label = "work"; rate = 3.0; locals = [| Csr.identity 2; work |] };
       ]
   in
-  (Kronecker.to_md k, sizes)
+  (Gen_md.event_chains k, sizes)
 
 let test_concrete_lump () =
   let md, sizes = concrete_md () in
@@ -340,7 +340,7 @@ let test_lumped_md_is_quotient_exact =
     ~name:"lumped MD represents the aggregated quotient (exact)" arb_sym_descriptor
     (fun spec ->
       let k = build_symmetric_descriptor spec in
-      let md = Kronecker.to_md k in
+      let md = Gen_md.event_chains k in
       let sizes = Kronecker.sizes k in
       let rewards = [ Decomposed.constant ~sizes 0.0 ] in
       let initial = Decomposed.constant ~sizes 1.0 in
@@ -399,7 +399,7 @@ let test_expanded_matrices_key_at_least_as_coarse =
   QCheck.Test.make ~count:60 ~name:"expanded-matrix key at least as coarse as formal sums"
     arb_sym_descriptor (fun spec ->
       let k = build_symmetric_descriptor spec in
-      let md = Kronecker.to_md k in
+      let md = Gen_md.event_chains k in
       let ok = ref true in
       for level = 1 to Md.levels md do
         let n = Md.size md level in
@@ -445,10 +445,22 @@ let test_sufficiency_gap () =
   let flat = Md.to_csr md in
   Alcotest.(check bool) "flat chain confirms" true
     (Check.ordinary flat (Partition.of_class_assignment [| 0; 0 |]));
-  (* Canonical normalisation (Miner [15]) closes this particular gap:
-     the proportional nodes merge, and the cheap formal-sum key then
-     finds the lump too. *)
-  let normalized = Mdl_md.Compact.normalize md in
+  (* Canonical normalisation (Miner [15]) closes this particular gap.
+     The same matrix from a descriptor whose two events have
+     proportional level-2 suffixes: its canonical diagram shares one
+     level-2 node, and the cheap formal-sum key then finds the lump
+     too. *)
+  let point r = Csr.of_triplets ~rows:2 ~cols:2 [ (r, r, 1.0) ] in
+  let scalar v = Csr.of_triplets ~rows:1 ~cols:1 [ (0, 0, v) ] in
+  let k =
+    Kronecker.make ~sizes:[| 2; 1 |]
+      [
+        { Kronecker.label = "a"; rate = 1.0; locals = [| point 0; scalar 2.0 |] };
+        { Kronecker.label = "b"; rate = 2.0; locals = [| point 1; scalar 1.0 |] };
+      ]
+  in
+  let normalized = Kronecker.to_md k in
+  Alcotest.(check bool) "same matrix" true (Csr.equal flat (Md.to_csr normalized));
   let p_norm =
     Level_lumping.comp_lumping_level ~key:Local_key.Formal_sums Ordinary normalized
       ~level:1 ~initial
@@ -496,7 +508,7 @@ let test_is_closed_matches_class_counts =
     QCheck.(pair arb_sym_descriptor (pair bool (int_bound 1_000_000)))
     (fun (spec, (by_class, seed)) ->
       let k = build_symmetric_descriptor spec in
-      let md = Kronecker.to_md k in
+      let md = Gen_md.event_chains k in
       let sizes = Kronecker.sizes k in
       let r =
         Compositional.lump Ordinary md
@@ -591,7 +603,7 @@ let test_level_merging_exposes_cross_level_symmetry () =
         { Kronecker.label = "m2"; rate = 1.0; locals = [| i3; machine |] };
       ]
   in
-  let md = Mdl_md.Compact.merge_terms (Kronecker.to_md k) in
+  let md = Kronecker.to_md k in
   let lump_level_sizes m =
     let sizes = Md.sizes m in
     let rewards = [ Decomposed.constant ~sizes 1.0 ] in
@@ -642,7 +654,7 @@ let test_level_pipeline_matches_reference =
     ~name:"interned level pipeline matches generic at every level (both modes)"
     arb_sym_descriptor (fun spec ->
       let k = build_symmetric_descriptor spec in
-      let md = Kronecker.to_md k in
+      let md = Gen_md.event_chains k in
       let ok = ref true in
       List.iter
         (fun (mode, key) ->

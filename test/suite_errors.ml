@@ -137,7 +137,6 @@ let test_md_vector_level_checks () =
   in
   mismatch "to_csr" (fun () -> Md_vector.to_csr md ss3);
   mismatch "vec_mul" (fun () -> Md_vector.vec_mul md ss3 x);
-  mismatch "mul_vec" (fun () -> Md_vector.mul_vec md ss3 x);
   mismatch "row_sums" (fun () -> Md_vector.row_sums md ss3);
   mismatch "diag" (fun () -> Md_vector.diag md ss3);
   Alcotest.check_raises "steady_state"
@@ -236,6 +235,71 @@ let test_kron_guard () =
     (Invalid_argument "Kronecker.to_csr: potential space too large") (fun () ->
       ignore (Kronecker.to_csr k))
 
+(* NaN and infinities pass a [<= 0.] test; each model-boundary check
+   rejects them by name, and keeps its message for the values it
+   rejected before ([-infinity] among them). *)
+let test_kron_non_finite () =
+  let kron ~rate v =
+    ignore
+      (Kronecker.make ~sizes:[| 1 |]
+         [
+           {
+             Kronecker.label = "e";
+             rate;
+             locals = [| Mdl_sparse.Csr.of_triplets ~rows:1 ~cols:1 [ (0, 0, v) ] |];
+           };
+         ])
+  in
+  List.iter
+    (fun (what, rate, v, msg) ->
+      Alcotest.check_raises what (Invalid_argument ("Kronecker.make: event e has " ^ msg))
+        (fun () -> kron ~rate v))
+    [
+      ("nan rate", Float.nan, 1.0, "non-finite rate");
+      ("infinite rate", Float.infinity, 1.0, "non-finite rate");
+      ("nan entry", 1.0, Float.nan, "a non-finite entry");
+      ("infinite entry", 1.0, Float.infinity, "a non-finite entry");
+      ("-infinity rate", Float.neg_infinity, 1.0, "non-positive rate");
+      ("-infinity entry", 1.0, Float.neg_infinity, "a negative entry");
+    ]
+
+module Model = Mdl_san.Model
+
+let one_event_model ~rate w =
+  Model.make
+    ~components:[| { Model.name = "c"; initial = [| 0 |] } |]
+    ~events:[ { Model.label = "e"; rate; effects = [| (fun s -> [ (s, w) ]) |] } ]
+
+let test_model_non_finite_rate () =
+  List.iter
+    (fun (what, rate, msg) ->
+      Alcotest.check_raises what (Invalid_argument ("Model.make: event e has " ^ msg))
+        (fun () -> ignore (one_event_model ~rate 1.0)))
+    [
+      ("nan rate", Float.nan, "non-finite rate");
+      ("infinite rate", Float.infinity, "non-finite rate");
+      ("-infinity rate", Float.neg_infinity, "non-positive rate");
+    ]
+
+let test_non_finite_weight () =
+  List.iter
+    (fun (engine, explore) ->
+      List.iter
+        (fun (w, msg) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s weight %g" engine w)
+            (Invalid_argument (Printf.sprintf "%s: event e has %s" engine msg))
+            (fun () -> ignore (explore (one_event_model ~rate:1.0 w))))
+        [
+          (Float.nan, "non-finite weight");
+          (Float.infinity, "non-finite weight");
+          (Float.neg_infinity, "non-positive weight");
+        ])
+    [
+      ("Model.explore", fun m -> Model.explore m);
+      ("Model.explore_symbolic", fun m -> Model.explore_symbolic m);
+    ]
+
 let tests =
   [
     Alcotest.test_case "compositional errors" `Quick test_compositional_errors;
@@ -251,4 +315,7 @@ let tests =
     Alcotest.test_case "restructure errors" `Quick test_restructure_errors;
     Alcotest.test_case "matrix market errors" `Quick test_matrix_market_errors;
     Alcotest.test_case "kronecker flatten guard" `Quick test_kron_guard;
+    Alcotest.test_case "kronecker non-finite rate or entry" `Quick test_kron_non_finite;
+    Alcotest.test_case "model non-finite rate" `Quick test_model_non_finite_rate;
+    Alcotest.test_case "non-finite weight (both engines)" `Quick test_non_finite_weight;
   ]

@@ -8,6 +8,7 @@ module Md = Mdl_md.Md
 module Statespace = Mdl_md.Statespace
 module Md_vector = Mdl_md.Md_vector
 module Kronecker = Mdl_kron.Kronecker
+module Gen_md = Mdl_oracle.Gen_md
 
 let matrix_testable = Alcotest.testable Csr.pp (fun a b -> Csr.approx_equal a b)
 
@@ -204,8 +205,6 @@ let test_md_vector_products () =
   let x = [| 0.1; 0.2; 0.3; 0.4 |] in
   Alcotest.(check bool) "vec_mul matches flat" true
     (Vec.approx_equal (Md_vector.vec_mul md ss x) (Csr.vec_mul x flat));
-  Alcotest.(check bool) "mul_vec matches flat" true
-    (Vec.approx_equal (Md_vector.mul_vec md ss x) (Csr.mul_vec flat x));
   Alcotest.(check bool) "row_sums match" true
     (Vec.approx_equal (Md_vector.row_sums md ss) (Csr.row_sums flat));
   Alcotest.check matrix_testable "to_csr over full space" flat (Md_vector.to_csr md ss)
@@ -330,8 +329,6 @@ let test_mdd_products_match_hash_indexing () =
   let x = Array.init n (fun i -> float_of_int (i mod 7) +. 0.5) in
   Alcotest.(check bool) "vec_mul agrees" true
     (Vec.approx_equal (Csr.vec_mul x flat) (Md_vector.vec_mul md ss x));
-  Alcotest.(check bool) "mul_vec agrees" true
-    (Vec.approx_equal (Csr.mul_vec flat x) (Md_vector.mul_vec md ss x));
   Alcotest.(check bool) "row_sums agree" true
     (Vec.approx_equal (Csr.row_sums flat) (Md_vector.row_sums md ss))
 
@@ -548,28 +545,27 @@ let arb_descriptor =
         nevents seed)
     gen_descriptor
 
+let oracle_descriptor (spec : Mdl_oracle.Spec.kron) =
+  Gen_md.kronecker (Mdl_util.Prng.of_seed spec.seed) spec
+
 let test_normalize_merges_proportional_nodes () =
-  (* Nodes [2] and [1] are proportional; normalisation makes them the
-     same node and pushes the factors up into the root's coefficients. *)
-  let md = Md.create ~sizes:[| 2; 1 |] in
-  let a = Md.add_node md ~level:2 [ (0, 0, Md.scalar_sum md 2.0) ] in
-  let b = Md.add_node md ~level:2 [ (0, 0, Md.scalar_sum md 1.0) ] in
-  let root =
-    Md.add_node md ~level:1
-      [ (0, 0, Formal_sum.singleton a 1.0); (1, 1, Formal_sum.singleton b 2.0) ]
+  (* The two events' level-2 suffixes [2] and [1] are proportional; the
+     canonical build gives them one node and pushes the factors up into
+     the root's coefficients. *)
+  let point r = Csr.of_triplets ~rows:2 ~cols:2 [ (r, r, 1.0) ] in
+  let scalar v = Csr.of_triplets ~rows:1 ~cols:1 [ (0, 0, v) ] in
+  let k =
+    Kronecker.make ~sizes:[| 2; 1 |]
+      [
+        { Kronecker.label = "a"; rate = 1.0; locals = [| point 0; scalar 2.0 |] };
+        { Kronecker.label = "b"; rate = 2.0; locals = [| point 1; scalar 1.0 |] };
+      ]
   in
-  Md.set_root md root;
-  let normalized = Mdl_md.Compact.normalize md in
-  Alcotest.check matrix_testable "matrix preserved" (Md.to_csr md) (Md.to_csr normalized);
+  let chains = Gen_md.event_chains k and normalized = Kronecker.to_md k in
+  Alcotest.(check int) "chains keep both" 2 (List.length (Md.live_nodes chains).(1));
+  Alcotest.check matrix_testable "matrix preserved" (Md.to_csr chains) (Md.to_csr normalized);
   let live = Md.live_nodes normalized in
   Alcotest.(check int) "proportional nodes merged" 1 (List.length live.(1))
-
-let test_normalize_stable () =
-  let md = hand_md () in
-  let n1 = Mdl_md.Compact.normalize md in
-  let n2 = Mdl_md.Compact.normalize n1 in
-  Alcotest.(check int) "node count stable" (Md.num_live_nodes n1) (Md.num_live_nodes n2);
-  Alcotest.check matrix_testable "matrix stable" (Md.to_csr n1) (Md.to_csr n2)
 
 (* --- structural diagram equality, raw constructors, reverse iteration ---
 
@@ -684,7 +680,7 @@ let qcheck_tests =
     QCheck.Test.make ~count:150 ~name:"node_col is the transpose of node_row" arb_descriptor
     (fun spec ->
       let k = build_descriptor spec in
-      let md = Kronecker.to_md k in
+      let md = Gen_md.event_chains k in
       let live = Md.live_nodes md in
       Array.for_all
         (fun ids ->
@@ -710,24 +706,51 @@ let qcheck_tests =
     Test.make ~count:200 ~name:"normalize preserves the represented matrix"
       arb_descriptor (fun spec ->
         let k = build_descriptor spec in
-        let md = Kronecker.to_md k in
-        Csr.approx_equal (Md.to_csr md) (Md.to_csr (Mdl_md.Compact.normalize md)));
-    Test.make ~count:200 ~name:"merge_terms idempotent on node counts" arb_descriptor
-      (fun spec ->
-        let k = build_descriptor spec in
-        let once = Mdl_md.Compact.merge_terms (Kronecker.to_md k) in
-        let twice = Mdl_md.Compact.merge_terms once in
-        Md.num_live_nodes once = Md.num_live_nodes twice
-        && Csr.approx_equal (Md.to_csr once) (Md.to_csr twice));
-    Test.make ~count:200 ~name:"normalize never increases node count" arb_descriptor
-      (fun spec ->
-        let k = build_descriptor spec in
-        let md = Kronecker.to_md k in
-        Md.num_live_nodes (Mdl_md.Compact.normalize md) <= Md.num_live_nodes md);
+        Csr.approx_equal (Md.to_csr (Gen_md.event_chains k)) (Md.to_csr (Kronecker.to_md k)));
+    Test.make ~count:200 ~name:"canonical md flattens to the descriptor's matrix"
+      Mdl_oracle.Qcheck_gen.kron (fun spec ->
+        let k = oracle_descriptor spec in
+        Csr.approx_equal (Md.to_csr (Kronecker.to_md k)) (Kronecker.to_csr k));
+    Test.make ~count:200 ~name:"canonical md has one-term sums above the bottom level"
+      Mdl_oracle.Qcheck_gen.kron (fun spec ->
+        let md = Kronecker.to_md (oracle_descriptor spec) in
+        let live = Md.live_nodes md in
+        let one_term id =
+          let ok = ref true in
+          Md.iter_node_entries md id (fun _ _ s ->
+              if Formal_sum.num_terms s <> 1 then ok := false);
+          !ok
+        in
+        Array.for_all (List.for_all one_term) (Array.sub live 0 (Md.levels md - 1)));
+    (* Scale is canonical: moving a factor 2 from every rate into one
+       level's local matrices (exact in binary) leaves the diagram bit
+       for bit unchanged, although the event chains then differ.  Events
+       with an all-zero local matrix are left out, as [Model] leaves
+       them out: the empty node they lead to has no factor to take. *)
+    Test.make ~count:200 ~name:"canonical md ignores where a scale factor sits"
+      (pair Mdl_oracle.Qcheck_gen.kron small_nat) (fun (spec, l) ->
+        let k = oracle_descriptor spec in
+        let sizes = Kronecker.sizes k and l = l mod Array.length (Kronecker.sizes k) in
+        let events =
+          List.filter
+            (fun (e : Kronecker.event) -> Array.for_all (fun w -> Csr.nnz w > 0) e.locals)
+            (Kronecker.events k)
+        in
+        let moved =
+          List.map
+            (fun (e : Kronecker.event) ->
+              let locals = Array.copy e.locals in
+              locals.(l) <- Csr.scale 2.0 locals.(l);
+              { e with rate = e.rate /. 2.0; locals })
+            events
+        in
+        Md.equal
+          (Kronecker.to_md (Kronecker.make ~sizes events))
+          (Kronecker.to_md (Kronecker.make ~sizes moved)));
     Test.make ~count:150 ~name:"merge_adjacent preserves matrix (random)"
       arb_descriptor (fun spec ->
         let k = build_descriptor spec in
-        let md = Kronecker.to_md k in
+        let md = Gen_md.event_chains k in
         Md.levels md < 2
         ||
         let merged = Mdl_md.Restructure.merge_adjacent md 1 in
@@ -735,7 +758,7 @@ let qcheck_tests =
     Test.make ~count:150 ~name:"merging all levels down to one preserves matrix"
       arb_descriptor (fun spec ->
         let k = build_descriptor spec in
-        let md = Kronecker.to_md k in
+        let md = Gen_md.event_chains k in
         let rec collapse m =
           if Md.levels m = 1 then m else collapse (Mdl_md.Restructure.merge_adjacent m 1)
         in
@@ -743,17 +766,8 @@ let qcheck_tests =
     Test.make ~count:200 ~name:"md of kron flattens to kron matrix" arb_descriptor
       (fun spec ->
         let k = build_descriptor spec in
-        let md = Kronecker.to_md k in
+        let md = Gen_md.event_chains k in
         Csr.approx_equal (Kronecker.to_csr k) (Md.to_csr md));
-    (* The same transformation round-trips, but over the oracle's
-       free-form diagrams (shared nodes, multi-term sums) rather than
-       only Kronecker compilations. *)
-    Test.make ~count:150 ~name:"compact round-trips on free-form diagrams"
-      (Mdl_oracle.Qcheck_gen.md_model ()) (fun spec ->
-        let md = Mdl_oracle.Gen_md.of_spec spec in
-        let flat = Md.to_csr md in
-        Csr.approx_equal flat (Md.to_csr (Mdl_md.Compact.merge_terms md))
-        && Csr.approx_equal flat (Md.to_csr (Mdl_md.Compact.normalize md)));
     Test.make ~count:150 ~name:"restructure round-trips on free-form diagrams"
       (Mdl_oracle.Qcheck_gen.md_model ()) (fun spec ->
         let md = Mdl_oracle.Gen_md.of_spec spec in
@@ -772,7 +786,7 @@ let qcheck_tests =
     Test.make ~count:100 ~name:"md vector products match flat over full space"
       arb_descriptor (fun spec ->
         let k = build_descriptor spec in
-        let md = Kronecker.to_md k in
+        let md = Gen_md.event_chains k in
         let sizes = Kronecker.sizes k in
         let ss = full_space (Array.to_list sizes) in
         let flat = Md.to_csr md in
@@ -933,7 +947,6 @@ let tests =
     Alcotest.test_case "md dot export" `Quick test_md_dot_export;
     Alcotest.test_case "normalize merges proportional nodes" `Quick
       test_normalize_merges_proportional_nodes;
-    Alcotest.test_case "normalize stable" `Quick test_normalize_stable;
     Alcotest.test_case "merge_adjacent preserves matrix" `Quick
       test_merge_adjacent_preserves_matrix;
     Alcotest.test_case "statespace merge_levels" `Quick test_statespace_merge_levels;

@@ -187,7 +187,7 @@ let concrete_md () =
         { Kronecker.label = "work"; rate = 3.0; locals = [| Csr.identity 2; work |] };
       ]
   in
-  (Kronecker.to_md k, sizes)
+  (Mdl_oracle.Gen_md.event_chains k, sizes)
 
 let lump_concrete () =
   let md, sizes = concrete_md () in

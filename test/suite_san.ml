@@ -369,9 +369,9 @@ let test_symbolic_max_states () =
 
 let test_compact_preserves_matrix () =
   let exp = Model.explore (tiny_model ()) in
-  let raw = Kronecker.to_md exp.Model.descriptor in
-  let compacted = Mdl_md.Compact.merge_terms raw in
-  Alcotest.(check bool) "merge_terms preserves the matrix" true
+  let raw = Mdl_oracle.Gen_md.event_chains exp.Model.descriptor in
+  let compacted = Kronecker.to_md exp.Model.descriptor in
+  Alcotest.(check bool) "the canonical build preserves the matrix" true
     (Csr.approx_equal (Md.to_csr raw) (Md.to_csr compacted));
   (* In slice form every formal sum above the bottom level is a single
      term. *)
@@ -386,6 +386,45 @@ let test_compact_preserves_matrix () =
           ids)
     (Md.live_nodes compacted);
   Alcotest.(check bool) "single-term sums" true !ok
+
+(* The generated diagram, pinned: a dump of the live nodes in store
+   order, with levels, positions, child ids and coefficients in
+   hexadecimal, so that one moved node id or coefficient bit changes
+   its digest. *)
+let md_dump md =
+  let b = Buffer.create 4096 in
+  let ids = List.sort Int.compare (List.concat (Array.to_list (Md.live_nodes md))) in
+  List.iter
+    (fun id ->
+      Printf.bprintf b "R%d level %d\n" id (Md.node_level md id);
+      Md.iter_node_entries md id (fun r c s ->
+          Printf.bprintf b " (%d,%d)" r c;
+          List.iter (fun (n, w) -> Printf.bprintf b " %h*R%d" w n) (Mdl_md.Formal_sum.terms s);
+          Buffer.add_char b '\n'))
+    ids;
+  Buffer.contents b
+
+let test_md_of_golden () =
+  let open Mdl_models in
+  List.iter
+    (fun (name, m, digest) ->
+      Alcotest.(check string) name digest
+        (Digest.to_hex (Digest.string (md_dump (Model.md_of (Model.explore_symbolic m))))))
+    [
+      ("tandem J=1", Tandem.model (Tandem.default ~jobs:1), "37e6b8dda6eddfaf85015903ca1e6525");
+      ("tandem J=2", Tandem.model (Tandem.default ~jobs:2), "ca728761aa9545f179b597785be83af1");
+      ("kanban N=3", Kanban.model (Kanban.default ~cards:3), "5d547a49d46a1802a1c9ce37af559b48");
+      ("kanban N=5", Kanban.model (Kanban.default ~cards:5), "3b84989cd581865055cf5ac4c09a4689");
+      ( "polling 4",
+        Polling.model (Polling.default ~customers:4),
+        "71d783640c5a288a7f1347e96c459e98" );
+      ( "workstations 4",
+        Workstations.model (Workstations.default ~stations:4),
+        "faf0ef8f068d0367855d3425a17f6ad5" );
+      ( "multitier 3",
+        Multitier.model (Multitier.default ~clients:3),
+        "66ef50997998dc57ad4a0b40d389f0a1" );
+    ]
 
 (* ----- whole-pipeline fuzzing over random compositional models ----- *)
 
@@ -531,5 +570,6 @@ let tests =
       test_symbolic_matches_explicit;
     Alcotest.test_case "symbolic max_states guard" `Quick test_symbolic_max_states;
     Alcotest.test_case "compact preserves matrix" `Quick test_compact_preserves_matrix;
+    Alcotest.test_case "md_of golden digests" `Quick test_md_of_golden;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
