@@ -169,10 +169,14 @@ let p1_report (r : t1_row) =
   let time_iterations md space n =
     let op, _ = Md_solve.uniformized_operator md space in
     let x = ref (Array.make op.Solver.dim (1.0 /. float_of_int op.Solver.dim)) in
+    let y = ref (Array.make op.Solver.dim 0.0) in
     let _, elapsed =
       Mdl_util.Timer.time (fun () ->
           for _ = 1 to n do
-            x := op.Solver.apply !x
+            op.Solver.apply_into !x !y;
+            let prev = !x in
+            x := !y;
+            y := prev
           done)
     in
     elapsed /. float_of_int n
@@ -348,15 +352,17 @@ let p5_tests () =
   let k = exp.Model.descriptor in
   let n = Statespace.size ss in
   assert (n = Kronecker.potential_size k);
-  let flat = Md_vector.to_csr b.Workstations.md ss in
+  let walk = Md_vector.create b.Workstations.md ss in
+  let flat = Md_vector.to_csr walk in
   let x = Array.init n (fun i -> 1.0 /. float_of_int (i + 1)) in
+  let y = Array.make n 0.0 in
   [
     Test.make ~name:"P5 x*R kronecker shuffle"
       (Staged.stage (fun () -> ignore (Kronecker.vec_mul k x)));
     Test.make ~name:"P5 x*R md walk, statespace offsets"
-      (Staged.stage (fun () -> ignore (Md_vector.vec_mul b.Workstations.md ss x)));
+      (Staged.stage (fun () -> Md_vector.vec_mul_into walk x y));
     Test.make ~name:"P5 x*R flat csr"
-      (Staged.stage (fun () -> ignore (Mdl_sparse.Csr.vec_mul x flat)));
+      (Staged.stage (fun () -> Mdl_sparse.Csr.vec_mul_into x flat y));
   ]
 
 let ssg_tests () =
@@ -374,7 +380,7 @@ let baseline_tests () =
      on the MD, same model. *)
   let b = Workstations.build (Workstations.default ~stations:5) in
   let ss = b.Workstations.exploration.Model.statespace in
-  let flat = Md_vector.to_csr b.Workstations.md ss in
+  let flat = Md_vector.to_csr (Md_vector.create b.Workstations.md ss) in
   let rewards_vec = Decomposed.to_vector b.Workstations.rewards_operational ss in
   [
     Test.make ~name:"baseline state-level lumping [9] (flat)"

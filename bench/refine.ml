@@ -147,7 +147,7 @@ let tandem_flat_scenario ~name ~jobs ~hyper_dim =
   let p = { (Mdl_models.Tandem.default ~jobs) with hyper_dim } in
   let b = Mdl_models.Tandem.build p in
   let ss = b.Mdl_models.Tandem.exploration.Mdl_san.Model.statespace in
-  let r = Mdl_md.Md_vector.to_csr b.Mdl_models.Tandem.md ss in
+  let r = Mdl_md.Md_vector.(to_csr (create b.Mdl_models.Tandem.md ss)) in
   let n = Mdl_sparse.Csr.rows r in
   let rewards =
     Mdl_core.Decomposed.to_vector b.Mdl_models.Tandem.rewards_availability ss

@@ -167,7 +167,9 @@ let run label (inst : Family.built) mode key solve solver check_optimal dot_file
     dot_file;
   Option.iter
     (fun path ->
-      let flat = Mdl_md.Md_vector.to_csr result.Compositional.lumped lumped_ss in
+      let flat =
+        Mdl_md.Md_vector.(to_csr (create result.Compositional.lumped lumped_ss))
+      in
       Mdl_sparse.Matrix_market.write_file flat path;
       Printf.printf "lumped rate matrix (%dx%d, %d nnz) written to %s\n"
         (Mdl_sparse.Csr.rows flat) (Mdl_sparse.Csr.cols flat) (Mdl_sparse.Csr.nnz flat)

@@ -9,7 +9,8 @@ module State_lumping = Mdl_lumping.State_lumping
 let uniformized_parts ?lambda md ss =
   if Md.levels md <> Statespace.levels ss then
     invalid_arg "Md_solve.uniformized_operator: level count mismatch";
-  let exit = Md_vector.row_sums md ss in
+  let w = Md_vector.create md ss in
+  let exit = Md_vector.row_sums w in
   let max_rate = Array.fold_left Float.max 0.0 exit in
   let lambda =
     match lambda with
@@ -19,15 +20,17 @@ let uniformized_parts ?lambda md ss =
           invalid_arg "Md_solve.uniformized_operator: lambda below max exit rate";
         l
   in
-  let apply x =
-    let y = Md_vector.vec_mul md ss x in
+  let apply_into x y =
+    Md_vector.vec_mul_into w x y;
     (* y := x + (x R - x .* exit) / lambda, elementwise. *)
-    Array.mapi (fun i yi -> x.(i) +. ((yi -. (x.(i) *. exit.(i))) /. lambda)) y
+    for i = 0 to Array.length y - 1 do
+      y.(i) <- x.(i) +. ((y.(i) -. (x.(i) *. exit.(i))) /. lambda)
+    done
   in
-  (exit, { Solver.dim = Statespace.size ss; apply }, lambda)
+  (w, exit, { Solver.dim = Statespace.size ss; apply_into }, lambda)
 
 let uniformized_operator ?lambda md ss =
-  let _exit, op, lambda = uniformized_parts ?lambda md ss in
+  let _w, _exit, op, lambda = uniformized_parts ?lambda md ss in
   (op, lambda)
 
 let steady_state ?tol ?max_iter md ss =
@@ -35,12 +38,12 @@ let steady_state ?tol ?max_iter md ss =
   Solver.power ?tol ?max_iter op
 
 let steady_state_krylov ?tol ?max_iter md ss =
-  let exit, op, lambda = uniformized_parts md ss in
+  let w, exit, op, lambda = uniformized_parts md ss in
   (* Diagonal of the uniformised P = I + Q/lambda over the state space's
      indices: P(i,i) = 1 + (R(i,i) - exit(i)) / lambda — one extra
      co-walk buys the Jacobi preconditioner without materialising the
      matrix. *)
-  let rdiag = Md_vector.diag md ss in
+  let rdiag = Md_vector.diag w in
   let diag =
     Array.init op.Solver.dim (fun i -> 1.0 +. ((rdiag.(i) -. exit.(i)) /. lambda))
   in
@@ -50,7 +53,7 @@ let transient ?epsilon ~t md ss pi0 =
   let op, lambda = uniformized_operator md ss in
   Solver.transient_operator ?epsilon ~t ~lambda op pi0
 
-let ctmc_of md ss = Mdl_ctmc.Ctmc.of_rates (Md_vector.to_csr md ss)
+let ctmc_of md ss = Mdl_ctmc.Ctmc.of_rates (Md_vector.to_csr (Md_vector.create md ss))
 
 let solve method_ md ss =
   match method_ with
@@ -76,7 +79,7 @@ let check_optimal mode r lumped_ss ~rewards =
   let n = Statespace.size lumped_ss in
   if n > 60_000 then None
   else begin
-    let flat = Md_vector.to_csr r.Compositional.lumped lumped_ss in
+    let flat = Md_vector.to_csr (Md_vector.create r.Compositional.lumped lumped_ss) in
     let quantize = Mdl_util.Floatx.quantize in
     let initial =
       match mode with

@@ -30,20 +30,24 @@ let check_absorbing_set ctmc absorbing fn =
   n
 
 (* Gauss-Seidel sweeps for x(i) = (c(i) + sum_{j<>i} R(i,j) x(j)) /
-   (exit(i) - R(i,i)) on transient states, x fixed elsewhere. *)
+   (exit(i) - R(i,i)) on transient states, x fixed elsewhere.  The
+   residual is the largest change of a sweep; each sweep also refreshes
+   [prev], so after set-up nothing is allocated. *)
 let gauss_seidel ?(tol = 1e-12) ?(max_iter = 100_000) ctmc ~transient ~constant x =
   let r = Ctmc.rates ctmc in
   let n = Ctmc.size ctmc in
+  let diag = Csr.diagonal r in
+  let denom = Array.init n (fun i -> Ctmc.exit_rate ctmc i -. diag.(i)) in
+  let prev = Array.copy x in
   let rec loop k =
+    Csr.gs_sweep r ~denom ~constant ~active:transient x;
+    (* [d <> d] keeps a NaN change sticky, as [Float.max] would. *)
     let delta = ref 0.0 in
     for i = 0 to n - 1 do
       if transient.(i) then begin
-        let acc = ref 0.0 and diag = ref 0.0 in
-        Csr.iter_row r i (fun j v -> if j = i then diag := v else acc := !acc +. (v *. x.(j)));
-        let denom = Ctmc.exit_rate ctmc i -. !diag in
-        let x' = (constant.(i) +. !acc) /. denom in
-        delta := Float.max !delta (Float.abs (x' -. x.(i)));
-        x.(i) <- x'
+        let d = Float.abs (x.(i) -. prev.(i)) in
+        if d > !delta || d <> d then delta := d;
+        prev.(i) <- x.(i)
       end
     done;
     if !delta <= tol then { Solver.iterations = k; residual = !delta; converged = true }

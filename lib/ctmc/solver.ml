@@ -40,11 +40,11 @@ let observe_run name (result, st) =
           st.residual);
   (result, st)
 
-type operator = { dim : int; apply : Vec.t -> Vec.t }
+type operator = { dim : int; apply_into : Vec.t -> Vec.t -> unit }
 
 let operator_of_csr m =
   if Csr.rows m <> Csr.cols m then invalid_arg "Solver.operator_of_csr: not square";
-  { dim = Csr.rows m; apply = (fun x -> Csr.vec_mul x m) }
+  { dim = Csr.rows m; apply_into = (fun x y -> Csr.vec_mul_into x m y) }
 
 type ordering = Natural | Rcm
 
@@ -56,17 +56,19 @@ let power ?(tol = 1e-12) ?(max_iter = 100_000) ?initial op =
         if Array.length v <> op.dim then invalid_arg "Solver.power: initial size mismatch";
         Vec.copy v
   in
-  let rec loop pi k =
-    let next = op.apply pi in
+  (* Two buffers, swapped each iteration: the product of one iterate
+     overwrites the iterate before it. *)
+  let rec loop pi next k =
+    op.apply_into pi next;
     Vec.normalize1 next;
     let diff = Vec.diff_inf next pi in
     if diff <= tol then (next, { iterations = k; residual = diff; converged = true })
     else if k >= max_iter then
       (next, { iterations = k; residual = diff; converged = false })
-    else loop next (k + 1)
+    else loop next pi (k + 1)
   in
   Trace.with_span ~cat:"solve" "solver.power" (fun () ->
-      observe_run "solver.power" (loop pi 1))
+      observe_run "solver.power" (loop pi (Array.make op.dim 0.0) 1))
 
 let steady_state ?tol ?max_iter ctmc =
   let p, _lambda = Ctmc.uniformized ctmc in
@@ -162,13 +164,13 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
   let n = op.dim in
   if n = 0 then invalid_arg "Solver.krylov: empty operator";
   let c = n - 1 in
-  let apply_a x =
-    let y = op.apply x in
+  (* y := x A *)
+  let apply_a x y =
+    op.apply_into x y;
     for j = 0 to n - 1 do
       y.(j) <- y.(j) -. x.(j)
     done;
-    y.(c) <- Vec.sum x;
-    y
+    y.(c) <- Vec.sum x
   in
   let inv_d =
     match diag with
@@ -193,21 +195,25 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
         if Array.length v <> n then invalid_arg "Solver.krylov: initial size mismatch";
         Vec.copy v
   in
-  let r = apply_a x in
+  let r = Array.make n 0.0 in
+  apply_a x r;
   for j = 0 to n - 1 do
     r.(j) <- -.r.(j)
   done;
   r.(c) <- 1.0 +. r.(c);
   (* r = b - x A with b = e_c *)
-  let rhat = ref (Vec.copy r) in
+  let rhat = Vec.copy r in
   let rho = ref 1.0 and alpha = ref 1.0 and omega = ref 1.0 in
   let v = Array.make n 0.0 and p = Array.make n 0.0 in
   (* Per-step vectors, allocated once: each step overwrites them. *)
   let phat = Array.make n 0.0 and shat = Array.make n 0.0 and s = Array.make n 0.0 in
+  let t = Array.make n 0.0 in
   let finish k res converged =
     (* Best-effort clean-up into a probability vector: tiny negative
        components are numerical noise of the linear solve. *)
-    Array.iteri (fun j xv -> if xv < 0.0 then x.(j) <- 0.0) x;
+    for j = 0 to n - 1 do
+      if x.(j) < 0.0 then x.(j) <- 0.0
+    done;
     if Vec.sum x > 0.0 then Vec.normalize1 x
     else Array.fill x 0 n (1.0 /. float_of_int n);
     (x, { iterations = k; residual = res; converged })
@@ -218,19 +224,19 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
     if res <= tol then finish k res true
     else if k >= max_iter then finish k res false
     else begin
-      let rho' = Vec.dot !rhat r in
+      let rho' = Vec.dot rhat r in
       let rho' =
         if Float.abs rho' >= tiny then rho'
         else begin
           (* Serious breakdown (shadow residual orthogonal to the
              residual): restart with a fresh shadow direction. *)
-          rhat := Vec.copy r;
+          Array.blit r 0 rhat 0 n;
           rho := 1.0;
           alpha := 1.0;
           omega := 1.0;
           Array.fill p 0 n 0.0;
           Array.fill v 0 n 0.0;
-          Vec.dot !rhat r
+          Vec.dot rhat r
         end
       in
       if Float.abs rho' < tiny then finish k res false
@@ -240,8 +246,8 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
           p.(j) <- r.(j) +. (beta *. (p.(j) -. (!omega *. v.(j))))
         done;
         precond p phat;
-        Array.blit (apply_a phat) 0 v 0 n;
-        let denom = Vec.dot !rhat v in
+        apply_a phat v;
+        let denom = Vec.dot rhat v in
         if Float.abs denom < tiny then finish k res false
         else begin
           alpha := rho' /. denom;
@@ -256,7 +262,7 @@ let krylov ?(tol = 1e-12) ?(max_iter = 10_000) ?initial ?diag op =
           end
           else begin
             precond s shat;
-            let t = apply_a shat in
+            apply_a shat t;
             let tt = Vec.dot t t in
             if tt < tiny then begin
               Vec.axpy ~alpha:!alpha phat x;
@@ -347,10 +353,16 @@ let transient_operator ?(epsilon = 1e-12) ~t ~lambda op pi0 =
     Trace.with_span ~cat:"solve" "solver.transient" (fun () ->
         let weights, deficit = poisson_weights_deficit ~epsilon ~qt:(lambda *. t) in
         let result = Array.make (Array.length pi0) 0.0 in
-        let current = ref (Vec.copy pi0) in
+        (* Two buffers, swapped after each product. *)
+        let current = ref (Vec.copy pi0) and next = ref (Array.make op.dim 0.0) in
         Array.iteri
           (fun k w ->
-            if k > 0 then current := op.apply !current;
+            if k > 0 then begin
+              op.apply_into !current !next;
+              let prev = !current in
+              current := !next;
+              next := prev
+            end;
             Vec.axpy ~alpha:w !current result)
           weights;
         Trace.add_args [ ("terms", Trace.Int (Array.length weights)) ];

@@ -21,13 +21,17 @@ type stats = {
 
 type operator = {
   dim : int;
-  apply : Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t;
-      (** [apply x] is the row-vector product [x * P] for a DTMC matrix
-          [P]. *)
+  apply_into : Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t -> unit;
+      (** [apply_into x y] overwrites [y] with the row-vector product
+          [x * P] for a DTMC matrix [P]; [x] and [y] are distinct
+          vectors of length [dim].  The solvers below allocate their
+          vectors once and pass them in, so an iteration allocates no
+          vector. *)
 }
 
 val operator_of_csr : Mdl_sparse.Csr.t -> operator
-(** @raise Invalid_argument if the matrix is not square. *)
+(** Through {!Mdl_sparse.Csr.vec_mul_into}.
+    @raise Invalid_argument if the matrix is not square. *)
 
 type ordering =
   | Natural  (** Sweep in the chain's own state numbering. *)

@@ -56,9 +56,7 @@ let potential_size t = Array.fold_left ( * ) 1 t.level_sizes
 let identity_local n = Csr.identity n
 
 (* A level's suffixes, each an event's chain from that level down, are
-   numbered in creation order, equal suffixes sharing a number.  A
-   suffix whose local matrix is all zero is the zero matrix whatever
-   lies below it, so its child is ignored. *)
+   numbered in creation order, equal suffixes sharing a number. *)
 module Suffix_table = Hashtbl.Make (struct
   type t = Csr.t * int
 
@@ -84,7 +82,7 @@ let to_md t =
     if l > nlevels then Md.terminal md
     else
       let child = suffix e (l + 1) and w = e.locals.(l - 1) in
-      let key = (w, if Csr.nnz w = 0 then -1 else child) in
+      let key = (w, child) in
       match Suffix_table.find_opt numbers.(l - 1) key with
       | Some s -> s
       | None ->
@@ -149,14 +147,20 @@ let to_md t =
           Sum_table.add memo.(l - 1) sum r;
           r
   in
-  (* The root sums each entry over the events in reverse list order, a
-     node below over its suffixes in ascending number, and the root,
-     committed divided like every node, is then multiplied back by its
-     factor: the float order and node ids the golden diagrams in the
+  (* An event with an all-zero local matrix at some level adds the zero
+     matrix and is left out: kept, it would leave entries on the empty
+     node.  The root sums each entry over the events in reverse list
+     order, a node below over its suffixes in ascending number, and the
+     root, committed divided like every node, is then multiplied back by
+     its factor: the float order and node ids the golden diagrams in the
      tests pin. *)
   let root, gamma =
     build 1
-      (List.fold_left (fun acc e -> (e.locals.(0), suffix e 2, e.rate) :: acc) [] t.event_list)
+      (List.fold_left
+         (fun acc e ->
+           if Array.exists (fun w -> Csr.nnz w = 0) e.locals then acc
+           else (e.locals.(0), suffix e 2, e.rate) :: acc)
+         [] t.event_list)
   in
   let rescaled r =
     Array.of_list (List.map (fun (c, s) -> (c, Formal_sum.scale gamma s)) (Md.node_row md root r))

@@ -53,8 +53,9 @@ val to_md : t -> Mdl_md.Md.t
 
     Each event's chain of local matrices from a level down (its suffix)
     is numbered once per level; nodes are memoised per sum of suffixes
-    and committed bottom-up.  A suffix whose local matrix is all zero is
-    the empty node whatever lies below it. *)
+    and committed bottom-up.  An event with an all-zero local matrix at
+    some level adds nothing and is left out, so that no entry refers to
+    an empty node. *)
 
 val vec_mul : t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
 (** [vec_mul k x] is the row-vector product [x * R] over the {e

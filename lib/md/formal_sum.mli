@@ -8,7 +8,10 @@
     local lumping keys rely on ("two formal sums are equal if their
     corresponding sets are equal"). *)
 
-type t
+type t = private (int * float) array
+(** The terms [(node, coefficient)] in canonical order.  The
+    representation is readable, for loops that must not build a list
+    ({!Md_vector}'s co-walk), but only this module constructs sums. *)
 
 val empty : t
 

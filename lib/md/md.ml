@@ -236,6 +236,8 @@ let node_row t id r =
   if r < 0 || r >= Array.length nd.rows then invalid_arg "Md.node_row: row out of range";
   Array.to_list nd.rows.(r)
 
+let node_rows t id = (node t id).rows
+
 let iter_node_entries t id f =
   let nd = node t id in
   Array.iteri (fun r row -> Array.iter (fun (c, s) -> f r c s) row) nd.rows

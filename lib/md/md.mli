@@ -96,6 +96,11 @@ val node_level : t -> node_id -> int
 val node_row : t -> node_id -> int -> (int * Formal_sum.t) list
 (** Entries of one row, ascending column order. *)
 
+val node_rows : t -> node_id -> (int * Formal_sum.t) array array
+(** The node's row table itself, not a copy: row [r] holds its entries
+    in ascending column order.  For loops that must not allocate
+    ({!Md_vector}); the caller must not mutate it. *)
+
 val node_col : t -> node_id -> int -> (int * Formal_sum.t) list
 (** Entries of one column, ascending row order (transposed access,
     computed lazily per node and cached).  The cache fill mutates the

@@ -1,68 +1,165 @@
 let fail fn what = invalid_arg (Printf.sprintf "Md_vector.%s: %s" fn what)
 
-let check_levels md ss fn =
-  if Md.levels md <> Statespace.levels ss then fail fn "level count mismatch"
+type t = {
+  md : Md.t;
+  md_root : Md.node_id;
+  nlevels : int;
+  size : int;
+  root : int; (* the state space's root node *)
+  (* For each state-space node, indexed by local state: the arc's offset
+     ([-1] when the node has no arc on it) and its child node. *)
+  offsets : int array array;
+  children : int array array;
+  (* [scale.(l)]: the product of the coefficients on the path above a
+     level-[l] node.  The walk passes coefficients through it, so that
+     no float crosses a call. *)
+  scale : float array;
+}
 
-let check_size ss x fn = if Array.length x <> Statespace.size ss then fail fn "vector size mismatch"
-
-(* Co-walk the diagram with row/column cursors over the state space,
-   accumulating path offsets; [emit] is called once per terminal path
-   with the final (row index, column index, rate).  Paths are visited,
-   and their coefficients multiplied, in {!Md.iter_entries} order. *)
-let co_walk md ss emit =
+let create md ss =
+  if Md.levels md <> Statespace.levels ss then fail "create" "level count mismatch";
   let nlevels = Md.levels md in
-  let rec walk id row_node col_node row_off col_off coeff =
-    if Md.node_level md id > nlevels then emit row_off col_off coeff
-    else
-      (* Entries come row by row, so the row arc is looked up once per row. *)
-      let row = ref (-1) and row_arc = ref None in
-      Md.iter_node_entries md id (fun r c sum ->
-          if r <> !row then begin
-            row := r;
-            row_arc := Statespace.arc ss row_node r
-          end;
-          match !row_arc with
-          | None -> ()
-          | Some (ro, row_child) -> (
-              match Statespace.arc ss col_node c with
-              | None -> ()
-              | Some (co, col_child) ->
-                  List.iter
-                    (fun (child, w) ->
-                      walk child row_child col_child (row_off + ro) (col_off + co)
-                        (coeff *. w))
-                    (Formal_sum.terms sum)))
+  let nodes = Statespace.num_nodes ss + 1 in
+  let offsets = Array.make nodes [||] and children = Array.make nodes [||] in
+  let rec fill level (n : Statespace.node) =
+    (* Every level has at least one local state, so an empty table
+       marks a node not yet filled. *)
+    if level <= nlevels && Array.length offsets.((n :> int)) = 0 then begin
+      let width = Md.size md level in
+      let off = Array.make width (-1) and kid = Array.make width 0 in
+      offsets.((n :> int)) <- off;
+      children.((n :> int)) <- kid;
+      Statespace.iter_arcs ss n (fun v o child ->
+          if v < 0 || v >= width then fail "create" "substate out of range";
+          off.(v) <- o;
+          kid.(v) <- (child :> int);
+          fill (level + 1) child)
+    end
   in
-  walk (Md.root md) (Statespace.root ss) (Statespace.root ss) 0 0 1.0
+  let root = Statespace.root ss in
+  fill 1 root;
+  {
+    md;
+    md_root = Md.root md;
+    nlevels;
+    size = Statespace.size ss;
+    root = (root :> int);
+    offsets;
+    children;
+    scale = Array.make (nlevels + 2) 1.0;
+  }
 
-let vec_mul md ss x =
-  check_levels md ss "vec_mul";
-  check_size ss x "vec_mul";
-  let y = Array.make (Statespace.size ss) 0.0 in
-  co_walk md ss (fun i j v -> if x.(i) <> 0.0 then y.(j) <- y.(j) +. (x.(i) *. v));
-  y
+(* What the walk does with each path's (row index [i], column index [j],
+   product [v]), and which of its buffer arguments it uses:
+   - [Product]: [ys.(j) += xs.(i) * v], skipping rows where [xs.(i) = 0];
+   - [Row_sums]: [ys.(i) += v];
+   - [Diag]: [ys.(i) += v] when [i = j];
+   - [Count]: [is.(i + 1) += 1] when [v <> 0];
+   - [Fill]: slot [is.(i)] of [js] and [ys] gets [(j, v)] when [v <> 0],
+     and [is.(i)] moves on. *)
+type op = Product | Row_sums | Diag | Count | Fill
 
-let row_sums md ss =
-  check_levels md ss "row_sums";
-  let sums = Array.make (Statespace.size ss) 0.0 in
-  co_walk md ss (fun i _ v -> sums.(i) <- sums.(i) +. v);
+(* The bottom level: the loop over a level-[L] node's entries, with the
+   path's product read once from [scale]. *)
+let bottom t op (xs : float array) (ys : float array) (is : int array) (js : int array) id
+    rn cn ro co =
+  let s = t.scale.(t.nlevels) in
+  let rows = Md.node_rows t.md id in
+  let roffs = t.offsets.(rn) and coffs = t.offsets.(cn) in
+  for r = 0 to Array.length rows - 1 do
+    let roff = roffs.(r) in
+    if roff >= 0 then begin
+      let i = ro + roff and row = rows.(r) in
+      if op <> Product || xs.(i) <> 0.0 then
+        for k = 0 to Array.length row - 1 do
+          let c, sum = row.(k) in
+          let coff = coffs.(c) in
+          if coff >= 0 then begin
+            let j = co + coff and terms = (sum :> (int * float) array) in
+            for m = 0 to Array.length terms - 1 do
+              let _, w = terms.(m) in
+              let v = s *. w in
+              match op with
+              | Product -> ys.(j) <- ys.(j) +. (xs.(i) *. v)
+              | Row_sums -> ys.(i) <- ys.(i) +. v
+              | Diag -> if i = j then ys.(i) <- ys.(i) +. v
+              | Count -> if v <> 0.0 then is.(i + 1) <- is.(i + 1) + 1
+              | Fill ->
+                  if v <> 0.0 then begin
+                    let p = is.(i) in
+                    js.(p) <- j;
+                    ys.(p) <- v;
+                    is.(i) <- p + 1
+                  end
+            done
+          end
+        done
+    end
+  done
+
+(* Co-walk the diagram from node [id] at [level] with a row cursor [rn]
+   and a column cursor [cn] over the state space, [ro] and [co] the
+   offsets accumulated above.  Paths are visited, and their coefficients
+   multiplied, in {!Md.iter_entries} order; unreachable rows and columns
+   are pruned where their arc is missing. *)
+let rec walk t op xs ys is js level id rn cn ro co =
+  if level = t.nlevels then bottom t op xs ys is js id rn cn ro co
+  else begin
+    let s = t.scale.(level) in
+    let rows = Md.node_rows t.md id in
+    let roffs = t.offsets.(rn) and rkids = t.children.(rn) in
+    let coffs = t.offsets.(cn) and ckids = t.children.(cn) in
+    for r = 0 to Array.length rows - 1 do
+      let roff = roffs.(r) in
+      if roff >= 0 then begin
+        let row = rows.(r) and rchild = rkids.(r) in
+        for k = 0 to Array.length row - 1 do
+          let c, sum = row.(k) in
+          let coff = coffs.(c) in
+          if coff >= 0 then begin
+            let terms = (sum :> (int * float) array) in
+            for m = 0 to Array.length terms - 1 do
+              let child, w = terms.(m) in
+              t.scale.(level + 1) <- s *. w;
+              walk t op xs ys is js (level + 1) child rchild ckids.(c) (ro + roff)
+                (co + coff)
+            done
+          end
+        done
+      end
+    done
+  end
+
+let run t op xs ys is js = walk t op xs ys is js 1 t.md_root t.root t.root 0 0
+
+let vec_mul_into t x y =
+  if Array.length x <> t.size || Array.length y <> t.size then
+    fail "vec_mul_into" "vector size mismatch";
+  if x == y then fail "vec_mul_into" "x and y are the same vector";
+  Array.fill y 0 t.size 0.0;
+  run t Product x y [||] [||]
+
+let row_sums t =
+  let sums = Array.make t.size 0.0 in
+  run t Row_sums [||] sums [||] [||];
   sums
 
-let to_csr md ss =
-  check_levels md ss "to_csr";
-  for l = 1 to Statespace.levels ss do
-    List.iter
-      (fun v -> if v < 0 || v >= Md.size md l then fail "to_csr" "substate out of range")
-      (Statespace.local_states ss l)
-  done;
-  let n = Statespace.size ss in
-  (* The co-walk emits the entries of [Md.iter_entries] restricted to
-     [ss], in the same order and with the same products, straight into
-     the two-pass count-then-fill constructor. *)
-  Mdl_sparse.Csr.of_entry_iter ~rows:n ~cols:n (co_walk md ss)
-
-let diag md ss =
-  check_levels md ss "diag";
-  let d = Array.make (Statespace.size ss) 0.0 in
-  co_walk md ss (fun i j v -> if i = j then d.(i) <- d.(i) +. v);
+let diag t =
+  let d = Array.make t.size 0.0 in
+  run t Diag [||] d [||] [||];
   d
+
+let to_csr t =
+  let n = t.size in
+  (* The count-then-fill construction of [Csr.of_entry_iter], with the
+     walk as the entry producer: the entries of [Md.iter_entries]
+     restricted to the state space, in the same order and with the same
+     products. *)
+  let base = Array.make (n + 1) 0 in
+  run t Count [||] [||] base [||];
+  for i = 0 to n - 1 do
+    base.(i + 1) <- base.(i + 1) + base.(i)
+  done;
+  let col_idx = Array.make base.(n) 0 and values = Array.make base.(n) 0.0 in
+  run t Fill [||] values (Array.sub base 0 n) col_idx;
+  Mdl_sparse.Csr.of_row_slots ~rows:n ~cols:n base col_idx values

@@ -251,10 +251,11 @@ let arc_pos d v =
   done;
   !pos
 
-let arc t n v =
+let iter_arcs t n f =
   let d = t.nodes.(n) in
-  let i = arc_pos d v in
-  if i < 0 then None else Some (d.offsets.(i), d.children.(i))
+  for i = 0 to Array.length d.labels - 1 do
+    f d.labels.(i) d.offsets.(i) d.children.(i)
+  done
 
 let index t s =
   if Array.length s <> t.nlevels then None

@@ -12,14 +12,15 @@
     per lookup for nodes of at most [k] arcs, with no hashing.  No
     per-state array is kept; solution vectors are indexed by these
     numbers, and vector products co-walk an {!Md.t} with two cursors
-    ({!root}, {!arc}), pruning unreachable branches wholesale (see
-    {!Md_vector}). *)
+    over the nodes ({!root}, {!iter_arcs}), pruning unreachable
+    branches wholesale (see {!Md_vector}). *)
 
 type t
 
-type node
+type node = private int
 (** A node at some level; the root is at level 1, the terminal below
-    level [L]. *)
+    level [L].  Nodes are numbered [0 .. num_nodes t], [0] being the
+    terminal, so a caller can keep per-node tables in arrays. *)
 
 val of_tuples : levels:int -> int array list -> t
 (** Build from a list of length-[levels] tuples by sorting them
@@ -93,10 +94,10 @@ val local_states : t -> int -> int list
 
 val root : t -> node
 
-val arc : t -> node -> int -> (int * node) option
-(** [arc t n s] follows local state [s] out of node [n]: returns the
-    offset (number of states before [s] within [n]) and the child node,
-    or [None] when no member state has substate [s] here.  The child of
-    a level-[L] node is the terminal. *)
+val iter_arcs : t -> node -> (int -> int -> node -> unit) -> unit
+(** [iter_arcs t n f] calls [f s offset child] for each arc of node [n],
+    in increasing local state [s]: [offset] is the number of states
+    before [s] within [n].  The child of a level-[L] node is the
+    terminal, which has no arcs. *)
 
 val pp : Format.formatter -> t -> unit

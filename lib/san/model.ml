@@ -177,22 +177,27 @@ let finalize t rel old_ss old_initial =
             m)
           occurring
       in
-      (* Transitions into non-occurring local states cannot fire in any
-         reachable global state and are dropped; targets first interned
-         here lie beyond [remap] and are among them. *)
+      (* A level an event leaves alone ([identity_effect]) gets the one
+         identity matrix of that level; the cells would spell out the
+         same matrix.  Transitions into non-occurring local states cannot
+         fire in any reachable global state and are dropped; targets
+         first interned here lie beyond [remap] and are among them. *)
+      let identities = Array.map (fun olds -> Csr.identity (Array.length olds)) occurring in
       let local_matrix e k =
         let olds = occurring.(k) and remap = remap.(k) in
         let n = Array.length olds in
-        Csr.of_entry_iter ~rows:n ~cols:n (fun f ->
-            Array.iteri
-              (fun i old ->
-                let c = cell rel e k old in
-                Array.iteri
-                  (fun x target ->
-                    if target < Array.length remap && remap.(target) >= 0 then
-                      f i remap.(target) c.weights.(x))
-                  c.targets)
-              olds)
+        if rel.evts.(e).effects.(k) == identity_effect then identities.(k)
+        else
+          Csr.of_entry_iter ~rows:n ~cols:n (fun f ->
+              Array.iteri
+                (fun i old ->
+                  let c = cell rel e k old in
+                  Array.iteri
+                    (fun x target ->
+                      if target < Array.length remap && remap.(target) >= 0 then
+                        f i remap.(target) c.weights.(x))
+                    c.targets)
+                olds)
       in
       let kron_events =
         Array.to_list rel.evts

@@ -97,6 +97,57 @@ let sort_row_segment (cols : int array) (vals : float array) lo len =
       Array.blit sv 0 vals lo len
     end
 
+(* Order each row's columns, fold duplicates, drop entries that cancel
+   to exactly 0., compacting in place: the write cursor never overtakes
+   the read cursor because earlier rows only shrink. *)
+let of_row_slots ~rows ~cols (base : int array) (col_idx : int array) (values : float array)
+    =
+  let padded = Array.length col_idx in
+  if
+    rows < 0 || cols < 0
+    || Array.length base <> rows + 1
+    || base.(0) <> 0
+    || base.(rows) <> padded
+    || Array.length values <> padded
+  then invalid_arg "Csr.of_row_slots: slot layout does not match the arrays";
+  let row_ptr = Array.make (rows + 1) 0 in
+  let w = ref 0 in
+  for i = 0 to rows - 1 do
+    let lo = base.(i) and hi = base.(i + 1) in
+    if hi < lo then invalid_arg "Csr.of_row_slots: decreasing row offsets";
+    for k = lo to hi - 1 do
+      let c = col_idx.(k) in
+      if c < 0 || c >= cols then
+        invalid_arg
+          (Printf.sprintf "Csr.of_row_slots: (%d,%d) out of bounds for %dx%d" i c rows cols)
+    done;
+    sort_row_segment col_idx values lo (hi - lo);
+    let r = ref lo in
+    while !r < hi do
+      let c = col_idx.(!r) in
+      let acc = ref values.(!r) in
+      incr r;
+      while !r < hi && col_idx.(!r) = c do
+        acc := !acc +. values.(!r);
+        incr r
+      done;
+      if !acc <> 0.0 then begin
+        col_idx.(!w) <- c;
+        values.(!w) <- !acc;
+        incr w
+      end
+    done;
+    row_ptr.(i + 1) <- !w
+  done;
+  let m = !w in
+  {
+    rows;
+    cols;
+    row_ptr;
+    col_idx = (if m = padded then col_idx else Array.sub col_idx 0 m);
+    values = (if m = padded then values else Array.sub values 0 m);
+  }
+
 let of_entry_iter ~rows ~cols iter =
   if rows < 0 || cols < 0 then invalid_arg "Csr.of_entry_iter: negative dimension";
   (* Pass 1: count the (possibly duplicate) nonzero entries per row and
@@ -129,39 +180,7 @@ let of_entry_iter ~rows ~cols iter =
     if next.(i) <> base.(i + 1) then
       invalid_arg "Csr.of_entry_iter: iteration is not repeatable"
   done;
-  (* Order each row's columns, fold duplicates, drop entries that cancel
-     to exactly 0., compacting in place: the write cursor never
-     overtakes the read cursor because earlier rows only shrink. *)
-  let row_ptr = Array.make (rows + 1) 0 in
-  let w = ref 0 in
-  for i = 0 to rows - 1 do
-    let lo = base.(i) and hi = base.(i + 1) in
-    sort_row_segment col_idx values lo (hi - lo);
-    let r = ref lo in
-    while !r < hi do
-      let c = col_idx.(!r) in
-      let acc = ref values.(!r) in
-      incr r;
-      while !r < hi && col_idx.(!r) = c do
-        acc := !acc +. values.(!r);
-        incr r
-      done;
-      if !acc <> 0.0 then begin
-        col_idx.(!w) <- c;
-        values.(!w) <- !acc;
-        incr w
-      end
-    done;
-    row_ptr.(i + 1) <- !w
-  done;
-  let m = !w in
-  {
-    rows;
-    cols;
-    row_ptr;
-    col_idx = (if m = padded then col_idx else Array.sub col_idx 0 m);
-    values = (if m = padded then values else Array.sub values 0 m);
-  }
+  of_row_slots ~rows ~cols base col_idx values
 
 let of_dense d =
   let rows = Array.length d in
@@ -326,9 +345,11 @@ let mul_vec t x =
   done;
   y
 
-let vec_mul x t =
-  if Array.length x <> t.rows then invalid_arg "Csr.vec_mul: dimension mismatch";
-  let y = Array.make t.cols 0.0 in
+let vec_mul_into x t (y : Vec.t) =
+  if Array.length x <> t.rows || Array.length y <> t.cols then
+    invalid_arg "Csr.vec_mul_into: dimension mismatch";
+  if x == y then invalid_arg "Csr.vec_mul_into: x and y are the same vector";
+  Array.fill y 0 t.cols 0.0;
   for i = 0 to t.rows - 1 do
     let xi = x.(i) in
     if xi <> 0.0 then
@@ -336,7 +357,12 @@ let vec_mul x t =
         let j = t.col_idx.(k) in
         y.(j) <- y.(j) +. (xi *. t.values.(k))
       done
-  done;
+  done
+
+let vec_mul x t =
+  if Array.length x <> t.rows then invalid_arg "Csr.vec_mul: dimension mismatch";
+  let y = Array.make t.cols 0.0 in
+  vec_mul_into x t y;
   y
 
 let sor_sweep t ~diag ~relax x =
@@ -352,6 +378,27 @@ let sor_sweep t ~diag ~relax x =
     done;
     let gs = !incoming /. -.diag.(j) in
     x.(j) <- (if relax = 1.0 then gs else ((1.0 -. relax) *. x.(j)) +. (relax *. gs))
+  done
+
+let gs_sweep t ~denom ~constant ~active x =
+  let n = t.rows in
+  if
+    t.cols <> n
+    || Array.length denom <> n
+    || Array.length constant <> n
+    || Array.length active <> n
+    || Array.length x <> n
+  then invalid_arg "Csr.gs_sweep: dimension mismatch";
+  let row_ptr = t.row_ptr and col_idx = t.col_idx and values = t.values in
+  for i = 0 to n - 1 do
+    if active.(i) then begin
+      let acc = ref 0.0 in
+      for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        let j = col_idx.(k) in
+        if j <> i then acc := !acc +. (values.(k) *. x.(j))
+      done;
+      x.(i) <- (constant.(i) +. !acc) /. denom.(i)
+    end
   done
 
 let to_dense t =
@@ -386,7 +433,15 @@ let hash t =
     t;
   !h
 
-let identity n = of_triplets ~rows:n ~cols:n (List.init n (fun i -> (i, i, 1.0)))
+let identity n =
+  if n < 0 then invalid_arg "Csr.identity: negative dimension";
+  {
+    rows = n;
+    cols = n;
+    row_ptr = Array.init (n + 1) Fun.id;
+    col_idx = Array.init n Fun.id;
+    values = Array.make n 1.0;
+  }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%dx%d, %d nnz" t.rows t.cols (nnz t);

@@ -29,6 +29,19 @@ val of_entry_iter :
     @raise Invalid_argument on out-of-bounds entries or when the two
     passes disagree. *)
 
+val of_row_slots :
+  rows:int -> cols:int -> int array -> int array -> float array -> t
+(** [of_row_slots ~rows ~cols base col_idx values] is the last step of a
+    count-then-fill construction such as {!of_entry_iter}'s: row [i]'s
+    entries sit in slots [base.(i)] to [base.(i+1) - 1] of [col_idx]
+    and [values], in any column order, duplicates allowed (summed in
+    slot order; entries that cancel to exactly [0.] are dropped).  The
+    arrays are taken over and may be reused for the result: the caller
+    must not use them afterwards.
+    @raise Invalid_argument unless [base] holds [rows + 1]
+    nondecreasing offsets from [0] to the common length of [col_idx]
+    and [values], or on a column outside [0 .. cols - 1]. *)
+
 val rows : t -> int
 
 val cols : t -> int
@@ -82,6 +95,12 @@ val mul_vec : t -> Vec.t -> Vec.t
 val vec_mul : Vec.t -> t -> Vec.t
 (** [vec_mul x a] is [x A] (row vector times matrix). *)
 
+val vec_mul_into : Vec.t -> t -> Vec.t -> unit
+(** [vec_mul_into x a y] overwrites [y] with [x A], summed as
+    {!vec_mul} sums it, and allocates nothing.
+    @raise Invalid_argument on a dimension mismatch, or if [x] and [y]
+    are the same array. *)
+
 val sor_sweep : t -> diag:Vec.t -> relax:float -> Vec.t -> unit
 (** [sor_sweep a ~diag ~relax x] is one in-place Gauss–Seidel sweep
     (SOR when [relax < 1.]) on [x Q = 0], where row [j] of the square
@@ -96,6 +115,20 @@ val sor_sweep : t -> diag:Vec.t -> relax:float -> Vec.t -> unit
     normalised.
     @raise Invalid_argument if [a] is not square or [diag] or [x] do
     not match its size. *)
+
+val gs_sweep :
+  t -> denom:Vec.t -> constant:Vec.t -> active:bool array -> Vec.t -> unit
+(** [gs_sweep a ~denom ~constant ~active x] is one in-place Gauss–Seidel
+    sweep on [x(i) = (constant(i) + sum_{j<>i} a(i,j) x(j)) / denom(i)],
+    the absorption equations over the rows of a rate matrix [a]: for
+    each [i] with [active.(i)], in increasing order, it sums
+    [a(i,j) *. x.(j)] over the stored entries of row [i] in column
+    order, skipping column [i], and overwrites [x.(i)] with
+    [(constant.(i) +. sum) /. denom.(i)].  Later rows read the values
+    already overwritten; inactive entries are left as they are.
+    Allocates nothing.
+    @raise Invalid_argument if [a] is not square or a vector does not
+    match its size. *)
 
 val to_dense : t -> float array array
 

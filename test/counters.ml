@@ -13,3 +13,14 @@ let of_run names f =
   let r = Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) f in
   let values = List.map (fun n -> (n, Metrics.counter_value n)) names in
   (r, fun n -> List.assoc n values)
+
+(* [words f] is the number of words [f ()] allocates, minor and major
+   heap together ([Gc.allocated_bytes]'s count: a vector of more than
+   256 floats goes straight to the major heap, where [Gc.minor_words]
+   does not see it).  The minor heap is emptied first, so that what is
+   promoted during [f] is [f]'s own. *)
+let words f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)

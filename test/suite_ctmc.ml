@@ -135,6 +135,24 @@ let test_krylov_birth_death () =
     (stats.Solver.iterations <= stats_p.Solver.iterations);
   Alcotest.(check bool) "matches power" true (Vec.diff_inf pi pi_p < 1e-9)
 
+(* BiCGStab on a CSR operator allocates its vectors once: with [tol] 0
+   it runs exactly [max_iter] steps, and 10 more steps on 2,000 states
+   cost less than one vector's worth of words (each step used to
+   allocate two). *)
+let test_krylov_allocation_flat_in_steps () =
+  let n = 2_000 in
+  let p, _ = Ctmc.uniformized (birth_death n 2.0 3.0) in
+  let op = Solver.operator_of_csr p and diag = Csr.diagonal p in
+  let solve steps () =
+    let _, st = Solver.krylov ~tol:0.0 ~max_iter:steps ~diag op in
+    Alcotest.(check int) "steps" steps st.Solver.iterations
+  in
+  let extra = Counters.words (solve 20) -. Counters.words (solve 10) in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 more steps allocate %.0f words" extra)
+    true
+    (extra < float_of_int n)
+
 let test_krylov_trivial_chain () =
   (* One state: the normalisation column makes the 1x1 system [1] x = 1. *)
   let c = Ctmc.of_triplets 1 [ (0, 0, 2.0) ] in
@@ -369,6 +387,28 @@ let test_absorption_probabilities () =
            ~absorbing:(fun i -> i = 0 || i = 4)
            ~target:(fun i -> i = 2)))
 
+(* A sweep of the absorption solver allocates nothing: with [tol] 0 the
+   solve runs exactly [max_iter] sweeps, and 10 more sweeps over 2,000
+   states cost no more words than the set-up's variation. *)
+let test_absorption_sweep_allocates_nothing () =
+  let n = 2_000 in
+  let c =
+    Ctmc.of_triplets n
+      (List.concat
+         (List.init (n - 1) (fun i -> [ (i, i + 1, 1.0); (i + 1, i, 0.5 +. float_of_int (i mod 3)) ])))
+  in
+  let solve sweeps () =
+    let _, st =
+      Mdl_ctmc.Absorption.mean_time_to_absorption ~tol:0.0 ~max_iter:sweeps c
+        ~absorbing:(fun i -> i = n - 1)
+    in
+    Alcotest.(check int) "sweeps" sweeps st.Solver.iterations
+  in
+  let extra = Counters.words (solve 20) -. Counters.words (solve 10) in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 more sweeps allocate %.0f words" extra)
+    true (extra < 100.0)
+
 let test_mtta_agrees_with_transient_tail () =
   (* MTTA equals the integral of the survival probability: cross-check
      against transient analysis on a small random-ish chain. *)
@@ -528,6 +568,8 @@ let tests =
     Alcotest.test_case "gauss-seidel nan iterate never converges" `Quick
       test_gauss_seidel_nan_never_converges;
     Alcotest.test_case "krylov birth-death" `Quick test_krylov_birth_death;
+    Alcotest.test_case "krylov allocation flat in steps" `Quick
+      test_krylov_allocation_flat_in_steps;
     Alcotest.test_case "krylov trivial chain" `Quick test_krylov_trivial_chain;
     Alcotest.test_case "steady_state_with dispatch" `Quick test_steady_state_with_dispatch;
     Alcotest.test_case "poisson weights match pmf" `Quick test_poisson_weights_match_pmf;
@@ -549,6 +591,8 @@ let tests =
     Alcotest.test_case "mtta with repair (closed form)" `Quick test_mtta_with_repair;
     Alcotest.test_case "mtta validation" `Quick test_mtta_validation;
     Alcotest.test_case "absorption probabilities" `Quick test_absorption_probabilities;
+    Alcotest.test_case "absorption sweep allocates nothing" `Quick
+      test_absorption_sweep_allocates_nothing;
     Alcotest.test_case "mtta = survival integral" `Slow test_mtta_agrees_with_transient_tail;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

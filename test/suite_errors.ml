@@ -129,23 +129,24 @@ let test_md_vector_level_checks () =
   let ss3 = Statespace.of_tuples ~levels:3 !split in
   Alcotest.(check int) "same states over three levels" (Statespace.size ss)
     (Statespace.size ss3);
-  let x = Array.make (Statespace.size ss3) 1.0 in
-  let mismatch fn f =
-    Alcotest.check_raises fn
-      (Invalid_argument (Printf.sprintf "Md_vector.%s: level count mismatch" fn))
-      (fun () -> ignore (f ()))
-  in
-  mismatch "to_csr" (fun () -> Md_vector.to_csr md ss3);
-  mismatch "vec_mul" (fun () -> Md_vector.vec_mul md ss3 x);
-  mismatch "row_sums" (fun () -> Md_vector.row_sums md ss3);
-  mismatch "diag" (fun () -> Md_vector.diag md ss3);
+  Alcotest.check_raises "create"
+    (Invalid_argument "Md_vector.create: level count mismatch") (fun () ->
+      ignore (Md_vector.create md ss3));
   Alcotest.check_raises "steady_state"
     (Invalid_argument "Md_solve.uniformized_operator: level count mismatch") (fun () ->
       ignore (Md_solve.steady_state md ss3));
   let past_level_2 = Statespace.of_tuples ~levels:2 [ [| 0; 0 |]; [| 0; Md.size md 2 |] ] in
   Alcotest.check_raises "substate range"
-    (Invalid_argument "Md_vector.to_csr: substate out of range") (fun () ->
-      ignore (Md_vector.to_csr md past_level_2))
+    (Invalid_argument "Md_vector.create: substate out of range") (fun () ->
+      ignore (Md_vector.create md past_level_2));
+  let w = Md_vector.create md ss in
+  let x = Array.make (Statespace.size ss) 1.0 in
+  Alcotest.check_raises "vector size"
+    (Invalid_argument "Md_vector.vec_mul_into: vector size mismatch") (fun () ->
+      Md_vector.vec_mul_into w x [| 0.0 |]);
+  Alcotest.check_raises "aliased vectors"
+    (Invalid_argument "Md_vector.vec_mul_into: x and y are the same vector") (fun () ->
+      Md_vector.vec_mul_into w x x)
 
 let test_decomposed_errors () =
   let sizes = [| 2; 2 |] in

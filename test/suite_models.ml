@@ -72,7 +72,7 @@ let test_workstations_optimality () =
       ~initial:b.Workstations.initial
   in
   let lumped_ss = Compositional.lump_statespace result ss in
-  let lumped_flat = Mdl_md.Md_vector.to_csr result.Compositional.lumped lumped_ss in
+  let lumped_flat = Mdl_md.Md_vector.(to_csr (create result.Compositional.lumped lumped_ss)) in
   let rewards_vec =
     Decomposed.to_vector (Compositional.lumped_rewards result b.Workstations.rewards_operational)
       lumped_ss
@@ -100,7 +100,7 @@ let test_workstations_exact_mode () =
   Alcotest.(check bool) "closed" true (Compositional.is_closed result ss lumped_ss);
   (* Global exact lumpability of the flat chain w.r.t. the induced
      partition on reachable states. *)
-  let flat = Mdl_md.Md_vector.to_csr b.Workstations.md ss in
+  let flat = Mdl_md.Md_vector.(to_csr (create b.Workstations.md ss)) in
   let assignment =
     Array.init (Statespace.size ss) (fun i ->
         match
@@ -262,7 +262,7 @@ let test_multitier_md_matches_semantics () =
      the other models in suite_san (inlined here to reuse the builder). *)
   let b = Multitier.build (Multitier.default ~clients:2) in
   let exp = b.Multitier.exploration in
-  let via_md = Mdl_md.Md_vector.to_csr b.Multitier.md exp.Model.statespace in
+  let via_md = Mdl_md.Md_vector.(to_csr (create b.Multitier.md exp.Model.statespace)) in
   (* row sums of R must equal the summed exit rates of the direct
      semantics; spot-check through the CTMC wrapper *)
   let ctmc = Md_solve.ctmc_of b.Multitier.md exp.Model.statespace in
@@ -431,6 +431,80 @@ let test_kanban_krylov_golden () =
   Alcotest.(check string) "residual" "0x1.043e3d78fd6e4p-40"
     (Printf.sprintf "%h" st.Solver.residual)
 
+(* The MD operator's numerics pinned on lumped tandem J=1 and Kanban
+   n=3 (which does not lump): for power iteration and BiCGStab the MD5
+   of pi's bits, the iteration count and the residual's bits; for
+   uniformisation the MD5 of the result's bits at t = 0.5 from state 0.
+   A change to the co-walk's summation order, or to the solvers' buffer
+   handling, moves a digest. *)
+let bits_digest v =
+  let b = Buffer.create (8 * Array.length v) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) v;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_md_operator_golden () =
+  List.iter
+    (fun (name, size, power, krylov, transient) ->
+      let f = Option.get (Family.find name) in
+      let b = f.Family.build (Result.get_ok (Family.resolve f ~size:(Some size) [])) in
+      let r =
+        Compositional.lump Ordinary b.Family.md ~rewards:(List.map snd b.Family.rewards)
+          ~initial:b.Family.initial
+      in
+      let md = r.Compositional.lumped in
+      let ss = Compositional.lump_statespace r b.Family.statespace in
+      let label what = Printf.sprintf "%s %d %s" name size what in
+      let check_solve what (pi, st) (digest, iterations, residual) =
+        Alcotest.(check string) (label (what ^ " pi")) digest (bits_digest pi);
+        Alcotest.(check int) (label (what ^ " iterations")) iterations st.Solver.iterations;
+        Alcotest.(check string) (label (what ^ " residual")) residual
+          (Printf.sprintf "%h" st.Solver.residual)
+      in
+      check_solve "power" (Md_solve.steady_state md ss) power;
+      check_solve "krylov" (Md_solve.steady_state_krylov md ss) krylov;
+      let pi0 = Array.make (Statespace.size ss) 0.0 in
+      pi0.(0) <- 1.0;
+      Alcotest.(check string) (label "transient") transient
+        (bits_digest (Md_solve.transient ~t:0.5 md ss pi0)))
+    [
+      ( "tandem",
+        1,
+        ("efa843d9ba7d0397121538ae19252ad0", 266, "0x1.1355p-40"),
+        ("d986e67339a6ed0cbd8bf5b788344b84", 48, "0x1.8f7cf361db344p-41"),
+        "d98b26853edbcde7c5f29c798309248a" );
+      ( "kanban",
+        3,
+        ("aa2f9300236d8ff1f6cbe304521ff0ce", 1313, "0x1.175ep-40"),
+        ("b2a58ddcc0bbf68cbf5eb4b0ad310b60", 184, "0x1.921eab81879ap-41"),
+        "58c875779db7085c8e414385b4334387" );
+    ]
+
+(* After set-up (the walk's tables, the exit rates), a product through
+   the MD operator allocates nothing: 10 products on lumped tandem J=2
+   (8,015 states) stay under 1 kword, where the old co-walk allocated
+   about 12 Mwords per product. *)
+let test_md_operator_product_allocates_nothing () =
+  let f = Option.get (Family.find "tandem") in
+  let b = f.Family.build (Result.get_ok (Family.resolve f ~size:(Some 2) [])) in
+  let r =
+    Compositional.lump Ordinary b.Family.md ~rewards:(List.map snd b.Family.rewards)
+      ~initial:b.Family.initial
+  in
+  let ss = Compositional.lump_statespace r b.Family.statespace in
+  Alcotest.(check int) "lumped states" 8015 (Statespace.size ss);
+  let op, _ = Md_solve.uniformized_operator r.Compositional.lumped ss in
+  let x = Array.make op.Solver.dim (1.0 /. float_of_int op.Solver.dim) in
+  let y = Array.make op.Solver.dim 0.0 in
+  let words =
+    Counters.words (fun () ->
+        for _ = 1 to 5 do
+          op.Solver.apply_into x y;
+          op.Solver.apply_into y x
+        done)
+  in
+  Alcotest.(check bool) (Printf.sprintf "10 products allocate %.0f words" words) true
+    (words < 1024.0)
+
 (* ---- the family catalogue ---- *)
 
 (* Listed by hand.  Adding a wire family breaks the exhaustive match
@@ -557,6 +631,9 @@ let tests =
     Alcotest.test_case "kanban gauss-seidel golden (3 cards)" `Quick
       test_kanban_gauss_seidel_golden;
     Alcotest.test_case "kanban krylov golden (3 cards)" `Quick test_kanban_krylov_golden;
+    Alcotest.test_case "MD operator golden digests" `Quick test_md_operator_golden;
+    Alcotest.test_case "MD operator product allocates nothing" `Slow
+      test_md_operator_product_allocates_nothing;
     Alcotest.test_case "catalogue: one entry per wire family" `Quick
       test_catalogue_matches_wire_families;
     Alcotest.test_case "catalogue: default builds match the family modules" `Slow

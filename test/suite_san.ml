@@ -10,6 +10,12 @@ module Statespace = Mdl_md.Statespace
 module Md_vector = Mdl_md.Md_vector
 module Kronecker = Mdl_kron.Kronecker
 
+(* [x * R] over [ss], through a walk built for the one product. *)
+let vec_mul md ss x =
+  let y = Array.make (Statespace.size ss) 0.0 in
+  Md_vector.vec_mul_into (Md_vector.create md ss) x y;
+  y
+
 let id = Model.identity_effect
 
 (* A tiny two-component model: a token moves between a 2-state switch
@@ -223,21 +229,21 @@ let test_md_matches_semantics () =
   let exp = Model.explore (tiny_model ()) in
   let md = Model.md_of exp in
   let direct = flat_rates_by_enumeration exp in
-  let via_md = Md_vector.to_csr md exp.Model.statespace in
+  let via_md = Md_vector.(to_csr (create md exp.Model.statespace)) in
   Alcotest.(check bool) "MD = direct semantics" true (Csr.approx_equal direct via_md)
 
 let test_workstations_md_matches_semantics () =
   let b = Mdl_models.Workstations.build (Mdl_models.Workstations.default ~stations:3) in
   let exp = b.Mdl_models.Workstations.exploration in
   let direct = flat_rates_by_enumeration exp in
-  let via_md = Md_vector.to_csr b.Mdl_models.Workstations.md exp.Model.statespace in
+  let via_md = Md_vector.(to_csr (create b.Mdl_models.Workstations.md exp.Model.statespace)) in
   Alcotest.(check bool) "workstations MD = semantics" true (Csr.approx_equal direct via_md)
 
 let test_polling_md_matches_semantics () =
   let b = Mdl_models.Polling.build (Mdl_models.Polling.default ~customers:2) in
   let exp = b.Mdl_models.Polling.exploration in
   let direct = flat_rates_by_enumeration exp in
-  let via_md = Md_vector.to_csr b.Mdl_models.Polling.md exp.Model.statespace in
+  let via_md = Md_vector.(to_csr (create b.Mdl_models.Polling.md exp.Model.statespace)) in
   Alcotest.(check bool) "polling MD = semantics" true (Csr.approx_equal direct via_md)
 
 let test_tandem_small_md_matches_semantics () =
@@ -252,14 +258,14 @@ let test_tandem_small_md_matches_semantics () =
   let b = Mdl_models.Tandem.build p in
   let exp = b.Mdl_models.Tandem.exploration in
   let direct = flat_rates_by_enumeration exp in
-  let via_md = Md_vector.to_csr b.Mdl_models.Tandem.md exp.Model.statespace in
+  let via_md = Md_vector.(to_csr (create b.Mdl_models.Tandem.md exp.Model.statespace)) in
   Alcotest.(check bool) "tandem MD = semantics" true (Csr.approx_equal direct via_md)
 
 let test_multitier_md_matches_semantics () =
   let b = Mdl_models.Multitier.build (Mdl_models.Multitier.default ~clients:2) in
   let exp = b.Mdl_models.Multitier.exploration in
   let direct = flat_rates_by_enumeration exp in
-  let via_md = Md_vector.to_csr b.Mdl_models.Multitier.md exp.Model.statespace in
+  let via_md = Md_vector.(to_csr (create b.Mdl_models.Multitier.md exp.Model.statespace)) in
   Alcotest.(check bool) "multitier MD = semantics" true (Csr.approx_equal direct via_md)
 
 let explorations_identical e1 e2 =
@@ -349,8 +355,8 @@ let test_symbolic_matches_explicit () =
       (* the canonical descriptors also agree *)
       Alcotest.(check bool) (name ^ ": same matrix") true
         (Csr.approx_equal
-           (Md_vector.to_csr (Model.md_of e1) e1.Model.statespace)
-           (Md_vector.to_csr (Model.md_of e2) e2.Model.statespace)))
+           (Md_vector.(to_csr (create (Model.md_of e1) e1.Model.statespace)))
+           (Md_vector.(to_csr (create (Model.md_of e2) e2.Model.statespace)))))
     models
 
 let test_symbolic_max_states () =
@@ -485,7 +491,7 @@ let fuzz_pipeline =
         let ss = e1.Model.statespace in
         (* 2. the MD agrees with the direct semantics *)
         let direct = flat_rates_by_enumeration e1 in
-        let via_md = Md_vector.to_csr md ss in
+        let via_md = Md_vector.(to_csr (create md ss)) in
         if not (Csr.approx_equal direct via_md) then false
         else begin
           (* 3. lump with a protected level-1 reward *)
@@ -542,7 +548,7 @@ let fuzz_merge =
         let merged_ss = Statespace.merge_levels ss 1 ~width:(Mdl_md.Md.size md 2) in
         let n = Statespace.size ss in
         let x = Array.init n (fun i -> float_of_int ((i mod 5) + 1)) in
-        let mul md ss = Md_vector.vec_mul md ss x in
+        let mul md ss = vec_mul md ss x in
         Vec.approx_equal (mul md ss) (mul merged merged_ss)
       end)
 
