@@ -625,8 +625,8 @@ let run_multilevel ~repeats ~cache ~pools sc =
     Compositional.lump ~cache ?pool Mdl_lumping.State_lumping.Ordinary md ~rewards ~initial
   in
   (* End-to-end: initial partitions + refinement + diagram rebuild.
-     [cache] is shared across scenarios, so the production run sees a
-     hot gid table; the reference lumper has no cache at all. *)
+     [cache] is shared across scenarios, so the production run sees hot
+     intern tables; the reference lumper has no cache at all. *)
   let r_ref, reference_s =
     min_time ~repeats (fun () ->
         Reference_lump.lump Mdl_lumping.State_lumping.Ordinary md ~rewards ~initial)

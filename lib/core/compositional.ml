@@ -311,26 +311,28 @@ type level_outcome = {
 (* The only level loop: [lump] and [sweep_point] both come through
    here.  Levels are algorithmically independent — each computes its own
    initial partition and fixed point from [md] alone — so with a pool
-   they run concurrently, each on its own domain over its own cache
-   fork; the memo is only read there, and every write (memo entries,
-   engine counters) happens afterwards on this domain, in level order,
-   so totals equal a sequential run's whatever order levels finished
-   in.  A [Trace.Ctx] is single-owner, so traced runs keep levels
-   sequential (intra-level sharding never emits spans and stays on). *)
+   they run concurrently, each on its own domain, and share nothing
+   mutable: each writes only its own record of the engine's cache, the
+   memo is only read there, and every other write (memo entries, engine
+   counters) happens afterwards on this domain, in level order, so
+   totals equal a sequential run's whatever order levels finished in.
+   A [Trace.Ctx] is single-owner, so traced runs keep levels sequential
+   (intra-level sharding never emits spans and stays on). *)
 let run_point sw ~rewards ~initial =
   let md = sw.sw_md and mode = sw.sw_mode in
   let nlevels = Md.levels md in
   (* Rebinding retires the memoised rows (an epoch bump on a persistent
      cache, a wipe otherwise): per-bind entries are only sound within
      one monotone refinement run per level.  The intern tables and
-     (same-md) flatten context survive the rebind.  Binding with the
-     run's configuration makes a mismatched shared cache fail loudly
-     here instead of deep inside a splitter pass.  Arming the pool (or
+     (same-md) contexts survive the rebind.  Binding with the run's
+     configuration makes a mismatched shared cache fail loudly here
+     instead of deep inside a splitter pass.  Arming the pool (or
      disarming it, so a reused cache never keeps a stale one) reaches
-     intra-node splitter-key sharding; forks inherit the setting. *)
+     intra-node splitter-key sharding.  Both write the cache's
+     engine-level fields, so they come before any level task starts. *)
   Key_cache.bind ~choice:sw.sw_key ~mode sw.sw_cache md;
   Key_cache.set_pool ?par_threshold:sw.sw_par_threshold sw.sw_cache sw.sw_pool;
-  let level_work cache i =
+  let level_work i =
     let level = i + 1 in
     let p_ini =
       Trace.with_span ~cat:"lump" "lump.initial_partition" (fun () ->
@@ -352,22 +354,16 @@ let run_point sw ~rewards ~initial =
         { p_ini; memo_key; final; refined = false }
     | None ->
         let final =
-          Level_lumping.comp_lumping_level ~key:sw.sw_key ~cache ?pool:sw.sw_pool mode md
-            ~level ~initial:p_ini
+          Level_lumping.comp_lumping_level ~key:sw.sw_key ~cache:sw.sw_cache mode md ~level
+            ~initial:p_ini
         in
         { p_ini; memo_key; final; refined = true }
   in
   let levels =
     match sw.sw_pool with
     | Some pl when Domain_pool.size pl > 1 && nlevels > 1 && not (Trace.enabled ()) ->
-        (* The column cache fills lazily under splitter-key walks; fill it
-           from this domain first so every later [node_col] is a pure
-           read, from any domain.  Forks publish their rows to the shared
-           persistent store, so a sweep keeps their work. *)
-        Md.warm_col_cache md;
         let results = Array.make nlevels None in
-        Domain_pool.run pl ~n:nlevels (fun i ->
-            results.(i) <- Some (level_work (Key_cache.fork sw.sw_cache) i));
+        Domain_pool.run pl ~n:nlevels (fun i -> results.(i) <- Some (level_work i));
         Array.map Option.get results
     | _ ->
         Array.init nlevels (fun i ->
@@ -375,7 +371,7 @@ let run_point sw ~rewards ~initial =
               ~args:[ ("level", Trace.Int (i + 1)) ]
               "lump.level"
               (fun () ->
-                let l = level_work sw.sw_cache i in
+                let l = level_work i in
                 Trace.add_args
                   [
                     ("classes_initial", Trace.Int (Partition.num_classes l.p_ini));

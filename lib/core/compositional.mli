@@ -46,13 +46,14 @@ val lump :
     Every level refines through a splitter-key cache ({!Key_cache}) and
     the ranked pipeline ({!Level_lumping.comp_lumping_level}): per-node
     column walks are memoised across fixed-point passes, key
-    accumulation skips singleton classes, the gid table is shared
-    across all levels, and the rebuild reuses nodes of identity levels
-    verbatim (aliasing the whole diagram when nothing lumps).  The run
+    accumulation skips singleton classes, each level interns its keys
+    into its own record of the cache, and the rebuild reuses nodes of
+    identity levels verbatim (aliasing the whole diagram when nothing
+    lumps).  The run
     is one point of a throwaway {!sweep} engine — the same per-point
     code as {!sweep_point}, with a plain (non-persistent) cache and
-    empty memos.  Pass [cache] to share one cache (and its hot gid
-    table) across several lump calls — e.g. a bench sweep; the cache is
+    empty memos.  Pass [cache] to share one cache (and its hot intern
+    tables) across several lump calls — e.g. a bench sweep; the cache is
     (re)bound to [md] under [key] and [mode] at the start of the run,
     which discards its memoised rows (a persistent cache keeps its
     content-keyed store) but keeps the interned-key storage, and raises
@@ -65,11 +66,12 @@ val lump :
 
     [pool] runs the pipeline data-parallel on a {!Mdl_util.Domain_pool}:
     levels refine concurrently (each level runs the untouched sequential
-    fixed point on its own domain, over its own {!Key_cache.fork});
-    within a level, large splitter-key misses shard their member walk
-    ({!Local_key.eval_keys}) and large ranked passes shard their class
-    lookups; and the incremental rebuild computes quotient node rows in
-    parallel, committing them to the store in node order.
+    fixed point on its own domain over the one cache, writing only its
+    own {!Key_cache.level} record, so level tasks share nothing
+    mutable); within a level, large splitter-key misses shard their
+    member walk ({!Local_key.eval_keys}); and the incremental rebuild
+    computes quotient node rows in parallel, committing them to the
+    store in node order.
     [par_threshold] (default [1024]) is the minimum work-item count
     (splitter-class members, quotient rows per level) below which a loop
     stays inline.  {b Determinism:} every sharded loop either merges its
@@ -156,12 +158,13 @@ val sweep_create :
 (** An engine over [md] with the paper's key choice
     ({!Local_key.Formal_sums}) and a fresh cache of its own in
     persistent mode.  [pool] and [par_threshold] parallelise each point
-    exactly as in {!lump} (memo-missing levels refine concurrently on
-    cache forks; forks publish to the shared store, so their work
-    persists).  Mapping {!sweep_point} over a list of points is the
-    batched equivalent of mapping {!lump} over it: bit-identical, and
-    typically several times faster per point once warm (see the
-    [sweeps] section of BENCH_refine.json and [lumpmd sweep]). *)
+    exactly as in {!lump} (memo-missing levels refine concurrently, each
+    on its own record of the engine's cache, whose store keeps their
+    work for later points).  Mapping {!sweep_point} over a list of
+    points is the batched equivalent of mapping {!lump} over it:
+    bit-identical, and typically several times faster per point once
+    warm (see the [sweeps] section of BENCH_refine.json and [lumpmd
+    sweep]). *)
 
 val sweep_point :
   sweep ->

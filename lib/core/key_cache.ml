@@ -2,15 +2,13 @@ module Md = Mdl_md.Md
 module Hashx = Mdl_util.Hashx
 module Metrics = Mdl_obs.Metrics
 module Timer = Mdl_util.Timer
-module Gid_table = Mdl_util.Gid_table
-module Shard_map = Mdl_util.Shard_map
 module Domain_pool = Mdl_util.Domain_pool
 
-(* The cache's lookup counts live in the registry only.  The two
-   histograms add what a count cannot say: how long uncached column
-   walks take and how many rows they emit (the allocation the miss path
-   pays).  [cross_bind_hits] is also kept per engine, in [shared],
-   because lumpd reports it per model. *)
+(* The cache's lookup counts live in the registry.  The two histograms
+   add what a count cannot say: how long uncached column walks take and
+   how many rows they emit (the allocation the miss path pays).
+   [cross_bind_hits] is also kept per level record, because lumpd
+   reports it per model. *)
 let c_hits = Metrics.counter "key_cache.hits"
 
 let c_misses = Metrics.counter "key_cache.misses"
@@ -57,96 +55,101 @@ let config_mismatch =
   "Key_cache: key choice / lumping mode differ from the configuration recorded at \
    this cache's first bind (use a fresh cache per configuration)"
 
-(* State shared by reference between a cache and every [fork] of it —
-   all of it domain-safe.  [table] is the *global* intern table:
-   Local_key -> stable small int (gid), never cleared, so a key pays for
-   structural hashing once per miss and cached rows are pure int pairs.
-   The per-pass dense ranks the counting sort needs are recovered from
-   gids by the ranked pipeline through a stamped array that is
-   invalidated every pass; this table must never be.  [sig_table] and [store] are the persistent (sweep-mode) tier:
-   member sequences interned to content signatures, and full splitter
-   rows keyed by (node, signature) so they survive same-diagram rebinds
-   (see [splitter_keys]). *)
-type shared = {
-  table : Local_key.t Gid_table.t;
-  sig_table : int array Gid_table.t; (* splitter-class member sequence -> csig *)
-  store : (int * int, int * (int array * int array)) Shard_map.t;
+(* Intern tables hand out dense ids by first appearance.  Both keep a
+   hash that reads the whole value: the polymorphic [Hashtbl.hash]
+   stops after a prefix of a long member sequence. *)
+module Interned (H : Hashtbl.HashedType) = struct
+  include Hashtbl.Make (H)
+
+  let intern t k =
+    match find t k with
+    | id -> id
+    | exception Not_found ->
+        let id = length t in
+        add t k id;
+        id
+end
+
+module Key_table = Interned (Local_key)
+
+module Sig_table = Interned (struct
+  type t = int array
+
+  let equal (a : int array) b =
+    Array.length a = Array.length b
+    &&
+    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+    go (Array.length a - 1)
+
+  let hash = Hashx.int_array
+end)
+
+module Store = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+
+  let hash (a, b) = Hashx.combine a b
+end)
+
+(* Everything one level's refinement writes.  A node belongs to exactly
+   one level, the rows memo and the store key every entry by its node,
+   and an interned id is only compared within one node's pass or store
+   key, so giving each level its own tables changes no lookup's answer
+   — and a level task running on its own domain then writes nothing
+   another task reads.  [gids] interns keys to ids (never
+   cleared: a key pays for structural hashing once per miss and cached
+   rows are pure int pairs); the per-pass dense ranks the counting sort
+   needs are recovered from gids by the ranked pipeline.  [sigs] and
+   [store] are the persistent (sweep-mode) tier: member sequences
+   interned to content signatures, and full splitter rows keyed by
+   (node, signature) so they survive same-diagram rebinds (see
+   [splitter_keys]).  [owner] is read-only here: its fields are written
+   by [bind] and the setters only, before any level task starts. *)
+type level = {
+  owner : t;
+  gids : int Key_table.t;
+  sigs : int Sig_table.t; (* splitter-class member sequence -> csig *)
+  store : (int * (int array * int array)) Store.t;
       (* (node, csig) -> birth epoch, (states, gids) *)
-  mutable config : config option; (* recorded by the first bind *)
-  cross_bind_hits : int Atomic.t;
+  rows : (rows_key, int * (int array * int array)) Hashtbl.t; (* epoch, (states, gids) *)
+  mutable ctx : Local_key.context;
+  mutable cross_bind_hits : int;
 }
 
-type t = {
-  shared : shared;
+and t = {
   mutable md : Md.t option;
-  mutable ctx : Local_key.context option;
+  mutable levels : level array;
+      (* one record per level of the deepest diagram bound so far *)
   mutable dim : int; (* 1 + max level size of the bound diagram *)
-  rows : (rows_key, int * (int array * int array)) Hashtbl.t;
-      (* epoch, (states, gids) *)
   mutable epoch : int; (* persistent mode: bumped per same-diagram bind *)
   mutable persistent : bool;
   mutable pool : Domain_pool.t option;
   mutable par_threshold : int;
+  mutable config : config option; (* recorded by the first bind *)
 }
 
 let default_par_threshold = 1024
 
-let int_pair_hash (a, b) = Hashx.combine a b
-
-let int_pair_equal ((a, b) : int * int) (c, d) = a = c && b = d
-
-let int_array_equal (a : int array) b =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-  go (Array.length a - 1)
-
 let create () =
   {
-    shared =
-      {
-        table = Gid_table.create ~hash:Local_key.hash ~equal:Local_key.equal ();
-        sig_table = Gid_table.create ~hash:Hashx.int_array ~equal:int_array_equal ();
-        store = Shard_map.create ~hash:int_pair_hash ~equal:int_pair_equal ();
-        config = None;
-        cross_bind_hits = Atomic.make 0;
-      };
     md = None;
-    ctx = None;
+    levels = [||];
     dim = 1;
-    rows = Hashtbl.create 1024;
     epoch = 0;
     persistent = false;
     pool = None;
     par_threshold = default_par_threshold;
-  }
-
-(* A fork is this cache's single-domain scratch state — rows memo and
-   flattening context — rebuilt fresh over the *same* shared
-   state (gid table, signature table, persistent row store, recorded
-   configuration).  Per-level forks behave exactly like one shared cache
-   would: rows keys embed the node id and nodes belong to one level, so
-   entries of different levels never collide anyway, and gids stay
-   global so cached rows from any fork rank consistently.  The epoch and
-   persistence flag are inherited, so rows a fork publishes to the
-   persistent store carry the right birth epoch and remain visible to
-   the parent (and to later points of a sweep) after the fork dies. *)
-let fork t =
-  {
-    shared = t.shared;
-    md = t.md;
-    ctx = (match t.md with Some md -> Some (Local_key.make_context md) | None -> None);
-    dim = t.dim;
-    rows = Hashtbl.create 1024;
-    epoch = t.epoch;
-    persistent = t.persistent;
-    pool = t.pool;
-    par_threshold = t.par_threshold;
+    config = None;
   }
 
 let set_pool ?par_threshold t pool =
   t.pool <- pool;
   match par_threshold with Some th -> t.par_threshold <- max 1 th | None -> ()
+
+let drop_rows lv =
+  Hashtbl.reset lv.rows;
+  Store.reset lv.store
 
 let set_persistent t on =
   if t.persistent <> on then begin
@@ -155,25 +158,40 @@ let set_persistent t on =
        everything reachable from now on is a full row list.  Leaving:
        drop the store so a later re-enable cannot see rows of another
        regime, and free the memory. *)
-    Hashtbl.reset t.rows;
-    Shard_map.clear t.shared.store;
+    Array.iter drop_rows t.levels;
     t.persistent <- on
   end
 
 let persistent t = t.persistent
 
-let cross_bind_hits t = Atomic.get t.shared.cross_bind_hits
+let sum_levels f t = Array.fold_left (fun acc lv -> acc + f lv) 0 t.levels
+
+let cross_bind_hits t = sum_levels (fun lv -> lv.cross_bind_hits) t
+
+let gid_count t = sum_levels (fun lv -> Key_table.length lv.gids) t
+
+let store_size t = sum_levels (fun lv -> Store.length lv.store) t
 
 let epoch t = t.epoch
 
 (* Record-or-check the lumping configuration.  The one write is the
-   first [bind], on the domain that owns the cache and before any fork
-   of it exists; forks only read the field, so it needs no atomic. *)
+   first [bind]; lookups only read the field. *)
 let check_config t choice mode =
-  match t.shared.config with
+  match t.config with
   | Some c ->
       if c.cfg_choice <> choice || c.cfg_mode <> mode then invalid_arg config_mismatch
-  | None -> t.shared.config <- Some { cfg_choice = choice; cfg_mode = mode }
+  | None -> t.config <- Some { cfg_choice = choice; cfg_mode = mode }
+
+let new_level owner md =
+  {
+    owner;
+    gids = Key_table.create 1024;
+    sigs = Sig_table.create 64;
+    store = Store.create 64;
+    rows = Hashtbl.create 1024;
+    ctx = Local_key.make_context md;
+    cross_bind_hits = 0;
+  }
 
 let bind ~choice ~mode t md =
   check_config t choice mode;
@@ -185,45 +203,52 @@ let bind ~choice ~mode t md =
          the new run's partitions) and lookups fall through to the
          content-keyed store.  Without persistence this is the classic
          wipe: rows are only sound within one monotone run. *)
-      if t.persistent then t.epoch <- t.epoch + 1 else Hashtbl.reset t.rows
+      if t.persistent then t.epoch <- t.epoch + 1
+      else Array.iter (fun lv -> Hashtbl.reset lv.rows) t.levels
   | _ ->
       (* New diagram: node ids restart per diagram, so the persistent
          store's (node, csig) keys from the previous diagram could
-         collide with this one's — drop it.  Signatures are plain state
-         index sequences (diagram-independent) and keys intern globally,
-         so both tables survive. *)
-      Hashtbl.reset t.rows;
-      if t.persistent then Shard_map.clear t.shared.store;
+         collide with this one's — drop them, and the contexts, which
+         memoise nodes.  Signatures are plain state index sequences
+         (diagram-independent) and an id is only ever compared with ids
+         of the same pass, so both intern tables survive; records of
+         levels the new diagram lacks are kept for a deeper one. *)
+      Array.iter
+        (fun lv ->
+          drop_rows lv;
+          lv.ctx <- Local_key.make_context md)
+        t.levels;
+      let have = Array.length t.levels in
+      if Md.levels md > have then
+        t.levels <-
+          Array.append t.levels (Array.init (Md.levels md - have) (fun _ -> new_level t md));
       t.epoch <- t.epoch + 1;
       t.md <- Some md;
-      t.dim <- 1 + Array.fold_left max 0 (Md.sizes md);
-      t.ctx <- Some (Local_key.make_context md)
+      t.dim <- 1 + Array.fold_left max 0 (Md.sizes md)
 
 let bound_md ~choice ~mode t =
   (match t.md with Some _ -> check_config t choice mode | None -> ());
   t.md
 
-let context t =
-  match t.ctx with
-  | Some ctx -> ctx
-  | None -> invalid_arg "Key_cache.context: cache not bound to a diagram (use bind)"
-
-let gid_count t = Gid_table.size t.shared.table
-
-let store_size t = Shard_map.size t.shared.store
+let for_level t l =
+  match t.md with
+  | None -> invalid_arg "Key_cache.for_level: cache not bound to a diagram (use bind)"
+  | Some md ->
+      if l < 1 || l > Md.levels md then invalid_arg "Key_cache.for_level: level out of range";
+      t.levels.(l - 1)
 
 (* A bound cache always has a recorded configuration: [bind] records it
-   before it sets the context. *)
-let eval_rows ?skip t node slice =
-  let ctx = context t in
-  let { cfg_choice; cfg_mode } = Option.get t.shared.config in
+   before it allocates the level records. *)
+let eval_rows ?skip lv node slice =
+  let t = lv.owner in
+  let { cfg_choice; cfg_mode } = Option.get t.config in
   let metered = Metrics.enabled () in
   let t0 = if metered then Timer.now_ns () else 0L in
   let states, keys =
-    Local_key.eval_keys ?skip ?pool:t.pool ~par_threshold:t.par_threshold ctx cfg_choice
+    Local_key.eval_keys ?skip ?pool:t.pool ~par_threshold:t.par_threshold lv.ctx cfg_choice
       cfg_mode node slice
   in
-  let gids = Array.map (fun k -> Gid_table.intern t.shared.table k) keys in
+  let gids = Array.map (Key_table.intern lv.gids) keys in
   if metered then begin
     Metrics.observe m_miss_seconds
       (Int64.to_float (Int64.sub (Timer.now_ns ()) t0) *. 1e-9);
@@ -231,9 +256,10 @@ let eval_rows ?skip t node slice =
   end;
   (states, gids)
 
-let splitter_keys ?skip t ~node ((perm, first, len) as slice) =
+let splitter_keys ?skip lv ~node ((perm, first, len) as slice) =
+  let t = lv.owner in
   let key = (((node * t.dim) + perm.(first)) * t.dim) + len in
-  match Hashtbl.find_opt t.rows key with
+  match Hashtbl.find_opt lv.rows key with
   | Some (ep, rows) when ep = t.epoch ->
       (* Without persistence every entry carries the current epoch (the
          table is wiped on rebind), so this arm is the plain hit path. *)
@@ -241,8 +267,8 @@ let splitter_keys ?skip t ~node ((perm, first, len) as slice) =
       rows
   | _ when not t.persistent ->
       Metrics.incr c_misses;
-      let rows = eval_rows ?skip t node slice in
-      Hashtbl.replace t.rows key (t.epoch, rows);
+      let rows = eval_rows ?skip lv node slice in
+      Hashtbl.replace lv.rows key (t.epoch, rows);
       rows
   | _ ->
       (* Persistent tier: the class's *content* — its member sequence in
@@ -255,24 +281,21 @@ let splitter_keys ?skip t ~node ((perm, first, len) as slice) =
          complete to be reusable under a different partition's singleton
          pattern (extra rows for states that are singletons *now* are
          harmless: a class of one can never be split). *)
-      let csig = Gid_table.intern t.shared.sig_table (Array.sub perm first len) in
-      (match Shard_map.find t.shared.store (node, csig) with
-      | Some (born, rows) ->
-          Metrics.incr c_hits;
-          if born < t.epoch then begin
-            Atomic.incr t.shared.cross_bind_hits;
-            Metrics.incr c_cross_bind_hits
-          end;
-          Hashtbl.replace t.rows key (t.epoch, rows);
-          rows
-      | None ->
-          Metrics.incr c_misses;
-          let rows = eval_rows t node slice in
-          (* First-writer-wins keeps concurrent domains agreeing on one
-             published row list (they compute equal ones — the store key
-             pins the full evaluation). *)
-          let _, rows =
-            Shard_map.find_or_add t.shared.store (node, csig) (fun () -> (t.epoch, rows))
-          in
-          Hashtbl.replace t.rows key (t.epoch, rows);
-          rows)
+      let csig = Sig_table.intern lv.sigs (Array.sub perm first len) in
+      let rows =
+        match Store.find_opt lv.store (node, csig) with
+        | Some (born, rows) ->
+            Metrics.incr c_hits;
+            if born < t.epoch then begin
+              lv.cross_bind_hits <- lv.cross_bind_hits + 1;
+              Metrics.incr c_cross_bind_hits
+            end;
+            rows
+        | None ->
+            Metrics.incr c_misses;
+            let rows = eval_rows lv node slice in
+            Store.add lv.store (node, csig) (t.epoch, rows);
+            rows
+      in
+      Hashtbl.replace lv.rows key (t.epoch, rows);
+      rows

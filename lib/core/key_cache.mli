@@ -9,26 +9,40 @@
     those column walks recompute the very rows the previous pass
     already produced.  A [Key_cache.t] memoises each
     {!Local_key.splitter_keys} result — the [(state, K(node, s, C))]
-    list of one node/splitter-class pair — and carries shared resources
-    with it:
+    list of one node/splitter-class pair.
 
-    - a {e global} {!Mdl_util.Gid_table} hash-consing key values to
-      stable small integers (gids), shared across {e all} levels of a
-      lump run (including levels refining concurrently on a domain
-      pool — the table's read path is lock-free) and across models of a
-      bench sweep (it is never cleared, so its contents persist across
-      {!bind}s).  Cached rows store [(state, gid)] pairs, so a cache hit
-      involves no structural key hashing or equality at all — each
-      distinct key pays for hashing once, at miss time.  The per-pass
-      dense ranks the counting sort needs are recovered from gids by
-      the ranked refinement pipeline
+    {b One record per level.}  Everything a lookup writes lives in the
+    {!level} record of the node's level, allocated by the first {!bind}
+    to a diagram that deep and kept across later binds:
+
+    - an intern table hash-consing key values to small integers (gids),
+      never cleared, so its contents persist across {!bind}s and across
+      the models of a bench sweep.  Cached rows store [(state, gid)]
+      pairs, so a cache hit involves no structural key hashing or
+      equality at all — each distinct key pays for hashing once, at
+      miss time.  The per-pass dense ranks the counting sort needs are
+      recovered from gids by the ranked refinement pipeline
       ({!Mdl_partition.Refiner.comp_lumping_ranked});
-    - the {!Local_key.context} (expanded-matrix flattening memo), kept
-      for as long as the cache stays bound to the same diagram;
+    - the rows memo (tier 1, below);
+    - the level's {!Local_key.context} (expanded-matrix flattening memo
+      and column transposes), kept for as long as the cache stays bound
+      to the same diagram;
     - in persistent mode, a second intern table (splitter-class member
-      sequences to {e content signatures}) and a domain-safe
-      {!Mdl_util.Shard_map} of full row lists keyed by
-      [(node, signature)] — the cross-bind tier described below.
+      sequences to {e content signatures}) and the store of full row
+      lists keyed by [(node, signature)] — the cross-bind tier described
+      below — with its count of cross-bind hits.
+
+    A node belongs to exactly one level, the rows memo and the store key
+    every entry by its node, and interned ids are only ever compared
+    within one node's pass or store key, so per-level tables answer
+    every lookup exactly as one shared table would; gids only ever
+    become per-pass first-appearance ranks.
+    Level tasks running concurrently on a domain pool therefore share
+    nothing mutable: each writes only its own record, and the
+    engine-level state (bound diagram, epoch, persistence, pool,
+    recorded configuration) is written only by {!bind} and the setters,
+    before any level task starts.  Every table is a plain single-owner
+    hash table.
 
     {b Cache identity and invalidation (per bind).}  A tier-1 entry is
     keyed by [(node, member, |C|)] — the node being walked, one member
@@ -56,7 +70,7 @@
     is stamped with the bind {e epoch}, a same-diagram rebind is a
     cheap epoch bump (stale stamps stop matching), and a lookup that
     misses tier 1 interns the splitter class's {e member sequence} (the
-    slice in walk order) to a signature and consults the shared
+    slice in walk order) to a signature and consults its level's
     [(node, signature)] store.  Keying by the sequence rather than the
     member set is what keeps reuse {e bit-identical} to re-evaluation:
     {!Local_key.eval_keys} accumulates non-associative float sums in
@@ -69,9 +83,9 @@
     earlier epoch are counted as {!cross_bind_hits}
     ([key_cache.cross_bind_hits] in the metrics registry) — the number
     the sweep engine's amortisation comes from; it is the one count the
-    cache also keeps itself, per engine.  Binding a {e different}
-    diagram clears the store (node ids restart per diagram, so keys
-    could collide); the two intern tables survive everything.
+    cache also keeps itself, per level record.  Binding a {e different}
+    diagram clears the stores (node ids restart per diagram, so keys
+    could collide); the intern tables survive everything.
 
     {b Checked contract.}  Callers must {!bind} before lookup and
     re-{!bind} whenever a new (or restarted) refinement over a diagram
@@ -84,7 +98,7 @@
     {!Mdl_util.Floatx.default_eps}, so no tolerance is recorded.
     {!Compositional.lump} binds automatically (with its configuration)
     at the start of every run; sharing one cache across a sweep of
-    models is then safe and keeps the intern table hot.
+    models is then safe and keeps the intern tables hot.
 
     {b Counters.}  Every lookup counts into the {!Mdl_obs.Metrics}
     registry (while it is enabled) as [key_cache.hits] or
@@ -95,8 +109,8 @@
 type t
 
 val create : unit -> t
-(** A fresh, unbound, non-persistent cache with empty intern tables and
-    no recorded configuration. *)
+(** A fresh, unbound, non-persistent cache with no level records and no
+    recorded configuration. *)
 
 val bind :
   choice:Local_key.choice ->
@@ -108,10 +122,11 @@ val bind :
     [md] under key [choice] and lumping [mode].  Without
     persistence it discards all memoised rows (they are only sound
     within one monotone run); in persistent mode a same-diagram rebind
-    just bumps the epoch and keeps the content-keyed store warm, while
-    binding a different diagram additionally clears the store.  The
-    intern tables' storage and the flattening context (when [md] is
-    physically the diagram already bound) always survive.
+    just bumps the epoch and keeps the content-keyed stores warm, while
+    binding a different diagram additionally clears the stores.  Binding
+    a diagram deeper than any before allocates the missing {!level}
+    records.  The records, their intern tables and the contexts (when
+    [md] is physically the diagram already bound) always survive.
 
     The first bind records [(choice, mode)]; every later one checks it.
     @raise Invalid_argument on a configuration mismatch. *)
@@ -126,53 +141,46 @@ val bound_md :
     @raise Invalid_argument when the cache is bound under another
     configuration. *)
 
-val context : t -> Local_key.context
-(** The bound diagram's {!Local_key.context}.
-    @raise Invalid_argument when the cache is unbound. *)
+type level
+(** One level's record: its intern tables, rows memo, persistent store,
+    {!Local_key.context} and cross-bind count (see the module header). *)
 
-val fork : t -> t
-(** A fresh single-domain view of this cache for one parallel level
-    task: its own rows memo and flattening context, over the {e same}
-    shared state — gid table, signature table, persistent row store,
-    recorded configuration, cross-bind counter.  Forks are what
-    make level-parallel lumping safe — every mutable part of a cache
-    except the (domain-safe) shared tables is then owned by exactly one
-    domain — and they are observationally equivalent to sharing one
-    cache, because row keys embed the node id (nodes belong to one
-    level, so cross-level entries never collide) and the hit and miss
-    counts are unaffected.  A fork inherits the epoch and persistence
-    flag, so rows it publishes to the store remain visible to the parent
-    and to later sweep points after the fork is gone. *)
+val for_level : t -> int -> level
+(** [for_level t l] is the record of the bound diagram's level [l], for
+    the lookups of one level's refinement run to share.
+    @raise Invalid_argument when the cache is unbound or [l] is out of
+    range. *)
 
 val set_pool : ?par_threshold:int -> t -> Mdl_util.Domain_pool.t option -> unit
 (** Arm (or disarm, with [None]) intra-node miss sharding: subsequent
     cache misses evaluate their keys through {!Local_key.eval_keys}
     with this pool whenever the splitter class has at least
-    [par_threshold] members (default 1024; clamped to >= 1).  Inherited
-    by {!fork}s made afterwards.  Never changes results — see the
-    determinism contract on {!Local_key.eval_keys}. *)
+    [par_threshold] members (default 1024; clamped to >= 1).  Never
+    changes results — see the determinism contract on
+    {!Local_key.eval_keys}. *)
 
 val set_persistent : t -> bool -> unit
 (** Switch cross-bind persistence on or off.  Toggling (either way)
-    discards the memoised rows and the content-keyed store: rows cached
+    discards the memoised rows and the content-keyed stores: rows cached
     without persistence may have been computed with the singleton skip
     and must not become reachable across binds, and a stale store must
     not survive a disable/re-enable cycle.  A no-op when the flag
     already has the requested value.  Set it before the first run
-    sharing the cache (the sweep engine does this at creation); forks
-    inherit the current value. *)
+    sharing the cache (the sweep engine does this at creation). *)
 
 val persistent : t -> bool
 (** Whether cross-bind persistence is on. *)
 
 val gid_count : t -> int
-(** Distinct keys interned into the global gid table so far; the
-    table survives {!bind} and is never cleared, so gids are stable
-    across levels, runs and models. *)
+(** Distinct keys interned so far, summed over the level records' intern
+    tables.  The tables survive {!bind} and are never cleared, so the
+    count never shrinks.  With formal-sum keys on one diagram it equals
+    the size one table shared by all levels would have: keys of
+    different levels name different child nodes. *)
 
 val store_size : t -> int
-(** Bindings currently in the persistent row store (0 unless
-    {!set_persistent} is on and a sweep has run). *)
+(** Bindings currently in the persistent row stores, summed over levels
+    (0 unless {!set_persistent} is on and a sweep has run). *)
 
 val epoch : t -> int
 (** The current bind epoch (bumped by every {!bind}; tier-1 entries
@@ -181,14 +189,14 @@ val epoch : t -> int
 
 val splitter_keys :
   ?skip:(int -> bool) ->
-  t ->
+  level ->
   node:Mdl_md.Md.node_id ->
   Mdl_partition.Refiner.slice ->
   int array * int array
-(** Memoising front-end to {!Local_key.splitter_keys} under the key
-    choice and mode recorded at {!bind}, with keys replaced by their
-    gids in the global intern table: returns the
-    cached parallel (states, gids) arrays — the shape
+(** Memoising front-end to {!Local_key.splitter_keys} for a node of the
+    record's level, under the key choice and mode recorded at {!bind},
+    with keys replaced by their gids in the level's intern table:
+    returns the cached parallel (states, gids) arrays — the shape
     {!Mdl_partition.Refiner.comp_lumping_ranked} consumes — when the
     splitter class's [(node, member, size)] identity has been evaluated
     in this bind epoch, or (persistent mode) when its [(node, member
@@ -202,10 +210,9 @@ val splitter_keys :
     set, and any states that have since become singletons are harmless
     extra rows (they can no longer split anything).  [skip] is applied
     only on non-persistent misses; persistent misses always evaluate
-    full row lists (see the module header).
-    @raise Invalid_argument when the cache is unbound. *)
+    full row lists (see the module header). *)
 
 val cross_bind_hits : t -> int
 (** Lookups answered by the persistent store against a row list born in
-    an {e earlier} bind epoch — reuse across sweep points.  Shared with
-    every {!fork} of this cache (one atomic counter), never reset. *)
+    an {e earlier} bind epoch — reuse across sweep points.  Summed over
+    the level records; never reset. *)

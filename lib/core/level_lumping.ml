@@ -57,8 +57,7 @@ let has_singleton p =
   let rec go c = c < nc && (Partition.class_size p c = 1 || go (c + 1)) in
   go 0
 
-let comp_lumping_level ?(key = Local_key.Formal_sums) ?cache ?pool mode md ~level ~initial
-    =
+let comp_lumping_level ?(key = Local_key.Formal_sums) ?cache mode md ~level ~initial =
   check_level md level "comp_lumping_level";
   if Partition.size initial <> Md.size md level then
     invalid_arg "Level_lumping.comp_lumping_level: partition size mismatch";
@@ -66,17 +65,18 @@ let comp_lumping_level ?(key = Local_key.Formal_sums) ?cache ?pool mode md ~leve
   let kc = match cache with Some kc -> kc | None -> Key_cache.create () in
   (* Defensive auto-bind: a cache bound to a different diagram must not
      serve rows for this one.  A cache already bound to [md] is left as
-     is — per-level calls of one lump run share the bind (node ids
-     disambiguate the levels), and rebinding here would throw the
+     is — per-level calls of one lump run share the bind (each writes
+     only its own level's record), and rebinding here would throw the
      previous levels' rows away — once [bound_md] has checked that it
      was bound under this run's key choice and mode. *)
   (match Key_cache.bound_md ~choice:key ~mode kc with
   | Some prev when prev == md -> ()
   | _ -> Key_cache.bind ~choice:key ~mode kc md);
-  (* The cache hands out parallel (states, gids) arrays — gids are the
-     stable ids of its global intern table, so a hit involves no
+  (* The level's record hands out parallel (states, gids) arrays — gids
+     are the stable ids of its intern table, so a hit involves no
      structural key hashing at all; the ranked pipeline turns gids into
      per-pass dense ranks by stamped array lookups. *)
+  let lv = Key_cache.for_level kc level in
   let refine node p =
     (* Singletons at run start stay singletons for the whole run (splits
        only shrink classes), so their keys need never be accumulated —
@@ -92,11 +92,10 @@ let comp_lumping_level ?(key = Local_key.Formal_sums) ?cache ?pool mode md ~leve
     let rspec =
       {
         Refiner.rsize = Md.size md level;
-        rsplitter_keys =
-          (fun c -> Key_cache.splitter_keys ?skip kc ~node c);
+        rsplitter_keys = (fun c -> Key_cache.splitter_keys ?skip lv ~node c);
       }
     in
-    Refiner.comp_lumping_ranked ?pool rspec ~initial:p
+    Refiner.comp_lumping_ranked rspec ~initial:p
   in
   let pass p = List.fold_left (fun p node -> refine node p) p nodes in
   (* [CompLumpingLevel] iterates passes over all live nodes of the level

@@ -26,7 +26,6 @@ val initial_partition :
 val comp_lumping_level :
   ?key:Local_key.choice ->
   ?cache:Key_cache.t ->
-  ?pool:Mdl_util.Domain_pool.t ->
   Mdl_lumping.State_lumping.mode ->
   Mdl_md.Md.t ->
   level:int ->
@@ -60,12 +59,11 @@ val comp_lumping_level :
     reference lumper); only key-evaluation work and the
     [refiner.key_evals] and [key_cache.*] counts do.
 
-    [pool] shards the ranked pipeline's per-pass class lookups across a
-    domain pool ({!Mdl_partition.Refiner.comp_lumping_ranked}, at that
-    function's own [par_threshold] default); intra-node splitter-key
-    sharding is armed separately on the cache via {!Key_cache.set_pool}.
-    Neither changes the computed partition, the pass counts or any other
-    count.
+    The run selects the cache's record for [level] ({!Key_cache.for_level})
+    once and writes no other, so runs of different levels may share one
+    cache from different domains.  Intra-node splitter-key sharding is
+    armed on the cache via {!Key_cache.set_pool}; it changes neither
+    the computed partition, the pass counts nor any other count.
 
     The returned partition is canonicalised when fully discrete: if no
     two states lump, the result is {!Mdl_partition.Partition.discrete}

@@ -58,9 +58,25 @@ let hash = function
 type context = {
   md : Md.t;
   flattened : (Md.node_id, Csr.t) Hashtbl.t;
+  cols : (Md.node_id, (int * Formal_sum.t) array array) Hashtbl.t;
 }
 
-let make_context md = { md; flattened = Hashtbl.create 64 }
+let make_context md = { md; flattened = Hashtbl.create 64; cols = Hashtbl.create 16 }
+
+let node_cols ctx id =
+  match Hashtbl.find_opt ctx.cols id with
+  | Some cols -> cols
+  | None ->
+      let rows = Md.node_rows ctx.md id in
+      let n = Array.length rows in
+      let acc = Array.make n [] in
+      (* Walk rows in reverse so each column list ends up ascending. *)
+      for r = n - 1 downto 0 do
+        Array.iter (fun (col, s) -> acc.(col) <- (r, s) :: acc.(col)) rows.(r)
+      done;
+      let cols = Array.map Array.of_list acc in
+      Hashtbl.add ctx.cols id cols;
+      cols
 
 (* Flatten a node to the real matrix it represents over the suffix
    product space (memoised).  The terminal flattens to the 1x1 [1]. *)
@@ -121,10 +137,13 @@ let eval_keys ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
     let prev = Option.value ~default:Formal_sum.empty (Hashtbl.find_opt acc s) in
     Hashtbl.replace acc s (Formal_sum.add prev sum)
   in
-  let entries i =
+  (* The node's lines are fetched here, on the calling domain, so a
+     column transpose is filled only by the context's owner; the walk
+     below just reads them. *)
+  let lines =
     match mode with
-    | Mdl_lumping.State_lumping.Ordinary -> Md.node_col ctx.md node perm.(i)
-    | Mdl_lumping.State_lumping.Exact -> Md.node_row ctx.md node perm.(i)
+    | Mdl_lumping.State_lumping.Ordinary -> node_cols ctx node
+    | Mdl_lumping.State_lumping.Exact -> Md.node_rows ctx.md node
   in
   (match pool with
   | Some pool when Mdl_util.Domain_pool.size pool > 1 && len >= par_threshold ->
@@ -143,13 +162,15 @@ let eval_keys ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
           let lo, hi = Mdl_util.Domain_pool.split ~n:len ~tasks ci in
           let out = ref [] in
           for i = first + lo to first + hi - 1 do
-            List.iter (fun (s, sum) -> if not (skip s) then out := (s, sum) :: !out) (entries i)
+            Array.iter
+              (fun (s, sum) -> if not (skip s) then out := (s, sum) :: !out)
+              lines.(perm.(i))
           done;
           chunks.(ci) <- List.rev !out);
       Array.iter (fun chunk -> List.iter (fun (s, sum) -> touch s sum) chunk) chunks
   | _ ->
       for i = first to first + len - 1 do
-        List.iter (fun (s, sum) -> if not (skip s) then touch s sum) (entries i)
+        Array.iter (fun (s, sum) -> if not (skip s) then touch s sum) lines.(perm.(i))
       done);
   (* Quantize at emission: every consumer downstream (gid interning,
      the reference engine's exact compare) then sees the same canonical

@@ -53,9 +53,18 @@ val hash : t -> int
 (** Consistent with {!equal}. *)
 
 type context
-(** Per-diagram memoisation (expanded-matrix flattening cache). *)
+(** Memoisation over one diagram: the expanded-matrix flattening memo
+    and the column transposes of the nodes walked in ordinary mode.
+    Single-owner: {!Key_cache} keeps one per level, so parallel level
+    tasks never share one. *)
 
 val make_context : Mdl_md.Md.t -> context
+
+val node_cols : context -> Mdl_md.Md.node_id -> (int * Mdl_md.Formal_sum.t) array array
+(** The node's column table, the transpose of {!Mdl_md.Md.node_rows}:
+    column [c] holds its entries [(r, sum)] in ascending row order.
+    Built on first use and kept in the context; the caller must not
+    mutate it. *)
 
 val eval_keys :
   ?skip:(int -> bool) ->
@@ -79,9 +88,9 @@ val eval_keys :
     order.  Because the replay order equals the sequential walk order,
     the accumulated sums — float additions, which are not associative —
     and therefore the emitted keys are bit-identical to the sequential
-    walk at any domain count.  Requires {!Mdl_md.Md.warm_col_cache} on
-    the context's diagram first (ordinary mode reads columns from any
-    domain). *)
+    walk at any domain count.  The node's columns (ordinary mode) are
+    read on the calling domain before the walk is sharded, so the
+    workers only read them. *)
 
 val splitter_keys :
   ?skip:(int -> bool) ->

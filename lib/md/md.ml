@@ -42,7 +42,6 @@ type t = {
   level_sizes : int array;
   nodes : node Dynarray.t; (* id -> node; id 0 is the terminal *)
   cons : node_id Cons_table.t;
-  col_cache : (node_id, (int * Formal_sum.t) array array) Hashtbl.t;
   mutable root_id : node_id option;
 }
 
@@ -57,7 +56,6 @@ let create ~sizes =
     level_sizes = Array.copy sizes;
     nodes;
     cons = Cons_table.create 256;
-    col_cache = Hashtbl.create 64;
     root_id = None;
   }
 
@@ -266,26 +264,6 @@ let node_nnz t id =
   let nd = node t id in
   Array.fold_left (fun acc row -> acc + Array.length row) 0 nd.rows
 
-let node_cols t id =
-  match Hashtbl.find_opt t.col_cache id with
-  | Some cols -> cols
-  | None ->
-      let nd = node t id in
-      let n = Array.length nd.rows in
-      let acc = Array.make n [] in
-      (* Walk rows in reverse so each column list ends up ascending. *)
-      for r = n - 1 downto 0 do
-        Array.iter (fun (col, s) -> acc.(col) <- (r, s) :: acc.(col)) nd.rows.(r)
-      done;
-      let cols = Array.map Array.of_list acc in
-      Hashtbl.add t.col_cache id cols;
-      cols
-
-let node_col t id c =
-  let cols = node_cols t id in
-  if c < 0 || c >= Array.length cols then invalid_arg "Md.node_col: column out of range";
-  Array.to_list cols.(c)
-
 let live_nodes t =
   let r = root t in
   let per_level = Array.make t.nlevels [] in
@@ -307,9 +285,6 @@ let live_nodes t =
   Array.map List.rev per_level
 
 let num_live_nodes t = Array.fold_left (fun acc l -> acc + List.length l) 0 (live_nodes t)
-
-let warm_col_cache t =
-  Array.iter (fun ids -> List.iter (fun id -> ignore (node_cols t id)) ids) (live_nodes t)
 
 let iter_entries t f =
   let l = t.nlevels in

@@ -99,19 +99,10 @@ val node_row : t -> node_id -> int -> (int * Formal_sum.t) list
 val node_rows : t -> node_id -> (int * Formal_sum.t) array array
 (** The node's row table itself, not a copy: row [r] holds its entries
     in ascending column order.  For loops that must not allocate
-    ({!Md_vector}); the caller must not mutate it. *)
-
-val node_col : t -> node_id -> int -> (int * Formal_sum.t) list
-(** Entries of one column, ascending row order (transposed access,
-    computed lazily per node and cached).  The cache fill mutates the
-    diagram's internal column table, so concurrent first touches of the
-    same node race — parallel readers must call {!warm_col_cache}
-    first. *)
-
-val warm_col_cache : t -> unit
-(** Precompute the column cache for every live node, so subsequent
-    {!node_col} calls are pure reads and safe from any domain.
-    @raise Invalid_argument if no root is set. *)
+    ({!Md_vector}); the caller must not mutate it.  The diagram keeps no
+    column table: reading a node from any domain writes nothing, and a
+    walker that needs columns keeps their transposes itself
+    ({!Mdl_core.Local_key.node_cols}). *)
 
 val iter_node_entries : t -> node_id -> (int -> int -> Formal_sum.t -> unit) -> unit
 

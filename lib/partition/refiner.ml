@@ -1,5 +1,4 @@
 module Dynarray = Mdl_util.Dynarray
-module Domain_pool = Mdl_util.Domain_pool
 module Sortx = Mdl_util.Sortx
 module Timer = Mdl_util.Timer
 module Floatx = Mdl_util.Floatx
@@ -487,7 +486,7 @@ let ensure_int_keep r n =
     r := a
   end
 
-let comp_lumping_ranked ?pool ?(par_threshold = 8192) rspec ~initial =
+let comp_lumping_ranked rspec ~initial =
   let st = new_tally () in
   let sc = indexed_scratch ~size:rspec.rsize in
   (* gid -> per-pass dense rank, via a stamp instead of clearing:
@@ -504,9 +503,9 @@ let comp_lumping_ranked ?pool ?(par_threshold = 8192) rspec ~initial =
       ensure_indexed sc m;
       let sa = !(sc.a_states) and ra = !(sc.a_ranks) and ca = !(sc.a_cls) in
       Array.blit states 0 sa 0 m;
-      (* Rank assignment is inherently sequential — ranks are dense ids
-         in order of first appearance over the pair array, which is
-         what makes them independent of the gid numbering. *)
+      (* Ranks are dense ids in order of first appearance over the pair
+         array, which is what makes them independent of the gid
+         numbering. *)
       let alphabet = ref 0 in
       for i = 0 to m - 1 do
         let g = gids.(i) in
@@ -522,22 +521,9 @@ let comp_lumping_ranked ?pool ?(par_threshold = 8192) rspec ~initial =
         end;
         ra.(i) <- rko.(g)
       done;
-      (* The class lookups are pure reads of [p] into disjoint slots of
-         [ca] — shard them when the pass is large enough to amortise the
-         pool round-trip.  Slot [i] gets the same value whichever domain
-         writes it, so the fill is placement-independent. *)
-      (match pool with
-      | Some pool when Domain_pool.size pool > 1 && m >= par_threshold ->
-          let tasks = min m (4 * Domain_pool.size pool) in
-          Domain_pool.run pool ~n:tasks (fun t ->
-              let lo, hi = Domain_pool.split ~n:m ~tasks t in
-              for i = lo to hi - 1 do
-                ca.(i) <- Partition.class_of p states.(i)
-              done)
-      | _ ->
-          for i = 0 to m - 1 do
-            ca.(i) <- Partition.class_of p states.(i)
-          done);
+      for i = 0 to m - 1 do
+        ca.(i) <- Partition.class_of p states.(i)
+      done;
       sort_indexed st sc pd ~m ~alphabet:!alphabet
     end;
     m

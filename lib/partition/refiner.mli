@@ -147,8 +147,6 @@ type ranked_spec = {
 }
 
 val comp_lumping_ranked :
-  ?pool:Mdl_util.Domain_pool.t ->
-  ?par_threshold:int ->
   ranked_spec ->
   initial:Partition.t ->
   Partition.t
@@ -163,16 +161,7 @@ val comp_lumping_ranked :
     under the splitter-key cache, where a cache hit replays a previously
     interned row list.
     @raise Invalid_argument if [initial] is not over [rspec.rsize]
-    states.
-
-    [pool] shards the per-pass class lookups ([Partition.class_of] into
-    disjoint scratch slots — pure reads, placement-independent writes)
-    across the pool's domains when a pass has at least [par_threshold]
-    pairs (default [8192]).  Rank assignment, sorting and the split
-    scan stay sequential — ranks are first-appearance-ordered, which is
-    exactly what makes the result independent of gid numbering — so the
-    computed partition, split order and every count are identical with
-    or without a pool. *)
+    states. *)
 
 val use_counting_sort : m:int -> alphabet:int -> bool
 (** The counting-sort threshold: true when a pass of [m] pairs over

@@ -762,13 +762,14 @@ let test_key_cache_invalidation () =
   bind ();
   let level = 2 in
   let node = List.hd (Md.live_nodes md).(level - 1) in
+  let lv = Key_cache.for_level kc level in
   let p = Partition.trivial 3 in
   (* Running totals over the lookups, each read from the registry. *)
   let hits = ref 0 and misses = ref 0 in
   let lookup slice =
     let rows, c =
       Counters.of_run [ "key_cache.hits"; "key_cache.misses" ] (fun () ->
-          Key_cache.splitter_keys kc ~node slice)
+          Key_cache.splitter_keys lv ~node slice)
     in
     hits := !hits + c "key_cache.hits";
     misses := !misses + c "key_cache.misses";
@@ -794,9 +795,9 @@ let test_key_cache_invalidation () =
   Alcotest.(check int) "rebind discards memoised rows" 3 !misses;
   Alcotest.(check bool) "rebind keeps the gid table" true
     (Key_cache.gid_count kc >= interned);
-  Alcotest.check_raises "unbound cache has no context"
-    (Invalid_argument "Key_cache.context: cache not bound to a diagram (use bind)")
-    (fun () -> ignore (Key_cache.context (Key_cache.create ())))
+  Alcotest.check_raises "unbound cache has no level records"
+    (Invalid_argument "Key_cache.for_level: cache not bound to a diagram (use bind)")
+    (fun () -> ignore (Key_cache.for_level (Key_cache.create ()) level))
 
 let test_singleton_skip () =
   (* A plain cache skips the singleton classes of each run-start

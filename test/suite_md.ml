@@ -9,6 +9,11 @@ module Statespace = Mdl_md.Statespace
 module Md_vector = Mdl_md.Md_vector
 module Kronecker = Mdl_kron.Kronecker
 module Gen_md = Mdl_oracle.Gen_md
+module Local_key = Mdl_core.Local_key
+
+(* Column [c] of a node, read from the transposes a lumper's
+   {!Local_key.context} keeps (the diagram keeps none). *)
+let node_col md id c = Array.to_list (Local_key.node_cols (Local_key.make_context md) id).(c)
 
 (* [x * R] over [ss], through a walk built for the one product. *)
 let vec_mul md ss x =
@@ -139,7 +144,7 @@ let test_md_row_col_access () =
   let live = Md.live_nodes md in
   let b = List.nth live.(1) 1 in
   (* node_col of b: column 0 must contain row 0 entry 4.0 *)
-  let col0 = Md.node_col md b 0 in
+  let col0 = node_col md b 0 in
   Alcotest.(check int) "col entries" 1 (List.length col0);
   (match col0 with
   | [ (r, s) ] ->
@@ -687,6 +692,7 @@ let qcheck_tests =
     (fun spec ->
       let k = build_descriptor spec in
       let md = Gen_md.event_chains k in
+      let ctx = Local_key.make_context md in
       let live = Md.live_nodes md in
       Array.for_all
         (fun ids ->
@@ -694,7 +700,13 @@ let qcheck_tests =
             (fun id ->
               let level = Md.node_level md id in
               let n = Md.size md level in
-              let ok = ref true in
+              let cols = Local_key.node_cols ctx id in
+              (* Every entry appears once: as many column entries as the
+                 node has, each found in its row. *)
+              let ok =
+                ref (Array.fold_left (fun a col -> a + Array.length col) 0 cols
+                     = Md.node_nnz md id)
+              in
               for c = 0 to n - 1 do
                 List.iter
                   (fun (r, sum) ->
@@ -704,7 +716,7 @@ let qcheck_tests =
                         (Md.node_row md id r)
                     in
                     if not found then ok := false)
-                  (Md.node_col md id c)
+                  (Array.to_list cols.(c))
               done;
               !ok)
             ids)

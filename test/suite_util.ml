@@ -4,7 +4,6 @@ module Dynarray = Mdl_util.Dynarray
 module Floatx = Mdl_util.Floatx
 module Prng = Mdl_util.Prng
 module Hashx = Mdl_util.Hashx
-module Shard_map = Mdl_util.Shard_map
 
 let test_dynarray_push_get () =
   let t = Dynarray.create () in
@@ -263,64 +262,9 @@ let qcheck_tests =
         (Float.is_nan f) || Floatx.approx_eq f f);
   ]
 
-let shard_map () =
-  Shard_map.create ~hash:Hashtbl.hash ~equal:Int.equal ()
-
-let test_shard_map_basic () =
-  let m = shard_map () in
-  Alcotest.(check (option string)) "empty find" None (Shard_map.find m 7);
-  Alcotest.(check string) "add returns the value" "a"
-    (Shard_map.find_or_add m 7 (fun () -> "a"));
-  Alcotest.(check (option string)) "find after add" (Some "a") (Shard_map.find m 7);
-  (* First writer wins: a second add under the same key returns the
-     existing binding without making a value. *)
-  Alcotest.(check string) "first writer wins" "a"
-    (Shard_map.find_or_add m 7 (fun () -> Alcotest.fail "value made on a hit"));
-  Alcotest.(check (option string)) "binding unchanged" (Some "a") (Shard_map.find m 7);
-  Alcotest.(check int) "size counts distinct keys" 1 (Shard_map.size m);
-  for i = 0 to 999 do
-    ignore (Shard_map.find_or_add m i (fun () -> string_of_int i))
-  done;
-  Alcotest.(check int) "size after growth" 1000 (Shard_map.size m);
-  for i = 0 to 999 do
-    let expect = if i = 7 then "a" (* first writer still wins *) else string_of_int i in
-    if Shard_map.find m i <> Some expect then
-      Alcotest.failf "lost binding %d across growth" i
-  done;
-  Shard_map.clear m;
-  Alcotest.(check int) "clear empties" 0 (Shard_map.size m);
-  Alcotest.(check (option string)) "cleared binding gone" None (Shard_map.find m 7)
-
-let test_shard_map_concurrent () =
-  (* Racing adds over overlapping keys from several domains: every key
-     ends with exactly one binding, and concurrent finds never observe a
-     torn bucket.  All writers use value = key so the winner is not
-     observable — only presence and size are. *)
-  let m = shard_map () in
-  let domains = 4 and keys = 2000 in
-  let workers =
-    List.init domains (fun w ->
-        Domain.spawn (fun () ->
-            for i = 0 to keys - 1 do
-              let k = (i + (w * 17)) mod keys in
-              let v = Shard_map.find_or_add m k (fun () -> k) in
-              if v <> k then raise Exit;
-              match Shard_map.find m (Prng.int (Prng.create (Int64.of_int i)) keys) with
-              | Some x when x < 0 -> raise Exit
-              | _ -> ()
-            done))
-  in
-  List.iter Domain.join workers;
-  Alcotest.(check int) "every key bound once" keys (Shard_map.size m);
-  for k = 0 to keys - 1 do
-    if Shard_map.find m k <> Some k then Alcotest.failf "key %d lost in the race" k
-  done
-
 let tests =
   [
     Alcotest.test_case "dynarray push/get" `Quick test_dynarray_push_get;
-    Alcotest.test_case "shard map basics" `Quick test_shard_map_basic;
-    Alcotest.test_case "shard map concurrent adds" `Quick test_shard_map_concurrent;
     Alcotest.test_case "dynarray pop" `Quick test_dynarray_pop;
     Alcotest.test_case "dynarray bounds" `Quick test_dynarray_bounds;
     Alcotest.test_case "dynarray sort" `Quick test_dynarray_sort;

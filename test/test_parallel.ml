@@ -12,9 +12,8 @@
 
    The unit tests below cover the concurrent building blocks directly:
    {!Mdl_util.Domain_pool} scheduling (exactly-once, nesting,
-   exception rethrow, split chunking), the sharded {!Mdl_util.Gid_table}
-   under concurrent interning of overlapping key sets, and
-   {!Mdl_obs.Metrics} counter exactness under domains. *)
+   exception rethrow, split chunking), the sharded splitter-key walk,
+   and {!Mdl_obs.Metrics} counter exactness under domains. *)
 
 module Partition = Mdl_partition.Partition
 module Refiner = Mdl_partition.Refiner
@@ -23,7 +22,6 @@ module State_lumping = Mdl_lumping.State_lumping
 module Decomposed = Mdl_core.Decomposed
 module Compositional = Mdl_core.Compositional
 module Domain_pool = Mdl_util.Domain_pool
-module Gid_table = Mdl_util.Gid_table
 module Metrics = Mdl_obs.Metrics
 module Local_key = Mdl_core.Local_key
 module Key_cache = Mdl_core.Key_cache
@@ -90,11 +88,8 @@ let differential_lump mode spec =
     (fun d ->
       (* par_threshold 1 forces the key-cache miss walks and the
          rebuild's quotient rows onto the pool, however small the model —
-         the whole point is exercising the parallel paths.  The ranked
-         pass's class fill is not among them: [Level_lumping] does not
-         forward the threshold, and at [comp_lumping_ranked]'s own
-         default no pass here is large enough, so
-         [test_ranked_sharded_fill] below drives that loop directly. *)
+         the whole point is exercising the parallel paths.  Levels
+         refine concurrently on every pool of more than one domain. *)
       let r_par, s_par = lump_with ~pool:(pool d) ~par_threshold:1 mode md in
       let np = Array.length r_seq.Compositional.partitions in
       if Array.length r_par.Compositional.partitions <> np then
@@ -131,13 +126,14 @@ let test_differential_chain =
 
 (* ----- batched sweeps under domains ----- *)
 
-(* The sweep engine refines memo-missing levels concurrently on cache
-   forks; the result must stay bit-identical to the sequential engine
-   and to an independent per-point lump at every domain count.  The
-   family mirrors the bench's: a threshold indicator on the last level,
-   its complement (same class contents, flipped class order — forces a
-   level-memo miss that the persistent row store answers), a combined
-   point, and a repeat. *)
+(* The sweep engine refines memo-missing levels concurrently, each on
+   its own record of the engine's cache; the result must stay
+   bit-identical to the sequential engine and to an independent
+   per-point lump at every domain count, and so must every count the
+   cache and the refiner keep.  The family mirrors the bench's: a
+   threshold indicator on the last level, its complement (same class
+   contents, flipped class order — forces a level-memo miss that the
+   persistent row store answers), a combined point, and a repeat. *)
 let sweep_points md =
   let sizes = Md.sizes md in
   let level = Array.length sizes in
@@ -153,19 +149,38 @@ let sweep_points md =
   ( Decomposed.constant ~sizes 1.0,
     [ [ reward ]; [ ind true; reward ]; [ ind false; reward ]; [ reward ] ] )
 
+(* The registry counts two sweeps are compared on: the key cache's and
+   every refiner counter. *)
+let sweep_counters =
+  [ "key_cache.hits"; "key_cache.misses"; "key_cache.cross_bind_hits"; "refiner.runs" ]
+  @ List.map (( ^ ) "refiner.") Suite_partition.refiner_counters
+
 let test_differential_sweep =
   QCheck.Test.make ~count:25
     ~name:"parallel lump_sweep bit-identical to sequential and per-point (2/4 domains)"
     (Qcheck_gen.md_model ()) (fun spec ->
       let md = Gen_md.of_spec spec in
       let initial, points = sweep_points md in
+      (* A whole sweep: its results, then its registry counts and its
+         cache's own. *)
       let sweep ?pool ?par_threshold () =
         let sw =
           Compositional.sweep_create ?pool ?par_threshold State_lumping.Ordinary md
         in
-        List.map (fun rewards -> Compositional.sweep_point sw ~rewards ~initial) points
+        let rs, c =
+          Counters.of_run sweep_counters (fun () ->
+              List.map (fun rewards -> Compositional.sweep_point sw ~rewards ~initial) points)
+        in
+        let kc = Compositional.sweep_cache sw in
+        ( rs,
+          List.map (fun n -> (n, c n)) sweep_counters
+          @ [
+              ("store_size", Key_cache.store_size kc);
+              ("gid_count", Key_cache.gid_count kc);
+              ("cross_bind_hits", Key_cache.cross_bind_hits kc);
+            ] )
       in
-      let seq = sweep () in
+      let seq, seq_counts = sweep () in
       let independent =
         List.map
           (fun rewards -> Compositional.lump State_lumping.Ordinary md ~rewards ~initial)
@@ -183,7 +198,7 @@ let test_differential_sweep =
         seq independent;
       List.iter
         (fun d ->
-          let par = sweep ~pool:(pool d) ~par_threshold:1 () in
+          let par, par_counts = sweep ~pool:(pool d) ~par_threshold:1 () in
           List.iter2
             (fun s p ->
               if not (Md.equal s.Compositional.lumped p.Compositional.lumped) then
@@ -193,7 +208,12 @@ let test_differential_sweep =
                   (Array.for_all2 Partition.equal s.Compositional.partitions
                      p.Compositional.partitions)
               then QCheck.Test.fail_reportf "%d domains: sweep partitions differ" d)
-            seq par)
+            seq par;
+          List.iter2
+            (fun (name, s) (_, p) ->
+              if s <> p then
+                QCheck.Test.fail_reportf "%d domains: sweep %s %d, sequential %d" d name p s)
+            seq_counts par_counts)
         [ 2; 4 ];
       true)
 
@@ -336,127 +356,9 @@ let test_pool_chaos_flag () =
   in
   Alcotest.(check bool) "chaos tracks MDL_CHAOS" expected (Domain_pool.chaos (pool 2))
 
-(* ----- Gid_table under concurrent interning ----- *)
-
-(* Four domains intern overlapping slices of one key universe; record
-   which gid each interning returned.  A deterministic walk of the
-   records then reduces gids to first-appearance ranks — the same
-   reduction the refinement pipelines use — which must be identical
-   run-to-run even though the gid values themselves are racy. *)
-let stress_gid_table () =
-  let nkeys = 1_000 in
-  let per_task = 750 in
-  let table = Gid_table.create ~hash:Hashtbl.hash ~equal:String.equal () in
-  let key j = Printf.sprintf "key-%d" (j mod nkeys) in
-  let gids = Array.make (4 * per_task) (-1) in
-  Domain_pool.run (pool 4) ~n:4 (fun i ->
-      for k = 0 to per_task - 1 do
-        gids.((i * per_task) + k) <- Gid_table.intern table (key ((i * 250) + k))
-      done);
-  (table, key, gids)
-
-let ranks_of gids =
-  let rank = Hashtbl.create 1_024 in
-  Array.map
-    (fun g ->
-      match Hashtbl.find_opt rank g with
-      | Some r -> r
-      | None ->
-          let r = Hashtbl.length rank in
-          Hashtbl.add rank g r;
-          r)
-    gids
-
-let test_gid_table_stress () =
-  let nkeys = 1_000 in
-  let table, key, gids = stress_gid_table () in
-  Alcotest.(check int) "every distinct key interned once" nkeys (Gid_table.size table);
-  (* Gids are dense, and every record agrees with a post-hoc lookup —
-     no key ever received two ids. *)
-  let seen = Array.make nkeys false in
-  Array.iter
-    (fun g ->
-      Alcotest.(check bool) "gid in range" true (g >= 0 && g < nkeys);
-      seen.(g) <- true)
-    gids;
-  Alcotest.(check bool) "gids dense" true (Array.for_all Fun.id seen);
-  Array.iteri
-    (fun idx g ->
-      let j = ((idx / 750) * 250) + (idx mod 750) in
-      Alcotest.(check (option int)) "find agrees with intern" (Some g)
-        (Gid_table.find table (key j)))
-    gids;
-  (* Rank reduction is run-to-run deterministic; raw gids need not be. *)
-  let _, _, gids2 = stress_gid_table () in
-  Alcotest.(check bool) "rank assignments identical run-to-run" true
-    (ranks_of gids = ranks_of gids2)
-
-let test_gid_table_growth () =
-  (* 10k keys through 16 shards of 16 initial buckets: every shard grows
-     several times; lookups must survive the republished bucket arrays. *)
-  let table = Gid_table.create ~hash:Hashtbl.hash ~equal:Int.equal () in
-  let n = 10_000 in
-  for j = 0 to n - 1 do
-    Alcotest.(check int) "sequential gids are first-appearance order" j
-      (Gid_table.intern table (j * 7))
-  done;
-  Alcotest.(check int) "size after growth" n (Gid_table.size table);
-  for j = 0 to n - 1 do
-    Alcotest.(check (option int)) "find after growth" (Some j)
-      (Gid_table.find table (j * 7))
-  done;
-  Alcotest.(check (option int)) "miss is None" None (Gid_table.find table (-1))
-
-let test_gid_rank_determinism =
-  QCheck.Test.make ~count:20 ~name:"gid rank reduction deterministic (random overlap)"
-    QCheck.(pair (int_range 1 500) (int_range 0 1_000))
-    (fun (nkeys, seed) ->
-      (* Four domains intern pseudo-random overlapping draws from a
-         [nkeys]-key universe; the first-appearance ranks of the merged
-         record must be identical run-to-run. *)
-      let draws = 3 * nkeys in
-      let run () =
-        let table = Gid_table.create ~hash:Hashtbl.hash ~equal:Int.equal () in
-        let gids = Array.make (4 * draws) (-1) in
-        Domain_pool.run (pool 4) ~n:4 (fun i ->
-            let prng = Mdl_util.Prng.of_seed ((seed * 4) + i) in
-            for k = 0 to draws - 1 do
-              gids.((i * draws) + k) <-
-                Gid_table.intern table (Mdl_util.Prng.int prng nkeys)
-            done);
-        gids
-      in
-      ranks_of (run ()) = ranks_of (run ()))
-
-(* ----- Key_cache forks ----- *)
+(* ----- the sharded splitter-key walk ----- *)
 
 let identity_slice n : Refiner.slice = (Array.init n Fun.id, 0, n)
-
-let test_key_cache_fork () =
-  let md = Gen_md.of_spec direct_spec in
-  let kc = Key_cache.create () in
-  Key_cache.bind ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary kc md;
-  let node = List.hd (Md.live_nodes md).(0) in
-  let slice = identity_slice (Md.size md 1) in
-  let eval c = Key_cache.splitter_keys c ~node slice in
-  let counted f = Counters.of_run [ "key_cache.hits"; "key_cache.misses" ] f in
-  let (states, gids), parent = counted (fun () -> eval kc) in
-  Alcotest.(check int) "parent first call is a miss" 1 (parent "key_cache.misses");
-  let gid_count = Key_cache.gid_count kc in
-  let fork, forking = counted (fun () -> Key_cache.fork kc) in
-  Alcotest.(check int) "fork starts with zero hits" 0 (forking "key_cache.hits");
-  Alcotest.(check int) "fork starts with zero misses" 0 (forking "key_cache.misses");
-  (* The fork's rows memo is fresh (first call misses), but it interns
-     into the SAME gid table — equal keys get the parent's gids and no
-     new ids are allocated. *)
-  let (fstates, fgids), first = counted (fun () -> eval fork) in
-  Alcotest.(check int) "fork first call is a miss" 1 (first "key_cache.misses");
-  Alcotest.(check bool) "fork returns the parent's states" true (states = fstates);
-  Alcotest.(check bool) "fork returns the parent's gids" true (gids = fgids);
-  Alcotest.(check int) "no new gids allocated" gid_count (Key_cache.gid_count fork);
-  (* The parent's memo is its own: the fork's miss left it warm. *)
-  let _, again = counted (fun () -> eval kc) in
-  Alcotest.(check int) "parent memo untouched by the fork" 1 (again "key_cache.hits")
 
 let test_eval_keys_matches_splitter_keys () =
   let md = Gen_md.of_spec kron_spec in
@@ -484,21 +386,6 @@ let test_eval_keys_matches_splitter_keys () =
                listed zipped))
         nodes)
     (Array.to_list (Md.live_nodes md))
-
-let test_warm_col_cache () =
-  let md = Gen_md.of_spec direct_spec in
-  let lazy_md = Gen_md.of_spec direct_spec in
-  Md.warm_col_cache md;
-  Array.iteri
-    (fun l nodes ->
-      List.iter
-        (fun node ->
-          for s = 0 to Md.size md (l + 1) - 1 do
-            Alcotest.(check bool) "warmed column = lazily filled column" true
-              (Md.node_col md node s = Md.node_col lazy_md node s)
-          done)
-        nodes)
-    (Md.live_nodes md)
 
 (* ----- Metrics exactness under domains ----- *)
 
@@ -554,63 +441,13 @@ let test_differential_chain_exact =
     ~name:"parallel lump bit-identical to sequential (flat chains, exact)"
     Qcheck_gen.chain (fun c -> differential_lump State_lumping.Exact (Spec.Chain c))
 
-(* ----- ranked pipeline: the sharded class fill ----- *)
-
-(* [comp_lumping_ranked] with a pool fills each pass's class slots on
-   the pool's domains once the pass has [par_threshold] pairs.  With the
-   threshold at 1 every pass takes that path; the partition (class ids
-   included) and every counter must equal the run without a pool. *)
-let test_ranked_sharded_fill =
-  let gen =
-    QCheck.Gen.(
-      let* n = int_range 2 60 in
-      let+ edges =
-        list_size (int_range 0 150) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
-      in
-      (n, edges))
-  in
-  let print (n, e) =
-    Printf.sprintf "n=%d %s" n
-      (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) e))
-  in
-  QCheck.Test.make ~count:100
-    ~name:"ranked pipeline: sharded class fill identical to no pool (2/4 domains)"
-    (QCheck.make ~print gen) (fun (n, edges) ->
-      let initial = Partition.group_by n (fun i -> i mod 3) compare in
-      let run ?pool () =
-        let p, c, alphabet =
-          Suite_partition.counted (fun () ->
-              Refiner.comp_lumping_ranked ?pool ~par_threshold:1
-                (Suite_partition.ranked_graph_spec edges n)
-                ~initial)
-        in
-        ( Partition.to_class_assignment p,
-          List.map (fun n -> (n, c n)) Suite_partition.refiner_counters
-          @ [ ("intern_alphabet", int_of_float alphabet) ] )
-      in
-      let seq = run () in
-      List.iter
-        (fun d ->
-          let assignment, counters = run ~pool:(pool d) () in
-          if assignment <> fst seq then
-            QCheck.Test.fail_reportf "%d domains: partition differs" d;
-          List.iter2
-            (fun (name, a) (_, b) ->
-              if a <> b then
-                QCheck.Test.fail_reportf "%d domains: %s %d, no pool %d" d name b a)
-            (snd seq) counters)
-        [ 2; 4 ];
-      true)
-
 let qcheck_tests =
   [
-    test_ranked_sharded_fill;
     test_differential_ordinary;
     test_differential_exact;
     test_differential_chain;
     test_differential_chain_exact;
     test_differential_sweep;
-    test_gid_rank_determinism;
   ]
 
 let tests =
@@ -628,14 +465,8 @@ let tests =
       test_rebuild_parallel_identical;
     Alcotest.test_case "tracing falls back to sequential levels, same result" `Quick
       test_trace_fallback_identical;
-    Alcotest.test_case "gid table: concurrent overlapping interning" `Quick
-      test_gid_table_stress;
-    Alcotest.test_case "gid table: growth and lookup" `Quick test_gid_table_growth;
-    Alcotest.test_case "key cache forks share the gid table" `Quick test_key_cache_fork;
     Alcotest.test_case "sharded eval_keys matches splitter_keys" `Quick
       test_eval_keys_matches_splitter_keys;
-    Alcotest.test_case "warm_col_cache fills what node_col would" `Quick
-      test_warm_col_cache;
     Alcotest.test_case "metrics counters exact under 4 domains" `Quick
       test_metrics_counters_exact;
     Alcotest.test_case "metrics gauge/histogram exact under 4 domains" `Quick
