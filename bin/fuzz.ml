@@ -24,10 +24,9 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
   Mdl_obs.Logging.setup ~verbose ();
   let master = Prng.of_seed seed in
   (* Domain pools are created once per size and reused across cases
-     (domains are joined only at exit).  Under [--domains], every
-     sharding threshold is forced to 1 so even the small fuzz models
-     exercise the parallel paths; set MDL_CHAOS=1 to additionally
-     perturb task interleavings inside the pool. *)
+     (domains are joined only at exit).  Under [--domains], the levels of
+     every multi-level model refine concurrently; set MDL_CHAOS=1 to
+     additionally perturb task interleavings inside the pool. *)
   let pools = Hashtbl.create 4 in
   let pool_of n =
     if n <= 1 then None
@@ -59,10 +58,9 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
     Hashtbl.replace family_counts family
       (1 + Option.value ~default:0 (Hashtbl.find_opt family_counts family));
     let pool = pool_for prng in
-    let par_threshold = if pool = None then None else Some 1 in
     List.iter
       (fun mode ->
-        let outcome = Oracle.run ?inject ?pool ?par_threshold mode spec in
+        let outcome = Oracle.run ?inject ?pool mode spec in
         incr checked;
         if verbose then Format.printf "#%d %a@." i Oracle.pp_outcome outcome;
         if sanity then begin
@@ -143,8 +141,9 @@ let domains_arg =
       if s = "random" then Ok `Random
       else
         match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok (if n = 1 then `Off else `Fixed n)
-        | _ -> Error (`Msg "expected a positive integer or \"random\"")
+        (* The OCaml runtime runs at most 128 domains. *)
+        | Some n when n >= 1 && n <= 128 -> Ok (if n = 1 then `Off else `Fixed n)
+        | _ -> Error (`Msg "expected an integer in 1-128 or \"random\"")
     in
     let print ppf = function
       | `Off -> Format.pp_print_string ppf "1"
@@ -155,7 +154,7 @@ let domains_arg =
   in
   Arg.(value & opt domains_conv `Off
        & info [ "domains" ] ~docv:"N"
-           ~doc:"Lump on $(docv) OCaml domains (or $(b,random): 2-4 domains drawn per case), with every sharding threshold forced to 1 so small models still take the parallel paths. Results are checked by the same oracle either way. Set MDL_CHAOS=1 to also perturb pool interleavings (concurrency chaos mode).")
+           ~doc:"Lump on $(docv) OCaml domains, 1-128 (or $(b,random): 2-4 domains drawn per case): the levels of each multi-level model refine concurrently. Results are checked by the same oracle either way. Set MDL_CHAOS=1 to also perturb pool interleavings (concurrency chaos mode).")
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every outcome, not just failures.")

@@ -372,10 +372,21 @@ let metrics_arg =
        & info [ "metrics" ]
            ~doc:"Enable the process-wide metrics registry and dump it after the run: key-cache hits/misses, splitter-pass, split and key-evaluation counters, latency histograms, and the per-phase Gc allocation breakdown.")
 
+(* The OCaml runtime runs at most 128 domains.  A count outside 1-128 is
+   a usage error that names the flag (exit 124), raised before any
+   domain is spawned. *)
+let domain_count =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= 128 -> Ok n
+    | _ -> Error (Printf.sprintf "invalid value '%s', expected an integer in 1-128" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let domains_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt domain_count 1
        & info [ "domains" ] ~docv:"N"
-           ~doc:"Run the lumping pipeline data-parallel on $(docv) OCaml domains (levels refine concurrently; large splitter passes and the rebuild shard internally). Results are bit-identical to $(b,--domains 1). With $(b,--trace) or $(b,--metrics), per-level tracing forces levels back to sequential; intra-level sharding stays on.")
+           ~doc:"Lump on $(docv) OCaml domains, 1-128: the levels of the diagram refine concurrently, one task per level; nothing inside a level runs in parallel. Results are bit-identical to $(b,--domains 1). With $(b,--trace) or $(b,--metrics), per-level tracing keeps levels sequential.")
 
 (* The family's parameters as a term: one int flag per parameter, in
    catalogue order, yielding the (name, value) valuation. *)

@@ -52,11 +52,75 @@ let is_identity p =
   done;
   !ok
 
-(* How many pool tasks to cut [n] work items into: enough for dynamic
-   load balancing, bounded so per-task overhead stays negligible. *)
-let task_count pool n = min n (4 * Domain_pool.size pool)
+(* The rows that make up each class's quotient row, every term taken
+   with weight [1 / (number of rows)]: ordinary lumping reads the
+   representative's row alone (weight 1); exact lumping averages the
+   rows of all members, the aggregated form [R(C_i, C_j) / |C_i|]
+   (Theorem 4).  Exact-mode members are listed in descending state
+   order, bucketed in one pass per level. *)
+let contributing_rows mode p =
+  let nc = Partition.num_classes p in
+  match mode with
+  | Mdl_lumping.State_lumping.Ordinary ->
+      Array.init nc (fun ci -> [| Partition.representative p ci |])
+  | Mdl_lumping.State_lumping.Exact ->
+      let rows = Array.init nc (fun ci -> Array.make (Partition.class_size p ci) 0) in
+      let filled = Array.make nc 0 in
+      for s = Partition.size p - 1 downto 0 do
+        let ci = Partition.class_of p s in
+        rows.(ci).(filled.(ci)) <- s;
+        filled.(ci) <- filled.(ci) + 1
+      done;
+      rows
 
-let rebuild_body ?pool ?(par_threshold = 1024) mode md partitions =
+(* One node's quotient rows, emitted through the raw sorted-rows
+   constructor, which skips [add_node]'s per-entry hashing, validation
+   and sort.  Each class's row folds its contributing rows, in the order
+   listed and each with its columns descending, into one class-indexed
+   accumulator, then emits the touched columns ascending.  Every
+   (C_i, C_j) cell thus folds its terms in {e descending} (row, col)
+   order — the order [add_node] combines a consed entry list in — so the
+   coefficients come out bit-identical to a from-scratch [add_node]
+   rebuild (the oracle's reference lumper) and both hash-cons to equal
+   diagrams.  The scratch is two class-indexed arrays per level. *)
+let quotient_rows md p remap contributors =
+  let nc = Partition.num_classes p in
+  let acc = Array.make nc Formal_sum.empty in
+  let seen = Array.make nc false in
+  fun node ->
+    let out = Array.make nc [||] in
+    for ci = 0 to nc - 1 do
+      let rows = contributors.(ci) in
+      let n = Array.length rows in
+      let cols = ref [] in
+      for k = 0 to n - 1 do
+        Md.rev_iter_node_row md node rows.(k) (fun c sum ->
+            let cj = Partition.class_of p c in
+            if not seen.(cj) then begin
+              seen.(cj) <- true;
+              cols := cj :: !cols
+            end;
+            let sum = Formal_sum.map_children remap sum in
+            (* A weight of 1 scales nothing, bit for bit: skip the copy. *)
+            let term =
+              if n = 1 then sum else Formal_sum.scale (1.0 /. float_of_int n) sum
+            in
+            acc.(cj) <- Formal_sum.add acc.(cj) term)
+      done;
+      let row =
+        List.filter_map
+          (fun cj ->
+            let s = acc.(cj) in
+            acc.(cj) <- Formal_sum.empty;
+            seen.(cj) <- false;
+            if Formal_sum.is_empty s then None else Some (cj, s))
+          (List.sort Int.compare !cols)
+      in
+      out.(ci) <- Array.of_list row
+    done;
+    out
+
+let rebuild_body mode md partitions =
   let nlevels = Md.levels md in
   let identity = Array.map is_identity partitions in
   if Array.for_all Fun.id identity then begin
@@ -89,119 +153,23 @@ let rebuild_body ?pool ?(par_threshold = 1024) mode md partitions =
             Metrics.incr c_nodes_reused)
           live.(level - 1)
       else begin
-        (* Fast quotient build: flat class-indexed accumulation emitted
-           through the raw sorted-rows constructor, skipping
-           [add_node]'s per-entry hashing/validation/sort.  Entries are
-           folded in {e descending} (row, col) order — the order
-           [add_node] combines a consed entry list in — so the
-           floating-point coefficients come out bit-identical to a
-           from-scratch [add_node] rebuild (the oracle's reference
-           lumper) and both hash-cons to equal diagrams. *)
-        let nc = Partition.num_classes p in
-        (* Per-node quotient rows are computed independently (per-task
-           scratch, untouched per-node fold order), so they can be
-           produced on any domain; the [add_node_sorted_rows] commits —
-           hash-consing into the shared store — run on this domain in
-           node order, which keeps node ids, cons-table state and the
-           [node_map] exactly as the sequential build makes them. *)
-        let build =
-          match mode with
-          | Mdl_lumping.State_lumping.Ordinary ->
-              (* Representative rows, class-summed columns. *)
-              fun () ->
-                let acc = Array.make nc Formal_sum.empty in
-                let seen = Array.make nc false in
-                fun node ->
-                  let rows = Array.make nc [||] in
-                  for ci = 0 to nc - 1 do
-                    let rep = Partition.representative p ci in
-                    let cols = ref [] in
-                    Md.rev_iter_node_row md node rep (fun c sum ->
-                        let cj = Partition.class_of p c in
-                        if not seen.(cj) then begin
-                          seen.(cj) <- true;
-                          cols := cj :: !cols
-                        end;
-                        acc.(cj) <-
-                          Formal_sum.add acc.(cj) (Formal_sum.map_children remap sum));
-                    let row =
-                      List.filter_map
-                        (fun cj ->
-                          let s = acc.(cj) in
-                          acc.(cj) <- Formal_sum.empty;
-                          seen.(cj) <- false;
-                          if Formal_sum.is_empty s then None else Some (cj, s))
-                        (List.sort compare !cols)
-                    in
-                    rows.(ci) <- Array.of_list row
-                  done;
-                  rows
-          | Mdl_lumping.State_lumping.Exact ->
-              (* Aggregated form: all entries, scaled by 1/|C_row|. *)
-              fun () ->
-                let acc = Array.make (nc * nc) Formal_sum.empty in
-                let seen = Array.make (nc * nc) false in
-                fun node ->
-                  let touched = ref [] in
-                  Md.rev_iter_node_entries md node (fun r c sum ->
-                      let ci = Partition.class_of p r in
-                      let w = 1.0 /. float_of_int (Partition.class_size p ci) in
-                      let idx = (ci * nc) + Partition.class_of p c in
-                      if not seen.(idx) then begin
-                        seen.(idx) <- true;
-                        touched := idx :: !touched
-                      end;
-                      acc.(idx) <-
-                        Formal_sum.add acc.(idx)
-                          (Formal_sum.scale w (Formal_sum.map_children remap sum)));
-                  let per_row = Array.make nc [] in
-                  (* Descending index order, so each row list conses up
-                     ascending. *)
-                  List.iter
-                    (fun idx ->
-                      let s = acc.(idx) in
-                      acc.(idx) <- Formal_sum.empty;
-                      seen.(idx) <- false;
-                      if not (Formal_sum.is_empty s) then
-                        per_row.(idx / nc) <- ((idx mod nc), s) :: per_row.(idx / nc))
-                    (List.sort (fun a b -> compare (b : int) a) !touched);
-                  Array.map Array.of_list per_row
-        in
-        let nodes = Array.of_list live.(level - 1) in
-        let nnodes = Array.length nodes in
-        let commit rows_of =
-          Array.iteri
-            (fun i node ->
-              Hashtbl.replace node_map node (Md.add_node_sorted_rows out ~level (rows_of i));
-              Metrics.incr c_nodes_rebuilt)
-            nodes
-        in
-        match pool with
-        | Some pool
-          when Domain_pool.size pool > 1 && nnodes > 1 && nnodes * nc >= par_threshold ->
-            let results = Array.make nnodes [||] in
-            let tasks = task_count pool nnodes in
-            Domain_pool.run pool ~n:tasks (fun t ->
-                let lo, hi = Domain_pool.split ~n:nnodes ~tasks t in
-                let build_node = build () in
-                for i = lo to hi - 1 do
-                  results.(i) <- build_node nodes.(i)
-                done);
-            commit (fun i -> results.(i))
-        | _ ->
-            let build_node = build () in
-            commit (fun i -> build_node nodes.(i))
+        let build = quotient_rows md p remap (contributing_rows mode p) in
+        List.iter
+          (fun node ->
+            Hashtbl.replace node_map node (Md.add_node_sorted_rows out ~level (build node));
+            Metrics.incr c_nodes_rebuilt)
+          live.(level - 1)
       end
     done;
     Md.set_root out (remap (Md.root md));
     out
   end
 
-let rebuild ?pool ?par_threshold mode md partitions =
-  if not (Trace.enabled ()) then rebuild_body ?pool ?par_threshold mode md partitions
+let rebuild mode md partitions =
+  if not (Trace.enabled ()) then rebuild_body mode md partitions
   else
     Trace.with_span ~cat:"lump" "lump.rebuild" (fun () ->
-        let out = rebuild_body ?pool ?par_threshold mode md partitions in
+        let out = rebuild_body mode md partitions in
         Trace.add_args
           [
             ("nodes_in", Trace.Int (Md.num_live_nodes md));
@@ -210,7 +178,7 @@ let rebuild ?pool ?par_threshold mode md partitions =
           ];
         out)
 
-let lump_with_partitions ?pool ?par_threshold mode md partitions =
+let lump_with_partitions mode md partitions =
   if Array.length partitions <> Md.levels md then
     invalid_arg "Compositional.lump_with_partitions: level count mismatch";
   Array.iteri
@@ -218,7 +186,7 @@ let lump_with_partitions ?pool ?par_threshold mode md partitions =
       if Partition.size p <> Md.size md (i + 1) then
         invalid_arg "Compositional.lump_with_partitions: partition size mismatch")
     partitions;
-  { lumped = rebuild ?pool ?par_threshold mode md partitions; partitions }
+  { lumped = rebuild mode md partitions; partitions }
 
 (* ------------------------------------------------------------------ *)
 (* The lumping engine: one diagram, one or many reward/initial points. *)
@@ -241,7 +209,6 @@ type sweep = {
   sw_key : Local_key.choice;
   sw_cache : Key_cache.t;
   sw_pool : Domain_pool.t option;
-  sw_par_threshold : int option;
   sw_level_memo : (int * int array, int array) Hashtbl.t;
       (* (level, initial layout) -> final canonical assignment *)
   sw_rebuild_memo : (int array, Md.t) Hashtbl.t;
@@ -253,7 +220,7 @@ type sweep = {
   mutable sw_rebuilds_reused : int;
 }
 
-let engine ?(key = Local_key.Formal_sums) ?cache ?pool ?par_threshold mode md =
+let engine ?(key = Local_key.Formal_sums) ?cache ?pool mode md =
   let cache = match cache with Some c -> c | None -> Key_cache.create () in
   {
     sw_mode = mode;
@@ -261,7 +228,6 @@ let engine ?(key = Local_key.Formal_sums) ?cache ?pool ?par_threshold mode md =
     sw_key = key;
     sw_cache = cache;
     sw_pool = pool;
-    sw_par_threshold = par_threshold;
     sw_level_memo = Hashtbl.create 64;
     sw_rebuild_memo = Hashtbl.create 16;
     sw_points = 0;
@@ -316,8 +282,9 @@ type level_outcome = {
    memo is only read there, and every other write (memo entries, engine
    counters) happens afterwards on this domain, in level order, so
    totals equal a sequential run's whatever order levels finished in.
-   A [Trace.Ctx] is single-owner, so traced runs keep levels sequential
-   (intra-level sharding never emits spans and stays on). *)
+   The level is the only parallel unit: nothing inside one shards, and
+   the rebuild runs on this domain.  A [Trace.Ctx] is single-owner, so
+   traced runs keep levels sequential. *)
 let run_point sw ~rewards ~initial =
   let md = sw.sw_md and mode = sw.sw_mode in
   let nlevels = Md.levels md in
@@ -326,12 +293,10 @@ let run_point sw ~rewards ~initial =
      one monotone refinement run per level.  The intern tables and
      (same-md) contexts survive the rebind.  Binding with the run's
      configuration makes a mismatched shared cache fail loudly here
-     instead of deep inside a splitter pass.  Arming the pool (or
-     disarming it, so a reused cache never keeps a stale one) reaches
-     intra-node splitter-key sharding.  Both write the cache's
-     engine-level fields, so they come before any level task starts. *)
+     instead of deep inside a splitter pass.  The bind writes the
+     cache's engine-level fields, so it comes before any level task
+     starts. *)
   Key_cache.bind ~choice:sw.sw_key ~mode sw.sw_cache md;
-  Key_cache.set_pool ?par_threshold:sw.sw_par_threshold sw.sw_cache sw.sw_pool;
   let level_work i =
     let level = i + 1 in
     let p_ini =
@@ -409,11 +374,7 @@ let run_point sw ~rewards ~initial =
       { lumped; partitions }
   | None ->
       sw.sw_rebuilds <- sw.sw_rebuilds + 1;
-      let r, dt =
-        Mdl_util.Timer.time (fun () ->
-            lump_with_partitions ?pool:sw.sw_pool ?par_threshold:sw.sw_par_threshold mode md
-              partitions)
-      in
+      let r, dt = Mdl_util.Timer.time (fun () -> lump_with_partitions mode md partitions) in
       Log.debug (fun m ->
           m "rebuild: %d nodes -> %d nodes in %.3fs%s" (Md.num_live_nodes md)
             (Md.num_live_nodes r.lumped) dt
@@ -421,9 +382,9 @@ let run_point sw ~rewards ~initial =
       Hashtbl.add sw.sw_rebuild_memo rebuild_key r.lumped;
       r
 
-let lump ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial =
+let lump ?key ?cache ?pool mode md ~rewards ~initial =
   Metrics.incr c_lumps;
-  let sw = engine ?key ?cache ?pool ?par_threshold mode md in
+  let sw = engine ?key ?cache ?pool mode md in
   if not (Trace.enabled ()) then run_point sw ~rewards ~initial
   else
     Trace.with_span ~cat:"lump"
@@ -431,8 +392,8 @@ let lump ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial =
       "lump"
       (fun () -> run_point sw ~rewards ~initial)
 
-let sweep_create ?pool ?par_threshold mode md =
-  let sw = engine ?pool ?par_threshold mode md in
+let sweep_create ?pool mode md =
+  let sw = engine ?pool mode md in
   (* Persistence is what carries splitter rows across points. *)
   Key_cache.set_persistent sw.sw_cache true;
   sw

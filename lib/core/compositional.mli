@@ -32,7 +32,6 @@ val lump :
   ?key:Local_key.choice ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
-  ?par_threshold:int ->
   Mdl_lumping.State_lumping.mode ->
   Mdl_md.Md.t ->
   rewards:Decomposed.t list ->
@@ -64,24 +63,19 @@ val lump :
     and an [Md.equal] diagram with none of this machinery (pinned by
     the differential property tests and by [bin/fuzz]).
 
-    [pool] runs the pipeline data-parallel on a {!Mdl_util.Domain_pool}:
-    levels refine concurrently (each level runs the untouched sequential
-    fixed point on its own domain over the one cache, writing only its
-    own {!Key_cache.level} record, so level tasks share nothing
-    mutable); within a level, large splitter-key misses shard their
-    member walk ({!Local_key.eval_keys}); and the incremental rebuild
-    computes quotient node rows in parallel, committing them to the
-    store in node order.
-    [par_threshold] (default [1024]) is the minimum work-item count
-    (splitter-class members, quotient rows per level) below which a loop
-    stays inline.  {b Determinism:} every sharded loop either merges its
-    results in index order or writes placement-independent slots, so the
-    partitions, the lumped diagram (bit-identical, [Md.equal]), the
-    splitter-pass counts and all counters are the same at {e any} domain
-    count, pool or no pool — pinned by the differential concurrency
-    suite.  When tracing is enabled ({!Mdl_obs.Trace}), levels run
-    sequentially, because a {!Mdl_obs.Trace.Ctx.t} is single-owner and
-    the level spans must nest in it; intra-level sharding stays on.
+    [pool] refines the levels concurrently on a {!Mdl_util.Domain_pool}:
+    the level is the only parallel unit.  Each level runs the untouched
+    sequential fixed point on its own domain over the one cache, writing
+    only its own {!Key_cache.level} record, so level tasks share nothing
+    mutable; nothing inside a level shards, and the rebuild runs on the
+    calling domain.  {b Determinism:} level results are merged in level
+    order, so the partitions, the lumped diagram (bit-identical,
+    [Md.equal]), the splitter-pass counts and all counters are the same
+    at {e any} domain count, pool or no pool — pinned by the
+    differential concurrency suite.  When tracing is enabled
+    ({!Mdl_obs.Trace}), levels run sequentially, because a
+    {!Mdl_obs.Trace.Ctx.t} is single-owner and the level spans must nest
+    in it.
 
     Observability: each level's class counts are logged on the
     [mdl.lump] source at debug level.  The run's counts go to the
@@ -95,8 +89,6 @@ val lump :
     {!Mdl_obs.Trace.with_ctx}. *)
 
 val lump_with_partitions :
-  ?pool:Mdl_util.Domain_pool.t ->
-  ?par_threshold:int ->
   Mdl_lumping.State_lumping.mode ->
   Mdl_md.Md.t ->
   Mdl_partition.Partition.t array ->
@@ -107,16 +99,15 @@ val lump_with_partitions :
     ([class_of s = s] for all [s]) are imported node-for-node
     ({!Mdl_md.Md.import_node}); when {e every} level is the identity the
     input diagram is aliased.  Other levels build each quotient node's
-    rows directly in sorted order, bit-identical to a from-scratch
+    rows directly in sorted order, one class at a time: class [C_i]'s
+    row folds its contributing rows (the representative's in ordinary
+    mode; every member's, each term scaled by [1/|C_i|], in exact mode)
+    into one class-indexed accumulator, so a level's scratch is linear
+    in its class count.  The result is bit-identical to a from-scratch
     [Md.add_node] rebuild (the oracle's reference lumper keeps that
     one).  Each node counts once in the registry, as
     [rebuild.nodes_rebuilt] or [rebuild.nodes_reused] (an aliased
-    diagram counts all its live nodes as reused).  [pool] parallelises
-    the incremental path's per-node quotient row builds when a level
-    has at least [par_threshold] class-indexed rows to produce (default
-    [1024], counted as nodes x classes); commits to the store stay
-    sequential in node order, so the result is bit-identical at any
-    domain count.
+    diagram counts all its live nodes as reused).
     @raise Invalid_argument on partition count/size mismatch. *)
 
 (** {1 Batched sweeps}
@@ -151,16 +142,15 @@ type sweep_stats = {
 
 val sweep_create :
   ?pool:Mdl_util.Domain_pool.t ->
-  ?par_threshold:int ->
   Mdl_lumping.State_lumping.mode ->
   Mdl_md.Md.t ->
   sweep
 (** An engine over [md] with the paper's key choice
     ({!Local_key.Formal_sums}) and a fresh cache of its own in
-    persistent mode.  [pool] and [par_threshold] parallelise each point
-    exactly as in {!lump} (memo-missing levels refine concurrently, each
-    on its own record of the engine's cache, whose store keeps their
-    work for later points).  Mapping {!sweep_point} over a list of
+    persistent mode.  [pool] parallelises each point exactly as in
+    {!lump} (memo-missing levels refine concurrently, each on its own
+    record of the engine's cache, whose store keeps their work for later
+    points).  Mapping {!sweep_point} over a list of
     points is the batched equivalent of mapping {!lump} over it:
     bit-identical, and typically several times faster per point once
     warm (see the [sweeps] section of BENCH_refine.json and [lumpmd

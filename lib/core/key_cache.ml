@@ -2,7 +2,6 @@ module Md = Mdl_md.Md
 module Hashx = Mdl_util.Hashx
 module Metrics = Mdl_obs.Metrics
 module Timer = Mdl_util.Timer
-module Domain_pool = Mdl_util.Domain_pool
 
 (* The cache's lookup counts live in the registry.  The two histograms
    add what a count cannot say: how long uncached column walks take and
@@ -105,7 +104,7 @@ end)
    interned to content signatures, and full splitter rows keyed by
    (node, signature) so they survive same-diagram rebinds (see
    [splitter_keys]).  [owner] is read-only here: its fields are written
-   by [bind] and the setters only, before any level task starts. *)
+   by [bind] and [set_persistent] only, before any level task starts. *)
 type level = {
   owner : t;
   gids : int Key_table.t;
@@ -124,28 +123,11 @@ and t = {
   mutable dim : int; (* 1 + max level size of the bound diagram *)
   mutable epoch : int; (* persistent mode: bumped per same-diagram bind *)
   mutable persistent : bool;
-  mutable pool : Domain_pool.t option;
-  mutable par_threshold : int;
   mutable config : config option; (* recorded by the first bind *)
 }
 
-let default_par_threshold = 1024
-
 let create () =
-  {
-    md = None;
-    levels = [||];
-    dim = 1;
-    epoch = 0;
-    persistent = false;
-    pool = None;
-    par_threshold = default_par_threshold;
-    config = None;
-  }
-
-let set_pool ?par_threshold t pool =
-  t.pool <- pool;
-  match par_threshold with Some th -> t.par_threshold <- max 1 th | None -> ()
+  { md = None; levels = [||]; dim = 1; epoch = 0; persistent = false; config = None }
 
 let drop_rows lv =
   Hashtbl.reset lv.rows;
@@ -240,14 +222,10 @@ let for_level t l =
 (* A bound cache always has a recorded configuration: [bind] records it
    before it allocates the level records. *)
 let eval_rows ?skip lv node slice =
-  let t = lv.owner in
-  let { cfg_choice; cfg_mode } = Option.get t.config in
+  let { cfg_choice; cfg_mode } = Option.get lv.owner.config in
   let metered = Metrics.enabled () in
   let t0 = if metered then Timer.now_ns () else 0L in
-  let states, keys =
-    Local_key.eval_keys ?skip ?pool:t.pool ~par_threshold:t.par_threshold lv.ctx cfg_choice
-      cfg_mode node slice
-  in
+  let states, keys = Local_key.eval_keys ?skip lv.ctx cfg_choice cfg_mode node slice in
   let gids = Array.map (Key_table.intern lv.gids) keys in
   if metered then begin
     Metrics.observe m_miss_seconds

@@ -39,8 +39,8 @@
     become per-pass first-appearance ranks.
     Level tasks running concurrently on a domain pool therefore share
     nothing mutable: each writes only its own record, and the
-    engine-level state (bound diagram, epoch, persistence, pool,
-    recorded configuration) is written only by {!bind} and the setters,
+    engine-level state (bound diagram, epoch, persistence, recorded
+    configuration) is written only by {!bind} and {!set_persistent},
     before any level task starts.  Every table is a plain single-owner
     hash table.
 
@@ -150,14 +150,6 @@ val for_level : t -> int -> level
     the lookups of one level's refinement run to share.
     @raise Invalid_argument when the cache is unbound or [l] is out of
     range. *)
-
-val set_pool : ?par_threshold:int -> t -> Mdl_util.Domain_pool.t option -> unit
-(** Arm (or disarm, with [None]) intra-node miss sharding: subsequent
-    cache misses evaluate their keys through {!Local_key.eval_keys}
-    with this pool whenever the splitter class has at least
-    [par_threshold] members (default 1024; clamped to >= 1).  Never
-    changes results — see the determinism contract on
-    {!Local_key.eval_keys}. *)
 
 val set_persistent : t -> bool -> unit
 (** Switch cross-bind persistence on or off.  Toggling (either way)

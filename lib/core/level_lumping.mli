@@ -61,9 +61,8 @@ val comp_lumping_level :
 
     The run selects the cache's record for [level] ({!Key_cache.for_level})
     once and writes no other, so runs of different levels may share one
-    cache from different domains.  Intra-node splitter-key sharding is
-    armed on the cache via {!Key_cache.set_pool}; it changes neither
-    the computed partition, the pass counts nor any other count.
+    cache from different domains.  The run itself is sequential: it
+    submits nothing to a domain pool.
 
     The returned partition is canonicalised when fully discrete: if no
     two states lump, the result is {!Mdl_partition.Partition.discrete}

@@ -123,8 +123,7 @@ let expand ctx sum =
         (Csr.scale w0 (flatten ctx child0))
         rest
 
-let eval_keys ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
-    (perm, first, len) =
+let eval_keys ?skip ctx choice mode node (perm, first, len) =
   (* Accumulate formal sums per touched state: over columns of the
      splitter for ordinary lumping (row sums R_n(s, C)), over rows for
      exact lumping (column sums R_n(C, s)).  States for which [skip]
@@ -133,45 +132,19 @@ let eval_keys ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
      be compared against itself. *)
   let acc : (int, Formal_sum.t) Hashtbl.t = Hashtbl.create 32 in
   let skip = match skip with Some f -> f | None -> fun _ -> false in
-  let touch s sum =
-    let prev = Option.value ~default:Formal_sum.empty (Hashtbl.find_opt acc s) in
-    Hashtbl.replace acc s (Formal_sum.add prev sum)
-  in
-  (* The node's lines are fetched here, on the calling domain, so a
-     column transpose is filled only by the context's owner; the walk
-     below just reads them. *)
   let lines =
     match mode with
     | Mdl_lumping.State_lumping.Ordinary -> node_cols ctx node
     | Mdl_lumping.State_lumping.Exact -> Md.node_rows ctx.md node
   in
-  (match pool with
-  | Some pool when Mdl_util.Domain_pool.size pool > 1 && len >= par_threshold ->
-      (* Collect raw (state, contribution) pairs per contiguous member
-         chunk in walk order on the pool, then replay [touch] chunk by
-         chunk on this domain.  [Formal_sum.add] is float addition —
-         not associative — so merging per-domain *accumulated* sums
-         would perturb the result; only replaying the contributions in
-         member order reproduces the sequential sums bit for bit.
-         Chunk boundaries cannot matter: the concatenation of chunks in
-         index order is exactly the member walk 0..len-1, whatever the
-         chunk count or which domain collected each chunk. *)
-      let tasks = min len (4 * Mdl_util.Domain_pool.size pool) in
-      let chunks = Array.make tasks [] in
-      Mdl_util.Domain_pool.run pool ~n:tasks (fun ci ->
-          let lo, hi = Mdl_util.Domain_pool.split ~n:len ~tasks ci in
-          let out = ref [] in
-          for i = first + lo to first + hi - 1 do
-            Array.iter
-              (fun (s, sum) -> if not (skip s) then out := (s, sum) :: !out)
-              lines.(perm.(i))
-          done;
-          chunks.(ci) <- List.rev !out);
-      Array.iter (fun chunk -> List.iter (fun (s, sum) -> touch s sum) chunk) chunks
-  | _ ->
-      for i = first to first + len - 1 do
-        Array.iter (fun (s, sum) -> if not (skip s) then touch s sum) lines.(perm.(i))
-      done);
+  for i = first to first + len - 1 do
+    Array.iter
+      (fun (s, sum) ->
+        if not (skip s) then
+          let prev = Option.value ~default:Formal_sum.empty (Hashtbl.find_opt acc s) in
+          Hashtbl.replace acc s (Formal_sum.add prev sum))
+      lines.(perm.(i))
+  done;
   (* Quantize at emission: every consumer downstream (gid interning,
      the reference engine's exact compare) then sees the same canonical
      key, and a sum whose coefficients all quantize away is dropped here

@@ -68,8 +68,6 @@ val node_cols : context -> Mdl_md.Md.node_id -> (int * Mdl_md.Formal_sum.t) arra
 
 val eval_keys :
   ?skip:(int -> bool) ->
-  ?pool:Mdl_util.Domain_pool.t ->
-  ?par_threshold:int ->
   context ->
   choice ->
   Mdl_lumping.State_lumping.mode ->
@@ -78,19 +76,10 @@ val eval_keys :
   int array * t array
 (** List-free core of {!splitter_keys}: the same [(s, key)] pairs as
     parallel [(states, keys)] arrays, in exactly the order the list
-    version produces, with no intermediate list allocation.
-
-    When [pool] is given (and the splitter class has at least
-    [par_threshold] members, default [1024]), the member walk is
-    sharded across the pool's domains: workers collect raw
-    [(state, contribution)] pairs per contiguous member chunk, and the
-    calling domain replays the accumulation chunk-by-chunk in member
-    order.  Because the replay order equals the sequential walk order,
-    the accumulated sums — float additions, which are not associative —
-    and therefore the emitted keys are bit-identical to the sequential
-    walk at any domain count.  The node's columns (ordinary mode) are
-    read on the calling domain before the walk is sharded, so the
-    workers only read them. *)
+    version produces, with no intermediate list allocation.  The walk
+    runs on the calling domain and accumulates in member order; the
+    node's lines (its columns in ordinary mode) are read once, before
+    it starts. *)
 
 val splitter_keys :
   ?skip:(int -> bool) ->

@@ -77,7 +77,7 @@ let perturb factor m =
     Some (Csr.of_coo coo)
   end
 
-let check_md ?inject ?pool ?par_threshold mode md0 =
+let check_md ?inject ?pool mode md0 =
   let violations = ref [] in
   let checks = ref [] in
   let skipped = ref [] in
@@ -114,7 +114,7 @@ let check_md ?inject ?pool ?par_threshold mode md0 =
     | Exact -> [ Decomposed.constant ~sizes 0.0 ]
   in
   let initial = Decomposed.constant ~sizes 1.0 in
-  let result = Compositional.lump ?pool ?par_threshold mode md0 ~rewards ~initial in
+  let result = Compositional.lump ?pool mode md0 ~rewards ~initial in
   ran "invariants(lumped)";
   import "lumped " (Invariants.md result.Compositional.lumped);
 
@@ -337,13 +337,13 @@ let check_md ?inject ?pool ?par_threshold mode md0 =
     flat_classes = Partition.num_classes p_star;
   }
 
-let check_chain ?inject ?pool ?par_threshold mode r =
-  check_md ?inject ?pool ?par_threshold mode (Gen_chain.md_of_csr r)
+let check_chain ?inject ?pool mode r =
+  check_md ?inject ?pool mode (Gen_chain.md_of_csr r)
 
-let run ?inject ?pool ?par_threshold mode spec =
+let run ?inject ?pool mode spec =
   let md = Gen_md.of_spec spec in
   let o =
-    { (check_md ?inject ?pool ?par_threshold mode md) with model = Spec.to_string spec }
+    { (check_md ?inject ?pool mode md) with model = Spec.to_string spec }
   in
   Log.debug (fun m ->
       m "%s (%s): %d checks, %d violations" o.model (mode_string o.mode)

@@ -36,7 +36,12 @@
     [inject] is the oracle's own sanity check: multiply one entry of the
     {e lumped} matrix by [1 + factor] before comparing.  A healthy
     oracle must then report a violation — if it does not, the oracle
-    itself is broken (fuzzers rot silently; this guards against that). *)
+    itself is broken (fuzzers rot silently; this guards against that).
+
+    [pool] is passed to {!Mdl_core.Compositional.lump}, which then
+    refines the diagram's levels concurrently; the checks and the
+    reference they compare against are the same, so a pooled run must
+    reach the same outcome as a sequential one. *)
 
 val log_src : Logs.src
 (** The oracle's [Logs] source, [mdl.oracle]: one debug line per
@@ -62,7 +67,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val check_md :
   ?inject:float ->
   ?pool:Mdl_util.Domain_pool.t ->
-  ?par_threshold:int ->
   mode ->
   Mdl_md.Md.t ->
   outcome
@@ -71,7 +75,6 @@ val check_md :
 val check_chain :
   ?inject:float ->
   ?pool:Mdl_util.Domain_pool.t ->
-  ?par_threshold:int ->
   mode ->
   Mdl_sparse.Csr.t ->
   outcome
@@ -82,7 +85,6 @@ val check_chain :
 val run :
   ?inject:float ->
   ?pool:Mdl_util.Domain_pool.t ->
-  ?par_threshold:int ->
   mode ->
   Spec.model ->
   outcome

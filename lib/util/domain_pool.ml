@@ -167,10 +167,3 @@ let run t ~n fn =
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
   end
-
-let split ~n ~tasks i =
-  if tasks <= 0 || i < 0 || i >= tasks then invalid_arg "Domain_pool.split";
-  let base = n / tasks and rem = n mod tasks in
-  let lo = (i * base) + min i rem in
-  let hi = lo + base + if i < rem then 1 else 0 in
-  (lo, hi)

@@ -1,5 +1,7 @@
 (** A reusable pool of OCaml 5 domains for deterministic data-parallel
-    loops.
+    loops.  The lumper submits one task per diagram level
+    ({!Mdl_core.Compositional.lump}); nothing inside a level runs on the
+    pool.
 
     A pool of size [k] owns [k - 1] spawned worker domains; the caller
     of {!run} is the [k]-th participant, so a pool of size 1 spawns
@@ -49,13 +51,6 @@ val run : t -> n:int -> (int -> unit) -> unit
     index order with no synchronisation at all.  If tasks raise, the
     first exception (by completion order) is re-raised here after all
     tasks have settled. *)
-
-val split : n:int -> tasks:int -> int -> int * int
-(** [split ~n ~tasks i] is the [(lo, hi)] half-open bounds of the
-    [i]-th of [tasks] contiguous, balanced chunks of [0 .. n-1]
-    ([0 <= i < tasks]).  Chunk bounds depend only on [(n, tasks)], so
-    per-chunk results merged in chunk order reconstruct index order
-    regardless of which domain ran which chunk. *)
 
 val shutdown : t -> unit
 (** Join every worker domain.  Idempotent; {!run} after [shutdown]

@@ -26,8 +26,8 @@ bit-identity).  The speedup gates are conditional on the recording
 host: on a single-core host a "parallel" run only adds scheduling
 overhead, so speedups are gated only when host_cores >= 2 — then every
 scenario must reach speedup_par2 >= 1.0, and Kanban (the largest
-model, where sharding has real work to amortise against) must reach
->= 1.15.
+model, where its level tasks have real work to amortise against) must
+reach >= 1.15.
 
 Multi-level scenarios also carry a "solvers" object — the steady-state
 solver race on the lumped chain (power iteration, Gauss-Seidel in

@@ -1070,6 +1070,30 @@ let test_rebuild_counters () =
     (Md.equal r2.Compositional.lumped
        (Reference_lump.rebuild State_lumping.Ordinary md r2.Compositional.partitions))
 
+(* The exact quotient folds each class's member rows into one
+   class-indexed accumulator, so its scratch is linear in the class
+   count.  A one-level chain of [n] states ([i -> i+1], [i -> i+2]) in
+   [n/2] classes of two: doubling [n] roughly doubles what the rebuild
+   allocates, where a class-pair table would quadruple it. *)
+let test_exact_rebuild_scratch_linear () =
+  let rebuild_words n =
+    let coo = Mdl_sparse.Coo.create ~rows:n ~cols:n in
+    for i = 0 to n - 1 do
+      List.iter (fun j -> if j < n then Mdl_sparse.Coo.add coo i j 1.0) [ i + 1; i + 2 ]
+    done;
+    let md = md_of_flat (Csr.of_coo coo) in
+    let p = Partition.of_class_assignment (Array.init n (fun i -> i / 2)) in
+    Counters.words (fun () -> ignore (Compositional.lump_with_partitions Exact md [| p |]))
+  in
+  let w2k = rebuild_words 2_000 and w4k = rebuild_words 4_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "n=4000 allocates %.0f words, under 2.5 x n=2000's %.0f" w4k w2k)
+    true
+    (w4k < 2.5 *. w2k);
+  Alcotest.(check bool)
+    (Printf.sprintf "n=4000 allocates %.0f words, under 3 Mwords" w4k)
+    true (w4k < 3e6)
+
 let qcheck_tests =
   [
     test_single_level_ordinary;
@@ -1107,6 +1131,8 @@ let tests =
       test_persistent_cross_bind;
     Alcotest.test_case "sweep engine reuse counters" `Quick test_sweep_reuse_counters;
     Alcotest.test_case "rebuild reuse/rebuilt counters" `Quick test_rebuild_counters;
+    Alcotest.test_case "exact rebuild scratch linear in classes" `Quick
+      test_exact_rebuild_scratch_linear;
     Alcotest.test_case "sufficiency gap: expanded key coarser than formal key" `Quick
       test_sufficiency_gap;
     Alcotest.test_case "end-to-end lumped solution" `Quick test_end_to_end_solution;

@@ -1,29 +1,27 @@
-(* Differential concurrency suite: the parallel refinement pipeline is
-   pinned bit-identical to the sequential one at every domain count.
+(* Differential concurrency suite: the level-parallel lump is pinned
+   bit-identical to the sequential one at every domain count.
 
    The lump properties quantify over random model specs (shrinking
    through {!Mdl_oracle.Qcheck_gen}) and race the sequential pipeline
-   against pools of 1/2/4/7 domains with every sharding threshold
-   forced to 1, so even tiny models take the parallel paths: the
-   lumped diagrams must be structurally equal ([Md.equal]), the
-   per-level partitions must agree, and the refinement counters
-   (splitter passes, splits, key evaluations, cache hits/misses) must
-   match exactly.
+   against pools of 1/2/4/7 domains.  The level is the only parallel
+   unit, so every multi-level model refines its levels concurrently on
+   a pool of more than one domain; a one-level model (the flat chains)
+   checks that passing a pool changes nothing.  The lumped diagrams
+   must be structurally equal ([Md.equal]), the per-level partitions
+   must agree, and the refinement counters (splitter passes, splits,
+   key evaluations, cache hits/misses) must match exactly.
 
    The unit tests below cover the concurrent building blocks directly:
-   {!Mdl_util.Domain_pool} scheduling (exactly-once, nesting,
-   exception rethrow, split chunking), the sharded splitter-key walk,
-   and {!Mdl_obs.Metrics} counter exactness under domains. *)
+   {!Mdl_util.Domain_pool} scheduling (exactly-once, nesting, exception
+   rethrow) and {!Mdl_obs.Metrics} counter exactness under domains. *)
 
 module Partition = Mdl_partition.Partition
-module Refiner = Mdl_partition.Refiner
 module Md = Mdl_md.Md
 module State_lumping = Mdl_lumping.State_lumping
 module Decomposed = Mdl_core.Decomposed
 module Compositional = Mdl_core.Compositional
 module Domain_pool = Mdl_util.Domain_pool
 module Metrics = Mdl_obs.Metrics
-module Local_key = Mdl_core.Local_key
 module Key_cache = Mdl_core.Key_cache
 module Trace = Mdl_obs.Trace
 module Spec = Mdl_oracle.Spec
@@ -73,11 +71,11 @@ let lump_counters =
     "rebuild.nodes_reused";
   ]
 
-let lump_with ?pool ?par_threshold mode md =
+let lump_with ?pool mode md =
   let rewards, initial = lump_inputs mode md in
   let r, c =
     Counters.of_run lump_counters (fun () ->
-        Compositional.lump ?pool ?par_threshold mode md ~rewards ~initial)
+        Compositional.lump ?pool mode md ~rewards ~initial)
   in
   (r, List.map (fun n -> (n, c n)) lump_counters)
 
@@ -86,11 +84,10 @@ let differential_lump mode spec =
   let r_seq, s_seq = lump_with mode md in
   List.iter
     (fun d ->
-      (* par_threshold 1 forces the key-cache miss walks and the
-         rebuild's quotient rows onto the pool, however small the model —
-         the whole point is exercising the parallel paths.  Levels
-         refine concurrently on every pool of more than one domain. *)
-      let r_par, s_par = lump_with ~pool:(pool d) ~par_threshold:1 mode md in
+      (* Levels refine concurrently on every pool of more than one
+         domain, however small the model; the rebuild runs on this
+         domain. *)
+      let r_par, s_par = lump_with ~pool:(pool d) mode md in
       let np = Array.length r_seq.Compositional.partitions in
       if Array.length r_par.Compositional.partitions <> np then
         QCheck.Test.fail_reportf "%d domains: partition count differs" d;
@@ -163,10 +160,8 @@ let test_differential_sweep =
       let initial, points = sweep_points md in
       (* A whole sweep: its results, then its registry counts and its
          cache's own. *)
-      let sweep ?pool ?par_threshold () =
-        let sw =
-          Compositional.sweep_create ?pool ?par_threshold State_lumping.Ordinary md
-        in
+      let sweep ?pool () =
+        let sw = Compositional.sweep_create ?pool State_lumping.Ordinary md in
         let rs, c =
           Counters.of_run sweep_counters (fun () ->
               List.map (fun rewards -> Compositional.sweep_point sw ~rewards ~initial) points)
@@ -198,7 +193,7 @@ let test_differential_sweep =
         seq independent;
       List.iter
         (fun d ->
-          let par, par_counts = sweep ~pool:(pool d) ~par_threshold:1 () in
+          let par, par_counts = sweep ~pool:(pool d) () in
           List.iter2
             (fun s p ->
               if not (Md.equal s.Compositional.lumped p.Compositional.lumped) then
@@ -217,29 +212,12 @@ let test_differential_sweep =
         [ 2; 4 ];
       true)
 
-(* Fixed multi-level specs for the unit-level differentials below —
-   small but non-trivial (something actually lumps in both). *)
+(* A fixed multi-level spec for the tracing differential below — small
+   but non-trivial (something actually lumps). *)
 let kron_spec =
   Spec.Kron
     { sizes = [| 3; 3 |]; events = 2; symmetric = true; ring = true; merged = false;
       seed = 42 }
-
-let direct_spec = Spec.Direct { sizes = [| 3; 2; 3 |]; width = 2; symmetric = true; seed = 7 }
-
-let test_rebuild_parallel_identical () =
-  List.iter
-    (fun spec ->
-      let md = Gen_md.of_spec spec in
-      let r_seq, _ = lump_with State_lumping.Ordinary md in
-      let r_par =
-        Compositional.lump_with_partitions ~pool:(pool 4) ~par_threshold:1
-          State_lumping.Ordinary md r_seq.Compositional.partitions
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "parallel rebuild of %s bit-identical" (Spec.to_string spec))
-        true
-        (Md.equal r_seq.Compositional.lumped r_par.Compositional.lumped))
-    [ kron_spec; direct_spec ]
 
 let test_trace_fallback_identical () =
   (* Tracing forces the level loop sequential; the result must not
@@ -248,7 +226,7 @@ let test_trace_fallback_identical () =
   let r_seq, s_seq = lump_with State_lumping.Ordinary md in
   Trace.start ();
   Fun.protect ~finally:Trace.stop @@ fun () ->
-  let r_tr, s_tr = lump_with ~pool:(pool 4) ~par_threshold:1 State_lumping.Ordinary md in
+  let r_tr, s_tr = lump_with ~pool:(pool 4) State_lumping.Ordinary md in
   Alcotest.(check bool) "lumped diagram identical under tracing" true
     (Md.equal r_seq.Compositional.lumped r_tr.Compositional.lumped);
   List.iter2
@@ -326,28 +304,6 @@ let test_pool_nested_exception () =
   in
   Alcotest.(check bool) "exception crosses the nesting boundary" true caught
 
-let test_pool_split () =
-  List.iter
-    (fun (n, tasks) ->
-      let chunks = List.init tasks (Domain_pool.split ~n ~tasks) in
-      (* Contiguous cover of [0, n) in chunk order... *)
-      let expected = ref 0 in
-      List.iter
-        (fun (lo, hi) ->
-          Alcotest.(check int) "contiguous" !expected lo;
-          Alcotest.(check bool) "ordered" true (lo <= hi);
-          expected := hi)
-        chunks;
-      Alcotest.(check int) "covers n" n !expected;
-      (* ...balanced to within one element... *)
-      let sizes = List.map (fun (lo, hi) -> hi - lo) chunks in
-      let mn = List.fold_left min max_int sizes and mx = List.fold_left max 0 sizes in
-      Alcotest.(check bool) "balanced" true (mx - mn <= 1);
-      (* ...and a pure function of (n, tasks). *)
-      Alcotest.(check bool) "deterministic" true
-        (List.init tasks (Domain_pool.split ~n ~tasks) = chunks))
-    [ (10, 3); (3, 10); (0, 4); (1, 1); (1024, 7); (97, 16) ]
-
 let test_pool_chaos_flag () =
   (* The CI chaos job runs this very suite under MDL_CHAOS=1, so assert
      the flag tracks the environment rather than a fixed value. *)
@@ -355,37 +311,6 @@ let test_pool_chaos_flag () =
     match Sys.getenv_opt "MDL_CHAOS" with Some s when s <> "" -> true | _ -> false
   in
   Alcotest.(check bool) "chaos tracks MDL_CHAOS" expected (Domain_pool.chaos (pool 2))
-
-(* ----- the sharded splitter-key walk ----- *)
-
-let identity_slice n : Refiner.slice = (Array.init n Fun.id, 0, n)
-
-let test_eval_keys_matches_splitter_keys () =
-  let md = Gen_md.of_spec kron_spec in
-  let ctx = Local_key.make_context md in
-  let p = pool 4 in
-  List.iteri
-    (fun l nodes ->
-      let slice = identity_slice (Md.size md (l + 1)) in
-      List.iter
-        (fun node ->
-          let listed =
-            Local_key.splitter_keys ctx Local_key.Formal_sums State_lumping.Ordinary
-              node slice
-          in
-          let states, keys =
-            Local_key.eval_keys ~pool:p ~par_threshold:1 ctx Local_key.Formal_sums
-              State_lumping.Ordinary node slice
-          in
-          let zipped =
-            List.init (Array.length states) (fun i -> (states.(i), keys.(i)))
-          in
-          Alcotest.(check bool) "sharded eval_keys = sequential splitter_keys" true
-            (List.for_all2
-               (fun (s1, k1) (s2, k2) -> s1 = s2 && Local_key.equal k1 k2)
-               listed zipped))
-        nodes)
-    (Array.to_list (Md.live_nodes md))
 
 (* ----- Metrics exactness under domains ----- *)
 
@@ -451,27 +376,22 @@ let qcheck_tests =
   ]
 
 let tests =
-  [
-    Alcotest.test_case "pool runs every task exactly once" `Quick test_pool_exactly_once;
-    Alcotest.test_case "pool n=0 and n=1 run inline" `Quick test_pool_trivial_runs;
-    Alcotest.test_case "pool size clamps to 1" `Quick test_pool_clamped_size;
-    Alcotest.test_case "pool usable after shutdown" `Quick test_pool_run_after_shutdown;
-    Alcotest.test_case "pool nesting uses the whole pool" `Quick test_pool_nesting;
-    Alcotest.test_case "pool rethrows after settling" `Quick test_pool_exception;
-    Alcotest.test_case "pool rethrows from nested runs" `Quick test_pool_nested_exception;
-    Alcotest.test_case "split chunks: contiguous, balanced, pure" `Quick test_pool_split;
-    Alcotest.test_case "chaos flag tracks MDL_CHAOS" `Quick test_pool_chaos_flag;
-    Alcotest.test_case "parallel rebuild bit-identical" `Quick
-      test_rebuild_parallel_identical;
-    Alcotest.test_case "tracing falls back to sequential levels, same result" `Quick
-      test_trace_fallback_identical;
-    Alcotest.test_case "sharded eval_keys matches splitter_keys" `Quick
-      test_eval_keys_matches_splitter_keys;
-    Alcotest.test_case "metrics counters exact under 4 domains" `Quick
-      test_metrics_counters_exact;
-    Alcotest.test_case "metrics gauge/histogram exact under 4 domains" `Quick
-      test_metrics_gauge_histogram_exact;
-    Alcotest.test_case "metrics disabled: updates are no-ops" `Quick
-      test_metrics_disabled_noop;
-  ]
-  @ List.map QCheck_alcotest.to_alcotest qcheck_tests
+  List.map QCheck_alcotest.to_alcotest qcheck_tests
+  @ [
+      Alcotest.test_case "pool runs every task exactly once" `Quick test_pool_exactly_once;
+      Alcotest.test_case "pool n=0 and n=1 run inline" `Quick test_pool_trivial_runs;
+      Alcotest.test_case "pool size clamps to 1" `Quick test_pool_clamped_size;
+      Alcotest.test_case "pool usable after shutdown" `Quick test_pool_run_after_shutdown;
+      Alcotest.test_case "pool nesting uses the whole pool" `Quick test_pool_nesting;
+      Alcotest.test_case "pool rethrows after settling" `Quick test_pool_exception;
+      Alcotest.test_case "pool rethrows from nested runs" `Quick test_pool_nested_exception;
+      Alcotest.test_case "metrics counters exact under 4 domains" `Quick
+        test_metrics_counters_exact;
+      Alcotest.test_case "metrics gauge/histogram exact under 4 domains" `Quick
+        test_metrics_gauge_histogram_exact;
+      Alcotest.test_case "metrics disabled: updates are no-ops" `Quick
+        test_metrics_disabled_noop;
+      Alcotest.test_case "chaos flag tracks MDL_CHAOS" `Quick test_pool_chaos_flag;
+      Alcotest.test_case "tracing falls back to sequential levels, same result" `Quick
+        test_trace_fallback_identical;
+    ]
