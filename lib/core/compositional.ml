@@ -9,6 +9,7 @@ module Partition = Mdl_partition.Partition
 module Trace = Mdl_obs.Trace
 module Metrics = Mdl_obs.Metrics
 module Domain_pool = Mdl_util.Domain_pool
+module Sortx = Mdl_util.Sortx
 
 let c_nodes_rebuilt = Metrics.counter "rebuild.nodes_rebuilt"
 
@@ -76,49 +77,108 @@ let contributing_rows mode p =
 (* One node's quotient rows, emitted through the raw sorted-rows
    constructor, which skips [add_node]'s per-entry hashing, validation
    and sort.  Each class's row folds its contributing rows, in the order
-   listed and each with its columns descending, into one class-indexed
-   accumulator, then emits the touched columns ascending.  Every
-   (C_i, C_j) cell thus folds its terms in {e descending} (row, col)
-   order — the order [add_node] combines a consed entry list in — so the
-   coefficients come out bit-identical to a from-scratch [add_node]
+   listed and each with its columns descending, into a dense slot table:
+   one float per (touched class C_j, output child), where the output
+   children are the node's children under [remap], ranked by ascending
+   id.  Every (C_i, C_j) cell thus folds its terms, each scaled by
+   1/|rows|, in {e descending} (row, col) order — the order [add_node]
+   combines a consed entry list in — and [slot +. c] is bit for bit the
+   formal-sum addition [add_node] performs: a cell meets each child at
+   most once per term, IEEE addition commutes, and a slot that cancels
+   to 0 restarts from [0.0 +. c = c] just as a dropped term does.  So
+   the coefficients come out bit-identical to a from-scratch [add_node]
    rebuild (the oracle's reference lumper) and both hash-cons to equal
-   diagrams.  The scratch is two class-indexed arrays per level. *)
+   diagrams.  A sum with two children that [remap] merges is remapped
+   by [Formal_sum.map_children] first, which merges them in exactly the
+   order the reference does.  Touched classes are emitted ascending. *)
 let quotient_rows md p remap contributors =
   let nc = Partition.num_classes p in
-  let acc = Array.make nc Formal_sum.empty in
-  let seen = Array.make nc false in
+  let stamp = Array.make nc 0 and at = Array.make nc 0 and touched = Array.make nc 0 in
+  let gen = ref 0 in
+  let slots = ref [||] in
+  let seen = ref [||] in
   fun node ->
-    let out = Array.make nc [||] in
-    for ci = 0 to nc - 1 do
-      let rows = contributors.(ci) in
-      let n = Array.length rows in
-      let cols = ref [] in
-      for k = 0 to n - 1 do
-        Md.rev_iter_node_row md node rows.(k) (fun c sum ->
+    let rows = Md.node_rows md node in
+    let kids = Md.node_children md node in
+    let outs = Array.map remap kids in
+    let out_ids = Array.of_list (List.sort_uniq Int.compare (Array.to_list outs)) in
+    let nout = Array.length out_ids in
+    let kid_slot = Array.map (Sortx.find_sorted out_ids) outs in
+    let slot_of child = kid_slot.(Sortx.find_sorted kids child) in
+    (* Whether [remap] sends two children of [sum] to one output node. *)
+    let merges =
+      if nout = Array.length kids then fun _ -> false
+      else begin
+        if Array.length !seen < nout then seen := Array.make nout 0;
+        fun sum ->
+          incr gen;
+          let g = !gen and seen = !seen in
+          Array.exists
+            (fun (child, _) ->
+              let o = slot_of child in
+              seen.(o) = g
+              ||
+              (seen.(o) <- g;
+               false))
+            (sum : Formal_sum.t :> (int * float) array)
+      end
+    in
+    Array.init nc (fun ci ->
+        incr gen;
+        let g = !gen in
+        let members = contributors.(ci) in
+        let n = Array.length members in
+        let w = 1.0 /. float_of_int n in
+        let nt = ref 0 in
+        let add cj o c =
+          let t =
+            if stamp.(cj) = g then at.(cj)
+            else begin
+              let t = !nt in
+              stamp.(cj) <- g;
+              at.(cj) <- t;
+              touched.(t) <- cj;
+              incr nt;
+              if Array.length !slots < (t + 1) * nout then begin
+                let a = Array.make (max ((t + 1) * nout) (2 * Array.length !slots)) 0.0 in
+                Array.blit !slots 0 a 0 (t * nout);
+                slots := a
+              end;
+              Array.fill !slots (t * nout) nout 0.0;
+              t
+            end
+          in
+          (* A weight of 1 scales nothing, bit for bit: skip the product. *)
+          let j = (t * nout) + o in
+          !slots.(j) <- (!slots.(j) +. if n = 1 then c else w *. c)
+        in
+        for k = 0 to n - 1 do
+          let row = rows.(members.(k)) in
+          for x = Array.length row - 1 downto 0 do
+            let c, sum = row.(x) in
             let cj = Partition.class_of p c in
-            if not seen.(cj) then begin
-              seen.(cj) <- true;
-              cols := cj :: !cols
-            end;
-            let sum = Formal_sum.map_children remap sum in
-            (* A weight of 1 scales nothing, bit for bit: skip the copy. *)
-            let term =
-              if n = 1 then sum else Formal_sum.scale (1.0 /. float_of_int n) sum
-            in
-            acc.(cj) <- Formal_sum.add acc.(cj) term)
-      done;
-      let row =
-        List.filter_map
-          (fun cj ->
-            let s = acc.(cj) in
-            acc.(cj) <- Formal_sum.empty;
-            seen.(cj) <- false;
-            if Formal_sum.is_empty s then None else Some (cj, s))
-          (List.sort Int.compare !cols)
-      in
-      out.(ci) <- Array.of_list row
-    done;
-    out
+            if merges sum then
+              Array.iter
+                (fun (o, v) -> add cj (Sortx.find_sorted out_ids o) v)
+                (Formal_sum.map_children remap sum :> (int * float) array)
+            else begin
+              let terms = (sum : Formal_sum.t :> (int * float) array) in
+              for y = 0 to Array.length terms - 1 do
+                let child, v = terms.(y) in
+                add cj (slot_of child) v
+              done
+            end
+          done
+        done;
+        let cols = Array.sub touched 0 !nt in
+        Array.sort Int.compare cols;
+        let row = ref [] in
+        for x = Array.length cols - 1 downto 0 do
+          let cj = cols.(x) in
+          let s = Formal_sum.of_slots out_ids !slots (at.(cj) * nout) in
+          if not (Formal_sum.is_empty s) then row := (cj, s) :: !row
+        done;
+        Array.of_list !row)
 
 let rebuild_body mode md partitions =
   let nlevels = Md.levels md in
@@ -288,14 +348,12 @@ type level_outcome = {
 let run_point sw ~rewards ~initial =
   let md = sw.sw_md and mode = sw.sw_mode in
   let nlevels = Md.levels md in
-  (* Rebinding retires the memoised rows (an epoch bump on a persistent
-     cache, a wipe otherwise): per-bind entries are only sound within
-     one monotone refinement run per level.  The intern tables and
-     (same-md) contexts survive the rebind.  Binding with the run's
-     configuration makes a mismatched shared cache fail loudly here
-     instead of deep inside a splitter pass.  The bind writes the
-     cache's engine-level fields, so it comes before any level task
-     starts. *)
+  (* The bind's epoch bump is what marks a later store hit as
+     cross-bind.  The intern tables and (same-md) compiled lines and
+     contexts survive the rebind.  Binding with the run's configuration
+     makes a mismatched shared cache fail loudly here instead of deep
+     inside a splitter pass.  The bind writes the cache's engine-level
+     fields, so it comes before any level task starts. *)
   Key_cache.bind ~choice:sw.sw_key ~mode sw.sw_cache md;
   let level_work i =
     let level = i + 1 in

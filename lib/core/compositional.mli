@@ -40,32 +40,33 @@ val lump :
 (** Run the full algorithm: per-level initial partitions from the
     decomposed [rewards] (ordinary — every listed reward function is
     protected and remains computable on the lumped chain) or [initial]
-    (exact), per-level fixed-point refinement, then rebuild.
+    (exact), per-level refinement, then rebuild.
 
-    Every level refines through a splitter-key cache ({!Key_cache}) and
-    the ranked pipeline ({!Level_lumping.comp_lumping_level}): per-node
-    column walks are memoised across fixed-point passes, key
-    accumulation skips singleton classes, each level interns its keys
-    into its own record of the cache, and the rebuild reuses nodes of
+    Every level refines in one run of the ranked pipeline
+    ({!Level_lumping.comp_lumping_level}) whose splitter step evaluates
+    all the level's live nodes at once through the level's record of a
+    splitter-key cache ({!Key_cache}): keys are summed in a reusable
+    dense accumulator and interned into the record's tables, key
+    accumulation skips singleton classes, and the rebuild folds each
+    quotient row into a class-indexed slot table and reuses nodes of
     identity levels verbatim (aliasing the whole diagram when nothing
-    lumps).  The run
-    is one point of a throwaway {!sweep} engine — the same per-point
-    code as {!sweep_point}, with a plain (non-persistent) cache and
-    empty memos.  Pass [cache] to share one cache (and its hot intern
-    tables) across several lump calls — e.g. a bench sweep; the cache is
-    (re)bound to [md] under [key] and [mode] at the start of the run,
-    which discards its memoised rows (a persistent cache keeps its
-    content-keyed store) but keeps the interned-key storage, and raises
-    [Invalid_argument] if the cache was first bound under another key
-    choice or mode.  Float keys and initial-partition factors are
-    compared on the one grid {!Mdl_util.Floatx.default_eps}.  The
-    oracle library's reference lumper recomputes the same partitions
-    and an [Md.equal] diagram with none of this machinery (pinned by
-    the differential property tests and by [bin/fuzz]).
+    lumps).  The run is one point of a throwaway {!sweep} engine — the
+    same per-point code as {!sweep_point}, with a plain
+    (non-persistent) cache and empty memos.  Pass [cache] to share one
+    cache (its compiled lines and hot intern tables) across several lump
+    calls — e.g. a bench sweep; the cache is (re)bound to [md] under
+    [key] and [mode] at the start of the run, and raises
+    [Invalid_argument] if it was first bound under another key choice
+    or mode.  Float keys and initial-partition factors are compared on
+    the one grid {!Mdl_util.Floatx.default_eps}.  The oracle library's
+    reference lumper recomputes the same partitions and an [Md.equal]
+    diagram with none of this machinery, by Figure 3(a)'s per-node
+    fixed point (pinned by the differential property tests and by
+    [bin/fuzz]).
 
     [pool] refines the levels concurrently on a {!Mdl_util.Domain_pool}:
     the level is the only parallel unit.  Each level runs the untouched
-    sequential fixed point on its own domain over the one cache, writing
+    sequential refinement on its own domain over the one cache, writing
     only its own {!Key_cache.level} record, so level tasks share nothing
     mutable; nothing inside a level shards, and the rebuild runs on the
     calling domain.  {b Determinism:} level results are merged in level
@@ -102,19 +103,20 @@ val lump_with_partitions :
     rows directly in sorted order, one class at a time: class [C_i]'s
     row folds its contributing rows (the representative's in ordinary
     mode; every member's, each term scaled by [1/|C_i|], in exact mode)
-    into one class-indexed accumulator, so a level's scratch is linear
-    in its class count.  The result is bit-identical to a from-scratch
-    [Md.add_node] rebuild (the oracle's reference lumper keeps that
-    one).  Each node counts once in the registry, as
-    [rebuild.nodes_rebuilt] or [rebuild.nodes_reused] (an aliased
-    diagram counts all its live nodes as reused).
+    into one float slot per (touched class, output child) — no
+    formal-sum arithmetic — so a level's scratch is linear in its class
+    count.  The result is bit-identical to a from-scratch [Md.add_node]
+    rebuild (the oracle's reference lumper keeps that one).  Each node
+    counts once in the registry, as [rebuild.nodes_rebuilt] or
+    [rebuild.nodes_reused] (an aliased diagram counts all its live nodes
+    as reused).
     @raise Invalid_argument on partition count/size mismatch. *)
 
 (** {1 Batched sweeps}
 
     The paper's headline use case (§6) lumps {e one} structural model
-    repeatedly under varying measures; almost all splitter-key column
-    walks recur between nearby points.  A {!sweep} is a stateful engine
+    repeatedly under varying measures; most splitter steps recur
+    between nearby points.  A {!sweep} is a stateful engine
     over one diagram that keeps three warm stores across points: the
     cache's cross-bind row store ({!Key_cache.set_persistent} — rows
     keyed by class {e content}, reused wherever a later point produces

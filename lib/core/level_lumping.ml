@@ -6,8 +6,6 @@ module Floatx = Mdl_util.Floatx
 module Trace = Mdl_obs.Trace
 module Metrics = Mdl_obs.Metrics
 
-let c_fixpoint_iterations = Metrics.counter "level.fixpoint_iterations"
-
 let c_levels = Metrics.counter "level.fixpoints"
 
 let check_level md level fn =
@@ -61,61 +59,44 @@ let comp_lumping_level ?(key = Local_key.Formal_sums) ?cache mode md ~level ~ini
   check_level md level "comp_lumping_level";
   if Partition.size initial <> Md.size md level then
     invalid_arg "Level_lumping.comp_lumping_level: partition size mismatch";
-  let nodes = (Md.live_nodes md).(level - 1) in
   let kc = match cache with Some kc -> kc | None -> Key_cache.create () in
   (* Defensive auto-bind: a cache bound to a different diagram must not
      serve rows for this one.  A cache already bound to [md] is left as
      is — per-level calls of one lump run share the bind (each writes
-     only its own level's record), and rebinding here would throw the
-     previous levels' rows away — once [bound_md] has checked that it
-     was bound under this run's key choice and mode. *)
+     only its own level's record), and rebinding here would drop what
+     the bind keeps — once [bound_md] has checked that it was bound
+     under this run's key choice and mode. *)
   (match Key_cache.bound_md ~choice:key ~mode kc with
   | Some prev when prev == md -> ()
   | _ -> Key_cache.bind ~choice:key ~mode kc md);
   (* The level's record hands out parallel (states, gids) arrays — gids
-     are the stable ids of its intern table, so a hit involves no
-     structural key hashing at all; the ranked pipeline turns gids into
-     per-pass dense ranks by stamped array lookups. *)
+     are the stable ids of its intern table, so the ranked pipeline
+     turns them into per-pass dense ranks by stamped array lookups. *)
   let lv = Key_cache.for_level kc level in
-  let refine node p =
-    (* Singletons at run start stay singletons for the whole run (splits
-       only shrink classes), so their keys need never be accumulated —
-       the dominant saving on near-discrete levels.  When the run starts
-       with none, the per-touch test is pure overhead; singletons
-       created mid-run are then merely accumulated like any other
-       state, which is harmless (a class of one can never be split). *)
-    let skip =
-      if has_singleton p then
-        Some (fun s -> Partition.class_size p (Partition.class_of p s) = 1)
-      else None
-    in
-    let rspec =
-      {
-        Refiner.rsize = Md.size md level;
-        rsplitter_keys = (fun c -> Key_cache.splitter_keys ?skip lv ~node c);
-      }
-    in
-    Refiner.comp_lumping_ranked rspec ~initial:p
+  (* Singletons at run start stay singletons for the whole run (splits
+     only shrink classes), so their keys need never be accumulated —
+     the dominant saving on near-discrete levels.  When the run starts
+     with none, the per-touch test is pure overhead; singletons created
+     mid-run are then merely accumulated like any other state, which is
+     harmless (a class of one can never be split). *)
+  let skip =
+    if has_singleton initial then
+      Some (fun s -> Partition.class_size initial (Partition.class_of initial s) = 1)
+    else None
   in
-  let pass p = List.fold_left (fun p node -> refine node p) p nodes in
-  (* [CompLumpingLevel] iterates passes over all live nodes of the level
-     until no pass refines further; the iteration count is the
-     fixed-point depth the observability layer reports per level. *)
-  let iterations = ref 0 in
-  let rec fix p =
-    incr iterations;
-    let p' = pass p in
-    if Partition.equal p p' then p' else fix p'
+  (* [CompLumpingLevel] (Figure 3(a)) repeats per-node refinement until
+     no node splits a class.  Its result is the coarsest refinement of
+     [initial] stable for every live node at once, and that partition
+     is unique; one run whose splitter step keys each state by the
+     tuple of all its nodes' keys reaches it directly. *)
+  let rspec =
+    { Refiner.rsize = Md.size md level; rsplitter_keys = Key_cache.splitter_keys ?skip lv }
   in
   let p =
     Trace.with_span ~cat:"lump" ~args:[ ("level", Trace.Int level) ] "lump.fixpoint"
-      (fun () ->
-        let p = fix initial in
-        Trace.add_args [ ("iterations", Trace.Int !iterations) ];
-        p)
+      (fun () -> Refiner.comp_lumping_ranked rspec ~initial)
   in
   Metrics.incr c_levels;
-  Metrics.add c_fixpoint_iterations !iterations;
   (* Canonicalise the class numbering.  The refinement engine preserves
      input class ids, so the result's ids depend on split order — which
      differs between engines (and between cold and warm caches) even

@@ -2,11 +2,15 @@
     plus the level-local initial partitions [P_l^ini] of the paper's
     "Overall Algorithm" paragraph.
 
-    [comp_lumping_level] computes, by fixed-point iteration over all
-    live nodes of a level, a partition of the level's index set that
-    satisfies the local lumpability conditions of Definition 3
-    ([~_lo] for ordinary, [~_le] for exact) at {e every} node
-    simultaneously. *)
+    [comp_lumping_level] computes the coarsest refinement of the initial
+    partition that satisfies the local lumpability conditions of
+    Definition 3 ([~_lo] for ordinary, [~_le] for exact) at {e every}
+    live node of the level simultaneously.  Figure 3(a) reaches it by
+    repeating per-node refinement until no node splits a class; that
+    coarsest partition is unique, and one refinement run whose keys are
+    the tuple of all nodes' keys ({!Local_key.level_keys}) reaches it
+    directly, as the multi-relation refinement behind the paper's [9]
+    does. *)
 
 val initial_partition :
   Mdl_lumping.State_lumping.mode ->
@@ -31,45 +35,41 @@ val comp_lumping_level :
   level:int ->
   initial:Mdl_partition.Partition.t ->
   Mdl_partition.Partition.t
-(** Fixed-point refinement over all live nodes of the level, starting
-    from [initial].  [key] defaults to {!Local_key.Formal_sums} (the
-    paper's choice); {!Local_key.Expanded_matrices} trades time for a
-    possibly coarser partition.  Each call counts one [level.fixpoints]
-    and its pass count as [level.fixpoint_iterations] in the
-    {!Mdl_obs.Metrics} registry; every per-node run adds its own
-    [refiner.*] counts and every splitter lookup its [key_cache.*]
-    counts.
+(** Refinement of [initial] against all live nodes of the level at
+    once: one run of the ranked pipeline
+    ({!Mdl_partition.Refiner.comp_lumping_ranked}) whose splitter step
+    evaluates every live node over the splitter's members and keys each
+    state by the tuple of its per-node keys ({!Key_cache.splitter_keys}).
+    [key] defaults to {!Local_key.Formal_sums} (the paper's choice);
+    {!Local_key.Expanded_matrices} trades time for a possibly coarser
+    partition.  Each call counts one [level.fixpoints] in the
+    {!Mdl_obs.Metrics} registry and adds the run's [refiner.*] counts
+    and every splitter lookup's [key_cache.*] counts; with tracing on,
+    the run is one [lump.fixpoint] span holding one [refine.run].
 
-    Every per-node refinement runs the ranked pipeline
-    ({!Mdl_partition.Refiner.comp_lumping_ranked}) over splitter keys
-    memoised by [cache] (default: a fresh {!Key_cache.t}), skipping key
-    accumulation for classes already singleton at the start of each
-    per-node run (unless the cache is persistent — see {!Key_cache}).
-    A split needs no report to the cache: its invalidation is
-    structural.  The cache is auto-bound to [md] under [key] and [mode]
-    if bound elsewhere (or unbound); when already bound to [md] its
-    rows are {e kept}, so the levels of one {!Compositional.lump} run
-    share one bind, and it must have been bound under [key] and [mode]
-    ({!Key_cache.bound_md} raises [Invalid_argument] otherwise) — callers
-    invoking this function directly with a reused cache must
-    {!Key_cache.bind} between independent runs (the memo is only sound
-    while refinement of each level is monotone; see {!Key_cache}).
-    Partitions and splitter-pass counts do not depend on the cache's
-    history (pinned by the differential tests against the oracle's
-    reference lumper); only key-evaluation work and the
-    [refiner.key_evals] and [key_cache.*] counts do.
+    Keys are evaluated through the level's record of [cache] (default: a
+    fresh {!Key_cache.t}), which keeps the level's compiled lines and
+    intern tables; unless the cache is persistent, key accumulation
+    skips the states alone in their class of [initial].  The cache is
+    auto-bound to [md] under [key] and [mode] if bound elsewhere (or
+    unbound); when already bound to [md] it is used as is, so the levels
+    of one {!Compositional.lump} run share one bind, and it must have
+    been bound under [key] and [mode] ({!Key_cache.bound_md} raises
+    [Invalid_argument] otherwise).  Partitions and splitter-pass counts
+    do not depend on the cache's history; only key-evaluation work and
+    the [refiner.key_evals] and [key_cache.*] counts do.
 
     The run selects the cache's record for [level] ({!Key_cache.for_level})
     once and writes no other, so runs of different levels may share one
     cache from different domains.  The run itself is sequential: it
     submits nothing to a domain pool.
 
-    The returned partition is canonicalised when fully discrete: if no
-    two states lump, the result is {!Mdl_partition.Partition.discrete}
-    (class ids = state ids), whatever ids refinement history would have
-    assigned.  @raise Invalid_argument on a bad level or partition size
-    mismatch, or when [cache] was bound under another key choice or
-    mode. *)
+    The returned partition is canonicalised: classes are numbered by
+    first appearance, and a fully discrete result is
+    {!Mdl_partition.Partition.discrete} (class ids = state ids),
+    whatever ids refinement history would have assigned.
+    @raise Invalid_argument on a bad level or partition size mismatch,
+    or when [cache] was bound under another key choice or mode. *)
 
 val is_locally_lumpable :
   Mdl_lumping.State_lumping.mode ->

@@ -177,3 +177,370 @@ let eval_keys ?skip ctx choice mode node (perm, first, len) =
 let splitter_keys ?skip ctx choice mode node slice =
   let states, keys = eval_keys ?skip ctx choice mode node slice in
   List.init (Array.length states) (fun i -> (states.(i), keys.(i)))
+
+(* ---- the level key: every live node's key at once ---- *)
+
+module Sortx = Mdl_util.Sortx
+
+(* One live node's lines — its columns in ordinary mode, its rows in
+   exact mode — in flat arrays.  Line [l]'s entries are
+   [line_start.(l) .. line_start.(l + 1) - 1], each touching the state
+   [ent_state.(e)] (the row of a column entry, the column of a row
+   entry) in ascending order; entry [e]'s terms are
+   [term_start.(e) .. term_start.(e + 1) - 1], each a dense child slot
+   (the child's rank in [children], ascending ids) and a coefficient. *)
+type node_lines = {
+  children : int array;
+  line_start : int array;
+  ent_state : int array;
+  term_start : int array;
+  term_slot : int array;
+  term_coeff : float array;
+}
+
+type lines = {
+  size : int;
+  nodes : node_lines array; (* the level's live nodes, in live order *)
+  slot_base : int array; (* node -> offset of its slots among the level's *)
+}
+
+let compile_node md mode node =
+  let rows = Md.node_rows md node in
+  let n = Array.length rows in
+  let children = Md.node_children md node in
+  let by_row = mode = Mdl_lumping.State_lumping.Exact in
+  let line_start = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun r row ->
+      Array.iter
+        (fun (c, _) ->
+          let l = if by_row then r else c in
+          line_start.(l + 1) <- line_start.(l + 1) + 1)
+        row)
+    rows;
+  for l = 0 to n - 1 do
+    line_start.(l + 1) <- line_start.(l + 1) + line_start.(l)
+  done;
+  let nent = line_start.(n) in
+  let next = Array.sub line_start 0 n in
+  let ent_state = Array.make nent 0 in
+  let ent_sum = Array.make nent Formal_sum.empty in
+  (* Rows ascending, columns ascending within a row: each line lists
+     its states in ascending order. *)
+  Array.iteri
+    (fun r row ->
+      Array.iter
+        (fun (c, s) ->
+          let l, st = if by_row then (r, c) else (c, r) in
+          let e = next.(l) in
+          next.(l) <- e + 1;
+          ent_state.(e) <- st;
+          ent_sum.(e) <- s)
+        row)
+    rows;
+  let term_start = Array.make (nent + 1) 0 in
+  for e = 0 to nent - 1 do
+    term_start.(e + 1) <- term_start.(e) + Formal_sum.num_terms ent_sum.(e)
+  done;
+  let term_slot = Array.make term_start.(nent) 0 in
+  let term_coeff = Array.make term_start.(nent) 0.0 in
+  Array.iteri
+    (fun e s ->
+      Array.iteri
+        (fun k (child, c) ->
+          term_slot.(term_start.(e) + k) <- Sortx.find_sorted children child;
+          term_coeff.(term_start.(e) + k) <- c)
+        (s : Formal_sum.t :> (int * float) array))
+    ent_sum;
+  { children; line_start; ent_state; term_start; term_slot; term_coeff }
+
+let compile md mode ~level =
+  let nodes =
+    Array.of_list (List.map (compile_node md mode) (Md.live_nodes md).(level - 1))
+  in
+  let slot_base = Array.make (Array.length nodes) 0 in
+  for i = 1 to Array.length nodes - 1 do
+    slot_base.(i) <- slot_base.(i - 1) + Array.length nodes.(i - 1).children
+  done;
+  { size = Md.size md level; nodes; slot_base }
+
+(* A level key interned from its bits: the terms [off .. off + len - 1]
+   of a (tags, coefficients) pair of arrays.  Lookups probe with one
+   mutable key pointing into the accumulator's output, so a hit copies
+   nothing; a miss stores a copy. *)
+type probe = {
+  mutable tags : int array;
+  mutable coeffs : float array;
+  mutable off : int;
+  mutable len : int;
+}
+
+module Probe_table = Hashtbl.Make (struct
+  type t = probe
+
+  (* A loop, not a local recursive function: a closure would be
+     allocated per comparison. *)
+  let equal a b =
+    a.len = b.len
+    &&
+    let i = ref 0 in
+    while
+      !i < a.len
+      && a.tags.(a.off + !i) = b.tags.(b.off + !i)
+      && Int64.equal
+           (Int64.bits_of_float a.coeffs.(a.off + !i))
+           (Int64.bits_of_float b.coeffs.(b.off + !i))
+    do
+      incr i
+    done;
+    !i = a.len
+
+  let hash p =
+    let h = ref p.len in
+    for i = p.off to p.off + p.len - 1 do
+      h :=
+        Hashx.combine (Hashx.combine !h p.tags.(i))
+          (Int64.to_int (Int64.bits_of_float p.coeffs.(i)))
+    done;
+    !h
+end)
+
+module Key_table = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  let hash = hash
+end)
+
+(* Growable scratch.  [slots] is the dense accumulator of the node being
+   walked: one float per (touched state, child of that node), the
+   states numbered by first touch ([touched], [tix], valid where
+   [tstamp] holds the current walk).  The level key's terms are pushed
+   node by node into [t_*] against the state's emitted index ([uix],
+   valid where [ustamp] holds the current step, [ustates] the states in
+   emission order), then grouped per state into [g_*] by a counting
+   sort. *)
+type accumulator = {
+  keys : int Probe_table.t; (* level key -> gid, never cleared *)
+  matrices : int Key_table.t; (* expanded node key -> id, never cleared *)
+  probe : probe;
+  mutable slots : float array;
+  mutable touched : int array;
+  mutable tix : int array;
+  mutable tstamp : int array;
+  mutable walk : int;
+  mutable ustates : int array;
+  mutable ucount : int array;
+  mutable uix : int array;
+  mutable ustamp : int array;
+  mutable step : int;
+  mutable t_u : int array;
+  mutable t_tag : int array;
+  mutable t_coeff : float array;
+  mutable g_tag : int array;
+  mutable g_coeff : float array;
+}
+
+let accumulator () =
+  {
+    keys = Probe_table.create 1024;
+    matrices = Key_table.create 64;
+    probe = { tags = [||]; coeffs = [||]; off = 0; len = 0 };
+    slots = [||];
+    touched = [||];
+    tix = [||];
+    tstamp = [||];
+    walk = 0;
+    ustates = [||];
+    ucount = [||];
+    uix = [||];
+    ustamp = [||];
+    step = 0;
+    t_u = [||];
+    t_tag = [||];
+    t_coeff = [||];
+    g_tag = [||];
+    g_coeff = [||];
+  }
+
+let interned acc = Probe_table.length acc.keys
+
+(* State-indexed scratch for a level of [n] states.  Fresh stamps are 0
+   and the counters only grow from there, so no stale entry matches. *)
+let ensure_states acc n =
+  if Array.length acc.touched < n then begin
+    acc.touched <- Array.make n 0;
+    acc.tix <- Array.make n 0;
+    acc.tstamp <- Array.make n 0;
+    acc.ustates <- Array.make n 0;
+    acc.ucount <- Array.make n 0;
+    acc.uix <- Array.make n 0;
+    acc.ustamp <- Array.make n 0
+  end
+
+let grow_floats a n keep =
+  let b = Array.make (max n (2 * Array.length a)) 0.0 in
+  Array.blit a 0 b 0 keep;
+  b
+
+let grow_ints a n keep =
+  let b = Array.make (max n (2 * Array.length a)) 0 in
+  Array.blit a 0 b 0 keep;
+  b
+
+(* Sum node [nl]'s lines over the splitter's members into [slots], in
+   member order; returns the number of states touched. *)
+let walk acc nl skip perm first len =
+  acc.walk <- acc.walk + 1;
+  let w = acc.walk in
+  let nch = Array.length nl.children in
+  let nt = ref 0 in
+  for i = first to first + len - 1 do
+    let l = perm.(i) in
+    for e = nl.line_start.(l) to nl.line_start.(l + 1) - 1 do
+      let s = nl.ent_state.(e) in
+      if not (skip s) then begin
+        let t =
+          if acc.tstamp.(s) = w then acc.tix.(s)
+          else begin
+            let t = !nt in
+            acc.tstamp.(s) <- w;
+            acc.tix.(s) <- t;
+            acc.touched.(t) <- s;
+            incr nt;
+            let need = (t + 1) * nch in
+            if Array.length acc.slots < need then
+              acc.slots <- grow_floats acc.slots need (t * nch);
+            Array.fill acc.slots (t * nch) nch 0.0;
+            t
+          end
+        in
+        let slots = acc.slots and base = t * nch in
+        for x = nl.term_start.(e) to nl.term_start.(e + 1) - 1 do
+          let j = base + nl.term_slot.(x) in
+          slots.(j) <- slots.(j) +. nl.term_coeff.(x)
+        done
+      end
+    done
+  done;
+  !nt
+
+(* Append a term for emitted state [u]; returns its index, where the
+   caller writes the coefficient (a float passed as an argument would be
+   boxed). *)
+let push_term acc nterms u tag =
+  let k = !nterms in
+  if k = Array.length acc.t_u then begin
+    acc.t_u <- grow_ints acc.t_u (k + 1) k;
+    acc.t_tag <- grow_ints acc.t_tag (k + 1) k;
+    acc.t_coeff <- grow_floats acc.t_coeff (k + 1) k
+  end;
+  acc.t_u.(k) <- u;
+  acc.t_tag.(k) <- tag;
+  acc.ucount.(u) <- acc.ucount.(u) + 1;
+  nterms := k + 1;
+  k
+
+let level_keys ?skip ctx choice lines acc (perm, first, len) =
+  let skip = match skip with Some f -> f | None -> fun _ -> false in
+  ensure_states acc lines.size;
+  acc.step <- acc.step + 1;
+  let step = acc.step in
+  let nu = ref 0 and nterms = ref 0 in
+  (* The state's emitted index, given at its first nonzero node key. *)
+  let emitted s =
+    if acc.ustamp.(s) = step then acc.uix.(s)
+    else begin
+      let u = !nu in
+      acc.ustamp.(s) <- step;
+      acc.uix.(s) <- u;
+      acc.ustates.(u) <- s;
+      acc.ucount.(u) <- 0;
+      incr nu;
+      u
+    end
+  in
+  let k = Array.length lines.nodes in
+  Array.iteri
+    (fun i nl ->
+      let nt = walk acc nl skip perm first len in
+      let nch = Array.length nl.children in
+      for t = 0 to nt - 1 do
+        let s = acc.touched.(t) and base = t * nch in
+        (* Quantize at emission: a node whose slots all quantize to zero
+           contributes nothing, like a node that never touched [s]. *)
+        let slots = acc.slots in
+        Floatx.quantize_range slots base nch;
+        match choice with
+        | Formal_sums ->
+            for j = 0 to nch - 1 do
+              if slots.(base + j) <> 0.0 then begin
+                let x = push_term acc nterms (emitted s) (lines.slot_base.(i) + j) in
+                acc.t_coeff.(x) <- slots.(base + j)
+              end
+            done
+        | Expanded_matrices ->
+            let sum = Formal_sum.of_slots nl.children slots base in
+            if not (Formal_sum.is_empty sum) then begin
+              let key = Matrix (Csr.map Floatx.quantize (expand ctx sum)) in
+              let g =
+                match Key_table.find_opt acc.matrices key with
+                | Some g -> g
+                | None ->
+                    let g = Key_table.length acc.matrices in
+                    Key_table.add acc.matrices key g;
+                    g
+              in
+              let x = push_term acc nterms (emitted s) (i + (k * g)) in
+              acc.t_coeff.(x) <- 1.0
+            end
+      done)
+    lines.nodes;
+  (* Group the terms by state (a stable counting sort keeps each
+     state's terms in node order, slots ascending: the canonical form),
+     then intern each state's terms to its gid. *)
+  let n = !nu and m = !nterms in
+  let bounds = acc.ucount in
+  let total = ref 0 in
+  for u = 0 to n - 1 do
+    let c = bounds.(u) in
+    bounds.(u) <- !total;
+    total := !total + c
+  done;
+  if Array.length acc.g_tag < m then begin
+    acc.g_tag <- Array.make (Array.length acc.t_tag) 0;
+    acc.g_coeff <- Array.make (Array.length acc.t_coeff) 0.0
+  end;
+  for x = 0 to m - 1 do
+    let u = acc.t_u.(x) in
+    let dst = bounds.(u) in
+    bounds.(u) <- dst + 1;
+    acc.g_tag.(dst) <- acc.t_tag.(x);
+    acc.g_coeff.(dst) <- acc.t_coeff.(x)
+  done;
+  (* [bounds.(u)] now ends state [u]'s terms, which start where state
+     [u - 1]'s end. *)
+  let probe = acc.probe in
+  probe.tags <- acc.g_tag;
+  probe.coeffs <- acc.g_coeff;
+  let gids =
+    Array.init n (fun u ->
+        let off = if u = 0 then 0 else bounds.(u - 1) in
+        probe.off <- off;
+        probe.len <- bounds.(u) - off;
+        match Probe_table.find acc.keys probe with
+        | g -> g
+        | exception Not_found ->
+            let g = Probe_table.length acc.keys in
+            Probe_table.add acc.keys
+              {
+                tags = Array.sub probe.tags off probe.len;
+                coeffs = Array.sub probe.coeffs off probe.len;
+                off = 0;
+                len = probe.len;
+              }
+              g;
+            g)
+  in
+  (Array.sub acc.ustates 0 n, gids)

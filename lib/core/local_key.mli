@@ -1,4 +1,6 @@
-(** The key functions [K] of Section 4, computed on a single MD node.
+(** The key functions [K] of Section 4, computed on a single MD node,
+    and the level key the lumper refines by: the tuple of every live
+    node's key at once (see {!level_keys}).
 
     The paper discusses two choices for [K(R_n2, s2, C2)]:
 
@@ -20,7 +22,8 @@
     {b Quantization invariant.}  Tolerant float comparison
     ({!Mdl_util.Floatx.compare_approx}) is not transitive, so it must
     never decide how keys are grouped, sorted or interned — the classes
-    would depend on state order.  Instead, {!splitter_keys} quantizes
+    would depend on state order.  Instead, {!splitter_keys} (like
+    {!level_keys}) quantizes
     every coefficient (matrix entry) {e at emission} onto the one
     lumping grid ({!Mdl_util.Floatx.quantize} at
     {!Mdl_util.Floatx.default_eps}) and re-canonicalises (coefficients
@@ -28,8 +31,8 @@
     sum is not emitted at all, matching the implicit zero key of
     untouched states).  On such canonical keys the exact structural relations
     {!compare_exact} / {!equal} / {!hash} agree with lumping-key
-    equality, which is what makes hash-consing keys to integer ids
-    ({!Key_cache}) sound: two keys intern to the same id iff
+    equality, which is what makes interning keys to integer ids
+    ({!level_keys}) sound: two keys intern to the same id iff
     {!compare_exact} calls them equal. *)
 
 type choice = Formal_sums | Expanded_matrices
@@ -54,9 +57,9 @@ val hash : t -> int
 
 type context
 (** Memoisation over one diagram: the expanded-matrix flattening memo
-    and the column transposes of the nodes walked in ordinary mode.
-    Single-owner: {!Key_cache} keeps one per level, so parallel level
-    tasks never share one. *)
+    and the column transposes of the nodes walked in ordinary mode by
+    {!eval_keys}.  Single-owner: {!Key_cache} keeps one per level, so
+    parallel level tasks never share one. *)
 
 val make_context : Mdl_md.Md.t -> context
 
@@ -105,3 +108,63 @@ val splitter_keys :
     class — so skipping singletons changes no split decision, no
     splitter-pass count, only the per-pass key evaluation work (it does
     reduce the [key_evals] counter, which counts emitted pairs). *)
+
+(** {2 The level key}
+
+    The lumper refines a level once, against all its live nodes
+    together: a state's key with respect to a splitter class [C] is the
+    tuple [(K(n_1, s, C), ..., K(n_k, s, C))] over the level's live
+    nodes [n_1 .. n_k], where a node that does not touch [s] contributes
+    the zero key.  Tuple keys add componentwise over disjoint splitters,
+    so the refinement engine's process-all-but-the-largest rule stays
+    sound, and a partition is stable for tuple keys iff it is stable for
+    every node's key on its own. *)
+
+type lines
+(** One level's live nodes compiled for key evaluation: each node's
+    lines (columns in ordinary mode, rows in exact mode) in flat arrays,
+    every term carrying its child's dense slot, the child's rank among
+    that node's children by ascending id.  Immutable; valid for the
+    diagram it was compiled from. *)
+
+val compile : Mdl_md.Md.t -> Mdl_lumping.State_lumping.mode -> level:int -> lines
+(** [compile md mode ~level] reads {!Mdl_md.Md.node_rows} of every live
+    node of [level] once. *)
+
+type accumulator
+(** A level's reusable scratch — the dense accumulator, one float per
+    (touched state, child of the node being walked) — and the intern
+    tables of its keys, which are never cleared.  Single-owner. *)
+
+val accumulator : unit -> accumulator
+
+val interned : accumulator -> int
+(** Distinct level keys interned so far (never shrinks). *)
+
+val level_keys :
+  ?skip:(int -> bool) ->
+  context ->
+  choice ->
+  lines ->
+  accumulator ->
+  Mdl_partition.Refiner.slice ->
+  int array * int array
+(** [level_keys ctx choice lines acc c] returns fresh parallel
+    [(states, gids)] arrays: every state whose level key with respect
+    to the splitter class [c] is nonzero, and that key's id in [acc]'s
+    intern table.  Equal ids mean equal keys: two states get one id iff
+    every node gives them {!equal} keys.
+
+    Each node's lines are summed over [c]'s members, in member order,
+    into the dense accumulator ([slot +. c], bit for bit the fold of
+    {!Mdl_md.Formal_sum.add} that {!eval_keys} performs), then quantized
+    at emission: a node whose sum quantizes to zero contributes nothing,
+    and a state with no nonzero contribution is not listed.  With
+    formal-sum keys the tuple is interned from the quantized slots'
+    bits, and no {!Mdl_md.Formal_sum.t} is built; with expanded keys
+    each node's sum is built and expanded as in {!eval_keys}.  States
+    are listed in the order of their first nonzero contribution (nodes
+    in live order, each node's states in the order its walk first
+    touches them).  [skip] as in {!splitter_keys}.  [ctx] must belong
+    to the diagram [lines] was compiled from; it serves the expanded
+    keys only. *)

@@ -33,6 +33,22 @@ let of_list l =
 
 let terms t = Array.to_list t
 
+let of_slots ids coeffs off =
+  let n = ref 0 in
+  for i = 0 to Array.length ids - 1 do
+    if coeffs.(off + i) <> 0.0 then incr n
+  done;
+  let out = Array.make !n (0, 0.0) in
+  let k = ref 0 in
+  for i = 0 to Array.length ids - 1 do
+    let c = coeffs.(off + i) in
+    if c <> 0.0 then begin
+      out.(!k) <- (ids.(i), c);
+      incr k
+    end
+  done;
+  out
+
 let add a b = of_list (terms a @ terms b)
 
 let scale alpha t =

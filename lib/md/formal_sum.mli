@@ -23,6 +23,13 @@ val singleton : int -> float -> t
 val of_list : (int * float) list -> t
 (** Terms in any order, duplicates combined, zeros dropped. *)
 
+val of_slots : int array -> float array -> int -> t
+(** [of_slots ids coeffs off] is the sum of [coeffs.(off + i) * R_{ids.(i)}]
+    over the slots [i] of [ids] whose coefficient is nonzero — how a
+    dense accumulator (one float slot per child) emits its result
+    without a sort.  [ids] must be strictly ascending; this is not
+    checked. *)
+
 val terms : t -> (int * float) list
 (** Canonical term list (ascending node id). *)
 

@@ -6,11 +6,14 @@ type node_id = int
 type node = {
   level : int;
   rows : (int * Formal_sum.t) array array; (* row -> entries sorted by col *)
+  kids : node_id array;
+      (* distinct children, in first-appearance order over (row, entry,
+         term): what [live_nodes] walks *)
 }
 
 (* Structural identity of node contents, used for hash-consing
    (quasi-reduction): equal level and equal rows with bit-exact
-   coefficient equality. *)
+   coefficient equality ([kids] is derived from [rows]). *)
 module Node_key = struct
   type t = node
 
@@ -43,6 +46,8 @@ type t = {
   nodes : node Dynarray.t; (* id -> node; id 0 is the terminal *)
   cons : node_id Cons_table.t;
   mutable root_id : node_id option;
+  mutable seen : int array; (* id -> stamp, scratch of [distinct_children] *)
+  mutable stamp : int;
 }
 
 let create ~sizes =
@@ -50,13 +55,15 @@ let create ~sizes =
   Array.iter (fun s -> if s <= 0 then invalid_arg "Md.create: non-positive level size") sizes;
   let nodes = Dynarray.create () in
   (* Terminal node: the 1x1 identity scalar at conceptual level L+1. *)
-  Dynarray.push nodes { level = Array.length sizes + 1; rows = [||] };
+  Dynarray.push nodes { level = Array.length sizes + 1; rows = [||]; kids = [||] };
   {
     nlevels = Array.length sizes;
     level_sizes = Array.copy sizes;
     nodes;
     cons = Cons_table.create 256;
     root_id = None;
+    seen = [||];
+    stamp = 0;
   }
 
 let levels t = t.nlevels
@@ -74,6 +81,38 @@ let node t id =
   Dynarray.get t.nodes id
 
 let node_level t id = (node t id).level
+
+(* Children exist before their parents, so every id met is below the
+   store's length. *)
+let distinct_children t rows =
+  let n = Dynarray.length t.nodes in
+  if Array.length t.seen < n then t.seen <- Array.make (max n (2 * Array.length t.seen)) 0;
+  t.stamp <- t.stamp + 1;
+  let seen = t.seen and stamp = t.stamp in
+  let kids = Dynarray.create () in
+  Array.iter
+    (Array.iter (fun (_, s) ->
+         Array.iter
+           (fun (child, _) ->
+             if seen.(child) <> stamp then begin
+               seen.(child) <- stamp;
+               Dynarray.push kids child
+             end)
+           (s : Formal_sum.t :> (int * float) array)))
+    rows;
+  Dynarray.to_array kids
+
+(* Hash-cons a candidate (built with no [kids]): an existing equal node
+   keeps its id, a new one is stored with its children recorded. *)
+let intern t candidate =
+  match Cons_table.find_opt t.cons candidate with
+  | Some id -> id
+  | None ->
+      let nd = { candidate with kids = distinct_children t candidate.rows } in
+      let id = Dynarray.length t.nodes in
+      Dynarray.push t.nodes nd;
+      Cons_table.add t.cons nd id;
+      id
 
 let add_node t ~level entries =
   if level < 1 || level > t.nlevels then invalid_arg "Md.add_node: level out of range";
@@ -109,14 +148,7 @@ let add_node t ~level entries =
         a)
       rows
   in
-  let candidate = { level; rows } in
-  match Cons_table.find_opt t.cons candidate with
-  | Some id -> id
-  | None ->
-      let id = Dynarray.length t.nodes in
-      Dynarray.push t.nodes candidate;
-      Cons_table.add t.cons candidate id;
-      id
+  intern t { level; rows; kids = [||] }
 
 (* Import a node of [src] into [t] verbatim, remapping child references.
    The fast path of the incremental lumped rebuild: the source node's
@@ -144,14 +176,7 @@ let import_node t ~level src src_id remap =
              (Array.to_list row)))
       nd.rows
   in
-  let candidate = { level; rows } in
-  (match Cons_table.find_opt t.cons candidate with
-  | Some id -> id
-  | None ->
-      let id = Dynarray.length t.nodes in
-      Dynarray.push t.nodes candidate;
-      Cons_table.add t.cons candidate id;
-      id)
+  intern t { level; rows; kids = [||] }
 
 (* Raw constructor used by the incremental rebuild: the caller has
    already combined duplicate positions, dropped empty sums and sorted
@@ -162,14 +187,7 @@ let add_node_sorted_rows t ~level rows =
     invalid_arg "Md.add_node_sorted_rows: level out of range";
   if Array.length rows <> t.level_sizes.(level - 1) then
     invalid_arg "Md.add_node_sorted_rows: row count does not match the level size";
-  let candidate = { level; rows } in
-  match Cons_table.find_opt t.cons candidate with
-  | Some id -> id
-  | None ->
-      let id = Dynarray.length t.nodes in
-      Dynarray.push t.nodes candidate;
-      Cons_table.add t.cons candidate id;
-      id
+  intern t { level; rows; kids = [||] }
 
 (* Structural equality of rooted diagrams.  Node ids are store-local and
    the canonical term order of a formal sum follows the local ids, so
@@ -236,48 +254,33 @@ let node_row t id r =
 
 let node_rows t id = (node t id).rows
 
+let node_children t id =
+  let kids = Array.copy (node t id).kids in
+  Array.sort Int.compare kids;
+  kids
+
 let iter_node_entries t id f =
   let nd = node t id in
   Array.iteri (fun r row -> Array.iter (fun (c, s) -> f r c s) row) nd.rows
-
-let rev_iter_node_row t id r f =
-  let nd = node t id in
-  if r < 0 || r >= Array.length nd.rows then
-    invalid_arg "Md.rev_iter_node_row: row out of range";
-  let row = nd.rows.(r) in
-  for i = Array.length row - 1 downto 0 do
-    let c, s = row.(i) in
-    f c s
-  done
-
-let rev_iter_node_entries t id f =
-  let nd = node t id in
-  for r = Array.length nd.rows - 1 downto 0 do
-    let row = nd.rows.(r) in
-    for i = Array.length row - 1 downto 0 do
-      let c, s = row.(i) in
-      f r c s
-    done
-  done
 
 let node_nnz t id =
   let nd = node t id in
   Array.fold_left (fun acc row -> acc + Array.length row) 0 nd.rows
 
+(* Depth-first preorder from the root over each node's recorded
+   children: the order a walk over every (row, entry, term) would visit
+   them in, since a child's later appearances find it visited. *)
 let live_nodes t =
   let r = root t in
   let per_level = Array.make t.nlevels [] in
-  let seen = Hashtbl.create 64 in
+  let visited = Bytes.make (Dynarray.length t.nodes) '\000' in
   let rec visit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      let nd = node t id in
+    if Bytes.get visited id = '\000' then begin
+      Bytes.set visited id '\001';
+      let nd = Dynarray.get t.nodes id in
       if nd.level <= t.nlevels then begin
         per_level.(nd.level - 1) <- id :: per_level.(nd.level - 1);
-        Array.iter
-          (fun row ->
-            Array.iter (fun (_, s) -> List.iter visit (Formal_sum.children s)) row)
-          nd.rows
+        Array.iter visit nd.kids
       end
     end
   in

@@ -104,27 +104,23 @@ val node_rows : t -> node_id -> (int * Formal_sum.t) array array
     walker that needs columns keeps their transposes itself
     ({!Mdl_core.Local_key.node_cols}). *)
 
+val node_children : t -> node_id -> node_id array
+(** The node's distinct children in ascending id order, a fresh array
+    (recorded when the node was created; no entry is read). *)
+
 val iter_node_entries : t -> node_id -> (int -> int -> Formal_sum.t -> unit) -> unit
-
-val rev_iter_node_row : t -> node_id -> int -> (int -> Formal_sum.t -> unit) -> unit
-(** One row's entries in {e descending} column order, without building a
-    list.  Mirrors the floating-point summation order {!add_node}
-    exhibits on a consed entry list, which is what lets the incremental
-    quotient rebuild produce bit-identical coefficients to the
-    from-scratch path.  @raise Invalid_argument on a bad row. *)
-
-val rev_iter_node_entries : t -> node_id -> (int -> int -> Formal_sum.t -> unit) -> unit
-(** All entries, rows descending and columns descending within each row
-    — the reverse of {!iter_node_entries}; see {!rev_iter_node_row} for
-    why the order matters. *)
 
 val node_nnz : t -> node_id -> int
 
 val live_nodes : t -> node_id list array
 (** [live_nodes t].(l-1) is the list of nodes at level [l] reachable from
-    the root — the paper's [N_l].  (The store may also hold unreachable
+    the root — the paper's [N_l] — in depth-first preorder, children in
+    order of first appearance over (row, entry, term).  That order fixes
+    the lumped diagram's node ids.  (The store may also hold unreachable
     nodes left over from construction; they are not part of the
-    diagram.) @raise Invalid_argument if no root is set. *)
+    diagram.)  Each node records its distinct children when it is
+    created, so the walk reads no entry.  @raise Invalid_argument if no
+    root is set. *)
 
 val num_live_nodes : t -> int
 

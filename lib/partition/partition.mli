@@ -32,9 +32,8 @@ val copy : t -> t
     slice layouts coincide until the first divergent split.  Unlike
     rebuilding through {!of_class_assignment} — which renumbers classes
     by first appearance and re-sorts the permutation — [copy] preserves
-    identities, which is what lets the splitter-key cache
-    ({!Mdl_core.Key_cache}) recognise unchanged classes across
-    successive refinement runs of a fixed point. *)
+    identities, so a refinement run that splits nothing returns the
+    input's classes, ids and member order unchanged. *)
 
 val of_class_assignment : int array -> t
 (** [of_class_assignment a] builds the partition where element [i]

@@ -95,9 +95,10 @@ type pass_data = {
    count.
 
    The working partition is an id-preserving [Partition.copy] of the
-   input, not a renumbering round-trip: class ids and slice layouts are
-   stable from one refinement run to the next (until a class itself
-   splits), which is the identity the splitter-key cache keys on. *)
+   input, not a renumbering round-trip: class ids and slice layouts stay
+   the input's until a class itself splits, so a splitter's member
+   sequence — what the persistent key store keys on — is determined by
+   the input layout and the splits alone. *)
 let core_body st ~prepare ~initial =
   let timer = Timer.start () in
   let p = Partition.copy initial in
@@ -305,9 +306,7 @@ let comp_lumping_float fspec ~initial =
       let keys = buf.fb_keys in
       (* Quantize inline: grouping happens on the deterministic grid
          representative, never on a non-transitive tolerant compare. *)
-      for i = 0 to m - 1 do
-        keys.(i) <- Floatx.quantize keys.(i)
-      done;
+      Floatx.quantize_range keys 0 m;
       if Array.length !cls < Array.length states then begin
         cls := Array.make (Array.length states) 0;
         nk := Array.make (Array.length states) true

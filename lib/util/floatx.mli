@@ -40,6 +40,11 @@ val quantize : ?eps:float -> float -> float
     to [0.0]; values so large that [x /. eps] overflows are returned
     unchanged. *)
 
+val quantize_range : float array -> int -> int -> unit
+(** [quantize_range a off len] replaces [a.(off) .. a.(off + len - 1)]
+    by their {!quantize} representatives on the default grid, in place
+    and without boxing a float. *)
+
 val sum_kahan : float array -> float
 (** Compensated (Kahan) summation, used where many small rates are
     accumulated. *)

@@ -133,3 +133,11 @@ let sort_runs_int ~cls ~keys ~states n =
       Array.blit bs 0 states 0 n
     end
   end
+
+let find_sorted a x =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get a mid < x then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length a && a.(!lo) = x then !lo else raise Not_found

@@ -3,10 +3,11 @@
     The partition refiner sorts (index arrays into) key arrays on every
     splitter pass; going through [Stdlib.compare] or tuple-allocating
     comparators there costs more than the key evaluation itself.  Three
-    routines live here: a stable merge sort of an [int array] under an
+    sorts live here: a stable merge sort of an [int array] under an
     explicit three-way comparator, and two {e fused} sorts that order
     the refiner's parallel (class, key, state) buffers directly —
-    monomorphic float or int keys, no comparator closure, no boxing. *)
+    monomorphic float or int keys, no comparator closure, no boxing —
+    plus a binary search over a sorted [int array]. *)
 
 val sort_by : (int -> int -> int) -> int array -> unit
 (** [sort_by cmp a] sorts [a] in place, stably, by [cmp].  [cmp] is
@@ -29,3 +30,7 @@ val sort_runs_int :
 (** Same as {!sort_runs_float} for dense integer key ranks (the
     ranked pipeline's comparison sort, used when a pass's key alphabet
     is too large for the counting sort). *)
+
+val find_sorted : int array -> int -> int
+(** [find_sorted a x] is the index of [x] in the strictly ascending
+    array [a], by binary search.  @raise Not_found if [x] is absent. *)

@@ -18,9 +18,13 @@ let of_run names f =
    heap together ([Gc.allocated_bytes]'s count: a vector of more than
    256 floats goes straight to the major heap, where [Gc.minor_words]
    does not see it).  The minor heap is emptied first, so that what is
-   promoted during [f] is [f]'s own. *)
+   promoted during [f] is [f]'s own, and again after: the runtime's
+   counters add a minor heap's words only when it is collected, so
+   without it up to a whole minor heap of [f]'s allocation goes
+   uncounted. *)
 let words f =
   Gc.minor ();
   let before = Gc.allocated_bytes () in
   f ();
+  Gc.minor ();
   (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)

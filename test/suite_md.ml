@@ -578,14 +578,12 @@ let test_normalize_merges_proportional_nodes () =
   let live = Md.live_nodes normalized in
   Alcotest.(check int) "proportional nodes merged" 1 (List.length live.(1))
 
-(* --- structural diagram equality, raw constructors, reverse iteration ---
+(* --- structural diagram equality, raw constructors ---
 
    These pin the contracts the incremental lumped rebuild relies on:
    [Md.equal] must identify isomorphic rooted diagrams regardless of
-   store-local node ids, [add_node_sorted_rows] must hash-cons to the
-   node [add_node] would have built, and the [rev_iter_*] walks must
-   visit entries in exactly the reverse of the ascending storage
-   order. *)
+   store-local node ids, and [add_node_sorted_rows] must hash-cons to
+   the node [add_node] would have built. *)
 
 let diag_of_entries ?(prewarm = 0) entries =
   (* A 2-level diagram; [prewarm] junk nodes shift the store's ids. *)
@@ -652,42 +650,36 @@ let test_add_node_sorted_rows () =
     (Invalid_argument "Md.add_node_sorted_rows: row count does not match the level size")
     (fun () -> ignore (Md.add_node_sorted_rows md ~level:1 [| [||] |]))
 
-let test_md_rev_iter () =
-  let md = Md.create ~sizes:[| 3; 3 |] in
-  let a = Md.add_node md ~level:2 [ (0, 0, Md.scalar_sum md 1.0) ] in
-  let node =
-    Md.add_node md ~level:1
-      [
-        (0, 0, Formal_sum.singleton a 1.0);
-        (0, 2, Formal_sum.singleton a 2.0);
-        (2, 1, Formal_sum.singleton a 3.0);
-      ]
+(* [Md.live_nodes] as it was before nodes recorded their children: a
+   depth-first walk over every (row, entry, term), a visited table, and
+   each level's nodes in visit order. *)
+let live_nodes_by_entries md =
+  let per_level = Array.make (Md.levels md) [] in
+  let seen = Hashtbl.create 64 in
+  let rec visit id =
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      let level = Md.node_level md id in
+      if level <= Md.levels md then begin
+        per_level.(level - 1) <- id :: per_level.(level - 1);
+        Array.iter
+          (fun row ->
+            Array.iter (fun (_, s) -> List.iter visit (Formal_sum.children s)) row)
+          (Md.node_rows md id)
+      end
+    end
   in
-  let row_cols = ref [] in
-  Md.rev_iter_node_row md node 0 (fun c _ -> row_cols := c :: !row_cols);
-  (* descending visit, so consing restores the ascending storage order *)
-  Alcotest.(check (list int)) "row walked descending" [ 0; 2 ] !row_cols;
-  let empty = ref [] in
-  Md.rev_iter_node_row md node 1 (fun c _ -> empty := c :: !empty);
-  Alcotest.(check (list int)) "empty row" [] !empty;
-  let entries = ref [] in
-  Md.rev_iter_node_entries md node (fun r c _ -> entries := (r, c) :: !entries);
-  Alcotest.(check (list (pair int int))) "entries walked rows/cols descending"
-    [ (0, 0); (0, 2); (2, 1) ]
-    !entries;
-  (* agreement with the forward walk: consing during the descending
-     visit yields exactly the forward visit order *)
-  let fwd = ref [] in
-  Md.iter_node_entries md node (fun r c _ -> fwd := (r, c) :: !fwd);
-  Alcotest.(check (list (pair int int))) "reverse of iter_node_entries" (List.rev !fwd)
-    !entries;
-  Alcotest.check_raises "bad row"
-    (Invalid_argument "Md.rev_iter_node_row: row out of range") (fun () ->
-      Md.rev_iter_node_row md node 3 (fun _ _ -> ()))
+  visit (Md.root md);
+  Array.map List.rev per_level
 
 let qcheck_tests =
   let open QCheck in
   [
+    QCheck.Test.make ~count:200
+      ~name:"live_nodes equals the walk over every entry, list for list"
+      (Mdl_oracle.Qcheck_gen.model ()) (fun spec ->
+        let md = Gen_md.of_spec spec in
+        Md.live_nodes md = live_nodes_by_entries md);
     QCheck.Test.make ~count:150 ~name:"node_col is the transpose of node_row" arb_descriptor
     (fun spec ->
       let k = build_descriptor spec in
@@ -966,7 +958,6 @@ let tests =
     Alcotest.test_case "md iter entries" `Quick test_md_iter_entries_sums;
     Alcotest.test_case "md structural equality" `Quick test_md_equal;
     Alcotest.test_case "md add_node_sorted_rows" `Quick test_add_node_sorted_rows;
-    Alcotest.test_case "md reverse iteration" `Quick test_md_rev_iter;
     Alcotest.test_case "statespace basics" `Quick test_statespace_basics;
     Alcotest.test_case "statespace validation" `Quick test_statespace_validation;
     Alcotest.test_case "md vector products" `Quick test_md_vector_products;

@@ -15,6 +15,9 @@ module Check = Mdl_lumping.Check
 module Quotient = Mdl_lumping.Quotient
 module Decomposed = Mdl_core.Decomposed
 module Compositional = Mdl_core.Compositional
+module Level_lumping = Mdl_core.Level_lumping
+module Key_cache = Mdl_core.Key_cache
+module Local_key = Mdl_core.Local_key
 module Md_solve = Mdl_core.Md_solve
 module Workstations = Mdl_models.Workstations
 module Multitier = Mdl_models.Multitier
@@ -505,6 +508,96 @@ let test_md_operator_product_allocates_nothing () =
   Alcotest.(check bool) (Printf.sprintf "10 products allocate %.0f words" words) true
     (words < 1024.0)
 
+(* ---- what the lumper allocates (tandem J=2, 355,200 states) ---- *)
+
+let tandem_j2 =
+  lazy
+    (let f = Option.get (Family.find "tandem") in
+     f.Family.build (Result.get_ok (Family.resolve f ~size:(Some 2) [])))
+
+(* Each node records its distinct children when it is created, so
+   collecting the live nodes reads no entry: the walk allocates its
+   visited bytes and the per-level lists.  The walk over every entry it
+   replaced allocated 0.34 M words here. *)
+let test_live_nodes_allocation () =
+  let md = (Lazy.force tandem_j2).Family.md in
+  let words = Counters.words (fun () -> ignore (Md.live_nodes md)) in
+  Alcotest.(check bool) (Printf.sprintf "live_nodes allocates %.0f words" words) true
+    (words < 10_000.0)
+
+(* Level 2's one refinement run over the dense key accumulator, from the
+   family rewards' initial partition (1,665 states to 484 classes).  The
+   per-node fixed point it replaced, keys summed through
+   [Formal_sum.add], allocated 7.93–8.11 M words here; the bound is 40%
+   of 7.93 M. *)
+let test_level_fixpoint_allocation () =
+  let b = Lazy.force tandem_j2 in
+  let md = b.Family.md in
+  let initial =
+    Level_lumping.initial_partition State_lumping.Ordinary md ~level:2
+      ~rewards:(List.map snd b.Family.rewards) ~initial:b.Family.initial
+  in
+  let p = ref initial in
+  let words =
+    Counters.words (fun () ->
+        p := Level_lumping.comp_lumping_level State_lumping.Ordinary md ~level:2 ~initial)
+  in
+  Alcotest.(check int) "level 2 classes" 484 (Partition.num_classes !p);
+  Alcotest.(check bool) (Printf.sprintf "level 2 fixed point allocates %.0f words" words)
+    true (words < 0.4 *. 7.93e6)
+
+(* A splitter step allocates its (states, gids) rows and a constant,
+   nothing per entry it reads: on lumped tandem J=2's level 2, the
+   whole level as one splitter, once every key is interned. *)
+let test_splitter_step_allocation () =
+  let b = Lazy.force tandem_j2 in
+  let r =
+    Compositional.lump State_lumping.Ordinary b.Family.md
+      ~rewards:(List.map snd b.Family.rewards) ~initial:b.Family.initial
+  in
+  let md = r.Compositional.lumped in
+  let kc = Key_cache.create () in
+  Key_cache.bind ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary kc md;
+  let lv = Key_cache.for_level kc 2 in
+  let p = Partition.trivial (Md.size md 2) in
+  let step () = Key_cache.splitter_keys lv (Partition.view p 0) in
+  ignore (step ());
+  let states = ref [||] in
+  let words = Counters.words (fun () -> states := fst (step ())) in
+  let touched = float_of_int (Array.length !states) in
+  let entries =
+    List.fold_left (fun acc node -> acc + Md.node_nnz md node) 0 (Md.live_nodes md).(1)
+  in
+  Alcotest.(check bool) "the step touches states" true (touched > 0.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %.0f touched states over %d entries" words touched
+       entries)
+    true
+    (words < (2.5 *. touched) +. 256.0)
+
+(* The ordinary quotient rebuild from tandem J=2's partitions folds into
+   a class-indexed slot table.  Through [Formal_sum.map_children] and
+   [Formal_sum.add] per entry it allocated 1.41–1.42 M words here; the
+   bound is half of 1.41 M. *)
+let test_rebuild_allocation () =
+  let b = Lazy.force tandem_j2 in
+  let md = b.Family.md in
+  let r =
+    Compositional.lump State_lumping.Ordinary md ~rewards:(List.map snd b.Family.rewards)
+      ~initial:b.Family.initial
+  in
+  let lumped = ref md in
+  let words =
+    Counters.words (fun () ->
+        lumped :=
+          (Compositional.lump_with_partitions State_lumping.Ordinary md
+             r.Compositional.partitions)
+            .Compositional.lumped)
+  in
+  Alcotest.(check bool) "same lumped diagram" true (Md.equal !lumped r.Compositional.lumped);
+  Alcotest.(check bool) (Printf.sprintf "ordinary rebuild allocates %.0f words" words) true
+    (words < 0.5 *. 1.41e6)
+
 (* ---- the family catalogue ---- *)
 
 (* Listed by hand.  Adding a wire family breaks the exhaustive match
@@ -634,6 +727,14 @@ let tests =
     Alcotest.test_case "MD operator golden digests" `Quick test_md_operator_golden;
     Alcotest.test_case "MD operator product allocates nothing" `Slow
       test_md_operator_product_allocates_nothing;
+    Alcotest.test_case "live_nodes allocates no entry walk (tandem J=2)" `Slow
+      test_live_nodes_allocation;
+    Alcotest.test_case "level fixed point allocation (tandem J=2, level 2)" `Slow
+      test_level_fixpoint_allocation;
+    Alcotest.test_case "ordinary rebuild allocation (tandem J=2)" `Slow
+      test_rebuild_allocation;
+    Alcotest.test_case "splitter step allocation follows touched states" `Slow
+      test_splitter_step_allocation;
     Alcotest.test_case "catalogue: one entry per wire family" `Quick
       test_catalogue_matches_wire_families;
     Alcotest.test_case "catalogue: default builds match the family modules" `Slow
