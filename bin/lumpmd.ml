@@ -56,13 +56,16 @@ let print_phase_breakdown () =
       (List.rev !order)
   end
 
-let setup_tracing trace_file stream_trace show_metrics =
+(* Called once, before the model is built, so that generation's spans
+   (san.saturate, san.finalize, san.md_of) are in the trace too. *)
+let setup_tracing trace_file stream_trace show_metrics show_stats =
   (* --stream-trace emits events as spans close (bounded memory);
      --trace and --metrics buffer — the latter so the Gc words per
      phase can be aggregated from the span arguments afterwards. *)
-  match stream_trace with
+  (match stream_trace with
   | Some path -> Trace.stream_to_file path
-  | None -> if Option.is_some trace_file || show_metrics then Trace.start ()
+  | None -> if Option.is_some trace_file || show_metrics then Trace.start ());
+  if show_stats || show_metrics then Metrics.set_enabled true
 
 let finish_tracing trace_file stream_trace show_metrics print_phases =
   if Option.is_some trace_file || Option.is_some stream_trace || show_metrics then begin
@@ -85,8 +88,6 @@ let finish_tracing trace_file stream_trace show_metrics print_phases =
 
 let run label (inst : Family.built) mode key solve solver check_optimal dot_file export_file
     merge_level show_stats trace_file stream_trace show_metrics domains =
-  setup_tracing trace_file stream_trace show_metrics;
-  if show_stats || show_metrics then Metrics.set_enabled true;
   Printf.printf "model: %s\n" label;
   (* Optional level merging before lumping (exposes cross-level
      symmetries at the price of a bigger level; reward measures are not
@@ -225,8 +226,6 @@ let point_label = function
    gates. *)
 let run_sweep label (inst : Family.built) points solve solver show_stats trace_file
     stream_trace show_metrics domains =
-  setup_tracing trace_file stream_trace show_metrics;
-  if show_stats || show_metrics then Metrics.set_enabled true;
   Printf.printf "model: %s\n" label;
   let ss = inst.statespace in
   Printf.printf "reachable states: %d; sweep of %d points\n" (Statespace.size ss) points;
@@ -401,17 +400,22 @@ let params_term (f : Family.t) =
     f.params (Term.const [])
 
 (* Resolve through the catalogue, so out-of-range values get lumpd's
-   message and Cmdliner's usage-error exit status. *)
-let with_model (f : Family.t) ~size params k =
+   message and Cmdliner's usage-error exit status; [setup] runs between
+   the resolution and the build. *)
+let with_model (f : Family.t) ~size params ~setup k =
   match Family.resolve f ~size params with
   | Error msg -> `Error (true, msg)
-  | Ok resolved -> `Ok (k (f.label resolved) (f.build resolved))
+  | Ok resolved ->
+      setup ();
+      `Ok (k (f.label resolved) (f.build resolved))
 
 let family_cmd (f : Family.t) =
   let go params mode key solve solver check dot export merge stats trace stream metrics
       domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    with_model f ~size:None params (fun label inst ->
+    with_model f ~size:None params
+      ~setup:(fun () -> setup_tracing trace stream metrics stats)
+      (fun label inst ->
         run label inst mode key solve solver check dot export merge stats trace stream
           metrics domains)
   in
@@ -448,7 +452,9 @@ let sweep_cmd =
   in
   let go model size points solve solver stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    with_model (Option.get (Family.find model)) ~size [] (fun label inst ->
+    with_model (Option.get (Family.find model)) ~size []
+      ~setup:(fun () -> setup_tracing trace stream metrics stats)
+      (fun label inst ->
         run_sweep label inst points solve solver stats trace stream metrics domains)
   in
   Cmd.v

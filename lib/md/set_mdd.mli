@@ -40,26 +40,39 @@ val saturation :
   man ->
   rels:(int -> int -> int array) array ->
   tops:int array ->
+  bots:int array ->
   t ->
   t
-(** [saturation m ~rels ~tops s] is the least fixpoint of [s] under all
-    the event relations — the reachable set — computed with the
-    {e saturation} strategy of Ciardo et al. (the paper's [5]): each
+(** [saturation m ~rels ~tops ~bots s] is the least fixpoint of [s]
+    under all the event relations — the reachable set — computed with
+    the {e saturation} strategy of Ciardo et al. (the paper's [5]): each
     node is saturated bottom-up, firing exhaustively the events whose
     {e top} (highest level the event touches; levels above it must be
     identity) equals the node's level, and every intermediate image node
     is saturated before use.  Orders of magnitude fewer peak nodes than
     breadth-first iteration on structured models.
 
+    Only work whose result is new is done.  Each firing round fires the
+    arcs of the node that the previous round's node did not have (the
+    first round fires all of them): the image distributes over arcs and
+    a union only grows children, so the images of unchanged arcs are
+    already in the node.  And an event stops at its {e bottom} level
+    [bots.(e)], the deepest level it touches: there the image of a
+    child is the child itself, because children of saturated nodes are
+    saturated and the event is identity beneath.
+
     [rels.(e) l u] holds the level-[l] successors of local state [u]
     under event [e]; an empty array disables [e] locally, and with it
     the whole transition (Kronecker semantics: the relation factorises
     per level).  It is consulted only for local states present in the
-    set, and must be deterministic: results are cached.
-    [tops.(e)] is event [e]'s top level (use [1] when unknown: sound,
-    merely slower).
-    @raise Invalid_argument if [rels] and [tops] differ in length or a
-    top is out of range. *)
+    set, never below the event's bottom level, and must be
+    deterministic: results are cached.
+    [tops.(e)] is event [e]'s top level (use [1] when unknown) and
+    [bots.(e)] its bottom level (use the number of levels when unknown);
+    the unknown values are sound, merely slower.
+    @raise Invalid_argument if [rels], [tops] and [bots] differ in
+    length, a top is out of range, or a bottom lies above its top or
+    beyond the last level. *)
 
 val to_statespace : man -> t -> Statespace.t
 (** The set as an offset-indexed state space, converted node by node

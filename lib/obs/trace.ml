@@ -16,7 +16,9 @@ type event = {
 
 (* An open span.  Gc words are sampled with [Gc.quick_stat] (no heap
    walk); the floats are cumulative word counters, so deltas across the
-   span are exact even through collections. *)
+   span are exact even through collections.  Minor words come from
+   [Gc.minor_words] instead: OCaml 5.1's [quick_stat] leaves out the
+   current minor heap until it is collected. *)
 type frame = {
   f_name : string;
   f_cat : string;
@@ -180,7 +182,7 @@ module Ctx = struct
       let mw, pw, jw, mc, jc =
         if t.gc then
           let g = Gc.quick_stat () in
-          ( g.Gc.minor_words,
+          ( Gc.minor_words (),
             g.Gc.promoted_words,
             g.Gc.major_words,
             g.Gc.minor_collections,
@@ -229,13 +231,14 @@ module Ctx = struct
                  (Printf.sprintf "Trace.end_span: %S closed while %S is innermost" name
                     f.f_name));
           let now = Timer.now_ns () in
+          let minor_w = if t.gc then Gc.minor_words () else 0.0 in
           let args = List.rev f.f_args in
           let args =
             if t.gc then begin
               let g = Gc.quick_stat () in
               args
               @ [
-                  ("gc.minor_words", Float (g.Gc.minor_words -. f.f_minor_w));
+                  ("gc.minor_words", Float (minor_w -. f.f_minor_w));
                   ("gc.promoted_words", Float (g.Gc.promoted_words -. f.f_promoted_w));
                   ("gc.major_words", Float (g.Gc.major_words -. f.f_major_w));
                   ("gc.minor_collections", Int (g.Gc.minor_collections - f.f_minor_c));

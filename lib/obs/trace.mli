@@ -29,10 +29,12 @@
     bit-identical with tracing on or off (pinned by the test suite).
 
     {b Gc sampling.}  While enabled (and unless switched off at
-    {!start}), every span also records the [Gc.quick_stat] deltas across
-    its extent — minor/major/promoted words and minor/major collection
-    counts — as span arguments ([gc.minor_words], ...), so cache-miss
-    allocation is visible phase by phase in the trace viewer. *)
+    {!start}), every span also records the Gc deltas across its extent
+    — minor/major/promoted words and minor/major collection counts — as
+    span arguments ([gc.minor_words], ...), so cache-miss allocation is
+    visible phase by phase in the trace viewer.  Minor words are read
+    with [Gc.minor_words], which counts the current minor heap; the rest
+    come from [Gc.quick_stat]. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 (** Span-argument values, mapped to the corresponding JSON types. *)

@@ -152,6 +152,20 @@ type exploration = {
   initial_tuple : int array;
 }
 
+(* The order of polymorphic [compare] on local states, without its
+   generic walk: length first, then the elements as ints. *)
+let compare_local (a : local_state) (b : local_state) =
+  let n = Array.length a in
+  let c = Int.compare n (Array.length b) in
+  if c <> 0 then c
+  else begin
+    let i = ref 0 in
+    while !i < n && Array.unsafe_get a !i = Array.unsafe_get b !i do
+      incr i
+    done;
+    if !i = n then 0 else Int.compare (Array.unsafe_get a !i) (Array.unsafe_get b !i)
+  end
+
 (* Canonicalise an exploration: keep only local states occurring in some
    reachable state (read off the state space's arcs), order each level's
    local states lexicographically by their encoding (so the result is
@@ -166,7 +180,7 @@ let finalize t rel old_ss old_initial =
       let occurring =
         Array.init ncomp (fun k ->
             let olds = Array.of_list (Mdl_md.Statespace.local_states old_ss (k + 1)) in
-            Array.sort (fun a b -> compare (decode k a) (decode k b)) olds;
+            Array.sort (fun a b -> compare_local (decode k a) (decode k b)) olds;
             olds)
       in
       let remap =
@@ -302,12 +316,22 @@ let explore_symbolic ?(max_states = 50_000_000) t =
     scan 0
   in
   let tops = Array.map top_of rel.evts in
+  (* Its bottom level: the deepest level whose effect is not
+     [identity_effect], by the same test; a no-op event's is its top.
+     Saturation stops the event there. *)
+  let bot_of e top =
+    let rec scan k =
+      if k <= top then top else if e.effects.(k - 1) == identity_effect then scan (k - 1) else k
+    in
+    scan ncomp
+  in
+  let bots = Array.map2 bot_of rel.evts tops in
   let rels =
     Array.init (Array.length tops) (fun e level s -> (cell rel e (level - 1) s).targets)
   in
   let reachable =
     Trace.with_span ~cat:"san" "san.saturate" (fun () ->
-        Mdl_md.Set_mdd.saturation man ~rels ~tops
+        Mdl_md.Set_mdd.saturation man ~rels ~tops ~bots
           (Mdl_md.Set_mdd.singleton man initial_tuple))
   in
   if Mdl_md.Set_mdd.count man reachable > max_states then

@@ -465,6 +465,164 @@ let test_set_mdd_validation () =
     (Invalid_argument "Set_mdd.to_statespace: empty set") (fun () ->
       ignore (S.to_statespace m (S.empty m)))
 
+(* --- saturation --- *)
+
+(* A random event system over small local spaces.  Event [e] touches the
+   levels [tops.(e)..bots.(e)]; [table.(e).(l - 1).(v)] is the level-[l]
+   successor row of local state [v] (identity, empty, self-loop and
+   multi-target rows all occur), and a no-op event is identity on its
+   one level. *)
+type system = {
+  sizes : int array;
+  tops : int array;
+  bots : int array;
+  table : int array array array array;
+  init : int array;
+}
+
+let gen_system =
+  QCheck.Gen.(
+    let* nlevels = int_range 2 5 in
+    let* sizes = array_size (return nlevels) (int_range 1 6) in
+    let* nevents = int_range 1 8 in
+    let* seed = int_range 0 1_000_000 in
+    return (sizes, nevents, seed))
+
+let build_system (sizes, nevents, seed) =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let n = Array.length sizes in
+  let tops = Array.init nevents (fun _ -> 1 + int n) in
+  let bots = Array.map (fun top -> top + int (n - top + 1)) tops in
+  let table =
+    Array.init nevents (fun e ->
+        let noop = int 6 = 0 in
+        Array.init n (fun k ->
+            let size = sizes.(k) and l = k + 1 in
+            let identity = noop || l < tops.(e) || l > bots.(e) || int 5 = 0 in
+            Array.init size (fun v ->
+                if identity then [| v |]
+                else
+                  match int 8 with
+                  | 0 -> [||]
+                  | 1 -> [| v |]
+                  | 2 | 3 | 4 -> [| int size |]
+                  | _ -> Array.of_list (List.sort_uniq compare (List.init (1 + int 3) (fun _ -> int size))))))
+  in
+  { sizes; tops; bots; table; init = Array.map (fun size -> int size) sizes }
+
+let system_rels sys = Array.map (fun rows l v -> rows.(l - 1).(v)) sys.table
+
+(* The reachable tuples by breadth-first search over explicit tuples:
+   an event fires from a tuple into the product of its level rows. *)
+let explicit_reachable sys =
+  let seen = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let visit t =
+    if not (Hashtbl.mem seen t) then begin
+      Hashtbl.add seen t ();
+      Queue.add t queue
+    end
+  in
+  visit sys.init;
+  while not (Queue.is_empty queue) do
+    let t = Queue.pop queue in
+    Array.iter
+      (fun rows ->
+        let rec expand k acc =
+          if k = Array.length t then visit (Array.of_list (List.rev acc))
+          else Array.iter (fun v' -> expand (k + 1) (v' :: acc)) rows.(k).(t.(k))
+        in
+        expand 0 [])
+      sys.table
+  done;
+  List.sort compare (Hashtbl.fold (fun t () acc -> t :: acc) seen [])
+
+(* The tuples of [saturation] from the initial tuple, and their count. *)
+let saturated_tuples sys ~rels ~tops ~bots =
+  let module S = Mdl_md.Set_mdd in
+  let m = S.manager ~levels:(Array.length sys.sizes) in
+  let r = S.saturation m ~rels ~tops ~bots (S.singleton m sys.init) in
+  let ss = S.to_statespace m r in
+  (S.count m r, List.init (Statespace.size ss) (Statespace.tuple ss))
+
+let saturation_properties =
+  [
+    QCheck.Test.make ~count:200
+      ~name:"saturation = explicit BFS, with true and with unknown tops and bottoms"
+      (QCheck.make
+         ~print:(fun (sizes, nevents, seed) ->
+           Printf.sprintf "sizes=[%s] events=%d seed=%d"
+             (String.concat ";" (List.map string_of_int (Array.to_list sizes)))
+             nevents seed)
+         gen_system)
+      (fun spec ->
+        let sys = build_system spec in
+        let expected = explicit_reachable sys in
+        let n = Array.length sys.sizes and rels = system_rels sys in
+        let agrees (count, tuples) = count = List.length expected && tuples = expected in
+        agrees (saturated_tuples sys ~rels ~tops:sys.tops ~bots:sys.bots)
+        && agrees
+             (saturated_tuples sys ~rels
+                ~tops:(Array.map (fun _ -> 1) sys.tops)
+                ~bots:(Array.map (fun _ -> n) sys.bots)));
+  ]
+
+(* A fixed three-level system: a tandem of three queues of capacity 3
+   (arrive at level 1, move 1->2, move 2->3, serve at 3), a level-2
+   shuffle with a self-loop and a no-op event.  Saturation consults a
+   relation only within its event's levels, and no more often than
+   pinned. *)
+let test_saturation_consultations () =
+  let module S = Mdl_md.Set_mdd in
+  let id v = [| v |] in
+  let up v = if v < 3 then [| v + 1 |] else [||] in
+  let down v = if v > 0 then [| v - 1 |] else [||] in
+  let events =
+    [|
+      (1, 1, [| up; id; id |]);
+      (1, 2, [| down; up; id |]);
+      (2, 3, [| id; down; up |]);
+      (3, 3, [| id; id; down |]);
+      (2, 2, [| id; (fun v -> [| v; (v + 2) mod 4 |]); id |]);
+      (3, 3, [| id; id; id |]);
+    |]
+  in
+  let tops = Array.map (fun (t, _, _) -> t) events in
+  let bots = Array.map (fun (_, b, _) -> b) events in
+  let calls = ref 0 and below_bottom = ref [] in
+  let rels =
+    Array.mapi
+      (fun e (_, bot, f) l v ->
+        incr calls;
+        if l > bot then below_bottom := (e, l, v) :: !below_bottom;
+        f.(l - 1) v)
+      events
+  in
+  let m = S.manager ~levels:3 in
+  let r = S.saturation m ~rels ~tops ~bots (S.singleton m [| 0; 0; 0 |]) in
+  Alcotest.(check int) "reachable tuples" 64 (S.count m r);
+  Alcotest.(check (list (triple int int int))) "no consultation below an event's bottom" []
+    !below_bottom;
+  (* Before saturation stopped events at their bottom level and fired
+     only new arcs, the same run consulted the relations 154 times, 22
+     of them below the event's bottom level. *)
+  Alcotest.(check bool) (Printf.sprintf "%d consultations, at most 70" !calls) true
+    (!calls <= 70)
+
+let test_saturation_validation () =
+  let module S = Mdl_md.Set_mdd in
+  let m = S.manager ~levels:3 in
+  let s = S.singleton m [| 0; 0; 0 |] in
+  let rels = [| (fun _ v -> [| v |]); (fun _ v -> [| v |]) |] in
+  let raises msg tops bots =
+    Alcotest.check_raises msg (Invalid_argument ("Set_mdd.saturation: " ^ msg)) (fun () ->
+        ignore (S.saturation m ~rels ~tops ~bots s))
+  in
+  raises "rels/bots length mismatch" [| 1; 2 |] [| 3 |];
+  raises "bottom level out of range" [| 1; 2 |] [| 3; 1 |];
+  raises "bottom level out of range" [| 1; 2 |] [| 4; 3 |]
+
 (* --- Kronecker --- *)
 
 let simple_kron () =
@@ -981,10 +1139,13 @@ let tests =
       test_local_states_match_exploration;
     Alcotest.test_case "set mdd basics" `Quick test_set_mdd_basics;
     Alcotest.test_case "set mdd validation" `Quick test_set_mdd_validation;
+    Alcotest.test_case "saturation consults relations within each event's levels" `Quick
+      test_saturation_consultations;
+    Alcotest.test_case "saturation validation" `Quick test_saturation_validation;
     Alcotest.test_case "kron to_csr" `Quick test_kron_to_csr;
     Alcotest.test_case "kron/md equivalence" `Quick test_kron_md_equivalence;
     Alcotest.test_case "kron vec_mul" `Quick test_kron_vec_mul;
     Alcotest.test_case "kron misc" `Quick test_kron_misc;
     Alcotest.test_case "kron validation" `Quick test_kron_validation;
   ]
-  @ List.map QCheck_alcotest.to_alcotest qcheck_tests
+  @ List.map QCheck_alcotest.to_alcotest (qcheck_tests @ saturation_properties)

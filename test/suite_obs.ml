@@ -296,6 +296,30 @@ let test_chrome_trace_json () =
   ignore (List.find (fun ev -> member "name" ev = Str "beta \"quoted\"\n") events);
   Trace.clear ()
 
+(* A span's minor words include what is still in the minor heap: OCaml
+   5.1's [Gc.quick_stat] adds a minor heap's words only when it is
+   collected, so a span that allocates between two collections used to
+   read 0. *)
+let test_span_minor_words () =
+  Trace.start ~gc:true ();
+  Gc.minor ();
+  let kept = ref [] in
+  Trace.with_span "alloc" (fun () ->
+      for i = 1 to 1000 do
+        kept := i :: !kept
+      done);
+  Trace.stop ();
+  ignore (Sys.opaque_identity !kept);
+  let words = ref 0.0 in
+  Trace.iter_events (fun ~name ~cat:_ ~start_ns:_ ~dur_ns:_ ~depth:_ ~args ->
+      match (name, List.assoc_opt "gc.minor_words" args) with
+      | "alloc", Some (Trace.Float w) -> words := w
+      | _ -> ());
+  Alcotest.(check bool)
+    (Printf.sprintf "1000 conses read %.0f minor words, at least 3000" !words)
+    true (!words >= 3000.0);
+  Trace.clear ()
+
 let test_phase_totals () =
   Trace.start ~gc:false ();
   Trace.with_span "p" (fun () -> Trace.with_span "q" (fun () -> ()));
@@ -676,6 +700,7 @@ let tests =
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safety;
     Alcotest.test_case "disabled tracing is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "chrome trace JSON well-formed" `Quick test_chrome_trace_json;
+    Alcotest.test_case "span minor words count the minor heap" `Quick test_span_minor_words;
     Alcotest.test_case "phase totals" `Quick test_phase_totals;
     Alcotest.test_case "contexts on parallel domains" `Quick test_ctx_parallel_domains;
     Alcotest.test_case "with_ctx install/restore" `Quick test_with_ctx_install;
