@@ -81,11 +81,11 @@ let steady_state_gauss_seidel ?(tol = 1e-12) ?(max_iter = 10_000)
   let n = Ctmc.size ctmc in
   if n = 0 then invalid_arg "Solver.steady_state_gauss_seidel: empty chain";
   (* Solve pi Q = 0 by in-place sweeps: pi(j) = (sum_{i<>j} pi(i) R(i,j))
-     / -Q(j,j).  Row j of R^T holds the rates into state j, and Q(j,j) =
-     R(j,j) - exit(j), with exit(j) summed over the (relabelled) row j,
-     is the value Ctmc.generator stores, so the generator itself is
-     never built. *)
-  let perm, rt, diag =
+     / -Q(j,j).  The sweep plan holds the rates into each state j, and
+     Q(j,j) = R(j,j) - exit(j), with exit(j) summed over the (relabelled)
+     row j, is the value Ctmc.generator stores, so the generator itself
+     is never built. *)
+  let perm, plan =
     Trace.with_span ~cat:"solve" "solver.gs_setup" (fun () ->
         let perm =
           match ordering with
@@ -117,28 +117,29 @@ let steady_state_gauss_seidel ?(tol = 1e-12) ?(max_iter = 10_000)
                "Solver.steady_state_gauss_seidel: absorbing state %d (zero generator \
                 diagonal)"
                !absorbing);
-        (perm, Csr.transpose r, diag))
+        (perm, Csr.sweep_plan r ~diag))
   in
   let pi = Array.make n (1.0 /. float_of_int n) in
   let prev = Vec.copy pi in
-  (* One sweep, then one pass that renormalises pi exactly as
-     Vec.normalize1 does, takes the infinity-norm change against the
-     previous iterate (a NaN stays NaN, as in Vec.diff_inf) and
-     refreshes it.  With [relax] = 1 this is plain Gauss–Seidel; < 1 is
-     SOR under-relaxation, which damps the oscillation pure sweeps
-     exhibit on some chains (e.g. the lumped Kanban model). *)
+  (* One sweep, which also returns pi's sum as Vec.sum takes it, then
+     one pass that renormalises pi exactly as Vec.normalize1 does, takes
+     the infinity-norm change against the previous iterate (a NaN stays
+     NaN, as in Vec.diff_inf) and refreshes it.  With [relax] = 1 this
+     is plain Gauss–Seidel; < 1 is SOR under-relaxation, which damps the
+     oscillation pure sweeps exhibit on some chains (e.g. the lumped
+     Kanban model). *)
   let rec loop k =
-    Csr.sor_sweep rt ~diag ~relax pi;
-    let s = Vec.sum pi in
+    let s = Csr.sor_sweep plan ~relax pi in
     if s <= 0.0 then invalid_arg "Solver.steady_state_gauss_seidel: sum is not positive";
     let scale = 1.0 /. s in
     let change = ref 0.0 in
     for i = 0 to n - 1 do
-      let x = scale *. pi.(i) in
-      let d = Float.abs (x -. prev.(i)) in
+      (* In range: [pi] and [prev] were made here with [n] entries. *)
+      let x = scale *. Array.unsafe_get pi i in
+      let d = Float.abs (x -. Array.unsafe_get prev i) in
       if d > !change || d <> d then change := d;
-      pi.(i) <- x;
-      prev.(i) <- x
+      Array.unsafe_set pi i x;
+      Array.unsafe_set prev i x
     done;
     let diff = !change in
     if diff <= tol then { iterations = k; residual = diff; converged = true }

@@ -93,12 +93,13 @@ val steady_state_gauss_seidel :
     where pure sweeps oscillate.
 
     The set-up (span [solver.gs_setup]) computes the ordering, relabels
-    [R] and transposes it, so that row [j] holds the rates into [j];
-    the generator diagonal is [R(j,j) - exit(j)], so [Q] itself is never
-    built.  Each sweep ({!Mdl_sparse.Csr.sor_sweep}, span
-    [solver.gauss_seidel]) then allocates nothing: pi is rescaled to sum
-    1 and compared with the previous iterate in one pass over two
-    buffers allocated once.  The convergence test is the infinity norm
+    [R] and compiles it into a [Mdl_sparse.Csr.sweep_plan], whose row
+    [j] holds the rates into [j] from the other states; the generator
+    diagonal is [R(j,j) - exit(j)], so [Q] itself is never built.  Each
+    sweep ({!Mdl_sparse.Csr.sor_sweep}, span [solver.gauss_seidel]) then
+    allocates nothing and returns pi's sum: pi is rescaled to sum 1 and
+    compared with the previous iterate in one pass over two buffers
+    allocated once.  The convergence test is the infinity norm
     of the change between successive normalised iterates (default [tol]
     [1e-12], [max_iter] [10_000]); a NaN iterate reports a NaN residual
     and never converges.

@@ -308,11 +308,32 @@ let iter f t =
 
 let local_states t l =
   if l < 1 || l > t.nlevels then invalid_arg "Statespace.local_states: level out of range";
-  let seen = Hashtbl.create 64 in
+  (* Labels are local-state indices, small and dense: mark them in an
+     array over their range (a node's arcs are sorted, so its first and
+     last labels bound it) and read the marks back from the top, so the
+     list comes out ascending. *)
+  let lo = ref max_int and hi = ref min_int in
   Array.iter
-    (fun d -> if d.level = l then Array.iter (fun v -> Hashtbl.replace seen v ()) d.labels)
+    (fun d ->
+      let k = Array.length d.labels in
+      if d.level = l && k > 0 then begin
+        if d.labels.(0) < !lo then lo := d.labels.(0);
+        if d.labels.(k - 1) > !hi then hi := d.labels.(k - 1)
+      end)
     t.nodes;
-  List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
+  let lo = !lo and hi = !hi in
+  if lo > hi then []
+  else begin
+    let seen = Array.make (hi - lo + 1) false in
+    Array.iter
+      (fun d -> if d.level = l then Array.iter (fun v -> seen.(v - lo) <- true) d.labels)
+      t.nodes;
+    let acc = ref [] in
+    for v = hi downto lo do
+      if seen.(v - lo) then acc := v :: !acc
+    done;
+    !acc
+  end
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%d states over %d levels" (size t) t.nlevels;

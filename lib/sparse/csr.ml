@@ -205,6 +205,13 @@ let iter f t =
     done
   done
 
+let iter_pattern f t =
+  for i = 0 to t.rows - 1 do
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      f i t.col_idx.(k)
+    done
+  done
+
 let get t i j =
   if i < 0 || i >= t.rows || j < 0 || j >= t.cols then
     invalid_arg "Csr.get: index out of bounds";
@@ -365,20 +372,82 @@ let vec_mul x t =
   vec_mul_into x t y;
   y
 
-let sor_sweep t ~diag ~relax x =
+(* Gauss–Seidel on [x Q = 0], compiled once per solve: row [j] of the
+   plan holds the rates into [j] from the other states, sources
+   ascending, and [neg_diag.(j)] is [-. Q(j,j)].  Self loops are left
+   out when the plan is built, so the sweep never tests for one. *)
+type sweep_plan = {
+  in_ptr : int array; (* length n+1 *)
+  src : int array;
+  rate : float array;
+  neg_diag : float array; (* length n *)
+}
+
+let sweep_plan t ~diag =
   let n = t.rows in
-  if t.cols <> n || Array.length diag <> n || Array.length x <> n then
-    invalid_arg "Csr.sor_sweep: dimension mismatch";
-  let row_ptr = t.row_ptr and col_idx = t.col_idx and values = t.values in
+  if t.cols <> n then invalid_arg "Csr.sweep_plan: matrix is not square";
+  if Array.length diag <> n then invalid_arg "Csr.sweep_plan: diagonal length mismatch";
+  (* Count-then-fill as in [transpose]: walking the rows in order drops
+     each rate into its target's bucket with sources already
+     ascending. *)
+  let in_ptr = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      let j = t.col_idx.(k) in
+      if j <> i then in_ptr.(j + 1) <- in_ptr.(j + 1) + 1
+    done
+  done;
   for j = 0 to n - 1 do
+    in_ptr.(j + 1) <- in_ptr.(j + 1) + in_ptr.(j)
+  done;
+  let m = in_ptr.(n) in
+  let src = Array.make m 0 and rate = Array.make m 0.0 in
+  let next = Array.sub in_ptr 0 n in
+  for i = 0 to n - 1 do
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      let j = t.col_idx.(k) in
+      if j <> i then begin
+        let w = next.(j) in
+        src.(w) <- i;
+        rate.(w) <- t.values.(k);
+        next.(j) <- w + 1
+      end
+    done
+  done;
+  let neg_diag = Array.make n 0.0 in
+  for j = 0 to n - 1 do
+    neg_diag.(j) <- -.diag.(j)
+  done;
+  { in_ptr; src; rate; neg_diag }
+
+let sor_sweep p ~relax (x : Vec.t) =
+  let n = Array.length p.neg_diag in
+  if Array.length x <> n then
+    invalid_arg "Csr.sor_sweep: vector length does not match the plan";
+  let in_ptr = p.in_ptr and src = p.src and rate = p.rate and neg_diag = p.neg_diag in
+  let plain = relax = 1.0 and keep = 1.0 -. relax in
+  let sum = ref 0.0 and comp = ref 0.0 in
+  for j = 0 to n - 1 do
+    (* Every read is in range by construction: [in_ptr] holds [n + 1]
+       nondecreasing offsets from 0 to the length of [src] and [rate],
+       every [src] entry is a row of the square [n]-state matrix, and
+       [neg_diag] and [x] hold [n] entries. *)
     let incoming = ref 0.0 in
-    for k = row_ptr.(j) to row_ptr.(j + 1) - 1 do
-      let i = col_idx.(k) in
-      if i <> j then incoming := !incoming +. (x.(i) *. values.(k))
+    for k = Array.unsafe_get in_ptr j to Array.unsafe_get in_ptr (j + 1) - 1 do
+      let xi = Array.unsafe_get x (Array.unsafe_get src k) in
+      incoming := !incoming +. (xi *. Array.unsafe_get rate k)
     done;
-    let gs = !incoming /. -.diag.(j) in
-    x.(j) <- (if relax = 1.0 then gs else ((1.0 -. relax) *. x.(j)) +. (relax *. gs))
-  done
+    let gs = !incoming /. Array.unsafe_get neg_diag j in
+    let xj = if plain then gs else (keep *. Array.unsafe_get x j) +. (relax *. gs) in
+    Array.unsafe_set x j xj;
+    (* [Floatx.sum_kahan]'s step: [x.(j)] is final once written, so this
+       is the compensated sum of the new iterate in index order. *)
+    let y = xj -. !comp in
+    let s = !sum +. y in
+    comp := s -. !sum -. y;
+    sum := s
+  done;
+  !sum
 
 let gs_sweep t ~denom ~constant ~active x =
   let n = t.rows in

@@ -59,6 +59,11 @@ val iter_row : t -> int -> (int -> float -> unit) -> unit
 val iter : (int -> int -> float -> unit) -> t -> unit
 (** Iterate all stored entries in row-major order. *)
 
+val iter_pattern : (int -> int -> unit) -> t -> unit
+(** [iter_pattern f t] calls [f i j] for every stored entry in
+    row-major order, without the value: {!iter} boxes each float it
+    hands to [f], this allocates nothing. *)
+
 val row_sum : t -> int -> float
 
 val row_sums : t -> Vec.t
@@ -101,20 +106,33 @@ val vec_mul_into : Vec.t -> t -> Vec.t -> unit
     @raise Invalid_argument on a dimension mismatch, or if [x] and [y]
     are the same array. *)
 
-val sor_sweep : t -> diag:Vec.t -> relax:float -> Vec.t -> unit
-(** [sor_sweep a ~diag ~relax x] is one in-place Gauss–Seidel sweep
-    (SOR when [relax < 1.]) on [x Q = 0], where row [j] of the square
-    [a] holds the rates {e into} state [j] (so [a] is the transposed
-    rate matrix) and [diag.(j)] is the generator diagonal [Q(j,j)].
-    For [j] in increasing order it sums [x.(i) *. a(j,i)] over the
-    stored entries of row [j] in column order, skipping the entry with
-    column [j] (a self loop), sets [gs] to that sum divided by
-    [-. diag.(j)], and overwrites [x.(j)] with [gs] when [relax = 1.],
-    else with [(1. -. relax) *. x.(j) +. relax *. gs].  Later rows read
-    the values already overwritten.  Allocates nothing; [x] is not
-    normalised.
-    @raise Invalid_argument if [a] is not square or [diag] or [x] do
-    not match its size. *)
+type sweep_plan
+(** One Gauss–Seidel sweep on [x Q = 0] compiled for a rate matrix [R],
+    built once per solve by [sweep_plan] and read by every
+    {!sor_sweep}. *)
+
+val sweep_plan : t -> diag:Vec.t -> sweep_plan
+(** [sweep_plan r ~diag] compiles the sweep for the square rate matrix
+    [r] (row [i] holds the rates out of state [i]) and the generator
+    diagonal [diag] ([diag.(j) = Q(j,j)]).  In one count-then-fill pass
+    over [r], row [j] of the plan collects the rates into [j] from the
+    other states, in ascending source order (the order {!transpose}
+    gives), and drops every self loop; the plan stores [-. diag.(j)]
+    beside it.  [r] and [diag] are not retained.
+    @raise Invalid_argument if [r] is not square or [diag] does not
+    match its size. *)
+
+val sor_sweep : sweep_plan -> relax:float -> Vec.t -> float
+(** [sor_sweep p ~relax x] is one in-place Gauss–Seidel sweep (SOR when
+    [relax < 1.]) with plan [p].  For [j] in increasing order it sums
+    [x.(i) *. R(i,j)] over the sources [i <> j] in ascending order,
+    sets [gs] to that sum divided by [-. Q(j,j)], and overwrites
+    [x.(j)] with [gs] when [relax = 1.], else with
+    [(1. -. relax) *. x.(j) +. relax *. gs].  Later rows read the
+    values already overwritten.  It returns the sum of the new [x], the
+    value and order of {!Mdl_util.Floatx.sum_kahan}, and allocates
+    nothing; [x] is not normalised.
+    @raise Invalid_argument if [x] does not match the plan's size. *)
 
 val gs_sweep :
   t -> denom:Vec.t -> constant:Vec.t -> active:bool array -> Vec.t -> unit

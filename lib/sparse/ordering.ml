@@ -9,8 +9,8 @@
 let adjacency m =
   let n = Csr.rows m in
   let out_off = Array.make (n + 1) 0 and in_off = Array.make (n + 1) 0 in
-  Csr.iter
-    (fun i j _ ->
+  Csr.iter_pattern
+    (fun i j ->
       if i <> j then begin
         out_off.(i + 1) <- out_off.(i + 1) + 1;
         in_off.(j + 1) <- in_off.(j + 1) + 1
@@ -22,8 +22,8 @@ let adjacency m =
   done;
   let outs = Array.make out_off.(n) 0 and ins = Array.make in_off.(n) 0 in
   let out_next = Array.sub out_off 0 n and in_next = Array.sub in_off 0 n in
-  Csr.iter
-    (fun i j _ ->
+  Csr.iter_pattern
+    (fun i j ->
       if i <> j then begin
         outs.(out_next.(i)) <- j;
         out_next.(i) <- out_next.(i) + 1;
@@ -125,5 +125,5 @@ let inverse perm =
 
 let bandwidth m =
   let b = ref 0 in
-  Csr.iter (fun i j _ -> b := max !b (abs (i - j))) m;
+  Csr.iter_pattern (fun i j -> b := max !b (abs (i - j))) m;
   !b

@@ -39,6 +39,7 @@ Usage: scripts/lumpd_smoke.py [path/to/lumpd.exe]
 
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -404,6 +405,8 @@ def main():
     finally:
         if proc.poll() is None:
             proc.kill()
+        proc.wait()
+        shutil.rmtree(tmpdir, ignore_errors=True)
 
 
 if __name__ == "__main__":

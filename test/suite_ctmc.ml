@@ -112,6 +112,26 @@ let test_gauss_seidel_rejects_absorbing () =
     (fun () ->
       ignore (Solver.steady_state_gauss_seidel ~ordering:Solver.Rcm two_absorbing))
 
+(* The sweep plan's contract: a square rate matrix and a diagonal of
+   its size to build one, and a vector of the plan's size to sweep. *)
+let test_sweep_plan_rejects_mismatches () =
+  let r = Ctmc.rates (birth_death 3 1.0 2.0) in
+  let diag = Array.make 3 (-1.0) in
+  Alcotest.check_raises "non-square matrix"
+    (Invalid_argument "Csr.sweep_plan: matrix is not square") (fun () ->
+      ignore (Csr.sweep_plan (Csr.of_triplets ~rows:3 ~cols:4 [ (0, 1, 1.0) ]) ~diag));
+  Alcotest.check_raises "diagonal of the wrong length"
+    (Invalid_argument "Csr.sweep_plan: diagonal length mismatch") (fun () ->
+      ignore (Csr.sweep_plan r ~diag:(Array.make 2 (-1.0))));
+  let plan = Csr.sweep_plan r ~diag in
+  List.iter
+    (fun len ->
+      Alcotest.check_raises
+        (Printf.sprintf "vector of length %d" len)
+        (Invalid_argument "Csr.sor_sweep: vector length does not match the plan")
+        (fun () -> ignore (Csr.sor_sweep plan ~relax:1.0 (Array.make len 0.5))))
+    [ 2; 4 ]
+
 (* A finite chain whose sweep overflows: state 0 leaves at 1e-300 and
    is entered at 1e300, so pi(0) becomes infinite and the rescaled
    iterate NaN.  A NaN residual must never count as converged. *)
@@ -567,6 +587,8 @@ let tests =
       test_gauss_seidel_rejects_absorbing;
     Alcotest.test_case "gauss-seidel nan iterate never converges" `Quick
       test_gauss_seidel_nan_never_converges;
+    Alcotest.test_case "sweep plan rejects mismatched sizes" `Quick
+      test_sweep_plan_rejects_mismatches;
     Alcotest.test_case "krylov birth-death" `Quick test_krylov_birth_death;
     Alcotest.test_case "krylov allocation flat in steps" `Quick
       test_krylov_allocation_flat_in_steps;

@@ -1012,6 +1012,11 @@ let qcheck_tests =
           && Statespace.index t (Array.make (levels + 1) 0) = None
           && Statespace.index t (Array.make (levels - 1) 0) = None
           && List.for_all Fun.id (List.mapi (fun i s -> Statespace.tuple t i = s) model)
+          && List.for_all
+               (fun l ->
+                 Statespace.local_states t l
+                 = List.sort_uniq compare (List.map (fun s -> s.(l - 1)) (listed t)))
+               (List.init levels (fun i -> i + 1))
           && Statespace.num_nodes t
              = Statespace.num_nodes (Statespace.of_tuples ~levels (List.map Array.copy model))
         in

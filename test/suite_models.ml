@@ -406,8 +406,9 @@ let test_tandem_table1_shape () =
     (Md.memory_bytes result.Compositional.lumped < Md.memory_bytes b.Tandem.md)
 
 (* Gauss–Seidel's numerics pinned on the catalogue's Kanban with 3
-   cards, at lumpd's and lumpmd's solve settings: the iteration count and
-   the bits of pi(0) and of the parts-in-system measure. *)
+   cards, at lumpd's and lumpmd's solve settings: the iteration count,
+   the bits of pi(0) and of the parts-in-system measure, and the MD5 of
+   the [%h] dump of the whole of pi. *)
 let test_kanban_gauss_seidel_golden () =
   let f = Option.get (Family.find "kanban") in
   let b = f.Family.build (Result.get_ok (Family.resolve f ~size:(Some 3) [])) in
@@ -417,6 +418,9 @@ let test_kanban_gauss_seidel_golden () =
   Alcotest.(check bool) "converged" true st.Solver.converged;
   Alcotest.(check int) "iterations" 242 st.Solver.iterations;
   Alcotest.(check string) "pi(0)" "0x1.975537a1bc068p-5" (Printf.sprintf "%h" pi.(0));
+  let dump = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") pi)) in
+  Alcotest.(check string) "pi digest" "8ef303c5dbae4865f2f08cc0f6e146d2"
+    (Digest.to_hex (Digest.string dump));
   let parts = List.assoc "parts in system" b.Family.rewards in
   Alcotest.(check string) "parts in system" "0x1.37063409570e3p+2"
     (Printf.sprintf "%h" (Solver.expected_reward pi (Decomposed.to_vector parts ss)))
