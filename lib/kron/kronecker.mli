@@ -52,10 +52,18 @@ val to_md : t -> Mdl_md.Md.t
       compare matrices up to that scaling.
 
     Each event's chain of local matrices from a level down (its suffix)
-    is numbered once per level; nodes are memoised per sum of suffixes
-    and committed bottom-up.  An event with an all-zero local matrix at
-    some level adds nothing and is left out, so that no entry refers to
-    an empty node. *)
+    is numbered once per level, before the first node is built; nodes
+    are committed bottom-up, and memoised per level by suffix number
+    when the child is one suffix at coefficient 1, by formal sum
+    otherwise.  Each row is read from the local matrices' arrays
+    ({!Mdl_sparse.Csr.raw}) and summed in one scratch pool per level,
+    with no per-entry list or closure.  Each (column, child) sum adds
+    its terms in term order (at the root, the events in reverse list
+    order; below, the suffixes in ascending number), so node ids and
+    coefficient bits are those of the list-based builder this one
+    replaced, which the tests keep as a reference.  An event with an
+    all-zero local matrix at some level adds nothing and is left out,
+    so that no entry refers to an empty node. *)
 
 val vec_mul : t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
 (** [vec_mul k x] is the row-vector product [x * R] over the {e

@@ -197,21 +197,38 @@ let finalize t rel old_ss old_initial =
          fire in any reachable global state and are dropped; targets
          first interned here lie beyond [remap] and are among them. *)
       let identities = Array.map (fun olds -> Csr.identity (Array.length olds)) occurring in
+      (* Any other local matrix is counted, then filled, row by row from
+         the cells, each row's entries in the effect's order (weights are
+         positive, so every target kept is an entry). *)
       let local_matrix e k =
         let olds = occurring.(k) and remap = remap.(k) in
-        let n = Array.length olds in
+        let n = Array.length olds and known = Array.length remap in
         if rel.evts.(e).effects.(k) == identity_effect then identities.(k)
-        else
-          Csr.of_entry_iter ~rows:n ~cols:n (fun f ->
-              Array.iteri
-                (fun i old ->
-                  let c = cell rel e k old in
-                  Array.iteri
-                    (fun x target ->
-                      if target < Array.length remap && remap.(target) >= 0 then
-                        f i remap.(target) c.weights.(x))
-                    c.targets)
-                olds)
+        else begin
+          let base = Array.make (n + 1) 0 in
+          for i = 0 to n - 1 do
+            let targets = (cell rel e k olds.(i)).targets in
+            let count = ref 0 in
+            for x = 0 to Array.length targets - 1 do
+              if targets.(x) < known && remap.(targets.(x)) >= 0 then incr count
+            done;
+            base.(i + 1) <- base.(i) + !count
+          done;
+          let col_idx = Array.make base.(n) 0 and values = Array.make base.(n) 0.0 in
+          for i = 0 to n - 1 do
+            let c = cell rel e k olds.(i) in
+            let slot = ref base.(i) in
+            for x = 0 to Array.length c.targets - 1 do
+              let target = c.targets.(x) in
+              if target < known && remap.(target) >= 0 then begin
+                col_idx.(!slot) <- remap.(target);
+                values.(!slot) <- c.weights.(x);
+                incr slot
+              end
+            done
+          done;
+          Csr.of_row_slots ~rows:n ~cols:n base col_idx values
+        end
       in
       let kron_events =
         Array.to_list rel.evts

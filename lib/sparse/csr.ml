@@ -12,6 +12,8 @@ let cols t = t.cols
 
 let nnz t = Array.length t.values
 
+let raw t = (t.row_ptr, t.col_idx, t.values)
+
 let of_coo coo =
   let rows = Coo.rows coo and cols = Coo.cols coo in
   let n = Coo.nnz coo in

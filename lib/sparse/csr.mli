@@ -48,6 +48,15 @@ val cols : t -> int
 
 val nnz : t -> int
 
+val raw : t -> int array * int array * float array
+(** [raw t] is [(row_ptr, col_idx, values)], the matrix's own arrays,
+    not copies: row [i]'s entries sit in slots [row_ptr.(i)] to
+    [row_ptr.(i + 1) - 1] of [col_idx] and [values], columns strictly
+    ascending.  For loops that must not allocate:
+    {!iter_row}'s closure boxes every value it is handed.  {b Read
+    only}: the matrix is immutable, and a caller that writes into these
+    arrays corrupts it. *)
+
 val get : t -> int -> int -> float
 (** [get t i j] is entry [(i,j)] ([0.] when absent); binary search within
     the row, [O(log nnz_row)]. *)

@@ -94,9 +94,25 @@ let rcm m =
   (* One BFS per connected component, rooted at the unvisited vertex of
      minimum degree, ties to the lowest index (a cheap stand-in for a
      pseudo-peripheral root): the next vertex not yet enqueued in
-     (degree, index) order, found by a cursor that only moves forward. *)
-  let by_degree = Array.init n Fun.id in
-  Array.stable_sort (fun a b -> Int.compare (deg a) (deg b)) by_degree;
+     (degree, index) order, found by a cursor that only moves forward.
+     A counting sort by degree gives that order: it places each
+     degree's vertices in index order. *)
+  let max_deg = ref 0 in
+  for i = 0 to n - 1 do
+    max_deg := max !max_deg (deg i)
+  done;
+  let start = Array.make (!max_deg + 2) 0 in
+  for i = 0 to n - 1 do
+    start.(deg i + 1) <- start.(deg i + 1) + 1
+  done;
+  for d = 1 to !max_deg + 1 do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  let by_degree = Array.make n 0 in
+  for i = 0 to n - 1 do
+    by_degree.(start.(deg i)) <- i;
+    start.(deg i) <- start.(deg i) + 1
+  done;
   let cursor = ref 0 in
   while !head < n do
     if !head = !tail then begin

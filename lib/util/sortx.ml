@@ -134,6 +134,49 @@ let sort_runs_int ~cls ~keys ~states n =
     end
   end
 
+(* Insertion sort for a short prefix; a heap sort above that, so a long
+   prefix costs O(n log n) and nothing is allocated either way. *)
+let sort_int_prefix (a : int array) n =
+  if n <= 16 then
+    for k = 1 to n - 1 do
+      let v = a.(k) in
+      let i = ref (k - 1) in
+      while !i >= 0 && a.(!i) > v do
+        a.(!i + 1) <- a.(!i);
+        decr i
+      done;
+      a.(!i + 1) <- v
+    done
+  else begin
+    (* Move [a.(root)] down the max-heap [a.(0 .. stop - 1)]. *)
+    let sift root stop =
+      let root = ref root and sifting = ref true in
+      while !sifting do
+        let c = (2 * !root) + 1 in
+        if c >= stop then sifting := false
+        else begin
+          let c = if c + 1 < stop && a.(c) < a.(c + 1) then c + 1 else c in
+          if a.(!root) < a.(c) then begin
+            let v = a.(!root) in
+            a.(!root) <- a.(c);
+            a.(c) <- v;
+            root := c
+          end
+          else sifting := false
+        end
+      done
+    in
+    for root = (n / 2) - 1 downto 0 do
+      sift root n
+    done;
+    for stop = n - 1 downto 1 do
+      let v = a.(0) in
+      a.(0) <- a.(stop);
+      a.(stop) <- v;
+      sift 0 stop
+    done
+  end
+
 let find_sorted a x =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do

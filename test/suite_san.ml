@@ -432,6 +432,208 @@ let test_md_of_golden () =
         "66ef50997998dc57ad4a0b40d389f0a1" );
     ]
 
+(* The descriptor, pinned: every event's label, rate and local-matrix
+   entries in hexadecimal, so that a change in [Model.finalize] shows
+   here, not only through the diagram built from it. *)
+let descriptor_dump k =
+  let b = Buffer.create 4096 in
+  Array.iter (fun n -> Printf.bprintf b "%d " n) (Kronecker.sizes k);
+  Buffer.add_char b '\n';
+  List.iter
+    (fun (e : Kronecker.event) ->
+      Printf.bprintf b "%s %h\n" e.Kronecker.label e.Kronecker.rate;
+      Array.iteri
+        (fun l w ->
+          Printf.bprintf b " level %d" (l + 1);
+          Csr.iter (fun i j v -> Printf.bprintf b " (%d,%d) %h" i j v) w;
+          Buffer.add_char b '\n')
+        e.Kronecker.locals)
+    (Kronecker.events k);
+  Buffer.contents b
+
+let test_descriptor_golden () =
+  let open Mdl_models in
+  List.iter
+    (fun (name, m, digest) ->
+      Alcotest.(check string) name digest
+        (Digest.to_hex
+           (Digest.string (descriptor_dump (Model.explore_symbolic m).Model.descriptor))))
+    [
+      ("tandem J=1", Tandem.model (Tandem.default ~jobs:1), "c538320d3cc3b44f75f0e6dc42f216cc");
+      ("tandem J=2", Tandem.model (Tandem.default ~jobs:2), "eeff71155d5c5da0ca76e45a23e22792");
+      ("kanban N=3", Kanban.model (Kanban.default ~cards:3), "db4be0a377804f5017c34dd299bbdc1d");
+      ("kanban N=5", Kanban.model (Kanban.default ~cards:5), "d1a2725efd447eeecb4f46e42609da68");
+      ("polling 4", Polling.model (Polling.default ~customers:4), "4b065b0c72cf26e0523f631914a761d3");
+      ( "workstations 4",
+        Workstations.model (Workstations.default ~stations:4),
+        "dfb425932121dc28691dd0ab5ca3a849" );
+      ("multitier 3", Multitier.model (Multitier.default ~clients:3), "d8eea20865232505af492f6832a74622");
+    ]
+
+(* The canonical builder as first written, kept as the reference for
+   [Kronecker.to_md]: each row accumulated in per-column association
+   lists, each entry's sum made with [Formal_sum.of_list], and every
+   child node, one suffix or several, memoised by its formal sum, with
+   suffix keys hashed over every entry.  The two must agree to the node
+   id and the coefficient bit. *)
+module Reference_suffixes = Hashtbl.Make (struct
+  type t = Csr.t * int
+
+  let equal (a, i) (b, j) = i = j && Csr.equal a b
+
+  let hash (w, i) = Mdl_util.Hashx.combine (Csr.hash w) i
+end)
+
+module Reference_sums = Hashtbl.Make (Mdl_md.Formal_sum)
+
+let reference_to_md k =
+  let module Formal_sum = Mdl_md.Formal_sum in
+  let module Dynarray = Mdl_util.Dynarray in
+  let sizes = Kronecker.sizes k in
+  let nlevels = Array.length sizes in
+  let md = Md.create ~sizes in
+  let suffixes = Array.init nlevels (fun _ -> Dynarray.create ()) in
+  let numbers = Array.init nlevels (fun _ -> Reference_suffixes.create 16) in
+  let rec suffix (e : Kronecker.event) l =
+    if l > nlevels then Md.terminal md
+    else
+      let child = suffix e (l + 1) and w = e.Kronecker.locals.(l - 1) in
+      let key = (w, child) in
+      match Reference_suffixes.find_opt numbers.(l - 1) key with
+      | Some s -> s
+      | None ->
+          let s = Dynarray.length suffixes.(l - 1) in
+          Dynarray.push suffixes.(l - 1) (w, child);
+          Reference_suffixes.add numbers.(l - 1) key s;
+          s
+  in
+  let rec add child x = function
+    | [] -> [ (child, x) ]
+    | (c, p) :: rest when c = child -> (c, p +. x) :: rest
+    | term :: rest -> term :: add child x rest
+  in
+  let memo = Array.init nlevels (fun _ -> Reference_sums.create 16) in
+  let rec build l terms =
+    let n = sizes.(l - 1) in
+    let acc = Array.make n [] in
+    let gamma = ref 0.0 and inv = ref 1.0 in
+    let row r =
+      let cols = ref [] in
+      List.iter
+        (fun (w, child, c) ->
+          Csr.iter_row w r (fun col v ->
+              let x = c *. v in
+              if x <> 0.0 then begin
+                if acc.(col) = [] then cols := col :: !cols;
+                acc.(col) <- add child x acc.(col)
+              end))
+        terms;
+      List.sort Int.compare !cols
+      |> List.filter_map (fun col ->
+             let sum = Formal_sum.of_list acc.(col) in
+             acc.(col) <- [];
+             let id, y =
+               match Formal_sum.terms sum with
+               | [ (s, x) ] ->
+                   let id, g = node (l + 1) (Formal_sum.singleton s 1.0) in
+                   (id, x *. g)
+               | _ -> node (l + 1) sum
+             in
+             if !gamma = 0.0 && y <> 0.0 then begin
+               gamma := y;
+               inv := 1.0 /. y
+             end;
+             let s = Formal_sum.singleton id (!inv *. y) in
+             if Formal_sum.is_empty s then None else Some (col, s))
+      |> Array.of_list
+    in
+    let rows = Array.init n row in
+    (Md.add_node_sorted_rows md ~level:l rows, if !gamma = 0.0 then 1.0 else !gamma)
+  and node l sum =
+    if l > nlevels then (Md.terminal md, 1.0)
+    else
+      match Reference_sums.find_opt memo.(l - 1) sum with
+      | Some r -> r
+      | None ->
+          let term (s, c) =
+            let w, child = Dynarray.get suffixes.(l - 1) s in
+            (w, child, c)
+          in
+          let r = build l (List.map term (Formal_sum.terms sum)) in
+          Reference_sums.add memo.(l - 1) sum r;
+          r
+  in
+  let root, gamma =
+    build 1
+      (List.fold_left
+         (fun acc (e : Kronecker.event) ->
+           if Array.exists (fun w -> Csr.nnz w = 0) e.Kronecker.locals then acc
+           else (e.Kronecker.locals.(0), suffix e 2, e.Kronecker.rate) :: acc)
+         [] (Kronecker.events k))
+  in
+  let rescaled r =
+    Array.of_list (List.map (fun (c, s) -> (c, Formal_sum.scale gamma s)) (Md.node_row md root r))
+  in
+  Md.set_root md
+    (if gamma = 1.0 then root
+     else Md.add_node_sorted_rows md ~level:1 (Array.init sizes.(0) rescaled));
+  md
+
+let matches_reference k =
+  let got = Kronecker.to_md k and want = reference_to_md k in
+  String.equal (md_dump got) (md_dump want) && Md.equal got want
+
+let test_to_md_matches_reference () =
+  let open Mdl_models in
+  List.iter
+    (fun (name, m) ->
+      Alcotest.(check bool) name true
+        (matches_reference (Model.explore_symbolic m).Model.descriptor))
+    [
+      ("tandem J=1", Tandem.model (Tandem.default ~jobs:1));
+      ("tandem J=2", Tandem.model (Tandem.default ~jobs:2));
+      ("tandem J=3", Tandem.model (Tandem.default ~jobs:3));
+      ("kanban N=3", Kanban.model (Kanban.default ~cards:3));
+      ("kanban N=5", Kanban.model (Kanban.default ~cards:5));
+      ("polling 4", Polling.model (Polling.default ~customers:4));
+      ("polling 8", Polling.model (Polling.default ~customers:8));
+      ("workstations 4", Workstations.model (Workstations.default ~stations:4));
+      ("multitier 3", Multitier.model (Multitier.default ~clients:3));
+    ]
+
+(* A random descriptor with two events added, one with an all-zero local
+   matrix at level [l] (it adds nothing) and one with identity matrices
+   at every level, and a factor [2^p] moved from every rate into level
+   [l]'s matrices, which is exact in binary. *)
+let reference_descriptor_of ((spec : Mdl_oracle.Spec.kron), l, p) =
+  let k = Mdl_oracle.Gen_md.kronecker (Mdl_util.Prng.of_seed spec.seed) spec in
+  let sizes = Kronecker.sizes k in
+  let l = l mod Array.length sizes and f = Float.ldexp 1.0 p in
+  let identities = Array.map Kronecker.identity_local sizes in
+  let zero =
+    Array.mapi
+      (fun l' n -> if l' = l then Csr.of_triplets ~rows:n ~cols:n [] else identities.(l'))
+      sizes
+  in
+  let events =
+    List.map
+      (fun (e : Kronecker.event) ->
+        let locals = Array.copy e.Kronecker.locals in
+        locals.(l) <- Csr.scale f locals.(l);
+        { e with Kronecker.rate = e.Kronecker.rate /. f; locals })
+      (Kronecker.events k)
+    @ [
+        { Kronecker.label = "zero"; rate = 1.5; locals = zero };
+        { Kronecker.label = "identity"; rate = 0.75; locals = identities };
+      ]
+  in
+  Kronecker.make ~sizes events
+
+let to_md_reference_property =
+  QCheck.Test.make ~count:200 ~name:"to_md = the list-based reference, node id and bit"
+    QCheck.(triple Mdl_oracle.Qcheck_gen.kron small_nat (int_range (-3) 3))
+    (fun input -> matches_reference (reference_descriptor_of input))
+
 (* ----- whole-pipeline fuzzing over random compositional models ----- *)
 
 (* A deterministic random model from a seed: 1-3 bounded-counter
@@ -552,7 +754,7 @@ let fuzz_merge =
         Vec.approx_equal (mul md ss) (mul merged merged_ss)
       end)
 
-let qcheck_tests = [ fuzz_pipeline; fuzz_merge ]
+let qcheck_tests = [ to_md_reference_property; fuzz_pipeline; fuzz_merge ]
 
 let tests =
   [
@@ -577,5 +779,8 @@ let tests =
     Alcotest.test_case "symbolic max_states guard" `Quick test_symbolic_max_states;
     Alcotest.test_case "compact preserves matrix" `Quick test_compact_preserves_matrix;
     Alcotest.test_case "md_of golden digests" `Quick test_md_of_golden;
+    Alcotest.test_case "descriptor golden digests" `Quick test_descriptor_golden;
+    Alcotest.test_case "to_md = the reference on the catalogue" `Slow
+      test_to_md_matches_reference;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

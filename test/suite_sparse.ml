@@ -259,8 +259,11 @@ let random_perm n seed =
    a merge of sorted neighbour lists: per-vertex sort with polymorphic
    compare, a list sort per visit, a [Queue], and each component's root
    found by a scan of every state.  [Ordering.rcm] must return the same
-   permutation, element for element. *)
-let reference_rcm m =
+   permutation, element for element.  With [~roots:`Stable_sort] each
+   root is instead the first vertex not yet enqueued in the order
+   [Array.stable_sort] gives all vertices by degree: the order
+   [Ordering.rcm] takes from a counting sort. *)
+let reference_rcm ?(roots = `Scan) m =
   let n = Csr.rows m in
   let nbrs = Array.make n [] in
   Csr.iter
@@ -285,12 +288,22 @@ let reference_rcm m =
       (List.sort (fun a b -> if deg a <> deg b then compare (deg a) (deg b) else compare a b)
          fresh)
   in
+  let by_degree = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare (deg a) (deg b)) by_degree;
   for _ = 0 to n - 1 do
     if !pos < n && Queue.is_empty queue then begin
       let root = ref (-1) in
-      for v = n - 1 downto 0 do
-        if not enqueued.(v) && (!root < 0 || deg v <= deg !root) then root := v
-      done;
+      (match roots with
+      | `Scan ->
+          for v = n - 1 downto 0 do
+            if not enqueued.(v) && (!root < 0 || deg v <= deg !root) then root := v
+          done
+      | `Stable_sort ->
+          let k = ref 0 in
+          while enqueued.(by_degree.(!k)) do
+            incr k
+          done;
+          root := by_degree.(!k));
       enqueued.(!root) <- true;
       Queue.add !root queue
     end;
@@ -432,6 +445,11 @@ let qcheck_tests =
       (fun seed ->
         let m = components_matrix seed in
         Ordering.rcm m = reference_rcm m);
+    Test.make ~count:300 ~name:"rcm roots follow the stable sort by degree"
+      (make ~print:string_of_int Gen.(int_range 0 99_999))
+      (fun seed ->
+        let m = components_matrix seed in
+        Ordering.rcm m = reference_rcm ~roots:`Stable_sort m);
     Test.make ~count:300 ~name:"flat kernels match their closure forms bit for bit"
       arb_csr (fun (r, c, t) -> kernels_match_closure_forms (Csr.of_triplets ~rows:r ~cols:c t));
     Test.make ~count:300 ~name:"infinity norms match Float.max folds bit for bit"

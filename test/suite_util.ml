@@ -260,6 +260,18 @@ let qcheck_tests =
         x >= 0 && x < bound);
     Test.make ~count:200 ~name:"approx_eq reflexive" float (fun f ->
         (Float.is_nan f) || Floatx.approx_eq f f);
+    (* Lists up to 100 long, so both the insertion sort (up to 16) and
+       the heap sort run; the suffix beyond the prefix must not move. *)
+    Test.make ~count:300 ~name:"sort_int_prefix sorts the prefix only"
+      (pair (list_of_size Gen.(int_range 0 100) (int_range (-50) 50)) small_nat)
+      (fun (l, cut) ->
+        let a = Array.of_list l in
+        let n = cut mod (Array.length a + 1) in
+        let prefix = Array.sub a 0 n in
+        Array.sort compare prefix;
+        let want = Array.append prefix (Array.sub a n (Array.length a - n)) in
+        Mdl_util.Sortx.sort_int_prefix a n;
+        a = want);
   ]
 
 let tests =
