@@ -97,8 +97,6 @@ let stats_json f =
         "largest_skips": %d,
         "counting_sort_passes": %d,
         "intern_keys": %d,
-        "cache_hits": %d,
-        "cache_misses": %d,
         "nodes_rebuilt": %d,
         "nodes_reused": %d,
         "wall_s": %.6f
@@ -107,8 +105,7 @@ let stats_json f =
     (c "refiner.blocks_created") (c "refiner.largest_skips")
     (c "refiner.counting_sort_passes")
     (int_of_float (Metrics.gauge_value "refiner.intern_alphabet"))
-    (c "key_cache.hits") (c "key_cache.misses") (c "rebuild.nodes_rebuilt")
-    (c "rebuild.nodes_reused")
+    (c "rebuild.nodes_rebuilt") (c "rebuild.nodes_reused")
     (snd (Metrics.histogram_stats "refiner.run_seconds"))
 
 (* Per-phase rollup of the spans one instrumented lump produced
@@ -353,10 +350,8 @@ let run_solvers ~repeats sc ~r_mem ~lumped_ss =
 
 (* ---- batched sweep race ---- *)
 
-(* The reward lists of the catalogue's sweep study over one scenario
-   (its complement indicator is the deterministic cross-bind fixture
-   [run_sweep] gates on); every point keeps the scenario's initial
-   distribution. *)
+(* The reward lists of the catalogue's sweep study over one scenario;
+   every point keeps the scenario's initial distribution. *)
 let sweep_rewards sc ~points =
   List.map (Family.point_rewards sc.built) (Family.sweep_study sc.built.md ~points)
 
@@ -364,8 +359,8 @@ let run_sweep ~repeats sc =
   let npoints = 10 in
   let specs = sweep_rewards sc ~points:npoints in
   (* Independent per-point baseline: what a caller pays today — one
-     [Compositional.lump] per point over a shared plain cache (rebound
-     per run, rows wiped, intern table warm). *)
+     [Compositional.lump] per point over a shared cache (rebound per
+     run, intern table warm). *)
   let oneshot_cache = Mdl_core.Key_cache.create () in
   let oneshot rewards () =
     Compositional.lump ~cache:oneshot_cache Mdl_lumping.State_lumping.Ordinary sc.built.md
@@ -374,7 +369,7 @@ let run_sweep ~repeats sc =
   let oneshot_raced = List.map (fun spec -> min_time ~repeats (oneshot spec)) specs in
   let oneshot_results = List.map fst oneshot_raced in
   let oneshot_times = List.map snd oneshot_raced in
-  (* The sweep engine is stateful (warm stores carry the amortisation),
+  (* The sweep engine is stateful (warm memos carry the amortisation),
      so repeats re-run whole sweeps on fresh engines and each point
      keeps its best time across repeats. *)
   let times = Array.make npoints infinity in
@@ -393,9 +388,9 @@ let run_sweep ~repeats sc =
           r)
         specs
     in
-    last := Some (results, Compositional.sweep_stats sw, Compositional.sweep_cache sw)
+    last := Some (results, Compositional.sweep_stats sw)
   done;
-  let results, stats, sweep_cache = Option.get !last in
+  let results, stats = Option.get !last in
   (* Bit-identity per point against the independent runs. *)
   List.iter2
     (fun r_sweep r_one ->
@@ -447,9 +442,8 @@ let run_sweep ~repeats sc =
   let amortised_point_s = mean warm in
   let oneshot_point_s = mean warm_oneshot in
   let amortised_speedup = oneshot_point_s /. amortised_point_s in
-  Printf.printf "        sweep %d pts: cold %.4fs  amortised %.4fs  oneshot %.4fs  (%.2fx)  cross-bind %d\n"
-    npoints cold_first_point_s amortised_point_s oneshot_point_s amortised_speedup
-    stats.Compositional.cross_bind_hits;
+  Printf.printf "        sweep %d pts: cold %.4fs  amortised %.4fs  oneshot %.4fs  (%.2fx)\n"
+    npoints cold_first_point_s amortised_point_s oneshot_point_s amortised_speedup;
   let json =
     Printf.sprintf
       {|"sweeps": {
@@ -459,29 +453,21 @@ let run_sweep ~repeats sc =
         "amortised_point_s": %.6f,
         "oneshot_point_s": %.6f,
         "amortised_speedup": %.3f,
-        "cross_bind_hits": %d,
         "level_fixpoints": %d,
         "level_fixpoints_reused": %d,
         "rebuilds": %d,
         "rebuilds_reused": %d,
-        "store_rows": %d,
         "max_measure_delta": %.3e,
         "identical": true
       }|}
       npoints
       (min npoints 5)
       cold_first_point_s amortised_point_s oneshot_point_s amortised_speedup
-      stats.Compositional.cross_bind_hits stats.Compositional.level_fixpoints
-      stats.Compositional.level_reused stats.Compositional.rebuilds
-      stats.Compositional.rebuilds_reused
-      (Mdl_core.Key_cache.store_size sweep_cache)
-      max_measure_delta
+      stats.Compositional.level_fixpoints stats.Compositional.level_reused
+      stats.Compositional.rebuilds stats.Compositional.rebuilds_reused max_measure_delta
   in
   let regression =
-    if stats.Compositional.cross_bind_hits <= 0 then
-      Some
-        (Printf.sprintf "%s: sweep recorded no cross-bind cache hits" sc.ml_name)
-    else if amortised_speedup < 1.0 then
+    if amortised_speedup < 1.0 then
       Some
         (Printf.sprintf
            "%s: amortised sweep point slower than one-shot lumping (%.4fs vs %.4fs)"
@@ -496,16 +482,16 @@ let run_sweep ~repeats sc =
    scenario's model through the protocol, then send the same 10-point
    sweep request twice over two successive connections.  The first
    request pays statespace interning and every level fixpoint; the
-   second rides the model's warm sweep engine and persistent key-cache
-   store — the service-level restatement of [run_sweep], measured
-   through the full framed JSON path (codec + socket included).  Gates
-   (scripts/check_bench_schema.py): the warm request must not be slower
-   than the cold one, the engine must report cross-bind store hits, and
-   both responses' per-point lumped shapes must agree exactly. *)
+   second rides the model's warm sweep engine and its level fixed-point
+   and rebuild memos — the service-level restatement of [run_sweep],
+   measured through the full framed JSON path (codec + socket included).
+   Gates (scripts/check_bench_schema.py): the warm request must not be
+   slower than the cold one, it must serve level fixpoints from the
+   memo, and both responses' per-point lumped shapes must agree
+   exactly. *)
 let run_serve sc =
   let npoints = 10 in
-  (* [sweep_rewards]' study on the wire, including the complement
-     indicator that forces cross-bind store lookups. *)
+  (* [sweep_rewards]' study on the wire. *)
   let spec { Family.level; ge; k } = { Proto.ind_level = level; ind_ge = ge; ind_k = k } in
   let points =
     List.map
@@ -558,7 +544,7 @@ let run_serve sc =
   in
   let cold, cold_s = timed_sweep c1 in
   Serve_client.close c1;
-  (* Fresh connection: same request, warm engine and store. *)
+  (* Fresh connection: same request, warm engine and memos. *)
   let c2 = Serve_client.connect (Serve.address server) in
   let warm, warm_s = timed_sweep c2 in
   Serve_client.close c2;
@@ -575,9 +561,8 @@ let run_serve sc =
   if not identical then
     fatal "warm sweep response differs from the cold one";
   Printf.printf
-    "        serve %d pts: submit %.4fs  cold %.4fs  warm %.4fs  (%.2fx)  cross-bind %d\n"
-    npoints submit_s cold_s warm_s (cold_s /. warm_s)
-    warm.Proto.sr_cross_bind_hits;
+    "        serve %d pts: submit %.4fs  cold %.4fs  warm %.4fs  (%.2fx)\n"
+    npoints submit_s cold_s warm_s (cold_s /. warm_s);
   let json =
     Printf.sprintf
       {|"serve": {
@@ -586,19 +571,15 @@ let run_serve sc =
         "cold_request_s": %.6f,
         "warm_request_s": %.6f,
         "warm_speedup": %.3f,
-        "cross_bind_hits": %d,
         "level_fixpoints_reused": %d,
-        "store_rows": %d,
         "identical": true
       }|}
-      npoints submit_s cold_s warm_s (cold_s /. warm_s)
-      warm.Proto.sr_cross_bind_hits warm.Proto.sr_level_reused
-      warm.Proto.sr_store_rows
+      npoints submit_s cold_s warm_s (cold_s /. warm_s) warm.Proto.sr_level_reused
   in
   let regression =
-    if warm.Proto.sr_cross_bind_hits <= 0 then
+    if warm.Proto.sr_level_reused <= cold.Proto.sr_level_reused then
       Some
-        (Printf.sprintf "%s: warm serve sweep reported no cross-bind cache hits"
+        (Printf.sprintf "%s: warm serve sweep served no level fixed point from the memo"
            sc.ml_name)
     else if warm_s > cold_s then
       Some
@@ -770,7 +751,7 @@ let () =
   in
   let repeats = if !smoke then 2 else 3 in
   (* One cache for the whole sweep: each scenario rebinds it (dropping
-     the memoised rows) but keeps accumulating the shared intern table. *)
+     the compiled lines) but keeps accumulating the shared intern table. *)
   let cache = Mdl_core.Key_cache.create () in
   (* One pool per raced domain count, shared across scenarios (spawning
      domains per scenario would bill their startup to the first timed

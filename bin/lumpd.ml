@@ -2,9 +2,9 @@
 
    Boots a daemon on a Unix-domain (or TCP) socket speaking the framed
    newline-JSON protocol of docs/PROTOCOL.md, keeps every submitted
-   model's sweep engine and persistent key-cache store warm across
-   requests and connections, and optionally serves Prometheus metrics
-   on a second port.
+   model's sweep engine (its level fixed-point and rebuild memos) warm
+   across requests and connections, and optionally serves Prometheus
+   metrics on a second port.
 
    Examples:
      dune exec bin/lumpd.exe -- --socket /tmp/lumpd.sock --metrics-port 9464
@@ -166,8 +166,8 @@ let cmd =
            `S Manpage.s_description;
            `P
              "Boots a daemon that lumps matrix-diagram Markov models on demand, \
-              keeping each model's sweep engine and persistent key-cache store \
-              warm across requests and connections.  The wire protocol is \
+              keeping each model's sweep engine (its level fixed-point and \
+              rebuild memos) warm across requests and connections.  The wire protocol is \
               documented in docs/PROTOCOL.md.";
          ])
     Term.(

@@ -149,14 +149,7 @@ let run label (inst : Family.built) mode key solve solver check_optimal dot_file
       (c "refiner.splitter_passes") (c "refiner.key_evals") (c "refiner.splits")
       (c "refiner.blocks_created") (c "refiner.largest_skips")
       (snd (Metrics.histogram_stats "refiner.run_seconds"));
-    let hits = c "key_cache.hits" and misses = c "key_cache.misses" in
-    Printf.printf
-      "key cache: %d hits, %d misses%s; rebuild: %d nodes rebuilt, %d reused verbatim\n"
-      hits misses
-      (if hits + misses = 0 then ""
-       else
-         Printf.sprintf " (%.1f%% hit rate)"
-           (100.0 *. float_of_int hits /. float_of_int (hits + misses)))
+    Printf.printf "rebuild: %d nodes rebuilt, %d reused verbatim\n"
       (c "rebuild.nodes_rebuilt") (c "rebuild.nodes_reused")
   end;
   let closed = Compositional.is_closed result ss lumped_ss in
@@ -247,15 +240,13 @@ let run_sweep label (inst : Family.built) points solve solver show_stats trace_f
       let after = Compositional.sweep_stats sw in
       let lumped_ss = Compositional.lump_statespace r ss in
       Printf.printf
-        "point %2d  %-28s %8.4fs  %6d lumped  levels %d run / %d reused  rebuild %s  \
-         cross-bind +%d\n"
+        "point %2d  %-28s %8.4fs  %6d lumped  levels %d run / %d reused  rebuild %s\n"
         i (point_label thresholds) s
         (Statespace.size lumped_ss)
         (after.Compositional.level_fixpoints - before.Compositional.level_fixpoints)
         (after.Compositional.level_reused - before.Compositional.level_reused)
         (if after.Compositional.rebuilds_reused > before.Compositional.rebuilds_reused
-         then "reused" else "built")
-        (after.Compositional.cross_bind_hits - before.Compositional.cross_bind_hits);
+         then "reused" else "built");
       if solve then
         if not (Compositional.is_closed r ss lumped_ss) then
           print_endline "  WARNING: reachable set not class-closed; measures skipped"
@@ -271,15 +262,14 @@ let run_sweep label (inst : Family.built) points solve solver show_stats trace_f
     let warm = Array.sub times 1 (points - 1) in
     let amortised = Array.fold_left ( +. ) 0.0 warm /. float_of_int (points - 1) in
     Printf.printf
-      "cold first point %.4fs; amortised %.4fs per warm point (%.2fx); %d cross-bind \
-       hits, %d/%d level fixpoints reused, %d/%d rebuilds reused, %d rows stored\n"
+      "cold first point %.4fs; amortised %.4fs per warm point (%.2fx); %d/%d level \
+       fixpoints reused, %d/%d rebuilds reused\n"
       times.(0) amortised
       (times.(0) /. amortised)
-      st.Compositional.cross_bind_hits st.Compositional.level_reused
+      st.Compositional.level_reused
       (st.Compositional.level_reused + st.Compositional.level_fixpoints)
       st.Compositional.rebuilds_reused
       (st.Compositional.rebuilds_reused + st.Compositional.rebuilds)
-      (Mdl_core.Key_cache.store_size (Compositional.sweep_cache sw))
   end;
   if show_stats then begin
     let c = Metrics.counter_value in
@@ -288,8 +278,7 @@ let run_sweep label (inst : Family.built) points solve solver show_stats trace_f
        %d splits, %.4f s refinement\n"
       (c "refiner.splitter_passes") (c "refiner.key_evals") (c "refiner.splits")
       (snd (Metrics.histogram_stats "refiner.run_seconds"));
-    Printf.printf "key cache: %d hits, %d misses; rebuild: %d nodes rebuilt, %d reused\n"
-      (c "key_cache.hits") (c "key_cache.misses") (c "rebuild.nodes_rebuilt")
+    Printf.printf "rebuild: %d nodes rebuilt, %d reused\n" (c "rebuild.nodes_rebuilt")
       (c "rebuild.nodes_reused")
   end;
   finish_tracing trace_file stream_trace show_metrics print_phase_breakdown;
@@ -331,7 +320,7 @@ let solver_arg =
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Print aggregated partition-refinement counters (splitter passes, key evaluations, splits, blocks created, largest-block skips, refinement wall time) and the key-cache and rebuild counters.")
+           ~doc:"Print aggregated partition-refinement counters (splitter passes, key evaluations, splits, blocks created, largest-block skips, refinement wall time) and the rebuild counters.")
 
 let check_arg =
   Arg.(value & flag & info [ "check-optimal" ] ~doc:"Run flat state-level lumping on the lumped chain (Section 5's optimality check).")
@@ -369,7 +358,7 @@ let stream_trace_arg =
 let metrics_arg =
   Arg.(value & flag
        & info [ "metrics" ]
-           ~doc:"Enable the process-wide metrics registry and dump it after the run: key-cache hits/misses, splitter-pass, split and key-evaluation counters, latency histograms, and the per-phase Gc allocation breakdown.")
+           ~doc:"Enable the process-wide metrics registry and dump it after the run: splitter-pass, split and key-evaluation counters, rebuild counters, key-evaluation and other latency histograms, and the per-phase Gc allocation breakdown.")
 
 (* The OCaml runtime runs at most 128 domains.  A count outside 1-128 is
    a usage error that names the flag (exit 124), raised before any
@@ -460,8 +449,8 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Lump one model repeatedly under a family of reward specifications \
-             through the batched sweep engine (warm key-cache row store, level \
-             fixed-point and rebuild memos), printing per-point reuse and the \
+             through the batched sweep engine (level fixed-point and rebuild \
+             memos), printing per-point reuse and the \
              cold-vs-amortised timing.  Reward sweeps are an ordinary-mode notion, \
              so the mode is fixed to ordinary.")
     Term.(

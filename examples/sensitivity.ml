@@ -5,13 +5,13 @@
 
    Every point lumps the SAME matrix diagram under a different reward
    family — the paper's headline workflow (Section 6): a parameter
-   study re-lumps and re-solves many times, and nearly all splitter-key
-   column walks recur between nearby points.  The sweep engine
+   study re-lumps and re-solves many times, and most levels see the
+   same initial partition at nearby points.  The sweep engine
    ([Compositional.sweep_create], then one [sweep_point] per point)
-   batches the whole study through caches that survive across points
-   (the key cache's content-keyed row store, the per-level fixed-point
-   memo, the rebuild memo), bit-identical to an independent
-   [Compositional.lump] per point but several times faster once warm.
+   batches the whole study through memos that survive across points
+   (the per-level fixed-point memo and the rebuild memo),
+   bit-identical to an independent [Compositional.lump] per point but
+   several times faster once warm.
 
    Run with: dune exec examples/sensitivity.exe [-- J] *)
 

@@ -257,21 +257,35 @@ type sweep_stats = {
   level_reused : int;
   rebuilds : int;
   rebuilds_reused : int;
-  cross_bind_hits : int;
 }
 
+(* Both memos are keyed by long int arrays, hashed in full: the
+   polymorphic [Hashtbl.hash] reads only a prefix of one, so keys that
+   differ only further in would share a bucket. *)
+module Int_array_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) b =
+    Array.length a = Array.length b
+    &&
+    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+    go (Array.length a - 1)
+
+  let hash = Mdl_util.Hashx.int_array
+end)
+
 (* What survives from one point to the next.  [lump] runs a single point
-   on a throwaway engine (plain cache, empty memos); a sweep engine keeps
-   its persistent cache and both memos warm across points. *)
+   on a throwaway engine (fresh cache, empty memos); a sweep engine keeps
+   its cache and both memos warm across points. *)
 type sweep = {
   sw_mode : Mdl_lumping.State_lumping.mode;
   sw_md : Md.t;
   sw_key : Local_key.choice;
   sw_cache : Key_cache.t;
   sw_pool : Domain_pool.t option;
-  sw_level_memo : (int * int array, int array) Hashtbl.t;
-      (* (level, initial layout) -> final canonical assignment *)
-  sw_rebuild_memo : (int array, Md.t) Hashtbl.t;
+  sw_level_memo : int array Int_array_tbl.t array;
+      (* per level: initial layout -> final canonical assignment *)
+  sw_rebuild_memo : Md.t Int_array_tbl.t;
       (* concatenated final assignments -> lumped diagram *)
   mutable sw_points : int;
   mutable sw_level_fixpoints : int;
@@ -288,8 +302,8 @@ let engine ?(key = Local_key.Formal_sums) ?cache ?pool mode md =
     sw_key = key;
     sw_cache = cache;
     sw_pool = pool;
-    sw_level_memo = Hashtbl.create 64;
-    sw_rebuild_memo = Hashtbl.create 16;
+    sw_level_memo = Array.init (Md.levels md) (fun _ -> Int_array_tbl.create 16);
+    sw_rebuild_memo = Int_array_tbl.create 16;
     sw_points = 0;
     sw_level_fixpoints = 0;
     sw_level_reused = 0;
@@ -329,7 +343,7 @@ let is_identity_assignment a =
    the fixed point ([refined] is false when the memo served it). *)
 type level_outcome = {
   p_ini : Partition.t;
-  memo_key : int * int array;
+  layout : int array;
   final : Partition.t;
   refined : bool;
 }
@@ -348,12 +362,11 @@ type level_outcome = {
 let run_point sw ~rewards ~initial =
   let md = sw.sw_md and mode = sw.sw_mode in
   let nlevels = Md.levels md in
-  (* The bind's epoch bump is what marks a later store hit as
-     cross-bind.  The intern tables and (same-md) compiled lines and
-     contexts survive the rebind.  Binding with the run's configuration
-     makes a mismatched shared cache fail loudly here instead of deep
-     inside a splitter pass.  The bind writes the cache's engine-level
-     fields, so it comes before any level task starts. *)
+  (* The intern tables and (same-md) compiled lines and contexts
+     survive the rebind.  Binding with the run's configuration makes a
+     mismatched shared cache fail loudly here instead of deep inside a
+     splitter pass.  The bind writes the cache's engine-level fields,
+     so it comes before any level task starts. *)
   Key_cache.bind ~choice:sw.sw_key ~mode sw.sw_cache md;
   let level_work i =
     let level = i + 1 in
@@ -361,8 +374,8 @@ let run_point sw ~rewards ~initial =
       Trace.with_span ~cat:"lump" "lump.initial_partition" (fun () ->
           Level_lumping.initial_partition mode md ~level ~rewards ~initial)
     in
-    let memo_key = (level, layout_key p_ini) in
-    match Hashtbl.find_opt sw.sw_level_memo memo_key with
+    let layout = layout_key p_ini in
+    match Int_array_tbl.find_opt sw.sw_level_memo.(i) layout with
     | Some assignment ->
         (* The memoised fixed point is replayed from its canonical
            assignment; [comp_lumping_level] canonicalises exactly the
@@ -374,13 +387,13 @@ let run_point sw ~rewards ~initial =
             Partition.discrete (Array.length assignment)
           else Partition.of_class_assignment assignment
         in
-        { p_ini; memo_key; final; refined = false }
+        { p_ini; layout; final; refined = false }
     | None ->
         let final =
           Level_lumping.comp_lumping_level ~key:sw.sw_key ~cache:sw.sw_cache mode md ~level
             ~initial:p_ini
         in
-        { p_ini; memo_key; final; refined = true }
+        { p_ini; layout; final; refined = true }
   in
   let levels =
     match sw.sw_pool with
@@ -409,7 +422,8 @@ let run_point sw ~rewards ~initial =
         sw.sw_level_fixpoints <- sw.sw_level_fixpoints + 1;
         (* [final] is canonical, so [to_class_assignment] already is the
            canonical assignment. *)
-        Hashtbl.replace sw.sw_level_memo l.memo_key (Partition.to_class_assignment l.final);
+        Int_array_tbl.replace sw.sw_level_memo.(i) l.layout
+          (Partition.to_class_assignment l.final);
         Log.debug (fun m ->
             m "level %d: %d -> %d classes (P_ini %d)" (i + 1) (Partition.size l.final)
               (Partition.num_classes l.final)
@@ -422,7 +436,7 @@ let run_point sw ~rewards ~initial =
   let rebuild_key =
     Array.concat (Array.to_list (Array.map Partition.to_class_assignment partitions))
   in
-  match Hashtbl.find_opt sw.sw_rebuild_memo rebuild_key with
+  match Int_array_tbl.find_opt sw.sw_rebuild_memo rebuild_key with
   | Some lumped ->
       (* The quotient is a pure function of (diagram, partitions, mode):
          equal canonical assignments rebuild to an [Md.equal] diagram,
@@ -437,7 +451,7 @@ let run_point sw ~rewards ~initial =
           m "rebuild: %d nodes -> %d nodes in %.3fs%s" (Md.num_live_nodes md)
             (Md.num_live_nodes r.lumped) dt
             (if r.lumped == md then " (aliased: nothing lumped)" else ""));
-      Hashtbl.add sw.sw_rebuild_memo rebuild_key r.lumped;
+      Int_array_tbl.add sw.sw_rebuild_memo rebuild_key r.lumped;
       r
 
 let lump ?key ?cache ?pool mode md ~rewards ~initial =
@@ -450,11 +464,7 @@ let lump ?key ?cache ?pool mode md ~rewards ~initial =
       "lump"
       (fun () -> run_point sw ~rewards ~initial)
 
-let sweep_create ?pool mode md =
-  let sw = engine ?pool mode md in
-  (* Persistence is what carries splitter rows across points. *)
-  Key_cache.set_persistent sw.sw_cache true;
-  sw
+let sweep_create ?pool mode md = engine ?pool mode md
 
 let sweep_point sw ~rewards ~initial =
   sw.sw_points <- sw.sw_points + 1;
@@ -498,7 +508,6 @@ let sweep_stats sw =
     level_reused = sw.sw_level_reused;
     rebuilds = sw.sw_rebuilds;
     rebuilds_reused = sw.sw_rebuilds_reused;
-    cross_bind_hits = Key_cache.cross_bind_hits sw.sw_cache;
   }
 
 let sweep_cache sw = sw.sw_cache

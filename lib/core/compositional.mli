@@ -51,8 +51,8 @@ val lump :
     quotient row into a class-indexed slot table and reuses nodes of
     identity levels verbatim (aliasing the whole diagram when nothing
     lumps).  The run is one point of a throwaway {!sweep} engine — the
-    same per-point code as {!sweep_point}, with a plain
-    (non-persistent) cache and empty memos.  Pass [cache] to share one
+    same per-point code as {!sweep_point}, with empty memos.  Pass
+    [cache] to share one
     cache (its compiled lines and hot intern tables) across several lump
     calls — e.g. a bench sweep; the cache is (re)bound to [md] under
     [key] and [mode] at the start of the run, and raises
@@ -81,8 +81,8 @@ val lump :
     Observability: each level's class counts are logged on the
     [mdl.lump] source at debug level.  The run's counts go to the
     {!Mdl_obs.Metrics} registry while it is enabled: [lump.runs], the
-    [refiner.*], [key_cache.*] and [level.*] counts of every level that
-    refines, and [rebuild.nodes_rebuilt] / [rebuild.nodes_reused] for
+    [refiner.*] and [level.*] counts and [key_cache.*] observations of
+    every level that refines, and [rebuild.nodes_rebuilt] / [rebuild.nodes_reused] for
     each node of the rebuild ([bin/lumpmd --stats] prints them).
     Spans record into the calling thread's current
     {!Mdl_obs.Trace.Ctx.t}; [lumpd] isolates concurrently traced
@@ -115,18 +115,19 @@ val lump_with_partitions :
 (** {1 Batched sweeps}
 
     The paper's headline use case (§6) lumps {e one} structural model
-    repeatedly under varying measures; most splitter steps recur
-    between nearby points.  A {!sweep} is a stateful engine
-    over one diagram that keeps three warm stores across points: the
-    cache's cross-bind row store ({!Key_cache.set_persistent} — rows
-    keyed by class {e content}, reused wherever a later point produces
-    the same member sequence), a per-level fixed-point memo (identical
-    initial-partition layouts skip refinement entirely), and a rebuild
-    memo (identical partition tuples alias the previously built lumped
-    diagram).  Results are bit-identical ([Md.equal], equal partitions)
-    to an independent {!lump} per point — every reuse path replays only
-    work whose inputs match exactly — pinned by the differential
-    property suite. *)
+    repeatedly under varying measures; most levels see the same
+    initial partition at nearby points.  A {!sweep} is a stateful engine
+    over one diagram that keeps two memos warm across points: a
+    per-level fixed-point memo (identical initial-partition layouts
+    skip refinement entirely) and a rebuild memo (identical partition
+    tuples alias the previously built lumped diagram).  Its cache keeps
+    each level's compiled lines and intern tables across points.  A
+    point that misses both memos is exactly an independent {!lump}: the
+    same refinement runs, the same counts.  Results are bit-identical
+    ([Md.equal], equal partitions) to an independent {!lump} per point —
+    every memo replays only work whose inputs match exactly — pinned by
+    the differential property suite.  Both memos grow with every
+    distinct point and are never trimmed. *)
 
 type sweep
 (** A sweep engine bound to one diagram and lumping mode. *)
@@ -137,9 +138,6 @@ type sweep_stats = {
   level_reused : int;  (** level results served from the fixed-point memo *)
   rebuilds : int;  (** quotient rebuilds actually performed *)
   rebuilds_reused : int;  (** lumped diagrams aliased from the rebuild memo *)
-  cross_bind_hits : int;
-      (** splitter-row lookups answered across points by the cache's
-          persistent store (see {!Key_cache.cross_bind_hits}) *)
 }
 
 val sweep_create :
@@ -148,11 +146,10 @@ val sweep_create :
   Mdl_md.Md.t ->
   sweep
 (** An engine over [md] with the paper's key choice
-    ({!Local_key.Formal_sums}) and a fresh cache of its own in
-    persistent mode.  [pool] parallelises each point exactly as in
-    {!lump} (memo-missing levels refine concurrently, each on its own
-    record of the engine's cache, whose store keeps their work for later
-    points).  Mapping {!sweep_point} over a list of
+    ({!Local_key.Formal_sums}) and a fresh cache of its own.  [pool]
+    parallelises each point exactly as in {!lump} (memo-missing levels
+    refine concurrently, each on its own record of the engine's
+    cache).  Mapping {!sweep_point} over a list of
     points is the batched equivalent of mapping {!lump} over it:
     bit-identical, and typically several times faster per point once
     warm (see the [sweeps] section of BENCH_refine.json and [lumpmd
@@ -166,11 +163,13 @@ val sweep_point :
 (** Lump the engine's diagram for one point.  Equals
     [lump mode md ~rewards ~initial] (same partitions, [Md.equal]
     lumped diagram — the memo paths only replay exact-input matches),
-    but amortises: the cache rebind is an epoch bump, level fixed
-    points and the rebuild are memoised, and splitter rows recur via
-    the content-keyed store.  Only the levels that actually refine, and
-    a rebuild that actually runs, add [refiner.*], [key_cache.*] and
-    [rebuild.*] counts; memo hits add none.  Observability: a
+    but amortises: the cache rebind keeps the compiled lines and intern
+    tables, and level fixed points and the rebuild are memoised.  Only
+    the levels that actually refine, and a rebuild that actually runs,
+    add [refiner.*] and [rebuild.*] counts and [key_cache.*]
+    observations — exactly what an independent {!lump} adds for them;
+    memo hits add none.
+    Observability: a
     [sweep.point] span when tracing (levels then refine sequentially,
     as in {!lump}), a [sweep.point_seconds] histogram and [sweep.*]
     counters when metrics are on. *)
@@ -181,7 +180,7 @@ val sweep_stats : sweep -> sweep_stats
     over every engine in the process. *)
 
 val sweep_cache : sweep -> Key_cache.t
-(** The engine's cache — e.g. to inspect {!Key_cache.store_size}. *)
+(** The engine's cache — e.g. to inspect {!Key_cache.gid_count}. *)
 
 val class_tuple : result -> int array -> int array
 (** Map a global state to its class tuple (the corresponding state of

@@ -44,20 +44,20 @@ val comp_lumping_level :
     {!Local_key.Expanded_matrices} trades time for a possibly coarser
     partition.  Each call counts one [level.fixpoints] in the
     {!Mdl_obs.Metrics} registry and adds the run's [refiner.*] counts
-    and every splitter lookup's [key_cache.*] counts; with tracing on,
-    the run is one [lump.fixpoint] span holding one [refine.run].
+    and one [key_cache.*] histogram observation per splitter lookup;
+    with tracing on, the run is one [lump.fixpoint] span holding one
+    [refine.run].
 
     Keys are evaluated through the level's record of [cache] (default: a
     fresh {!Key_cache.t}), which keeps the level's compiled lines and
-    intern tables; unless the cache is persistent, key accumulation
-    skips the states alone in their class of [initial].  The cache is
+    intern tables; key accumulation skips the states alone in their
+    class of [initial].  The cache is
     auto-bound to [md] under [key] and [mode] if bound elsewhere (or
     unbound); when already bound to [md] it is used as is, so the levels
     of one {!Compositional.lump} run share one bind, and it must have
     been bound under [key] and [mode] ({!Key_cache.bound_md} raises
-    [Invalid_argument] otherwise).  Partitions and splitter-pass counts
-    do not depend on the cache's history; only key-evaluation work and
-    the [refiner.key_evals] and [key_cache.*] counts do.
+    [Invalid_argument] otherwise).  Partitions and every [refiner.*]
+    count are independent of the cache's history.
 
     The run selects the cache's record for [level] ({!Key_cache.for_level})
     once and writes no other, so runs of different levels may share one

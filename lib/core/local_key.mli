@@ -29,11 +29,12 @@
     {!Mdl_util.Floatx.default_eps}) and re-canonicalises (coefficients
     that quantize to zero drop out, a key that quantizes to the empty
     sum is not emitted at all, matching the implicit zero key of
-    untouched states).  On such canonical keys the exact structural relations
-    {!compare_exact} / {!equal} / {!hash} agree with lumping-key
-    equality, which is what makes interning keys to integer ids
-    ({!level_keys}) sound: two keys intern to the same id iff
-    {!compare_exact} calls them equal. *)
+    untouched states).  On such canonical keys the exact structural
+    order {!compare_exact} agrees with lumping-key equality, and so do
+    the bit-level equality and hash the intern tables use, which is
+    what makes interning keys to integer ids ({!level_keys}) sound: two
+    keys intern to the same id iff {!compare_exact} calls them
+    equal. *)
 
 type choice = Formal_sums | Expanded_matrices
 
@@ -46,20 +47,11 @@ val compare_exact : t -> t -> int
     as lumping keys — the comparator to use in refinement specs fed by
     {!splitter_keys}. *)
 
-val equal : t -> t -> bool
-(** Exact structural equality (bit-level floats); the interning equality.
-    Agrees with [compare_exact _ _ = 0] on canonical keys: zero
-    coefficients are never stored, and equal nonzero grid values are
-    bit-identical. *)
-
-val hash : t -> int
-(** Consistent with {!equal}. *)
-
 type context
 (** Memoisation over one diagram: the expanded-matrix flattening memo
     and the column transposes of the nodes walked in ordinary mode by
-    {!eval_keys}.  Single-owner: {!Key_cache} keeps one per level, so
-    parallel level tasks never share one. *)
+    {!splitter_keys}.  Single-owner: {!Key_cache} keeps one per level,
+    so parallel level tasks never share one. *)
 
 val make_context : Mdl_md.Md.t -> context
 
@@ -68,21 +60,6 @@ val node_cols : context -> Mdl_md.Md.node_id -> (int * Mdl_md.Formal_sum.t) arra
     column [c] holds its entries [(r, sum)] in ascending row order.
     Built on first use and kept in the context; the caller must not
     mutate it. *)
-
-val eval_keys :
-  ?skip:(int -> bool) ->
-  context ->
-  choice ->
-  Mdl_lumping.State_lumping.mode ->
-  Mdl_md.Md.node_id ->
-  Mdl_partition.Refiner.slice ->
-  int array * t array
-(** List-free core of {!splitter_keys}: the same [(s, key)] pairs as
-    parallel [(states, keys)] arrays, in exactly the order the list
-    version produces, with no intermediate list allocation.  The walk
-    runs on the calling domain and accumulates in member order; the
-    node's lines (its columns in ordinary mode) are read once, before
-    it starts. *)
 
 val splitter_keys :
   ?skip:(int -> bool) ->
@@ -153,16 +130,17 @@ val level_keys :
     [(states, gids)] arrays: every state whose level key with respect
     to the splitter class [c] is nonzero, and that key's id in [acc]'s
     intern table.  Equal ids mean equal keys: two states get one id iff
-    every node gives them {!equal} keys.
+    every node gives them keys {!compare_exact} calls equal.
 
     Each node's lines are summed over [c]'s members, in member order,
     into the dense accumulator ([slot +. c], bit for bit the fold of
-    {!Mdl_md.Formal_sum.add} that {!eval_keys} performs), then quantized
-    at emission: a node whose sum quantizes to zero contributes nothing,
-    and a state with no nonzero contribution is not listed.  With
-    formal-sum keys the tuple is interned from the quantized slots'
-    bits, and no {!Mdl_md.Formal_sum.t} is built; with expanded keys
-    each node's sum is built and expanded as in {!eval_keys}.  States
+    {!Mdl_md.Formal_sum.add} that the single-node {!splitter_keys}
+    performs), then quantized at emission: a node whose sum quantizes
+    to zero contributes nothing, and a state with no nonzero
+    contribution is not listed.  With formal-sum keys the tuple is
+    interned from the quantized slots' bits, and no
+    {!Mdl_md.Formal_sum.t} is built; with expanded keys each node's sum
+    is built and expanded as in {!splitter_keys}.  States
     are listed in the order of their first nonzero contribution (nodes
     in live order, each node's states in the order its walk first
     touches them).  [skip] as in {!splitter_keys}.  [ctx] must belong

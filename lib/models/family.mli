@@ -63,9 +63,7 @@ val sweep_study : Mdl_md.Md.t -> points:int -> threshold list list
     complement [s < n/3], [s >= 2n/3], and both [>=] thresholds (each
     cut at least 1).  The complement right after its threshold induces
     the same classes in the opposite class order, so its level fixed
-    point misses the sweep engine's memo while every splitter class it
-    walks is already in the key-cache store: the deterministic
-    cross-bind fixture [bench/refine] gates on. *)
+    point misses the sweep engine's memo and refines again. *)
 
 val point_rewards : built -> threshold list -> Mdl_core.Decomposed.t list
 (** A sweep point's rewards: the thresholds' indicators, then the

@@ -97,8 +97,9 @@ type pass_data = {
    The working partition is an id-preserving [Partition.copy] of the
    input, not a renumbering round-trip: class ids and slice layouts stay
    the input's until a class itself splits, so a splitter's member
-   sequence — what the persistent key store keys on — is determined by
-   the input layout and the splits alone. *)
+   sequence is determined by the input layout and the splits alone —
+   what lets the sweep engine's level memo key a fixed point by its
+   initial layout. *)
 let core_body st ~prepare ~initial =
   let timer = Timer.start () in
   let p = Partition.copy initial in

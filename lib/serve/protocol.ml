@@ -69,10 +69,8 @@ type point_result = { pr_lumped_states : int; pr_classes : int list; pr_wall_s :
 
 type sweep_result = {
   sr_points : point_result list;
-  sr_cross_bind_hits : int;
   sr_level_reused : int;
   sr_rebuilds_reused : int;
-  sr_store_rows : int;
   sr_wall_s : float;
 }
 
@@ -102,9 +100,7 @@ type model_stat = {
   ms_model : string;
   ms_family : family;
   ms_states : int;
-  ms_store_rows : int;
   ms_gid_count : int;
-  ms_cross_bind_hits : int;
   ms_points : int;
 }
 
@@ -384,13 +380,10 @@ let point_result =
 
 let sweep_result =
   let+ sr_points = req "points" (list point_result) (fun s -> s.sr_points)
-  and+ sr_cross_bind_hits = req "cross_bind_hits" int (fun s -> s.sr_cross_bind_hits)
   and+ sr_level_reused = req "level_reused" int (fun s -> s.sr_level_reused)
   and+ sr_rebuilds_reused = req "rebuilds_reused" int (fun s -> s.sr_rebuilds_reused)
-  and+ sr_store_rows = req "store_rows" int (fun s -> s.sr_store_rows)
   and+ sr_wall_s = req "wall_s" float (fun s -> s.sr_wall_s) in
-  { sr_points; sr_cross_bind_hits; sr_level_reused; sr_rebuilds_reused; sr_store_rows;
-    sr_wall_s }
+  { sr_points; sr_level_reused; sr_rebuilds_reused; sr_wall_s }
 
 let solve_result =
   let+ so_solver = req "solver" solver (fun s -> s.so_solver)
@@ -416,12 +409,9 @@ let model_stat =
     (let+ ms_model = req "model" str (fun m -> m.ms_model)
      and+ ms_family = req "family" family (fun m -> m.ms_family)
      and+ ms_states = req "states" int (fun m -> m.ms_states)
-     and+ ms_store_rows = req "store_rows" int (fun m -> m.ms_store_rows)
      and+ ms_gid_count = req "gid_count" int (fun m -> m.ms_gid_count)
-     and+ ms_cross_bind_hits = req "cross_bind_hits" int (fun m -> m.ms_cross_bind_hits)
      and+ ms_points = req "points" int (fun m -> m.ms_points) in
-     { ms_model; ms_family; ms_states; ms_store_rows; ms_gid_count; ms_cross_bind_hits;
-       ms_points })
+     { ms_model; ms_family; ms_states; ms_gid_count; ms_points })
 
 let stats_result =
   let+ st_uptime_s = req "uptime_s" float (fun s -> s.st_uptime_s)

@@ -130,10 +130,8 @@ type point_result = { pr_lumped_states : int; pr_classes : int list; pr_wall_s :
 
 type sweep_result = {
   sr_points : point_result list;
-  sr_cross_bind_hits : int;  (** model-engine cumulative, across requests *)
-  sr_level_reused : int;
-  sr_rebuilds_reused : int;
-  sr_store_rows : int;
+  sr_level_reused : int;  (** model-engine cumulative, across requests *)
+  sr_rebuilds_reused : int;  (** model-engine cumulative, across requests *)
   sr_wall_s : float;
 }
 
@@ -174,9 +172,7 @@ type model_stat = {
   ms_model : string;
   ms_family : family;
   ms_states : int;
-  ms_store_rows : int;
   ms_gid_count : int;
-  ms_cross_bind_hits : int;
   ms_points : int;  (** sweep points served since submission *)
 }
 

@@ -27,7 +27,6 @@ let m_scrapes = Metrics.counter "serve.metrics_scrapes"
 let m_inflight = Metrics.gauge "serve.inflight"
 let m_queue_depth = Metrics.gauge "serve.queue_depth"
 let m_models = Metrics.gauge "serve.models"
-let m_store_rows = Metrics.gauge "serve.store_rows"
 let m_uptime = Metrics.gauge "serve.uptime_seconds"
 
 (* [serve.request_seconds] covers the slotted verbs only: stats and
@@ -223,18 +222,8 @@ let find_model t name =
   | Some m -> Ok m
   | None -> err P.Unknown_model "no model named %S (submit-model first)" name
 
-let refresh_store_gauges t =
-  let rows =
-    locked t (fun () ->
-        Metrics.set m_models (float_of_int (Hashtbl.length t.models));
-        Hashtbl.fold
-          (fun _ m acc ->
-            match m.mo_sweep with
-            | Some sw -> acc + Key_cache.store_size (Compositional.sweep_cache sw)
-            | None -> acc)
-          t.models 0)
-  in
-  Metrics.set m_store_rows (float_of_int rows)
+let refresh_models_gauge t =
+  locked t (fun () -> Metrics.set m_models (float_of_int (Hashtbl.length t.models)))
 
 let exec_submit t (s : P.submit) =
   (* Every wire family has a catalogue entry (pinned by a test). *)
@@ -282,7 +271,7 @@ let exec_submit t (s : P.submit) =
                     Hashtbl.add t.models s.sm_model m;
                     `Fresh)
           in
-          refresh_store_gauges t;
+          refresh_models_gauge t;
           match winner with
           | `Fresh -> info m true
           | `Existing e when e.mo_params = resolved && e.mo_family = s.sm_family ->
@@ -301,8 +290,8 @@ let point_rewards m (specs : P.reward_spec list) =
   | None -> Ok (Family.point_rewards m.mo_built (List.map threshold specs))
 
 (* The model's sweep engine, created on first use and kept warm for the
-   daemon's lifetime — this is the object whose persistent key-cache
-   store makes a second client's request cheap. *)
+   daemon's lifetime — this is the object whose level fixed-point and
+   rebuild memos make a second client's request cheap. *)
 let sweep_engine m =
   match m.mo_sweep with
   | Some sw -> sw
@@ -341,7 +330,6 @@ let exec_lump t (l : P.lump) =
                 Compositional.lump State_lumping.Exact m.mo_built.md ~rewards
                   ~initial:m.mo_built.initial)
       in
-      refresh_store_gauges t;
       Ok
         (P.Lump_result
            {
@@ -374,15 +362,12 @@ let exec_sweep t (s : P.sweep) =
       let* points = run [] s.sw_points in
       let sw = sweep_engine m in
       let st = Compositional.sweep_stats sw in
-      refresh_store_gauges t;
       Ok
         (P.Sweep_result
            {
              sr_points = points;
-             sr_cross_bind_hits = st.Compositional.cross_bind_hits;
              sr_level_reused = st.Compositional.level_reused;
              sr_rebuilds_reused = st.Compositional.rebuilds_reused;
-             sr_store_rows = Key_cache.store_size (Compositional.sweep_cache sw);
              sr_wall_s = now_s () -. t0;
            }))
 
@@ -407,7 +392,6 @@ let exec_solve t (s : P.solve) =
           | P.Gauss_seidel -> Solver.Gauss_seidel
         in
         let pi, stats = Md_solve.solve method_ r.Compositional.lumped lumped_ss in
-        refresh_store_gauges t;
         Ok
           (P.Solve_result
              {
@@ -425,23 +409,16 @@ let exec_stats t =
     locked t (fun () ->
         Hashtbl.fold
           (fun _ m acc ->
-            let store_rows, gids, cross =
+            let gids =
               match m.mo_sweep with
-              | Some sw ->
-                  let st = Compositional.sweep_stats sw in
-                  let cache = Compositional.sweep_cache sw in
-                  ( Key_cache.store_size cache,
-                    Key_cache.gid_count cache,
-                    st.Compositional.cross_bind_hits )
-              | None -> (0, 0, 0)
+              | Some sw -> Key_cache.gid_count (Compositional.sweep_cache sw)
+              | None -> 0
             in
             {
               P.ms_model = m.mo_name;
               ms_family = m.mo_family;
               ms_states = Statespace.size m.mo_built.statespace;
-              ms_store_rows = store_rows;
               ms_gid_count = gids;
-              ms_cross_bind_hits = cross;
               ms_points = m.mo_points;
             }
             :: acc)
@@ -792,7 +769,7 @@ let http_response status content_type body =
     status content_type (String.length body) body
 
 let scrape_body t =
-  refresh_store_gauges t;
+  refresh_models_gauge t;
   Metrics.set m_uptime (Unix.gettimeofday () -. t.started_wall);
   Metrics.incr m_scrapes;
   let buf = Buffer.create 4096 in

@@ -4,11 +4,12 @@
     One {!t} owns the process-wide model registry.  Every submitted
     model keeps its state space, reward structures and — decisively —
     its {!Mdl_core.Compositional.sweep} engine warm across requests and
-    connections: the engine's persistent {!Mdl_core.Key_cache} store
-    and interned-key table survive between clients, so a second
-    client's sweep over a model the daemon has already seen replays
-    splitter rows from the content-keyed store ([cross_bind_hits > 0])
-    instead of re-interning anything.
+    connections: the engine's level fixed-point and rebuild memos and
+    its {!Mdl_core.Key_cache} (compiled lines, interned keys) survive
+    between clients, so a second client's sweep over points the daemon
+    has already seen replays each level's fixed point and each lumped
+    diagram from the memos ([level_reused] and [rebuilds_reused] grow)
+    instead of refining again.
 
     {b Concurrency.}  One listener thread accepts connections; each
     connection gets a thread that reads frames strictly in order.

@@ -2,7 +2,7 @@
 """Validate the schema of BENCH_refine.json.
 
 Fails (exit 1) when a scenario is missing the refiner stats (including
-the splitter-key cache and incremental-rebuild counters), when flat
+the incremental-rebuild counters), when flat
 scenarios lack the float-vs-reference timings, when no multi-level
 end-to-end scenario was recorded, when a multi-level scenario lacks the
 per-phase span rollup (total/level/initial/fixpoint/pass/rebuild
@@ -43,8 +43,8 @@ reward-sweep race (Compositional.lump_sweep over one diagram vs an
 independent Compositional.lump per point).  The sweep must be
 bit-identical to the one-shot path (identical=true, max_measure_delta
 <= 1e-9 — the bench aborts otherwise), must actually reuse warm state
-(cross_bind_hits > 0, some level fixpoint or rebuild served from the
-memos, a non-empty persistent row store), and must amortise: the mean
+(some level fixpoint or rebuild served from the memos), and must
+amortise: the mean
 warm-point time may never exceed the mean one-shot time
 (amortised_speedup >= 1.0), and on Kanban it must reach >= 2.0.  These
 gates are unconditional — cache reuse, unlike the domain race, owes
@@ -55,9 +55,9 @@ twice through an in-process lumpd daemon over its framed JSON socket
 protocol, by two successive client connections.  Both responses must
 agree point-by-point (identical=true — the bench aborts otherwise),
 the second (warm) request must not be slower than the first (cold)
-one, and the warm response must report cross-bind store hits and a
-non-empty persistent row store: the daemon's value proposition is that
-a later client never re-pays an earlier client's lumping work.
+one, and the warm response must report level fixpoints served from the
+engine's memo: the daemon's value proposition is that a later client
+never re-pays an earlier client's lumping work.
 
 The document must also carry a top-level "load" object, recorded by
 bench/loadgen.exe: N concurrent client threads driving a real daemon
@@ -83,8 +83,6 @@ STATS_FIELDS = [
     "largest_skips",
     "counting_sort_passes",
     "intern_keys",
-    "cache_hits",
-    "cache_misses",
     "nodes_rebuilt",
     "nodes_reused",
     "wall_s",
@@ -123,9 +121,7 @@ SERVE_FIELDS = [
     "cold_request_s",
     "warm_request_s",
     "warm_speedup",
-    "cross_bind_hits",
     "level_fixpoints_reused",
-    "store_rows",
     "identical",
 ]
 
@@ -136,21 +132,19 @@ SWEEPS_FIELDS = [
     "amortised_point_s",
     "oneshot_point_s",
     "amortised_speedup",
-    "cross_bind_hits",
     "level_fixpoints",
     "level_fixpoints_reused",
     "rebuilds",
     "rebuilds_reused",
-    "store_rows",
     "max_measure_delta",
     "identical",
 ]
 
 # Minimum oneshot_point_s/amortised_point_s per scenario.  The sweep
 # engine must never lose to independent per-point lumping, and on the
-# largest model (Kanban — the most splitter rows to reuse) it must
-# amortise at least 2x.  Unlike the domain race this gate is NOT
-# conditional on host_cores: the sweep's saving is cache reuse, not
+# largest model (Kanban — the most refinement for the memos to replay)
+# it must amortise at least 2x.  Unlike the domain race this gate is NOT
+# conditional on host_cores: the sweep's saving is memo reuse, not
 # parallelism, so it holds on any host.
 SWEEP_FLOOR_DEFAULT = 1.0
 SWEEP_FLOOR_KANBAN = 2.0
@@ -287,15 +281,9 @@ def main():
                     f"{where}: float pipeline slower than the reference engine "
                     f"({sc['float_s']:.4f}s > {sc['ref_s']:.4f}s)"
                 )
-        lookups = s["cache_hits"] + s["cache_misses"]
-        if lookups > s["splitter_passes"]:
-            fail(
-                f"{where}: cache lookups {lookups} exceed splitter passes "
-                f"{s['splitter_passes']} (at most one lookup per pass)"
-            )
         if kind == "multilevel":
-            if lookups == 0:
-                fail(f"{where}: memoised run recorded no cache lookups")
+            if s["splitter_passes"] <= 0:
+                fail(f"{where}: lump recorded no splitter passes")
             if s["nodes_rebuilt"] + s["nodes_reused"] == 0:
                 fail(f"{where}: rebuild recorded neither rebuilt nor reused nodes")
             check_fields(sc["phases"], PHASE_FIELDS, f"{where}: phases")
@@ -384,19 +372,11 @@ def main():
                     f"(max_measure_delta {delta:.3e} > {MEASURE_DELTA_CEIL:.0e})"
                 )
             for f in ("level_fixpoints", "level_fixpoints_reused", "rebuilds",
-                      "rebuilds_reused", "store_rows", "cross_bind_hits"):
+                      "rebuilds_reused"):
                 if not isinstance(sw[f], int) or sw[f] < 0:
                     fail(f"{where}: sweeps.{f} is not a non-negative integer")
-            # Every multi-point sweep must actually exercise the cross-bind
-            # tier — zero hits means row persistence silently stopped
-            # working (the bench family includes a complement-indicator
-            # point designed to guarantee store reuse).
-            if sw["cross_bind_hits"] == 0:
-                fail(f"{where}: multi-point sweep recorded no cross-bind cache hits")
             if sw["level_fixpoints_reused"] + sw["rebuilds_reused"] == 0:
                 fail(f"{where}: sweep reused neither level fixpoints nor rebuilds")
-            if sw["store_rows"] == 0:
-                fail(f"{where}: persistent row store is empty after the sweep")
             floor = (
                 SWEEP_FLOOR_KANBAN
                 if "kanban" in sc["name"].lower()
@@ -416,21 +396,20 @@ def main():
             for f in ("submit_s", "cold_request_s", "warm_request_s", "warm_speedup"):
                 if not isinstance(srv[f], (int, float)) or srv[f] <= 0:
                     fail(f"{where}: serve.{f} is not a positive number")
-            for f in ("cross_bind_hits", "level_fixpoints_reused", "store_rows"):
-                if not isinstance(srv[f], int) or srv[f] < 0:
-                    fail(f"{where}: serve.{f} is not a non-negative integer")
+            if not isinstance(srv["level_fixpoints_reused"], int) or (
+                srv["level_fixpoints_reused"] < 0
+            ):
+                fail(f"{where}: serve.level_fixpoints_reused is not a non-negative integer")
             # The daemon's whole value proposition: a second client's
-            # identical sweep must ride the warm engine and persistent
-            # store, never re-paying the cold request.
+            # identical sweep must ride the warm engine and its memos,
+            # never re-paying the cold request.
             if srv["warm_request_s"] > srv["cold_request_s"]:
                 fail(
                     f"{where}: warm serve request slower than the cold one "
                     f"({srv['warm_request_s']:.4f}s > {srv['cold_request_s']:.4f}s)"
                 )
-            if srv["cross_bind_hits"] == 0:
-                fail(f"{where}: warm serve sweep recorded no cross-bind cache hits")
-            if srv["store_rows"] == 0:
-                fail(f"{where}: serve persistent row store is empty after the sweeps")
+            if srv["level_fixpoints_reused"] == 0:
+                fail(f"{where}: warm serve sweep served no level fixpoint from the memo")
             check_fields(sc["domains"], DOMAINS_FIELDS, f"{where}: domains")
             dom = sc["domains"]
             if dom["identical"] is not True:

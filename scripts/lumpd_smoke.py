@@ -8,8 +8,9 @@ the framed newline-JSON wire path (docs/PROTOCOL.md):
   submit-model  polling model, then an idempotent re-submit (fresh=false)
   lump          ordinary mode on the submitted model
   sweep         twice with identical points: the second (warm) response
-                must report cross_bind_hits > 0 — a later client rides
-                the earlier client's lumping work
+                must report level_reused and rebuilds_reused above the
+                cold response's — a later client rides the earlier
+                client's lumping work through the model's memos
   solve         power iteration; measures must be finite probabilities
   stats         must list the model with the points run so far, and
                 carry the per-verb counters/quantiles array
@@ -27,7 +28,7 @@ deadline_ms is too large for the daemon's nanosecond clock must answer
 ok.  A 4-client mini-load (each client on its own
 connection, a mixed ping/stats/lump cycle) must complete with zero
 errors.  The Prometheus scrape is validated with scripts/check_prom.py,
-requiring the serve_*, lump_* and key_cache_* families plus the
+requiring the serve_*, lump_* and key_cache_eval_seconds families plus the
 per-verb family set for every protocol verb (--verbs).  The daemon
 boots with --access-log; after the clean drain the log must hold one
 JSON line per handled request, with distinct server request ids and
@@ -179,8 +180,9 @@ def main():
         c = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         c.connect(sock_path)
         warm = expect_ok(request(c, sweep), "sweep")
-        if warm.get("cross_bind_hits", 0) <= 0:
-            fail("warm sweep reported no cross-bind hits — the store went cold")
+        for f in ("level_reused", "rebuilds_reused"):
+            if warm.get(f, 0) <= cold.get(f, 0):
+                fail(f"warm sweep {f} did not grow past the cold one's — the memos went cold")
         if [p["lumped_states"] for p in cold["points"]] != [
             p["lumped_states"] for p in warm["points"]
         ]:
@@ -192,7 +194,8 @@ def main():
             )
         print(
             f"  sweep: cold {cold['wall_s']:.4f}s warm {warm['wall_s']:.4f}s "
-            f"cross-bind {warm['cross_bind_hits']}"
+            f"levels reused {cold['level_reused']} -> {warm['level_reused']}, "
+            f"rebuilds reused {cold['rebuilds_reused']} -> {warm['rebuilds_reused']}"
         )
 
         # solve
@@ -336,8 +339,7 @@ def main():
                 "serve_control_seconds",
                 "serve_uptime_seconds",
                 "lump_runs",
-                "key_cache_hits",
-                "key_cache_misses",
+                "key_cache_eval_seconds",
                 "--verbs",
                 "submit-model,lump,sweep,solve,stats,ping,shutdown",
             ],

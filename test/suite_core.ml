@@ -647,8 +647,7 @@ let test_md_solve_matches_flat () =
    point runs the generic list-based engine over the raw keys, compared
    by [Local_key.compare_exact].  At every level, in both modes and with
    both key choices, they must reach the same partition under the same
-   canonical class numbering (the numbering the rebuild reads), and
-   every production pass must have gone through the cache. *)
+   canonical class numbering (the numbering the rebuild reads). *)
 let test_level_pipeline_matches_reference =
   QCheck.Test.make ~count:60
     ~name:"interned level pipeline matches generic at every level (both modes)"
@@ -660,16 +659,10 @@ let test_level_pipeline_matches_reference =
         (fun (mode, key) ->
           for level = 1 to Md.levels md do
             let initial = Partition.trivial (Md.size md level) in
-            let p, c =
-              Counters.of_run
-                [ "key_cache.hits"; "key_cache.misses"; "refiner.splitter_passes" ]
-                (fun () -> Level_lumping.comp_lumping_level ~key mode md ~level ~initial)
-            in
+            let p = Level_lumping.comp_lumping_level ~key mode md ~level ~initial in
             let p_ref = Reference_lump.level_partition ~key mode md ~level ~initial in
             if Partition.to_class_assignment p <> Partition.to_class_assignment p_ref
-            then ok := false;
-            let lookups = c "key_cache.hits" + c "key_cache.misses" in
-            if lookups <> c "refiner.splitter_passes" then ok := false
+            then ok := false
           done)
         [
           (State_lumping.Ordinary, Local_key.Formal_sums);
@@ -807,32 +800,34 @@ let test_key_cache_invalidation () =
     (fun () -> ignore (Key_cache.for_level (Key_cache.create ()) level))
 
 let test_singleton_skip () =
-  (* A plain cache skips the singleton classes of each run-start
-     partition before key evaluation; a persistent cache never does (its
-     rows must be complete to serve later binds).  Same fixed point,
-     same splitter pass count, strictly fewer key evaluations on the
-     plain cache. *)
+  (* Key evaluation may skip the states alone in their run-start class:
+     a class of one never splits.  The ranked pipeline over the cache's
+     level keys, with and without that skip, must reach the same fixed
+     point in the same number of splitter passes, with strictly fewer
+     key evaluations when skipping. *)
   let md, _sizes = concrete_md () in
   let level = 2 in
-  let initial () = Partition.of_class_assignment [| 0; 0; 1 |] in
-  let run cache =
-    Counters.of_run
-      [ "refiner.splitter_passes"; "refiner.key_evals"; "key_cache.hits"; "key_cache.misses" ]
-      (fun () ->
-        Level_lumping.comp_lumping_level ~cache State_lumping.Ordinary md ~level
-          ~initial:(initial ()))
+  let initial = Partition.of_class_assignment [| 0; 0; 1 |] in
+  let singleton s = Partition.class_size initial (Partition.class_of initial s) = 1 in
+  let run ?skip () =
+    let cache = Key_cache.create () in
+    Key_cache.bind ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary cache md;
+    let rspec =
+      {
+        Refiner.rsize = Md.size md level;
+        rsplitter_keys = Key_cache.splitter_keys ?skip (Key_cache.for_level cache level);
+      }
+    in
+    Counters.of_run [ "refiner.splitter_passes"; "refiner.key_evals" ] (fun () ->
+        Refiner.comp_lumping_ranked rspec ~initial)
   in
-  let persistent = Key_cache.create () in
-  Key_cache.set_persistent persistent true;
-  let p_u, u = run persistent in
-  let p_c, c = run (Key_cache.create ()) in
-  Alcotest.check partition_testable "same fixed point" p_u p_c;
-  Alcotest.(check int) "same splitter pass count" (u "refiner.splitter_passes")
-    (c "refiner.splitter_passes");
+  let p_all, all = run () in
+  let p_skip, skip = run ~skip:singleton () in
+  Alcotest.check partition_testable "same fixed point" p_all p_skip;
+  Alcotest.(check int) "same splitter pass count" (all "refiner.splitter_passes")
+    (skip "refiner.splitter_passes");
   Alcotest.(check bool) "singleton keys skipped" true
-    (c "refiner.key_evals" < u "refiner.key_evals");
-  Alcotest.(check bool) "cache consulted" true
-    (c "key_cache.hits" + c "key_cache.misses" > 0)
+    (skip "refiner.key_evals" < all "refiner.key_evals")
 
 let test_shared_cache_across_models () =
   (* One cache across a sweep of different diagrams (the bench
@@ -909,50 +904,11 @@ let test_cache_config_contract () =
   (* The recorded configuration itself keeps working. *)
   ignore (Compositional.lump ~cache State_lumping.Ordinary md ~rewards ~initial)
 
-let test_persistent_cross_bind () =
-  (* Persistent mode: a same-diagram rebind is an epoch bump, and a
-     re-run of the very same lump is answered entirely by the
-     content-keyed store — zero new misses, every answer counted as a
-     cross-bind hit, bit-identical result. *)
-  let md, _sizes = concrete_md () in
-  let rewards, initial = lump_inputs md in
-  let cache = Key_cache.create () in
-  Key_cache.set_persistent cache true;
-  Alcotest.(check bool) "persistence on" true (Key_cache.persistent cache);
-  let r1 = Compositional.lump ~cache State_lumping.Ordinary md ~rewards ~initial in
-  let epoch1 = Key_cache.epoch cache in
-  Alcotest.(check bool) "first run populated the store" true
-    (Key_cache.store_size cache > 0);
-  Alcotest.(check int) "no cross-bind hits within one bind" 0
-    (Key_cache.cross_bind_hits cache);
-  let r2, c =
-    Counters.of_run [ "key_cache.misses" ] (fun () ->
-        Compositional.lump ~cache State_lumping.Ordinary md ~rewards ~initial)
-  in
-  Alcotest.(check int) "second run: no new misses" 0 (c "key_cache.misses");
-  Alcotest.(check bool) "second run: cross-bind hits" true
-    (Key_cache.cross_bind_hits cache > 0);
-  Alcotest.(check int) "rebind bumped the epoch" (epoch1 + 1) (Key_cache.epoch cache);
-  Alcotest.(check bool) "second run bit-identical" true
-    (Md.equal r1.Compositional.lumped r2.Compositional.lumped);
-  (* Binding a different diagram clears the store — node ids restart per
-     diagram, so content keys could collide across diagrams. *)
-  let md2 =
-    Gen_md.of_spec
-      (Spec.Direct { sizes = [| 3; 2; 2 |]; width = 2; symmetric = true; seed = 5 })
-  in
-  Key_cache.bind ~choice:Local_key.Formal_sums ~mode:State_lumping.Ordinary cache md2;
-  Alcotest.(check int) "different-diagram bind clears the store" 0
-    (Key_cache.store_size cache);
-  (* Toggling persistence off discards rows and store. *)
-  Key_cache.set_persistent cache false;
-  Alcotest.(check bool) "persistence off" false (Key_cache.persistent cache)
-
 (* ----- batched sweeps ----- *)
 
 (* A reward/initial family over one diagram: base spec, a threshold
    indicator on the last level, its complement (same class sets, flipped
-   class order — the cross-bind fixture), a two-indicator point, then a
+   class order, so a level-memo miss), a two-indicator point, then a
    repeat of the base point (level-memo and rebuild-memo hits). *)
 let sweep_family mode md =
   let sizes = Md.sizes md in
@@ -984,7 +940,11 @@ let sweep_family mode md =
         (fun initial -> (base_rewards, initial))
         [ base_initial; ind true; ind false; scaled; base_initial ]
 
+(* Besides equal results, a point whose levels all miss the fixed-point
+   memo must add exactly the refinement counts its independent lump
+   adds: the sweep runs the same refinement, singleton skip included. *)
 let test_sweep_matches_per_point =
+  let counters = [ "refiner.splitter_passes"; "refiner.key_evals"; "refiner.splits" ] in
   QCheck.Test.make ~count:25
     ~name:"lump_sweep = independent lump per point (diagram, partitions)"
     (Mdl_oracle.Qcheck_gen.model ()) (fun spec ->
@@ -996,32 +956,45 @@ let test_sweep_matches_per_point =
           let sw = Compositional.sweep_create mode md in
           let swept =
             List.map
-              (fun (rewards, initial) -> Compositional.sweep_point sw ~rewards ~initial)
+              (fun (rewards, initial) ->
+                let reused0 = (Compositional.sweep_stats sw).Compositional.level_reused in
+                let r, c =
+                  Counters.of_run counters (fun () ->
+                      Compositional.sweep_point sw ~rewards ~initial)
+                in
+                let missed = (Compositional.sweep_stats sw).Compositional.level_reused = reused0 in
+                (r, missed, List.map c counters))
               points
           in
           let independent =
             List.map
-              (fun (rewards, initial) -> Compositional.lump mode md ~rewards ~initial)
+              (fun (rewards, initial) ->
+                let r, c =
+                  Counters.of_run counters (fun () ->
+                      Compositional.lump mode md ~rewards ~initial)
+                in
+                (r, List.map c counters))
               points
           in
           List.iter2
-            (fun s i ->
+            (fun (s, missed, s_counts) (i, i_counts) ->
               if not (Md.equal s.Compositional.lumped i.Compositional.lumped) then
                 ok := false;
               if
                 not
                   (Array.for_all2 Partition.equal s.Compositional.partitions
                      i.Compositional.partitions)
-              then ok := false)
+              then ok := false;
+              if missed && s_counts <> i_counts then ok := false)
             swept independent)
         [ State_lumping.Ordinary; State_lumping.Exact ];
       !ok)
 
 let test_sweep_reuse_counters () =
-  (* The engine's stats must show each reuse tier firing on the family
+  (* The engine's stats must show both memos firing on the family
      designed to exercise them: the repeated base point serves its level
-     fixed points and rebuild from the memos, and the complement
-     indicator point reuses splitter rows across binds. *)
+     fixed points and rebuild from the memos.  The cache keeps the keys
+     interned across points. *)
   let md, _sizes = concrete_md () in
   let points = sweep_family State_lumping.Ordinary md in
   let sw = Compositional.sweep_create State_lumping.Ordinary md in
@@ -1035,8 +1008,8 @@ let test_sweep_reuse_counters () =
     st.Compositional.points;
   Alcotest.(check bool) "level fixpoints reused" true (st.Compositional.level_reused > 0);
   Alcotest.(check bool) "rebuilds reused" true (st.Compositional.rebuilds_reused > 0);
-  Alcotest.(check bool) "rows persisted" true
-    (Mdl_core.Key_cache.store_size (Compositional.sweep_cache sw) > 0);
+  Alcotest.(check bool) "keys interned" true
+    (Key_cache.gid_count (Compositional.sweep_cache sw) > 0);
   (* The repeated base point aliases the first point's diagram. *)
   let first = List.hd results in
   let last = List.nth results (List.length results - 1) in
@@ -1135,8 +1108,6 @@ let tests =
       test_shared_cache_across_models;
     Alcotest.test_case "cache configuration contract enforced" `Quick
       test_cache_config_contract;
-    Alcotest.test_case "persistent cache serves rows across binds" `Quick
-      test_persistent_cross_bind;
     Alcotest.test_case "sweep engine reuse counters" `Quick test_sweep_reuse_counters;
     Alcotest.test_case "rebuild reuse/rebuilt counters" `Quick test_rebuild_counters;
     Alcotest.test_case "exact rebuild scratch linear in classes" `Quick

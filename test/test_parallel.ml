@@ -65,8 +65,6 @@ let lump_counters =
     "refiner.key_evals";
     "refiner.splits";
     "refiner.blocks_created";
-    "key_cache.hits";
-    "key_cache.misses";
     "rebuild.nodes_rebuilt";
     "rebuild.nodes_reused";
   ]
@@ -127,10 +125,10 @@ let test_differential_chain =
    its own record of the engine's cache; the result must stay
    bit-identical to the sequential engine and to an independent
    per-point lump at every domain count, and so must every count the
-   cache and the refiner keep.  The family mirrors the bench's: a
-   threshold indicator on the last level, its complement (same class
-   contents, flipped class order — forces a level-memo miss that the
-   persistent row store answers), a combined point, and a repeat. *)
+   refiner keeps and the keys the cache interns.  The family mirrors
+   the bench's: a threshold indicator on the last level, its complement
+   (same class contents, flipped class order — forces a level-memo
+   miss), a combined point, and a repeat. *)
 let sweep_points md =
   let sizes = Md.sizes md in
   let level = Array.length sizes in
@@ -146,10 +144,11 @@ let sweep_points md =
   ( Decomposed.constant ~sizes 1.0,
     [ [ reward ]; [ ind true; reward ]; [ ind false; reward ]; [ reward ] ] )
 
-(* The registry counts two sweeps are compared on: the key cache's and
-   every refiner counter. *)
+(* The registry counts two sweeps are compared on: every refiner
+   counter and the engine's memo counters. *)
 let sweep_counters =
-  [ "key_cache.hits"; "key_cache.misses"; "key_cache.cross_bind_hits"; "refiner.runs" ]
+  [ "refiner.runs"; "sweep.level_fixpoints"; "sweep.level_reused"; "sweep.rebuilds";
+    "sweep.rebuild_reused" ]
   @ List.map (( ^ ) "refiner.") Suite_partition.refiner_counters
 
 let test_differential_sweep =
@@ -169,11 +168,7 @@ let test_differential_sweep =
         let kc = Compositional.sweep_cache sw in
         ( rs,
           List.map (fun n -> (n, c n)) sweep_counters
-          @ [
-              ("store_size", Key_cache.store_size kc);
-              ("gid_count", Key_cache.gid_count kc);
-              ("cross_bind_hits", Key_cache.cross_bind_hits kc);
-            ] )
+          @ [ ("gid_count", Key_cache.gid_count kc) ] )
       in
       let seq, seq_counts = sweep () in
       let independent =
